@@ -118,7 +118,7 @@ fn report(name: &str, samples: &mut [Duration], throughput: Option<Throughput>) 
             format!("  {:>12.0} elem/s", n as f64 / median.as_secs_f64())
         }
         Some(Throughput::Bytes(n)) => {
-            format!("  {:>12.0} B/s", n as f64 / median.as_secs_f64())
+            format!("  {:>12.1} MB/s", n as f64 / median.as_secs_f64() / 1e6)
         }
         None => String::new(),
     };

@@ -14,6 +14,7 @@
 
 use crate::address::NodeId;
 use crate::sim::{Tag, Trace, TraceEvent, TraceKind};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -35,19 +36,55 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected, nesting capped at [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
+        let mut tok = Tokenizer::new(text);
+        let first = tok.expect_token()?;
+        let value = Json::build(&mut tok, first)?;
+        tok.finish()?;
+        Ok(value)
+    }
+
+    /// Builds the value that `first` starts from the tokens after it.
+    /// Iterative, so only the tokenizer's depth cap bounds nesting.
+    pub(crate) fn build<'a>(tok: &mut Tokenizer<'a>, first: Token<'a>) -> Result<Json, String> {
+        // Open containers, innermost last, each with the key its next
+        // member belongs to (objects only).
+        let mut open: Vec<(Json, Option<String>)> = Vec::new();
+        let mut token = first;
+        loop {
+            let value = match token {
+                Token::BeginArray | Token::BeginObject => {
+                    let container = if matches!(token, Token::BeginArray) {
+                        Json::Arr(Vec::new())
+                    } else {
+                        Json::Obj(Vec::new())
+                    };
+                    open.push((container, None));
+                    token = tok.expect_token()?;
+                    continue;
+                }
+                Token::Key(k) => {
+                    open.last_mut().expect("keys occur inside objects").1 = Some(k.into_owned());
+                    token = tok.expect_token()?;
+                    continue;
+                }
+                Token::EndArray | Token::EndObject => open.pop().expect("brackets balance").0,
+                Token::Str(s) => Json::Str(s.into_owned()),
+                Token::Num(x) => Json::Num(x),
+                Token::Bool(b) => Json::Bool(b),
+                Token::Null => Json::Null,
+            };
+            match open.last_mut() {
+                None => return Ok(value),
+                Some((Json::Arr(items), _)) => items.push(value),
+                Some((Json::Obj(fields), key)) => {
+                    fields.push((key.take().expect("a key precedes each member"), value))
+                }
+                Some(_) => unreachable!("only containers are open"),
+            }
+            token = tok.expect_token()?;
         }
-        Ok(v)
     }
 
     /// Object field lookup.
@@ -68,10 +105,7 @@ impl Json {
 
     /// The value as an unsigned integer (rejects negatives and fractions).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(num_as_u64)
     }
 
     /// The value as a boolean.
@@ -99,19 +133,139 @@ impl Json {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A JSON number as an unsigned integer: non-negative, integral and
+/// exactly representable.
+fn num_as_u64(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64)
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+/// The deepest nesting of arrays and objects any reader here accepts: far
+/// above what the workspace's writers emit (run files nest three deep),
+/// and low enough that deep input is an `Err`, not a stack overflow in
+/// whatever walks the result.
+pub const MAX_DEPTH: usize = 512;
+
+/// One lexical step of a JSON document. Strings borrow from the input
+/// unless they contain escapes.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Token<'a> {
+    BeginObject,
+    EndObject,
+    BeginArray,
+    EndArray,
+    /// An object member's key; its value is the next token.
+    Key(Cow<'a, str>),
+    Str(Cow<'a, str>),
+    Num(f64),
+    Bool(bool),
+    Null,
+}
+
+/// What the grammar allows next.
+#[derive(Clone, Copy)]
+enum State {
+    /// A value: at the start, after `:`, or after `,` in an array.
+    Value,
+    /// A value or `]`, just after `[`.
+    FirstValue,
+    /// A key or `}`, just after `{`.
+    FirstKey,
+    /// A key, after `,` in an object.
+    Key,
+    /// `,` or the innermost container's closing bracket.
+    Next,
+    /// Only whitespace: the top-level value is complete.
+    Done,
+}
+
+/// A pull tokenizer over a borrowed document: the one JSON parser of the
+/// workspace. [`Json::parse`] builds a tree from its tokens; the run-file
+/// reader in [`super::replay`] decodes events straight from them. It
+/// enforces the full grammar, so a consumer that stops looking at a value
+/// (see [`Tokenizer::skip`]) still rejects malformed documents.
+pub(crate) struct Tokenizer<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Open containers, innermost last: `true` for an object.
+    open: Vec<bool>,
+    state: State,
+}
+
+impl<'a> Tokenizer<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Tokenizer {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            open: Vec::new(),
+            state: State::Value,
+        }
+    }
+
+    /// The next token, or `None` once the document ended cleanly.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, String> {
+        loop {
+            self.skip_ws();
+            return match self.state {
+                State::Done if self.pos == self.bytes.len() => Ok(None),
+                State::Done => Err(format!("trailing garbage at byte {}", self.pos)),
+                State::Value => self.value().map(Some),
+                State::FirstValue if self.peek() == Some(b']') => Ok(Some(self.close())),
+                State::FirstValue => self.value().map(Some),
+                State::FirstKey if self.peek() == Some(b'}') => Ok(Some(self.close())),
+                State::FirstKey | State::Key => self.key().map(Some),
+                State::Next => {
+                    let object = self.open.last() == Some(&true);
+                    let close = if object { b'}' } else { b']' };
+                    match self.peek() {
+                        Some(b',') => {
+                            self.pos += 1;
+                            self.state = if object { State::Key } else { State::Value };
+                            continue;
+                        }
+                        Some(c) if c == close => Ok(Some(self.close())),
+                        other => Err(format!(
+                            "expected ',' or '{}' at byte {}, found {:?}",
+                            close as char,
+                            self.pos,
+                            other.map(|c| c as char)
+                        )),
+                    }
+                }
+            };
+        }
+    }
+
+    /// The next token of a document that cannot have ended yet.
+    pub(crate) fn expect_token(&mut self) -> Result<Token<'a>, String> {
+        self.next_token()?
+            .ok_or_else(|| "unexpected end of document".to_string())
+    }
+
+    /// Consumes the rest of the value `first` opened (nothing if it is a
+    /// scalar), checking its syntax on the way.
+    pub(crate) fn skip(&mut self, first: &Token<'a>) -> Result<(), String> {
+        if matches!(first, Token::BeginArray | Token::BeginObject) {
+            let depth = self.open.len();
+            while self.open.len() >= depth {
+                self.expect_token()?;
             }
+        }
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the top-level value.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        match self.next_token()? {
+            None => Ok(()),
+            Some(_) => Err(format!("document continues at byte {}", self.pos)),
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
         }
     }
 
@@ -133,7 +287,76 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    /// The state after a complete value.
+    fn after_value(&mut self) {
+        self.state = if self.open.is_empty() {
+            State::Done
+        } else {
+            State::Next
+        };
+    }
+
+    /// Consumes the closing bracket of the innermost container.
+    fn close(&mut self) -> Token<'a> {
+        self.pos += 1;
+        let object = self.open.pop().expect("a container is open");
+        self.after_value();
+        if object {
+            Token::EndObject
+        } else {
+            Token::EndArray
+        }
+    }
+
+    fn value(&mut self) -> Result<Token<'a>, String> {
+        let token = match self.peek() {
+            Some(c @ (b'{' | b'[')) => {
+                if self.open.len() >= MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.pos += 1;
+                let object = c == b'{';
+                self.open.push(object);
+                self.state = if object {
+                    State::FirstKey
+                } else {
+                    State::FirstValue
+                };
+                return Ok(if object {
+                    Token::BeginObject
+                } else {
+                    Token::BeginArray
+                });
+            }
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'-' | b'0'..=b'9') => Token::Num(self.number()?),
+            other => {
+                return Err(format!(
+                    "unexpected {:?} at byte {}",
+                    other.map(|c| c as char),
+                    self.pos
+                ))
+            }
+        };
+        self.after_value();
+        Ok(token)
+    }
+
+    fn key(&mut self) -> Result<Token<'a>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.state = State::Value;
+        Ok(Token::Key(key))
+    }
+
+    fn literal(&mut self, word: &str, value: Token<'a>) -> Result<Token<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -142,96 +365,33 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
+    /// Advances past plain string bytes (anything but `"` and `\`).
+    fn plain_run(&mut self) {
+        while let Some(&c) = self.bytes.get(self.pos) {
+            if c == b'"' || c == b'\\' {
+                break;
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.plain_run();
+        // `"` and `\` are ASCII, so every cut below is on a char boundary.
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             let b = self
                 .peek()
                 .ok_or_else(|| "unterminated string".to_string())?;
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let esc = self
                         .peek()
@@ -265,56 +425,50 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // multi-byte UTF-8: copy the whole scalar
-                    let start = self.pos - 1;
-                    let s = &self.bytes[start..];
-                    let ch_len = utf8_len(b);
-                    let chunk = s
-                        .get(..ch_len)
-                        .ok_or_else(|| "truncated UTF-8".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + ch_len;
+                    let run = self.pos - 1;
+                    self.plain_run();
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let digits = |t: &mut Self| {
+            while matches!(t.peek(), Some(b'0'..=b'9')) {
+                t.pos += 1;
+            }
+        };
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let int_start = self.pos;
+        digits(self);
+        let int_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if self.pos == int_end && (1..=15).contains(&(int_end - int_start)) {
+            // every integer below 10^15 is an exact f64: the value `parse`
+            // returns, without its general algorithm
+            let v = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0')) as f64;
+            return Ok(if negative { -v } else { v });
+        }
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(Json::Num)
             .map_err(|e| format!("bad number '{text}': {e}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -382,45 +536,179 @@ pub fn write_trace_event(out: &mut String, e: &TraceEvent) {
     }
 }
 
+/// One member value of an event record, as the decoders look at it:
+/// `Other` is any value that is neither a number nor a string, so it fails
+/// both lookups exactly like a mistyped member of a parsed object.
+#[derive(Default)]
+pub(crate) enum Field<'a> {
+    #[default]
+    Absent,
+    Num(f64),
+    Str(Cow<'a, str>),
+    Other,
+}
+
+impl Field<'_> {
+    fn of(value: Option<&Json>) -> Field<'_> {
+        match value {
+            None => Field::Absent,
+            Some(Json::Num(x)) => Field::Num(*x),
+            Some(Json::Str(s)) => Field::Str(Cow::Borrowed(s)),
+            Some(_) => Field::Other,
+        }
+    }
+
+    pub(crate) fn num(&self) -> Option<f64> {
+        match self {
+            Field::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn uint(&self) -> Option<u64> {
+        self.num().and_then(num_as_u64)
+    }
+
+    pub(crate) fn str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// The members of one trace or run-file event record that any reader
+/// looks at. Unknown members are ignored and, as with [`Json::get`], a
+/// repeated member keeps its first value.
+#[derive(Default)]
+pub(crate) struct EventFields<'a> {
+    pub t: Field<'a>,
+    pub node: Field<'a>,
+    pub tag: Field<'a>,
+    pub kind: Field<'a>,
+    pub to: Field<'a>,
+    pub from: Field<'a>,
+    pub elements: Field<'a>,
+    pub hops: Field<'a>,
+    pub wait: Field<'a>,
+    pub comparisons: Field<'a>,
+    pub phase: Field<'a>,
+}
+
+impl<'a> EventFields<'a> {
+    /// The members of a parsed value (none unless it is an object).
+    fn of(e: &'a Json) -> Self {
+        EventFields {
+            t: Field::of(e.get("t")),
+            node: Field::of(e.get("node")),
+            tag: Field::of(e.get("tag")),
+            kind: Field::of(e.get("kind")),
+            to: Field::of(e.get("to")),
+            from: Field::of(e.get("from")),
+            elements: Field::of(e.get("elements")),
+            hops: Field::of(e.get("hops")),
+            wait: Field::of(e.get("wait")),
+            comparisons: Field::of(e.get("comparisons")),
+            phase: Field::of(e.get("phase")),
+        }
+    }
+
+    /// Reads the members of the object whose `{` the tokenizer just
+    /// returned, through its `}`.
+    pub(crate) fn read(tok: &mut Tokenizer<'a>) -> Result<Self, String> {
+        let mut f = EventFields::default();
+        // anything but a key here is the object's closing `}`
+        while let Token::Key(key) = tok.expect_token()? {
+            let value = tok.expect_token()?;
+            let slot = match &*key {
+                "t" => &mut f.t,
+                "node" => &mut f.node,
+                "tag" => &mut f.tag,
+                "kind" => &mut f.kind,
+                "to" => &mut f.to,
+                "from" => &mut f.from,
+                "elements" => &mut f.elements,
+                "hops" => &mut f.hops,
+                "wait" => &mut f.wait,
+                "comparisons" => &mut f.comparisons,
+                "phase" => &mut f.phase,
+                _ => {
+                    tok.skip(&value)?;
+                    continue;
+                }
+            };
+            let field = match value {
+                Token::Num(x) => Field::Num(x),
+                Token::Str(s) => Field::Str(s),
+                other => {
+                    tok.skip(&other)?;
+                    Field::Other
+                }
+            };
+            if matches!(slot, Field::Absent) {
+                *slot = field;
+            }
+        }
+        Ok(f)
+    }
+
+    /// Decodes a send/recv/compute record; `i` is the record's index in
+    /// its array, used in error messages.
+    pub(crate) fn trace_event(&self, i: usize) -> Result<TraceEvent, String> {
+        let present = |f: &'_ Field<'_>, k: &str| match f {
+            Field::Absent => Err(format!("event {i}: missing '{k}'")),
+            _ => Ok(()),
+        };
+        let num = |f: &Field<'_>, k: &str| {
+            present(f, k)?;
+            f.num().ok_or_else(|| format!("event {i}: bad '{k}'"))
+        };
+        let int = |f: &Field<'_>, k: &str| {
+            present(f, k)?;
+            f.uint().ok_or_else(|| format!("event {i}: bad '{k}'"))
+        };
+        let time = num(&self.t, "t")?;
+        let node = NodeId::new(int(&self.node, "node")? as u32);
+        present(&self.tag, "tag")?;
+        let tag = Tag::new(
+            self.tag
+                .str()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| format!("event {i}: bad 'tag'"))?,
+        );
+        present(&self.kind, "kind")?;
+        let kind = match self.kind.str() {
+            Some("send") => TraceKind::Send {
+                to: NodeId::new(int(&self.to, "to")? as u32),
+                elements: int(&self.elements, "elements")? as usize,
+                hops: int(&self.hops, "hops")? as u32,
+            },
+            Some("recv") => TraceKind::Recv {
+                from: NodeId::new(int(&self.from, "from")? as u32),
+                elements: int(&self.elements, "elements")? as usize,
+                wait: match self.wait {
+                    Field::Absent => 0.0,
+                    _ => num(&self.wait, "wait")?,
+                },
+            },
+            Some("compute") => TraceKind::Compute {
+                comparisons: int(&self.comparisons, "comparisons")? as usize,
+            },
+            other => return Err(format!("event {i}: unknown kind {other:?}")),
+        };
+        Ok(TraceEvent {
+            time,
+            node,
+            tag,
+            kind,
+        })
+    }
+}
+
 /// Parses one object written by [`write_trace_event`]; `i` is the event's
 /// index in its array, used in error messages.
 pub fn parse_trace_event(i: usize, e: &Json) -> Result<TraceEvent, String> {
-    let field = |k: &str| e.get(k).ok_or_else(|| format!("event {i}: missing '{k}'"));
-    let num = |k: &str| field(k)?.as_f64().ok_or(format!("event {i}: bad '{k}'"));
-    let int = |k: &str| field(k)?.as_u64().ok_or(format!("event {i}: bad '{k}'"));
-    let time = num("t")?;
-    let node = NodeId::new(int("node")? as u32);
-    let tag = Tag::new(
-        field("tag")?
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or(format!("event {i}: bad 'tag'"))?,
-    );
-    let kind = match field("kind")?.as_str() {
-        Some("send") => TraceKind::Send {
-            to: NodeId::new(int("to")? as u32),
-            elements: int("elements")? as usize,
-            hops: int("hops")? as u32,
-        },
-        Some("recv") => TraceKind::Recv {
-            from: NodeId::new(int("from")? as u32),
-            elements: int("elements")? as usize,
-            wait: match e.get("wait") {
-                Some(w) => w.as_f64().ok_or(format!("event {i}: bad 'wait'"))?,
-                None => 0.0,
-            },
-        },
-        Some("compute") => TraceKind::Compute {
-            comparisons: int("comparisons")? as usize,
-        },
-        other => return Err(format!("event {i}: unknown kind {other:?}")),
-    };
-    Ok(TraceEvent {
-        time,
-        node,
-        tag,
-        kind,
-    })
+    EventFields::of(e).trace_event(i)
 }
 
 /// Serializes a [`Trace`] to the workspace's own trace schema (distinct
@@ -510,5 +798,33 @@ mod tests {
         let mut buf = String::new();
         write_str(&mut buf, original);
         assert_eq!(Json::parse(&buf).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&over).expect_err("past the cap");
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn integers_parse_exactly_as_floats_do() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "007",
+            "-42",
+            "123456789012345",
+            "1234567890123456",
+            "9007199254740993",
+        ] {
+            let want: f64 = text.parse().unwrap();
+            let got = Json::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
     }
 }

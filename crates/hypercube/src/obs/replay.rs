@@ -12,13 +12,18 @@
 //! and replayed inputs. The only quantities not recomputed are the ones
 //! the event stream cannot express: final clocks, blocked time and inbox
 //! peaks, which come from the file's footer.
+//!
+//! Reading is one pass that builds no JSON tree of the events (see
+//! [`observation_from_json`]): replay costs about what inflating and
+//! tokenizing the file costs, and holds compact decoded records rather
+//! than a document tree.
 
-use super::json::{parse_trace_event, Json};
+use super::json::{EventFields, Field, Json, Token, Tokenizer};
 use super::sink::{BufferedSink, NodeSummary, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog, SpanRecord};
 use crate::address::NodeId;
 use crate::cost::CostModel;
-use crate::sim::{LinkModel, Trace, TraceKind};
+use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
 
 /// Serializes a buffered [`RunObservation`] into the run-file schema (the
@@ -82,6 +87,112 @@ pub fn observation_from_file(path: &str) -> Result<RunObservation, String> {
     observation_from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// One `events` entry, decoded but not yet attributed: the footer that
+/// says which nodes took part comes after the events in the file.
+struct Record {
+    node: usize,
+    body: Body,
+}
+
+enum Body {
+    Enter { phase: u16, t: f64 },
+    Exit { t: f64 },
+    Event(TraceEvent),
+}
+
+/// The first `events` entry that failed to decode: its index, its node
+/// when that much decoded, and the error.
+type BadRecord = (usize, Option<usize>, String);
+
+/// The decoded `events` entries before the first bad one, and that one.
+type Events = (Vec<Record>, Option<BadRecord>);
+
+fn decode_record(i: usize, f: &EventFields<'_>) -> Result<Record, (Option<usize>, String)> {
+    let node = f
+        .node
+        .uint()
+        .ok_or_else(|| (None, format!("event {i}: missing 'node'")))? as usize;
+    let time = |t: &Field<'_>| t.num().ok_or_else(|| format!("event {i}: bad 't'"));
+    let body = match f.kind.str() {
+        Some("enter") => f
+            .phase
+            .uint()
+            .filter(|p| *p <= u16::MAX as u64)
+            .ok_or_else(|| format!("event {i}: bad 'phase'"))
+            .and_then(|phase| {
+                Ok(Body::Enter {
+                    phase: phase as u16,
+                    t: time(&f.t)?,
+                })
+            }),
+        Some("exit") => time(&f.t).map(|t| Body::Exit { t }),
+        _ => f.trace_event(i).map(Body::Event),
+    };
+    body.map(|body| Record { node, body })
+        .map_err(|e| (Some(node), e))
+}
+
+/// Reads the `events` array whose `[` the tokenizer just returned. Entries
+/// after the first bad one are still checked for syntax, not decoded.
+fn read_events(tok: &mut Tokenizer<'_>) -> Result<Events, String> {
+    let mut records = Vec::new();
+    let mut bad = None;
+    let mut i = 0;
+    loop {
+        let fields = match tok.expect_token()? {
+            Token::EndArray => return Ok((records, bad)),
+            Token::BeginObject => EventFields::read(tok)?,
+            other => {
+                // not an object: no members, so it fails on 'node'
+                tok.skip(&other)?;
+                EventFields::default()
+            }
+        };
+        if bad.is_none() {
+            match decode_record(i, &fields) {
+                Ok(record) => records.push(record),
+                Err((node, e)) => bad = Some((i, node, e)),
+            }
+        }
+        i += 1;
+    }
+}
+
+/// A run file split in one pass: every top-level member except `events`
+/// as a [`Json`] value (the header and the footer, both small), and the
+/// first `events` array, if it is one, streamed into records.
+fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
+    let mut tok = Tokenizer::new(text);
+    let first = tok.expect_token()?;
+    if first != Token::BeginObject {
+        let doc = Json::build(&mut tok, first)?;
+        tok.finish()?;
+        return Ok((doc, None));
+    }
+    let mut members = Vec::new();
+    let mut events = None;
+    let mut seen_events = false;
+    // anything but a key here is the closing `}`
+    while let Token::Key(key) = tok.expect_token()? {
+        let value = tok.expect_token()?;
+        if key == "events" {
+            // like Json::get, the first member of a name wins
+            if seen_events {
+                tok.skip(&value)?;
+                continue;
+            }
+            seen_events = true;
+            if value == Token::BeginArray {
+                events = Some(read_events(&mut tok)?);
+                continue;
+            }
+        }
+        members.push((key.into_owned(), Json::build(&mut tok, value)?));
+    }
+    tok.finish()?;
+    Ok((Json::Obj(members), events))
+}
+
 /// Parses a run file (schema version 1 or 2, written by the sinks in
 /// [`super::sink`]) back into a full [`RunObservation`]. Version 1 files
 /// predate link models: they parse with `wait = 0` on every receive and
@@ -91,8 +202,16 @@ pub fn observation_from_file(path: &str) -> Result<RunObservation, String> {
 /// CLIs that know the element type; absent from library-written files)
 /// that flows back into [`RunObservation::report`]. Errors name the
 /// offending record.
+///
+/// The reader makes one pass over the text without building a tree of the
+/// events: the JSON tokenizer of [`super::json`] streams each record into a compact
+/// decoded form, and the records are attributed to nodes once the footer
+/// (which follows them) is known — in file order, through the same
+/// accumulation code and with the same errors as a record-by-record walk.
+/// Members may come in any order, unknown members are ignored, and
+/// nesting deeper than [`MAX_DEPTH`](super::json::MAX_DEPTH) is an error.
 pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
-    let doc = Json::parse(text)?;
+    let (doc, events) = read_run_file(text)?;
     let version = doc
         .get("version")
         .and_then(Json::as_u64)
@@ -180,39 +299,18 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
 
     // Records, in file order — which preserves each node's emission order,
     // the invariant the span stack and the stable trace sort rely on.
-    let mut events = Vec::new();
-    for (i, e) in doc
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'events'")?
-        .iter()
-        .enumerate()
-    {
-        let node = e
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or(format!("event {i}: missing 'node'"))? as usize;
+    let (records, bad) = events.ok_or("missing 'events'")?;
+    let not_in_footer = |i: usize, node: usize| format!("event {i}: node {node} not in the footer");
+    let mut events = Vec::with_capacity(records.len());
+    for (i, Record { node, body }) in records.into_iter().enumerate() {
         let acc = accs
             .get_mut(node)
             .and_then(Option::as_mut)
-            .ok_or(format!("event {i}: node {node} not in the footer"))?;
-        let time = |k: &str| {
-            e.get(k)
-                .and_then(Json::as_f64)
-                .ok_or(format!("event {i}: bad '{k}'"))
-        };
-        match e.get("kind").and_then(Json::as_str) {
-            Some("enter") => {
-                let phase = e
-                    .get("phase")
-                    .and_then(Json::as_u64)
-                    .filter(|p| *p <= u16::MAX as u64)
-                    .ok_or(format!("event {i}: bad 'phase'"))? as u16;
-                acc.spans.enter(phase, time("t")?);
-            }
-            Some("exit") => acc.spans.exit(time("t")?),
-            _ => {
-                let ev = parse_trace_event(i, e)?;
+            .ok_or_else(|| not_in_footer(i, node))?;
+        match body {
+            Body::Enter { phase, t } => acc.spans.enter(phase, t),
+            Body::Exit { t } => acc.spans.exit(t),
+            Body::Event(ev) => {
                 match ev.kind {
                     TraceKind::Send { to, elements, hops } => {
                         acc.stats.record_message(elements, hops);
@@ -227,6 +325,12 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
                 events.push(ev);
             }
         }
+    }
+    if let Some((i, node, err)) = bad {
+        if let Some(node) = node.filter(|&n| accs.get(n).is_none_or(Option::is_none)) {
+            return Err(not_in_footer(i, node));
+        }
+        return Err(err);
     }
 
     let nodes = accs
@@ -449,6 +553,14 @@ mod tests {
             (
                 "{\"version\":1,\"dim\":1,\"cost\":{\"t_sr\":1,\"t_c\":1,\"t_startup\":0},\"events\":[{\"t\":0,\"node\":0,\"kind\":\"exit\"}],\"nodes\":[]}",
                 "not in the footer",
+            ),
+            (
+                "{\"version\":1,\"dim\":1,\"cost\":{\"t_sr\":1,\"t_c\":1,\"t_startup\":0},\"events\":[{\"t\":\"x\",\"node\":1,\"kind\":\"exit\"}],\"nodes\":[]}",
+                "event 0: node 1 not in the footer",
+            ),
+            (
+                "{\"nodes\":[{\"node\":0,\"clock\":0,\"blocked_us\":0,\"inbox_peak\":0}],\"events\":[{\"kind\":\"exit\",\"node\":0,\"t\":0},[]],\"cost\":{\"t_sr\":1,\"t_c\":1,\"t_startup\":0},\"dim\":1,\"version\":1}",
+                "event 1: missing 'node'",
             ),
         ] {
             let err = observation_from_json(text).expect_err(text);
