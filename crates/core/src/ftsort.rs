@@ -623,7 +623,7 @@ where
                 // Step 7: compare-split with the corresponding processor of
                 // the neighboring subcube along dimension j.
                 let u = v ^ (1 << j);
-                let partner = st.members(u)[w as usize];
+                let partner = st.member(u, w);
                 // Invariant: before substage (i, j) the subcube's window
                 // order is ascending iff bit_j(v) == 0 when j == i (set by
                 // the previous block's final re-sort or the step-3 parity),

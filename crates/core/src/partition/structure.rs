@@ -173,16 +173,24 @@ impl SingleFaultStructure {
             .count()
     }
 
-    /// The physical addresses of subcube `v`'s processors indexed by
-    /// **reindexed** local address: entry `w` is the processor whose
-    /// reindexed address is `w` (the dead processor, if any, sits at entry
-    /// 0). This is the member map handed to the distributed bitonic sort.
-    pub fn members(&self, v: u32) -> Vec<NodeId> {
+    /// The physical address of the processor of subcube `v` whose
+    /// **reindexed** local address is `w` (the dead processor, if any, has
+    /// `w = 0`). O(s) and allocation-free: step 7 looks up its partner in
+    /// the neighbouring subcube with it on every substage.
+    ///
+    /// # Panics
+    /// If `v` or `w` is out of range.
+    #[inline]
+    pub fn member(&self, v: u32, w: u32) -> NodeId {
         let info = self.subcube(v);
-        let mask = info.reindex_mask();
-        (0..(1u32 << self.s()))
-            .map(|w| info.subcube.global_address(w ^ mask))
-            .collect()
+        info.subcube.global_address(w ^ info.reindex_mask())
+    }
+
+    /// The physical addresses of subcube `v`'s processors indexed by
+    /// reindexed local address: entry `w` is [`Self::member`]`(v, w)`. This
+    /// is the member map handed to the distributed bitonic sort.
+    pub fn members(&self, v: u32) -> Vec<NodeId> {
+        (0..(1u32 << self.s())).map(|w| self.member(v, w)).collect()
     }
 
     /// Decomposes a physical address into `(v, reindexed local address)`.
@@ -305,13 +313,35 @@ mod tests {
         }
     }
 
+    /// `member` agrees with the `members` map and inverts `locate`.
+    fn assert_member_roundtrips(st: &SingleFaultStructure) {
+        for v in 0..(1u32 << st.m()) {
+            for (w, &p) in st.members(v).iter().enumerate() {
+                let w = w as u32;
+                assert_eq!(st.member(v, w), p, "v={v} w={w}");
+                assert_eq!(st.locate(p), (v, w), "v={v} w={w}");
+            }
+        }
+    }
+
     #[test]
     fn locate_roundtrips_members() {
         let (_, st) = paper_example();
-        let st = st.with_danglings(0b10);
-        for v in 0..8u32 {
-            for (w, &p) in st.members(v).iter().enumerate() {
-                assert_eq!(st.locate(p), (v, w as u32));
+        assert_member_roundtrips(&st.with_danglings(0b10));
+        // Seeded random fault sets, every cutting sequence of Ψ, danglings
+        // designated at a random local address.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5ab_cabe);
+        for n in 2..=7 {
+            for _ in 0..20 {
+                let r = rng.random_range(0..=n);
+                let faults = FaultSet::random(Hypercube::new(n), r, &mut rng);
+                let psi = crate::partition::partition(&faults).unwrap().cutting_set;
+                for dims in &psi {
+                    let st = SingleFaultStructure::new(&faults, dims);
+                    let w = rng.random_range(0..1u32 << st.s());
+                    assert_member_roundtrips(&st.with_danglings(w));
+                }
             }
         }
     }

@@ -667,8 +667,13 @@ impl<'a> EventFields<'a> {
             present(f, k)?;
             f.uint().ok_or_else(|| format!("event {i}: bad '{k}'"))
         };
+        // addresses and hop counts are u32 in memory: out of range is an
+        // error, not a truncation
+        let int32 = |f: &Field<'_>, k: &str| {
+            u32::try_from(int(f, k)?).map_err(|_| format!("event {i}: bad '{k}'"))
+        };
         let time = num(&self.t, "t")?;
-        let node = NodeId::new(int(&self.node, "node")? as u32);
+        let node = NodeId::new(int32(&self.node, "node")?);
         present(&self.tag, "tag")?;
         let tag = Tag::new(
             self.tag
@@ -679,12 +684,12 @@ impl<'a> EventFields<'a> {
         present(&self.kind, "kind")?;
         let kind = match self.kind.str() {
             Some("send") => TraceKind::Send {
-                to: NodeId::new(int(&self.to, "to")? as u32),
+                to: NodeId::new(int32(&self.to, "to")?),
                 elements: int(&self.elements, "elements")? as usize,
-                hops: int(&self.hops, "hops")? as u32,
+                hops: int32(&self.hops, "hops")?,
             },
             Some("recv") => TraceKind::Recv {
-                from: NodeId::new(int(&self.from, "from")? as u32),
+                from: NodeId::new(int32(&self.from, "from")?),
                 elements: int(&self.elements, "elements")? as usize,
                 wait: match self.wait {
                     Field::Absent => 0.0,

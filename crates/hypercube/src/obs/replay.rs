@@ -104,6 +104,34 @@ enum Body {
 /// when that much decoded, and the error.
 type BadRecord = (usize, Option<usize>, String);
 
+/// Run-wide sums of the [`RunStats`] counters the records add to, kept
+/// with checked arithmetic. Every per-node counter, per-dimension link
+/// count and report total is a partial sum of one of these, so once they
+/// fit in a `u64` no accumulation downstream can overflow.
+#[derive(Default)]
+struct Totals {
+    elements: u64,
+    element_hops: u64,
+    message_hops: u64,
+    comparisons: u64,
+}
+
+impl Totals {
+    fn send(&mut self, elements: usize, hops: u32) -> Option<()> {
+        let elements = elements as u64;
+        self.elements = self.elements.checked_add(elements)?;
+        let element_hops = elements.checked_mul(u64::from(hops))?;
+        self.element_hops = self.element_hops.checked_add(element_hops)?;
+        self.message_hops = self.message_hops.checked_add(u64::from(hops))?;
+        Some(())
+    }
+
+    fn compute(&mut self, comparisons: usize) -> Option<()> {
+        self.comparisons = self.comparisons.checked_add(comparisons as u64)?;
+        Some(())
+    }
+}
+
 /// The decoded `events` entries before the first bad one, and that one.
 type Events = (Vec<Record>, Option<BadRecord>);
 
@@ -210,6 +238,13 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
 /// accumulation code and with the same errors as a record-by-record walk.
 /// Members may come in any order, unknown members are ignored, and
 /// nesting deeper than [`MAX_DEPTH`](super::json::MAX_DEPTH) is an error.
+///
+/// Records are also checked against what an engine can write: send and
+/// receive addresses lie inside the header's cube, a send crosses at most
+/// `2·(2^dim − 1)` links (the adaptive router's depth-first walk, which
+/// visits every node at most once and backtracks at most once per node,
+/// is the longest route any engine charges), and no counter sum overflows
+/// a `u64`.
 pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     let (doc, events) = read_run_file(text)?;
     let version = doc
@@ -301,26 +336,47 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     // the invariant the span stack and the stable trace sort rely on.
     let (records, bad) = events.ok_or("missing 'events'")?;
     let not_in_footer = |i: usize, node: usize| format!("event {i}: node {node} not in the footer");
+    let outside = |i: usize, k: &str, p: NodeId| {
+        format!("event {i}: '{k}' address {p} outside the {dim}-cube")
+    };
+    let max_hops = 2 * (len as u64 - 1);
+    let mut totals = Totals::default();
     let mut events = Vec::with_capacity(records.len());
     for (i, Record { node, body }) in records.into_iter().enumerate() {
         let acc = accs
             .get_mut(node)
             .and_then(Option::as_mut)
             .ok_or_else(|| not_in_footer(i, node))?;
+        let overflow = || format!("event {i}: counters overflow a u64");
         match body {
             Body::Enter { phase, t } => acc.spans.enter(phase, t),
             Body::Exit { t } => acc.spans.exit(t),
             Body::Event(ev) => {
                 match ev.kind {
                     TraceKind::Send { to, elements, hops } => {
+                        if to.index() >= len {
+                            return Err(outside(i, "to", to));
+                        }
+                        if u64::from(hops) > max_hops {
+                            return Err(format!(
+                                "event {i}: {hops} hops, longer than any route in the {dim}-cube"
+                            ));
+                        }
+                        totals.send(elements, hops).ok_or_else(overflow)?;
                         acc.stats.record_message(elements, hops);
                         acc.metrics.on_send(ev.node, to, elements, hops, &cost);
                     }
-                    TraceKind::Recv { wait, .. } => {
+                    TraceKind::Recv { from, wait, .. } => {
+                        if from.index() >= len {
+                            return Err(outside(i, "from", from));
+                        }
                         acc.metrics.msgs_received += 1;
                         acc.metrics.link_wait_us += wait;
                     }
-                    TraceKind::Compute { comparisons } => acc.stats.record_comparisons(comparisons),
+                    TraceKind::Compute { comparisons } => {
+                        totals.compute(comparisons).ok_or_else(overflow)?;
+                        acc.stats.record_comparisons(comparisons);
+                    }
                 }
                 events.push(ev);
             }

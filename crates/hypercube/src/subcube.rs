@@ -144,32 +144,45 @@ impl Subcube {
         )
     }
 
+    /// The free dimensions as a mask: the `n`-bit address space minus
+    /// `fixed_mask`.
+    #[inline]
+    fn free_mask(&self) -> u32 {
+        ((1u64 << self.n) - 1) as u32 & !self.fixed_mask
+    }
+
     /// Iterates over all node addresses in the subcube in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let free = self.free_dims();
+        let free = self.free_mask();
         let pattern = self.pattern;
-        (0..self.len() as u32)
-            .map(move |i| NodeId::new(pattern | crate::address::scatter_bits(i, &free)))
+        (0..self.len() as u32).map(move |i| NodeId::new(pattern | deposit(i, free)))
     }
 
     /// The *local address* of `node` within the subcube: its free-dimension
     /// bits packed into `dim()` bits (LSB = lowest free dimension).
+    /// O(`dim()`) and allocation-free.
     ///
     /// # Panics
     /// If the node is not contained in the subcube.
+    #[inline]
     pub fn local_address(&self, node: NodeId) -> u32 {
         assert!(self.contains(node), "node outside subcube");
-        crate::address::extract_bits(node.raw(), &self.free_dims())
+        extract(node.raw(), self.free_mask())
     }
 
-    /// Inverse of [`Subcube::local_address`].
+    /// Inverse of [`Subcube::local_address`]. O(`dim()`) and
+    /// allocation-free: the fault-tolerant sort calls it per substage on
+    /// every node to find its compare-split partner.
+    ///
+    /// # Panics
+    /// If `local` has bits at or above `dim()`.
+    #[inline]
     pub fn global_address(&self, local: u32) -> NodeId {
-        let free = self.free_dims();
         assert!(
-            (local as u64) < (1u64 << free.len()),
+            (local as u64) < (1u64 << self.dim()),
             "local address out of range"
         );
-        NodeId::new(self.pattern | crate::address::scatter_bits(local, &free))
+        NodeId::new(self.pattern | deposit(local, self.free_mask()))
     }
 
     /// Whether the two subcubes are disjoint.
@@ -228,6 +241,38 @@ impl Subcube {
         }
         out
     }
+}
+
+/// Scatters the low bits of `packed` to the set bits of `mask`, lowest
+/// first: [`crate::address::scatter_bits`] with the positions given as a
+/// mask. One iteration per set bit of `mask`.
+#[inline]
+fn deposit(mut packed: u32, mut mask: u32) -> u32 {
+    let mut out = 0;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        out |= (packed & 1).wrapping_neg() & low;
+        packed >>= 1;
+        mask ^= low;
+    }
+    out
+}
+
+/// Inverse of [`deposit`]: packs the bits of `value` at the set bits of
+/// `mask`, lowest first ([`crate::address::extract_bits`] with a mask).
+#[inline]
+fn extract(value: u32, mut mask: u32) -> u32 {
+    let mut out = 0;
+    let mut bit = 1u32;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        if value & low != 0 {
+            out |= bit;
+        }
+        bit <<= 1;
+        mask ^= low;
+    }
+    out
 }
 
 impl fmt::Debug for Subcube {
@@ -321,6 +366,45 @@ mod tests {
             assert!(sc.contains(g));
             assert_eq!(sc.local_address(g), local);
         }
+        // Every subcube of Q_n, n ≤ 6: the mask-based bit loops agree with
+        // scatter/extract over the free-dimension list, and round-trip.
+        use crate::address::{extract_bits, scatter_bits};
+        for n in 0..=6 {
+            for k in 0..=n {
+                for sc in Subcube::enumerate(n, k) {
+                    let free = sc.free_dims();
+                    for local in 0..sc.len() as u32 {
+                        let g = sc.global_address(local);
+                        assert_eq!(g.raw(), sc.pattern() | scatter_bits(local, &free), "{sc:?}");
+                        assert!(sc.contains(g), "{sc:?}");
+                        assert_eq!(sc.local_address(g), local, "{sc:?}");
+                    }
+                    for node in (0..1u32 << n).map(NodeId::new).filter(|&p| sc.contains(p)) {
+                        assert_eq!(sc.local_address(node), extract_bits(node.raw(), &free));
+                    }
+                    let nodes: Vec<NodeId> = sc.nodes().collect();
+                    let by_address: Vec<NodeId> =
+                        (0..sc.len() as u32).map(|w| sc.global_address(w)).collect();
+                    assert_eq!(nodes, by_address, "{sc:?}");
+                }
+            }
+        }
+        // The widest cube: all 32 dimensions free, and all fixed.
+        let whole = Subcube::whole(32);
+        for raw in [0, 1, 0x8000_0000, 0xdead_beef, u32::MAX] {
+            assert_eq!(whole.global_address(raw).raw(), raw);
+            assert_eq!(whole.local_address(NodeId::new(raw)), raw);
+        }
+        let point = Subcube::new(32, u32::MAX, 0xdead_beef);
+        assert_eq!(point.global_address(0).raw(), 0xdead_beef);
+        assert_eq!(point.local_address(NodeId::new(0xdead_beef)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "local address out of range")]
+    fn global_address_out_of_range_panics() {
+        let (a, _) = Subcube::whole(3).split(0);
+        a.global_address(4);
     }
 
     #[test]

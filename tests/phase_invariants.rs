@@ -63,7 +63,7 @@ fn run_prefix(
                     return run;
                 }
                 done += 1;
-                let partner = st_ref.members(v ^ (1 << j))[w as usize];
+                let partner = st_ref.member(v ^ (1 << j), w);
                 let keep = if (v >> j) & 1 == mask {
                     KeepHalf::Low
                 } else {

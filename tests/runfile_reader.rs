@@ -9,6 +9,9 @@
 //!   truncation, bit flips, deep nesting — read through
 //!   `observation_from_file`, plain or gzipped, returns `Err` or an
 //!   observation that round-trips, never a panic.
+//! * **Implausible records.** Send and receive addresses outside the cube,
+//!   hop counts no route can take, and counts whose sums overflow are
+//!   errors, not truncations, wraps or unbounded allocations.
 //!
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
@@ -265,4 +268,70 @@ fn mutated_gzip_run_files_fail_cleanly() {
         check(case, "gz", observation_from_file(path.to_str().unwrap()));
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A Q3 run file in which node 0, the only participant, records `events`.
+fn q3_run_file(events: &[String]) -> String {
+    format!(
+        "{{\"version\":2,\"dim\":3,\"cost\":{{\"t_sr\":3.2,\"t_c\":3,\"t_startup\":300}},\
+         \"link_model\":\"uncontended\",\"events\":[{}],\
+         \"nodes\":[{{\"node\":0,\"clock\":1,\"blocked_us\":0,\"inbox_peak\":0}}]}}",
+        events.join(",\n")
+    )
+}
+
+fn send(to: u64, elements: u64, hops: u64) -> String {
+    format!(
+        "{{\"t\":1,\"node\":0,\"tag\":\"0\",\"kind\":\"send\",\
+         \"to\":{to},\"elements\":{elements},\"hops\":{hops}}}"
+    )
+}
+
+fn recv(from: u64) -> String {
+    format!("{{\"t\":1,\"node\":0,\"tag\":\"0\",\"kind\":\"recv\",\"from\":{from},\"elements\":1}}")
+}
+
+fn compute(comparisons: u64) -> String {
+    format!(
+        "{{\"t\":1,\"node\":0,\"tag\":\"0\",\"kind\":\"compute\",\"comparisons\":{comparisons}}}"
+    )
+}
+
+#[test]
+fn implausible_send_and_recv_fields_are_errors() {
+    const BIG: u64 = (1 << 53) - 1; // the largest count the reader parses
+    let read = |events: &[String]| observation_from_json(&q3_run_file(events));
+    let rejects = |events: &[String], what: &str| match read(events) {
+        Ok(_) => panic!("{what}: accepted"),
+        Err(e) => assert!(e.contains("event"), "{what}: {e}"),
+    };
+
+    // The edges an engine can reach replay. The adaptive router's
+    // depth-first walk is the longest route: 2·(2^3 − 1) = 14 hops in Q3.
+    let edge = [send(7, 4, 14), recv(7), send(0, 0, 0), send(1, BIG, 3)];
+    check(0, "edge", read(&edge));
+    let obs = read(&edge).expect("edge cases replay");
+    assert_eq!(obs.nodes[0].as_ref().unwrap().stats.max_hops, 14);
+
+    // Addresses outside the header's cube, including past u32.
+    for to in [8, 99_999, u64::from(u32::MAX) + 2] {
+        rejects(&[send(to, 1, 1)], &format!("send to {to}"));
+    }
+    for from in [8, 99_999, u64::from(u32::MAX) + 2] {
+        rejects(&[recv(from)], &format!("recv from {from}"));
+    }
+
+    // Hop counts no route takes: one past the walk, one that would size a
+    // 32 GB histogram, and one that used to truncate to 1.
+    for hops in [15, 4_000_000_000, u64::from(u32::MAX) + 2] {
+        rejects(&[send(1, 1, hops)], &format!("{hops} hops"));
+    }
+
+    // Sums that overflow a u64 counter: element·hops at 683 sends of
+    // 2^53 − 1 elements over 3 hops, comparisons at 2049 computes of
+    // 2^53 − 1.
+    rejects(&vec![send(1, BIG, 3); 683], "element-hop overflow");
+    check(1, "682 sends", read(&vec![send(1, BIG, 3); 682]));
+    rejects(&vec![compute(BIG); 2049], "comparison overflow");
+    check(2, "2048 computes", read(&vec![compute(BIG); 2048]));
 }
