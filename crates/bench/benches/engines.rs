@@ -6,11 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ft_bench::{random_faults, random_keys};
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{
-    fault_tolerant_sort, fault_tolerant_sort_configured, fault_tolerant_sort_observed, FtConfig,
-    FtPlan, Step8Strategy,
-};
-use hypercube::cost::CostModel;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan, Step8Strategy};
 use hypercube::fault::FaultModel;
 use hypercube::sim::EngineKind;
 use std::hint::black_box;
@@ -24,20 +20,11 @@ fn bench_fault_models(c: &mut Criterion) {
     for model in [FaultModel::Partial, FaultModel::Total] {
         group.bench_function(format!("{model:?}"), |b| {
             let mut rng = ft_bench::rng(6);
-            let faults = random_faults(6, 5, &mut rng).with_model(model);
+            let plan = FtPlan::new(&random_faults(6, 5, &mut rng).with_model(model)).unwrap();
+            let config = FtConfig::default();
             b.iter_batched(
                 || random_keys(M, &mut rng),
-                |data| {
-                    black_box(
-                        fault_tolerant_sort(
-                            &faults,
-                            CostModel::default(),
-                            data,
-                            Protocol::HalfExchange,
-                        )
-                        .unwrap(),
-                    )
-                },
+                |data| black_box(fault_tolerant_sort(&plan, &config, data, Attach::default())),
                 BatchSize::LargeInput,
             );
         });
@@ -56,14 +43,18 @@ fn bench_step8_strategies(c: &mut Criterion) {
             b.iter_batched(
                 || random_keys(M, &mut rng),
                 |data| {
-                    black_box(fault_tolerant_sort_configured(
-                        &plan,
-                        &FtConfig {
-                            step8,
-                            ..FtConfig::default()
-                        },
-                        data,
-                    ))
+                    black_box(
+                        fault_tolerant_sort(
+                            &plan,
+                            &FtConfig {
+                                step8,
+                                ..FtConfig::default()
+                            },
+                            data,
+                            Attach::default(),
+                        )
+                        .0,
+                    )
                 },
                 BatchSize::LargeInput,
             );
@@ -84,14 +75,18 @@ fn bench_routers(c: &mut Criterion) {
             b.iter_batched(
                 || random_keys(M, &mut rng),
                 |data| {
-                    black_box(fault_tolerant_sort_configured(
-                        &plan,
-                        &FtConfig {
-                            router,
-                            ..FtConfig::default()
-                        },
-                        data,
-                    ))
+                    black_box(
+                        fault_tolerant_sort(
+                            &plan,
+                            &FtConfig {
+                                router,
+                                ..FtConfig::default()
+                            },
+                            data,
+                            Attach::default(),
+                        )
+                        .0,
+                    )
                 },
                 BatchSize::LargeInput,
             )
@@ -107,7 +102,7 @@ fn bench_engine_wall(c: &mut Criterion) {
     let faults = random_faults(6, 5, &mut rng);
     let plan = FtPlan::new(&faults).unwrap();
     let data = random_keys(M, &mut rng);
-    for engine in [EngineKind::Threaded, EngineKind::Seq, EngineKind::Par] {
+    for engine in [EngineKind::Seq, EngineKind::Par] {
         group.bench_function(format!("{engine:?}"), |b| {
             let config = FtConfig {
                 protocol: Protocol::HalfExchange,
@@ -117,7 +112,8 @@ fn bench_engine_wall(c: &mut Criterion) {
             b.iter_spanned(|rec| {
                 let input = data.clone();
                 let start = Instant::now();
-                let (out, phases, _) = fault_tolerant_sort_observed(&plan, &config, input);
+                let (out, phases, _) =
+                    fault_tolerant_sort(&plan, &config, input, Attach::default());
                 let wall = start.elapsed();
                 // Attribute the iteration's wall clock across the sort's
                 // phases in proportion to their virtual-time split — the

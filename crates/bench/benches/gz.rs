@@ -17,7 +17,7 @@
 //! only the wall clock may differ between versions.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ftsort::ftsort::{fault_tolerant_sort_streamed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::{gunzip, GzEncoder};
 use hypercube::obs::replay::observation_from_json;
@@ -39,7 +39,15 @@ fn run_file() -> Vec<u8> {
     };
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
     let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-    fault_tolerant_sort_streamed(&plan, &config, data, dyn_sink);
+    fault_tolerant_sort(
+        &plan,
+        &config,
+        data,
+        Attach {
+            sink: Some(dyn_sink),
+            ..Attach::default()
+        },
+    );
     Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")

@@ -6,8 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ft_bench::{random_faults, random_keys};
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::fault_tolerant_sort;
-use hypercube::cost::CostModel;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use std::hint::black_box;
 
 const M: usize = 32_000;
@@ -18,14 +17,14 @@ fn bench_protocols(c: &mut Criterion) {
     for protocol in [Protocol::FullExchange, Protocol::HalfExchange] {
         group.bench_function(format!("{protocol:?}"), |b| {
             let mut rng = ft_bench::rng(5);
-            let faults = random_faults(6, 4, &mut rng);
+            let plan = FtPlan::new(&random_faults(6, 4, &mut rng)).unwrap();
+            let config = FtConfig {
+                protocol,
+                ..FtConfig::default()
+            };
             b.iter_batched(
                 || random_keys(M, &mut rng),
-                |data| {
-                    black_box(
-                        fault_tolerant_sort(&faults, CostModel::default(), data, protocol).unwrap(),
-                    )
-                },
+                |data| black_box(fault_tolerant_sort(&plan, &config, data, Attach::default())),
                 BatchSize::LargeInput,
             );
         });

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ft_bench::{random_faults, random_keys};
 use ftsort::bitonic::{bitonic_sort, Protocol};
-use ftsort::ftsort::fault_tolerant_sort;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
 use ftsort::seq::{heapsort, Direction};
 use hypercube::cost::CostModel;
@@ -60,20 +60,11 @@ fn bench_ft_sort(c: &mut Criterion) {
         group.throughput(Throughput::Elements(M as u64));
         group.bench_function(format!("q{n}_r{r}"), |b| {
             let mut rng = ft_bench::rng(3);
-            let faults = random_faults(n, r, &mut rng);
+            let plan = FtPlan::new(&random_faults(n, r, &mut rng)).unwrap();
+            let config = FtConfig::default();
             b.iter_batched(
                 || random_keys(M, &mut rng),
-                |data| {
-                    black_box(
-                        fault_tolerant_sort(
-                            &faults,
-                            CostModel::default(),
-                            data,
-                            Protocol::HalfExchange,
-                        )
-                        .unwrap(),
-                    )
-                },
+                |data| black_box(fault_tolerant_sort(&plan, &config, data, Attach::default())),
                 BatchSize::LargeInput,
             );
         });

@@ -8,7 +8,7 @@
 //! ```
 
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::ftsort::{fault_tolerant_sort_observed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::sim::EngineKind;
 
@@ -77,7 +77,7 @@ fn run<K: GenKey>(
             ..FtConfig::default()
         };
         let sched_data = obs_flags.sched_enabled().then(|| data.clone());
-        let (out, phases, obs) = fault_tolerant_sort_observed(&plan, &config, data);
+        let (out, phases, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
         if obs_flags.enabled() {
             obs_flags.observe(obs);
         }

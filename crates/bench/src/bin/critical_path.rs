@@ -14,7 +14,7 @@
 //! ```
 
 use ft_bench::{parse_engine, random_keys, DEFAULT_SEED};
-use ftsort::ftsort::{fault_tolerant_sort_observed, phase_name, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::critical_path::{render_report, CriticalPath};
 use hypercube::sim::EngineKind;
@@ -68,7 +68,7 @@ fn main() {
         threads,
         ..FtConfig::default()
     };
-    let (out, _, obs) = fault_tolerant_sort_observed(&plan, &config, data);
+    let (out, _, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
     assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]), "output sorted");
 
     let path = CriticalPath::compute(&obs).expect("traced run has a path");

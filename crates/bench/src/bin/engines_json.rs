@@ -1,15 +1,11 @@
-//! Engine shoot-out: wall-clock time of the **threaded** MIMD engine, the
-//! **sequential** event-driven engine, and the **parallel** work-stealing
-//! engine running the identical full fault-tolerant sort, emitted as
-//! machine-readable `BENCH_engines.json`.
+//! Engine shoot-out: wall-clock time of the **sequential** frontier engine
+//! and the **parallel** work-stealing engine running the identical full
+//! fault-tolerant sort, emitted as machine-readable `BENCH_engines.json`.
 //!
-//! All three engines produce byte-identical simulated results (sorted
-//! output, virtual time, operation counts — asserted here per run); the
-//! only thing that differs is how long the host takes to compute them. The
-//! sequential engine beats the threaded one because it replaces `2^n` OS
-//! threads + channel handoffs with one lowest-virtual-clock scheduler loop
-//! and zero-allocation buffer reuse; the parallel engine additionally
-//! work-steals cache-sized node shards across a worker pool, so its
+//! Both engines produce byte-identical simulated results (sorted output,
+//! virtual time, operation counts — asserted here per run); the only thing
+//! that differs is how long the host takes to compute them. The parallel
+//! engine work-steals cache-sized node shards across a worker pool, so its
 //! advantage over `seq` scales with `host_cores` (reported in the JSON).
 //! Each `n` is benchmarked at several worker counts — the
 //! `{1, 2, 4, host_cores}` ladder, deduplicated — one JSON row per
@@ -47,9 +43,7 @@
 
 use ft_bench::{random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{
-    fault_tolerant_sort_configured, fault_tolerant_sort_observed, FtConfig, FtPlan,
-};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::sim::{EngineKind, LinkModel};
 use std::fmt::Write as _;
@@ -73,7 +67,6 @@ struct Row {
     /// Total link-queueing wait over all nodes (µs); 0 under the
     /// uncontended model by construction.
     wait_total_us: f64,
-    threaded_s: f64,
     seq_s: f64,
     par_s: f64,
     /// Per-phase virtual time, `(name, max-over-nodes µs)`, from the
@@ -189,20 +182,10 @@ fn run<K: GenKey>(mut cfg: Cfg) {
         cfg.seed, cfg.key_type
     );
     println!(
-        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "n",
-        "r",
-        "workers",
-        "link",
-        "virtual ms",
-        "wait ms",
-        "threaded s",
-        "seq s",
-        "par s",
-        "seq/thr",
-        "par/seq"
+        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>9}",
+        "n", "r", "workers", "link", "virtual ms", "wait ms", "seq s", "par s", "par/seq"
     );
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(97));
 
     let mut rows = Vec::new();
     for &n in &cfg.sizes {
@@ -223,27 +206,14 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 let mut outcome = None;
                 for _ in 0..trials {
                     let start = Instant::now();
-                    let run = fault_tolerant_sort_configured(&plan, &config, data.clone());
+                    let run =
+                        fault_tolerant_sort(&plan, &config, data.clone(), Attach::default()).0;
                     best = best.min(start.elapsed().as_secs_f64());
                     outcome = Some(run);
                 }
                 (best, outcome.expect("trials ≥ 1"))
             };
-            let (threaded_s, threaded) = time(EngineKind::Threaded, None);
             let (seq_s, seq) = time(EngineKind::Seq, None);
-            // the engines must be indistinguishable in simulated results
-            assert_eq!(
-                threaded.sorted, seq.sorted,
-                "n={n} {link_model}: threaded output differs"
-            );
-            assert_eq!(
-                threaded.time_us, seq.time_us,
-                "n={n} {link_model}: threaded time differs"
-            );
-            assert_eq!(
-                threaded.stats, seq.stats,
-                "n={n} {link_model}: threaded counts differ"
-            );
             // One extra (untimed) observed run per (n, link model): its
             // RunReport supplies the per-phase virtual-time split and the
             // link-wait total, and the observability exports reuse it — so
@@ -255,7 +225,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 link_model,
                 ..FtConfig::default()
             };
-            let (_, _, obs) = fault_tolerant_sort_observed(&plan, &config, data.clone());
+            let (_, _, obs) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
             let report = obs.report(&ftsort::ftsort::phase_name);
             let phases: Vec<(String, f64)> = report
                 .phases
@@ -294,18 +264,15 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                     "n={n} {link_model} workers={workers}: par operation counts differ"
                 );
                 println!(
-                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>12.3} \
-                     {:>8.1}× {:>8.2}×",
+                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>8.2}×",
                     n,
                     r,
                     workers,
                     link_model.to_string(),
                     seq.time_us / 1000.0,
                     wait_total_us / 1000.0,
-                    threaded_s,
                     seq_s,
                     par_s,
-                    threaded_s / seq_s,
                     seq_s / par_s
                 );
                 rows.push(Row {
@@ -318,7 +285,6 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                     link_model,
                     virtual_us: seq.time_us,
                     wait_total_us,
-                    threaded_s,
                     seq_s,
                     par_s,
                     phases: phases.clone(),
@@ -435,9 +401,8 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
             "    {{\"n\": {}, \"r\": {}, \"m\": {}, \"workers\": {}, \
              \"workers_effective\": {}, \"shard_size\": {}, \"link_model\": \"{}\", \
              \"virtual_us\": {:.3}, \"wait_total_us\": {:.3}, \
-             \"threaded_wall_s\": {:.6}, \"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \
-             \"speedups\": {{\"seq_over_threaded\": {:.2}, \"par_over_threaded\": {:.2}, \
-             \"par_over_seq\": {:.2}}}, \"phases\": {{",
+             \"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \
+             \"speedups\": {{\"par_over_seq\": {:.2}}}, \"phases\": {{",
             row.n,
             row.r,
             row.m_total,
@@ -447,11 +412,8 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
             row.link_model,
             row.virtual_us,
             row.wait_total_us,
-            row.threaded_s,
             row.seq_s,
             row.par_s,
-            row.threaded_s / row.seq_s,
-            row.threaded_s / row.par_s,
             row.seq_s / row.par_s
         );
         for (j, (name, us)) in row.phases.iter().enumerate() {

@@ -16,8 +16,8 @@
 //! ```
 
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::bitonic::{bitonic_sort_threaded, Protocol};
-use ftsort::ftsort::{fault_tolerant_sort_observed, FtConfig, FtPlan};
+use ftsort::bitonic::{bitonic_sort_with_engine, Protocol};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
 use hypercube::sim::EngineKind;
@@ -150,7 +150,7 @@ fn figure7_panel<K: GenKey>(
             let mut total = 0.0;
             for faults in sets {
                 let plan = FtPlan::new(faults).expect("tolerable");
-                let (out, _, obs) = fault_tolerant_sort_observed(
+                let (out, _, obs) = fault_tolerant_sort(
                     &plan,
                     &FtConfig {
                         cost,
@@ -161,6 +161,7 @@ fn figure7_panel<K: GenKey>(
                         ..FtConfig::default()
                     },
                     data.clone(),
+                    Attach::default(),
                 );
                 total += out.time_us;
                 if obs_flags.enabled() {
@@ -184,7 +185,7 @@ fn figure7_panel<K: GenKey>(
             }
         }
         for t in 1..n {
-            let out = bitonic_sort_threaded(
+            let out = bitonic_sort_with_engine(
                 Hypercube::new(n - t),
                 cost,
                 data.clone(),

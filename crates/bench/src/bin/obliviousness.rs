@@ -14,7 +14,7 @@ use ft_bench::workload::Workload;
 use ft_bench::{parse_engine, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::baselines::hyperquicksort_with_engine;
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort_observed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
@@ -80,7 +80,7 @@ fn run<K: GenKey>(
         let mut expect = data.clone();
         expect.sort_unstable();
         let plan = FtPlan::new(&faults).expect("tolerable");
-        let (ours, _, obs) = fault_tolerant_sort_observed(
+        let (ours, _, obs) = fault_tolerant_sort(
             &plan,
             &FtConfig {
                 protocol: Protocol::HalfExchange,
@@ -90,6 +90,7 @@ fn run<K: GenKey>(
                 ..FtConfig::default()
             },
             data.clone(),
+            Attach::default(),
         );
         assert_eq!(ours.sorted, expect);
         if obs_flags.enabled() {

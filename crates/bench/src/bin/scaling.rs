@@ -14,7 +14,7 @@
 
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort_observed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort_with_engine;
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
@@ -86,7 +86,8 @@ fn run<K: GenKey>(
                 threads: obs_flags.threads,
                 ..FtConfig::default()
             };
-            let (out, _, obs) = fault_tolerant_sort_observed(&plan, &config, data.clone());
+            let (out, _, obs) =
+                fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
             ours_ms += out.time_us / 1000.0;
             if obs_flags.enabled() {
                 obs_flags.observe(obs);
@@ -148,7 +149,7 @@ fn run<K: GenKey>(
                     ..FtConfig::default()
                 };
                 let sched_data = obs_flags.sched_enabled().then(|| data.clone());
-                let (out, _, obs) = fault_tolerant_sort_observed(&p, &config, data);
+                let (out, _, obs) = fault_tolerant_sort(&p, &config, data, Attach::default());
                 if obs_flags.enabled() {
                     obs_flags.observe(obs);
                 }

@@ -23,7 +23,7 @@
 
 use ft_bench::{random_faults, random_keys_typed, GenKey, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort_sched, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::obs::sched::{SchedProfiler, SchedReport};
 use hypercube::sim::EngineKind;
@@ -152,12 +152,14 @@ fn run<K: GenKey>(cfg: Cfg) {
             for _ in 0..trials {
                 let profiler = Arc::new(SchedProfiler::new());
                 let start = Instant::now();
-                let (sort, _, _) = fault_tolerant_sort_sched(
+                let (sort, _, _) = fault_tolerant_sort(
                     &plan,
                     &config,
                     data.clone(),
-                    None,
-                    Arc::clone(&profiler),
+                    Attach {
+                        profiler: Some(Arc::clone(&profiler)),
+                        ..Attach::default()
+                    },
                 );
                 let wall_s = start.elapsed().as_secs_f64();
                 assert_eq!(sort.sorted, expect, "n={n} workers={workers}: sort broke");

@@ -6,7 +6,7 @@
 //! online aggregators, the report/tables and the outlier policy — but that
 //! crate simulates machines and cannot *plan* a fault-tolerant sort. This
 //! module is the downstream half that can: it draws fault placements and
-//! keys, runs [`fault_tolerant_sort_observed`] per placement, and
+//! keys, runs [`fault_tolerant_sort`] per placement, and
 //! re-executes the selected outlier/median runs with a streaming sink to
 //! capture gzip v2 run files.
 //!
@@ -25,11 +25,10 @@
 //!   the originals, so captured run-file bytes are jobs-independent too.
 
 use crate::{random_faults, random_keys_typed, GenKey};
-use ftsort::ftsort::{fault_tolerant_sort_observed, fault_tolerant_sort_streamed, phase_name};
-use ftsort::ftsort::{FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use ftsort::seq::KeyType;
 use hypercube::obs::campaign::{CampaignAccumulator, CampaignMetrics, CampaignReport, RunSummary};
-use hypercube::obs::sink::{StreamingSink, TraceSink};
+use hypercube::obs::sink::StreamingSink;
 use hypercube::sim::LinkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -258,7 +257,7 @@ fn execute_run<K: GenKey>(
         link_model: cfg.link_model,
         ..FtConfig::default()
     };
-    let (outcome, phases, obs) = fault_tolerant_sort_observed(&plan, &config, data);
+    let (outcome, phases, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
     let wait_total_us = obs.participants().map(|p| p.metrics.link_wait_us).sum();
     let inbox_peak = obs
         .participants()
@@ -308,8 +307,11 @@ fn capture_run<K: GenKey>(
     let mut sink = StreamingSink::create(&path)
         .map_err(|e| format!("creating run file {}: {e}", path.display()))?;
     sink.set_key_type(cfg.key_type.as_str());
-    let sink: Arc<Mutex<dyn TraceSink>> = Arc::new(Mutex::new(sink));
-    let (_outcome, _phases, obs) = fault_tolerant_sort_streamed(&plan, &config, data, sink);
+    let attach = Attach {
+        sink: Some(Arc::new(Mutex::new(sink))),
+        ..Attach::default()
+    };
+    let (_outcome, _phases, obs) = fault_tolerant_sort(&plan, &config, data, attach);
     let report = obs.report(&phase_name).with_key_type(cfg.key_type.as_str());
     let report_path = dir.join(format!("n{n}_r{r}_run{run_index}_{role}.report.json"));
     std::fs::write(&report_path, report.to_json())

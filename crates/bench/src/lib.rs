@@ -90,17 +90,17 @@ pub fn rng(seed: u64) -> StdRng {
 }
 
 /// Parses a `--engine` value for the report binaries, exiting with a usage
-/// error on unknown spellings. All engines produce identical simulated
+/// error on unknown spellings. Both engines produce identical simulated
 /// results; the flag only changes how fast the reports regenerate.
 pub fn parse_engine(value: Option<String>) -> hypercube::sim::EngineKind {
     let Some(v) = value else {
-        eprintln!("--engine requires a value (threaded|seq|par)");
+        eprintln!("--engine requires a value (seq|par)");
         std::process::exit(2);
     };
     match hypercube::sim::EngineKind::parse(&v) {
         Some(kind) => kind,
         None => {
-            eprintln!("unknown engine '{v}' (threaded|seq|par)");
+            eprintln!("unknown engine '{v}' (seq|par)");
             std::process::exit(2);
         }
     }
@@ -295,13 +295,11 @@ impl ObsFlags {
             threads: self.threads,
             ..*base
         };
-        let _ = ftsort::ftsort::fault_tolerant_sort_sched(
-            plan,
-            &config,
-            data,
-            None,
-            std::sync::Arc::clone(&profiler),
-        );
+        let attach = ftsort::ftsort::Attach {
+            profiler: Some(std::sync::Arc::clone(&profiler)),
+            ..Default::default()
+        };
+        let _ = ftsort::ftsort::fault_tolerant_sort(plan, &config, data, attach);
         if let Some(profile) = profiler.take() {
             self.sched_report = Some(profile.report());
             self.sched_perfetto = Some(profile.perfetto_json());

@@ -16,7 +16,4 @@ pub mod sort;
 
 pub use distributed::{distributed_bitonic_merge, distributed_bitonic_sort, reverse_windows};
 pub use protocol::{compare_split_local, compare_split_remote, KeepHalf, Protocol};
-pub use sort::{
-    bitonic_sort, bitonic_sort_threaded, bitonic_sort_with_engine, single_fault_bitonic_sort,
-    SortOutcome,
-};
+pub use sort::{bitonic_sort, bitonic_sort_with_engine, single_fault_bitonic_sort, SortOutcome};

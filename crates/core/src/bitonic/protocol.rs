@@ -39,7 +39,7 @@ impl KeepHalf {
 }
 
 /// Wire protocol for compare-split exchanges.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Protocol {
     /// Exchange entire runs, merge locally, keep the wanted half.
     /// `2k` comparisons per side, `k` keys sent per side in one round.

@@ -59,29 +59,14 @@ pub fn bitonic_sort<K>(
 where
     K: Key,
 {
-    bitonic_sort_with_engine(cube, cost, data, protocol, EngineKind::default())
+    bitonic_sort_with_engine(cube, cost, data, protocol, EngineKind::default(), None)
 }
 
-/// [`bitonic_sort`] with an explicit execution engine. Both engines return
-/// identical outcomes; the choice only affects wall-clock speed.
+/// [`bitonic_sort`] with an explicit execution engine and, for the
+/// parallel engine, worker count (`None` = available parallelism; the
+/// sequential engine ignores it). Both engines return byte-identical
+/// outcomes at any worker count; the choice only affects wall-clock speed.
 pub fn bitonic_sort_with_engine<K>(
-    cube: Hypercube,
-    cost: CostModel,
-    data: Vec<K>,
-    protocol: Protocol,
-    kind: EngineKind,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    bitonic_sort_threaded(cube, cost, data, protocol, kind, None)
-}
-
-/// [`bitonic_sort_with_engine`] with an explicit worker count for the
-/// parallel engine (`None` = available parallelism; ignored by the other
-/// engines). Worker count affects wall-clock only — outcomes stay
-/// byte-identical.
-pub fn bitonic_sort_threaded<K>(
     cube: Hypercube,
     cost: CostModel,
     data: Vec<K>,

@@ -281,8 +281,7 @@ mod tests {
 
     #[test]
     fn implementation_model_tracks_simulation() {
-        use crate::bitonic::Protocol;
-        use crate::ftsort::fault_tolerant_sort;
+        use crate::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
         use hypercube::fault::FaultSet;
         use hypercube::topology::Hypercube;
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -295,12 +294,16 @@ mod tests {
             (6, vec![1, 12, 33, 62]),        // m = 2 or 3
         ] {
             let fs = FaultSet::from_raw(Hypercube::new(n), &faults);
-            let plan = crate::ftsort::FtPlan::new(&fs).unwrap();
+            let plan = FtPlan::new(&fs).unwrap();
+            let config = FtConfig {
+                cost,
+                ..FtConfig::default()
+            };
             let m = plan.partition().mincut;
             for m_total in [32_000usize, 320_000] {
                 let data: Vec<u32> = (0..m_total).map(|_| rng.random()).collect();
-                let sim = fault_tolerant_sort(&fs, cost, data, Protocol::HalfExchange)
-                    .unwrap()
+                let sim = fault_tolerant_sort(&plan, &config, data, Attach::default())
+                    .0
                     .time_us;
                 let pred = predicted_time_implementation(&cost, &CostInputs { n, m, m_total });
                 // the model is deliberately a (slight) over-estimate: the

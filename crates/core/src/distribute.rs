@@ -6,13 +6,11 @@
 //! every real key, so dummies sink to the global tail and are stripped at
 //! gather time.
 
-use serde::{Deserialize, Serialize};
-
 /// A key extended with the paper's `∞` dummy value.
 ///
 /// Derived ordering makes every `Real` key less than `Dummy`, so padded
 /// processors behave as if they held `+∞` sentinels.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Padded<K> {
     /// An actual input key.
     Real(K),

@@ -44,6 +44,7 @@ use crate::select::{build_structure, select_cutting_sequence, Selection};
 use crate::seq::{Direction, Key, Scratch};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
+use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::TraceSink;
 use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, LinkModel, Tag};
 use std::sync::{Arc, Mutex};
@@ -95,7 +96,7 @@ pub fn phase_name(phase: u16) -> Option<&'static str> {
 /// charges a full re-sort per substage, predicts the fault-tolerant sort
 /// *loses* to the fault-free-subcube fallback at `n = 6, r = 2`). The
 /// literal full sort is kept as an ablation (see `EXPERIMENTS.md`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Step8Strategy {
     /// Bitonic merge + optional window reversal (default; matches Figure 7).
     #[default]
@@ -118,9 +119,10 @@ pub struct FtConfig {
     /// The routing algorithm charging message hops (oracle shortest paths
     /// vs distributed depth-first adaptive routing).
     pub router: hypercube::sim::engine::RouterKind,
-    /// Which execution engine simulates the run (the sequential event-driven
-    /// scheduler by default; the threaded MIMD engine as a cross-check).
-    /// Both produce identical sorted output, virtual times and statistics.
+    /// Which execution engine simulates the run (the single-threaded
+    /// frontier scheduler by default; the work-stealing pool with
+    /// [`EngineKind::Par`]). Both produce byte-identical sorted output,
+    /// virtual times, statistics and run files.
     pub engine: EngineKind,
     /// The link pricing model (uncontended paper model by default; the
     /// contended model serializes messages per directed link and records
@@ -264,50 +266,13 @@ impl FtPlan {
     }
 }
 
-/// Sorts `data` on the faulty hypercube described by `plan`.
-///
-/// Returns the keys sorted ascending (gathered in subcube-address order)
-/// together with the simulated time and operation counts.
-pub fn fault_tolerant_sort_with_plan<K>(
-    plan: &FtPlan,
-    cost: CostModel,
-    data: Vec<K>,
-    protocol: Protocol,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    fault_tolerant_sort_configured(
-        plan,
-        &FtConfig {
-            cost,
-            protocol,
-            ..FtConfig::default()
-        },
-        data,
-    )
-}
-
-/// [`fault_tolerant_sort_with_plan`] with full configuration control
-/// (notably the step-8 strategy ablation).
-pub fn fault_tolerant_sort_configured<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    fault_tolerant_sort_profiled(plan, config, data).0
-}
-
 /// Virtual-time attribution of a run to the algorithm's phases.
 ///
 /// Each field is the **maximum over processors** of the virtual time that
 /// processor spent in the phase (work *and* waiting, so a processor stalled
 /// on a partner charges the phase it stalls in). The fields therefore sum
 /// to at least the turnaround time of the slowest processor, approximately.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Host scatter (only with [`FtConfig::include_host_io`]).
     pub host_scatter_us: f64,
@@ -345,162 +310,87 @@ impl PhaseBreakdown {
     }
 }
 
-/// [`fault_tolerant_sort_configured`] that also reports where the virtual
-/// time went.
-pub fn fault_tolerant_sort_profiled<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-) -> (SortOutcome<K>, PhaseBreakdown)
-where
-    K: Key,
-{
-    let (outcome, breakdown, _) = fault_tolerant_sort_observed(plan, config, data);
-    (outcome, breakdown)
+/// Optional attachments to one [`fault_tolerant_sort`] run. Each is
+/// unobservable to the simulation — sorted output, virtual times, reports
+/// and run files stay byte-identical with or without it — and
+/// `Attach::default()` attaches nothing.
+pub struct Attach<'a, K> {
+    /// Streams every trace record into this sink as the engine emits it —
+    /// the O(1)-memory path for writing run files to disk (see
+    /// [`StreamingSink`](hypercube::obs::sink::StreamingSink)). The sink
+    /// receives events even when [`FtConfig::tracing`] is off; the
+    /// in-memory trace of the returned observation is still gated on
+    /// `tracing`.
+    pub sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    /// Draws compare-split scratch slabs from this caller-owned pool
+    /// instead of a run-local one, so the slabs warmed by one run are
+    /// reused by the next — the zero-allocation warm path for repeated
+    /// runs (benchmark trials, replays); pinned by
+    /// `crates/hypercube/tests/alloc_free.rs`. A
+    /// [`BufferPool::with_stats`] pool also feeds the live-telemetry layer.
+    pub pool: Option<&'a BufferPool<Padded<K>>>,
+    /// Records per-worker wall-clock telemetry (poll/steal/park/barrier
+    /// splits, steal matrix, shard-size histogram) when
+    /// [`FtConfig::engine`] is [`EngineKind::Par`]; take the
+    /// [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
+    /// [`SchedProfiler::take`] after the call. The sequential engine leaves
+    /// the mailbox empty. With a `sink` as well, the profile shows the
+    /// serial flush the sink forces as coordinator
+    /// [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
+    pub profiler: Option<Arc<SchedProfiler>>,
 }
 
-/// [`fault_tolerant_sort_profiled`] that additionally returns the full
+impl<K> Default for Attach<'_, K> {
+    fn default() -> Self {
+        Attach {
+            sink: None,
+            pool: None,
+            profiler: None,
+        }
+    }
+}
+
+/// Sorts `data` on the faulty hypercube described by `plan` (see
+/// [`FtPlan::new`]).
+///
+/// Returns the keys sorted ascending (gathered in subcube-address order)
+/// with the simulated time and operation counts, where the virtual time
+/// went per phase, and the full
 /// [`RunObservation`](hypercube::obs::RunObservation) — phase spans,
 /// per-node/per-link metrics and (with [`FtConfig::tracing`]) the event
 /// trace — for Perfetto export, report generation and critical-path
 /// analysis.
-pub fn fault_tolerant_sort_observed<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, None, None, None)
-}
-
-/// [`fault_tolerant_sort_observed`] that draws compare-split scratch slabs
-/// from a caller-owned [`BufferPool`] instead of a run-local one, so the
-/// slabs warmed by one run are reused by the next — the zero-allocation
-/// warm path for repeated runs (benchmark trials, replays); pinned by
-/// `crates/hypercube/tests/alloc_free.rs`. Pool identity is unobservable
-/// to the simulation: results are byte-identical to the unpooled calls.
-pub fn fault_tolerant_sort_pooled<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    pool: &BufferPool<Padded<K>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, None, Some(pool), None)
-}
-
-/// [`fault_tolerant_sort_observed`] that additionally streams every trace
-/// record into `sink` as the engine emits it — the O(1)-memory path for
-/// writing run files to disk (see
-/// [`StreamingSink`](hypercube::obs::sink::StreamingSink)). The sink
-/// receives events even when [`FtConfig::tracing`] is off; the in-memory
-/// trace of the returned observation is still gated on `tracing`.
-pub fn fault_tolerant_sort_streamed<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    sink: Arc<Mutex<dyn TraceSink>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, Some(sink), None, None)
-}
-
-/// [`fault_tolerant_sort_observed`] that additionally attaches a
-/// [`SchedProfiler`] to the run: with [`FtConfig::engine`] set to
-/// [`EngineKind::Par`], the work-stealing pool records per-worker
-/// wall-clock telemetry (poll/steal/park/barrier splits, steal matrix,
-/// shard-size histogram) into the profiler's mailbox — take the
-/// [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
-/// [`SchedProfiler::take`] after the call. Other engines ignore the
-/// profiler (the mailbox stays empty). Profiling observes the host
-/// scheduler only; simulated results, run files and reports stay
-/// byte-identical (pinned by `tests/sched_profile.rs`).
 ///
-/// An optional `sink` streams trace records like
-/// [`fault_tolerant_sort_streamed`] — profiled *and* streamed is the
-/// interesting combination, since a sink switches the engine onto its
-/// serial-flush path, which the profile then shows as coordinator
-/// [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
+/// ```
+/// use ftsort::prelude::*;
 ///
-/// [`SchedProfiler`]: hypercube::obs::sched::SchedProfiler
-/// [`SchedProfiler::take`]: hypercube::obs::sched::SchedProfiler::take
-/// [`EngineKind::Par`]: hypercube::sim::EngineKind::Par
-pub fn fault_tolerant_sort_sched<K>(
+/// // Q4 with three dead processors still sorts — on 12 live processors.
+/// let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 7, 13]);
+/// let plan = FtPlan::new(&faults).unwrap();
+/// let (out, _, _) = fault_tolerant_sort(
+///     &plan,
+///     &FtConfig::default(),
+///     (0..100u32).rev().collect(),
+///     Attach::default(),
+/// );
+/// assert_eq!(out.sorted, (0..100).collect::<Vec<u32>>());
+/// assert_eq!(out.processors_used, 12);
+/// ```
+pub fn fault_tolerant_sort<K: Key>(
     plan: &FtPlan,
     config: &FtConfig,
     data: Vec<K>,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    profiler: Arc<hypercube::obs::sched::SchedProfiler>,
+    attach: Attach<'_, K>,
 ) -> (
     SortOutcome<K>,
     PhaseBreakdown,
     hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, sink, None, Some(profiler))
-}
-
-/// The fully-general entry point: any combination of a streaming `sink`
-/// ([`fault_tolerant_sort_streamed`]), a caller-owned scratch `pool`
-/// ([`fault_tolerant_sort_pooled`]) and a scheduler `profiler`
-/// ([`fault_tolerant_sort_sched`]). `ftsort-cli sort` drives the whole
-/// observability stack through this one call — e.g. a stats-carrying
-/// [`BufferPool::with_stats`] pool for the live-telemetry layer alongside
-/// a run-file sink. Every attachment is individually unobservable to the
-/// simulation: results stay byte-identical to the plain calls.
-pub fn fault_tolerant_sort_instrumented<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    pool: Option<&BufferPool<Padded<K>>>,
-    profiler: Option<Arc<hypercube::obs::sched::SchedProfiler>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, sink, pool, profiler)
-}
-
-fn fault_tolerant_sort_sunk<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    pool: Option<&BufferPool<Padded<K>>>,
-    profiler: Option<Arc<hypercube::obs::sched::SchedProfiler>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
+) {
+    let Attach {
+        sink,
+        pool,
+        profiler,
+    } = attach;
     let cost = config.cost;
     let protocol = config.protocol;
     let step8 = config.step8;
@@ -564,8 +454,7 @@ where
     // compare-splits cycle allocations through per-node handles instead of
     // allocating per substage, and slabs warmed by finished nodes are
     // reused by the rest. Callers with repeated runs can pass their own
-    // pool ([`fault_tolerant_sort_pooled`]) so warm slabs survive run to
-    // run. Slab identity is unobservable to the simulation, so results
+    // pool ([`Attach::pool`]) so warm slabs survive run to run. Slab identity is unobservable to the simulation, so results
     // stay byte-identical whichever engine runs and wherever slabs come
     // from.
     let local_pool: BufferPool<Padded<K>>;
@@ -790,38 +679,6 @@ fn direction_for(v: u32, j: usize, mask: u32) -> Direction {
     }
 }
 
-/// One-call entry point: plan (partition + heuristics) and sort.
-///
-/// ```
-/// use ftsort::prelude::*;
-///
-/// // Q4 with three dead processors still sorts — on 12 live processors.
-/// let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 7, 13]);
-/// let out = fault_tolerant_sort(
-///     &faults,
-///     CostModel::default(),
-///     (0..100u32).rev().collect(),
-///     Protocol::HalfExchange,
-/// ).unwrap();
-/// assert_eq!(out.sorted, (0..100).collect::<Vec<u32>>());
-/// assert_eq!(out.processors_used, 12);
-/// ```
-///
-/// # Errors
-/// [`FtError`] when the fault set cannot be tolerated (see [`FtPlan::new`]).
-pub fn fault_tolerant_sort<K>(
-    faults: &FaultSet,
-    cost: CostModel,
-    data: Vec<K>,
-    protocol: Protocol,
-) -> Result<SortOutcome<K>, FtError>
-where
-    K: Key,
-{
-    let plan = FtPlan::new(faults)?;
-    Ok(fault_tolerant_sort_with_plan(&plan, cost, data, protocol))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,11 +689,20 @@ mod tests {
         (0..m).map(|_| rng.random_range(0..1_000_000)).collect()
     }
 
+    fn sort(plan: &FtPlan, config: &FtConfig, data: Vec<u32>) -> SortOutcome<u32> {
+        fault_tolerant_sort(plan, config, data, Attach::default()).0
+    }
+
     fn check_sorted(faults: &FaultSet, data: Vec<u32>, protocol: Protocol) -> SortOutcome<u32> {
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = fault_tolerant_sort(faults, CostModel::paper_form(), data, protocol)
-            .expect("plan must exist");
+        let plan = FtPlan::new(faults).expect("plan must exist");
+        let config = FtConfig {
+            cost: CostModel::paper_form(),
+            protocol,
+            ..FtConfig::default()
+        };
+        let out = sort(&plan, &config, data);
         assert_eq!(out.sorted, expect);
         out
     }
@@ -896,15 +762,19 @@ mod tests {
             threads: Some(2),
             ..FtConfig::default()
         };
-        let (plain, _, _) = fault_tolerant_sort_observed(&plan, &config, data.clone());
+        let plain = sort(&plan, &config, data.clone());
         let pool: BufferPool<Padded<u32>> = BufferPool::new();
-        let (run1, _, _) = fault_tolerant_sort_pooled(&plan, &config, data.clone(), &pool);
+        let pooled = || Attach {
+            pool: Some(&pool),
+            ..Attach::default()
+        };
+        let (run1, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), pooled());
         assert_eq!(run1.sorted, plain.sorted);
         assert_eq!(run1.time_us.to_bits(), plain.time_us.to_bits());
         assert_eq!(run1.stats, plain.stats);
         let warmed = pool.shared_slabs();
         assert!(warmed > 0, "run 1 must park warmed slabs in the pool");
-        let (run2, _, _) = fault_tolerant_sort_pooled(&plan, &config, data, &pool);
+        let (run2, _, _) = fault_tolerant_sort(&plan, &config, data, pooled());
         assert_eq!(run2.sorted, plain.sorted);
         assert_eq!(run2.time_us.to_bits(), plain.time_us.to_bits());
         assert_eq!(run2.stats, plain.stats);
@@ -1012,8 +882,8 @@ mod tests {
         let data = random_data(&mut rng, 2_400);
         let mut expect = data.clone();
         expect.sort_unstable();
-        let free = fault_tolerant_sort_configured(&plan, &FtConfig::default(), data.clone());
-        let host = fault_tolerant_sort_configured(
+        let free = sort(&plan, &FtConfig::default(), data.clone());
+        let host = sort(
             &plan,
             &FtConfig {
                 include_host_io: true,
@@ -1038,7 +908,8 @@ mod tests {
         let faults = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
         let plan = FtPlan::new(&faults).unwrap();
         let data = random_data(&mut rng, 4_800);
-        let (out, phases) = fault_tolerant_sort_profiled(&plan, &FtConfig::default(), data);
+        let (out, phases, _) =
+            fault_tolerant_sort(&plan, &FtConfig::default(), data, Attach::default());
         assert!(phases.step3_us > 0.0);
         assert!(phases.step7_us > 0.0);
         assert!(phases.step8_us > 0.0);
@@ -1055,13 +926,14 @@ mod tests {
         assert!(phases.step3_us < out.time_us);
         // with host I/O on, the I/O phases appear
         let data = random_data(&mut rng, 4_800);
-        let (_, phases) = fault_tolerant_sort_profiled(
+        let (_, phases, _) = fault_tolerant_sort(
             &plan,
             &FtConfig {
                 include_host_io: true,
                 ..FtConfig::default()
             },
             data,
+            Attach::default(),
         );
         assert!(phases.host_scatter_us > 0.0);
         assert!(phases.host_gather_us > 0.0);
@@ -1082,7 +954,7 @@ mod tests {
             LocalSort::Quicksort,
             LocalSort::Mergesort,
         ] {
-            let out = fault_tolerant_sort_configured(
+            let out = sort(
                 &plan,
                 &FtConfig {
                     local_sort,
@@ -1102,17 +974,9 @@ mod tests {
         let faults = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
         let mut rng = StdRng::seed_from_u64(8);
         let data = random_data(&mut rng, 480);
-        let t1 = fault_tolerant_sort(
-            &faults,
-            CostModel::default(),
-            data.clone(),
-            Protocol::HalfExchange,
-        )
-        .unwrap()
-        .time_us;
-        let t2 = fault_tolerant_sort(&faults, CostModel::default(), data, Protocol::HalfExchange)
-            .unwrap()
-            .time_us;
+        let plan = FtPlan::new(&faults).unwrap();
+        let t1 = sort(&plan, &FtConfig::default(), data.clone()).time_us;
+        let t2 = sort(&plan, &FtConfig::default(), data).time_us;
         assert_eq!(t1, t2);
         assert!(t1 > 0.0);
     }

@@ -44,10 +44,8 @@ pub mod prelude {
         bitonic_sort, bitonic_sort_with_engine, single_fault_bitonic_sort, Protocol, SortOutcome,
     };
     pub use crate::ftsort::{
-        fault_tolerant_sort, fault_tolerant_sort_configured, fault_tolerant_sort_instrumented,
-        fault_tolerant_sort_observed, fault_tolerant_sort_pooled, fault_tolerant_sort_profiled,
-        fault_tolerant_sort_sched, fault_tolerant_sort_streamed, fault_tolerant_sort_with_plan,
-        phase_name, FtConfig, FtError, FtPlan, PhaseBreakdown, Step8Strategy,
+        fault_tolerant_sort, phase_name, Attach, FtConfig, FtError, FtPlan, PhaseBreakdown,
+        Step8Strategy,
     };
     pub use crate::mffs::{max_fault_free_subcube, mffs_sort, mffs_sort_with_engine};
     pub use crate::partition::{partition, PartitionResult, SingleFaultStructure};

@@ -211,13 +211,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let faults = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
         let data: Vec<u32> = (0..8000).map(|_| rng.random()).collect();
-        let ours = crate::ftsort::fault_tolerant_sort(
-            &faults,
-            CostModel::paper_form(),
-            data.clone(),
-            Protocol::HalfExchange,
-        )
-        .unwrap();
+        use crate::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
+        let config = FtConfig {
+            cost: CostModel::paper_form(),
+            ..FtConfig::default()
+        };
+        let plan = FtPlan::new(&faults).unwrap();
+        let (ours, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
         let baseline = mffs_sort(
             &faults,
             CostModel::paper_form(),

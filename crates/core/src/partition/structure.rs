@@ -9,7 +9,7 @@ use hypercube::subcube::Subcube;
 use hypercube::topology::Hypercube;
 
 /// Why a processor is dead (holds no data) inside its subcube.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DeadKind {
     /// An actual faulty processor.
     Faulty,

@@ -4,13 +4,11 @@
 //! The branchless/cache-blocked kernels in [`super::branchless`] additionally
 //! need keys they can load and move by value inside a fixed-width inner loop
 //! with no data-dependent control flow — that is what [`Key`] captures:
-//! `Ord + Copy` plus the thread bounds the three engines need to ship runs
-//! between nodes. Everything above the kernels (`compare_split_remote`, the
+//! `Ord + Copy` plus the thread bounds the parallel engine needs to ship
+//! runs between nodes. Everything above the kernels (`compare_split_remote`, the
 //! sorts in `ftsort`/`mffs`/`baselines`) dispatches over `Key`
 //! monomorphically, so each concrete key type gets its own specialized
 //! branchless loop.
-
-use serde::{Deserialize, Serialize};
 
 /// A sortable key the branchless kernels can move by value.
 ///
@@ -21,8 +19,8 @@ use serde::{Deserialize, Serialize};
 /// `Copy` is the load-bearing bound: the branchless inner loop reads both
 /// candidates, selects with a conditional move, and advances one index —
 /// none of which is expressible (without branches) over move-only values.
-/// `Send + Sync + 'static` are what the threaded and work-stealing engines
-/// require to ship runs between nodes.
+/// `Send + Sync + 'static` are what the work-stealing engine requires to
+/// poll node programs, and ship their runs, on worker threads.
 pub trait Key: Ord + Copy + Send + Sync + std::fmt::Debug + 'static {}
 
 macro_rules! impl_key {
@@ -35,7 +33,7 @@ impl_key!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 ///
 /// This is the "sorting real records, not bare integers" row in the kernel
 /// bench: twice the bytes per element of `u64`, same comparison counts.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct KeyPair {
     /// The sort key.
     pub key: u64,
@@ -54,7 +52,7 @@ impl Key for KeyPair {}
 
 /// The concrete key types the CLI and report bins can sort — the monomorphic
 /// dispatch set. Parsed from `--key-type`, recorded in `RunReport` JSON.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum KeyType {
     /// 4-byte unsigned keys.
     U32,

@@ -35,7 +35,7 @@ pub use scratch::Scratch;
 /// The local sorting algorithm used in step 3. The paper prescribes
 /// [`LocalSort::Heapsort`]; the alternatives exist for the local-sort
 /// ablation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LocalSort {
     /// Heapsort, as in the paper (worst-case `O(k log k)`, no extra space).
     #[default]
@@ -61,7 +61,7 @@ impl LocalSort {
 /// its (reindexed) address is even and *descending* when odd; internally we
 /// store runs ascending and use `Direction` for the distributed-order
 /// bookkeeping at subcube granularity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Direction {
     /// Smallest first.
     Ascending,

@@ -158,12 +158,12 @@ mod tests {
         let plan = FtPlan::new(&faults).unwrap();
         let data: Vec<u32> = (0..24_000).map(|_| rng.random()).collect();
         let topk = fault_tolerant_top_k(&plan, CostModel::paper_form(), data.clone(), 10);
-        let sort = crate::ftsort::fault_tolerant_sort_with_plan(
-            &plan,
-            CostModel::paper_form(),
-            data,
-            crate::bitonic::Protocol::HalfExchange,
-        );
+        let config = crate::ftsort::FtConfig {
+            cost: CostModel::paper_form(),
+            ..Default::default()
+        };
+        let (sort, _, _) =
+            crate::ftsort::fault_tolerant_sort(&plan, &config, data, Default::default());
         assert!(
             topk.time_us < sort.time_us / 2.0,
             "top-k {} vs full sort {}",

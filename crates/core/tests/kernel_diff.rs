@@ -1,6 +1,6 @@
 //! Differential suite: branchless/blocked kernels vs the scalar reference.
 //!
-//! The cost model charges `t_c` per comparison, and the three engines are
+//! The cost model charges `t_c` per comparison, and the two engines are
 //! byte-identical by construction — both properties survive the kernel
 //! swap only if the new kernels produce *identical outputs and identical
 //! comparison counts* on every input shape. This suite pins that over

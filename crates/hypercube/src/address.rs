@@ -19,9 +19,7 @@ pub const MAX_DIM: usize = 32;
 /// `NodeId` is a thin wrapper over the binary address. It is meaningful only
 /// relative to a dimension `n` (carried by [`crate::topology::Hypercube`] or
 /// passed explicitly); the wrapper itself does not store `n`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -16,10 +16,8 @@
 //! ratios — per-element communication roughly an order of magnitude more
 //! expensive than a comparison — which is what shapes the paper's Figure 7.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost constants, in microseconds.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
     /// Cost of moving one element across one link (`t_{s/r}`), µs.
     pub t_sr: f64,
@@ -100,7 +98,7 @@ impl CostModel {
 /// clocks: the receive completes at
 /// `max(receiver_now, sender_send_time + transfer_cost)`.
 /// The turnaround time of a run is the maximum clock over all nodes.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default)]
 pub struct VirtualClock {
     now: f64,
 }

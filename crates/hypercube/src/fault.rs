@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// Severity of processor faults (paper §4, after Hastad et al.).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FaultModel {
     /// Computation dead, communication alive: faulty nodes still relay
     /// messages (the NCUBE/VERTEX situation the paper simulates).
@@ -32,9 +32,7 @@ pub enum FaultModel {
 
 /// A (bidirectional) hypercube link, identified by its lower endpoint and
 /// the dimension it spans.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Link {
     /// The endpoint with the lower address (bit `dim` = 0).
     pub lo: NodeId,
@@ -69,7 +67,7 @@ impl Link {
 
 /// An immutable set of faulty processors (and, optionally, faulty links) in
 /// a hypercube.
-#[derive(Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FaultSet {
     cube: Hypercube,
     faulty: BTreeSet<NodeId>,

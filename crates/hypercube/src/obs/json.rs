@@ -1,9 +1,9 @@
 //! A minimal JSON value model, parser and writers for the observability
 //! exports.
 //!
-//! The build environment is offline, so the vendored `serde` is a no-op
-//! stand-in (derives expand to nothing) and every persisted format in this
-//! workspace is hand-written text. This module gives the observability
+//! The workspace has no serialization framework (the build environment is
+//! offline), so every persisted format is hand-written text. This module
+//! gives the observability
 //! layer the two halves it needs: exact writers for [`Trace`] and the
 //! metrics report, and a strict parser used by tests and the CLI's
 //! `trace-check` command to validate emitted files round-trip.

@@ -159,10 +159,10 @@ pub struct NodeMetrics {
     pub msg_size_hist: Vec<u64>,
     /// Message-hop histogram: index = links crossed.
     pub msg_hops_hist: Vec<u64>,
-    /// High-water mark of this node's receive queue, in messages. Exact
-    /// and deterministic on the sequential engine; on the threaded engine
-    /// it is sampled from live channel gauges and may vary with OS
-    /// scheduling, so it is excluded from engine-differential comparisons.
+    /// High-water mark of this node's receive queue, in messages: the
+    /// inbox length after each enqueue at the round barrier, which delivers
+    /// in node-id order — exact, deterministic and identical on both
+    /// engines.
     pub inbox_peak: u64,
 }
 

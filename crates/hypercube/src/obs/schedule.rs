@@ -209,44 +209,6 @@ fn canonical_order(events: &[TraceEvent], rounds: &[u32]) -> Vec<usize> {
     order
 }
 
-/// Reconstructs the deterministic receive-queue high-water marks from the
-/// round schedule: per round, first the round's receives drain their
-/// inboxes (they consumed during the polls), then the round's sends
-/// enqueue at the barrier in commit order, updating each destination's
-/// peak after every enqueue — the same bookkeeping the live committer
-/// does.
-pub(crate) fn reconstruct_inbox_peaks(
-    events: &[TraceEvent],
-    rounds: &[u32],
-    node_count: usize,
-) -> Vec<u64> {
-    let order = canonical_order(events, rounds);
-    let mut len = vec![0i64; node_count];
-    let mut peak = vec![0u64; node_count];
-    let mut i = 0;
-    while i < order.len() {
-        let r = rounds[order[i]];
-        let mut j = i;
-        while j < order.len() && rounds[order[j]] == r {
-            j += 1;
-        }
-        for &k in &order[i..j] {
-            if matches!(events[k].kind, TraceKind::Recv { .. }) {
-                len[events[k].node.index()] -= 1;
-            }
-        }
-        for &k in &order[i..j] {
-            if let TraceKind::Send { to, .. } = events[k].kind {
-                let d = to.index();
-                len[d] += 1;
-                peak[d] = peak[d].max(len[d].max(0) as u64);
-            }
-        }
-        i = j;
-    }
-    peak
-}
-
 /// One link acquisition: the message reached the link's queue at
 /// `queued_at`, held it from `start` to `end`.
 pub(crate) struct LinkSpan {
@@ -320,29 +282,15 @@ pub(crate) fn contended_times(obs: &RunObservation) -> ContendedTimes {
     }
 }
 
-/// A completed re-pricing: the new observation plus the schedule
-/// annotations the threaded engine's contended post-pass needs to emit
-/// sink records in canonical order.
-pub(crate) struct Reprice {
-    /// The re-priced observation.
-    pub(crate) obs: RunObservation,
-    /// Round of each event, indexed like the *source* trace.
-    pub(crate) rounds: Vec<u32>,
-    /// Re-priced events in source-trace index order (before re-sorting).
-    pub(crate) new_events: Vec<TraceEvent>,
-    /// Per-node `(old time, new time)` checkpoints, program order.
-    checkpoints: Vec<Vec<(f64, f64)>>,
-}
-
-impl Reprice {
-    /// Translates an old-timeline instant on node `n` into the new
-    /// timeline (piecewise through the event checkpoints, carrying
-    /// un-evented residuals verbatim — same map `replay::recost` uses).
-    pub(crate) fn map_time(&self, n: usize, t: f64) -> f64 {
-        map_checkpoint(&self.checkpoints[n], t)
-    }
-}
-
+/// Translates an old-timeline instant on one node into the new timeline:
+/// piecewise through the node's `(old, new)` event checkpoints (program
+/// order), carrying un-evented residuals verbatim — the same map
+/// [`super::replay::recost`] uses.
+///
+/// Exact for clocks, not always for span boundaries: a boundary that
+/// shares its timestamp with the next phase's first receive maps through
+/// that receive's checkpoint, so when the re-priced receive waits, the
+/// boundary lands after the wait instead of before it.
 fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
     match cps.partition_point(|&(old, _)| old <= t) {
         0 => t,
@@ -363,8 +311,10 @@ fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
 /// through [`LinkLedger`] (or the uncontended closed form), and receives
 /// jump to `max(local, arrival)`. Un-evented advances (`charge_compute`)
 /// are carried into the new timeline verbatim as residuals, exactly like
-/// [`super::replay::recost`]. The result is bit-identical to a live run
-/// under the target model (pinned by `tests/obs_invariants.rs`).
+/// [`super::replay::recost`]. Events, clocks, counters and metrics are
+/// bit-identical to a live run under the target model (pinned on every
+/// instance of `tests/engine_diff.rs`); span boundaries can drift — see
+/// [`map_checkpoint`].
 ///
 /// Errors if the observation carries no trace events — without the event
 /// stream there is no schedule to re-price.
@@ -373,14 +323,6 @@ pub fn reprice(
     new_cost: CostModel,
     new_model: LinkModel,
 ) -> Result<RunObservation, String> {
-    Ok(reprice_full(obs, new_cost, new_model)?.obs)
-}
-
-pub(crate) fn reprice_full(
-    obs: &RunObservation,
-    new_cost: CostModel,
-    new_model: LinkModel,
-) -> Result<Reprice, String> {
     if obs.trace.is_empty() {
         return Err("run has no trace events — was the sort traced?".into());
     }
@@ -519,25 +461,19 @@ pub(crate) fn reprice_full(
         })
         .collect();
 
-    Ok(Reprice {
-        obs: RunObservation {
-            dim: obs.dim,
-            cost: new_cost,
-            link_model: new_model,
-            trace: Trace::from_events(new_events.clone()),
-            nodes,
-            key_type: obs.key_type.clone(),
-        },
-        rounds,
-        new_events,
-        checkpoints,
+    Ok(RunObservation {
+        dim: obs.dim,
+        cost: new_cost,
+        link_model: new_model,
+        trace: Trace::from_events(new_events),
+        nodes,
+        key_type: obs.key_type.clone(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Tag;
 
     #[test]
     fn ledger_serializes_a_shared_link() {
@@ -585,54 +521,5 @@ mod tests {
         // Round 1: node 1 wakes (send 0 delivered at barrier 0), recvs and
         // sends. Round 2: node 0 wakes (send 3 delivered at barrier 1).
         assert_eq!(rounds, vec![0, 2, 1, 1]);
-    }
-
-    #[test]
-    fn inbox_peaks_follow_barrier_order() {
-        let ev = |node: u32, kind| TraceEvent {
-            time: 0.0,
-            node: NodeId::new(node),
-            tag: Tag::new(1),
-            kind,
-        };
-        // Round 0: nodes 0 and 1 each send one message to node 2;
-        // round 1: node 2 consumes both. Peak at node 2 is 2.
-        let events = vec![
-            ev(
-                0,
-                TraceKind::Send {
-                    to: NodeId::new(2),
-                    elements: 1,
-                    hops: 1,
-                },
-            ),
-            ev(
-                1,
-                TraceKind::Send {
-                    to: NodeId::new(2),
-                    elements: 1,
-                    hops: 2,
-                },
-            ),
-            ev(
-                2,
-                TraceKind::Recv {
-                    from: NodeId::new(0),
-                    elements: 1,
-                    wait: 0.0,
-                },
-            ),
-            ev(
-                2,
-                TraceKind::Recv {
-                    from: NodeId::new(1),
-                    elements: 1,
-                    wait: 0.0,
-                },
-            ),
-        ];
-        let rounds = vec![0, 0, 1, 1];
-        let peaks = reconstruct_inbox_peaks(&events, &rounds, 4);
-        assert_eq!(peaks, vec![0, 0, 2, 0]);
     }
 }

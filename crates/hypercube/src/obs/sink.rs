@@ -20,10 +20,10 @@
 //! stream their outputs are byte-identical — the equivalence pinned by
 //! `tests/obs_invariants.rs`. The run file is a single JSON document
 //! (schema in DESIGN.md §6) parsed back by [`super::replay`]. Records
-//! appear in emission order: on the sequential engine that order is
-//! deterministic; on the threaded engine nodes interleave arbitrarily,
-//! but each node's own records stay in program order (the sink lock
-//! serializes writers), which is all replay needs.
+//! appear in emission order, which the round barrier fixes: (round,
+//! node id, program order) — so both engines write the same bytes, and
+//! each node's own records stay in program order, which is all replay
+//! needs.
 
 use super::gz::GzEncoder;
 use super::json::write_trace_event;

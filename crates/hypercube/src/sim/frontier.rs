@@ -30,7 +30,7 @@
 //! [`ParEngine`]: super::par::ParEngine
 //! [`Comm::recv`]: super::Comm::recv
 
-use super::engine::{trace_capacity, NodeOutcome, RunOutcome};
+use super::engine::{NodeOutcome, RunOutcome};
 use super::trace::{Trace, TraceEvent, TraceKind};
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
@@ -72,6 +72,18 @@ pub(super) struct SimMessage<K> {
 pub(super) enum CellRecord {
     Event(TraceEvent),
     Span { phase: Option<u16>, time: f64 },
+}
+
+/// Capacity preallocated for a node's trace buffer when tracing is on.
+///
+/// One step-8 pass of the fault-tolerant sort runs at most `dim` merge
+/// stages of up to `dim` substages each, and every substage produces at
+/// most 6 traced events per node (two protocol rounds of send + recv,
+/// plus compute charges). `16·dim² + 64` therefore covers the heaviest
+/// algorithm in the workspace with ≥2× slack — a buffer that overflows it
+/// simply reallocates, so this is a fast path, not a correctness bound.
+fn trace_capacity(dim: usize) -> usize {
+    16 * dim * dim + 64
 }
 
 /// Per-node state of a frontier-scheduled run. During a round only the
@@ -294,8 +306,7 @@ impl<K> CellCtx<K> {
         }
     }
 
-    pub(super) fn span_enter(&mut self, me: NodeId, phase: u16) {
-        let _ = me;
+    pub(super) fn span_enter(&mut self, phase: u16) {
         let mut cell = self.cell();
         let now = cell.clock.now();
         cell.spans.enter(phase, now);
@@ -307,8 +318,7 @@ impl<K> CellCtx<K> {
         }
     }
 
-    pub(super) fn span_exit(&mut self, me: NodeId) {
-        let _ = me;
+    pub(super) fn span_exit(&mut self) {
         let mut cell = self.cell();
         let now = cell.clock.now();
         cell.spans.exit(now);

@@ -3,11 +3,12 @@
 //! Algorithms are written SPMD-style: the same *node program* runs on every
 //! normal processor, communicating through the [`Comm`] handle. Node
 //! programs are `async`: a blocked receive suspends the node, which lets
-//! one executor run nodes on OS threads ([`engine::Engine`] with
-//! [`EngineKind::Threaded`]), another schedule all of them cooperatively
-//! on a single thread ([`sequential::SeqEngine`], the default), and a
-//! third share the ready frontier across a fixed worker pool
-//! ([`par::ParEngine`]) — same program, identical simulated results.
+//! one executor schedule all of them cooperatively on a single thread
+//! ([`sequential::SeqEngine`], the default) and another share the ready
+//! frontier across a fixed worker pool ([`par::ParEngine`]). Both run the
+//! same round/frontier core and hand nodes the same [`NodeCtx`] — same
+//! program, identical simulated results. [`engine::Engine`] is the front
+//! door that picks one by [`EngineKind`].
 //!
 //! ## Deterministic virtual time
 //!
@@ -17,9 +18,11 @@
 //! Because the algorithms' communication patterns are data-independent, the
 //! resulting virtual times are a deterministic function of the inputs — they
 //! do not depend on OS scheduling *or on the executor* — so simulated
-//! "execution times" (Figure 7) are exactly reproducible, and every engine
-//! produces byte-identical outputs, clocks, statistics and traces (asserted
-//! by `tests/engine_diff.rs` in the workspace root).
+//! "execution times" (Figure 7) are exactly reproducible, and both engines
+//! produce byte-identical outputs, clocks, statistics and traces (asserted
+//! by `tests/engine_diff.rs` in the workspace root, which also checks the
+//! shared clock algebra against the independent offline re-pricer in
+//! [`crate::obs::schedule`]).
 
 pub mod engine;
 mod frontier;
@@ -41,14 +44,8 @@ use crate::fault::FaultSet;
 use crate::topology::Hypercube;
 
 /// Which executor runs the node programs.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum EngineKind {
-    /// One OS thread per simulated processor, bounded channels as the
-    /// interconnect. Real concurrency; wall-clock cost grows with the
-    /// machine size (a `Q_10` run schedules 1024 kernel threads).
-    Threaded,
     /// Single-threaded run-to-completion cooperative scheduler
     /// ([`sequential::SeqEngine`]): the ready frontier of node programs is
     /// polled round by round, with sends delivered at a deterministic
@@ -67,10 +64,9 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses the CLI spelling (`threaded` | `seq` | `par`).
+    /// Parses the CLI spelling (`seq` | `par`).
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
-            "threaded" => Some(EngineKind::Threaded),
             "seq" | "sequential" => Some(EngineKind::Seq),
             "par" | "parallel" => Some(EngineKind::Par),
             _ => None,
@@ -81,7 +77,6 @@ impl EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineKind::Threaded => write!(f, "threaded"),
             EngineKind::Seq => write!(f, "seq"),
             EngineKind::Par => write!(f, "par"),
         }
@@ -102,9 +97,7 @@ impl std::fmt::Display for EngineKind {
 /// barrier in (round, node-id, program-order) order — the same order the
 /// [`frontier`](self) core already commits sends in — so virtual time remains
 /// a pure function of the input on every engine (see DESIGN §6).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LinkModel {
     /// Infinite link capacity: arrival = `sent_at + transfer`. The paper's
     /// model and the default — all baselines are priced under it.
@@ -140,9 +133,7 @@ impl std::fmt::Display for LinkModel {
 /// Receives are addressed by `(source, tag)`; messages from the same source
 /// with different tags can arrive in any order and are buffered until asked
 /// for. Build tags with [`Tag::new`] or [`Tag::phase`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Tag(pub u64);
 
 impl Tag {
@@ -161,10 +152,10 @@ impl Tag {
 /// The communication and accounting interface a node program runs against.
 ///
 /// All sorting algorithms in the `ftsort` crate are generic over this trait,
-/// so they run unmodified on the threaded MIMD engine and on the sequential
-/// event-driven engine. `recv` (and anything built on it) is `async`: the
-/// threaded engine blocks inside the poll, the sequential engine suspends
-/// the node program and resumes it when the message arrives.
+/// so they run unmodified on either engine. `recv` (and anything built on
+/// it) is `async`: a receive whose message has not been delivered suspends
+/// the node program, and the engine resumes it after the round barrier
+/// that delivers the message.
 #[allow(async_fn_in_trait)] // simulator-internal trait; no Send futures needed
 pub trait Comm<K> {
     /// This processor's physical address.
@@ -281,13 +272,12 @@ mod tests {
 
     #[test]
     fn engine_kind_parses_cli_spellings() {
-        assert_eq!(EngineKind::parse("threaded"), Some(EngineKind::Threaded));
+        assert_eq!(EngineKind::parse("threaded"), None);
         assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Seq));
         assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Seq));
         assert_eq!(EngineKind::parse("par"), Some(EngineKind::Par));
         assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Par));
         assert_eq!(EngineKind::parse("fast"), None);
-        assert_eq!(EngineKind::Threaded.to_string(), "threaded");
         assert_eq!(EngineKind::Seq.to_string(), "seq");
         assert_eq!(EngineKind::Par.to_string(), "par");
         assert_eq!(EngineKind::default(), EngineKind::Seq);

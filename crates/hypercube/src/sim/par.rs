@@ -207,7 +207,7 @@ impl Drop for PoisonGuard<'_> {
 /// constructing a `ParEngine` directly additionally exposes
 /// [`ParEngine::with_workers`] and [`ParEngine::with_shard_size`].
 /// Requires `K`/`T`: [`Send`] and a [`Sync`] program (workers share
-/// `&program`), like the threaded engine.
+/// `&program`).
 ///
 /// [`EngineKind::Par`]: super::EngineKind::Par
 #[derive(Clone)]
@@ -774,7 +774,7 @@ where
             let TaskState::Fresh(input) = std::mem::replace(state, TaskState::Done) else {
                 unreachable!()
             };
-            let ctx = NodeCtx::new_cell(
+            let ctx = NodeCtx::new(
                 NodeId::from(id),
                 env.cube,
                 Arc::clone(env.faults),

@@ -10,12 +10,11 @@
 //! observable derived from it) is a deterministic function of the inputs,
 //! shared bit for bit with the parallel engine ([`super::par::ParEngine`]).
 //!
-//! Compared to the threaded engine this removes all OS threads, channels,
-//! context switches and payload copies (a message send hands over the
-//! `Vec<K>` allocation to the receiver), while charging the *same* virtual
-//! time through the same [`CostModel`]/[`VirtualClock`] calls in the same
-//! per-node order — so clocks, statistics and traces are byte-identical
-//! between the engines.
+//! No OS threads, channels, context switches or payload copies (a message
+//! send hands over the `Vec<K>` allocation to the receiver); virtual time
+//! is charged through the same [`CostModel`]/[`VirtualClock`] calls in the
+//! same per-node order as the parallel engine, so clocks, statistics and
+//! traces are byte-identical between the engines.
 //!
 //! Deadlock is detected exactly: if unfinished nodes remain but none is
 //! runnable, the engine panics immediately with the full wait map instead of
@@ -165,7 +164,7 @@ impl SeqEngine {
                 tasks.push(None);
                 continue;
             };
-            let ctx = NodeCtx::new_cell(
+            let ctx = NodeCtx::new(
                 NodeId::from(i),
                 cube,
                 Arc::clone(&self.faults),
@@ -240,7 +239,7 @@ mod tests {
 
     #[test]
     fn runs_non_send_programs() {
-        // Rc is !Send: this program cannot run on the threaded engine, but
+        // Rc is !Send: this program cannot run on the parallel engine, but
         // the direct SeqEngine API accepts it.
         let eng = engine(1);
         let marker = Rc::new(7u32);

@@ -7,10 +7,9 @@
 
 use crate::address::NodeId;
 use crate::sim::Tag;
-use serde::{Deserialize, Serialize};
 
 /// What happened.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TraceKind {
     /// A message left this node.
     Send {
@@ -39,7 +38,7 @@ pub enum TraceKind {
 }
 
 /// One traced event.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TraceEvent {
     /// The node's virtual clock *after* the event, µs.
     pub time: f64,
@@ -52,7 +51,7 @@ pub struct TraceEvent {
 }
 
 /// A completed run's trace, ordered by time (ties by node address).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -60,13 +59,7 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from per-node event lists.
     pub(crate) fn assemble(per_node: Vec<Vec<TraceEvent>>) -> Self {
-        let mut events: Vec<TraceEvent> = per_node.into_iter().flatten().collect();
-        events.sort_by(|a, b| {
-            a.time
-                .total_cmp(&b.time)
-                .then(a.node.raw().cmp(&b.node.raw()))
-        });
-        Trace { events }
+        Trace::from_events(per_node.into_iter().flatten().collect())
     }
 
     /// Builds a trace from an already time-ordered event list — the entry

@@ -4,12 +4,11 @@
 //! built from — messages, element·hops, comparisons — so benches can report
 //! both virtual time and the underlying operation counts.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 /// Counters accumulated during a simulated run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RunStats {
     /// Point-to-point messages sent.
     pub messages: u64,

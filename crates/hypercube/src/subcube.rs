@@ -25,7 +25,7 @@ use std::fmt;
 /// let w = lo.local_address(NodeId::new(0b0101));
 /// assert_eq!(lo.global_address(w), NodeId::new(0b0101));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Subcube {
     /// Dimension of the enclosing hypercube.
     n: u8,

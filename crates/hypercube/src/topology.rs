@@ -10,7 +10,7 @@ use crate::address::NodeId;
 use crate::subcube::Subcube;
 
 /// An `n`-dimensional binary hypercube topology.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Hypercube {
     n: u8,
 }

@@ -175,7 +175,7 @@ fn collectives_roundtrip_arbitrary_participant_sets() {
         let kind = if case % 2 == 0 {
             EngineKind::Seq
         } else {
-            EngineKind::Threaded
+            EngineKind::Par
         };
         let engine = Engine::fault_free(cube, CostModel::paper_form()).with_engine(kind);
         let mut inputs: Vec<Option<Vec<u32>>> = vec![None; cube.len()];

@@ -39,12 +39,8 @@ fn main() {
             let faults = FaultSet::random(cube, r, &mut rng);
             let data: Vec<u32> = (0..m_total).map(|_| rng.random()).collect();
             let plan = FtPlan::new(&faults).expect("tolerable");
-            let out = fault_tolerant_sort_with_plan(
-                &plan,
-                CostModel::default(),
-                data.clone(),
-                Protocol::HalfExchange,
-            );
+            let (out, _, _) =
+                fault_tolerant_sort(&plan, &FtConfig::default(), data.clone(), Attach::default());
             ours_live += plan.live_count() as f64;
             ours_util += plan.utilization() * 100.0;
             ours_time += out.time_us / 1000.0;

@@ -1,5 +1,5 @@
-//! NCUBE/7-scale MIMD simulation: 64 node threads, message-passing links,
-//! the full diagnose → partition → sort pipeline, and a comparison against
+//! NCUBE/7-scale simulation: 64 message-passing node programs, the full
+//! diagnose → partition → sort pipeline, and a comparison against
 //! the MFFS baseline — the experiment of the paper's §4 in miniature.
 //!
 //! ```text
@@ -38,13 +38,10 @@ fn main() {
     expect.sort_unstable();
 
     // Our algorithm.
-    match fault_tolerant_sort(
-        &faults,
-        CostModel::default(),
-        data.clone(),
-        Protocol::HalfExchange,
-    ) {
-        Ok(out) => {
+    match FtPlan::new(&faults) {
+        Ok(plan) => {
+            let (out, _, _) =
+                fault_tolerant_sort(&plan, &FtConfig::default(), data.clone(), Attach::default());
             assert_eq!(out.sorted, expect);
             println!(
                 "\nfault-tolerant sort: {} keys on {} live processors",

@@ -34,12 +34,12 @@ fn main() {
         plan.utilization() * 100.0
     );
 
-    let out = fault_tolerant_sort_with_plan(
-        &plan,
-        CostModel::default(),
-        data.clone(),
-        Protocol::HalfExchange,
-    );
+    let config = FtConfig {
+        cost: CostModel::default(),
+        protocol: Protocol::HalfExchange,
+        ..FtConfig::default()
+    };
+    let (out, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
 
     // Verify against a sequential sort.
     let mut expect = data;

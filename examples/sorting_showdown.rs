@@ -57,7 +57,11 @@ fn main() {
     let faults = FaultSet::random(cube, n - 1, &mut rng);
     println!("\ninjecting {} faults: {:?}\n", n - 1, faults.to_vec());
     let plan = FtPlan::new(&faults).expect("tolerable");
-    let out = fault_tolerant_sort_with_plan(&plan, cost, data.clone(), Protocol::HalfExchange);
+    let config = FtConfig {
+        cost,
+        ..FtConfig::default()
+    };
+    let (out, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
     report("fault-tolerant sort (ours)", &out);
     let out = mffs_sort(&faults, cost, data, Protocol::HalfExchange);
     report("MFFS baseline", &out);

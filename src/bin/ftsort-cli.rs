@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! ftsort-cli partition   --n 5 --faults 3,5,16,24
-//! ftsort-cli sort        --n 6 --faults 9,22 --m 100000 [--protocol full] [--step8 fullsort] [--engine threaded|seq|par]
+//! ftsort-cli sort        --n 6 --faults 9,22 --m 100000 [--protocol full] [--step8 fullsort] [--engine seq|par]
 //!                        [--key-type u32|u64|i64|pair] [--threads N] [--link-model uncontended|contended]
 //!                        [--trace-out trace.json] [--metrics-out report.json] [--run-out run.json[.gz]]
 //!                        [--sched-profile] [--sched-out sched.json]
@@ -260,8 +260,7 @@ fn run_sort<K: ftsort::seq::Key>(
     };
     let engine = match flags.get("engine") {
         None => EngineKind::default(),
-        Some(s) => EngineKind::parse(s)
-            .ok_or_else(|| format!("unknown engine '{s}' (threaded|seq|par)"))?,
+        Some(s) => EngineKind::parse(s).ok_or_else(|| format!("unknown engine '{s}' (seq|par)"))?,
     };
     let link_model = parse_link_model(flags)?.unwrap_or_default();
     let threads: Option<usize> = match flags.get("threads") {
@@ -332,14 +331,12 @@ fn run_sort<K: ftsort::seq::Key>(
             ],
         );
     }
-    let (out, phases, obs) = fault_tolerant_sort_instrumented(
-        &plan,
-        &config,
-        data,
+    let attach = Attach {
         sink,
-        pool.as_ref(),
-        profiler.clone(),
-    );
+        pool: pool.as_ref(),
+        profiler: profiler.clone(),
+    };
+    let (out, phases, obs) = fault_tolerant_sort(&plan, &config, data, attach);
     {
         use hypercube::obs::log::{info, Value};
         info(

@@ -1,28 +1,37 @@
-//! Differential test between the three simulation engines: across ≥ 64
-//! random `(n, r, M)` instances, the threaded MIMD engine, the sequential
-//! event-driven engine and the parallel frontier engine must produce
-//! **byte-identical** results — the same sorted output, the same virtual
-//! completion time, and the same operation counters. The algorithms are
-//! data-oblivious and the engines share the cost model and hop charging,
-//! so any divergence is an engine bug, not noise.
+//! Differential test between the two simulation engines, plus an
+//! independent oracle for the clock algebra they share.
 //!
-//! The sequential and parallel engines additionally share the
-//! round/frontier schedule, so their streamed [`TraceSink`] output is
-//! compared byte for byte too (the threaded engine streams records live
-//! from concurrent node threads, so its interleaving — and only its
-//! interleaving — is executor-dependent).
+//! Across 64 random `(n, r, M)` instances per link model, the sequential
+//! and parallel engines must produce **byte-identical** results — the same
+//! sorted output, the same virtual completion time and the same operation
+//! counters — and every 8th instance their streamed [`TraceSink`] output
+//! is compared byte for byte too. The algorithms are data-oblivious, so
+//! any divergence is an engine bug, not noise.
 //!
 //! The parallel engine's worker count is swept across `{1, 2, 4, auto}`
 //! per case — the work-stealing scheduler must be byte-deterministic at
 //! *every* worker count, including oversubscribed ones on a small host —
 //! and the streamed-bytes cases compare par at 1, 2 and 4 workers each.
+//!
+//! Both engines run the same round/frontier core, so their agreement says
+//! nothing about whether that core prices time correctly. The offline
+//! re-pricers are the independent check: [`reprice`] and [`recost`]
+//! re-derive each event's round from the trace alone and re-price the
+//! schedule without the engines' code. On every instance:
+//!
+//! * uncontended loop — a traced seq run and a traced contended seq run;
+//!   re-pricing each to the other link model reproduces the other run;
+//! * contended loop — a traced seq run and a contended run under
+//!   [`CostModel::paper_form`]; `recost` to the paper form reproduces it.
 
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{
-    fault_tolerant_sort_configured, fault_tolerant_sort_streamed, FtConfig, FtPlan,
-};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
+use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
+use hypercube::obs::replay::recost;
+use hypercube::obs::schedule::reprice;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
+use hypercube::obs::RunObservation;
 use hypercube::sim::{EngineKind, LinkModel};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
@@ -33,8 +42,11 @@ use std::sync::{Arc, Mutex};
 /// the exact bytes the sink wrote.
 fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
-    let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-    fault_tolerant_sort_streamed(plan, config, data, dyn_sink);
+    let attach = Attach {
+        sink: Some(sink.clone() as Arc<Mutex<dyn TraceSink>>),
+        ..Attach::default()
+    };
+    fault_tolerant_sort(plan, config, data, attach);
     Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")
@@ -44,13 +56,64 @@ fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
         .unwrap()
 }
 
-#[test]
-fn engines_agree_on_64_random_instances() {
-    let mut rng = StdRng::seed_from_u64(0x5eed_d1ff);
+/// Asserts that an offline re-pricing reproduces a live run bit for bit:
+/// every trace event, and per node the clock, operation counters and
+/// metrics.
+///
+/// Span boundaries are not compared: the re-pricers translate a boundary
+/// through the last event at or before it, so a boundary that shares its
+/// timestamp with the next phase's first (non-waiting) receive lands after
+/// that receive's re-priced wait — a known defect in the translation, not
+/// in the clocks this test pins.
+fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &str) {
+    assert_eq!(replayed.link_model, live.link_model, "{what}: link model");
+    let (got, want) = (replayed.trace.events(), live.trace.events());
+    assert_eq!(got.len(), want.len(), "{what}: event count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g == w && g.time.to_bits() == w.time.to_bits(),
+            "{what}: event {i} differs: {g:?} vs live {w:?}"
+        );
+    }
+    assert_eq!(replayed.nodes.len(), live.nodes.len(), "{what}: node count");
+    for (g, w) in replayed.nodes.iter().zip(&live.nodes) {
+        match (g, w) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                let node = w.node;
+                assert_eq!(
+                    g.clock.to_bits(),
+                    w.clock.to_bits(),
+                    "{what}: clock of {node:?}"
+                );
+                assert_eq!(g.stats, w.stats, "{what}: counters of {node:?}");
+                let (gm, wm) = (&g.metrics, &w.metrics);
+                assert!(
+                    gm == wm
+                        && gm.blocked_us.to_bits() == wm.blocked_us.to_bits()
+                        && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
+                    "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
+                );
+            }
+            _ => panic!("{what}: participation differs"),
+        }
+    }
+}
+
+/// The seeded instance loop both tests share: for each case, the plan,
+/// data and the base config of the case (engine, link model and tracing
+/// left at their defaults), plus a tag naming the case in failures.
+fn instances(
+    seed: u64,
+    max_n: usize,
+    max_m: usize,
+    mut check: impl FnMut(usize, &FtPlan, &[u64], FtConfig, &str),
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..64 {
-        let n = rng.random_range(2usize..=8);
+        let n = rng.random_range(2usize..=max_n);
         let r = rng.random_range(0usize..n);
-        let m = rng.random_range(0usize..4_000);
+        let m = rng.random_range(0usize..max_m);
         let faults = FaultSet::random(Hypercube::new(n), r, &mut rng);
         let plan = FtPlan::new(&faults).expect("r ≤ n−1 tolerable");
         let data: Vec<u64> = (0..m).map(|_| rng.random()).collect();
@@ -61,155 +124,128 @@ fn engines_agree_on_64_random_instances() {
         };
         let host_io = case % 3 == 0;
         // Par worker-count sweep: every case pins a different count
-        // (None = available parallelism); the other engines ignore it.
+        // (None = available parallelism); seq ignores it.
         let threads = [Some(1), Some(2), Some(4), None][case % 4];
-        let config = |engine: EngineKind| FtConfig {
+        let config = FtConfig {
             protocol,
             include_host_io: host_io,
-            engine,
             threads,
             ..FtConfig::default()
         };
-        let run = |engine: EngineKind| {
-            fault_tolerant_sort_configured(&plan, &config(engine), data.clone())
-        };
-        let seq = run(EngineKind::Seq);
         let tag = format!(
             "case {case}: n={n} r={r} m={m} {protocol:?} host_io={host_io} \
              threads={threads:?} faults={:?}",
             faults.to_vec()
         );
-        for kind in [EngineKind::Threaded, EngineKind::Par] {
-            let other = run(kind);
-            assert_eq!(
-                seq.sorted, other.sorted,
-                "sorted output differs seq vs {kind} — {tag}"
-            );
-            assert_eq!(
-                seq.time_us.to_bits(),
-                other.time_us.to_bits(),
-                "virtual time differs seq vs {kind} ({} vs {}) — {tag}",
-                seq.time_us,
-                other.time_us
-            );
-            assert_eq!(
-                seq.stats, other.stats,
-                "operation counters differ seq vs {kind} — {tag}"
-            );
-            assert_eq!(
-                seq.processors_used, other.processors_used,
-                "processor count differs seq vs {kind} — {tag}"
-            );
-        }
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        assert_eq!(seq.sorted, expect, "not actually sorted — {tag}");
-
-        // Every 8th instance: the frontier engines' streamed run files are
-        // the same bytes (header, every record line, node footer) — par
-        // checked at 1, 2 and 4 workers.
-        if case % 8 == 0 {
-            let seq_bytes = streamed_bytes(&plan, &config(EngineKind::Seq), data.clone());
-            for workers in [1usize, 2, 4] {
-                let par_config = FtConfig {
-                    threads: Some(workers),
-                    ..config(EngineKind::Par)
-                };
-                let par_bytes = streamed_bytes(&plan, &par_config, data.clone());
-                assert!(
-                    seq_bytes == par_bytes,
-                    "streamed TraceSink output differs seq vs par@{workers} — {tag}"
-                );
-            }
-            assert!(!seq_bytes.is_empty(), "sink saw no records — {tag}");
-        }
+        check(case, &plan, &data, config, &tag);
     }
 }
 
-/// The contended link model must not break engine equivalence: across
-/// ≥ 64 random instances the three engines produce byte-identical sorted
-/// output, virtual times (waits included) and counters — and, because the
-/// threaded engine re-emits its sink records through the schedule
-/// replayer in canonical (round, node) order, its streamed v2 run file is
-/// byte-identical to the frontier engines' too.
+/// Runs seq traced and par untraced under `config`'s link model, asserts
+/// they agree, and every 8th case that they stream the same bytes (par at
+/// 1, 2 and 4 workers). Returns seq's observation.
+fn seq_vs_par(
+    case: usize,
+    plan: &FtPlan,
+    data: &[u64],
+    config: FtConfig,
+    tag: &str,
+) -> RunObservation {
+    let seq_config = FtConfig {
+        engine: EngineKind::Seq,
+        tracing: true,
+        ..config
+    };
+    let par_config = FtConfig {
+        engine: EngineKind::Par,
+        ..config
+    };
+    let (seq, _, seq_obs) =
+        fault_tolerant_sort(plan, &seq_config, data.to_vec(), Attach::default());
+    let (par, _, _) = fault_tolerant_sort(plan, &par_config, data.to_vec(), Attach::default());
+    assert_eq!(seq.sorted, par.sorted, "sorted output differs — {tag}");
+    assert_eq!(
+        seq.time_us.to_bits(),
+        par.time_us.to_bits(),
+        "virtual time differs ({} vs {}) — {tag}",
+        seq.time_us,
+        par.time_us
+    );
+    assert_eq!(seq.stats, par.stats, "operation counters differ — {tag}");
+    assert_eq!(
+        seq.processors_used, par.processors_used,
+        "processor count differs — {tag}"
+    );
+    let mut expect = data.to_vec();
+    expect.sort_unstable();
+    assert_eq!(seq.sorted, expect, "not actually sorted — {tag}");
+
+    if case.is_multiple_of(8) {
+        let seq_bytes = streamed_bytes(plan, &seq_config, data.to_vec());
+        for workers in [1usize, 2, 4] {
+            let par_config = FtConfig {
+                threads: Some(workers),
+                ..par_config
+            };
+            let par_bytes = streamed_bytes(plan, &par_config, data.to_vec());
+            assert!(
+                seq_bytes == par_bytes,
+                "streamed run file differs seq vs par@{workers} — {tag}"
+            );
+        }
+        assert!(!seq_bytes.is_empty(), "sink saw no records — {tag}");
+    }
+    seq_obs
+}
+
+#[test]
+fn engines_agree_on_64_random_instances() {
+    instances(0x5eed_d1ff, 8, 4_000, |case, plan, data, config, tag| {
+        let uncontended = seq_vs_par(case, plan, data, config, tag);
+        let contended_config = FtConfig {
+            tracing: true,
+            link_model: LinkModel::Contended,
+            ..config
+        };
+        let (_, _, contended) =
+            fault_tolerant_sort(plan, &contended_config, data.to_vec(), Attach::default());
+        let to_contended = reprice(&uncontended, uncontended.cost, LinkModel::Contended)
+            .expect("traced run re-prices");
+        assert_reproduces(
+            &to_contended,
+            &contended,
+            &format!("reprice → contended, {tag}"),
+        );
+        let to_uncontended = reprice(&contended, contended.cost, LinkModel::Uncontended)
+            .expect("traced run re-prices");
+        assert_reproduces(
+            &to_uncontended,
+            &uncontended,
+            &format!("reprice → uncontended, {tag}"),
+        );
+    });
+}
+
+/// The contended link model must not break engine equivalence: sorted
+/// output, virtual times (waits included), counters and the streamed v2
+/// run files all stay byte-identical.
 #[test]
 fn engines_agree_under_contended_link_model() {
-    let mut rng = StdRng::seed_from_u64(0xc0a7_e57ed);
-    for case in 0..64 {
-        let n = rng.random_range(2usize..=7);
-        let r = rng.random_range(0usize..n);
-        let m = rng.random_range(0usize..3_000);
-        let faults = FaultSet::random(Hypercube::new(n), r, &mut rng);
-        let plan = FtPlan::new(&faults).expect("r ≤ n−1 tolerable");
-        let data: Vec<u64> = (0..m).map(|_| rng.random()).collect();
-        let protocol = if case % 2 == 0 {
-            Protocol::HalfExchange
-        } else {
-            Protocol::FullExchange
-        };
-        let host_io = case % 3 == 0;
-        let threads = [Some(1), Some(2), Some(4), None][case % 4];
-        let config = |engine: EngineKind| FtConfig {
-            protocol,
-            include_host_io: host_io,
-            engine,
-            threads,
+    instances(0xc0a7_e57ed, 7, 3_000, |case, plan, data, config, tag| {
+        let config = FtConfig {
             link_model: LinkModel::Contended,
-            ..FtConfig::default()
+            ..config
         };
-        let run = |engine: EngineKind| {
-            fault_tolerant_sort_configured(&plan, &config(engine), data.clone())
+        let tag = &format!("{tag} contended");
+        let live = seq_vs_par(case, plan, data, config, tag);
+        let paper_config = FtConfig {
+            cost: CostModel::paper_form(),
+            tracing: true,
+            ..config
         };
-        let seq = run(EngineKind::Seq);
-        let tag = format!(
-            "case {case}: n={n} r={r} m={m} {protocol:?} host_io={host_io} contended \
-             threads={threads:?} faults={:?}",
-            faults.to_vec()
-        );
-        for kind in [EngineKind::Threaded, EngineKind::Par] {
-            let other = run(kind);
-            assert_eq!(
-                seq.sorted, other.sorted,
-                "sorted output differs seq vs {kind} — {tag}"
-            );
-            assert_eq!(
-                seq.time_us.to_bits(),
-                other.time_us.to_bits(),
-                "virtual time differs seq vs {kind} ({} vs {}) — {tag}",
-                seq.time_us,
-                other.time_us
-            );
-            assert_eq!(
-                seq.stats, other.stats,
-                "operation counters differ seq vs {kind} — {tag}"
-            );
-        }
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        assert_eq!(seq.sorted, expect, "not actually sorted — {tag}");
-
-        // Every 8th instance: all three engines' streamed v2 run files
-        // are the same bytes, threaded included, and par checked at
-        // 1, 2 and 4 workers.
-        if case % 8 == 0 {
-            let seq_bytes = streamed_bytes(&plan, &config(EngineKind::Seq), data.clone());
-            let threaded_bytes = streamed_bytes(&plan, &config(EngineKind::Threaded), data.clone());
-            assert!(
-                seq_bytes == threaded_bytes,
-                "streamed v2 run file differs seq vs threaded — {tag}"
-            );
-            for workers in [1usize, 2, 4] {
-                let par_config = FtConfig {
-                    threads: Some(workers),
-                    ..config(EngineKind::Par)
-                };
-                let par_bytes = streamed_bytes(&plan, &par_config, data.clone());
-                assert!(
-                    seq_bytes == par_bytes,
-                    "streamed v2 run file differs seq vs par@{workers} — {tag}"
-                );
-            }
-            assert!(!seq_bytes.is_empty(), "sink saw no records — {tag}");
-        }
-    }
+        let (_, _, paper) =
+            fault_tolerant_sort(plan, &paper_config, data.to_vec(), Attach::default());
+        let recosted = recost(&live, CostModel::paper_form()).expect("traced run re-costs");
+        assert_reproduces(&recosted, &paper, &format!("recost → paper form, {tag}"));
+    });
 }

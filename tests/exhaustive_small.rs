@@ -2,8 +2,7 @@
 //! **every** fault placement with `r ≤ n − 1` on Q3 and Q4 (and a sampled
 //! sweep of data shapes), leaving no untested configuration at these sizes.
 
-use ftsort::bitonic::Protocol;
-use ftsort::ftsort::fault_tolerant_sort;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::topology::Hypercube;
@@ -33,16 +32,18 @@ fn all_fault_sets(n: usize, r: usize) -> Vec<FaultSet> {
     }
 }
 
+fn paper_config() -> FtConfig {
+    FtConfig {
+        cost: CostModel::paper_form(),
+        ..FtConfig::default()
+    }
+}
+
 fn check(faults: &FaultSet, data: Vec<u32>) {
     let mut expect = data.clone();
     expect.sort_unstable();
-    let out = fault_tolerant_sort(
-        faults,
-        CostModel::paper_form(),
-        data,
-        Protocol::HalfExchange,
-    )
-    .unwrap_or_else(|e| panic!("{:?}: {e}", faults.to_vec()));
+    let plan = FtPlan::new(faults).unwrap_or_else(|e| panic!("{:?}: {e}", faults.to_vec()));
+    let out = fault_tolerant_sort(&plan, &paper_config(), data, Attach::default()).0;
     assert_eq!(out.sorted, expect, "faults {:?}", faults.to_vec());
 }
 
@@ -86,13 +87,8 @@ fn adversarial_data_shapes_on_the_paper_machine() {
     for (name, data) in shapes {
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = fault_tolerant_sort(
-            &faults,
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        )
-        .unwrap();
+        let plan = FtPlan::new(&faults).unwrap();
+        let out = fault_tolerant_sort(&plan, &paper_config(), data, Attach::default()).0;
         assert_eq!(out.sorted, expect, "shape {name}");
     }
 }

@@ -6,7 +6,7 @@
 //! to the fault-free subcube fallbacks the MFFS baseline would use.
 
 use ftsort::bitonic::{bitonic_sort, Protocol};
-use ftsort::ftsort::fault_tolerant_sort;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
@@ -20,15 +20,14 @@ fn data(seed: u64) -> Vec<u32> {
     (0..M).map(|_| rng.random()).collect()
 }
 
+fn ft_sort(fs: &FaultSet, data: Vec<u32>) -> ftsort::bitonic::SortOutcome<u32> {
+    let plan = FtPlan::new(fs).expect("tolerable fault set");
+    fault_tolerant_sort(&plan, &FtConfig::default(), data, Attach::default()).0
+}
+
 fn ft_time(n: usize, faults: &[u32], seed: u64) -> f64 {
     let fs = FaultSet::from_raw(Hypercube::new(n), faults);
-    let out = fault_tolerant_sort(
-        &fs,
-        CostModel::default(),
-        data(seed),
-        Protocol::HalfExchange,
-    )
-    .expect("tolerable fault set");
+    let out = ft_sort(&fs, data(seed));
     let mut expect = data(seed);
     expect.sort_unstable();
     assert_eq!(out.sorted, expect, "result must be sorted");
@@ -108,13 +107,7 @@ fn q3_q4_panels() {
 fn paper_example_beats_mffs() {
     let fs = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
     let input = data(4);
-    let ours = fault_tolerant_sort(
-        &fs,
-        CostModel::default(),
-        input.clone(),
-        Protocol::HalfExchange,
-    )
-    .unwrap();
+    let ours = ft_sort(&fs, input.clone());
     let baseline = mffs_sort(&fs, CostModel::default(), input, Protocol::HalfExchange);
     assert_eq!(ours.sorted, baseline.sorted);
     assert_eq!(baseline.processors_used, 8);
@@ -135,9 +128,7 @@ fn time_monotone_in_m() {
     let mut last = 0.0;
     for m in [3_200usize, 16_000, 64_000] {
         let input: Vec<u32> = (0..m).map(|_| rng.random()).collect();
-        let t = fault_tolerant_sort(&fs, CostModel::default(), input, Protocol::HalfExchange)
-            .unwrap()
-            .time_us;
+        let t = ft_sort(&fs, input).time_us;
         assert!(t > last, "M={m}: {t} vs previous {last}");
         last = t;
     }

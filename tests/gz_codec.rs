@@ -14,7 +14,7 @@
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
 
-use ftsort::ftsort::{fault_tolerant_sort_streamed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::{gunzip, GzEncoder};
 use hypercube::obs::sink::{StreamingSink, TraceSink};
@@ -93,7 +93,15 @@ fn q6_run(sink: Arc<Mutex<dyn TraceSink>>) {
         engine: EngineKind::Seq,
         ..FtConfig::default()
     };
-    fault_tolerant_sort_streamed(&plan, &config, data, sink);
+    fault_tolerant_sort(
+        &plan,
+        &config,
+        data,
+        Attach {
+            sink: Some(sink),
+            ..Attach::default()
+        },
+    );
 }
 
 /// The plain run-file bytes of [`q6_run`].

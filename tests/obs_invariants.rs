@@ -4,10 +4,7 @@
 //! the aggregate `RunReport`, streaming-vs-buffered sink byte
 //! equivalence, replay exactness, and critical-path diff invariants.
 
-use ftsort::ftsort::{
-    fault_tolerant_sort_observed, fault_tolerant_sort_streamed, phase_name, FtConfig, FtPlan,
-    PhaseBreakdown,
-};
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::critical_path::{render_report, CriticalPath};
@@ -44,7 +41,8 @@ fn observed_with(
         tracing: true,
         ..FtConfig::default()
     };
-    let (out, breakdown, obs) = fault_tolerant_sort_observed(&plan, &config, data.clone());
+    let (out, breakdown, obs) =
+        fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
     let mut expect = data;
     expect.sort_unstable();
     assert_eq!(out.sorted, expect, "run must actually sort");
@@ -134,62 +132,46 @@ fn perfetto_flows_respect_happens_before() {
 #[test]
 fn engines_agree_on_observations() {
     let (bd_seq, seq) = observed(EngineKind::Seq, false);
+    let (bd_par, par) = observed(EngineKind::Par, false);
 
-    for kind in [EngineKind::Threaded, EngineKind::Par] {
-        let (bd_other, other) = observed(kind, false);
-
-        // identical span attribution, node by node
-        for (a, b) in seq.nodes.iter().zip(&other.nodes) {
-            match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "node {}", a.node);
-                    assert_eq!(a.spans, b.spans, "span log differs on node {}", a.node);
-                    // metrics agree except inbox_peak, which is
-                    // executor-dependent in the threaded engine (documented
-                    // on NodeMetrics::inbox_peak); the frontier engines
-                    // must agree on it exactly.
-                    let mut bm = b.metrics.clone();
-                    if kind == EngineKind::Threaded {
-                        bm.inbox_peak = a.metrics.inbox_peak;
-                    }
-                    assert_eq!(a.metrics, bm, "metrics differ on node {} ({kind})", a.node);
-                }
-                _ => panic!("participation differs ({kind})"),
+    // identical span attribution, node by node
+    for (a, b) in seq.nodes.iter().zip(&par.nodes) {
+        match (a, b) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.node, b.node);
+                assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "node {}", a.node);
+                assert_eq!(a.spans, b.spans, "span log differs on node {}", a.node);
+                assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
             }
+            _ => panic!("participation differs"),
         }
-        assert_eq!(bd_seq, bd_other, "phase breakdowns differ ({kind})");
-
-        // identical traces, hence identical critical paths
-        assert_eq!(
-            seq.trace.events(),
-            other.trace.events(),
-            "traces differ ({kind})"
-        );
-        let cp_seq = CriticalPath::compute(&seq).expect("path");
-        let cp_other = CriticalPath::compute(&other).expect("path");
-        assert_eq!(cp_seq, cp_other, "critical paths differ ({kind})");
-        assert_eq!(
-            cp_seq.makespan.to_bits(),
-            seq.makespan().to_bits(),
-            "path extent is the makespan"
-        );
-        let sum: f64 = cp_seq
-            .attribute(&seq, &phase_name)
-            .iter()
-            .map(|(_, us)| us)
-            .sum();
-        assert!(
-            (sum - cp_seq.makespan).abs() <= 1e-6 * cp_seq.makespan.max(1.0),
-            "attribution {sum} must sum to the makespan {}",
-            cp_seq.makespan
-        );
     }
+    assert_eq!(bd_seq, bd_par, "phase breakdowns differ");
 
-    // The frontier engines' observations are fully byte-identical — the
-    // RunReport JSON is one serialization of everything above.
-    let (_, par) = observed(EngineKind::Par, false);
+    // identical traces, hence identical critical paths
+    assert_eq!(seq.trace.events(), par.trace.events(), "traces differ");
+    let cp_seq = CriticalPath::compute(&seq).expect("path");
+    let cp_par = CriticalPath::compute(&par).expect("path");
+    assert_eq!(cp_seq, cp_par, "critical paths differ");
+    assert_eq!(
+        cp_seq.makespan.to_bits(),
+        seq.makespan().to_bits(),
+        "path extent is the makespan"
+    );
+    let sum: f64 = cp_seq
+        .attribute(&seq, &phase_name)
+        .iter()
+        .map(|(_, us)| us)
+        .sum();
+    assert!(
+        (sum - cp_seq.makespan).abs() <= 1e-6 * cp_seq.makespan.max(1.0),
+        "attribution {sum} must sum to the makespan {}",
+        cp_seq.makespan
+    );
+
+    // The observations are fully byte-identical — the RunReport JSON is
+    // one serialization of everything above.
     assert_eq!(
         seq.report(&phase_name).to_json(),
         par.report(&phase_name).to_json(),
@@ -209,7 +191,15 @@ fn streamed(engine: EngineKind, sink: Arc<Mutex<dyn TraceSink>>) -> RunObservati
         tracing: true,
         ..FtConfig::default()
     };
-    let (_, _, obs) = fault_tolerant_sort_streamed(&plan, &config, data, sink);
+    let (_, _, obs) = fault_tolerant_sort(
+        &plan,
+        &config,
+        data,
+        Attach {
+            sink: Some(sink),
+            ..Attach::default()
+        },
+    );
     obs
 }
 
@@ -253,7 +243,7 @@ fn streaming_and_buffered_sinks_write_identical_bytes() {
 
 #[test]
 fn run_file_replay_is_byte_identical_for_every_engine() {
-    for engine in [EngineKind::Seq, EngineKind::Threaded, EngineKind::Par] {
+    for engine in [EngineKind::Seq, EngineKind::Par] {
         let (_, live) = observed(engine, false);
         let file = run_to_json(&live);
         let replayed = observation_from_json(&file).expect("run file replays");
@@ -316,7 +306,7 @@ fn recost_matches_a_live_run_under_the_target_model() {
             tracing: true,
             ..FtConfig::default()
         };
-        let (_, _, obs) = fault_tolerant_sort_observed(&plan, &config, data.clone());
+        let (_, _, obs) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
         obs
     };
     let base = run_under(CostModel::default());
@@ -466,7 +456,6 @@ fn contended_diff_tiles_the_makespan_delta_with_wait_buckets() {
 #[test]
 fn critical_path_diff_attributes_the_full_makespan() {
     let (_, seq) = observed(EngineKind::Seq, false);
-    let (_, thr) = observed(EngineKind::Threaded, false);
     let cp = CriticalPath::compute(&seq).expect("path");
     let profile = SegmentProfile::collect(&seq, &cp, &phase_name);
 
@@ -488,15 +477,11 @@ fn critical_path_diff_attributes_the_full_makespan() {
 
     // engine-diff: identical traces give identical profiles, so the
     // cross-engine diff is all zeros too
-    let cp_thr = CriticalPath::compute(&thr).expect("path");
-    let profile_thr = SegmentProfile::collect(&thr, &cp_thr, &phase_name);
-    assert_eq!(profile, profile_thr, "engines disagree on the profile");
-    assert!(diff_profiles(&profile, &profile_thr)
-        .iter()
-        .all(|r| r.delta() == 0.0));
-
     let (_, par) = observed(EngineKind::Par, false);
     let cp_par = CriticalPath::compute(&par).expect("path");
     let profile_par = SegmentProfile::collect(&par, &cp_par, &phase_name);
-    assert_eq!(profile, profile_par, "par disagrees on the profile");
+    assert_eq!(profile, profile_par, "engines disagree on the profile");
+    assert!(diff_profiles(&profile, &profile_par)
+        .iter()
+        .all(|r| r.delta() == 0.0));
 }

@@ -3,14 +3,30 @@
 //! the fault-tolerant sort runs — across fault models and protocols.
 
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{
-    fault_tolerant_sort, fault_tolerant_sort_configured, FtConfig, FtPlan, Step8Strategy,
-};
+use ftsort::bitonic::SortOutcome;
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtError, FtPlan, Step8Strategy};
+use ftsort::seq::Key;
 use hypercube::cost::CostModel;
 use hypercube::diagnosis::Syndrome;
 use hypercube::fault::{FaultModel, FaultSet};
 use hypercube::topology::Hypercube;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Plans for `faults`, then sorts with the given cost model and protocol.
+fn plan_and_sort<K: Key>(
+    faults: &FaultSet,
+    cost: CostModel,
+    data: Vec<K>,
+    protocol: Protocol,
+) -> Result<SortOutcome<K>, FtError> {
+    let plan = FtPlan::new(faults)?;
+    let config = FtConfig {
+        cost,
+        protocol,
+        ..FtConfig::default()
+    };
+    Ok(fault_tolerant_sort(&plan, &config, data, Attach::default()).0)
+}
 
 #[test]
 fn diagnose_then_sort_end_to_end() {
@@ -26,7 +42,7 @@ fn diagnose_then_sort_end_to_end() {
         let data: Vec<u64> = (0..5_000).map(|_| rng.random()).collect();
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = fault_tolerant_sort(
+        let out = plan_and_sort(
             &diagnosed,
             CostModel::default(),
             data,
@@ -46,7 +62,7 @@ fn total_fault_model_costs_at_least_partial() {
     let faults = [3u32, 5, 16, 24];
     let partial = FaultSet::from_raw(Hypercube::new(5), &faults).with_model(FaultModel::Partial);
     let total = FaultSet::from_raw(Hypercube::new(5), &faults).with_model(FaultModel::Total);
-    let t_partial = fault_tolerant_sort(
+    let t_partial = plan_and_sort(
         &partial,
         CostModel::default(),
         data.clone(),
@@ -54,7 +70,7 @@ fn total_fault_model_costs_at_least_partial() {
     )
     .unwrap();
     let t_total =
-        fault_tolerant_sort(&total, CostModel::default(), data, Protocol::HalfExchange).unwrap();
+        plan_and_sort(&total, CostModel::default(), data, Protocol::HalfExchange).unwrap();
     assert_eq!(t_partial.sorted, t_total.sorted);
     assert!(
         t_total.time_us >= t_partial.time_us,
@@ -72,22 +88,26 @@ fn step8_strategies_agree_on_results() {
         let faults = FaultSet::random(Hypercube::new(5), 4, &mut rng);
         let plan = FtPlan::new(&faults).unwrap();
         let data: Vec<u32> = (0..3_000).map(|_| rng.random()).collect();
-        let merge = fault_tolerant_sort_configured(
+        let merge = fault_tolerant_sort(
             &plan,
             &FtConfig {
                 step8: Step8Strategy::BitonicMerge,
                 ..FtConfig::default()
             },
             data.clone(),
-        );
-        let full = fault_tolerant_sort_configured(
+            Attach::default(),
+        )
+        .0;
+        let full = fault_tolerant_sort(
             &plan,
             &FtConfig {
                 step8: Step8Strategy::FullSort,
                 ..FtConfig::default()
             },
             data,
-        );
+            Attach::default(),
+        )
+        .0;
         assert_eq!(merge.sorted, full.sorted);
         // the merge strategy must be strictly cheaper in time and hops
         assert!(
@@ -113,7 +133,7 @@ fn link_faults_are_routed_around() {
         .clone()
         .with_faulty_links([Link::new(NodeId::new(0), 0), Link::new(NodeId::new(5), 2)]);
     assert!(broken.is_connected());
-    let out_clean = fault_tolerant_sort(
+    let out_clean = plan_and_sort(
         &clean,
         CostModel::default(),
         data.clone(),
@@ -121,7 +141,7 @@ fn link_faults_are_routed_around() {
     )
     .unwrap();
     let out_broken =
-        fault_tolerant_sort(&broken, CostModel::default(), data, Protocol::HalfExchange).unwrap();
+        plan_and_sort(&broken, CostModel::default(), data, Protocol::HalfExchange).unwrap();
     assert_eq!(out_clean.sorted, expect);
     assert_eq!(out_broken.sorted, expect);
     // broken links force detours: strictly more element·hops, never less time
@@ -141,7 +161,7 @@ fn absorbing_link_faults_also_works() {
         .with_faulty_links([Link::new(NodeId::new(8), 1)]);
     let absorbed = faults.absorb_link_faults();
     assert_eq!(absorbed.count(), 2);
-    let out = fault_tolerant_sort(
+    let out = plan_and_sort(
         &absorbed,
         CostModel::default(),
         data,
@@ -161,22 +181,26 @@ fn adaptive_router_costs_at_least_the_oracle() {
     let data: Vec<u32> = (0..4_000).map(|_| rng.random()).collect();
     let mut expect = data.clone();
     expect.sort_unstable();
-    let oracle = fault_tolerant_sort_configured(
+    let oracle = fault_tolerant_sort(
         &plan,
         &FtConfig {
             router: RouterKind::Oracle,
             ..FtConfig::default()
         },
         data.clone(),
-    );
-    let adaptive = fault_tolerant_sort_configured(
+        Attach::default(),
+    )
+    .0;
+    let adaptive = fault_tolerant_sort(
         &plan,
         &FtConfig {
             router: RouterKind::Adaptive,
             ..FtConfig::default()
         },
         data,
-    );
+        Attach::default(),
+    )
+    .0;
     assert_eq!(oracle.sorted, expect);
     assert_eq!(adaptive.sorted, expect);
     assert!(adaptive.stats.element_hops >= oracle.stats.element_hops);
@@ -202,8 +226,7 @@ fn sorts_structs_not_just_integers() {
     let mut expect = data.clone();
     expect.sort();
     let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 9]);
-    let out =
-        fault_tolerant_sort(&faults, CostModel::default(), data, Protocol::FullExchange).unwrap();
+    let out = plan_and_sort(&faults, CostModel::default(), data, Protocol::FullExchange).unwrap();
     assert_eq!(out.sorted, expect);
 }
 
@@ -221,8 +244,8 @@ fn bitonic_communication_is_data_oblivious() {
     ];
     let mut baseline: Option<(u64, u64)> = None;
     for data in inputs {
-        let out = fault_tolerant_sort(&faults, CostModel::default(), data, Protocol::HalfExchange)
-            .unwrap();
+        let out =
+            plan_and_sort(&faults, CostModel::default(), data, Protocol::HalfExchange).unwrap();
         let key = (out.stats.messages, out.stats.element_hops);
         match &baseline {
             None => baseline = Some(key),
@@ -239,7 +262,7 @@ fn scales_to_q7_with_128_processors() {
     let data: Vec<u32> = (0..20_000).map(|_| rng.random()).collect();
     let mut expect = data.clone();
     expect.sort_unstable();
-    let out = fault_tolerant_sort(&faults, CostModel::default(), data, Protocol::HalfExchange)
+    let out = plan_and_sort(&faults, CostModel::default(), data, Protocol::HalfExchange)
         .expect("tolerable");
     assert_eq!(out.sorted, expect);
     assert!(out.processors_used >= 112, "at least 2^7 − 2^4 live");
@@ -250,8 +273,7 @@ fn stats_are_internally_consistent() {
     let mut rng = StdRng::seed_from_u64(17);
     let faults = FaultSet::from_raw(Hypercube::new(4), &[1, 6, 12]);
     let data: Vec<u32> = (0..2_000).map(|_| rng.random()).collect();
-    let out =
-        fault_tolerant_sort(&faults, CostModel::default(), data, Protocol::HalfExchange).unwrap();
+    let out = plan_and_sort(&faults, CostModel::default(), data, Protocol::HalfExchange).unwrap();
     let s = out.stats;
     assert!(s.messages > 0);
     assert!(

@@ -7,11 +7,9 @@
 //! property-test framework — the build environment is offline, so no
 //! proptest. Failures print the generating seed and case index.)
 
-use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::partition::partition;
 use ftsort::select::select_cutting_sequence;
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
@@ -45,8 +43,8 @@ fn ft_sort_sorts_any_input() {
         let fs = FaultSet::from_raw(Hypercube::new(n), &faults);
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = fault_tolerant_sort(&fs, CostModel::default(), data, Protocol::HalfExchange)
-            .expect("r ≤ n−1 is always tolerable");
+        let plan = FtPlan::new(&fs).expect("r ≤ n−1 is always tolerable");
+        let (out, _, _) = fault_tolerant_sort(&plan, &FtConfig::default(), data, Attach::default());
         assert_eq!(out.sorted, expect, "case {case}: n={n} faults={faults:?}");
     }
 }

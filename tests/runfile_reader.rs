@@ -16,7 +16,7 @@
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
 
-use ftsort::ftsort::{fault_tolerant_sort_streamed, phase_name, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::GzEncoder;
 use hypercube::obs::json::{write_str, Json};
@@ -54,7 +54,15 @@ fn small_run_file() -> Vec<u8> {
     };
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
     let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-    fault_tolerant_sort_streamed(&plan, &config, data, dyn_sink);
+    fault_tolerant_sort(
+        &plan,
+        &config,
+        data,
+        Attach {
+            sink: Some(dyn_sink),
+            ..Attach::default()
+        },
+    );
     Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")

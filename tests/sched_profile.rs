@@ -19,9 +19,14 @@
 //!    worker tracks, per-track monotonic sched spans, steal flows that
 //!    resolve and respect happens-before), and a corrupted trace is
 //!    rejected.
+//!
+//! The four tests hold one file-wide lock for their whole body, so they
+//! run one at a time even under libtest's parallel runner: the tiling bar
+//! measures worker wall time, and sibling tests' worker pools competing
+//! for the same cores would otherwise leak into the `other` bucket.
 
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort_sched, fault_tolerant_sort_streamed, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::json::Json;
 use hypercube::obs::perfetto::validate_chrome_trace;
@@ -31,7 +36,14 @@ use hypercube::sim::EngineKind;
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Serializes this file's tests (see the module docs). A test that fails
+/// while holding the lock poisons it; the next test still runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A seeded `(plan, data)` instance with `r = n − 1` faults.
 fn instance(n: usize, m: usize, seed: u64) -> (FtPlan, Vec<u64>) {
@@ -55,12 +67,14 @@ fn par_config(workers: usize) -> FtConfig {
 /// the installed profile (plus the sorted output for sanity).
 fn profiled_run(plan: &FtPlan, data: Vec<u64>, workers: usize) -> (SchedProfile, Vec<u64>) {
     let profiler = Arc::new(SchedProfiler::new());
-    let (out, _, _) = fault_tolerant_sort_sched(
+    let (out, _, _) = fault_tolerant_sort(
         plan,
         &par_config(workers),
         data,
-        None,
-        Arc::clone(&profiler),
+        Attach {
+            profiler: Some(Arc::clone(&profiler)),
+            ..Attach::default()
+        },
     );
     let profile = profiler.take().expect("par run installs a profile");
     (profile, out.sorted)
@@ -70,6 +84,7 @@ fn profiled_run(plan: &FtPlan, data: Vec<u64>, workers: usize) -> (SchedProfile,
 /// ≥ 95 % of that worker's wall time, at 1, 2, 4 and 8 workers.
 #[test]
 fn categories_tile_every_workers_wall_time() {
+    let _serial = serial();
     let (plan, data) = instance(6, 4_000, 0x5c4e_d001);
     for workers in [1usize, 2, 4, 8] {
         let (profile, sorted) = profiled_run(&plan, data.clone(), workers);
@@ -122,6 +137,7 @@ fn categories_tile_every_workers_wall_time() {
 /// reports both the request and what actually ran.
 #[test]
 fn profile_records_effective_schedule_after_clamp() {
+    let _serial = serial();
     // n = 2, r = 1: 3 live nodes → 3 shards of 1 → at most 3 workers.
     let (plan, data) = instance(2, 500, 0x5c4e_d002);
     let (profile, _) = profiled_run(&plan, data, 8);
@@ -145,6 +161,7 @@ fn profile_records_effective_schedule_after_clamp() {
 /// run files with profiling on vs off.
 #[test]
 fn profiling_is_byte_invisible() {
+    let _serial = serial();
     let (plan, data) = instance(5, 3_000, 0x5c4e_d003);
     let config = par_config(4);
 
@@ -153,12 +170,15 @@ fn profiling_is_byte_invisible() {
         let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
         let (out, _, _) = if profiled {
             let profiler = Arc::new(SchedProfiler::new());
-            let run = fault_tolerant_sort_sched(
+            let run = fault_tolerant_sort(
                 &plan,
                 &config,
                 data.clone(),
-                Some(dyn_sink),
-                Arc::clone(&profiler),
+                Attach {
+                    sink: Some(dyn_sink),
+                    profiler: Some(Arc::clone(&profiler)),
+                    ..Attach::default()
+                },
             );
             assert!(
                 profiler.take().is_some(),
@@ -166,7 +186,15 @@ fn profiling_is_byte_invisible() {
             );
             run
         } else {
-            fault_tolerant_sort_streamed(&plan, &config, data.clone(), dyn_sink)
+            fault_tolerant_sort(
+                &plan,
+                &config,
+                data.clone(),
+                Attach {
+                    sink: Some(dyn_sink),
+                    ..Attach::default()
+                },
+            )
         };
         let bytes = Arc::try_unwrap(sink)
             .ok()
@@ -197,6 +225,7 @@ fn profiling_is_byte_invisible() {
 /// validator, and an injected dangling steal-flow is rejected.
 #[test]
 fn sched_perfetto_validates_and_rejects_corruption() {
+    let _serial = serial();
     let (plan, data) = instance(6, 4_000, 0x5c4e_d004);
     let (profile, _) = profiled_run(&plan, data, 4);
     let trace = profile.perfetto_json();

@@ -11,7 +11,7 @@
 //! * **Unknown versions and malformed v2 headers are rejected**, not
 //!   misparsed.
 
-use ftsort::ftsort::{fault_tolerant_sort_streamed, phase_name, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::replay::{
     observation_from_file, observation_from_json, run_to_json, write_run_file,
@@ -43,7 +43,15 @@ fn fixture_run(link_model: LinkModel, tracing: bool) -> (RunObservation, Vec<u8>
     };
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
     let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-    let (_, _, obs) = fault_tolerant_sort_streamed(&plan, &config, data, dyn_sink);
+    let (_, _, obs) = fault_tolerant_sort(
+        &plan,
+        &config,
+        data,
+        Attach {
+            sink: Some(dyn_sink),
+            ..Attach::default()
+        },
+    );
     let bytes = Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")
@@ -129,13 +137,29 @@ fn v2_round_trips_buffered_streamed_and_contended() {
     };
     let buffered = Arc::new(Mutex::new(BufferedSink::new()));
     let dyn_buf: Arc<Mutex<dyn TraceSink>> = buffered.clone();
-    fault_tolerant_sort_streamed(&plan, &config, data.clone(), dyn_buf);
+    fault_tolerant_sort(
+        &plan,
+        &config,
+        data.clone(),
+        Attach {
+            sink: Some(dyn_buf),
+            ..Attach::default()
+        },
+    );
     let buffered_json = buffered.lock().unwrap().to_json();
 
     let (live, streamed_bytes) = {
         let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
         let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-        let (_, _, obs) = fault_tolerant_sort_streamed(&plan, &config, data, dyn_sink);
+        let (_, _, obs) = fault_tolerant_sort(
+            &plan,
+            &config,
+            data,
+            Attach {
+                sink: Some(dyn_sink),
+                ..Attach::default()
+            },
+        );
         let bytes = Arc::try_unwrap(sink)
             .ok()
             .expect("the engine dropped its sink handle")

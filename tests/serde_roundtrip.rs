@@ -1,12 +1,10 @@
 //! Round-trips for the textual forms the binaries actually persist.
 //!
-//! The vendored `serde` stand-in only keeps `#[derive(Serialize,
-//! Deserialize)]` lists compiling (the build environment is offline, so
-//! report output is hand-written JSON/CSV rather than serde-generated).
-//! What must therefore round-trip losslessly is the *textual* layer: the
-//! `--engine` spellings the CLI and report binaries accept, and the value
-//! semantics (`Clone`/`PartialEq`) of every config type those reports
-//! embed in their output.
+//! Report output is hand-written JSON/CSV (the workspace has no
+//! serialization framework), so what must round-trip losslessly is the
+//! *textual* layer: the `--engine` spellings the CLI and report binaries
+//! accept, the report JSON, and the value semantics (`Clone`/`PartialEq`)
+//! of every config type those reports embed in their output.
 
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{FtConfig, Step8Strategy};
@@ -20,7 +18,7 @@ use hypercube::topology::Hypercube;
 
 #[test]
 fn engine_kind_display_parse_roundtrip() {
-    for kind in [EngineKind::Threaded, EngineKind::Seq, EngineKind::Par] {
+    for kind in [EngineKind::Seq, EngineKind::Par] {
         let spelled = kind.to_string();
         assert_eq!(
             EngineKind::parse(&spelled),
@@ -34,7 +32,7 @@ fn engine_kind_display_parse_roundtrip() {
 fn engine_kind_accepts_documented_aliases() {
     assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Seq));
     assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Seq));
-    assert_eq!(EngineKind::parse("threaded"), Some(EngineKind::Threaded));
+    assert_eq!(EngineKind::parse("threaded"), None);
     assert_eq!(EngineKind::parse("par"), Some(EngineKind::Par));
     assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Par));
     assert_eq!(EngineKind::parse("mpi"), None);
@@ -49,8 +47,7 @@ fn engine_kind_default_is_seq() {
 }
 
 /// A value round-trip through `Clone` must be lossless for every config
-/// type the reports embed (the guarantee serde derives would otherwise
-/// document).
+/// type the reports embed.
 fn clone_roundtrip<T: Clone + PartialEq + std::fmt::Debug>(value: &T) {
     let copy = value.clone();
     assert_eq!(&copy, value);
@@ -68,7 +65,7 @@ fn config_types_are_value_types() {
     clone_roundtrip(&Step8Strategy::FullSort);
     clone_roundtrip(&LocalSort::Quicksort);
     clone_roundtrip(&Direction::Descending);
-    clone_roundtrip(&EngineKind::Threaded);
+    clone_roundtrip(&EngineKind::Par);
     let mut stats = RunStats::new();
     stats.record_message(10, 3);
     stats.record_comparisons(7);
@@ -92,11 +89,11 @@ fn run_report_pool_stats_roundtrip() {
     // The pool counters ride the RunReport JSON: present fields
     // round-trip exactly, absent fields stay absent (older reports parse
     // unchanged).
-    use ftsort::ftsort::{fault_tolerant_sort_observed, phase_name, FtPlan};
+    use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtPlan};
     let faults = FaultSet::from_raw(Hypercube::new(3), &[1]);
     let plan = FtPlan::new(&faults).expect("tolerable");
     let data: Vec<u32> = (0..500).rev().collect();
-    let (_, _, obs) = fault_tolerant_sort_observed(&plan, &FtConfig::default(), data);
+    let (_, _, obs) = fault_tolerant_sort(&plan, &FtConfig::default(), data, Attach::default());
 
     let bare = obs.report(&phase_name);
     let bare_json = bare.to_json();

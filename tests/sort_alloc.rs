@@ -12,7 +12,7 @@
 //! The counter is thread-local: the seq engine runs every node program on
 //! the calling thread, and libtest's other threads cannot touch it.
 
-use ftsort::ftsort::{fault_tolerant_sort_pooled, FtConfig, FtPlan};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::sim::{BufferPool, EngineKind};
 use hypercube::topology::Hypercube;
@@ -83,11 +83,15 @@ fn warm_heap_calls_per_live_node(n: usize, r: usize, mincut: usize, m: usize) ->
     let mut want = data.clone();
     want.sort_unstable();
     let pool = BufferPool::new();
+    let pooled = || Attach {
+        pool: Some(&pool),
+        ..Attach::default()
+    };
 
-    let (cold, _, _) = fault_tolerant_sort_pooled(&plan, &config, data.clone(), &pool);
+    let (cold, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), pooled());
     assert_eq!(cold.sorted, want, "Q{n}: cold run");
     let before = heap_calls();
-    let (warm, _, _) = fault_tolerant_sort_pooled(&plan, &config, data, &pool);
+    let (warm, _, _) = fault_tolerant_sort(&plan, &config, data, pooled());
     let calls = heap_calls() - before;
     assert_eq!(warm.sorted, want, "Q{n}: warm run");
     calls as f64 / plan.live_count() as f64

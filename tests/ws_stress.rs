@@ -14,9 +14,7 @@
 //! observable output.
 
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{
-    fault_tolerant_sort_configured, fault_tolerant_sort_streamed, FtConfig, FtPlan,
-};
+use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
@@ -38,7 +36,15 @@ const SHARDS: [usize; 6] = [1, 2, 3, 5, 16, 64];
 fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
     let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
-    fault_tolerant_sort_streamed(plan, config, data, dyn_sink);
+    fault_tolerant_sort(
+        plan,
+        config,
+        data,
+        Attach {
+            sink: Some(dyn_sink),
+            ..Attach::default()
+        },
+    );
     Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")
@@ -84,14 +90,21 @@ fn randomized_worker_and_shard_points_are_byte_deterministic() {
              points {point_a:?}/{point_b:?} faults={:?}",
             faults.to_vec()
         );
-        let seq =
-            fault_tolerant_sort_configured(&plan, &config(EngineKind::Seq, None), data.clone());
+        let seq = fault_tolerant_sort(
+            &plan,
+            &config(EngineKind::Seq, None),
+            data.clone(),
+            Attach::default(),
+        )
+        .0;
         for point in [point_a, point_b] {
-            let par = fault_tolerant_sort_configured(
+            let par = fault_tolerant_sort(
                 &plan,
                 &config(EngineKind::Par, Some(point)),
                 data.clone(),
-            );
+                Attach::default(),
+            )
+            .0;
             assert_eq!(
                 seq.sorted, par.sorted,
                 "sorted output differs seq vs par@{point:?} — {tag}"
