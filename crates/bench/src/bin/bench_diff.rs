@@ -1,71 +1,50 @@
-//! Per-phase regression localization between two `BENCH_engines.json`
-//! files (written by the `engines_json` binary) — or two
-//! `BENCH_sched.json` files (written by `sched_json`), which share the
-//! row key and host-matching discipline — or two campaign reports
-//! (written by `campaign_json` / `ftsort-campaign`), whose per-cell
-//! aggregates map onto the same machinery: each cell becomes a row keyed
-//! `(n, r, m, 0, link_model)` whose mean makespan gates as `virtual_us`,
-//! mean wait as `wait_total_us`, and whose interpolated
-//! p50/p99 makespan and wait-total estimates gate as four extra
-//! virtual-time metrics at `--tolerance` (campaign quantities are all
-//! deterministic virtual numbers, so the bands are exact). A campaign
-//! cell's `runs_failed` surfaces through the `events_dropped` WARNING
-//! path: dropped runs mean the aggregates under-count.
+//! Per-metric regression gate between two bench files of one kind: two
+//! `BENCH_engines.json` (written by `engines_json`), two `BENCH_sched.json`
+//! (`sched_json`) or two campaign reports (`campaign_json` /
+//! `ftsort-campaign --out`).
 //!
-//! Rows are matched by `(n, r, m, workers, link_model)` (`workers`
-//! defaults to 0 and `link_model` to `uncontended` for older baselines).
-//! For each matched row, every phase's virtual time in B is compared
-//! against A, and any phase that regressed by more than the tolerance
-//! (default 10%) is flagged; the overall `virtual_us` makespan and the
-//! `wait_total_us` link-queueing total (contended rows) get the same
-//! treatment — both are deterministic virtual quantities (sched rows
-//! carry none of these and skip them).
+//! Every input becomes rows of named metrics. Results rows and campaign
+//! cells are matched by `(n, r, m, workers, link_model)` (`workers`
+//! defaults to 0 and `link_model` to `uncontended` for older baselines);
+//! merge-kernel rows by key type. A campaign cell is keyed with
+//! `workers=0` and contributes its mean makespan as `virtual_us`, its mean
+//! wait as `wait_total_us` and its four interpolated quantiles under their
+//! own names (`p50_makespan_us`, …).
 //!
-//! Scheduler-health metrics gate like the wall ratios — banded by
-//! `--wall-tolerance` plus an absolute epsilon of 0.02 (the metrics are
-//! fractions in `[0, 1]`; a pure relative band would make near-zero
-//! baselines impossibly strict), and only when both files report the
-//! same `host_cores`:
+//! [`gate`] is the one table of how each metric compares. With
+//! `band = 1 − --wall-tolerance/100`:
 //!
-//! - **utilization** must not fall below `old × band − 0.02`;
-//! - **barrier_share** must not rise above `old × (2 − band) + 0.02`;
-//! - **steal_rate** is printed but never gated — steal volume is load
-//!   placement, not health; it legitimately swings with core count and
-//!   shard geometry;
-//! - **events_dropped** in any B row prints a loud `WARNING` (truncated
-//!   telemetry) but never fails the diff — ring capacity is a tuning
-//!   knob, not an algorithmic regression.
+//! - **virtual** — `virtual_us`, `wait_total_us`, every `phase …` and the
+//!   campaign quantiles are deterministic virtual times: B fails when it
+//!   exceeds A by more than `--tolerance` percent (default 10), on any
+//!   host;
+//! - **floor** — `par_over_seq` and the kernels' `branchless_over_scalar`
+//!   and `blocked_over_scalar` are dimensionless same-host ratios: B fails
+//!   when `new < old·band`. `utilization` fails when
+//!   `new < old·band − 0.02`: it is a fraction in `[0, 1]`, where a pure
+//!   relative band would make near-zero baselines impossibly strict;
+//! - **ceiling** — `barrier_share` fails when `new > old·(2 − band) + 0.02`;
+//! - **info** — wall clocks and `steal_rate` (load placement, not health)
+//!   print but never gate.
 //!
-//! Wall-clock *columns* are printed for context but never flagged — they
-//! measure the host, not the algorithm, so CI noise would make them
-//! useless as a gate. Wall-clock *ratios* are a different story: the
-//! `par_over_seq` speedup is dimensionless (par and seq ran on the same
-//! host seconds apart), so it diffs meaningfully across runs. Two gates
-//! use it, both banded by `--wall-tolerance` (default 25%):
+//! Floor and ceiling gates fire only when both files report the same
+//! `host_cores`: a host change invalidates the baseline ratio.
+//! `par_over_seq` gates only when both rows' `seq_wall_s` reach
+//! `--min-ratio-wall` (default 0.05 s); at sub-millisecond run times the
+//! ratio is scheduler start-up noise.
 //!
-//! 1. **ratio regression** — B's `par_over_seq` must not fall below A's
-//!    by more than the band, per matched row (only checked when both
-//!    files report the same `host_cores`; a host change invalidates the
-//!    baseline ratio and is reported as a skip, not a failure). Rows
-//!    whose seq wall clock is below `--min-ratio-wall` seconds (default
-//!    0.05) in either file are reported but not gated — at sub-millisecond
-//!    run times the ratio is dominated by scheduler start-up noise and
-//!    would make the gate flaky;
-//! 2. **crossover** — every B row with `n ≥ 10` and `workers ≥ 2` must
-//!    have `par_over_seq ≥ 1 − band` when B ran on a multi-core host
-//!    (`host_cores ≥ 2`). On a single-core host the parallel engine
-//!    cannot beat the sequential one and the gate is skipped with a
-//!    note.
+//! **Crossover:** when B ran on a multi-core host (`host_cores ≥ 2`), every
+//! B row with `n ≥ 10` and `workers ≥ 2` must have `par_over_seq ≥ band`.
+//! On a single-core host the parallel engine cannot beat the sequential
+//! one and the check is skipped with a note.
 //!
-//! The `kernel` section (when both files carry one) gates the same way:
-//! each key type's `branchless_over_scalar` and `blocked_over_scalar`
-//! speedups are dimensionless same-host ratios, and B's must not fall
-//! below A's by more than the wall band. A fabricated kernel slowdown —
-//! e.g. editing a baseline's `branchless_s` down — therefore fails the
-//! diff, which is exactly what CI's negative self-test does.
+//! A B row with profiler ring drops (`events_dropped`, sched rows) or
+//! failed runs (`runs_failed`, campaign cells) prints a `WARNING`: its
+//! aggregates under-count. That never fails the diff.
 //!
-//! Exits 0 when nothing regressed, 1 when at least one gate fired, 2 on
-//! usage or parse errors — so it can gate CI:
+//! Exits 0 when nothing regressed, 1 when at least one gate fired, and 2
+//! on usage or parse errors or when no results row or campaign cell
+//! matched (kernel rows do not count) — so it can gate CI:
 //!
 //! ```text
 //! cargo run -p ft-bench --release --bin bench_diff -- \
@@ -73,64 +52,76 @@
 //!     [--tolerance 10] [--wall-tolerance 25] [--min-ratio-wall 0.05]
 //! ```
 
+use hypercube::obs::campaign::{CampaignReport, MetricAgg};
 use hypercube::obs::json::Json;
 
-/// One `results[]` row, keyed by `(n, r, m, workers, link_model)`.
+/// How a metric of B is judged against A.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// Fails when B exceeds A by more than `--tolerance` percent.
+    Virtual,
+    /// Fails when `new < old·band − slack`; same host only.
+    Floor(f64),
+    /// Fails when `new > old·(2 − band) + slack`; same host only.
+    Ceiling(f64),
+    /// Printed, never gated.
+    Info,
+}
+
+/// The gate table; `None` for fields that are not metrics.
+fn gate(name: &str) -> Option<Gate> {
+    match name {
+        "virtual_us" | "wait_total_us" | "p50_makespan_us" | "p99_makespan_us"
+        | "p50_wait_total_us" | "p99_wait_total_us" => Some(Gate::Virtual),
+        _ if name.starts_with("phase ") => Some(Gate::Virtual),
+        "par_over_seq" | "branchless_over_scalar" | "blocked_over_scalar" => Some(Gate::Floor(0.0)),
+        "utilization" => Some(Gate::Floor(0.02)),
+        "barrier_share" => Some(Gate::Ceiling(0.02)),
+        "steal_rate" | "scalar_s" | "branchless_s" | "blocked_s" => Some(Gate::Info),
+        _ if name.ends_with("_wall_s") => Some(Gate::Info),
+        _ => None,
+    }
+}
+
+/// One results row, campaign cell or merge-kernel row.
 struct Row {
+    /// What rows are matched and printed by.
+    key: String,
+    /// Cube dimension and par worker count, for the crossover check.
     n: u64,
-    r: u64,
-    m: u64,
-    /// Par-engine worker count; 0 for pre-multi-core baselines.
     workers: u64,
-    /// Link pricing model; `"uncontended"` for pre-contention baselines.
-    link_model: String,
-    /// Virtual makespan; absent on sched rows.
-    virtual_us: Option<f64>,
-    /// Total link-queueing wait (µs); absent on sched and old rows.
-    wait_total_us: Option<f64>,
-    /// `speedups.par_over_seq` when present.
-    par_over_seq: Option<f64>,
-    /// Scheduler-health fractions (`sched_json` rows): utilization,
-    /// steal_rate, barrier_share.
-    utilization: Option<f64>,
-    steal_rate: Option<f64>,
-    barrier_share: Option<f64>,
-    /// Profiler ring drops (`sched_json` rows) or failed campaign runs
-    /// (campaign cells): nonzero means the row's telemetry under-counts.
-    events_dropped: Option<u64>,
-    /// True when the row came from a campaign report cell (tailors the
-    /// `events_dropped` warning).
-    campaign: bool,
-    /// Campaign quantile estimates (µs): interpolated p50/p99 of the
-    /// cell's makespan and wait-total histograms.
-    p50_makespan_us: Option<f64>,
-    p99_makespan_us: Option<f64>,
-    p50_wait_total_us: Option<f64>,
-    p99_wait_total_us: Option<f64>,
-    walls: Vec<(String, f64)>,
-    phases: Vec<(String, f64)>,
+    /// `(name, value)` in file order; every name has a [`gate`].
+    metrics: Vec<(String, f64)>,
+    /// Why this row's aggregates under-count, if they do.
+    warning: Option<String>,
 }
 
-/// One `kernel.rows[]` entry: merge-kernel wall clocks and speedups for
-/// one key type.
-struct KernelRow {
-    key_type: String,
-    scalar_s: f64,
-    branchless_s: f64,
-    blocked_s: f64,
-    branchless_over_scalar: f64,
-    blocked_over_scalar: f64,
+impl Row {
+    fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, v)| v)
+    }
 }
 
-/// A parsed `BENCH_engines.json`: the rows plus the host the walls were
-/// measured on.
+/// A parsed bench file.
 struct Bench {
     host_cores: u64,
-    /// Workload key type (`key_type` top-level); absent on old files.
+    /// Workload key type; absent on old files.
     key_type: Option<String>,
+    /// Results rows or campaign cells.
     rows: Vec<Row>,
-    /// Merge-kernel section; empty on files that predate it.
-    kernels: Vec<KernelRow>,
+    /// Merge-kernel rows; empty on files without a kernel section.
+    kernels: Vec<Row>,
+}
+
+/// The command line's bands, plus whether both files ran on one host.
+struct Limits {
+    tolerance: f64,
+    band: f64,
+    min_ratio_wall: f64,
+    same_host: bool,
 }
 
 fn main() {
@@ -174,7 +165,7 @@ fn main() {
     let same_host = a.host_cores == b.host_cores;
     if !same_host {
         println!(
-            "note: host_cores differ ({} vs {}) — par_over_seq ratio regressions not gated\n",
+            "note: host_cores differ ({} vs {}) — wall ratios and scheduler health not gated\n",
             a.host_cores, b.host_cores
         );
     }
@@ -186,269 +177,51 @@ fn main() {
             );
         }
     }
-    let wall_band = 1.0 - wall_tolerance / 100.0;
-    let mut regressions = 0usize;
-    let mut matched = 0usize;
-    for rb in &b.rows {
-        let key = |r: &Row| (r.n, r.r, r.m, r.workers, r.link_model.clone());
-        let Some(ra) = a.rows.iter().find(|r| key(r) == key(rb)) else {
-            println!(
-                "n={} r={} m={} workers={} link={}: only in B (no baseline row)",
-                rb.n, rb.r, rb.m, rb.workers, rb.link_model
-            );
-            continue;
-        };
-        matched += 1;
-        println!(
-            "n={} r={} m={} workers={} link={}:",
-            rb.n, rb.r, rb.m, rb.workers, rb.link_model
-        );
-        if let (Some(old), Some(new)) = (ra.virtual_us, rb.virtual_us) {
-            regressions += diff_metric("virtual_us", old, new, tolerance);
-        }
-        if let (Some(old), Some(new)) = (ra.wait_total_us, rb.wait_total_us) {
-            regressions += diff_metric("wait_total_us", old, new, tolerance);
-        }
-        // Campaign quantile bands: interpolated p50/p99 estimates are
-        // deterministic virtual quantities, gated like any virtual time.
-        for (name, old, new) in [
-            ("p50_makespan_us", ra.p50_makespan_us, rb.p50_makespan_us),
-            ("p99_makespan_us", ra.p99_makespan_us, rb.p99_makespan_us),
-            (
-                "p50_wait_total_us",
-                ra.p50_wait_total_us,
-                rb.p50_wait_total_us,
-            ),
-            (
-                "p99_wait_total_us",
-                ra.p99_wait_total_us,
-                rb.p99_wait_total_us,
-            ),
-        ] {
-            if let (Some(old), Some(new)) = (old, new) {
-                regressions += diff_metric(name, old, new, tolerance);
-            }
-        }
-        for (name, old) in &ra.phases {
-            match rb.phases.iter().find(|(k, _)| k == name) {
-                Some((_, new)) => {
-                    regressions += diff_metric(&format!("phase {name}"), *old, *new, tolerance)
-                }
-                None => println!("  phase {name:<28} dropped in B"),
-            }
-        }
-        if let (Some(old), Some(new)) = (ra.par_over_seq, rb.par_over_seq) {
-            let seq_wall = |r: &Row| {
-                r.walls
-                    .iter()
-                    .find(|(k, _)| k == "seq_wall_s")
-                    .map_or(0.0, |(_, v)| *v)
-            };
-            let measurable = seq_wall(ra) >= min_ratio_wall && seq_wall(rb) >= min_ratio_wall;
-            let floor = old * wall_band;
-            let flag = same_host && measurable && new < floor;
-            println!(
-                "  {:<34} {:>12.2} x -> {:>12.2} x  (floor {:.2}x){}",
-                "par_over_seq",
-                old,
-                new,
-                floor,
-                if flag {
-                    "  REGRESSION"
-                } else if !same_host {
-                    "  (informational: host changed)"
-                } else if !measurable {
-                    "  (informational: walls below min-ratio-wall)"
-                } else {
-                    ""
-                }
-            );
-            regressions += flag as usize;
-        }
-        // Scheduler-health gates (sched_json rows). Fractions in [0, 1]:
-        // banded relatively like the wall ratios, plus an absolute 0.02
-        // epsilon so near-zero baselines don't gate on noise. Host-matched
-        // only — utilization measures this machine's scheduler.
-        if let (Some(old), Some(new)) = (ra.utilization, rb.utilization) {
-            let floor = old * wall_band - 0.02;
-            let flag = same_host && new < floor;
-            println!(
-                "  {:<34} {:>12.3}   -> {:>12.3}    (floor {:.3}){}",
-                "utilization",
-                old,
-                new,
-                floor,
-                if flag {
-                    "  REGRESSION"
-                } else if !same_host {
-                    "  (informational: host changed)"
-                } else {
-                    ""
-                }
-            );
-            regressions += flag as usize;
-        }
-        if let (Some(old), Some(new)) = (ra.barrier_share, rb.barrier_share) {
-            let ceiling = old * (2.0 - wall_band) + 0.02;
-            let flag = same_host && new > ceiling;
-            println!(
-                "  {:<34} {:>12.3}   -> {:>12.3}    (ceiling {:.3}){}",
-                "barrier_share",
-                old,
-                new,
-                ceiling,
-                if flag {
-                    "  REGRESSION"
-                } else if !same_host {
-                    "  (informational: host changed)"
-                } else {
-                    ""
-                }
-            );
-            regressions += flag as usize;
-        }
-        if let (Some(old), Some(new)) = (ra.steal_rate, rb.steal_rate) {
-            println!(
-                "  {:<34} {:>12.3}   -> {:>12.3}    (informational)",
-                "steal_rate", old, new
-            );
-        }
-        for (name, old) in &ra.walls {
-            if let Some((_, new)) = rb.walls.iter().find(|(k, _)| k == name) {
-                let pct = if *old > 0.0 {
-                    (new - old) / old * 100.0
-                } else {
-                    0.0
-                };
-                println!(
-                    "  {name:<34} {old:>12.4} s -> {new:>12.4} s  {pct:>+7.1}%  (informational)"
-                );
-            }
-        }
-    }
-    for ra in &a.rows {
-        if !b.rows.iter().any(|r| {
-            (r.n, r.r, r.m, r.workers, &r.link_model)
-                == (ra.n, ra.r, ra.m, ra.workers, &ra.link_model)
-        }) {
-            println!(
-                "n={} r={} m={} workers={} link={}: only in A (row dropped in B)",
-                ra.n, ra.r, ra.m, ra.workers, ra.link_model
-            );
-        }
-    }
+    let limits = Limits {
+        tolerance,
+        band: 1.0 - wall_tolerance / 100.0,
+        min_ratio_wall,
+        same_host,
+    };
+    let (matched, mut regressions) = diff_rows(&a.rows, &b.rows, &limits);
     if matched == 0 {
         eprintln!("\nno rows matched between the two files");
         std::process::exit(2);
     }
-
-    // Profiler ring health: dropped events mean B's scheduler telemetry
-    // is truncated and its health fractions under-count. Loud, but never
-    // a failure — ring capacity is a tuning knob, not a perf regression.
     for rb in &b.rows {
-        if let Some(dropped) = rb.events_dropped.filter(|&d| d > 0) {
-            if rb.campaign {
-                println!(
-                    "WARNING: n={} r={} m={}: campaign dropped {dropped} run(s) — cell \
-                     aggregates under-count (runs failed to plan/execute)",
-                    rb.n, rb.r, rb.m
-                );
-            } else {
-                println!(
-                    "WARNING: n={} r={} m={} workers={}: profiler dropped {dropped} event(s) — \
-                     sched telemetry truncated (raise the profiler ring capacity)",
-                    rb.n, rb.r, rb.m, rb.workers
-                );
-            }
+        if let Some(warning) = &rb.warning {
+            println!("WARNING: {}: {warning}", rb.key);
         }
     }
 
-    // Kernel gate: merge-kernel speedups are dimensionless same-host
-    // ratios (scalar and branchless ran seconds apart on this machine),
-    // so they diff like par_over_seq — B must stay within the wall band
-    // of A, per key type and per kernel. Raw seconds print for context.
     if !a.kernels.is_empty() && !b.kernels.is_empty() {
         println!("\nkernel (merge, per key type):");
-        for kb in &b.kernels {
-            let Some(ka) = a.kernels.iter().find(|k| k.key_type == kb.key_type) else {
-                println!("  {}: only in B (no baseline kernel row)", kb.key_type);
-                continue;
-            };
-            for (name, old, new) in [
-                (
-                    "branchless_over_scalar",
-                    ka.branchless_over_scalar,
-                    kb.branchless_over_scalar,
-                ),
-                (
-                    "blocked_over_scalar",
-                    ka.blocked_over_scalar,
-                    kb.blocked_over_scalar,
-                ),
-            ] {
-                let floor = old * wall_band;
-                let flag = same_host && new < floor;
-                println!(
-                    "  {:<34} {:>12.2} x -> {:>12.2} x  (floor {:.2}x){}",
-                    format!("{} {name}", kb.key_type),
-                    old,
-                    new,
-                    floor,
-                    if flag {
-                        "  REGRESSION"
-                    } else if !same_host {
-                        "  (informational: host changed)"
-                    } else {
-                        ""
-                    }
-                );
-                regressions += flag as usize;
-            }
-            for (name, old, new) in [
-                ("scalar_s", ka.scalar_s, kb.scalar_s),
-                ("branchless_s", ka.branchless_s, kb.branchless_s),
-                ("blocked_s", ka.blocked_s, kb.blocked_s),
-            ] {
-                let pct = if old > 0.0 {
-                    (new - old) / old * 100.0
-                } else {
-                    0.0
-                };
-                println!(
-                    "  {:<34} {:>12.6} s -> {:>12.6} s  {:>+7.1}%  (informational)",
-                    format!("{} {name}", kb.key_type),
-                    old,
-                    new,
-                    pct
-                );
-            }
-        }
+        regressions += diff_rows(&a.kernels, &b.kernels, &limits).1;
     } else if !b.kernels.is_empty() {
         println!("\nnote: baseline has no kernel section — kernel speedups not gated");
     }
 
-    // Crossover gate: on a multi-core host the work-stealing engine must
-    // beat (or at worst tie, within the band) the sequential engine on
-    // big instances with real parallelism available.
+    // Crossover: on a multi-core host the work-stealing engine must beat
+    // (or at worst tie, within the band) the sequential engine on big
+    // instances with real parallelism available.
+    let band = limits.band;
     if b.host_cores >= 2 {
-        for rb in &b.rows {
-            if rb.n >= 10 && rb.workers >= 2 {
-                let Some(ratio) = rb.par_over_seq else {
-                    continue;
-                };
-                if ratio < wall_band {
-                    println!(
-                        "crossover FAIL: n={} workers={} par_over_seq {:.2}x < {:.2}x \
-                         (par must beat seq on {} cores)",
-                        rb.n, rb.workers, ratio, wall_band, b.host_cores
-                    );
-                    regressions += 1;
-                } else {
-                    println!(
-                        "crossover ok: n={} workers={} par_over_seq {:.2}x >= {:.2}x",
-                        rb.n, rb.workers, ratio, wall_band
-                    );
-                }
+        for rb in b.rows.iter().filter(|r| r.n >= 10 && r.workers >= 2) {
+            let Some(ratio) = rb.metric("par_over_seq") else {
+                continue;
+            };
+            if ratio < band {
+                println!(
+                    "crossover FAIL: {}: par_over_seq {ratio:.2}x < {band:.2}x \
+                     (par must beat seq on {} cores)",
+                    rb.key, b.host_cores
+                );
+                regressions += 1;
+            } else {
+                println!(
+                    "crossover ok: {}: par_over_seq {ratio:.2}x >= {band:.2}x",
+                    rb.key
+                );
             }
         }
     } else {
@@ -462,24 +235,76 @@ fn main() {
     println!("\nOK: no metric regressed past its tolerance across {matched} matched row(s)");
 }
 
-/// Prints one virtual-time metric comparison; returns 1 if it regressed
-/// past the tolerance, 0 otherwise.
-fn diff_metric(name: &str, old: f64, new: f64, tolerance: f64) -> usize {
+/// Judges every metric of each B row against the A row with the same
+/// key, one printed line per metric. Returns the matched row count and
+/// the number of metrics that regressed.
+fn diff_rows(a: &[Row], b: &[Row], limits: &Limits) -> (usize, usize) {
+    let (mut matched, mut regressions) = (0, 0);
+    for rb in b {
+        let Some(ra) = a.iter().find(|r| r.key == rb.key) else {
+            println!("{}: only in B (no baseline row)", rb.key);
+            continue;
+        };
+        matched += 1;
+        println!("{}:", rb.key);
+        let timed = [ra, rb]
+            .iter()
+            .all(|r| r.metric("seq_wall_s").unwrap_or(0.0) >= limits.min_ratio_wall);
+        for (name, old) in &ra.metrics {
+            match rb.metric(name) {
+                Some(new) => regressions += judge(name, *old, new, timed, limits) as usize,
+                None => println!("  {name:<34} dropped in B"),
+            }
+        }
+    }
+    for ra in a {
+        if !b.iter().any(|r| r.key == ra.key) {
+            println!("{}: only in A (row dropped in B)", ra.key);
+        }
+    }
+    (matched, regressions)
+}
+
+/// Prints one metric's line and returns whether it regressed. `timed`
+/// says whether both rows' `seq_wall_s` reach `--min-ratio-wall`, which
+/// `par_over_seq` needs to gate.
+fn judge(name: &str, old: f64, new: f64, timed: bool, limits: &Limits) -> bool {
     let pct = if old > 0.0 {
         (new - old) / old * 100.0
     } else {
         0.0
     };
-    let flag = pct > tolerance;
+    let gate = gate(name).expect("rows hold only metrics with a gate");
+    let (rule, past) = match gate {
+        Gate::Virtual => (
+            format!("limit {:+.1}%", limits.tolerance),
+            pct > limits.tolerance,
+        ),
+        Gate::Floor(slack) => {
+            let floor = old * limits.band - slack;
+            (format!("floor {floor:.3}"), new < floor)
+        }
+        Gate::Ceiling(slack) => {
+            let ceiling = old * (2.0 - limits.band) + slack;
+            (format!("ceiling {ceiling:.3}"), new > ceiling)
+        }
+        Gate::Info => ("informational".to_string(), false),
+    };
+    let skipped = match gate {
+        Gate::Floor(_) | Gate::Ceiling(_) if !limits.same_host => "; informational: host changed",
+        Gate::Floor(_) if name == "par_over_seq" && !timed => {
+            "; informational: walls below min-ratio-wall"
+        }
+        _ => "",
+    };
+    let regressed = past && skipped.is_empty();
+    // virtual times are µs; ratios, fractions and walls need the digits
+    let digits = if matches!(gate, Gate::Virtual) { 1 } else { 6 };
     println!(
-        "  {:<34} {:>12.1} us -> {:>12.1} us  {:>+7.1}%{}",
-        name,
-        old,
-        new,
-        pct,
-        if flag { "  REGRESSION" } else { "" }
+        "  {name:<34} {old:>14.digits$} -> {new:>14.digits$}  {pct:>+7.1}%  ({rule}{skipped}){}",
+        if regressed { "  REGRESSION" } else { "" }
     );
-    flag as usize
+    regressed
 }
 
 fn usage(msg: &str) -> ! {
@@ -502,180 +327,176 @@ fn load(path: &str) -> Bench {
     })
 }
 
-/// Pulls the `results[]` rows out of a `BENCH_engines.json` document.
-/// Tolerates the current multi-core schema (`workers` per row,
-/// `host_cores` top-level) and the older single-row-per-n ones, so a new
-/// binary can diff against an old baseline.
+/// Reads an engines or sched file (`results[]`, optional `kernel.rows[]`)
+/// or a campaign report (`cells[]`). Tolerates older engines schemas
+/// without `workers`, `link_model`, `host_cores` or a kernel section, so
+/// a new binary can diff against an old baseline.
 fn parse_bench(text: &str) -> Result<Bench, String> {
     let doc = Json::parse(text)?;
     if doc.get("cells").is_some() {
-        return parse_campaign(&doc);
+        return Ok(campaign_bench(&CampaignReport::from_json(text)?));
     }
-    let host_cores = doc.get("host_cores").and_then(Json::as_u64).unwrap_or(1);
-    let key_type = doc
-        .get("key_type")
-        .and_then(Json::as_str)
-        .map(str::to_string);
     let mut kernels = Vec::new();
-    if let Some(Json::Arr(rows)) = doc.get("kernel").and_then(|k| k.get("rows")) {
+    if let Some(rows) = doc
+        .get("kernel")
+        .and_then(|k| k.get("rows"))
+        .and_then(Json::as_arr)
+    {
         for (i, row) in rows.iter().enumerate() {
-            let num = |k: &str| -> Result<f64, String> {
-                row.get(k)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("kernel.rows[{i}]: missing number '{k}'"))
-            };
-            let speedup = |k: &str| -> Result<f64, String> {
-                row.get("speedups")
-                    .and_then(|s| s.get(k))
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("kernel.rows[{i}]: missing speedup '{k}'"))
-            };
-            kernels.push(KernelRow {
-                key_type: row
-                    .get("key_type")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("kernel.rows[{i}]: missing 'key_type'"))?
-                    .to_string(),
-                scalar_s: num("scalar_s")?,
-                branchless_s: num("branchless_s")?,
-                blocked_s: num("blocked_s")?,
-                branchless_over_scalar: speedup("branchless_over_scalar")?,
-                blocked_over_scalar: speedup("blocked_over_scalar")?,
-            });
+            kernels.push(kernel_row(row).map_err(|e| format!("kernel.rows[{i}]: {e}"))?);
         }
     }
-    let Some(Json::Arr(results)) = doc.get("results") else {
-        return Err("missing 'results' array — not a BENCH_engines.json file?".into());
-    };
-    let mut rows = Vec::new();
-    for (i, row) in results.iter().enumerate() {
-        let int = |k: &str| -> Result<u64, String> {
-            row.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("results[{i}]: missing integer '{k}'"))
-        };
-        let virtual_us = row.get("virtual_us").and_then(Json::as_f64);
-        let par_over_seq = row
-            .get("speedups")
-            .and_then(|s| s.get("par_over_seq"))
-            .and_then(Json::as_f64);
-        let mut walls = Vec::new();
-        if let Json::Obj(fields) = row {
-            for (k, v) in fields {
-                if k.ends_with("_wall_s") {
-                    if let Some(v) = v.as_f64() {
-                        walls.push((k.clone(), v));
-                    }
-                }
-            }
-        }
-        let mut phases = Vec::new();
-        if let Some(Json::Obj(fields)) = row.get("phases") {
-            for (k, v) in fields {
-                let v = v
-                    .as_f64()
-                    .ok_or_else(|| format!("results[{i}]: phase '{k}' is not a number"))?;
-                phases.push((k.clone(), v));
-            }
-        }
-        rows.push(Row {
-            n: int("n")?,
-            r: int("r")?,
-            m: int("m")?,
-            workers: row.get("workers").and_then(Json::as_u64).unwrap_or(0),
-            link_model: row
-                .get("link_model")
-                .and_then(Json::as_str)
-                .unwrap_or("uncontended")
-                .to_string(),
-            virtual_us,
-            wait_total_us: row.get("wait_total_us").and_then(Json::as_f64),
-            par_over_seq,
-            utilization: row.get("utilization").and_then(Json::as_f64),
-            steal_rate: row.get("steal_rate").and_then(Json::as_f64),
-            barrier_share: row.get("barrier_share").and_then(Json::as_f64),
-            events_dropped: row.get("events_dropped").and_then(Json::as_u64),
-            campaign: false,
-            p50_makespan_us: None,
-            p99_makespan_us: None,
-            p50_wait_total_us: None,
-            p99_wait_total_us: None,
-            walls,
-            phases,
-        });
-    }
+    let results = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .ok_or("missing 'results' array — not a BENCH_engines.json file?")?;
+    let rows = results
+        .iter()
+        .enumerate()
+        .map(|(i, row)| results_row(row).map_err(|e| format!("results[{i}]: {e}")))
+        .collect::<Result<_, _>>()?;
     Ok(Bench {
-        host_cores,
-        key_type,
+        host_cores: doc.get("host_cores").and_then(Json::as_u64).unwrap_or(1),
+        key_type: doc
+            .get("key_type")
+            .and_then(Json::as_str)
+            .map(str::to_string),
         rows,
         kernels,
     })
 }
 
-/// Maps a campaign report (`campaign_json` / `ftsort-campaign --out`) onto
-/// the diff machinery: one row per cell, keyed `(n, r, m, 0, link_model)`,
-/// with the cell's mean makespan as `virtual_us`, mean wait as
-/// `wait_total_us`, the four interpolated quantiles as dedicated metrics
-/// and `runs_failed` as `events_dropped`. Campaign quantities are all
-/// virtual, so `host_cores` is irrelevant (fixed at 1 on both sides).
-fn parse_campaign(doc: &Json) -> Result<Bench, String> {
-    let int = |o: &Json, k: &str, ctx: &str| -> Result<u64, String> {
-        o.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{ctx}: missing integer '{k}'"))
+/// The metrics of one engines, sched or kernel row: every numeric field
+/// with a [`gate`], the same inside `speedups`, and every `phases` entry
+/// as `phase NAME`.
+fn row_metrics(row: &Json) -> Result<Vec<(String, f64)>, String> {
+    let gated = |fields: &[(String, Json)]| -> Vec<(String, f64)> {
+        fields
+            .iter()
+            .filter(|(k, _)| gate(k).is_some())
+            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+            .collect()
     };
-    let m = int(doc, "m", "campaign report")?;
-    let link_model = doc
+    let mut metrics = Vec::new();
+    if let Json::Obj(fields) = row {
+        metrics.extend(gated(fields));
+    }
+    if let Some(Json::Obj(speedups)) = row.get("speedups") {
+        metrics.extend(gated(speedups));
+    }
+    if let Some(Json::Obj(phases)) = row.get("phases") {
+        for (k, v) in phases {
+            let v = v
+                .as_f64()
+                .ok_or_else(|| format!("phase '{k}' is not a number"))?;
+            metrics.push((format!("phase {k}"), v));
+        }
+    }
+    Ok(metrics)
+}
+
+/// One `results[]` row of an engines or sched file.
+fn results_row(row: &Json) -> Result<Row, String> {
+    let int = |k: &str| {
+        row.get(k)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer '{k}'"))
+    };
+    let (n, r, m) = (int("n")?, int("r")?, int("m")?);
+    let workers = row.get("workers").and_then(Json::as_u64).unwrap_or(0);
+    let link = row
         .get("link_model")
         .and_then(Json::as_str)
-        .unwrap_or("uncontended")
-        .to_string();
-    let key_type = doc
+        .unwrap_or("uncontended");
+    let warning = row
+        .get("events_dropped")
+        .and_then(Json::as_u64)
+        .filter(|&d| d > 0)
+        .map(|d| {
+            format!(
+                "profiler dropped {d} event(s) — sched telemetry truncated \
+                 (raise the profiler ring capacity)"
+            )
+        });
+    Ok(Row {
+        key: format!("n={n} r={r} m={m} workers={workers} link={link}"),
+        n,
+        workers,
+        metrics: row_metrics(row)?,
+        warning,
+    })
+}
+
+/// One `kernel.rows[]` entry: the merge kernels' wall clocks and their
+/// speedups over scalar, for one key type. Every one is required.
+fn kernel_row(row: &Json) -> Result<Row, String> {
+    let key_type = row
         .get("key_type")
         .and_then(Json::as_str)
-        .map(str::to_string);
-    let Some(Json::Arr(cells)) = doc.get("cells") else {
-        return Err("campaign report: 'cells' is not an array".into());
+        .ok_or("missing 'key_type'")?;
+    let row = Row {
+        key: key_type.to_string(),
+        n: 0,
+        workers: 0,
+        metrics: row_metrics(row)?,
+        warning: None,
     };
-    let mut rows = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let ctx = format!("cells[{i}]");
-        let mean = |metric: &str| -> Option<f64> {
-            let agg = cell.get(metric)?;
-            let count = agg.get("count").and_then(Json::as_u64)?;
-            let sum = agg.get("sum").and_then(Json::as_f64)?;
-            if count == 0 {
-                Some(0.0)
-            } else {
-                Some(sum / count as f64)
-            }
-        };
-        rows.push(Row {
-            n: int(cell, "n", &ctx)?,
-            r: int(cell, "r", &ctx)?,
-            m,
-            workers: 0,
-            link_model: link_model.clone(),
-            virtual_us: mean("makespan_us"),
-            wait_total_us: mean("wait_total_us"),
-            par_over_seq: None,
-            utilization: None,
-            steal_rate: None,
-            barrier_share: None,
-            events_dropped: cell.get("runs_failed").and_then(Json::as_u64),
-            campaign: true,
-            p50_makespan_us: cell.get("p50_makespan_us").and_then(Json::as_f64),
-            p99_makespan_us: cell.get("p99_makespan_us").and_then(Json::as_f64),
-            p50_wait_total_us: cell.get("p50_wait_total_us").and_then(Json::as_f64),
-            p99_wait_total_us: cell.get("p99_wait_total_us").and_then(Json::as_f64),
-            walls: Vec::new(),
-            phases: Vec::new(),
-        });
+    for k in [
+        "scalar_s",
+        "branchless_s",
+        "blocked_s",
+        "branchless_over_scalar",
+        "blocked_over_scalar",
+    ] {
+        if row.metric(k).is_none() {
+            return Err(format!("missing number '{k}'"));
+        }
     }
-    Ok(Bench {
+    Ok(row)
+}
+
+/// One row per campaign cell. Campaign quantities are all virtual, so
+/// `host_cores` is irrelevant and fixed at 1.
+fn campaign_bench(report: &CampaignReport) -> Bench {
+    let rows = report
+        .cells
+        .iter()
+        .map(|cell| {
+            let mean = |name| {
+                cell.metric(name)
+                    .map(MetricAgg::mean)
+                    .expect("every cell carries every campaign metric")
+            };
+            let metrics = [
+                ("virtual_us", mean("makespan_us")),
+                ("wait_total_us", mean("wait_total_us")),
+                ("p50_makespan_us", cell.p50_makespan_us as f64),
+                ("p99_makespan_us", cell.p99_makespan_us as f64),
+                ("p50_wait_total_us", cell.p50_wait_total_us as f64),
+                ("p99_wait_total_us", cell.p99_wait_total_us as f64),
+            ];
+            Row {
+                key: format!(
+                    "n={} r={} m={} workers=0 link={}",
+                    cell.n, cell.r, report.m, report.link_model
+                ),
+                n: cell.n as u64,
+                workers: 0,
+                metrics: metrics.map(|(k, v)| (k.to_string(), v)).to_vec(),
+                warning: (cell.runs_failed > 0).then(|| {
+                    format!(
+                        "campaign dropped {} run(s) — cell aggregates under-count \
+                         (runs failed to plan/execute)",
+                        cell.runs_failed
+                    )
+                }),
+            }
+        })
+        .collect();
+    Bench {
         host_cores: 1,
-        key_type,
+        key_type: Some(report.key_type.clone()),
         rows,
         kernels: Vec::new(),
-    })
+    }
 }

@@ -41,7 +41,7 @@
 //! `bench_diff` binary, which flags per-engine and per-phase regressions
 //! and checks the multi-core crossover.
 
-use ft_bench::{random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -88,18 +88,6 @@ struct KernelRow {
 /// merged working set around L2 for 8-byte keys — the size class where
 /// the branchless win is largest and host noise still averages out.
 const KERNEL_ELEMS_PER_RUN: usize = 32_768;
-
-/// The worker-count ladder for a host with `host_cores` cores:
-/// `{1, 2, 4, host_cores}`, deduplicated, ascending. Rungs above the
-/// core count still run — they measure the scheduler's oversubscription
-/// robustness, and emitting them unconditionally keeps row keys
-/// comparable across hosts with different core counts.
-fn worker_ladder(host_cores: usize) -> Vec<usize> {
-    let mut ladder = vec![1, 2, 4, host_cores];
-    ladder.sort_unstable();
-    ladder.dedup();
-    ladder
-}
 
 struct Cfg {
     sizes: Vec<usize>,

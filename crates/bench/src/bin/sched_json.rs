@@ -21,7 +21,7 @@
 //!
 //! [`SchedReport`]: hypercube::obs::sched::SchedReport
 
-use ft_bench::{random_faults, random_keys_typed, GenKey, DEFAULT_SEED};
+use ft_bench::{random_faults, random_keys_typed, worker_ladder, GenKey, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -40,15 +40,6 @@ struct Row {
     report: SchedReport,
     /// Wall seconds of the kept (min-makespan) profiled run.
     profile_wall_s: f64,
-}
-
-/// The same `{1, 2, 4, host_cores}` ladder as `engines_json`, so sched
-/// rows and engine rows key identically across hosts.
-fn worker_ladder(host_cores: usize) -> Vec<usize> {
-    let mut ladder = vec![1, 2, 4, host_cores];
-    ladder.sort_unstable();
-    ladder.dedup();
-    ladder
 }
 
 struct Cfg {

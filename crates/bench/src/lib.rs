@@ -106,6 +106,19 @@ pub fn parse_engine(value: Option<String>) -> hypercube::sim::EngineKind {
     }
 }
 
+/// The par-engine worker counts `engines_json` and `sched_json` sweep on
+/// a host with `host_cores` cores: `{1, 2, 4, host_cores}`, deduplicated,
+/// ascending. Rungs above the core count still run — they measure the
+/// scheduler's oversubscription robustness, and emitting them
+/// unconditionally keeps row keys comparable across hosts with different
+/// core counts.
+pub fn worker_ladder(host_cores: usize) -> Vec<usize> {
+    let mut ladder = vec![1, 2, 4, host_cores];
+    ladder.sort_unstable();
+    ladder.dedup();
+    ladder
+}
+
 /// `--trace-out FILE` / `--metrics-out FILE` / `--run-out FILE` support
 /// shared by the report binaries: when any flag is given, the binary records the
 /// [`RunObservation`](hypercube::obs::RunObservation) of its **last**

@@ -184,3 +184,271 @@ fn bench_diff_warns_on_dropped_events_without_failing() {
     assert!(text.contains("dropped 37 event(s)"), "{text}");
     assert!(text.contains("OK: no metric regressed"), "{text}");
 }
+
+// bench_diff's verdicts, pinned on frozen byte copies of the checked-in
+// baselines (`fixtures/`), so re-recording a baseline does not move them.
+// Variants are made by string replacement, as CI's `sed`s do.
+const ENGINES_CI: &str = include_str!("fixtures/BENCH_engines_ci.json");
+const ENGINES: &str = include_str!("fixtures/BENCH_engines.json");
+const SCHED_CI: &str = include_str!("fixtures/BENCH_sched_ci.json");
+const SCHED: &str = include_str!("fixtures/BENCH_sched.json");
+const CAMPAIGN_CI: &str = include_str!("fixtures/BENCH_campaign_ci.json");
+
+/// What one bench_diff run decided.
+struct Verdict {
+    exit: i32,
+    /// Lines flagging a metric, one per regressed metric.
+    regressions: Vec<String>,
+    warnings: usize,
+    stdout: String,
+}
+
+impl Verdict {
+    fn counts(&self) -> (i32, usize, usize) {
+        (self.exit, self.regressions.len(), self.warnings)
+    }
+}
+
+/// Runs bench_diff with `a` and `b` written to temporary files named after
+/// `tag`, then `extra` arguments.
+fn pin(tag: &str, a: &str, b: &str, extra: &[&str]) -> Verdict {
+    let dir = std::env::temp_dir();
+    let path = |side: &str| {
+        dir.join(format!(
+            "ft_bench_pin_{}_{tag}_{side}.json",
+            std::process::id()
+        ))
+    };
+    let (pa, pb) = (path("a"), path("b"));
+    std::fs::write(&pa, a).unwrap();
+    std::fs::write(&pb, b).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+        .arg("--a")
+        .arg(&pa)
+        .arg("--b")
+        .arg(&pb)
+        .args(extra)
+        .output()
+        .expect("bench_diff runs");
+    let _ = std::fs::remove_file(&pa);
+    let _ = std::fs::remove_file(&pb);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    Verdict {
+        exit: out.status.code().expect("exit code"),
+        regressions: stdout
+            .lines()
+            .filter(|l| l.contains("REGRESSION"))
+            .map(str::to_string)
+            .collect(),
+        warnings: stdout.lines().filter(|l| l.contains("WARNING")).count(),
+        stdout,
+    }
+}
+
+/// `sed 's/KEY[0-9.]*/KEYVALUE/g'`: every number right after `key` becomes
+/// `value`.
+fn set_all(text: &str, key: &str, value: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find(key) {
+        let end = at + key.len();
+        out.push_str(&rest[..end]);
+        out.push_str(value);
+        rest = rest[end..].trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn bench_diff_verdicts_on_engine_baselines() {
+    for (tag, a, b, extra, want) in [
+        ("eci_self", ENGINES_CI, ENGINES_CI, &[][..], (0, 0, 0)),
+        ("eng_self", ENGINES, ENGINES, &[], (0, 0, 0)),
+        (
+            "eci_tol",
+            ENGINES_CI,
+            ENGINES_CI,
+            &["--tolerance", "-1"],
+            (1, 60, 0),
+        ),
+        (
+            "eci_wall_all",
+            ENGINES_CI,
+            ENGINES_CI,
+            &["--wall-tolerance", "-5", "--min-ratio-wall", "0"],
+            (1, 20, 0),
+        ),
+        (
+            "eng_wall",
+            ENGINES,
+            ENGINES,
+            &["--wall-tolerance", "-5"],
+            (1, 14, 0),
+        ),
+        ("eci_vs_sci", ENGINES_CI, SCHED_CI, &[], (0, 0, 0)),
+    ] {
+        let v = pin(tag, a, b, extra);
+        assert_eq!(v.counts(), want, "{tag}:\n{}", v.stdout);
+    }
+
+    // The default --min-ratio-wall keeps the CI rows' sub-millisecond
+    // par_over_seq out of the gate: only the kernel speedups fire.
+    let v = pin(
+        "eci_wall",
+        ENGINES_CI,
+        ENGINES_CI,
+        &["--wall-tolerance", "-5"],
+    );
+    assert_eq!(v.counts(), (1, 8, 0), "{}", v.stdout);
+    assert!(
+        v.regressions.iter().all(|l| l.contains("_over_scalar")),
+        "{}",
+        v.stdout
+    );
+
+    let slow = set_all(ENGINES_CI, "\"branchless_over_scalar\": ", "0.10");
+    let v = pin("eci_kernel", ENGINES_CI, &slow, &[]);
+    assert_eq!(v.counts(), (1, 4, 0), "{}", v.stdout);
+    assert!(
+        v.regressions
+            .iter()
+            .all(|l| l.contains("branchless_over_scalar")),
+        "{}",
+        v.stdout
+    );
+
+    // Only kernel rows match between the CI and full-size files.
+    assert_eq!(pin("eci_vs_eng", ENGINES_CI, ENGINES, &[]).exit, 2);
+}
+
+#[test]
+fn bench_diff_crossover_verdicts() {
+    // B on a 2-core host: the n = 10 rows at 2 and 4 workers must show
+    // par beating seq within the wall band; host-matched gates are off.
+    let two_cores = set_all(ENGINES, "\"host_cores\": ", "2");
+    let v = pin("cross_ok", ENGINES, &two_cores, &[]);
+    assert_eq!(v.exit, 0, "{}", v.stdout);
+    assert_eq!(v.stdout.matches("crossover ok").count(), 4, "{}", v.stdout);
+    assert!(!v.stdout.contains("crossover FAIL"), "{}", v.stdout);
+
+    let v = pin(
+        "cross_fail",
+        ENGINES,
+        &two_cores,
+        &["--wall-tolerance", "8"],
+    );
+    assert_eq!(v.exit, 1, "{}", v.stdout);
+    let fails: Vec<_> = v
+        .stdout
+        .lines()
+        .filter(|l| l.contains("crossover FAIL"))
+        .collect();
+    assert_eq!(fails.len(), 2, "{}", v.stdout);
+    for (line, workers) in fails.iter().zip(["workers=2", "workers=4"]) {
+        assert!(line.contains("n=10") && line.contains(workers), "{line}");
+    }
+    assert_eq!(v.stdout.matches("crossover ok").count(), 2, "{}", v.stdout);
+}
+
+#[test]
+fn bench_diff_verdicts_on_sched_and_campaign_baselines() {
+    let dropped = set_all(SCHED_CI, "\"events_dropped\": ", "5");
+    let p99 = set_all(CAMPAIGN_CI, "\"p99_makespan_us\":", "999999");
+    let failed = set_all(CAMPAIGN_CI, "\"runs_failed\":", "2");
+    for (tag, a, b, extra, want) in [
+        ("sci_self", SCHED_CI, SCHED_CI, &[][..], (0, 0, 0)),
+        (
+            "sci_wall",
+            SCHED_CI,
+            SCHED_CI,
+            &["--wall-tolerance", "-5"],
+            (1, 6, 0),
+        ),
+        (
+            "sch_wall",
+            SCHED,
+            SCHED,
+            &["--wall-tolerance", "-5"],
+            (1, 12, 0),
+        ),
+        ("sci_dropped", SCHED_CI, &dropped, &[], (0, 0, 6)),
+        ("camp_self", CAMPAIGN_CI, CAMPAIGN_CI, &[], (0, 0, 0)),
+        (
+            "camp_tol",
+            CAMPAIGN_CI,
+            CAMPAIGN_CI,
+            &["--tolerance", "-1"],
+            (1, 6, 0),
+        ),
+        ("camp_p99", CAMPAIGN_CI, &p99, &[], (1, 1, 0)),
+        ("camp_failed", CAMPAIGN_CI, &failed, &[], (0, 0, 1)),
+    ] {
+        let v = pin(tag, a, b, extra);
+        assert_eq!(v.counts(), want, "{tag}:\n{}", v.stdout);
+        if tag == "camp_p99" {
+            assert!(v.regressions[0].contains("p99_makespan_us"), "{}", v.stdout);
+        }
+        if tag == "sci_dropped" {
+            assert!(v.stdout.contains("dropped 5 event(s)"), "{}", v.stdout);
+        }
+        if tag == "camp_failed" {
+            assert!(
+                v.stdout.contains("campaign dropped 2 run(s)"),
+                "{}",
+                v.stdout
+            );
+        }
+    }
+}
+
+#[test]
+fn bench_diff_parse_errors_exit_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+        .args(["--a", "x.json"])
+        .output()
+        .expect("bench_diff runs");
+    assert_eq!(out.status.code(), Some(2), "missing --b");
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+        .args(["--a", "/nonexistent/a.json", "--b", "/nonexistent/b.json"])
+        .output()
+        .expect("bench_diff runs");
+    assert_eq!(out.status.code(), Some(2), "unreadable path");
+
+    for (tag, bad) in [
+        (
+            "no_speedups",
+            ENGINES_CI.replacen("\"speedups\": {\"branchless", "\"gains\": {\"branchless", 1),
+        ),
+        (
+            "no_branchless_s",
+            ENGINES_CI.replacen("\"branchless_s\"", "\"branchless_t\"", 1),
+        ),
+        ("no_r", ENGINES_CI.replacen("\"r\": ", "\"q\": ", 1)),
+        (
+            "phase_not_number",
+            ENGINES_CI.replacen(
+                "\"phases\": {\"step3\": 15365.000",
+                "\"phases\": {\"step3\": \"slow\"",
+                1,
+            ),
+        ),
+        ("cell_no_n", CAMPAIGN_CI.replacen("{\"n\":", "{\"q\":", 1)),
+        ("truncated", ENGINES_CI[..600].to_string()),
+    ] {
+        assert_ne!(bad, ENGINES_CI, "{tag}: the replacement must apply");
+        assert_ne!(bad, CAMPAIGN_CI, "{tag}: the replacement must apply");
+        let v = pin(tag, &bad, &bad, &[]);
+        assert_eq!(v.exit, 2, "{tag}:\n{}", v.stdout);
+    }
+}
+
+#[test]
+fn bench_diff_rejects_a_newer_campaign_report() {
+    // Campaign files go through `CampaignReport::from_json`, which refuses
+    // schema versions newer than it knows.
+    let newer = CAMPAIGN_CI.replacen("\"version\":1,", "\"version\":9,", 1);
+    assert_ne!(newer, CAMPAIGN_CI);
+    let v = pin("camp_v9", CAMPAIGN_CI, &newer, &[]);
+    assert_eq!(v.exit, 2, "{}", v.stdout);
+}

@@ -210,7 +210,7 @@ pub struct CellReport {
     /// Runs aggregated.
     pub runs: u64,
     /// Runs that failed to plan/execute and were dropped from the
-    /// aggregates (surfaces as `events_dropped` in `bench_diff`).
+    /// aggregates (a `WARNING` in `bench_diff`).
     pub runs_failed: u64,
     /// Per-metric aggregates, indexed like [`METRICS`].
     pub metrics: Vec<MetricAgg>,

@@ -144,9 +144,7 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
     }
 
     // Inbox-depth counters, one track per destination node: +1 at each
-    // matched send, -1 at its receive. All deltas sharing a timestamp
-    // collapse into one sample, with enqueues ordered before dequeues at
-    // ties, so the running depth never dips negative.
+    // matched send, -1 at its receive.
     let mut inbox: Vec<Vec<(f64, i64)>> = vec![Vec::new(); obs.nodes.len()];
     for &(s, r) in &pairs {
         let dst = events[r].node.index();
@@ -154,21 +152,14 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
         inbox[dst].push((events[r].time, -1));
     }
     for (node, deltas) in inbox.iter_mut().enumerate() {
-        deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut depth = 0i64;
-        let mut k = 0;
-        while k < deltas.len() {
-            let t = deltas[k].0;
-            while k < deltas.len() && deltas[k].0.to_bits() == t.to_bits() {
-                depth += deltas[k].1;
-                k += 1;
-            }
-            emit(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"C\",\"pid\":0,\"name\":\"inbox P{node}\",\"ts\":{t},\"args\":{{\"messages\":{depth}}}}}"
-            );
-        }
+        counter_track(
+            &mut out,
+            &mut first,
+            0,
+            &format!("inbox P{node}"),
+            "messages",
+            deltas,
+        );
     }
 
     // Cumulative element·hops counters, one track per sender, sampled at
@@ -231,10 +222,12 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
 
 /// Emits one counter track from `(timestamp, delta)` pairs: sorts by
 /// timestamp, collapses all deltas sharing a timestamp into one sample
-/// (so zero-duration acquisitions never dip the series negative), and
-/// writes the running sum — per-track timestamps come out non-decreasing
-/// by construction. Shared with the scheduler-profiler export
-/// ([`super::sched`]), which emits under its own `pid`.
+/// (increments ordered before decrements at ties, so zero-duration
+/// acquisitions never dip the series negative), and writes the running
+/// sum — per-track timestamps come out non-decreasing by construction.
+/// Renders the inbox-depth and link busy/queue tracks here, and the
+/// scheduler-profiler export's runnable tracks ([`super::sched`]), which
+/// emit under their own `pid`.
 pub(crate) fn counter_track(
     out: &mut String,
     first: &mut bool,

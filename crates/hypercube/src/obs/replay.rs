@@ -20,7 +20,7 @@
 
 use super::json::{EventFields, Field, Json, Token, Tokenizer};
 use super::sink::{BufferedSink, NodeSummary, TraceSink};
-use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog, SpanRecord};
+use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
@@ -415,176 +415,6 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
         trace: Trace::from_events(events),
         nodes,
         key_type,
-    })
-}
-
-/// Re-prices a traced run under a different [`CostModel`]: the recorded
-/// schedule (who sends what to whom, in which order, over how many hops)
-/// is replayed through the same clock algebra the engines charge —
-/// `send` advances the sender's port by `transfer(elements, min(hops,1))`,
-/// `recv` jumps the receiver to `max(local, sent_at + transfer(elements,
-/// hops))`, `compute` advances by `compare(count)` — with every quantity
-/// recomputed under `new_cost`.
-///
-/// The algorithms simulated here are data-oblivious, so the communication
-/// schedule is itself cost-independent: recosting a saved run produces
-/// **exactly** the observation a live run under `new_cost` would have
-/// (the differential test in `tests/obs_invariants.rs` pins this byte for
-/// byte). Clock advances the event stream cannot express (a raw
-/// `charge_compute`, which no event records) are carried into the new
-/// timeline verbatim as per-node residuals.
-///
-/// Counters and link attributions are schedule properties and carry over
-/// unchanged; `blocked_us` is recomputed from the new receive jumps;
-/// `inbox_peak` is a property of the frontier schedule, which does not
-/// depend on the cost model, and carries over.
-///
-/// Errors if the observation has no trace events (the run was not traced
-/// — there is no schedule to re-price).
-///
-/// The run's [`LinkModel`] is preserved: re-pricing a contended run routes
-/// through the schedule replayer ([`super::schedule::reprice`], which also
-/// handles cross-model re-pricing); the uncontended fast path below is
-/// kept verbatim.
-pub fn recost(obs: &RunObservation, new_cost: CostModel) -> Result<RunObservation, String> {
-    if obs.link_model == LinkModel::Contended {
-        return super::schedule::reprice(obs, new_cost, LinkModel::Contended);
-    }
-    if obs.trace.is_empty() {
-        return Err("run has no trace events — was the sort traced?".into());
-    }
-    let events = obs.trace.events();
-    // recv event index -> send event index (FIFO per (src, dst, tag) —
-    // the channel order every engine preserves)
-    let mut send_of = vec![usize::MAX; events.len()];
-    for (s, r) in super::perfetto::match_messages(&obs.trace) {
-        send_of[r] = s;
-    }
-
-    let len = obs.nodes.len();
-    // Per-node clock tracks: the recorded (old) timeline as derived from
-    // the events, and the re-priced (new) one.
-    let mut old_clock = vec![0.0f64; len];
-    let mut new_clock = vec![0.0f64; len];
-    let mut blocked = vec![0.0f64; len];
-    let mut dim_busy: Vec<Vec<f64>> = vec![vec![0.0; obs.dim]; len];
-    let mut new_time = vec![0.0f64; events.len()];
-    // Per-node (old event time, new event time) checkpoints, in program
-    // order — the piecewise map span boundaries are translated through.
-    let mut checkpoints: Vec<Vec<(f64, f64)>> = vec![Vec::new(); len];
-
-    for (i, e) in events.iter().enumerate() {
-        let n = e.node.index();
-        // Where the recorded time disagrees with the clock this event's
-        // charge alone would predict, the gap is an un-evented advance (a
-        // raw `charge_compute`); carry it verbatim. The comparison is
-        // bitwise-clean: when every advance is evented (all the sorts in
-        // this workspace), `predicted` reproduces the engine's exact float
-        // operations, the residual is exactly zero and the branch never
-        // perturbs the new timeline.
-        match e.kind {
-            TraceKind::Send { to, elements, hops } => {
-                let predicted = old_clock[n] + obs.cost.transfer(elements, hops.min(1));
-                if e.time != predicted {
-                    new_clock[n] += e.time - predicted;
-                }
-                new_clock[n] += new_cost.transfer(elements, hops.min(1));
-                let direct = e.node.raw() ^ to.raw();
-                for (d, busy) in dim_busy[n].iter_mut().enumerate() {
-                    if direct >> d & 1 == 1 {
-                        *busy += new_cost.transfer(elements, 1);
-                    }
-                }
-            }
-            TraceKind::Recv { elements, .. } => {
-                let before = new_clock[n];
-                let s = send_of[i];
-                if s == usize::MAX {
-                    // No matching send in the file (truncated run):
-                    // preserve the recorded forward jump.
-                    new_clock[n] += (e.time - old_clock[n]).max(0.0);
-                } else {
-                    let hops = match events[s].kind {
-                        TraceKind::Send { hops, .. } => hops,
-                        _ => unreachable!("matched send is a Send event"),
-                    };
-                    let arrival = new_time[s] + new_cost.transfer(elements, hops);
-                    new_clock[n] = new_clock[n].max(arrival);
-                }
-                blocked[n] += new_clock[n] - before;
-            }
-            TraceKind::Compute { comparisons } => {
-                let predicted = old_clock[n] + obs.cost.compare(comparisons);
-                if e.time != predicted {
-                    new_clock[n] += e.time - predicted;
-                }
-                new_clock[n] += new_cost.compare(comparisons);
-            }
-        }
-        old_clock[n] = e.time;
-        new_time[i] = new_clock[n];
-        checkpoints[n].push((e.time, new_clock[n]));
-    }
-
-    // Translate an old-timeline instant at node `n` into the new timeline:
-    // new time of the last checkpoint at or before it, plus the residual.
-    let map_time = |n: usize, t: f64| -> f64 {
-        let cps = &checkpoints[n];
-        match cps.partition_point(|&(old, _)| old <= t) {
-            0 => t, // before the node's first charge the timelines agree
-            p => {
-                let (old, new) = cps[p - 1];
-                new + (t - old)
-            }
-        }
-    };
-
-    let new_events: Vec<_> = events
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let mut e = *e;
-            e.time = new_time[i];
-            e
-        })
-        .collect();
-
-    let nodes = obs
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(n, slot)| {
-            slot.as_ref().map(|node| {
-                let clock = map_time(n, node.clock);
-                let mut metrics = node.metrics.clone();
-                metrics.blocked_us = blocked[n];
-                metrics.dim_busy_us = dim_busy[n].clone();
-                NodeObservation {
-                    node: node.node,
-                    clock,
-                    stats: node.stats,
-                    spans: node
-                        .spans
-                        .iter()
-                        .map(|s| SpanRecord {
-                            phase: s.phase,
-                            begin: map_time(n, s.begin),
-                            end: map_time(n, s.end),
-                        })
-                        .collect(),
-                    metrics,
-                }
-            })
-        })
-        .collect();
-
-    Ok(RunObservation {
-        dim: obs.dim,
-        cost: new_cost,
-        link_model: LinkModel::Uncontended,
-        trace: Trace::from_events(new_events),
-        nodes,
-        key_type: obs.key_type.clone(),
     })
 }
 

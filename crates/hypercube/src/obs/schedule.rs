@@ -284,8 +284,7 @@ pub(crate) fn contended_times(obs: &RunObservation) -> ContendedTimes {
 
 /// Translates an old-timeline instant on one node into the new timeline:
 /// piecewise through the node's `(old, new)` event checkpoints (program
-/// order), carrying un-evented residuals verbatim — the same map
-/// [`super::replay::recost`] uses.
+/// order), carrying un-evented residuals verbatim.
 ///
 /// Exact for clocks, not always for span boundaries: a boundary that
 /// shares its timestamp with the next phase's first receive maps through
@@ -310,11 +309,12 @@ fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
 /// `transfer(elements, min(hops,1))`, barriers price each round's sends
 /// through [`LinkLedger`] (or the uncontended closed form), and receives
 /// jump to `max(local, arrival)`. Un-evented advances (`charge_compute`)
-/// are carried into the new timeline verbatim as residuals, exactly like
-/// [`super::replay::recost`]. Events, clocks, counters and metrics are
-/// bit-identical to a live run under the target model (pinned on every
-/// instance of `tests/engine_diff.rs`); span boundaries can drift — see
-/// [`map_checkpoint`].
+/// are carried into the new timeline verbatim as residuals. Events,
+/// clocks, counters and metrics are bit-identical to a live run under the
+/// target model (pinned on every instance of `tests/engine_diff.rs`);
+/// span boundaries can drift — see [`map_checkpoint`]. Re-pricing to the
+/// run's own model and a new [`CostModel`] is the what-if re-costing of
+/// `ftsort-cli replay --recost`.
 ///
 /// Errors if the observation carries no trace events — without the event
 /// stream there is no schedule to re-price.

@@ -475,11 +475,12 @@ fn init_logging(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `--trace-out` the Perfetto export, `--critical-path` the same report
 /// the `critical_path` bench binary prints — all byte-identical to what
 /// the live run produces. `--recost MODEL` first re-prices every event
-/// under a different [`CostModel`](hypercube::cost::CostModel) (see
-/// [`recost`](hypercube::obs::replay::recost)); the analyzers then run on
-/// the re-priced observation, and `--run-out` writes it back as a run
-/// file. `--link-model` re-prices the schedule under a different link
-/// model (contended ↔ uncontended), composably with `--recost`.
+/// under a different [`CostModel`](hypercube::cost::CostModel) and
+/// `--link-model` under a different link model (contended ↔
+/// uncontended), both through
+/// [`reprice`](hypercube::obs::schedule::reprice); the analyzers then run
+/// on the re-priced observation, and `--run-out` writes it back as a run
+/// file.
 fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags
         .get("trace")
@@ -501,12 +502,8 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
                 Some(spec) => parse_cost_spec(spec, obs.cost)?,
             };
             let model = model.unwrap_or(obs.link_model);
-            let repriced = if model == obs.link_model {
-                hypercube::obs::replay::recost(&obs, target)
-            } else {
-                hypercube::obs::schedule::reprice(&obs, target, model)
-            }
-            .map_err(|e| format!("{path}: {e}"))?;
+            let repriced = hypercube::obs::schedule::reprice(&obs, target, model)
+                .map_err(|e| format!("{path}: {e}"))?;
             if model != obs.link_model {
                 println!("link model     : {} -> {}", obs.link_model, model);
             }

@@ -15,20 +15,19 @@
 //!
 //! Both engines run the same round/frontier core, so their agreement says
 //! nothing about whether that core prices time correctly. The offline
-//! re-pricers are the independent check: [`reprice`] and [`recost`]
-//! re-derive each event's round from the trace alone and re-price the
-//! schedule without the engines' code. On every instance:
+//! re-pricer is the independent check: [`reprice`] re-derives each
+//! event's round from the trace alone and re-prices the schedule without
+//! the engines' code. On every instance:
 //!
 //! * uncontended loop — a traced seq run and a traced contended seq run;
 //!   re-pricing each to the other link model reproduces the other run;
 //! * contended loop — a traced seq run and a contended run under
-//!   [`CostModel::paper_form`]; `recost` to the paper form reproduces it.
+//!   [`CostModel::paper_form`]; re-pricing to the paper form reproduces it.
 
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::obs::replay::recost;
 use hypercube::obs::schedule::reprice;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::obs::RunObservation;
@@ -60,7 +59,7 @@ fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
 /// every trace event, and per node the clock, operation counters and
 /// metrics.
 ///
-/// Span boundaries are not compared: the re-pricers translate a boundary
+/// Span boundaries are not compared: the re-pricer translates a boundary
 /// through the last event at or before it, so a boundary that shares its
 /// timestamp with the next phase's first (non-waiting) receive lands after
 /// that receive's re-priced wait — a known defect in the translation, not
@@ -245,7 +244,8 @@ fn engines_agree_under_contended_link_model() {
         };
         let (_, _, paper) =
             fault_tolerant_sort(plan, &paper_config, data.to_vec(), Attach::default());
-        let recosted = recost(&live, CostModel::paper_form()).expect("traced run re-costs");
-        assert_reproduces(&recosted, &paper, &format!("recost → paper form, {tag}"));
+        let repriced =
+            reprice(&live, CostModel::paper_form(), live.link_model).expect("traced run re-prices");
+        assert_reproduces(&repriced, &paper, &format!("reprice → paper form, {tag}"));
     });
 }

@@ -11,7 +11,7 @@ use hypercube::obs::critical_path::{render_report, CriticalPath};
 use hypercube::obs::diff::{diff_profiles, SegmentProfile};
 use hypercube::obs::json::{trace_from_json, trace_to_json, Json};
 use hypercube::obs::perfetto::perfetto_json;
-use hypercube::obs::replay::{observation_from_json, recost, run_to_json};
+use hypercube::obs::replay::{observation_from_json, run_to_json};
 use hypercube::obs::schedule::reprice;
 use hypercube::obs::sink::{BufferedSink, StreamingSink, TraceSink};
 use hypercube::obs::{RunObservation, RunReport};
@@ -294,7 +294,7 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
 fn recost_matches_a_live_run_under_the_target_model() {
     // A traced run under the default (NCUBE-calibrated) model, re-priced
     // to the paper's zero-startup form, must equal a live run under that
-    // form byte for byte: the schedule is data-oblivious, so recost and
+    // form byte for byte: the schedule is data-oblivious, so reprice and
     // the engine charge the same clock algebra in the same order.
     let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 9]);
     let plan = FtPlan::new(&faults).expect("tolerable");
@@ -312,7 +312,7 @@ fn recost_matches_a_live_run_under_the_target_model() {
     let base = run_under(CostModel::default());
     let target = CostModel::paper_form();
     let live = run_under(target);
-    let repriced = recost(&base, target).expect("run was traced");
+    let repriced = reprice(&base, target, base.link_model).expect("run was traced");
 
     // the whole run file — every event timestamp, clock, blocked time and
     // inbox peak — is the same bytes
@@ -328,7 +328,7 @@ fn recost_matches_a_live_run_under_the_target_model() {
     );
 
     // recosting to the run's own model is the identity
-    let same = recost(&base, base.cost).expect("run was traced");
+    let same = reprice(&base, base.cost, base.link_model).expect("run was traced");
     assert_eq!(
         run_to_json(&same),
         run_to_json(&base),
@@ -362,8 +362,8 @@ fn cross_model_reprice_matches_live_runs_bit_exactly() {
         "contended -> uncontended reprice diverged from the live run"
     );
 
-    // recost on a contended run preserves the model (identity here)
-    let same = recost(&con, con.cost).expect("traced");
+    // re-pricing a contended run to its own cost and model is the identity
+    let same = reprice(&con, con.cost, con.link_model).expect("traced");
     assert_eq!(
         run_to_json(&same),
         run_to_json(&con),
