@@ -16,6 +16,8 @@
 //! ratios — per-element communication roughly an order of magnitude more
 //! expensive than a comparison — which is what shapes the paper's Figure 7.
 
+use crate::obs::json::json_object;
+
 /// Cost constants, in microseconds.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
@@ -27,6 +29,12 @@ pub struct CostModel {
     /// closed-form analysis exactly).
     pub t_startup: f64,
 }
+
+json_object!(CostModel {
+    t_sr,
+    t_c,
+    t_startup,
+});
 
 impl Default for CostModel {
     /// NCUBE-era calibration: a 4-byte key over a ~1.25 MB/s (10 Mbit/s)

@@ -18,10 +18,9 @@
 //!   output byte-identical regardless of how many worker threads produced
 //!   the summaries (workers fill an index-addressed table; the single
 //!   merge pass walks it in order, so float accumulation order is fixed).
-//! * [`CampaignReport`] — the versioned aggregate with an exact
-//!   hand-written JSON round-trip (the [`RunReport`](super::RunReport)
-//!   idiom: `Display`-formatted floats, field-for-field `from_json`) and
-//!   Table-1-style ASCII distribution tables ([`CampaignReport::tables`]).
+//! * [`CampaignReport`] — the versioned aggregate with an exact JSON
+//!   round-trip through the [`json`](super::json) codec and Table-1-style
+//!   ASCII distribution tables ([`CampaignReport::tables`]).
 //! * **Outlier policy** — per cell, every run whose makespan is at/above
 //!   the interpolated p99 estimate is an outlier (the cell maximum always
 //!   qualifies, so small campaigns still capture at least one), and the
@@ -40,7 +39,7 @@
 //! simulates machines but does not know how to plan a fault-tolerant sort.
 
 use super::hist::LogHistogram;
-use super::json::{self, Json};
+use super::json::{json_object, read_member, write_member, Json, JsonValue};
 use super::metrics::{Counter, Histogram, Registry};
 use crate::sim::LinkModel;
 use std::fmt::Write as _;
@@ -106,6 +105,14 @@ pub struct MetricAgg {
     pub hist: LogHistogram,
 }
 
+json_object!(MetricAgg {
+    count,
+    sum,
+    min,
+    max,
+    hist,
+});
+
 impl Default for MetricAgg {
     fn default() -> Self {
         MetricAgg::new()
@@ -149,42 +156,6 @@ impl MetricAgg {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"hist\":{}}}",
-            self.count,
-            self.sum,
-            self.min,
-            self.max,
-            self.hist.to_json()
-        )
-    }
-
-    fn from_json(doc: &Json) -> Result<MetricAgg, String> {
-        let num = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("metric aggregate missing number '{k}'"))
-        };
-        let counts: Vec<u64> = doc
-            .get("hist")
-            .and_then(Json::as_arr)
-            .ok_or("metric aggregate missing 'hist' array")?
-            .iter()
-            .map(|c| c.as_u64().ok_or("non-integer histogram count"))
-            .collect::<Result<_, _>>()?;
-        Ok(MetricAgg {
-            count: doc
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or("metric aggregate missing 'count'")?,
-            sum: num("sum")?,
-            min: num("min")?,
-            max: num("max")?,
-            hist: LogHistogram::from_counts(&counts)?,
-        })
     }
 }
 
@@ -244,6 +215,51 @@ impl CellReport {
     }
 }
 
+/// Written by hand: the [`METRICS`] slots are flat members of the cell,
+/// which a field table cannot express.
+impl JsonValue for CellReport {
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        write_member(out, "n", &self.n);
+        write_member(out, "r", &self.r);
+        write_member(out, "runs", &self.runs);
+        write_member(out, "runs_failed", &self.runs_failed);
+        for (name, agg) in METRICS.iter().zip(&self.metrics) {
+            write_member(out, name, agg);
+        }
+        write_member(out, "mincut_counts", &self.mincut_counts);
+        write_member(out, "sdim_counts", &self.sdim_counts);
+        write_member(out, "p50_makespan_us", &self.p50_makespan_us);
+        write_member(out, "p99_makespan_us", &self.p99_makespan_us);
+        write_member(out, "p50_wait_total_us", &self.p50_wait_total_us);
+        write_member(out, "p99_wait_total_us", &self.p99_wait_total_us);
+        write_member(out, "outlier_runs", &self.outlier_runs);
+        write_member(out, "median_run", &self.median_run);
+        out.push('}');
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        Ok(CellReport {
+            n: read_member(v, "n")?,
+            r: read_member(v, "r")?,
+            runs: read_member(v, "runs")?,
+            runs_failed: read_member(v, "runs_failed")?,
+            metrics: METRICS
+                .iter()
+                .map(|name| read_member(v, name))
+                .collect::<Result<_, _>>()?,
+            mincut_counts: read_member(v, "mincut_counts")?,
+            sdim_counts: read_member(v, "sdim_counts")?,
+            p50_makespan_us: read_member(v, "p50_makespan_us")?,
+            p99_makespan_us: read_member(v, "p99_makespan_us")?,
+            p50_wait_total_us: read_member(v, "p50_wait_total_us")?,
+            p99_wait_total_us: read_member(v, "p99_wait_total_us")?,
+            outlier_runs: read_member(v, "outlier_runs")?,
+            median_run: read_member(v, "median_run")?,
+        })
+    }
+}
+
 /// The versioned whole-campaign aggregate: configuration echo plus one
 /// [`CellReport`] per (n, fault-count) cell, in configuration order.
 #[derive(Clone, Debug, PartialEq)]
@@ -263,6 +279,16 @@ pub struct CampaignReport {
     /// Per-cell aggregates.
     pub cells: Vec<CellReport>,
 }
+
+json_object!(CampaignReport {
+    version,
+    campaign_seed,
+    runs_per_cell,
+    m,
+    link_model,
+    key_type,
+    cells,
+});
 
 /// One cell's online state inside [`CampaignAccumulator`].
 #[derive(Clone, Debug)]
@@ -439,46 +465,7 @@ impl CampaignReport {
     /// the same exactness contract [`RunReport`](super::RunReport) keeps.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + 1024 * self.cells.len());
-        let _ = write!(
-            out,
-            "{{\"version\":{},\"campaign_seed\":{},\"runs_per_cell\":{},\"m\":{},\"link_model\":\"{}\",",
-            self.version, self.campaign_seed, self.runs_per_cell, self.m, self.link_model
-        );
-        out.push_str("\"key_type\":");
-        json::write_str(&mut out, &self.key_type);
-        out.push_str(",\"cells\":[");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"n\":{},\"r\":{},\"runs\":{},\"runs_failed\":{},",
-                cell.n, cell.r, cell.runs, cell.runs_failed
-            );
-            for (name, agg) in METRICS.iter().zip(&cell.metrics) {
-                let _ = write!(out, "\"{}\":{},", name, agg.to_json());
-            }
-            out.push_str("\"mincut_counts\":");
-            write_u64_array(&mut out, &cell.mincut_counts);
-            out.push_str(",\"sdim_counts\":");
-            write_u64_array(&mut out, &cell.sdim_counts);
-            let _ = write!(
-                out,
-                ",\"p50_makespan_us\":{},\"p99_makespan_us\":{},\"p50_wait_total_us\":{},\"p99_wait_total_us\":{},",
-                cell.p50_makespan_us,
-                cell.p99_makespan_us,
-                cell.p50_wait_total_us,
-                cell.p99_wait_total_us
-            );
-            out.push_str("\"outlier_runs\":");
-            write_u64_array(&mut out, &cell.outlier_runs);
-            if let Some(median) = cell.median_run {
-                let _ = write!(out, ",\"median_run\":{median}");
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
+        self.write(&mut out);
         out
     }
 
@@ -486,65 +473,13 @@ impl CampaignReport {
     /// Rejects unknown schema versions.
     pub fn from_json(text: &str) -> Result<CampaignReport, String> {
         let doc = Json::parse(text)?;
-        let int = |o: &Json, k: &str| {
-            o.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("campaign report missing integer '{k}'"))
-        };
-        let version = int(&doc, "version")?;
+        let version: u64 = read_member(&doc, "version")?;
         if version > CAMPAIGN_SCHEMA_VERSION {
             return Err(format!(
                 "campaign report version {version} is newer than supported {CAMPAIGN_SCHEMA_VERSION}"
             ));
         }
-        let link_model = match doc.get("link_model").and_then(Json::as_str) {
-            Some(s) => LinkModel::parse(s).ok_or_else(|| format!("unknown link model '{s}'"))?,
-            None => return Err("campaign report missing 'link_model'".into()),
-        };
-        let mut cells = Vec::new();
-        for cell in doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("campaign report missing 'cells' array")?
-        {
-            let metrics: Vec<MetricAgg> = METRICS
-                .iter()
-                .map(|name| {
-                    MetricAgg::from_json(
-                        cell.get(name)
-                            .ok_or_else(|| format!("cell missing metric '{name}'"))?,
-                    )
-                })
-                .collect::<Result<_, String>>()?;
-            cells.push(CellReport {
-                n: int(cell, "n")? as usize,
-                r: int(cell, "r")? as usize,
-                runs: int(cell, "runs")?,
-                runs_failed: int(cell, "runs_failed")?,
-                metrics,
-                mincut_counts: read_u64_array(cell, "mincut_counts")?,
-                sdim_counts: read_u64_array(cell, "sdim_counts")?,
-                p50_makespan_us: int(cell, "p50_makespan_us")?,
-                p99_makespan_us: int(cell, "p99_makespan_us")?,
-                p50_wait_total_us: int(cell, "p50_wait_total_us")?,
-                p99_wait_total_us: int(cell, "p99_wait_total_us")?,
-                outlier_runs: read_u64_array(cell, "outlier_runs")?,
-                median_run: cell.get("median_run").and_then(Json::as_u64),
-            });
-        }
-        Ok(CampaignReport {
-            version,
-            campaign_seed: int(&doc, "campaign_seed")?,
-            runs_per_cell: int(&doc, "runs_per_cell")?,
-            m: int(&doc, "m")?,
-            link_model,
-            key_type: doc
-                .get("key_type")
-                .and_then(Json::as_str)
-                .ok_or("campaign report missing 'key_type'")?
-                .to_string(),
-            cells,
-        })
+        CampaignReport::read(&doc)
     }
 
     /// Renders Table-1-style ASCII distribution tables, one block per
@@ -609,7 +544,8 @@ impl CampaignReport {
                     continue;
                 }
                 let (lo, hi) = LogHistogram::bucket_range(i);
-                let bar = "#".repeat(((c * 40).div_ceil(peak)) as usize);
+                // u128: a count read from a file may be near u64::MAX
+                let bar = "#".repeat((u128::from(c) * 40).div_ceil(u128::from(peak)) as usize);
                 let _ = writeln!(
                     out,
                     "    [{lo},{hi})  {bar} {c} ({:.1}%)",
@@ -642,29 +578,6 @@ fn pct(count: u64, total: u64) -> f64 {
     } else {
         count as f64 / total as f64 * 100.0
     }
-}
-
-fn write_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-fn read_u64_array(doc: &Json, key: &str) -> Result<Vec<u64>, String> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("cell missing '{key}' array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("non-integer entry in '{key}'"))
-        })
-        .collect()
 }
 
 /// Live-progress instruments for one campaign, registered on a

@@ -11,7 +11,7 @@
 //! sizes are capped at 64 nodes, so the interesting mass sits in the first
 //! eight buckets.
 
-use std::fmt::Write as _;
+use super::json::{write_array, Json, JsonValue};
 
 /// Number of buckets: one for zero plus one per possible bit length.
 pub const BUCKETS: usize = 65;
@@ -68,9 +68,10 @@ impl LogHistogram {
         }
     }
 
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+    /// Total samples recorded (a `u128`: counts read from a file may sum
+    /// past `u64::MAX`).
+    pub fn total(&self) -> u128 {
+        self.counts.iter().map(|&c| u128::from(c)).sum()
     }
 
     /// The raw bucket counts.
@@ -81,22 +82,6 @@ impl LogHistogram {
     /// Index of the highest non-empty bucket, or `None` when empty.
     pub fn max_bucket(&self) -> Option<usize> {
         self.counts.iter().rposition(|&c| c > 0)
-    }
-
-    /// Serializes as a JSON array of bucket counts, trailing zero buckets
-    /// trimmed (`[]` when empty).
-    pub fn to_json(&self) -> String {
-        let used = self.max_bucket().map_or(0, |i| i + 1);
-        let mut out = String::with_capacity(2 + 4 * used);
-        out.push('[');
-        for (i, c) in self.counts[..used].iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c}");
-        }
-        out.push(']');
-        out
     }
 
     /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) of the recorded
@@ -114,9 +99,10 @@ impl LogHistogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
+        let rank = ((q * total as f64).ceil() as u128).clamp(1, total);
+        let mut seen = 0u128;
         for (i, &c) in self.counts.iter().enumerate() {
+            let c = u128::from(c);
             if c == 0 {
                 continue;
             }
@@ -147,9 +133,8 @@ impl LogHistogram {
         out
     }
 
-    /// Rebuilds a histogram from the bucket counts of
-    /// [`to_json`](Self::to_json) (already parsed into a `u64` slice).
-    /// Errors if more than [`BUCKETS`] counts are given.
+    /// Rebuilds a histogram from its leading bucket counts (the rest are
+    /// zero). Errors if more than [`BUCKETS`] counts are given.
     pub fn from_counts(counts: &[u64]) -> Result<LogHistogram, String> {
         if counts.len() > BUCKETS {
             return Err(format!(
@@ -160,6 +145,19 @@ impl LogHistogram {
         let mut h = LogHistogram::new();
         h.counts[..counts.len()].copy_from_slice(counts);
         Ok(h)
+    }
+}
+
+/// A JSON array of the bucket counts, trailing zero buckets trimmed (`[]`
+/// when empty).
+impl JsonValue for LogHistogram {
+    fn write(&self, out: &mut String) {
+        let used = self.max_bucket().map_or(0, |i| i + 1);
+        write_array(out, &self.counts[..used]);
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        LogHistogram::from_counts(&Vec::<u64>::read(v)?)
     }
 }
 
@@ -293,10 +291,12 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(0);
         h.record(9);
-        assert_eq!(h.to_json(), "[1,0,0,0,1]");
+        let mut text = String::new();
+        h.write(&mut text);
+        LogHistogram::new().write(&mut text);
+        assert_eq!(text, "[1,0,0,0,1][]");
         let back = LogHistogram::from_counts(&[1, 0, 0, 0, 1]).expect("parse");
         assert_eq!(back, h);
-        assert_eq!(LogHistogram::new().to_json(), "[]");
         assert_eq!(
             LogHistogram::from_counts(&[]).expect("empty"),
             LogHistogram::new()

@@ -1,19 +1,23 @@
-//! A minimal JSON value model, parser and writers for the observability
-//! exports.
+//! The workspace's one JSON layer (the build is offline, so there is no
+//! serialization framework):
 //!
-//! The workspace has no serialization framework (the build environment is
-//! offline), so every persisted format is hand-written text. This module
-//! gives the observability
-//! layer the two halves it needs: exact writers for [`Trace`] and the
-//! metrics report, and a strict parser used by tests and the CLI's
-//! `trace-check` command to validate emitted files round-trip.
+//! * a strict parser, [`Json::parse`] over a pull `Tokenizer`: integer
+//!   literals that fit a `u64` stay exact, and a number that overflows an
+//!   `f64` is an error;
+//! * the codec every report goes through: [`JsonValue`], [`write_member`],
+//!   [`read_member`] and the `json_object!` field table, which derives a
+//!   struct's writer and reader from one list of its fields. Readers check
+//!   integers against their type and take only finite numbers; the first
+//!   of two members with one name wins, and unknown members are ignored;
+//! * the run files' streaming event codec ([`write_trace_event`] and
+//!   `EventFields`), which decodes records straight from tokens.
 //!
 //! `f64` values are written with Rust's `Display`, which produces the
 //! shortest decimal string that parses back to the identical bits — so
 //! virtual timestamps survive a write/parse cycle exactly.
 
 use crate::address::NodeId;
-use crate::sim::{Tag, Trace, TraceEvent, TraceKind};
+use crate::sim::{LinkModel, Tag, TraceEvent, TraceKind};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -24,7 +28,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (all JSON numbers are read as `f64`).
+    /// A non-negative integer literal that fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other number; always finite.
     Num(f64),
     /// A string.
     Str(String),
@@ -71,6 +77,7 @@ impl Json {
                 }
                 Token::EndArray | Token::EndObject => open.pop().expect("brackets balance").0,
                 Token::Str(s) => Json::Str(s.into_owned()),
+                Token::Int(n) => Json::Int(n),
                 Token::Num(x) => Json::Num(x),
                 Token::Bool(b) => Json::Bool(b),
                 Token::Null => Json::Null,
@@ -95,17 +102,24 @@ impl Json {
         }
     }
 
-    /// The value as a float, if it is a number.
+    /// The value as a float, if it is a number. An integer converts with
+    /// the rounding `str::parse::<f64>` applies to its literal.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer (rejects negatives and fractions).
+    /// The value as an unsigned integer: any [`Json::Int`], or an integral
+    /// float up to 2^53 (`1e3`, `2.0`). Rejects negatives and fractions.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(num_as_u64)
+        match self {
+            Json::Int(n) => Some(*n),
+            Json::Num(x) => num_as_u64(*x),
+            _ => None,
+        }
     }
 
     /// The value as a boolean.
@@ -133,8 +147,8 @@ impl Json {
     }
 }
 
-/// A JSON number as an unsigned integer: non-negative, integral and
-/// exactly representable.
+/// A float as an unsigned integer: non-negative, integral and exactly
+/// representable.
 fn num_as_u64(x: f64) -> Option<u64> {
     (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64)
 }
@@ -156,6 +170,7 @@ pub(crate) enum Token<'a> {
     /// An object member's key; its value is the next token.
     Key(Cow<'a, str>),
     Str(Cow<'a, str>),
+    Int(u64),
     Num(f64),
     Bool(bool),
     Null,
@@ -335,7 +350,7 @@ impl<'a> Tokenizer<'a> {
             Some(b'n') => self.literal("null", Token::Null)?,
             Some(b't') => self.literal("true", Token::Bool(true))?,
             Some(b'f') => self.literal("false", Token::Bool(false))?,
-            Some(b'-' | b'0'..=b'9') => Token::Num(self.number()?),
+            Some(b'-' | b'0'..=b'9') => self.number()?,
             other => {
                 return Err(format!(
                     "unexpected {:?} at byte {}",
@@ -433,7 +448,7 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    fn number(&mut self) -> Result<Token<'a>, String> {
         let start = self.pos;
         let digits = |t: &mut Self| {
             while matches!(t.peek(), Some(b'0'..=b'9')) {
@@ -458,17 +473,25 @@ impl<'a> Tokenizer<'a> {
             }
             digits(self);
         }
-        if self.pos == int_end && (1..=15).contains(&(int_end - int_start)) {
-            // every integer below 10^15 is an exact f64: the value `parse`
-            // returns, without its general algorithm
-            let v = self.bytes[int_start..int_end]
-                .iter()
-                .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0')) as f64;
-            return Ok(if negative { -v } else { v });
+        if !negative && self.pos == int_end && int_end > int_start {
+            // a plain integer stays exact while it fits a u64 (any 19
+            // digits do); `as f64` on it later rounds as `parse` would
+            let digits = &self.bytes[int_start..int_end];
+            let exact = if digits.len() <= 19 {
+                Some(digits.iter().fold(0, |v, &d| v * 10 + u64::from(d - b'0')))
+            } else {
+                self.text[int_start..int_end].parse().ok()
+            };
+            if let Some(n) = exact {
+                return Ok(Token::Int(n));
+            }
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number '{text}': {e}"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Token::Num(x)),
+            Ok(_) => Err(format!("number '{text}' overflows f64")),
+            Err(e) => Err(format!("bad number '{text}': {e}")),
+        }
     }
 }
 
@@ -490,6 +513,215 @@ pub fn write_str(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// A type that writes itself as JSON and reads itself back exactly, float
+/// bits included. Structs implement it with the `json_object!` field table.
+pub trait JsonValue: Sized {
+    /// Appends the value's JSON text to `out`.
+    fn write(&self, out: &mut String);
+
+    /// Reads a value from a parsed document, checking its type and range.
+    fn read(v: &Json) -> Result<Self, String>;
+
+    /// Whether [`write_member`] leaves this value's member out (an absent
+    /// `Option`).
+    fn omit(&self) -> bool {
+        false
+    }
+
+    /// The value an absent member reads as, or `None` when a member of
+    /// this type is required.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+/// Writes the member `"key":value` of the object being written into `out`,
+/// preceded by a comma unless it is the object's first member — or nothing
+/// when the value is omitted.
+pub fn write_member<T: JsonValue>(out: &mut String, key: &str, value: &T) {
+    if value.omit() {
+        return;
+    }
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    write_str(out, key);
+    out.push(':');
+    value.write(out);
+}
+
+/// Reads the member `key` of the object `obj`; errors name the member.
+/// Like [`Json::get`], the first of two members with one name wins.
+pub fn read_member<T: JsonValue>(obj: &Json, key: &str) -> Result<T, String> {
+    if !matches!(obj, Json::Obj(_)) {
+        return Err("expected an object".into());
+    }
+    match obj.get(key) {
+        Some(v) => T::read(v).map_err(|e| format!("'{key}': {e}")),
+        None => T::absent().ok_or_else(|| format!("missing '{key}'")),
+    }
+}
+
+/// Writes `items` as a JSON array.
+pub(crate) fn write_array<T: JsonValue>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
+/// Scalars written with `Display`: `$what` names the values `read`
+/// accepts.
+macro_rules! json_scalar {
+    ($($t:ty: $v:ident => $read:expr, $what:expr;)*) => {$(
+        impl JsonValue for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read($v: &Json) -> Result<Self, String> {
+                $read.ok_or_else(|| format!("expected {}", $what))
+            }
+        }
+    )*};
+}
+
+json_scalar! {
+    u32: v => v.as_u64().and_then(|n| n.try_into().ok()), format!("an integer in 0..={}", u32::MAX);
+    u64: v => v.as_u64(), format!("an integer in 0..={}", u64::MAX);
+    usize: v => v.as_u64().and_then(|n| n.try_into().ok()), format!("an integer in 0..={}", usize::MAX);
+    f64: v => v.as_f64(), "a number";
+    bool: v => v.as_bool(), "true or false";
+}
+
+impl JsonValue for String {
+    fn write(&self, out: &mut String) {
+        write_str(out, self);
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or("expected a string".into())
+    }
+}
+
+impl JsonValue for NodeId {
+    fn write(&self, out: &mut String) {
+        self.raw().write(out);
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        u32::read(v).map(NodeId::new)
+    }
+}
+
+impl JsonValue for LinkModel {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        let name = String::read(v)?;
+        LinkModel::parse(&name).ok_or_else(|| format!("unknown link model '{name}'"))
+    }
+}
+
+impl<T: JsonValue> JsonValue for Vec<T> {
+    fn write(&self, out: &mut String) {
+        write_array(out, self);
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or("expected an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item).map_err(|e| format!("item {i}: {e}")))
+            .collect()
+    }
+}
+
+/// `None` is left out of an object and written as `null` anywhere else;
+/// an absent member and `null` both read as `None`.
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v).map(Some),
+        }
+    }
+
+    fn omit(&self) -> bool {
+        self.is_none()
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// Derives [`JsonValue`] for a struct from one table of its members, in
+/// the order they are written:
+///
+/// * `field` — the member `"field"`, read and written;
+/// * `"key": field` — the same under another name;
+/// * `"key" = getter` — written from `getter(&self)`, ignored on read (a
+///   derived value kept in the output for its consumers).
+///
+/// Every field of the struct must appear in one of the first two forms.
+macro_rules! json_object {
+    ($ty:ident { $($entries:tt)* }) => {
+        $crate::obs::json::json_object!(@parse $ty [] [] $($entries)*,);
+    };
+    (@parse $ty:ident [$($w:tt)*] [$(($field:ident $key:expr))*] $(,)*) => {
+        impl $crate::obs::json::JsonValue for $ty {
+            fn write(&self, out: &mut String) {
+                out.push('{');
+                $($crate::obs::json::json_object!(@write self out $w);)*
+                out.push('}');
+            }
+
+            fn read(v: &$crate::obs::json::Json) -> Result<Self, String> {
+                Ok($ty { $($field: $crate::obs::json::read_member(v, $key)?,)* })
+            }
+        }
+    };
+    (@parse $ty:ident [$($w:tt)*] [$($r:tt)*] $key:literal : $field:ident, $($rest:tt)*) => {
+        $crate::obs::json::json_object!(
+            @parse $ty [$($w)* ($key, field $field)] [$($r)* ($field $key)] $($rest)*
+        );
+    };
+    (@parse $ty:ident [$($w:tt)*] [$($r:tt)*] $key:literal = $get:path, $($rest:tt)*) => {
+        $crate::obs::json::json_object!(@parse $ty [$($w)* ($key, getter $get)] [$($r)*] $($rest)*);
+    };
+    (@parse $ty:ident [$($w:tt)*] [$($r:tt)*] $field:ident, $($rest:tt)*) => {
+        $crate::obs::json::json_object!(
+            @parse $ty [$($w)* (stringify!($field), field $field)]
+            [$($r)* ($field stringify!($field))] $($rest)*
+        );
+    };
+    (@write $self:ident $out:ident ($key:expr, field $field:ident)) => {
+        $crate::obs::json::write_member($out, $key, &$self.$field)
+    };
+    (@write $self:ident $out:ident ($key:expr, getter $get:path)) => {
+        $crate::obs::json::write_member($out, $key, &$get($self))
+    };
+}
+
+pub(crate) use json_object;
 
 /// Serializes one [`TraceEvent`] as an object of the workspace trace
 /// schema (also embedded in the streaming run files — see
@@ -543,30 +775,27 @@ pub fn write_trace_event(out: &mut String, e: &TraceEvent) {
 pub(crate) enum Field<'a> {
     #[default]
     Absent,
+    Int(u64),
     Num(f64),
     Str(Cow<'a, str>),
     Other,
 }
 
 impl Field<'_> {
-    fn of(value: Option<&Json>) -> Field<'_> {
-        match value {
-            None => Field::Absent,
-            Some(Json::Num(x)) => Field::Num(*x),
-            Some(Json::Str(s)) => Field::Str(Cow::Borrowed(s)),
-            Some(_) => Field::Other,
-        }
-    }
-
     pub(crate) fn num(&self) -> Option<f64> {
         match self {
+            Field::Int(n) => Some(*n as f64),
             Field::Num(x) => Some(*x),
             _ => None,
         }
     }
 
     pub(crate) fn uint(&self) -> Option<u64> {
-        self.num().and_then(num_as_u64)
+        match self {
+            Field::Int(n) => Some(*n),
+            Field::Num(x) => num_as_u64(*x),
+            _ => None,
+        }
     }
 
     pub(crate) fn str(&self) -> Option<&str> {
@@ -596,23 +825,6 @@ pub(crate) struct EventFields<'a> {
 }
 
 impl<'a> EventFields<'a> {
-    /// The members of a parsed value (none unless it is an object).
-    fn of(e: &'a Json) -> Self {
-        EventFields {
-            t: Field::of(e.get("t")),
-            node: Field::of(e.get("node")),
-            tag: Field::of(e.get("tag")),
-            kind: Field::of(e.get("kind")),
-            to: Field::of(e.get("to")),
-            from: Field::of(e.get("from")),
-            elements: Field::of(e.get("elements")),
-            hops: Field::of(e.get("hops")),
-            wait: Field::of(e.get("wait")),
-            comparisons: Field::of(e.get("comparisons")),
-            phase: Field::of(e.get("phase")),
-        }
-    }
-
     /// Reads the members of the object whose `{` the tokenizer just
     /// returned, through its `}`.
     pub(crate) fn read(tok: &mut Tokenizer<'a>) -> Result<Self, String> {
@@ -638,6 +850,7 @@ impl<'a> EventFields<'a> {
                 }
             };
             let field = match value {
+                Token::Int(n) => Field::Int(n),
                 Token::Num(x) => Field::Num(x),
                 Token::Str(s) => Field::Str(s),
                 other => {
@@ -710,43 +923,6 @@ impl<'a> EventFields<'a> {
     }
 }
 
-/// Parses one object written by [`write_trace_event`]; `i` is the event's
-/// index in its array, used in error messages.
-pub fn parse_trace_event(i: usize, e: &Json) -> Result<TraceEvent, String> {
-    EventFields::of(e).trace_event(i)
-}
-
-/// Serializes a [`Trace`] to the workspace's own trace schema (distinct
-/// from the Perfetto export, which loses the raw tags): one object per
-/// event with the exact virtual timestamp.
-pub fn trace_to_json(trace: &Trace) -> String {
-    let mut out = String::with_capacity(64 * trace.len() + 32);
-    out.push_str("{\"events\":[");
-    for (i, e) in trace.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_trace_event(&mut out, e);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Parses a trace serialized by [`trace_to_json`]; the round-trip is exact
-/// (timestamps compare bit-equal).
-pub fn trace_from_json(text: &str) -> Result<Trace, String> {
-    let doc = Json::parse(text)?;
-    let events = doc
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'events' array")?;
-    let mut out = Vec::with_capacity(events.len());
-    for (i, e) in events.iter().enumerate() {
-        out.push(parse_trace_event(i, e)?);
-    }
-    Ok(Trace::from_events(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,6 +932,7 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("-12.5e2").unwrap(), Json::Num(-1250.0));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
         assert_eq!(
             Json::parse(r#""a\nbA""#).unwrap(),
             Json::Str("a\nbA".into())
@@ -777,6 +954,8 @@ mod tests {
             "12 34",
             "\"unterminated",
             "tru",
+            "1e999",
+            "-1e999",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
@@ -826,10 +1005,14 @@ mod tests {
             "123456789012345",
             "1234567890123456",
             "9007199254740993",
+            "18446744073709551615",
+            "18446744073709551616",
         ] {
             let want: f64 = text.parse().unwrap();
             let got = Json::parse(text).unwrap().as_f64().unwrap();
             assert_eq!(got.to_bits(), want.to_bits(), "{text}");
         }
+        let max = Json::parse("18446744073709551615").unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX), "exact past 2^53");
     }
 }

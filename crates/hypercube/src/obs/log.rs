@@ -1,8 +1,8 @@
 //! Structured leveled logging: JSON lines through a pluggable writer.
 //!
-//! The repo's diagnostics so far are ad-hoc `eprintln!` calls — fine for
-//! a CLI, useless for the long-running `ftsortd` daemon (ROADMAP item 2)
-//! where logs must be machine-parseable and level-filtered. This module
+//! Ad-hoc `eprintln!` diagnostics suit a person at a terminal, not a
+//! harness that collects a run's logs, which must be machine-parseable
+//! and level-filtered (`ftsort-cli --log-out`). This module
 //! is the substrate: one process-global logger (install with [`init`]),
 //! an atomic [`Level`] threshold, and one JSON object per line:
 //!
@@ -22,6 +22,7 @@
 //! JSON) and takes the writer lock — logging is for low-rate lifecycle
 //! events, counters are for hot paths.
 
+use super::json::{write_str, JsonValue};
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -179,51 +180,27 @@ pub fn enabled(lvl: Level) -> bool {
     level().is_some_and(|threshold| lvl <= threshold)
 }
 
-fn write_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
 /// Formats one record as a JSON line (without trailing newline).
 fn render(ts: f64, lvl: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)]) -> String {
     use std::fmt::Write as _;
     let mut line = String::with_capacity(96 + msg.len());
     let _ = write!(line, "{{\"ts\":{ts:.3},\"level\":\"{lvl}\",\"target\":");
-    write_json_str(&mut line, target);
+    write_str(&mut line, target);
     line.push_str(",\"msg\":");
-    write_json_str(&mut line, msg);
+    write_str(&mut line, msg);
     for (k, v) in fields {
         line.push(',');
-        write_json_str(&mut line, k);
+        write_str(&mut line, k);
         line.push(':');
         match v {
-            Value::U64(n) => {
-                let _ = write!(line, "{n}");
-            }
+            Value::U64(n) => n.write(&mut line),
             Value::I64(n) => {
                 let _ = write!(line, "{n}");
             }
-            Value::F64(f) if f.is_finite() => {
-                let _ = write!(line, "{f}");
-            }
+            Value::F64(f) if f.is_finite() => f.write(&mut line),
             Value::F64(_) => line.push_str("null"),
-            Value::Str(s) => write_json_str(&mut line, s),
-            Value::Bool(b) => {
-                let _ = write!(line, "{b}");
-            }
+            Value::Str(s) => write_str(&mut line, s),
+            Value::Bool(b) => b.write(&mut line),
         }
     }
     line.push('}');

@@ -3,8 +3,8 @@
 //!
 //! Everything observability built so far (spans, run files, the scheduler
 //! profiler) is post-hoc — nothing reports state *while* a run is in
-//! flight, and a long-running server (`ftsortd`, ROADMAP item 2) cannot be
-//! observed by run files alone. This module is the live substrate:
+//! flight, and a long `ftsort-campaign` cannot be watched through run
+//! files alone. This module is the live substrate:
 //!
 //! * **Instruments** — [`Counter`] (monotonic `u64`), [`Gauge`] (`i64`)
 //!   and [`Histogram`] (the [`super::hist`] log₂-bucket layout with an

@@ -52,7 +52,7 @@ use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace};
 use crate::stats::RunStats;
-use std::fmt::Write as _;
+use json::{json_object, Json, JsonValue};
 
 /// One closed span: a node was inside `phase` from `begin` to `end`
 /// (virtual µs).
@@ -324,6 +324,13 @@ pub struct PhaseReport {
     pub spans: u64,
 }
 
+json_object!(PhaseReport {
+    name,
+    max_node_us,
+    total_node_us,
+    spans,
+});
+
 /// Aggregate utilization for one node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeReport {
@@ -353,6 +360,20 @@ pub struct NodeReport {
     pub inbox_peak: u64,
 }
 
+json_object!(NodeReport {
+    node,
+    clock_us,
+    busy_us,
+    blocked_us,
+    link_wait_us,
+    idle_us,
+    messages,
+    msgs_received,
+    elements_sent,
+    comparisons,
+    inbox_peak,
+});
+
 /// Traffic across one hypercube dimension.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkReport {
@@ -364,6 +385,12 @@ pub struct LinkReport {
     /// over nodes (see [`NodeMetrics::dim_busy_us`]).
     pub busy_us: f64,
 }
+
+json_object!(LinkReport {
+    dim,
+    elements,
+    busy_us,
+});
 
 /// The aggregate report for a run: embeds the summed [`RunStats`] and
 /// adds phase, node and link attribution. Serialized with
@@ -420,6 +447,24 @@ pub struct RunReport {
     /// detours), summed over nodes.
     pub detour_element_hops: u64,
 }
+
+json_object!(RunReport {
+    dim,
+    link_model,
+    threads,
+    workers_effective,
+    shard_size,
+    pool_takes,
+    pool_puts,
+    pool_slab_high_water,
+    key_type,
+    makespan_us,
+    stats,
+    phases,
+    nodes,
+    links,
+    detour_element_hops,
+});
 
 impl RunReport {
     fn build(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'static str>) -> RunReport {
@@ -591,95 +636,7 @@ impl RunReport {
     /// Serializes to the report's JSON schema (documented in DESIGN.md §6).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"dim\":{},\"link_model\":\"{}\",",
-            self.dim, self.link_model
-        );
-        if let Some(threads) = self.threads {
-            let _ = write!(out, "\"threads\":{threads},");
-        }
-        if let Some(workers) = self.workers_effective {
-            let _ = write!(out, "\"workers_effective\":{workers},");
-        }
-        if let Some(shard) = self.shard_size {
-            let _ = write!(out, "\"shard_size\":{shard},");
-        }
-        if let Some(takes) = self.pool_takes {
-            let _ = write!(out, "\"pool_takes\":{takes},");
-        }
-        if let Some(puts) = self.pool_puts {
-            let _ = write!(out, "\"pool_puts\":{puts},");
-        }
-        if let Some(hw) = self.pool_slab_high_water {
-            let _ = write!(out, "\"pool_slab_high_water\":{hw},");
-        }
-        if let Some(key_type) = &self.key_type {
-            out.push_str("\"key_type\":");
-            json::write_str(&mut out, key_type);
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"makespan_us\":{},\"stats\":{{\"messages\":{},\"elements_sent\":{},\"element_hops\":{},\"message_hops\":{},\"comparisons\":{},\"max_hops\":{},\"max_message_elements\":{}}},\"phases\":[",
-            self.makespan_us,
-            self.stats.messages,
-            self.stats.elements_sent,
-            self.stats.element_hops,
-            self.stats.message_hops,
-            self.stats.comparisons,
-            self.stats.max_hops,
-            self.stats.max_message_elements,
-        );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json::write_str(&mut out, &p.name);
-            let _ = write!(
-                out,
-                ",\"max_node_us\":{},\"total_node_us\":{},\"spans\":{}}}",
-                p.max_node_us, p.total_node_us, p.spans
-            );
-        }
-        out.push_str("],\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"node\":{},\"clock_us\":{},\"busy_us\":{},\"blocked_us\":{},\"link_wait_us\":{},\"idle_us\":{},\"messages\":{},\"msgs_received\":{},\"elements_sent\":{},\"comparisons\":{},\"inbox_peak\":{}}}",
-                n.node,
-                n.clock_us,
-                n.busy_us,
-                n.blocked_us,
-                n.link_wait_us,
-                n.idle_us,
-                n.messages,
-                n.msgs_received,
-                n.elements_sent,
-                n.comparisons,
-                n.inbox_peak
-            );
-        }
-        out.push_str("],\"links\":[");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"dim\":{},\"elements\":{},\"busy_us\":{}}}",
-                l.dim, l.elements, l.busy_us
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"detour_element_hops\":{}}}",
-            self.detour_element_hops
-        );
+        self.write(&mut out);
         out
     }
 
@@ -687,110 +644,7 @@ impl RunReport {
     /// round-trip is exact (`PartialEq` on all fields, float bits
     /// included).
     pub fn from_json(text: &str) -> Result<RunReport, String> {
-        let doc = json::Json::parse(text)?;
-        let num = |o: &json::Json, k: &str| {
-            o.get(k)
-                .and_then(json::Json::as_f64)
-                .ok_or_else(|| format!("missing number '{k}'"))
-        };
-        let int = |o: &json::Json, k: &str| {
-            o.get(k)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("missing integer '{k}'"))
-        };
-        let s = doc.get("stats").ok_or("missing 'stats'")?;
-        let stats = RunStats {
-            messages: int(s, "messages")?,
-            elements_sent: int(s, "elements_sent")?,
-            element_hops: int(s, "element_hops")?,
-            message_hops: int(s, "message_hops")?,
-            comparisons: int(s, "comparisons")?,
-            max_hops: int(s, "max_hops")? as u32,
-            max_message_elements: int(s, "max_message_elements")?,
-        };
-        let mut phases = Vec::new();
-        for p in doc
-            .get("phases")
-            .and_then(json::Json::as_arr)
-            .ok_or("missing 'phases'")?
-        {
-            phases.push(PhaseReport {
-                name: p
-                    .get("name")
-                    .and_then(json::Json::as_str)
-                    .ok_or("phase missing 'name'")?
-                    .to_string(),
-                max_node_us: num(p, "max_node_us")?,
-                total_node_us: num(p, "total_node_us")?,
-                spans: int(p, "spans")?,
-            });
-        }
-        let mut nodes = Vec::new();
-        for n in doc
-            .get("nodes")
-            .and_then(json::Json::as_arr)
-            .ok_or("missing 'nodes'")?
-        {
-            nodes.push(NodeReport {
-                node: int(n, "node")? as u32,
-                clock_us: num(n, "clock_us")?,
-                busy_us: num(n, "busy_us")?,
-                blocked_us: num(n, "blocked_us")?,
-                link_wait_us: num(n, "link_wait_us")?,
-                idle_us: num(n, "idle_us")?,
-                messages: int(n, "messages")?,
-                msgs_received: int(n, "msgs_received")?,
-                elements_sent: int(n, "elements_sent")?,
-                comparisons: int(n, "comparisons")?,
-                inbox_peak: int(n, "inbox_peak")?,
-            });
-        }
-        let mut links = Vec::new();
-        for l in doc
-            .get("links")
-            .and_then(json::Json::as_arr)
-            .ok_or("missing 'links'")?
-        {
-            links.push(LinkReport {
-                dim: int(l, "dim")? as usize,
-                elements: int(l, "elements")?,
-                busy_us: num(l, "busy_us")?,
-            });
-        }
-        let link_model = doc
-            .get("link_model")
-            .and_then(json::Json::as_str)
-            .and_then(LinkModel::parse)
-            .ok_or("missing or invalid 'link_model'")?;
-        Ok(RunReport {
-            dim: int(&doc, "dim")? as usize,
-            link_model,
-            threads: doc
-                .get("threads")
-                .and_then(json::Json::as_u64)
-                .map(|t| t as usize),
-            workers_effective: doc
-                .get("workers_effective")
-                .and_then(json::Json::as_u64)
-                .map(|w| w as usize),
-            shard_size: doc
-                .get("shard_size")
-                .and_then(json::Json::as_u64)
-                .map(|s| s as usize),
-            pool_takes: doc.get("pool_takes").and_then(json::Json::as_u64),
-            pool_puts: doc.get("pool_puts").and_then(json::Json::as_u64),
-            pool_slab_high_water: doc.get("pool_slab_high_water").and_then(json::Json::as_u64),
-            key_type: doc
-                .get("key_type")
-                .and_then(json::Json::as_str)
-                .map(str::to_string),
-            makespan_us: num(&doc, "makespan_us")?,
-            stats,
-            phases,
-            nodes,
-            links,
-            detour_element_hops: int(&doc, "detour_element_hops")?,
-        })
+        RunReport::read(&Json::parse(text)?)
     }
 }
 
@@ -985,7 +839,7 @@ mod tests {
         let back = RunReport::from_json(&text).expect("parse");
         assert_eq!(back, report);
         // and it is valid generic JSON
-        assert!(json::Json::parse(&text).is_ok());
+        assert!(Json::parse(&text).is_ok());
 
         // with_threads round-trips too (presentation-layer metadata)
         let threaded = report.with_threads(4);
@@ -993,7 +847,7 @@ mod tests {
         assert!(text.contains("\"threads\":4"));
         let back = RunReport::from_json(&text).expect("parse");
         assert_eq!(back, threaded);
-        assert!(json::Json::parse(&text).is_ok());
+        assert!(Json::parse(&text).is_ok());
 
         // the effective schedule rides along the same way
         let scheduled = threaded.with_schedule(2, 16);
@@ -1002,7 +856,7 @@ mod tests {
         assert!(text.contains("\"shard_size\":16"));
         let back = RunReport::from_json(&text).expect("parse");
         assert_eq!(back, scheduled);
-        assert!(json::Json::parse(&text).is_ok());
+        assert!(Json::parse(&text).is_ok());
 
         // and so do the pool statistics
         assert!(
@@ -1027,7 +881,6 @@ mod tests {
         assert!(text.contains("\"key_type\":\"pair\""));
         let back = RunReport::from_json(&text).expect("parse");
         assert_eq!(back, keyed);
-        assert!(json::Json::parse(&text).is_ok());
-        assert!(json::Json::parse(&text).is_ok());
+        assert!(Json::parse(&text).is_ok());
     }
 }

@@ -18,7 +18,7 @@
 //! tokenizing the file costs, and holds compact decoded records rather
 //! than a document tree.
 
-use super::json::{EventFields, Field, Json, Token, Tokenizer};
+use super::json::{read_member, EventFields, Field, Json, Token, Tokenizer};
 use super::sink::{BufferedSink, NodeSummary, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::address::NodeId;
@@ -145,11 +145,11 @@ fn decode_record(i: usize, f: &EventFields<'_>) -> Result<Record, (Option<usize>
         Some("enter") => f
             .phase
             .uint()
-            .filter(|p| *p <= u16::MAX as u64)
+            .and_then(|p| u16::try_from(p).ok())
             .ok_or_else(|| format!("event {i}: bad 'phase'"))
             .and_then(|phase| {
                 Ok(Body::Enter {
-                    phase: phase as u16,
+                    phase,
                     t: time(&f.t)?,
                 })
             }),
@@ -247,65 +247,33 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
 /// a `u64`.
 pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     let (doc, events) = read_run_file(text)?;
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing 'version'")?;
+    let version: u64 = read_member(&doc, "version")?;
     if !(1..=2).contains(&version) {
         return Err(format!("unsupported run-file version {version}"));
     }
     let link_model = match version {
         1 => LinkModel::Uncontended,
-        _ => doc
-            .get("link_model")
-            .and_then(Json::as_str)
-            .and_then(LinkModel::parse)
-            .ok_or("missing or invalid 'link_model'")?,
+        _ => read_member(&doc, "link_model")?,
     };
-    let key_type = doc
-        .get("key_type")
-        .and_then(Json::as_str)
-        .map(str::to_owned);
-    let dim = doc
-        .get("dim")
-        .and_then(Json::as_u64)
-        .ok_or("missing 'dim'")? as usize;
+    let key_type: Option<String> = read_member(&doc, "key_type")?;
+    let dim: usize = read_member(&doc, "dim")?;
     if dim > 24 {
         return Err(format!("implausible dimension {dim}"));
     }
-    let cost_json = doc.get("cost").ok_or("missing 'cost'")?;
-    let costf = |k: &str| {
-        cost_json
-            .get(k)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("cost: missing '{k}'"))
-    };
-    let cost = CostModel {
-        t_sr: costf("t_sr")?,
-        t_c: costf("t_c")?,
-        t_startup: costf("t_startup")?,
-    };
+    let cost: CostModel = read_member(&doc, "cost")?;
+    let footer: Vec<NodeSummary> = read_member(&doc, "nodes")?;
 
     // Footer first: it defines the participants every event must belong to.
     struct Acc {
-        clock: f64,
-        blocked_us: f64,
-        inbox_peak: u64,
+        summary: NodeSummary,
         stats: RunStats,
         metrics: NodeMetrics,
         spans: SpanLog,
     }
     let len = 1usize << dim;
     let mut accs: Vec<Option<Acc>> = (0..len).map(|_| None).collect();
-    let footer = doc
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'nodes'")?;
-    for (i, n) in footer.iter().enumerate() {
-        let idx = n
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or(format!("node record {i}: missing 'node'"))? as usize;
+    for (i, summary) in footer.into_iter().enumerate() {
+        let idx = summary.node.index();
         if idx >= len {
             return Err(format!(
                 "node record {i}: address {idx} outside the {dim}-cube"
@@ -314,18 +282,8 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
         if accs[idx].is_some() {
             return Err(format!("node record {i}: duplicate address {idx}"));
         }
-        let num = |k: &str| {
-            n.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("node record {i}: missing '{k}'"))
-        };
         accs[idx] = Some(Acc {
-            clock: num("clock")?,
-            blocked_us: num("blocked_us")?,
-            inbox_peak: n
-                .get("inbox_peak")
-                .and_then(Json::as_u64)
-                .ok_or(format!("node record {i}: missing 'inbox_peak'"))?,
+            summary,
             stats: RunStats::new(),
             metrics: NodeMetrics::new(dim),
             spans: SpanLog::new(),
@@ -391,17 +349,16 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
 
     let nodes = accs
         .into_iter()
-        .enumerate()
-        .map(|(idx, acc)| {
+        .map(|acc| {
             acc.map(|acc| {
                 let mut metrics = acc.metrics;
-                metrics.blocked_us = acc.blocked_us;
-                metrics.inbox_peak = acc.inbox_peak;
+                metrics.blocked_us = acc.summary.blocked_us;
+                metrics.inbox_peak = acc.summary.inbox_peak;
                 NodeObservation {
-                    node: NodeId::new(idx as u32),
-                    clock: acc.clock,
+                    node: acc.summary.node,
+                    clock: acc.summary.clock,
                     stats: acc.stats,
-                    spans: acc.spans.finish(acc.clock),
+                    spans: acc.spans.finish(acc.summary.clock),
                     metrics,
                 }
             })

@@ -28,8 +28,7 @@
 //!
 //! Timestamps are nanoseconds on one shared monotonic epoch
 //! ([`std::time::Instant`]), taken at the run start, so worker rings are
-//! mutually comparable and every value fits a JSON number (`< 2^53` for
-//! runs shorter than ~104 days).
+//! mutually comparable.
 //!
 //! ## Outputs
 //!
@@ -37,7 +36,7 @@
 //! [`SchedProfiler`] handle the caller attached. From it:
 //! [`SchedProfile::report`] aggregates a [`SchedReport`] (per-worker time
 //! split, steal matrix, poll-size histogram, utilization) with an exact
-//! hand-written JSON round-trip; [`SchedProfile::perfetto_json`] renders
+//! JSON round-trip; [`SchedProfile::perfetto_json`] renders
 //! one Chrome-trace track per worker (`X` category spans, steal flows
 //! from victim to thief, per-worker runnable-queue counters) that
 //! `trace-check` validates; [`SchedProfile::timeline`] and
@@ -46,7 +45,7 @@
 //! [`ParEngine`]: crate::sim::par::ParEngine
 
 use super::hist::LogHistogram;
-use super::json::Json;
+use super::json::{json_object, Json, JsonValue};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -661,10 +660,31 @@ pub struct SchedWorkerReport {
     pub barriers: u64,
 }
 
+json_object!(SchedWorkerReport {
+    worker,
+    poll_ns,
+    deliver_ns,
+    serial_ns,
+    steal_ns,
+    barrier_ns,
+    park_ns,
+    other_ns,
+    wall_ns,
+    polls,
+    nodes_polled,
+    shards_popped,
+    shards_stolen,
+    steal_attempts,
+    parks,
+    barriers,
+});
+
 impl SchedWorkerReport {
-    /// Productive time: poll + deliver + serial.
+    /// Productive time: poll + deliver + serial, saturating.
     pub fn busy_ns(&self) -> u64 {
-        self.poll_ns + self.deliver_ns + self.serial_ns
+        self.poll_ns
+            .saturating_add(self.deliver_ns)
+            .saturating_add(self.serial_ns)
     }
 
     /// Sum of all seven category buckets — equals `wall_ns` up to clock
@@ -705,23 +725,44 @@ pub struct SchedReport {
     pub poll_hist: LogHistogram,
 }
 
+json_object!(SchedReport {
+    workers_requested,
+    workers,
+    shard_size,
+    shard_count,
+    live_nodes,
+    serial,
+    makespan_ns,
+    events_dropped,
+    "utilization" = SchedReport::utilization,
+    "steal_rate" = SchedReport::steal_rate,
+    "barrier_share" = SchedReport::barrier_share,
+    "workers_detail": per_worker,
+    steal_matrix,
+    poll_hist,
+});
+
+/// `values` summed without overflow (below 2^64, to the same `f64`).
+fn sum_u128(values: impl Iterator<Item = u64>) -> u128 {
+    values.map(u128::from).sum()
+}
+
 impl SchedReport {
     /// Mean worker utilization: Σ busy / (workers × makespan), in `[0,1]`.
     pub fn utilization(&self) -> f64 {
-        let denom = self.per_worker.len() as u64 * self.makespan_ns;
+        let denom = self.per_worker.len() as u128 * u128::from(self.makespan_ns);
         if denom == 0 {
             return 0.0;
         }
-        let busy: u64 = self.per_worker.iter().map(SchedWorkerReport::busy_ns).sum();
+        let busy = sum_u128(self.per_worker.iter().map(SchedWorkerReport::busy_ns));
         busy as f64 / denom as f64
     }
 
     /// Fraction of claimed shard slices that were stolen rather than
     /// popped from the owner's deque.
     pub fn steal_rate(&self) -> f64 {
-        let (stolen, popped) = self.per_worker.iter().fold((0u64, 0u64), |(s, p), w| {
-            (s + w.shards_stolen, p + w.shards_popped)
-        });
+        let stolen = sum_u128(self.per_worker.iter().map(|w| w.shards_stolen));
+        let popped = sum_u128(self.per_worker.iter().map(|w| w.shards_popped));
         if stolen + popped == 0 {
             return 0.0;
         }
@@ -731,15 +772,15 @@ impl SchedReport {
     /// Fraction of total worker wall time spent at the barrier (including
     /// parked).
     pub fn barrier_share(&self) -> f64 {
-        let wall: u64 = self.per_worker.iter().map(|w| w.wall_ns).sum();
+        let wall = sum_u128(self.per_worker.iter().map(|w| w.wall_ns));
         if wall == 0 {
             return 0.0;
         }
-        let barrier: u64 = self
-            .per_worker
-            .iter()
-            .map(|w| w.barrier_ns + w.park_ns)
-            .sum();
+        let barrier = sum_u128(
+            self.per_worker
+                .iter()
+                .flat_map(|w| [w.barrier_ns, w.park_ns]),
+        );
         barrier as f64 / wall as f64
     }
 
@@ -748,134 +789,14 @@ impl SchedReport {
     /// ignored on parse.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"workers_requested\":{},\"workers\":{},\"shard_size\":{},\"shard_count\":{},\"live_nodes\":{},\"serial\":{},\"makespan_ns\":{},\"events_dropped\":{},\"utilization\":{},\"steal_rate\":{},\"barrier_share\":{},\"workers_detail\":[",
-            self.workers_requested,
-            self.workers,
-            self.shard_size,
-            self.shard_count,
-            self.live_nodes,
-            self.serial,
-            self.makespan_ns,
-            self.events_dropped,
-            self.utilization(),
-            self.steal_rate(),
-            self.barrier_share(),
-        );
-        for (i, w) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"poll_ns\":{},\"deliver_ns\":{},\"serial_ns\":{},\"steal_ns\":{},\"barrier_ns\":{},\"park_ns\":{},\"other_ns\":{},\"wall_ns\":{},\"polls\":{},\"nodes_polled\":{},\"shards_popped\":{},\"shards_stolen\":{},\"steal_attempts\":{},\"parks\":{},\"barriers\":{}}}",
-                w.worker,
-                w.poll_ns,
-                w.deliver_ns,
-                w.serial_ns,
-                w.steal_ns,
-                w.barrier_ns,
-                w.park_ns,
-                w.other_ns,
-                w.wall_ns,
-                w.polls,
-                w.nodes_polled,
-                w.shards_popped,
-                w.shards_stolen,
-                w.steal_attempts,
-                w.parks,
-                w.barriers,
-            );
-        }
-        out.push_str("],\"steal_matrix\":[");
-        for (i, row) in self.steal_matrix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, v) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        }
-        let _ = write!(out, "],\"poll_hist\":{}}}", self.poll_hist.to_json());
+        self.write(&mut out);
         out
     }
 
     /// Parses a report serialized by [`to_json`](Self::to_json); the
     /// round-trip is exact on every raw field.
     pub fn from_json(text: &str) -> Result<SchedReport, String> {
-        let doc = Json::parse(text)?;
-        let int = |o: &Json, k: &str| {
-            o.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing integer '{k}'"))
-        };
-        let mut per_worker = Vec::new();
-        for w in doc
-            .get("workers_detail")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'workers_detail'")?
-        {
-            per_worker.push(SchedWorkerReport {
-                worker: int(w, "worker")? as usize,
-                poll_ns: int(w, "poll_ns")?,
-                deliver_ns: int(w, "deliver_ns")?,
-                serial_ns: int(w, "serial_ns")?,
-                steal_ns: int(w, "steal_ns")?,
-                barrier_ns: int(w, "barrier_ns")?,
-                park_ns: int(w, "park_ns")?,
-                other_ns: int(w, "other_ns")?,
-                wall_ns: int(w, "wall_ns")?,
-                polls: int(w, "polls")?,
-                nodes_polled: int(w, "nodes_polled")?,
-                shards_popped: int(w, "shards_popped")?,
-                shards_stolen: int(w, "shards_stolen")?,
-                steal_attempts: int(w, "steal_attempts")?,
-                parks: int(w, "parks")?,
-                barriers: int(w, "barriers")?,
-            });
-        }
-        let mut steal_matrix = Vec::new();
-        for row in doc
-            .get("steal_matrix")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'steal_matrix'")?
-        {
-            let row = row.as_arr().ok_or("steal_matrix row is not an array")?;
-            let mut out = Vec::with_capacity(row.len());
-            for v in row {
-                out.push(v.as_u64().ok_or("steal_matrix entry is not an integer")?);
-            }
-            steal_matrix.push(out);
-        }
-        let hist_counts: Vec<u64> = doc
-            .get("poll_hist")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'poll_hist'")?
-            .iter()
-            .map(|v| v.as_u64().ok_or("poll_hist entry is not an integer"))
-            .collect::<Result<_, _>>()?;
-        Ok(SchedReport {
-            workers_requested: int(&doc, "workers_requested")? as usize,
-            workers: int(&doc, "workers")? as usize,
-            shard_size: int(&doc, "shard_size")? as usize,
-            shard_count: int(&doc, "shard_count")? as usize,
-            live_nodes: int(&doc, "live_nodes")? as usize,
-            serial: doc
-                .get("serial")
-                .and_then(Json::as_bool)
-                .ok_or("missing 'serial'")?,
-            makespan_ns: int(&doc, "makespan_ns")?,
-            events_dropped: int(&doc, "events_dropped")?,
-            per_worker,
-            steal_matrix,
-            poll_hist: LogHistogram::from_counts(&hist_counts)?,
-        })
+        SchedReport::read(&Json::parse(text)?)
     }
 
     /// Renders the human summary: effective schedule, per-worker split
@@ -915,7 +836,7 @@ impl SchedReport {
                 pct(w.park_ns),
                 pct(w.other_ns),
                 w.polls,
-                w.shards_popped + w.shards_stolen,
+                w.shards_popped.saturating_add(w.shards_stolen),
                 w.shards_stolen,
                 w.parks,
             );

@@ -26,7 +26,7 @@
 //! needs.
 
 use super::gz::GzEncoder;
-use super::json::write_trace_event;
+use super::json::{json_object, write_member, write_trace_event, JsonValue};
 use super::metrics::{self, Counter};
 use crate::address::NodeId;
 use crate::cost::CostModel;
@@ -51,6 +51,13 @@ pub struct NodeSummary {
     pub inbox_peak: u64,
 }
 
+json_object!(NodeSummary {
+    node,
+    clock,
+    blocked_us,
+    inbox_peak,
+});
+
 /// Receiver of a run's record stream. Engines call the methods in strict
 /// order — `begin`, then any number of `event`/`span`, then `finish`
 /// exactly once — holding a lock, so implementations see records in
@@ -72,17 +79,15 @@ fn render_header(
     dim: usize,
     cost: &CostModel,
     link_model: LinkModel,
-    key_type: Option<&str>,
+    key_type: &Option<String>,
 ) {
-    let _ = write!(
-        out,
-        "{{\"version\":2,\"dim\":{dim},\"cost\":{{\"t_sr\":{},\"t_c\":{},\"t_startup\":{}}},\"link_model\":\"{link_model}\",",
-        cost.t_sr, cost.t_c, cost.t_startup
-    );
-    if let Some(kt) = key_type {
-        let _ = write!(out, "\"key_type\":\"{kt}\",");
-    }
-    out.push_str("\"events\":[");
+    out.push('{');
+    write_member(out, "version", &2u64);
+    write_member(out, "dim", &dim);
+    write_member(out, "cost", cost);
+    write_member(out, "link_model", &link_model);
+    write_member(out, "key_type", key_type);
+    out.push_str(",\"events\":[");
 }
 
 fn render_span(out: &mut String, node: NodeId, phase: Option<u16>, time: f64) {
@@ -119,14 +124,8 @@ fn render_footer(out: &mut String, nodes: &[NodeSummary]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "\n{{\"node\":{},\"clock\":{},\"blocked_us\":{},\"inbox_peak\":{}}}",
-            n.node.raw(),
-            n.clock,
-            n.blocked_us,
-            n.inbox_peak
-        );
+        out.push('\n');
+        n.write(out);
     }
     out.push_str("\n]}\n");
 }
@@ -178,7 +177,7 @@ impl BufferedSink {
     pub fn to_json(&self) -> String {
         let (dim, cost, link_model) = self.header.expect("BufferedSink::to_json before begin");
         let mut out = String::with_capacity(96 * self.records.len() + 256);
-        render_header(&mut out, dim, &cost, link_model, self.key_type.as_deref());
+        render_header(&mut out, dim, &cost, link_model, &self.key_type);
         let mut first = true;
         for rec in &self.records {
             render_separator(&mut out, &mut first);
@@ -297,13 +296,7 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
     fn begin(&mut self, dim: usize, cost: &CostModel, link_model: LinkModel) {
         assert!(!self.began, "TraceSink reused across runs");
         self.began = true;
-        render_header(
-            &mut self.buf,
-            dim,
-            cost,
-            link_model,
-            self.key_type.as_deref(),
-        );
+        render_header(&mut self.buf, dim, cost, link_model, &self.key_type);
         self.emit();
     }
 

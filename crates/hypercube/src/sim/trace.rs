@@ -63,9 +63,9 @@ impl Trace {
     }
 
     /// Builds a trace from an already time-ordered event list — the entry
-    /// point for deserializers (see `obs::json::trace_from_json`). Events
-    /// are re-sorted defensively so downstream invariants hold even if the
-    /// input was shuffled.
+    /// point for deserializers (see `obs::replay::observation_from_json`).
+    /// Events are re-sorted defensively so downstream invariants hold even
+    /// if the input was shuffled.
     pub fn from_events(mut events: Vec<TraceEvent>) -> Self {
         events.sort_by(|a, b| {
             a.time

@@ -4,6 +4,7 @@
 //! built from — messages, element·hops, comparisons — so benches can report
 //! both virtual time and the underlying operation counts.
 
+use crate::obs::json::json_object;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
@@ -27,6 +28,16 @@ pub struct RunStats {
     /// Largest single message, in elements (peak per-round traffic).
     pub max_message_elements: u64,
 }
+
+json_object!(RunStats {
+    messages,
+    elements_sent,
+    element_hops,
+    message_hops,
+    comparisons,
+    max_hops,
+    max_message_elements,
+});
 
 impl RunStats {
     /// A zeroed counter set.

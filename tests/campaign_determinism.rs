@@ -7,11 +7,14 @@
 //! baselines through, never panics on hostile input: every mutation of a
 //! report reads to `Ok` or `Err`.
 
+mod common;
+
+use common::{mutations, Budget};
 use ft_bench::campaign::{run_campaign, CampaignConfig};
 use hypercube::obs::campaign::CampaignReport;
 use hypercube::obs::hist::LogHistogram;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -241,57 +244,17 @@ fn aggregates_match_offline_brute_force_recomputation() {
     }
 }
 
-/// Mutations of a report: truncations, 1–4 random bit flips, a huge or
-/// out-of-range number after every `:`, and a value replaced by deep
-/// nesting.
-fn mutations(base: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    for cut in 0..base.len() {
-        out.push(base[..cut].to_vec());
-    }
-    for _ in 0..1_000 {
-        let mut m = base.to_vec();
-        for _ in 0..rng.random_range(1..=4) {
-            let at = rng.random_range(0..m.len());
-            m[at] ^= 1 << rng.random_range(0..8u32);
-        }
-        out.push(m);
-    }
-    let colons: Vec<usize> = (0..base.len()).filter(|&i| base[i] == b':').collect();
-    let huge = [
-        "18446744073709551616",
-        "9007199254740993",
-        "-1",
-        "1e308",
-        "1e999",
-    ];
-    for &at in &colons {
-        let mut m = base[..=at].to_vec();
-        m.extend_from_slice(huge[rng.random_range(0..huge.len())].as_bytes());
-        let rest = &base[at + 1..];
-        let skip = rest
-            .iter()
-            .take_while(|b| b.is_ascii_digit() || b"-.e".contains(b))
-            .count();
-        m.extend_from_slice(&rest[skip..]);
-        out.push(m);
-    }
-    for _ in 0..4 {
-        let at = colons[rng.random_range(0..colons.len())] + 1;
-        let mut m = base[..at].to_vec();
-        m.extend(std::iter::repeat_n(b'[', 100_000));
-        m.extend_from_slice(&base[at..]);
-        out.push(m);
-    }
-    out
-}
-
 #[test]
 fn mutated_campaign_reports_fail_cleanly() {
     let base = include_str!("../results/BENCH_campaign_ci.json");
     CampaignReport::from_json(base).expect("the checked-in baseline reads");
     let mut rng = StdRng::seed_from_u64(0xca3b_a16e);
-    let cases = mutations(base.as_bytes(), &mut rng);
+    let budget = Budget {
+        cuts: base.len(),
+        flips: 1_000,
+        numbers: usize::MAX,
+    };
+    let cases = mutations(base.as_bytes(), &mut rng, budget);
     let mut rejected = 0;
     for (case, m) in cases.iter().enumerate() {
         let Ok(text) = std::str::from_utf8(m) else {
@@ -299,7 +262,8 @@ fn mutated_campaign_reports_fail_cleanly() {
         };
         match std::panic::catch_unwind(|| CampaignReport::from_json(text)) {
             Ok(Ok(report)) => {
-                let _ = report.to_json();
+                let back = CampaignReport::from_json(&report.to_json());
+                assert_eq!(back.as_ref(), Ok(&report), "case {case}: round trip");
                 let _ = report.tables();
             }
             Ok(Err(_)) => rejected += 1,

@@ -678,6 +678,51 @@ fn trace_check_rejects_corrupt_prom_snapshot() {
 }
 
 #[test]
+fn trace_check_rejects_out_of_range_and_non_finite_reports() {
+    let dir = std::env::temp_dir();
+    let good = dir.join(format!("ftsort_cli_tight_{}.json", std::process::id()));
+    let out = cli()
+        .args(["sort", "--n", "4", "--faults", "2,9", "--m", "2000"])
+        .arg("--metrics-out")
+        .arg(&good)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&good).unwrap();
+    let check = |edited: String| {
+        assert_ne!(edited, text, "the edit must apply");
+        let bad = dir.join(format!("ftsort_cli_tight_bad_{}.json", std::process::id()));
+        std::fs::write(&bad, edited).unwrap();
+        let out = cli()
+            .arg("trace-check")
+            .arg("--metrics")
+            .arg(&bad)
+            .output()
+            .expect("binary runs");
+        let _ = std::fs::remove_file(&bad);
+        assert!(
+            !out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        String::from_utf8(out.stderr).unwrap()
+    };
+    // A makespan past f64 is a parse error that names the number, not a
+    // failed phase sum.
+    let start = text.find("\"makespan_us\":").unwrap() + "\"makespan_us\":".len();
+    let end = start + text[start..].find(',').unwrap();
+    let err = check(format!("{}1e999{}", &text[..start], &text[end..]));
+    assert!(err.contains("1e999"), "{err}");
+    // A node address past u32 no longer wraps to node 0.
+    let err = check(text.replacen("{\"node\":0,", "{\"node\":4294967296,", 1));
+    assert!(err.contains("4294967295"), "{err}");
+    // A mistyped optional member is an error, not an absent one.
+    let err = check(text.replacen("\"makespan_us\"", "\"threads\":\"x\",\"makespan_us\"", 1));
+    assert!(err.contains("threads"), "{err}");
+    let _ = std::fs::remove_file(&good);
+}
+
+#[test]
 fn sort_metrics_report_carries_pool_stats() {
     // `--metrics-snapshot` switches the CLI onto a stats-carrying
     // BufferPool; the RunReport then records the pool counters.

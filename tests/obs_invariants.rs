@@ -1,4 +1,4 @@
-//! Invariants of the observability stack end to end: trace/report JSON
+//! Invariants of the observability stack end to end: report JSON
 //! round-trips, Perfetto flow-event validity, engine-differential span
 //! attribution, agreement between the span-derived `PhaseBreakdown` and
 //! the aggregate `RunReport`, streaming-vs-buffered sink byte
@@ -9,7 +9,7 @@ use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::critical_path::{render_report, CriticalPath};
 use hypercube::obs::diff::{diff_profiles, SegmentProfile};
-use hypercube::obs::json::{trace_from_json, trace_to_json, Json};
+use hypercube::obs::json::Json;
 use hypercube::obs::perfetto::perfetto_json;
 use hypercube::obs::replay::{observation_from_json, run_to_json};
 use hypercube::obs::schedule::reprice;
@@ -47,21 +47,6 @@ fn observed_with(
     expect.sort_unstable();
     assert_eq!(out.sorted, expect, "run must actually sort");
     (breakdown, obs)
-}
-
-#[test]
-fn trace_json_roundtrip_is_bitexact() {
-    let (_, obs) = observed(EngineKind::Seq, false);
-    assert!(!obs.trace.is_empty(), "tracing was on");
-    let text = trace_to_json(&obs.trace);
-    let back = trace_from_json(&text).expect("parses");
-    assert_eq!(back.len(), obs.trace.len());
-    for (a, b) in obs.trace.events().iter().zip(back.events()) {
-        assert_eq!(a.time.to_bits(), b.time.to_bits(), "timestamp drifted");
-        assert_eq!(a.node, b.node);
-        assert_eq!(a.tag, b.tag);
-        assert_eq!(a.kind, b.kind);
-    }
 }
 
 #[test]
@@ -250,7 +235,11 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
 
         // field-for-field equality, float bits included
         assert_eq!(replayed.dim, live.dim);
+        assert!(!live.trace.is_empty(), "tracing was on");
         assert_eq!(replayed.trace.events(), live.trace.events(), "{engine:?}");
+        for (a, b) in live.trace.events().iter().zip(replayed.trace.events()) {
+            assert_eq!(a.time.to_bits(), b.time.to_bits(), "timestamp drifted");
+        }
         for (a, b) in live.nodes.iter().zip(&replayed.nodes) {
             match (a, b) {
                 (None, None) => {}

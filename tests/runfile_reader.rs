@@ -6,7 +6,7 @@
 //! * **Depth cap.** Deeply nested input is an error with a clean exit, not
 //!   a stack overflow, in both `replay` and `trace-check`.
 //! * **Hostile input.** Every seeded mutation of a valid run file —
-//!   truncation, bit flips, deep nesting — read through
+//!   truncation, bit flips, extreme numbers, deep nesting — read through
 //!   `observation_from_file`, plain or gzipped, returns `Err` or an
 //!   observation that round-trips, never a panic.
 //! * **Implausible records.** Send and receive addresses outside the cube,
@@ -16,6 +16,9 @@
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
 
+mod common;
+
+use common::{mutations, Budget};
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::GzEncoder;
@@ -85,6 +88,9 @@ fn render_loose(v: &Json, out: &mut String) {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => {
             let _ = write!(out, "{b}");
+        }
+        Json::Int(n) => {
+            let _ = write!(out, "{n}");
         }
         Json::Num(x) => {
             let _ = write!(out, "{x}");
@@ -206,32 +212,12 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
     }
 }
 
-/// Mutations of `base`: truncations, 1–4 random bit flips, and a value
-/// replaced by deep nesting.
-fn mutations(base: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    let step = (base.len() / 60).max(1);
-    for cut in (0..base.len()).step_by(step).chain([base.len() - 1]) {
-        out.push(base[..cut].to_vec());
-    }
-    for _ in 0..300 {
-        let mut m = base.to_vec();
-        for _ in 0..rng.random_range(1..=4) {
-            let at = rng.random_range(0..m.len());
-            m[at] ^= 1 << rng.random_range(0..8u32);
-        }
-        out.push(m);
-    }
-    for _ in 0..4 {
-        let colons: Vec<usize> = (0..base.len()).filter(|&i| base[i] == b':').collect();
-        let at = colons[rng.random_range(0..colons.len())] + 1;
-        let mut m = base[..at].to_vec();
-        m.extend(std::iter::repeat_n(b'[', 100_000));
-        m.extend_from_slice(&base[at..]);
-        out.push(m);
-    }
-    out
-}
+/// The mutations each run-file fuzzer reads.
+const BUDGET: Budget = Budget {
+    cuts: 60,
+    flips: 300,
+    numbers: 300,
+};
 
 /// `Ok` must be an observation that survives its own round trip.
 fn check(case: usize, what: &str, result: Result<hypercube::obs::RunObservation, String>) {
@@ -250,7 +236,7 @@ fn mutated_run_files_fail_cleanly() {
     observation_from_json(std::str::from_utf8(&base).unwrap()).expect("the base file replays");
     let mut rng = StdRng::seed_from_u64(0x5eed_7e11);
     let path = temp("mutated.jsonl");
-    for (case, m) in mutations(&base, &mut rng).into_iter().enumerate() {
+    for (case, m) in mutations(&base, &mut rng, BUDGET).into_iter().enumerate() {
         std::fs::write(&path, &m).expect("write");
         check(case, "plain", observation_from_file(path.to_str().unwrap()));
     }
@@ -264,9 +250,9 @@ fn mutated_gzip_run_files_fail_cleanly() {
     let mut rng = StdRng::seed_from_u64(0x5eed_7e12);
     let path = temp("mutated.jsonl.gz");
     // compressed-byte mutations, then well-formed gzip around mutated text
-    let mut cases = mutations(&base, &mut rng);
+    let mut cases = mutations(&base, &mut rng, BUDGET);
     cases.extend(
-        mutations(&plain, &mut rng)
+        mutations(&plain, &mut rng, BUDGET)
             .iter()
             .step_by(4)
             .map(|m| gzip(m)),
@@ -307,7 +293,7 @@ fn compute(comparisons: u64) -> String {
 
 #[test]
 fn implausible_send_and_recv_fields_are_errors() {
-    const BIG: u64 = (1 << 53) - 1; // the largest count the reader parses
+    const BIG: u64 = (1 << 53) - 1; // a few hundred of these overflow a u64 sum
     let read = |events: &[String]| observation_from_json(&q3_run_file(events));
     let rejects = |events: &[String], what: &str| match read(events) {
         Ok(_) => panic!("{what}: accepted"),
