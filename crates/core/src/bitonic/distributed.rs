@@ -101,11 +101,6 @@ where
     run
 }
 
-/// The number of compare-split substages the sort performs: `s(s+1)/2`.
-pub fn substage_count(s: usize) -> usize {
-    s * (s + 1) / 2
-}
-
 /// The distributed bitonic **merge**: sorts a distributed sequence that is
 /// already *bitonic at window granularity* in `s` substages instead of the
 /// full sort's `s(s+1)/2`.
@@ -583,14 +578,6 @@ mod tests {
                 assert_eq!(**r, vec![top - 2, top - 1], "dead={dead:?} idx={idx}");
             }
         }
-    }
-
-    #[test]
-    fn substage_count_formula() {
-        assert_eq!(substage_count(0), 0);
-        assert_eq!(substage_count(1), 1);
-        assert_eq!(substage_count(3), 6);
-        assert_eq!(substage_count(6), 21);
     }
 
     #[test]

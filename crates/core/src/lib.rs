@@ -32,7 +32,6 @@ pub mod mffs;
 pub mod partition;
 pub mod select;
 pub mod seq;
-pub mod topk;
 
 /// The commonly-used names in one import.
 pub mod prelude {
@@ -51,6 +50,5 @@ pub mod prelude {
     pub use crate::partition::{partition, PartitionResult, SingleFaultStructure};
     pub use crate::select::{select_cutting_sequence, Selection};
     pub use crate::seq::{Direction, LocalSort};
-    pub use crate::topk::{fault_tolerant_top_k, top_k_on_faulty_cube};
     pub use hypercube::prelude::*;
 }

@@ -34,13 +34,6 @@ pub fn max_fault_free_subcube(faults: &FaultSet) -> Option<Subcube> {
     None
 }
 
-/// The number of *dangling* (normal but idle) processors the baseline
-/// leaves: `N − r − 2^dim(subcube)`.
-pub fn mffs_dangling_count(faults: &FaultSet) -> usize {
-    let sc = max_fault_free_subcube(faults).expect("at least one normal node");
-    faults.normal_count() - sc.len()
-}
-
 /// Sorts `data` with the baseline: plain bitonic sort confined to the
 /// maximum fault-free subcube.
 ///
@@ -133,7 +126,7 @@ mod tests {
         let faults = FaultSet::none(Hypercube::new(4));
         let sc = max_fault_free_subcube(&faults).unwrap();
         assert_eq!(sc.dim(), 4);
-        assert_eq!(mffs_dangling_count(&faults), 0);
+        assert_eq!(sc.len(), faults.normal_count(), "no dangling processor");
     }
 
     #[test]
@@ -145,7 +138,8 @@ mod tests {
         let sc = max_fault_free_subcube(&faults).unwrap();
         assert_eq!(sc.dim(), 5);
         assert!(!sc.contains(hypercube::address::NodeId::new(17)));
-        assert_eq!(mffs_dangling_count(&faults), 63 - 32);
+        // 63 normal processors, 32 of them used: 31 dangle
+        assert_eq!(faults.normal_count() - sc.len(), 63 - 32);
     }
 
     #[test]

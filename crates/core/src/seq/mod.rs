@@ -5,9 +5,9 @@
 //! exact comparison counting so the simulation can charge `t_c` for the work
 //! actually done.
 //!
-//! The merge kernels exist in two tiers: the scalar reference in [`merge`]
+//! The merge kernels exist in two tiers: the scalar reference in `merge`
 //! over any `K: Ord`, and the branchless/cache-blocked kernels in
-//! [`branchless`] over [`Key`] types — same outputs, same comparison
+//! `branchless` over [`Key`] types — same outputs, same comparison
 //! counts, shaped for conditional moves instead of data-dependent branches.
 //! The compare-split hot path dispatches through the `_auto_` forms.
 

@@ -66,15 +66,6 @@ impl NodeId {
         (self.0 ^ other.0).count_ones()
     }
 
-    /// Parity of the address (`true` when the address value is even).
-    ///
-    /// The paper's algorithms direct each processor's local sort *ascending*
-    /// when its (reindexed) address is even and *descending* when odd.
-    #[inline]
-    pub const fn is_even(self) -> bool {
-        self.0 & 1 == 0
-    }
-
     /// XOR-translation of this address by `mask`.
     ///
     /// XOR by a fixed mask is an automorphism of the hypercube (it preserves
@@ -280,13 +271,6 @@ mod tests {
         for i in 0..1024u32 {
             assert_eq!(gray_inverse(gray(i)), i);
         }
-    }
-
-    #[test]
-    fn parity_matches_paper_convention() {
-        assert!(NodeId::new(0).is_even());
-        assert!(!NodeId::new(0b101).is_even());
-        assert!(NodeId::new(0b110).is_even());
     }
 
     #[test]

@@ -126,33 +126,6 @@ impl Participants {
     }
 }
 
-/// Broadcasts the root's payload to every participant; all return it.
-pub async fn broadcast<K, C>(
-    ctx: &mut C,
-    parts: &Participants,
-    tag: Tag,
-    payload: Option<Vec<K>>,
-) -> Vec<K>
-where
-    K: Clone + Send,
-    C: Comm<K>,
-{
-    let me = ctx.me();
-    let rank = parts.rank(me).expect("non-participant called broadcast");
-    ctx.span_enter((tag.0 >> 32) as u16);
-    let payload = if rank == 0 {
-        payload.expect("root must supply the broadcast payload")
-    } else {
-        let parent = parts.parent(rank).expect("non-root has a parent");
-        ctx.recv(parts.node(parent), tag).await
-    };
-    for child in parts.children(rank) {
-        ctx.send(parts.node(child), tag, payload.clone());
-    }
-    ctx.span_exit();
-    payload
-}
-
 /// Scatters `pieces[r]` to the participant of rank `r`; every participant
 /// returns its own piece. Only the root supplies `pieces`.
 ///
@@ -247,131 +220,10 @@ where
     result
 }
 
-/// Reduces every participant's value to the root with the associative
-/// element-wise combiner `op`; the root returns `Some(result)`.
-pub async fn reduce<K, C, F>(
-    ctx: &mut C,
-    parts: &Participants,
-    tag: Tag,
-    value: Vec<K>,
-    op: F,
-) -> Option<Vec<K>>
-where
-    K: Clone + Send,
-    C: Comm<K>,
-    F: Fn(&K, &K) -> K,
-{
-    let me = ctx.me();
-    let rank = parts.rank(me).expect("non-participant called reduce");
-    ctx.span_enter((tag.0 >> 32) as u16);
-    let mut acc = value;
-    for child in parts.children(rank) {
-        let theirs = ctx.recv(parts.node(child), tag).await;
-        assert_eq!(theirs.len(), acc.len(), "reduce requires uniform length");
-        acc = acc
-            .iter()
-            .zip(theirs.iter())
-            .map(|(a, b)| op(a, b))
-            .collect();
-    }
-    let result = match parts.parent(rank) {
-        Some(parent) => {
-            ctx.send(parts.node(parent), tag, acc);
-            None
-        }
-        None => Some(acc),
-    };
-    ctx.span_exit();
-    result
-}
-
-/// Tree-combine: folds every participant's payload up the binomial tree
-/// with an arbitrary associative combiner on whole payloads (unlike
-/// [`reduce`], which is element-wise). The root returns `Some(total)`.
-///
-/// Used e.g. for distributed top-k selection, where the combiner merges two
-/// sorted lists and truncates.
-pub async fn combine<K, C, F>(
-    ctx: &mut C,
-    parts: &Participants,
-    tag: Tag,
-    value: Vec<K>,
-    op: F,
-) -> Option<Vec<K>>
-where
-    K: Clone + Send,
-    C: Comm<K>,
-    F: Fn(Vec<K>, Vec<K>) -> Vec<K>,
-{
-    let me = ctx.me();
-    let rank = parts.rank(me).expect("non-participant called combine");
-    ctx.span_enter((tag.0 >> 32) as u16);
-    let mut acc = value;
-    for child in parts.children(rank) {
-        let theirs = ctx.recv(parts.node(child), tag).await;
-        acc = op(acc, theirs);
-    }
-    let result = match parts.parent(rank) {
-        Some(parent) => {
-            ctx.send(parts.node(parent), tag, acc);
-            None
-        }
-        None => Some(acc),
-    };
-    ctx.span_exit();
-    result
-}
-
-/// All-reduce: every participant returns the reduction of all values
-/// (reduce to the root, then broadcast back).
-pub async fn allreduce<K, C, F>(
-    ctx: &mut C,
-    parts: &Participants,
-    tag: Tag,
-    value: Vec<K>,
-    op: F,
-) -> Vec<K>
-where
-    K: Clone + Send,
-    C: Comm<K>,
-    F: Fn(&K, &K) -> K,
-{
-    let reduced = reduce(ctx, parts, tag, value, op).await;
-    broadcast(ctx, parts, Tag(tag.0 ^ (1 << 60)), reduced).await
-}
-
-/// All-gather: every participant returns every piece, in rank order
-/// (gather to the root, then broadcast the concatenation back).
-pub async fn allgather<K, C>(
-    ctx: &mut C,
-    parts: &Participants,
-    tag: Tag,
-    piece: Vec<K>,
-    piece_len: usize,
-) -> Vec<Vec<K>>
-where
-    K: Clone + Send,
-    C: Comm<K>,
-{
-    let collected = gather(ctx, parts, tag, piece, piece_len).await;
-    let flat = collected.map(|pieces| pieces.into_iter().flatten().collect::<Vec<K>>());
-    let flat = broadcast(ctx, parts, Tag(tag.0 ^ (1 << 60)), flat).await;
-    flat.chunks(piece_len.max(1)).map(|c| c.to_vec()).collect()
-}
-
-/// Barrier: gather-then-broadcast of an empty payload; returns when every
-/// participant has entered.
-pub async fn barrier<C: Comm<u8>>(ctx: &mut C, parts: &Participants, tag: Tag) {
-    let up = gather(ctx, parts, tag, Vec::new(), 0).await;
-    let down = if up.is_some() { Some(Vec::new()) } else { None };
-    let _ = broadcast(ctx, parts, Tag(tag.0 ^ (1 << 61)), down).await;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::fault::FaultSet;
     use crate::sim::Engine;
     use crate::topology::Hypercube;
 
@@ -414,35 +266,6 @@ mod tests {
             for c in parts.children(r) {
                 let cs = parts.subtree_span(c);
                 assert!(cs.start >= span.start && cs.end <= span.end);
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        for (n, root, live) in [
-            (3usize, 0u32, (0..8).collect::<Vec<u32>>()),
-            (3, 5, (0..8).collect()),
-            (3, 0, vec![0, 1, 2, 4, 5, 7]),
-            (3, 7, vec![0, 1, 2, 4, 5, 7]),
-            (2, 1, vec![1, 2]),
-            (2, 3, vec![3]),
-            (4, 9, vec![9, 0, 3, 6, 12, 15, 1]),
-        ] {
-            let (engine, parts, inputs) = make(n, root, &live);
-            let parts_ref = &parts;
-            let out = engine.run(inputs, async move |ctx, _| {
-                let payload = if ctx.me() == parts_ref.root() {
-                    Some(vec![42u32, 43])
-                } else {
-                    None
-                };
-                broadcast(ctx, parts_ref, Tag::new(5), payload).await
-            });
-            let results = out.into_results();
-            assert_eq!(results.len(), live.len());
-            for (node, got) in results {
-                assert_eq!(got, vec![42, 43], "node {node:?} root {root}");
             }
         }
     }
@@ -513,77 +336,6 @@ mod tests {
             root_pieces,
             (0..16u32).map(|r| vec![r, r * r]).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn reduce_sums_over_participants() {
-        let live = vec![4u32, 1, 2, 7, 5, 0];
-        let (engine, parts, inputs) = make(3, 4, &live);
-        let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
-            let me = ctx.me().raw();
-            reduce(ctx, parts_ref, Tag::new(10), vec![me, 1], |a, b| a + b).await
-        });
-        let expect_sum: u32 = live.iter().sum();
-        let root = out.node(NodeId::new(4)).unwrap().result.clone().unwrap();
-        assert_eq!(root, vec![expect_sum, live.len() as u32]);
-    }
-
-    #[test]
-    fn allreduce_gives_everyone_the_total() {
-        let live = vec![5u32, 0, 3, 6, 1];
-        let (engine, parts, inputs) = make(3, 5, &live);
-        let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
-            let me = ctx.me().raw();
-            allreduce(ctx, parts_ref, Tag::new(12), vec![me], |a, b| *a.max(b)).await
-        });
-        for (node, v) in out.into_results() {
-            assert_eq!(v, vec![6], "node {node:?}");
-        }
-    }
-
-    #[test]
-    fn allgather_gives_everyone_all_pieces_in_rank_order() {
-        let live = vec![1u32, 4, 7, 2];
-        let (engine, parts, inputs) = make(3, 1, &live);
-        let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
-            let rank = parts_ref.rank(ctx.me()).unwrap() as u32;
-            allgather(
-                ctx,
-                parts_ref,
-                Tag::new(13),
-                vec![rank * 2, rank * 2 + 1],
-                2,
-            )
-            .await
-        });
-        for (node, pieces) in out.into_results() {
-            assert_eq!(pieces.len(), 4, "node {node:?}");
-            for (r, p) in pieces.iter().enumerate() {
-                assert_eq!(*p, vec![r as u32 * 2, r as u32 * 2 + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_completes_with_faulty_machine() {
-        let cube = Hypercube::new(3);
-        let faults = FaultSet::from_raw(cube, &[3, 5]);
-        let live: Vec<NodeId> = faults.normal_nodes().collect();
-        let parts = Participants::new(cube.len(), live[0], &live);
-        let engine = Engine::new(faults, CostModel::paper_form());
-        let mut inputs: Vec<Option<Vec<u8>>> = vec![None; cube.len()];
-        for p in &live {
-            inputs[p.index()] = Some(vec![]);
-        }
-        let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
-            barrier(ctx, parts_ref, Tag::new(11)).await;
-            ctx.clock()
-        });
-        assert_eq!(out.into_results().len(), 6);
     }
 
     #[test]

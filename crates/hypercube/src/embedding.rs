@@ -1,11 +1,10 @@
-//! Classic topology embeddings into the hypercube.
+//! Gray-code ring embedding into the hypercube.
 //!
 //! The hypercube's popularity (paper §1) came partly from how cheaply other
-//! topologies embed into it: rings and meshes map with dilation 1 via Gray
-//! codes. These embeddings are not used by the sorting algorithm itself but
-//! complete the substrate — they are what makes "mapping onto other parallel
-//! architectures" comparisons (paper §1) meaningful, and the ring embedding
-//! doubles as a Hamiltonian-cycle generator for tests and demos.
+//! topologies embed into it: a ring of `2^n` nodes maps into `Q_n` with
+//! dilation 1 via the reflected Gray code. The sort itself does not use
+//! the ring; the odd-even transposition baseline (`ftsort::baselines`)
+//! runs over it, and it doubles as a Hamiltonian-cycle generator for tests.
 
 use crate::address::{gray, gray_inverse, NodeId};
 use crate::topology::Hypercube;
@@ -50,55 +49,6 @@ impl RingEmbedding {
     }
 }
 
-/// A `2^a × 2^b` mesh (with wraparound, i.e. a torus) embedded in
-/// `Q_{a+b}` with dilation 1: row index Gray-coded into the high `a` bits,
-/// column index into the low `b` bits.
-#[derive(Clone, Debug)]
-pub struct MeshEmbedding {
-    rows_log2: usize,
-    cols_log2: usize,
-}
-
-impl MeshEmbedding {
-    /// Embeds the `2^rows_log2 × 2^cols_log2` torus into `Q_{rows+cols}`.
-    pub fn new(rows_log2: usize, cols_log2: usize) -> Self {
-        assert!(rows_log2 + cols_log2 <= crate::address::MAX_DIM);
-        MeshEmbedding {
-            rows_log2,
-            cols_log2,
-        }
-    }
-
-    /// The hypercube this mesh requires.
-    pub fn cube(&self) -> Hypercube {
-        Hypercube::new(self.rows_log2 + self.cols_log2)
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        1 << self.rows_log2
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        1 << self.cols_log2
-    }
-
-    /// The physical node hosting mesh coordinate `(row, col)`.
-    pub fn node_at(&self, row: usize, col: usize) -> NodeId {
-        assert!(row < self.rows() && col < self.cols());
-        NodeId::new((gray(row as u32) << self.cols_log2) | gray(col as u32))
-    }
-
-    /// The mesh coordinate hosted by physical node `p`.
-    pub fn position_of(&self, p: NodeId) -> (usize, usize) {
-        let col_mask = (1u32 << self.cols_log2) - 1;
-        let col = gray_inverse(p.raw() & col_mask) as usize;
-        let row = gray_inverse(p.raw() >> self.cols_log2) as usize;
-        (row, col)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,36 +83,5 @@ mod tests {
         for i in 0..32 {
             assert_eq!(ring.position_of(ring.node_at(i)), i);
         }
-    }
-
-    #[test]
-    fn mesh_neighbors_are_dilation_1() {
-        let mesh = MeshEmbedding::new(2, 3); // 4 × 8 torus in Q5
-        let cube = mesh.cube();
-        assert_eq!(cube.dim(), 5);
-        for r in 0..mesh.rows() {
-            for c in 0..mesh.cols() {
-                let here = mesh.node_at(r, c);
-                let right = mesh.node_at(r, (c + 1) % mesh.cols());
-                let down = mesh.node_at((r + 1) % mesh.rows(), c);
-                assert!(cube.adjacent(here, right), "row {r} col {c} → right");
-                assert!(cube.adjacent(here, down), "row {r} col {c} → down");
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_position_roundtrip_and_bijection() {
-        let mesh = MeshEmbedding::new(3, 2);
-        let mut seen = [false; 32];
-        for r in 0..8 {
-            for c in 0..4 {
-                let p = mesh.node_at(r, c);
-                assert!(!seen[p.index()], "collision at ({r},{c})");
-                seen[p.index()] = true;
-                assert_eq!(mesh.position_of(p), (r, c));
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 }

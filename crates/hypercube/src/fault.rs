@@ -275,14 +275,6 @@ impl FaultSet {
         self.cube.len() - self.count()
     }
 
-    /// Whether the paper's standing assumption `r ≤ n − 1` holds.
-    ///
-    /// Under it no normal processor can be surrounded by `n` faulty
-    /// neighbors, so every normal processor can still communicate.
-    pub fn within_tolerance(&self) -> bool {
-        self.cube.dim() > 0 && self.count() < self.cube.dim()
-    }
-
     /// Whether some normal processor is *isolated* (all `n` neighbors
     /// faulty). Impossible when `r ≤ n − 1`; the partition algorithm remains
     /// applicable for `r ≥ n` as long as this returns `false` (paper §2.2).
@@ -297,15 +289,6 @@ impl FaultSet {
     /// Count of faulty processors inside a subcube.
     pub fn count_in(&self, sc: &crate::subcube::Subcube) -> usize {
         self.faulty.iter().filter(|p| sc.contains(**p)).count()
-    }
-
-    /// The faulty processors inside a subcube.
-    pub fn faults_in(&self, sc: &crate::subcube::Subcube) -> Vec<NodeId> {
-        self.faulty
-            .iter()
-            .copied()
-            .filter(|p| sc.contains(*p))
-            .collect()
     }
 }
 
@@ -338,19 +321,10 @@ mod tests {
         assert_eq!(fs.normal_count(), 28);
         assert!(fs.is_faulty(NodeId::new(3)));
         assert!(fs.is_normal(NodeId::new(4)));
-        assert!(fs.within_tolerance()); // r = 4 = n - 1
         assert_eq!(
             fs.to_vec(),
             vec![3u32.into(), 5u32.into(), 16u32.into(), 24u32.into()]
         );
-    }
-
-    #[test]
-    fn tolerance_bound_is_n_minus_1() {
-        let fs = FaultSet::from_raw(q(3), &[0, 1, 2]);
-        assert!(!fs.within_tolerance()); // r = 3 = n
-        let fs = FaultSet::from_raw(q(3), &[0, 1]);
-        assert!(fs.within_tolerance());
     }
 
     #[test]
@@ -405,7 +379,6 @@ mod tests {
         let (lo, hi) = q(4).bisect(1);
         assert_eq!(fs.count_in(&lo), 2); // {0, 9}
         assert_eq!(fs.count_in(&hi), 1); // {6}
-        assert_eq!(fs.faults_in(&lo), vec![NodeId::new(0), NodeId::new(9)]);
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //!   models of the paper's §4.
 //! * [`routing`] — e-cube (VERTEX-style) routing, plus shortest fault-avoiding
 //!   detours for the total-fault model.
-//! * [`sim`] — two interchangeable execution engines for async SPMD node
-//!   programs over one round/frontier core: a single-threaded scheduler
-//!   (the default) and a work-stealing worker pool, both with identical
-//!   deterministic virtual-time accounting under the paper's cost model
-//!   ([`cost`]) and operation counters ([`stats`]).
+//! * [`sim`] — the simulated machine ([`sim::Engine`]), which runs async
+//!   SPMD node programs over one round/frontier core on either of two
+//!   executors: a single-threaded scheduler (the default) or a
+//!   work-stealing worker pool, both with identical deterministic
+//!   virtual-time accounting under the paper's cost model ([`cost`]) and
+//!   operation counters ([`stats`]).
 //! * [`diagnosis`] — a PMC-style off-line diagnosis stand-in for the fault
 //!   identification step the paper assumes.
-//! * [`embedding`] — Gray-code ring/mesh embeddings (substrate completeness).
+//! * [`embedding`] — the Gray-code ring embedding.
 //!
 //! ## Quick example
 //!
@@ -72,7 +73,7 @@ pub mod prelude {
     pub use crate::fault::{FaultModel, FaultSet, Link};
     pub use crate::obs::{RunObservation, RunReport};
     pub use crate::sim::{
-        Comm, Engine, EngineKind, LinkModel, NodeCtx, RouterKind, RunOutcome, SeqEngine, Tag,
+        Comm, Engine, EngineKind, LinkModel, NodeCtx, RouterKind, RunOutcome, Tag,
     };
     pub use crate::stats::RunStats;
     pub use crate::subcube::Subcube;

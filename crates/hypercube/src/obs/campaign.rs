@@ -183,7 +183,8 @@ pub struct CellReport {
     /// Runs that failed to plan/execute and were dropped from the
     /// aggregates (a `WARNING` in `bench_diff`).
     pub runs_failed: u64,
-    /// Per-metric aggregates, indexed like [`METRICS`].
+    /// Per-metric aggregates, indexed like the metric slots (`METRICS`);
+    /// look one up by name with [`CellReport::metric`].
     pub metrics: Vec<MetricAgg>,
     /// Distribution of the partition's minimum cut `m` (index = `m`).
     pub mincut_counts: Vec<u64>,
@@ -215,7 +216,7 @@ impl CellReport {
     }
 }
 
-/// Written by hand: the [`METRICS`] slots are flat members of the cell,
+/// Written by hand: the metric slots (`METRICS`) are flat members of the cell,
 /// which a field table cannot express.
 impl JsonValue for CellReport {
     fn write(&self, out: &mut String) {

@@ -118,21 +118,6 @@ impl LogHistogram {
         unreachable!("quantile rank exceeded total count")
     }
 
-    /// Folds any number of per-shard histograms into one. Bucket adds
-    /// commute, so the result is independent of shard order; fixing a
-    /// left-to-right fold nevertheless makes the merge deterministic by
-    /// inspection — the rule the campaign aggregators document.
-    pub fn merge_shards<'a, I>(shards: I) -> LogHistogram
-    where
-        I: IntoIterator<Item = &'a LogHistogram>,
-    {
-        let mut out = LogHistogram::new();
-        for shard in shards {
-            out.merge(shard);
-        }
-        out
-    }
-
     /// Rebuilds a histogram from its leading bucket counts (the rest are
     /// zero). Errors if more than [`BUCKETS`] counts are given.
     pub fn from_counts(counts: &[u64]) -> Result<LogHistogram, String> {
@@ -262,28 +247,6 @@ mod tests {
                 "q={q} est={est} exact={exact}"
             );
         }
-    }
-
-    #[test]
-    fn merge_shards_is_order_independent() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut c = LogHistogram::new();
-        for v in [1, 2, 3] {
-            a.record(v);
-        }
-        for v in [100, 200] {
-            b.record(v);
-        }
-        c.record(0);
-        let ab = LogHistogram::merge_shards([&a, &b, &c]);
-        let ba = LogHistogram::merge_shards([&c, &b, &a]);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), 6);
-        assert_eq!(
-            LogHistogram::merge_shards(std::iter::empty()),
-            LogHistogram::new()
-        );
     }
 
     #[test]

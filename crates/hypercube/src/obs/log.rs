@@ -14,9 +14,7 @@
 //! precision) — wall time, *not* the simulation's virtual clock, so log
 //! records never feed back into pricing. Like the metrics registry, the
 //! logger is invisible to the simulation: when nothing is installed,
-//! [`log`] is a single `None` check and [`log_or_stderr`] degrades to the
-//! exact `eprintln!` bytes the call sites emitted before this module
-//! existed.
+//! [`log`] is a single `None` check.
 //!
 //! Unlike metric recording, emitting a log line allocates (it formats
 //! JSON) and takes the writer lock — logging is for low-rate lifecycle
@@ -228,18 +226,6 @@ pub fn log(lvl: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     }
 }
 
-/// Like [`log`], but when no logger is installed falls back to plain
-/// `eprintln!` of exactly `msg` — the drop-in replacement for the ad-hoc
-/// stderr diagnostics this module retires (their byte-for-byte output is
-/// preserved for anything grepping stderr).
-pub fn log_or_stderr(lvl: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
-    if LOGGER.get().is_some() {
-        log(lvl, target, msg, fields);
-    } else {
-        eprintln!("{msg}");
-    }
-}
-
 /// [`log`] at [`Level::Info`].
 pub fn info(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     log(Level::Info, target, msg, fields);
@@ -366,14 +352,12 @@ mod tests {
         assert!(!enabled(Level::Debug));
         log(Level::Debug, "t", "dropped", &[]);
         log(Level::Info, "t", "kept", &[]);
-        log_or_stderr(Level::Info, "t", "kept2", &[("k", Value::U64(1))]);
         if installed {
             // We own the writer, so the records landed in our sink.
             let bytes = sink.0.lock().unwrap().clone();
             let text = String::from_utf8(bytes).unwrap();
             assert!(!text.contains("dropped"));
             assert!(text.contains("kept"));
-            assert!(text.contains("kept2"));
             for line in text.lines() {
                 crate::obs::json::Json::parse(line).expect("every log line is JSON");
             }

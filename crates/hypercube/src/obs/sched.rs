@@ -1,11 +1,11 @@
 //! Wall-clock scheduler profiler for the work-stealing parallel engine.
 //!
 //! Everything else in `obs` measures *virtual* time — the simulated
-//! hypercube. This module measures the *host*: where each worker of
-//! [`ParEngine`] actually spends wall-clock time (polling shards,
-//! delivering commits, stealing, spinning or parked at the barrier, the
-//! coordinator's serial pricing pass), so "why par loses to seq" is a
-//! pinned artifact instead of a guess.
+//! hypercube. This module measures the *host*: where each worker of the
+//! parallel executor ([`crate::sim::par`]) actually spends wall-clock time
+//! (polling shards, delivering commits, stealing, spinning or parked at
+//! the barrier, the coordinator's serial pricing pass), so "why par loses
+//! to seq" is a pinned artifact instead of a guess.
 //!
 //! ## Recording model
 //!
@@ -16,13 +16,24 @@
 //! total, so the seven categories **tile the worker's wall time exactly**
 //! (busy = poll + deliver + serial; the acceptance bar is that
 //! busy + steal + barrier + park covers ≥ 95%, i.e. uncategorized
-//! bookkeeping stays under 5%). Instant events (stage/pop/steal/poll
-//! slice) feed the steal matrix, the shard-size histogram
-//! ([`super::hist::LogHistogram`]) and the Perfetto runnable-queue
-//! counters. The hot path is an array index, a few adds and a
-//! capacity-checked push into a preallocated `Vec` — no locks, no
-//! allocation (pinned by `crates/hypercube/tests/alloc_free.rs`); when
-//! the ring fills, events are dropped and counted, while the totals stay
+//! bookkeeping stays under 5%).
+//!
+//! Each category runs until the next one begins, so no uncategorized gap
+//! separates a phase from its barrier. Work acquisition
+//! ([`SchedCat::Steal`]) runs from staging the worker's own shards to the
+//! barrier arrival once no shard is left; a barrier span runs from the
+//! arrival until the worker starts its next phase; the coordinator's
+//! serial pass runs up to its barrier arrival. Time the OS keeps a worker
+//! off a core, common when workers outnumber cores, is therefore charged
+//! to the phase the worker was in. `other` keeps only the recorder's
+//! start, before the first staging.
+//!
+//! Instant events (stage/pop/steal/poll slice) feed the steal matrix, the
+//! shard-size histogram ([`super::hist::LogHistogram`]) and the Perfetto
+//! runnable-queue counters. The hot path is an array index, a few adds and
+//! a capacity-checked push into a preallocated `Vec` — no locks, no
+//! allocation (pinned by `crates/hypercube/tests/alloc_free.rs`); when the
+//! ring fills, events are dropped and counted, while the totals stay
 //! exact. With no profiler attached the engine passes `None` and every
 //! hook inlines to a null check.
 //!
@@ -41,8 +52,6 @@
 //! from victim to thief, per-worker runnable-queue counters) that
 //! `trace-check` validates; [`SchedProfile::timeline`] and
 //! [`SchedReport::summary`] render ASCII for terminals.
-//!
-//! [`ParEngine`]: crate::sim::par::ParEngine
 
 use super::hist::LogHistogram;
 use super::json::{json_object, Json, JsonValue};
@@ -63,13 +72,15 @@ pub enum SchedCat {
     Deliver = 1,
     /// The coordinator's serial flush/pricing pass (phase 2 work).
     Serial = 2,
-    /// Acquiring work: own-deque pops and steal probes between slices.
+    /// Acquiring work: staging own shards, own-deque pops and steal probes
+    /// between slices, up to the barrier arrival once none is left.
     Steal = 3,
-    /// At the barrier: arrival, spin window, post-unpark wakeup.
+    /// At the barrier: arrival, spin window, post-unpark wakeup, and the
+    /// hand-off from the release until the worker's next phase begins.
     Barrier = 4,
     /// Parked on the barrier condvar.
     Park = 5,
-    /// Uncategorized scheduler bookkeeping (staging, loop control).
+    /// Uncategorized: the recorder's start, before the first staging.
     Other = 6,
 }
 

@@ -13,17 +13,17 @@
 //! The same property makes the schedule *replayable*. The algorithms in
 //! this workspace are data-oblivious, so the round structure (who runs
 //! when, which receive blocks on which send) is a function of the program
-//! alone, reconstructible from a run file: [`plan_rounds`] re-derives each
+//! alone, reconstructible from a run file: `plan_rounds` re-derives each
 //! event's round from the per-node record order plus FIFO message
 //! matching, mirroring the frontier scheduler's wake rule. On top of that,
 //! [`reprice`] re-prices a traced run under any `(CostModel, LinkModel)`
-//! pair and [`contended_times`] recovers per-message arrival/wait splits
+//! pair and `contended_times` recovers per-message arrival/wait splits
 //! and per-link busy intervals for the analyzers.
 //!
 //! Float arithmetic is not associative, so there is no closed-form
 //! "arrival = sent_at + wait + transfer" identity to lean on. Bit-exact
 //! agreement between live runs and replays instead comes from sharing
-//! *code*: [`LinkLedger::acquire`] is the one routine that advances link
+//! *code*: `LinkLedger::acquire` is the one routine that advances link
 //! clocks, and every consumer — the live commit barrier, the repricer,
 //! the critical-path analyzer, the Perfetto exporter — executes its float
 //! operations in the same order on the same inputs.
@@ -307,12 +307,14 @@ fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
 /// on *delivery rounds*, never on clock values), so it is replayed as-is
 /// with every charge recomputed: sends advance the port by
 /// `transfer(elements, min(hops,1))`, barriers price each round's sends
-/// through [`LinkLedger`] (or the uncontended closed form), and receives
-/// jump to `max(local, arrival)`. Un-evented advances (`charge_compute`)
-/// are carried into the new timeline verbatim as residuals. Events,
+/// through `LinkLedger` (or the uncontended closed form), and receives
+/// jump to `max(local, arrival)`. A clock advance no event accounts for
+/// is carried into the new timeline verbatim as a residual; the engines
+/// record an event for every advance, so residuals arise only from edited
+/// or truncated run files. Events,
 /// clocks, counters and metrics are bit-identical to a live run under the
 /// target model (pinned on every instance of `tests/engine_diff.rs`);
-/// span boundaries can drift — see [`map_checkpoint`]. Re-pricing to the
+/// span boundaries can drift — see `map_checkpoint`. Re-pricing to the
 /// run's own model and a new [`CostModel`] is the what-if re-costing of
 /// `ftsort-cli replay --recost`.
 ///

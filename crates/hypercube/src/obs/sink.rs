@@ -5,9 +5,9 @@
 //! moderate message counts. A [`TraceSink`] instead receives the run's
 //! records *as the engines emit them*: a header with the geometry and
 //! cost model, the trace events (send/recv/compute), span boundaries,
-//! and a per-node footer carrying the two quantities no event stream can
-//! reconstruct — final blocked time (`charge_compute` advances the clock
-//! without emitting an event) and the receive-queue high-water mark
+//! and a per-node footer carrying the final clock and blocked time (so a
+//! reader need not re-derive them from the events) and the one quantity
+//! no event stream can reconstruct: the receive-queue high-water mark
 //! (enqueue-time state). Two implementations ship:
 //!
 //! * [`BufferedSink`] accumulates records in memory and serializes on

@@ -1,13 +1,14 @@
 //! The simulator's front door ([`Engine`]) and the node context
 //! ([`NodeCtx`]) that node programs run against.
 //!
-//! [`Engine::run`] dispatches on [`EngineKind`] (default
+//! [`Engine::run`] validates the inputs, builds one frontier cell per
+//! processor, and dispatches on [`EngineKind`] (default
 //! [`EngineKind::Seq`]) to one of two executors over the shared
-//! round/frontier core ([`super::frontier`]): the single-threaded
-//! [`SeqEngine`] and the work-stealing [`ParEngine`]. Both hand every
-//! node a [`NodeCtx`] backed by the node's own frontier cell, so one
-//! generic node program compiles once, runs on either, and produces
-//! byte-identical simulated results.
+//! round/frontier core: `sequential::run`, which polls every node on one
+//! thread, and `par::run`, which shares each round across a
+//! work-stealing pool. Both hand every node a [`NodeCtx`] backed by the
+//! node's own frontier cell, so one generic node program compiles once,
+//! runs on either, and produces byte-identical simulated results.
 //!
 //! Only processors given an input run a program; faulty and dangling
 //! processors stay idle, mirroring the paper's implementation where faulty
@@ -17,11 +18,9 @@
 //! detour under the total-fault model costs more virtual time than the
 //! same message under partial faults.
 
-use super::frontier::CellCtx;
-use super::par::ParEngine;
-use super::sequential::SeqEngine;
+use super::frontier::{build_cells, collect_run, CellCtx, SharedCell};
 use super::trace::Trace;
-use super::{Comm, EngineKind, LinkModel, Tag};
+use super::{par, sequential, Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::fault::FaultSet;
@@ -158,7 +157,7 @@ impl<T> RunOutcome<T> {
 }
 
 /// Hops charged for a `src → dst` message under the given router.
-pub(super) fn route_hops(faults: &FaultSet, router: RouterKind, src: NodeId, dst: NodeId) -> u32 {
+fn route_hops(faults: &FaultSet, router: RouterKind, src: NodeId, dst: NodeId) -> u32 {
     match router {
         RouterKind::Oracle => routing::hop_count(faults, src, dst),
         RouterKind::Adaptive => routing::adaptive_route(faults, src, dst).map(|r| r.hops()),
@@ -167,7 +166,7 @@ pub(super) fn route_hops(faults: &FaultSet, router: RouterKind, src: NodeId, dst
 }
 
 /// Checks the input layout against the topology and fault set.
-pub(super) fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
+fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
     assert_eq!(
         inputs.len(),
         faults.cube().len(),
@@ -186,7 +185,7 @@ pub(super) fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
 /// The per-node communication handle handed to node programs.
 ///
 /// Implements [`Comm`] over the node's own frontier cell; created only by
-/// the engines. Both executors hand out this one type, so one generic node
+/// the executors. Both hand out this one type, so one generic node
 /// program compiles once and runs on either.
 pub struct NodeCtx<K> {
     me: NodeId,
@@ -198,21 +197,20 @@ pub struct NodeCtx<K> {
 }
 
 impl<K> NodeCtx<K> {
+    /// The context of node `me` on `engine`, over its cell in `cells`.
     pub(super) fn new(
-        me: NodeId,
-        cube: Hypercube,
-        faults: Arc<FaultSet>,
-        cost: CostModel,
-        router: RouterKind,
-        cell: CellCtx<K>,
+        engine: &Engine,
+        me: usize,
+        cells: &[SharedCell<K>],
+        participation: &Arc<Vec<bool>>,
     ) -> Self {
         NodeCtx {
-            me,
-            cube,
-            faults,
-            cost,
-            router,
-            cell,
+            me: NodeId::from(me),
+            cube: engine.faults.cube(),
+            faults: Arc::clone(&engine.faults),
+            cost: engine.cost,
+            router: engine.router,
+            cell: CellCtx::new(Arc::clone(&cells[me]), Arc::clone(participation)),
         }
     }
 }
@@ -256,28 +254,25 @@ impl<K> Comm<K> for NodeCtx<K> {
         self.cell.charge_comparisons(self.me, count, self.cost);
     }
 
-    fn charge_compute(&mut self, cost: f64) {
-        self.cell.charge_compute(cost);
-    }
-
     fn clock(&self) -> f64 {
         self.cell.clock()
     }
 }
 
-/// The simulated multicomputer.
+/// The simulated multicomputer: its fault set, pricing and executor.
+/// The executors read these fields directly.
 #[derive(Clone)]
 pub struct Engine {
-    faults: Arc<FaultSet>,
-    cost: CostModel,
-    router: RouterKind,
-    link_model: LinkModel,
-    tracing: bool,
-    kind: EngineKind,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    workers: Option<usize>,
-    shard: Option<usize>,
-    sched_profiler: Option<Arc<crate::obs::sched::SchedProfiler>>,
+    pub(super) faults: Arc<FaultSet>,
+    pub(super) cost: CostModel,
+    pub(super) router: RouterKind,
+    pub(super) link_model: LinkModel,
+    pub(super) tracing: bool,
+    pub(super) kind: EngineKind,
+    pub(super) sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    pub(super) workers: Option<usize>,
+    pub(super) shard: Option<usize>,
+    pub(super) sched_profiler: Option<Arc<crate::obs::sched::SchedProfiler>>,
 }
 
 impl Engine {
@@ -396,38 +391,6 @@ impl Engine {
         self.kind
     }
 
-    pub(super) fn faults_arc(&self) -> Arc<FaultSet> {
-        Arc::clone(&self.faults)
-    }
-
-    pub(super) fn router(&self) -> RouterKind {
-        self.router
-    }
-
-    pub(super) fn link_model(&self) -> LinkModel {
-        self.link_model
-    }
-
-    pub(super) fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    pub(super) fn sink(&self) -> Option<Arc<Mutex<dyn TraceSink>>> {
-        self.sink.clone()
-    }
-
-    pub(super) fn workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    pub(super) fn shard(&self) -> Option<usize> {
-        self.shard
-    }
-
-    pub(super) fn sched_profiler(&self) -> Option<Arc<crate::obs::sched::SchedProfiler>> {
-        self.sched_profiler.clone()
-    }
-
     /// Runs `program` SPMD on every node for which `inputs` supplies data.
     ///
     /// `inputs[i]` is the initial local data of node `i`; nodes with `None`
@@ -444,10 +407,19 @@ impl Engine {
         T: Send,
         F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
     {
-        match self.kind {
-            EngineKind::Seq => SeqEngine::from_engine(self).run(inputs, program),
-            EngineKind::Par => ParEngine::from_engine(self).run(inputs, program),
+        validate_inputs(&self.faults, &inputs);
+        let dim = self.faults.cube().dim();
+        if let Some(sink) = &self.sink {
+            sink.lock()
+                .expect("trace sink lock poisoned")
+                .begin(dim, &self.cost, self.link_model);
         }
+        let (cells, participation) = build_cells(&inputs, dim, self.tracing, self.sink.is_some());
+        let results = match self.kind {
+            EngineKind::Seq => sequential::run(self, &cells, &participation, inputs, program),
+            EngineKind::Par => par::run(self, &cells, &participation, inputs, program),
+        };
+        collect_run(cells, results, &self.sink, dim, self.cost, self.link_model)
     }
 }
 
@@ -644,12 +616,15 @@ mod tests {
         for eng in all_engines(0) {
             let out = eng.run(vec![Some(Vec::<u32>::new())], async |ctx, _| {
                 ctx.charge_comparisons(17);
-                ctx.charge_compute(5.0);
+                ctx.charge_comparisons(5);
                 ctx.clock()
             });
             let o = out.node(NodeId::new(0)).unwrap();
-            assert_eq!(o.result, 17.0 * eng.cost_model().t_c + 5.0);
-            assert_eq!(o.stats.comparisons, 17);
+            assert_eq!(
+                o.result,
+                17.0 * eng.cost_model().t_c + 5.0 * eng.cost_model().t_c
+            );
+            assert_eq!(o.stats.comparisons, 22);
         }
     }
 

@@ -1,7 +1,7 @@
-//! The round/frontier scheduling core shared by the deterministic engines
-//! ([`SeqEngine`] and [`ParEngine`]).
+//! The round/frontier scheduling core shared by the two deterministic
+//! executors, `sequential::run` and `par::run`.
 //!
-//! Both engines execute node programs in *rounds*. A round polls every node
+//! Both executors run node programs in *rounds*. A round polls every node
 //! on the ready frontier once — the node runs until it parks in a blocked
 //! [`Comm::recv`] or finishes — with sends buffered in the sender's outbox
 //! and observability records in a per-node record buffer. A barrier then
@@ -26,8 +26,6 @@
 //! loop and barrier, outside this file. Frontier commits stay
 //! timestamp-free and byte-identical whether or not profiling is on.
 //!
-//! [`SeqEngine`]: super::sequential::SeqEngine
-//! [`ParEngine`]: super::par::ParEngine
 //! [`Comm::recv`]: super::Comm::recv
 
 use super::engine::{NodeOutcome, RunOutcome};
@@ -330,10 +328,6 @@ impl<K> CellCtx<K> {
         }
     }
 
-    pub(super) fn charge_compute(&mut self, cost: f64) {
-        self.cell().clock.advance(cost);
-    }
-
     pub(super) fn clock(&self) -> f64 {
         self.cell().clock.now()
     }
@@ -495,7 +489,8 @@ pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: us
 }
 
 /// Unwraps the cells into per-node outcomes, emits the sink footer and
-/// assembles the [`RunOutcome`] — the shared tail of both frontier engines.
+/// assembles the [`RunOutcome`] — the shared tail of
+/// [`Engine::run`](super::Engine::run) under either executor.
 pub(super) fn collect_run<K, T>(
     cells: Vec<Arc<Mutex<NodeCell<K>>>>,
     results: Vec<Option<T>>,

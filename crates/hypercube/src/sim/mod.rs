@@ -4,11 +4,11 @@
 //! normal processor, communicating through the [`Comm`] handle. Node
 //! programs are `async`: a blocked receive suspends the node, which lets
 //! one executor schedule all of them cooperatively on a single thread
-//! ([`sequential::SeqEngine`], the default) and another share the ready
-//! frontier across a fixed worker pool ([`par::ParEngine`]). Both run the
-//! same round/frontier core and hand nodes the same [`NodeCtx`] — same
-//! program, identical simulated results. [`engine::Engine`] is the front
-//! door that picks one by [`EngineKind`].
+//! (`sequential::run`, the default) and another share the ready frontier
+//! across a fixed worker pool ([`par`]). Both run the same round/frontier
+//! core and hand nodes the same [`NodeCtx`] — same program, identical
+//! simulated results. [`Engine`] is the one machine type: its
+//! [`Engine::run`] picks the executor by [`EngineKind`].
 //!
 //! ## Deterministic virtual time
 //!
@@ -28,14 +28,12 @@ pub mod engine;
 mod frontier;
 pub mod par;
 pub mod pool;
-pub mod sequential;
+mod sequential;
 pub mod trace;
 mod ws;
 
 pub use engine::{Engine, NodeCtx, NodeOutcome, RouterKind, RunOutcome};
-pub use par::ParEngine;
 pub use pool::{BufferPool, PoolCounters, PoolHandle, PoolStats};
-pub use sequential::SeqEngine;
 pub use trace::{Trace, TraceEvent, TraceKind};
 
 use crate::address::NodeId;
@@ -47,13 +45,13 @@ use crate::topology::Hypercube;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum EngineKind {
     /// Single-threaded run-to-completion cooperative scheduler
-    /// ([`sequential::SeqEngine`]): the ready frontier of node programs is
+    /// (`sequential::run`): the ready frontier of node programs is
     /// polled round by round, with sends delivered at a deterministic
     /// barrier between rounds. No OS threads, no contended synchronization
     /// on the hot path — the default.
     #[default]
     Seq,
-    /// Work-stealing worker pool ([`par::ParEngine`]): the same
+    /// Work-stealing worker pool ([`par`]): the same
     /// frontier/barrier schedule as [`EngineKind::Seq`], with each round's
     /// runnable nodes sharded and claimed from per-worker Chase–Lev deques
     /// by `available_parallelism` workers (override with
@@ -195,12 +193,10 @@ pub trait Comm<K> {
     /// Closes the innermost open span at the current virtual clock.
     fn span_exit(&mut self);
 
-    /// Charges `count` key comparisons to the local clock and statistics.
+    /// Charges `count` key comparisons to the local clock and statistics,
+    /// recording a compute event when the run is observed — the only way
+    /// a node advances its clock without a message.
     fn charge_comparisons(&mut self, count: usize);
-
-    /// Charges an arbitrary local computation cost (µs) to the local clock,
-    /// e.g. the paper's heapsort formula.
-    fn charge_compute(&mut self, cost: f64);
 
     /// The local virtual clock, µs.
     fn clock(&self) -> f64;

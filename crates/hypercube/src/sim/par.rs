@@ -1,19 +1,20 @@
-//! The parallel frontier engine: a work-stealing scheduler executes each
+//! The parallel frontier executor: a work-stealing scheduler executes each
 //! round's ready frontier — and the round's commit — concurrently, with the
-//! barrier/commit discipline from [`super::frontier`] keeping every
-//! observable byte-identical to the sequential engine.
+//! barrier/commit discipline of the shared frontier core (`sim::frontier`)
+//! keeping every observable byte-identical to the sequential executor.
+//! [`Engine::run`] reaches it under [`EngineKind::Par`].
 //!
 //! ## Execution model
 //!
 //! Participating nodes are grouped into **shards** of contiguous live-rank
 //! nodes (so each shard covers an ascending node-id range); the shard is
 //! the unit of scheduling and of stealing. Every worker owns a vendored
-//! Chase–Lev deque ([`super::ws::WsDeque`]); at each phase a worker pushes
+//! Chase–Lev deque (`ws::WsDeque`); at each phase a worker pushes
 //! its *affine* shards (shard id modulo pool size) onto its own deque, then
 //! drains it LIFO and steals FIFO from its peers once empty — so load
 //! imbalance (e.g. one shard full of heavy merge phases) migrates to idle
 //! workers instead of stalling the round. Phases meet at a sense-reversing
-//! barrier ([`super::ws::SenseBarrier`]); a worker panic poisons the
+//! barrier (`ws::SenseBarrier`); a worker panic poisons the
 //! barrier so the pool unwinds and `thread::scope` re-raises the original
 //! payload. Each round is:
 //!
@@ -25,7 +26,7 @@
 //! 2. **Serial flush** (coordinator only, and only when a [`TraceSink`] is
 //!    attached or links are contended): walk the round's ran nodes in
 //!    ascending id order, flush their buffered records to the sink and
-//!    price their messages through the [`LinkLedger`] — both are global
+//!    price their messages through the `LinkLedger` — both are global
 //!    sequencing decisions, so they stay a single-threaded pass in exactly
 //!    the sequential engine's order. (Link pricing cannot fan out by
 //!    destination: two messages to different destinations can contend for
@@ -60,38 +61,32 @@
 //! The three-way differential tests (`tests/engine_diff.rs`,
 //! `tests/ws_stress.rs`, `tests/obs_invariants.rs`) pin this: results,
 //! `RunReport` JSON, run files, Perfetto exports and critical paths match
-//! [`SeqEngine`] byte for byte at every worker count and shard size.
+//! the sequential executor byte for byte at every worker count and shard
+//! size.
 //!
 //! ## Futures migrate between workers
 //!
 //! Work stealing means a node's suspended future can resume on a different
 //! worker than the one that created it. Stable Rust cannot bound the
-//! return type of an `AsyncFn` with `Send`, so the engine wraps each task
-//! in [`NodeTask`], which asserts transferability with an
+//! return type of an `AsyncFn` with `Send`, so the executor wraps each
+//! task in a `NodeTask`, which asserts transferability with an
 //! `unsafe impl Send`. The contract (upheld by every node program in this
 //! workspace, all of which only hold `K: Send` data and the `NodeCtx`
 //! across await points): node programs must not hold thread-affine state —
 //! `Rc`, `MutexGuard`s, thread-local handles — across an `.await`.
 //!
-//! [`SeqEngine`]: super::sequential::SeqEngine
 //! [`TraceSink`]: crate::obs::sink::TraceSink
-//! [`LinkLedger`]: crate::obs::schedule::LinkLedger
+//! [`EngineKind::Par`]: super::EngineKind::Par
 
-use super::engine::{validate_inputs, Engine, NodeCtx, RunOutcome};
-use super::frontier::{
-    build_cells, collect_run, deadlock_panic, flush_records, CellCtx, CellRecord, SharedCell,
-    SimMessage,
-};
+use super::engine::{Engine, NodeCtx};
+use super::frontier::{deadlock_panic, flush_records, CellRecord, SharedCell, SimMessage};
 use super::ws::{SenseBarrier, ShardSlot, WsDeque};
-use crate::address::NodeId;
 use crate::cost::CostModel;
-use crate::fault::FaultSet;
 use crate::obs::metrics::{self, EngineMetrics, WsMetrics};
-use crate::obs::sched::{SchedCat, SchedProfile, SchedProfiler, WorkerProf};
+use crate::obs::sched::{SchedCat, SchedProfile, WorkerProf};
 use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::TraceSink;
-use crate::sim::{LinkModel, RouterKind};
-use crate::topology::Hypercube;
+use crate::sim::LinkModel;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -103,7 +98,7 @@ use std::time::Instant;
 /// workers so stolen shards can resume on the thief.
 ///
 /// # Safety
-/// Constructed only inside [`ParEngine::run`], where `K: Send` and
+/// Constructed only inside [`run`], where `K: Send` and
 /// `T: Send` hold; the future captures the program reference (`F: Sync`),
 /// a `NodeCtx` (`Arc`s over `Send` state) and the node's `Vec<K>` input.
 /// The residual obligation — documented at the module level — is that node
@@ -170,10 +165,7 @@ struct Sched<'a, K, T> {
 /// Immutable run context shared by every worker.
 struct Env<'a, K, T, F> {
     program: &'a F,
-    cube: Hypercube,
-    faults: &'a Arc<FaultSet>,
-    cost: CostModel,
-    router: RouterKind,
+    engine: &'a Engine,
     cells: &'a [SharedCell<K>],
     participation: &'a Arc<Vec<bool>>,
     results: &'a Mutex<Vec<Option<T>>>,
@@ -201,337 +193,184 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// The parallel frontier engine.
+/// Runs `program` on every node for which `inputs` supplies data, each
+/// round's frontier executed on the work-stealing pool — [`Engine::run`]
+/// under [`EngineKind::Par`]. Returns each node's result, indexed by
+/// address, byte-identical to the sequential executor's.
 ///
-/// Usually reached through [`Engine::run`] with [`EngineKind::Par`];
-/// constructing a `ParEngine` directly additionally exposes
-/// [`ParEngine::with_workers`] and [`ParEngine::with_shard_size`].
-/// Requires `K`/`T`: [`Send`] and a [`Sync`] program (workers share
-/// `&program`).
-///
-/// [`EngineKind::Par`]: super::EngineKind::Par
-#[derive(Clone)]
-pub struct ParEngine {
-    faults: Arc<FaultSet>,
-    cost: CostModel,
-    router: RouterKind,
-    link_model: LinkModel,
-    tracing: bool,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    workers: usize,
-    shard: Option<usize>,
-    profiler: Option<Arc<SchedProfiler>>,
-}
+/// # Panics
+/// Propagates node-program panics, and panics immediately (with the wait
+/// map) if the programs deadlock.
+pub(super) fn run<K, T, F>(
+    engine: &Engine,
+    cells: &[SharedCell<K>],
+    participation: &Arc<Vec<bool>>,
+    inputs: Vec<Option<Vec<K>>>,
+    program: F,
+) -> Vec<Option<T>>
+where
+    K: Send,
+    T: Send,
+    F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
+{
+    // Declared before the shards: the shards' futures borrow into the
+    // run context, so on unwind paths they must drop first.
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
 
-impl ParEngine {
-    /// Creates a machine over the fault set's topology with the given cost
-    /// model, sized to the host (`std::thread::available_parallelism`).
-    pub fn new(faults: FaultSet, cost: CostModel) -> Self {
-        ParEngine {
-            faults: Arc::new(faults),
-            cost,
-            router: RouterKind::default(),
-            link_model: LinkModel::default(),
-            tracing: false,
-            sink: None,
-            workers: default_workers(),
-            shard: None,
-            profiler: None,
+    // Shard the participants: contiguous live-rank chunks, so every
+    // shard is an ascending node-id range (the delivery-order proof in
+    // the module docs depends on this).
+    let participants: Vec<usize> = inputs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, slot)| slot.is_some().then_some(i))
+        .collect();
+    let live = participants.len();
+    let workers_req = engine.workers.unwrap_or_else(default_workers).max(1);
+    let (workers, shard_size, shard_count) = schedule_for(live, Some(workers_req), engine.shard);
+
+    let mut inputs = inputs;
+    let mut shard_of: Vec<u32> = vec![u32::MAX; cells.len()];
+    let mut slot_of: Vec<u32> = vec![u32::MAX; cells.len()];
+    let mut shards: Vec<ShardSlot<Shard<'_, K, T>>> = Vec::with_capacity(shard_count);
+    for (s, chunk) in participants.chunks(shard_size).enumerate() {
+        let mut tasks = Vec::with_capacity(chunk.len());
+        for (slot, &id) in chunk.iter().enumerate() {
+            shard_of[id] = s as u32;
+            slot_of[id] = slot as u32;
+            tasks.push(TaskState::Fresh(
+                inputs[id].take().expect("participant has input"),
+            ));
         }
+        shards.push(ShardSlot::new(Shard {
+            tasks,
+            runnable: chunk.to_vec(),
+            ran: Vec::with_capacity(chunk.len()),
+            alive: chunk.to_vec(),
+        }));
     }
 
-    /// A fault-free machine.
-    pub fn fault_free(cube: Hypercube, cost: CostModel) -> Self {
-        ParEngine::new(FaultSet::none(cube), cost)
-    }
-
-    /// Selects the routing algorithm used to charge hops (builder style).
-    pub fn with_router(mut self, router: RouterKind) -> Self {
-        self.router = router;
-        self
-    }
-
-    /// Selects the link pricing model (builder style); see
-    /// [`SeqEngine::with_link_model`].
-    ///
-    /// [`SeqEngine::with_link_model`]: super::sequential::SeqEngine::with_link_model
-    pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
-        self.link_model = link_model;
-        self
-    }
-
-    /// Enables per-event tracing (builder style).
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
-    /// Attaches a streaming trace sink (builder style); see [`TraceSink`].
-    pub fn with_trace_sink(mut self, sink: Arc<Mutex<dyn TraceSink>>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Sets the worker-pool size (builder style). Clamped to at least 1 and
-    /// at most the shard count at run time; the pool size affects
-    /// wall-clock only, never simulated results.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the shard size — how many contiguous live-rank nodes form one
-    /// unit of stealable work (builder style). Defaults to an automatic
-    /// size targeting ~4 shards per worker, capped at 64 nodes. Affects
-    /// wall-clock only, never simulated results. Note the engine keeps an
-    /// `S × S` bin matrix over the `S` shards, so very small shards on
-    /// large cubes cost `O(S²)` idle `Vec`s of memory.
-    pub fn with_shard_size(mut self, shard: usize) -> Self {
-        self.shard = Some(shard.max(1));
-        self
-    }
-
-    /// Attaches a scheduler profiler (builder style): the next run records
-    /// per-worker wall-clock telemetry — category switches, steal
-    /// attempts, parks, barrier waits — into the profiler's mailbox as a
-    /// [`SchedProfile`]. Profiling observes the host scheduler only; it
-    /// never changes simulated results (pinned by the byte-identity tests
-    /// in `tests/sched_profile.rs`).
-    pub fn with_sched_profiler(mut self, profiler: Arc<SchedProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    pub(super) fn from_engine(engine: &Engine) -> Self {
-        ParEngine {
-            faults: engine.faults_arc(),
-            cost: engine.cost_model(),
-            router: engine.router(),
-            link_model: engine.link_model(),
-            tracing: engine.tracing(),
-            sink: engine.sink(),
-            workers: engine.workers().unwrap_or_else(default_workers).max(1),
-            shard: engine.shard(),
-            profiler: engine.sched_profiler(),
-        }
-    }
-
-    /// The topology.
-    pub fn cube(&self) -> Hypercube {
-        self.faults.cube()
-    }
-
-    /// The fault set.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// The cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// The configured worker-pool size (before the run-time clamp).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `program` SPMD on every node for which `inputs` supplies data —
-    /// same contract and byte-identical results as [`SeqEngine::run`], with
-    /// each round's frontier executed on the work-stealing pool.
-    ///
-    /// # Panics
-    /// Propagates node-program panics, rejects inputs assigned to faulty
-    /// processors, and panics immediately (with the wait map) if the
-    /// programs deadlock.
-    ///
-    /// [`SeqEngine::run`]: super::sequential::SeqEngine::run
-    pub fn run<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> RunOutcome<T>
-    where
-        K: Send,
-        T: Send,
-        F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
-    {
-        let cube = self.cube();
-        validate_inputs(&self.faults, &inputs);
-
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock poisoned").begin(
-                cube.dim(),
-                &self.cost,
-                self.link_model,
-            );
-        }
-
-        let (cells, participation) =
-            build_cells(&inputs, cube.dim(), self.tracing, self.sink.is_some());
-        // Declared before the shards: the shards' futures borrow into the
-        // run context, so on unwind paths they must drop first.
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
-
-        // Shard the participants: contiguous live-rank chunks, so every
-        // shard is an ascending node-id range (the delivery-order proof in
-        // the module docs depends on this).
-        let participants: Vec<usize> = inputs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_some().then_some(i))
-            .collect();
-        let live = participants.len();
-        let workers_req = self.workers.max(1);
-        let (workers, shard_size, shard_count) = schedule_for(live, Some(workers_req), self.shard);
-
-        let mut inputs = inputs;
-        let mut shard_of: Vec<u32> = vec![u32::MAX; cells.len()];
-        let mut slot_of: Vec<u32> = vec![u32::MAX; cells.len()];
-        let mut shards: Vec<ShardSlot<Shard<'_, K, T>>> = Vec::with_capacity(shard_count);
-        for (s, chunk) in participants.chunks(shard_size).enumerate() {
-            let mut tasks = Vec::with_capacity(chunk.len());
-            for (slot, &id) in chunk.iter().enumerate() {
-                shard_of[id] = s as u32;
-                slot_of[id] = slot as u32;
-                tasks.push(TaskState::Fresh(
-                    inputs[id].take().expect("participant has input"),
-                ));
-            }
-            shards.push(ShardSlot::new(Shard {
-                tasks,
-                runnable: chunk.to_vec(),
-                ran: Vec::with_capacity(chunk.len()),
-                alive: chunk.to_vec(),
-            }));
-        }
-
-        let serial = self.sink.is_some() || self.link_model == LinkModel::Contended;
-        let mut sched = Sched {
-            shards,
-            bins: (0..shard_count * shard_count)
-                .map(|_| ShardSlot::new(Vec::new()))
-                .collect(),
-            incoming: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-            deques: (0..workers).map(|_| WsDeque::new(shard_count)).collect(),
-            barrier: SenseBarrier::new(workers),
-            woken: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            shard_of,
-            slot_of,
-            workers,
-            serial,
-            metrics: metrics::global().map(|g| g.run.engine.clone()),
-            ws: metrics::global().map(|g| g.run.ws.clone()),
-        };
-        let ser = serial.then(|| SerialCtx {
-            sink: self.sink.clone(),
-            ledger: (self.link_model == LinkModel::Contended)
-                .then(|| LinkLedger::new(cube.dim(), 1 << cube.dim())),
-            cost: self.cost,
+    let contended = engine.link_model == LinkModel::Contended;
+    let serial = engine.sink.is_some() || contended;
+    let mut sched = Sched {
+        shards,
+        bins: (0..shard_count * shard_count)
+            .map(|_| ShardSlot::new(Vec::new()))
+            .collect(),
+        incoming: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
+        deques: (0..workers).map(|_| WsDeque::new(shard_count)).collect(),
+        barrier: SenseBarrier::new(workers),
+        woken: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        shard_of,
+        slot_of,
+        workers,
+        serial,
+        metrics: metrics::global().map(|g| g.run.engine.clone()),
+        ws: metrics::global().map(|g| g.run.ws.clone()),
+    };
+    let ser = serial.then(|| {
+        let dim = engine.faults.cube().dim();
+        SerialCtx {
+            sink: engine.sink.clone(),
+            ledger: contended.then(|| LinkLedger::new(dim, 1 << dim)),
+            cost: engine.cost,
             msgs: Vec::new(),
             recs: Vec::new(),
-        });
-        let program = &program;
-        let env = Env {
-            program,
-            cube,
-            faults: &self.faults,
-            cost: self.cost,
-            router: self.router,
-            cells: &cells,
-            participation: &participation,
-            results: &results,
-        };
+        }
+    });
+    let program = &program;
+    let env = Env {
+        program,
+        engine,
+        cells,
+        participation,
+        results: &results,
+    };
 
-        // When profiling, every worker gets a preallocated recorder sharing
-        // one clock epoch; recorders ride into the spawn closures and come
-        // back through the join handles, so the hot path stays lock-free
-        // and the disabled path is a single `Option` check per hook.
-        let epoch = Instant::now();
-        let mut profs: Vec<Option<WorkerProf>> = (0..workers)
-            .map(|w| {
-                self.profiler
-                    .as_ref()
-                    .map(|p| WorkerProf::new(w, workers, epoch, p.ring_capacity()))
-            })
-            .collect();
+    // When profiling, every worker gets a preallocated recorder sharing
+    // one clock epoch; recorders ride into the spawn closures and come
+    // back through the join handles, so the hot path stays lock-free
+    // and the disabled path is a single `Option` check per hook.
+    let epoch = Instant::now();
+    let mut profs: Vec<Option<WorkerProf>> = (0..workers)
+        .map(|w| {
+            engine
+                .sched_profiler
+                .as_ref()
+                .map(|p| WorkerProf::new(w, workers, epoch, p.ring_capacity()))
+        })
+        .collect();
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers.saturating_sub(1));
-            for (w, slot) in profs.iter_mut().enumerate().skip(1) {
-                let mut prof = slot.take();
-                let (sched, env) = (&sched, &env);
-                handles.push(scope.spawn(move || {
-                    worker_loop(w, sched, env, None, prof.as_mut());
-                    if let Some(p) = prof.as_mut() {
-                        p.finish();
-                    }
-                    prof
-                }));
-            }
-            // The caller is worker 0: the coordinator for the serial flush
-            // phase and the `woken` slot resets.
-            let mut prof0 = profs[0].take();
-            worker_loop(0, &sched, &env, ser, prof0.as_mut());
-            if let Some(p) = prof0.as_mut() {
-                p.finish();
-            }
-            profs[0] = prof0;
-            // Join explicitly to recover the recorders; a panicked worker
-            // surfaces as the scope would have surfaced it — first payload
-            // re-raised after every handle is joined.
-            let mut first_panic = None;
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(prof) => profs[w + 1] = prof,
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers.saturating_sub(1));
+        for (w, slot) in profs.iter_mut().enumerate().skip(1) {
+            let mut prof = slot.take();
+            let (sched, env) = (&sched, &env);
+            handles.push(scope.spawn(move || {
+                worker_loop(w, sched, env, None, prof.as_mut());
+                if let Some(p) = prof.as_mut() {
+                    p.finish();
+                }
+                prof
+            }));
+        }
+        // The caller is worker 0: the coordinator for the serial flush
+        // phase and the `woken` slot resets.
+        let mut prof0 = profs[0].take();
+        worker_loop(0, &sched, &env, ser, prof0.as_mut());
+        if let Some(p) = prof0.as_mut() {
+            p.finish();
+        }
+        profs[0] = prof0;
+        // Join explicitly to recover the recorders; a panicked worker
+        // surfaces as the scope would have surfaced it — first payload
+        // re-raised after every handle is joined.
+        let mut first_panic = None;
+        for (w, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(prof) => profs[w + 1] = prof,
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
                 }
             }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
+
+    if let Some(profiler) = &engine.sched_profiler {
+        let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
+        if let Some(g) = metrics::global() {
+            let events: u64 = workers_prof.iter().map(|p| p.events().len() as u64).sum();
+            let dropped: u64 = workers_prof.iter().map(WorkerProf::dropped).sum();
+            g.run.sched.ring_events.set(events as i64);
+            g.run.sched.events_dropped.add(dropped);
+        }
+        profiler.install(SchedProfile {
+            workers_requested: workers_req,
+            workers,
+            shard_size,
+            shard_count,
+            live_nodes: live,
+            serial,
+            workers_prof,
         });
-
-        if let Some(profiler) = &self.profiler {
-            let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
-            if let Some(g) = metrics::global() {
-                let events: u64 = workers_prof.iter().map(|p| p.events().len() as u64).sum();
-                let dropped: u64 = workers_prof.iter().map(WorkerProf::dropped).sum();
-                g.run.sched.ring_events.set(events as i64);
-                g.run.sched.events_dropped.add(dropped);
-            }
-            profiler.install(SchedProfile {
-                workers_requested: workers_req,
-                workers,
-                shard_size,
-                shard_count,
-                live_nodes: live,
-                serial,
-                workers_prof,
-            });
-        }
-
-        let remaining: usize = sched
-            .shards
-            .iter_mut()
-            .map(|s| s.get_mut().alive.len())
-            .sum();
-        if remaining > 0 {
-            deadlock_panic(&cells, remaining);
-        }
-        // The shards hold the node futures, whose lifetime is unified with
-        // the `env` borrows of `cells`/`results`; drop them before moving
-        // either out.
-        drop(sched);
-
-        let results = results.into_inner().unwrap_or_else(|e| e.into_inner());
-        collect_run(
-            cells,
-            results,
-            &self.sink,
-            cube.dim(),
-            self.cost,
-            self.link_model,
-        )
     }
+
+    let remaining: usize = sched
+        .shards
+        .iter_mut()
+        .map(|s| s.get_mut().alive.len())
+        .sum();
+    if remaining > 0 {
+        deadlock_panic(cells, remaining);
+    }
+    // The shards hold the node futures, whose lifetime is unified with
+    // the `env` borrow of `results`; drop them before moving it out.
+    drop(sched);
+
+    results.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The host's available parallelism (at least 1).
@@ -548,10 +387,11 @@ fn auto_shard_size(live: usize, workers: usize) -> usize {
 }
 
 /// The effective schedule for `live` participating nodes: the
-/// `(workers, shard_size, shard_count)` triple [`ParEngine::run`] uses
-/// after clamping — `workers` defaults to the host parallelism and is
-/// capped by the shard count, `shard_size` defaults to
-/// ~4 shards per worker capped at 64 nodes. Exposed so reports
+/// `(workers, shard_size, shard_count)` triple [`Engine::run`] uses under
+/// [`EngineKind::Par`](super::EngineKind::Par) after clamping — `workers`
+/// defaults to the host parallelism and is capped by the shard count,
+/// `shard_size` defaults to ~4 shards per worker capped at 64 nodes.
+/// Exposed so reports
 /// ([`RunReport::workers_effective`], `engines_json` rows) can record the
 /// schedule a run actually executed rather than what was requested.
 ///
@@ -593,6 +433,11 @@ fn worker_loop<'a, K, T, F>(
     let shard_count = sched.shards.len();
     let mut r: usize = 0;
     loop {
+        // Phase 1 — poll. Stage own affine runnable shards, then claim;
+        // staging is work acquisition, so it is charged to `Steal`.
+        if let Some(p) = prof.as_deref_mut() {
+            p.switch(SchedCat::Steal, 0);
+        }
         // The coordinator counts the round — once, matching the sequential
         // committer's one `rounds` tick per commit.
         if w == 0 {
@@ -600,7 +445,6 @@ fn worker_loop<'a, K, T, F>(
                 m.rounds.inc();
             }
         }
-        // Phase 1 — poll. Stage own affine runnable shards, then claim.
         for s in (w..shard_count).step_by(sched.workers) {
             // SAFETY: pre-push reads of an unclaimed shard belong to its
             // affinity owner; the deque's release/acquire on push/steal
@@ -633,9 +477,6 @@ fn worker_loop<'a, K, T, F>(
                     p.switch(SchedCat::Serial, 0);
                 }
                 serial_flush(ser, sched, env.cells);
-                if let Some(p) = prof.as_deref_mut() {
-                    p.switch(SchedCat::Other, 0);
-                }
             }
             if sched.barrier.wait_prof(prof.as_deref_mut()) {
                 return;
@@ -648,6 +489,9 @@ fn worker_loop<'a, K, T, F>(
         // the quiet window for the slot.
         if w == 0 {
             sched.woken[(r + 1) & 1].store(0, Ordering::Relaxed);
+        }
+        if let Some(p) = prof.as_deref_mut() {
+            p.switch(SchedCat::Steal, 0);
         }
         for s in (w..shard_count).step_by(sched.workers) {
             // SAFETY: pre-push reads, as in phase 1.
@@ -683,8 +527,9 @@ fn worker_loop<'a, K, T, F>(
 ///
 /// `run` returns the number of nodes processed on the claimed shard —
 /// recorded into the shard-size histogram when `cat` is the poll phase.
-/// Time between claims (pop/steal scanning) is charged to
-/// [`SchedCat::Steal`]; time inside `run` to `cat`.
+/// The caller enters [`SchedCat::Steal`] before staging; time between
+/// claims (pop/steal scanning) stays there up to the caller's barrier
+/// arrival, and time inside `run` is charged to `cat`.
 fn claim_shards<K, T>(
     w: usize,
     sched: &Sched<'_, K, T>,
@@ -692,9 +537,6 @@ fn claim_shards<K, T>(
     prof: &mut Option<&mut WorkerProf>,
     cat: SchedCat,
 ) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.switch(SchedCat::Steal, 0);
-    }
     let own = &sched.deques[w];
     loop {
         if let Some(s) = own.pop() {
@@ -736,9 +578,6 @@ fn claim_shards<K, T>(
             }
         }
         if !stole {
-            if let Some(p) = prof.as_deref_mut() {
-                p.switch(SchedCat::Other, 0);
-            }
             return;
         }
     }
@@ -774,14 +613,7 @@ where
             let TaskState::Fresh(input) = std::mem::replace(state, TaskState::Done) else {
                 unreachable!()
             };
-            let ctx = NodeCtx::new(
-                NodeId::from(id),
-                env.cube,
-                Arc::clone(env.faults),
-                env.cost,
-                env.router,
-                CellCtx::new(Arc::clone(&env.cells[id]), Arc::clone(env.participation)),
-            );
+            let ctx = NodeCtx::new(env.engine, id, env.cells, env.participation);
             let program = env.program;
             *state = TaskState::Running(NodeTask(Box::pin(async move {
                 let mut ctx = ctx;
@@ -816,7 +648,7 @@ where
 }
 
 /// Phase 2, coordinator only: flush records and price messages for the
-/// round's ran nodes in ascending node-id order — the sequential engine's
+/// round's ran nodes in ascending node-id order — the sequential executor's
 /// exact sequence — binning each priced message for parallel delivery.
 fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[SharedCell<K>]) {
     let shard_count = sched.shards.len();

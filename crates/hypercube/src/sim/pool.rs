@@ -181,7 +181,7 @@ impl<K> PoolHandle<K> {
     }
 
     /// Returns a spent slab. Contents are dropped; the allocation parks in
-    /// the local list, spilling to the shared store past [`LOCAL_SLABS`].
+    /// the local list, spilling to the shared store past `LOCAL_SLABS`.
     pub fn put(&mut self, mut buf: Vec<K>) {
         buf.clear();
         if let Some(s) = &self.stats {

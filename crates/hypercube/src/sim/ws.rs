@@ -19,7 +19,7 @@
 //! program.
 
 use crate::obs::metrics::{self, WsMetrics};
-use crate::obs::sched::{SchedCat, WorkerProf};
+use crate::obs::sched::WorkerProf;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -166,11 +166,15 @@ impl SenseBarrier {
     }
 
     /// [`wait`](Self::wait) with scheduler-profiler hooks: the arrival
-    /// switches the recorder to [`SchedCat::Barrier`], exhausting the spin
-    /// window records a park/unpark pair around the condvar sleep, and the
-    /// return switches back to [`SchedCat::Other`] — so barrier wait and
-    /// park time tile the worker's timeline. `None` (the un-profiled
-    /// path, and what `wait` passes) makes every hook a null check.
+    /// switches the recorder to [`SchedCat::Barrier`], and exhausting the
+    /// spin window records a park/unpark pair around the condvar sleep.
+    /// The return leaves the recorder in `Barrier`: the hand-off from the
+    /// release to the worker's next phase — including any time the OS
+    /// keeps the released thread off a core — is barrier time, closed by
+    /// the caller's next switch. `None` (the un-profiled path, and what
+    /// `wait` passes) makes every hook a null check.
+    ///
+    /// [`SchedCat::Barrier`]: crate::obs::sched::SchedCat::Barrier
     #[must_use]
     pub(super) fn wait_prof(&self, mut prof: Option<&mut WorkerProf>) -> bool {
         if let Some(p) = prof.as_deref_mut() {
@@ -191,9 +195,6 @@ impl SenseBarrier {
             if self.parkers.load(Ordering::SeqCst) > 0 {
                 drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
                 self.cv.notify_all();
-            }
-            if let Some(p) = prof.as_deref_mut() {
-                p.switch(SchedCat::Other, 0);
             }
             return self.poisoned.load(Ordering::Acquire);
         }
@@ -226,12 +227,9 @@ impl SenseBarrier {
             if let Some(m) = &self.metrics {
                 m.parked_workers.sub(1);
             }
-            if let Some(p) = prof.as_deref_mut() {
+            if let Some(p) = prof {
                 p.unparked();
             }
-        }
-        if let Some(p) = prof {
-            p.switch(SchedCat::Other, 0);
         }
         self.poisoned.load(Ordering::Acquire)
     }

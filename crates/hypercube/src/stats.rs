@@ -59,26 +59,6 @@ impl RunStats {
     pub fn record_comparisons(&mut self, count: usize) {
         self.comparisons += count as u64;
     }
-
-    /// Mean hops per *element*, `element_hops / elements_sent` — how far the
-    /// average key travels (0 if nothing was sent).
-    pub fn mean_hops_per_element(&self) -> f64 {
-        if self.elements_sent == 0 {
-            0.0
-        } else {
-            self.element_hops as f64 / self.elements_sent as f64
-        }
-    }
-
-    /// Mean hops per *message*, `message_hops / messages` — the average
-    /// route length irrespective of payload size (0 if no messages).
-    pub fn mean_hops_per_message(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.message_hops as f64 / self.messages as f64
-        }
-    }
 }
 
 impl Add for RunStats {
@@ -142,20 +122,6 @@ mod tests {
         assert_eq!(c.max_hops, 4);
         a += b;
         assert_eq!(a, c);
-    }
-
-    /// Pins the two hop means apart: a big 3-hop message plus a small 1-hop
-    /// message give a *per-element* mean dominated by the big message but a
-    /// *per-message* mean that weights both equally.
-    #[test]
-    fn mean_hops_per_element_and_per_message_differ() {
-        assert_eq!(RunStats::new().mean_hops_per_element(), 0.0);
-        assert_eq!(RunStats::new().mean_hops_per_message(), 0.0);
-        let mut s = RunStats::new();
-        s.record_message(6, 3); // 18 element·hops
-        s.record_message(2, 1); //  2 element·hops
-        assert_eq!(s.mean_hops_per_element(), 20.0 / 8.0);
-        assert_eq!(s.mean_hops_per_message(), 4.0 / 2.0);
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl Hypercube {
         self.dim()
     }
 
-    /// Number of bidirectional links, `n · 2^(n-1)`.
-    #[inline]
-    pub fn link_count(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            self.dim() << (self.dim() - 1)
-        }
-    }
-
     /// The whole cube as a [`Subcube`].
     #[inline]
     pub fn as_subcube(&self) -> Subcube {
@@ -114,14 +104,12 @@ mod tests {
         let q6 = Hypercube::new(6);
         assert_eq!(q6.len(), 64);
         assert_eq!(q6.diameter(), 6);
-        assert_eq!(q6.link_count(), 6 * 32);
     }
 
     #[test]
     fn q0_is_a_single_node() {
         let q0 = Hypercube::new(0);
         assert_eq!(q0.len(), 1);
-        assert_eq!(q0.link_count(), 0);
         assert_eq!(q0.nodes().count(), 1);
     }
 

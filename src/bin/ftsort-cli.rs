@@ -22,10 +22,10 @@
 //!
 //! `--trace-out` writes Chrome-trace-event JSON loadable in
 //! <https://ui.perfetto.dev>; `--metrics-out` writes the aggregate
-//! [`RunReport`](hypercube::obs::RunReport); `--run-out` streams a
-//! replayable run file to disk as the engine emits events (O(1) memory) —
-//! a `.gz` suffix gzip-compresses it on the fly, and `replay`/`trace-diff`
-//! sniff the compression back off by magic bytes.
+//! [`RunReport`]; `--run-out` streams a replayable run file to disk as
+//! the engine emits events (O(1) memory) — a `.gz` suffix gzip-compresses
+//! it on the fly, and `replay`/`trace-diff` sniff the compression back off
+//! by magic bytes.
 //! `--sched-profile` attaches the wall-clock scheduler profiler to a
 //! `--engine par` sort and prints the per-worker summary and ASCII
 //! timeline; `--sched-out` additionally writes the
@@ -469,15 +469,14 @@ fn init_logging(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuilds a [`RunObservation`](hypercube::obs::RunObservation) from a
-/// run file written by `sort --run-out` and reruns the offline analyzers
-/// on it: `--metrics-out` the [`RunReport`](hypercube::obs::RunReport),
-/// `--trace-out` the Perfetto export, `--critical-path` the same report
-/// the `critical_path` bench binary prints — all byte-identical to what
-/// the live run produces. `--recost MODEL` first re-prices every event
-/// under a different [`CostModel`](hypercube::cost::CostModel) and
-/// `--link-model` under a different link model (contended ↔
-/// uncontended), both through
+/// Rebuilds a [`RunObservation`] from a run file written by
+/// `sort --run-out` and reruns the offline analyzers on it:
+/// `--metrics-out` the [`RunReport`], `--trace-out` the Perfetto export,
+/// `--critical-path` the same report the `critical_path` bench binary
+/// prints — all byte-identical to what the live run produces.
+/// `--recost MODEL` first re-prices every event under a different
+/// [`CostModel`] and `--link-model` under a different link model
+/// (contended ↔ uncontended), both through
 /// [`reprice`](hypercube::obs::schedule::reprice); the analyzers then run
 /// on the re-priced observation, and `--run-out` writes it back as a run
 /// file.

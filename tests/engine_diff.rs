@@ -8,6 +8,9 @@
 //! is compared byte for byte too. The algorithms are data-oblivious, so
 //! any divergence is an engine bug, not noise.
 //!
+//! Every clock advance is an event: on each instance, every live node's
+//! final clock must equal the time of its last trace event bit for bit.
+//!
 //! The parallel engine's worker count is swept across `{1, 2, 4, auto}`
 //! per case — the work-stealing scheduler must be byte-deterministic at
 //! *every* worker count, including oversubscribed ones on a small host —
@@ -178,6 +181,22 @@ fn seq_vs_par(
     let mut expect = data.to_vec();
     expect.sort_unstable();
     assert_eq!(seq.sorted, expect, "not actually sorted — {tag}");
+    // Every clock advance is an event: each live node's final clock is
+    // the time of its last trace event, bit for bit (0 if it has none).
+    let mut last_event = vec![0.0f64; seq_obs.nodes.len()];
+    for e in seq_obs.trace.events() {
+        last_event[e.node.index()] = e.time;
+    }
+    for node in seq_obs.nodes.iter().flatten() {
+        assert_eq!(
+            node.clock.to_bits(),
+            last_event[node.node.index()].to_bits(),
+            "{:?}: final clock {} is not its last event's time {} — {tag}",
+            node.node,
+            node.clock,
+            last_event[node.node.index()]
+        );
+    }
 
     if case.is_multiple_of(8) {
         let seq_bytes = streamed_bytes(plan, &seq_config, data.to_vec());

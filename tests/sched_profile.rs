@@ -8,8 +8,9 @@
 //!    nanosecond of a worker's wall time to exactly one category, so per
 //!    worker `busy + steal + park + barrier` must cover ≥ 95 % of that
 //!    worker's wall time (the remainder is the explicit `other` bucket:
-//!    barrier hand-off and loop glue). This is the issue's acceptance
-//!    bar, and it holds at every worker count, oversubscribed included.
+//!    the recorder's start-up). The bar holds at every worker count,
+//!    oversubscribed included, because a worker the OS deschedules is
+//!    charged to the phase it was in (see `hypercube::obs::sched`).
 //! 2. **Invisibility** — profiling must not perturb the simulation:
 //!    a profiled run produces byte-identical sorted output, operation
 //!    counters and streamed v2 run files to an unprofiled run of the
