@@ -152,8 +152,8 @@ pub struct ObsFlags {
     /// Prometheus-exposition destination (`--metrics-snapshot`): installs
     /// the process-wide live-telemetry registry
     /// ([`hypercube::obs::metrics`]) at parse time — before any run, so
-    /// engines/pools/sinks built later pick it up — and writes the final
-    /// snapshot in [`write`](Self::write).
+    /// every run folds its totals into it when it ends — and writes the
+    /// final snapshot in [`write`](Self::write).
     pub metrics_snapshot: Option<String>,
     /// Structured-log destination (`--log-out`): installs the JSON-lines
     /// logger ([`hypercube::obs::log`]) at parse time. Pass it *before*
@@ -192,8 +192,8 @@ impl ObsFlags {
         if arg == "--metrics-snapshot" {
             match args.next() {
                 Some(path) => {
-                    // Install before the runs so everything built later
-                    // resolves the registry at construction.
+                    // Install before the runs, so each run folds its
+                    // totals into the registry when it ends.
                     hypercube::obs::metrics::install_global();
                     self.metrics_snapshot = Some(path);
                 }

@@ -327,7 +327,8 @@ pub struct Attach<'a, K> {
     /// reused by the next — the zero-allocation warm path for repeated
     /// runs (benchmark trials, replays); pinned by
     /// `crates/hypercube/tests/alloc_free.rs`. A
-    /// [`BufferPool::with_stats`] pool also feeds the live-telemetry layer.
+    /// [`BufferPool::with_stats`] pool also counts its traffic, for the
+    /// caller to read from [`BufferPool::stats`] after the run.
     pub pool: Option<&'a BufferPool<Padded<K>>>,
     /// Records per-worker wall-clock telemetry (poll/steal/park/barrier
     /// splits, steal matrix, shard-size histogram) when

@@ -31,7 +31,7 @@
 //! allocation is capped and decoding fails as soon as the output would
 //! pass it (so members above 4 GiB, whose `ISIZE` wraps, are rejected).
 
-use super::metrics::{self, SinkMetrics};
+use super::metrics;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
@@ -450,7 +450,6 @@ pub struct GzEncoder<W: Write> {
     lz: Lz77,
     bits: BitWriter,
     finished: bool,
-    metrics: Option<SinkMetrics>,
 }
 
 impl<W: Write> GzEncoder<W> {
@@ -473,7 +472,6 @@ impl<W: Write> GzEncoder<W> {
             lz: Lz77::new(),
             bits,
             finished: false,
-            metrics: metrics::global().map(|g| g.run.sink.clone()),
         })
     }
 
@@ -524,11 +522,11 @@ impl<W: Write> GzEncoder<W> {
         self.bits.bytes.extend_from_slice(&crc.to_le_bytes());
         self.bits.bytes.extend_from_slice(&isize.to_le_bytes());
         self.write_bits()?;
-        // One flush of this stream's byte totals into the global counters
-        // (per-byte atomics would put an rmw in the bit writer).
-        if let Some(m) = &self.metrics {
-            m.gz_bytes_in.add(self.total_in as u64);
-            m.gz_bytes_out.add(self.total_out);
+        // The stream's byte totals fold into the registry once, when it
+        // ends (per-byte atomics would put an RMW in the bit writer).
+        if let Some(g) = metrics::global() {
+            g.run.sink.gz_bytes_in.add(self.total_in as u64);
+            g.run.sink.gz_bytes_out.add(self.total_out);
         }
         self.out.as_mut().expect("writer taken").flush()
     }

@@ -23,11 +23,14 @@
 //!   series and non-monotone bucket counts — `ftsort-cli trace-check
 //!   --prom` runs it in CI.
 //! * **The global registry** — [`install_global`] installs one registry +
-//!   [`RunMetrics`] bundle per process; engines, the work-stealing
-//!   scheduler, `BufferPool` and the sink pipeline consult
-//!   [`global`] at *construction* time and hold `Option<...>` instrument
-//!   handles, so the disabled path (nothing installed — the default) is a
-//!   single `None` check, exactly like the sched profiler's gating.
+//!   [`RunMetrics`] bundle per process. Nothing records into it while a
+//!   run is in flight: the engine, the executors, the sinks and the gzip
+//!   encoder already keep their own totals (`RunStats`, `NodeMetrics`,
+//!   per-worker tallies, byte counts), and each *folds* them into
+//!   [`global`] once, when its run or stream ends. So a snapshot counts
+//!   exactly the finished runs, and the hot path never touches a shared
+//!   atomic. With nothing installed (the default) a fold is one `None`
+//!   check per run.
 //!
 //! House rule, test-pinned: metrics observe the simulation, they never
 //! steer it. Sorted output, `RunReport` JSON and streamed run files are
@@ -81,18 +84,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `v`.
-    #[inline]
-    pub fn add(&self, v: i64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Subtracts `v`.
-    #[inline]
-    pub fn sub(&self, v: i64) {
-        self.0.fetch_sub(v, Ordering::Relaxed);
     }
 
     /// Raises the value to at least `v` (a high-water mark).
@@ -155,6 +146,15 @@ impl Histogram {
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
+    }
+
+    /// Folds in samples bucketed elsewhere in the same layout: `counts[i]`
+    /// more samples in bucket `i`, and `sum` more in the sum.
+    pub fn add_counts(&self, counts: &[u64], sum: u64) {
+        for (bucket, &c) in self.0.buckets.iter().zip(counts) {
+            bucket.fetch_add(c, Ordering::Relaxed);
+        }
+        self.0.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     /// Snapshot of the raw (non-cumulative) bucket counts.
@@ -628,7 +628,8 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
 // The component bundles and the process-global registry.
 // ---------------------------------------------------------------------------
 
-/// Engine instruments, recorded by the frontier core and both executors.
+/// Engine instruments, folded in when each run ends: rounds by the
+/// executor, the rest by `Engine::run` from the nodes' own counters.
 #[derive(Clone)]
 pub struct EngineMetrics {
     /// Frontier rounds committed (`ftsort_rounds_total`).
@@ -638,33 +639,34 @@ pub struct EngineMetrics {
     /// Elements priced through the cost model on sends
     /// (`ftsort_elements_priced_total`).
     pub elements_priced: Counter,
-    /// Whole virtual µs messages spent queued behind busy links
-    /// (`ftsort_link_wait_us_total`); zero under uncontended pricing.
+    /// Virtual µs messages spent queued behind busy links, each run's
+    /// total rounded down (`ftsort_link_wait_us_total`); zero under
+    /// uncontended pricing.
     pub link_wait_us: Counter,
     /// Elements per message (`ftsort_msg_elements`).
     pub msg_elements: Histogram,
 }
 
-/// Work-stealing scheduler instruments ([`crate::sim`]'s parallel engine).
+/// Work-stealing scheduler instruments ([`crate::sim`]'s parallel engine),
+/// folded in from the workers' tallies when the pool joins.
 #[derive(Clone)]
 pub struct WsMetrics {
     /// Successful shard steals (`ftsort_ws_steals_total`).
     pub steals: Counter,
     /// Barrier phase crossings (`ftsort_ws_barrier_epochs_total`).
     pub barrier_epochs: Counter,
-    /// Workers currently parked on the barrier condvar
-    /// (`ftsort_ws_parked_workers`).
-    pub parked_workers: Gauge,
 }
 
-/// [`crate::sim::pool::BufferPool`] instruments.
+/// [`crate::sim::pool::BufferPool`] instruments, folded in from a stats
+/// pool's [`PoolCounters`](crate::sim::PoolCounters) by its owner (the
+/// `ftsort-cli sort` snapshot path).
 #[derive(Clone)]
 pub struct PoolMetrics {
     /// Slabs taken (`ftsort_pool_takes_total`).
     pub takes: Counter,
     /// Slabs returned (`ftsort_pool_puts_total`).
     pub puts: Counter,
-    /// Slabs currently parked in the shared store
+    /// Slabs parked in the shared store when the pool was folded
     /// (`ftsort_pool_shared_slabs`).
     pub shared_slabs: Gauge,
     /// High-water mark of parked slabs in any single store — the shared
@@ -673,7 +675,8 @@ pub struct PoolMetrics {
     pub slab_high_water: Gauge,
 }
 
-/// Sink/compression pipeline instruments.
+/// Sink/compression pipeline instruments, folded in when a sink finishes
+/// and when a gzip stream ends.
 #[derive(Clone)]
 pub struct SinkMetrics {
     /// Trace records (events + spans) written through a sink
@@ -745,10 +748,6 @@ impl RunMetrics {
                     "ftsort_ws_barrier_epochs_total",
                     "Sense-reversing barrier phase crossings.",
                 ),
-                parked_workers: registry.gauge(
-                    "ftsort_ws_parked_workers",
-                    "Workers currently parked on the barrier condvar.",
-                ),
             },
             pool: PoolMetrics {
                 takes: registry.counter(
@@ -807,8 +806,8 @@ pub struct GlobalMetrics {
 static GLOBAL: OnceLock<GlobalMetrics> = OnceLock::new();
 
 /// Installs (or returns the already-installed) process-global metrics.
-/// After this, engines, the scheduler, pools and sinks constructed
-/// anywhere in the process wire themselves to the returned instruments.
+/// After this, every run, sink and gzip stream that ends anywhere in the
+/// process folds its totals into the returned instruments.
 pub fn install_global() -> &'static GlobalMetrics {
     GLOBAL.get_or_init(|| {
         let registry = Registry::new();
@@ -818,8 +817,8 @@ pub fn install_global() -> &'static GlobalMetrics {
 }
 
 /// The process-global metrics, if [`install_global`] has run — `None` is
-/// the default, and the whole cost of disabled metrics (components hold
-/// `Option` handles resolved through this at construction time).
+/// the default, and the whole cost of disabled metrics (one check per fold
+/// site, each run or stream end).
 pub fn global() -> Option<&'static GlobalMetrics> {
     GLOBAL.get()
 }
@@ -837,8 +836,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = r.gauge("g", "a gauge");
         g.set(3);
-        g.add(2);
-        g.sub(1);
         g.set_max(10);
         g.set_max(7);
         assert_eq!(g.get(), 10);
@@ -853,6 +850,13 @@ mod tests {
         assert_eq!(counts[1], 1); // 1
         assert_eq!(counts[3], 2); // 5, 5
         assert_eq!(counts[9], 1); // 300
+
+        // Pre-bucketed samples fold into the same layout.
+        h.add_counts(&[0, 2, 0, 1], 7);
+        assert_eq!(h.count(), 8);
+        assert_eq!(h.sum(), 318);
+        assert_eq!(h.snapshot()[1], 3);
+        assert_eq!(h.snapshot()[3], 3);
     }
 
     #[test]

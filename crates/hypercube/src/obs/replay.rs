@@ -19,7 +19,7 @@
 //! than a document tree.
 
 use super::json::{read_member, EventFields, Field, Json, Token, Tokenizer};
-use super::sink::{BufferedSink, NodeSummary, TraceSink};
+use super::sink::{NodeSummary, StreamingSink, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::address::NodeId;
 use crate::cost::CostModel;
@@ -27,11 +27,11 @@ use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
 
 /// Serializes a buffered [`RunObservation`] into the run-file schema (the
-/// exact document a live [`super::sink::StreamingSink`] would have
-/// written, modulo record interleaving). The observation must carry a
-/// trace (tracing enabled) for the file to replay with full counters.
+/// exact document a live [`StreamingSink`] would have written, modulo
+/// record interleaving). The observation must carry a trace (tracing
+/// enabled) for the file to replay with full counters.
 pub fn run_to_json(obs: &RunObservation) -> String {
-    let mut sink = BufferedSink::new();
+    let mut sink = StreamingSink::new(Vec::new());
     if let Some(kt) = &obs.key_type {
         sink.set_key_type(kt.clone());
     }
@@ -55,7 +55,8 @@ pub fn run_to_json(obs: &RunObservation) -> String {
         })
         .collect();
     sink.finish(&summaries);
-    sink.to_json()
+    let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
+    String::from_utf8(bytes).expect("the sink renders UTF-8")
 }
 
 /// Writes `obs` as a run file at `path` — gzip-compressed when the path

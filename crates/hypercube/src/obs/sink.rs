@@ -8,26 +8,24 @@
 //! and a per-node footer carrying the final clock and blocked time (so a
 //! reader need not re-derive them from the events) and the one quantity
 //! no event stream can reconstruct: the receive-queue high-water mark
-//! (enqueue-time state). Two implementations ship:
+//! (enqueue-time state).
 //!
-//! * [`BufferedSink`] accumulates records in memory and serializes on
-//!   demand — the pre-existing buffered behavior, now behind the trait;
-//! * [`StreamingSink`] serializes each record straight into any
-//!   `io::Write` (a buffered file via [`StreamingSink::create`]), so
-//!   heap usage stays O(1) in the trace length.
-//!
-//! Both funnel through the same record serializer, so for one record
-//! stream their outputs are byte-identical — the equivalence pinned by
-//! `tests/obs_invariants.rs`. The run file is a single JSON document
-//! (schema in DESIGN.md §6) parsed back by [`super::replay`]. Records
-//! appear in emission order, which the round barrier fixes: (round,
-//! node id, program order) — so both engines write the same bytes, and
-//! each node's own records stay in program order, which is all replay
-//! needs.
+//! [`StreamingSink`] serializes each record straight into any
+//! `io::Write` — a buffered (optionally gzipped) file via
+//! [`StreamingSink::create`], or an in-memory `Vec<u8>` — so heap usage
+//! stays O(1) in the trace length; [`super::replay::run_to_json`] renders
+//! a buffered observation through the same sink. The run file is a single
+//! JSON document (schema in DESIGN.md §6) parsed back by
+//! [`super::replay`]. Records appear in emission order, which the round
+//! barrier fixes: (round, node id, program order) — so both engines write
+//! the same bytes (pinned by `tests/obs_invariants.rs`), and each node's
+//! own records stay in program order, which is all replay needs. When a
+//! sink finishes, it folds the number of records it wrote into the
+//! metrics registry ([`super::metrics`]), if one is installed.
 
 use super::gz::GzEncoder;
 use super::json::{json_object, write_member, write_trace_event, JsonValue};
-use super::metrics::{self, Counter};
+use super::metrics;
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, TraceEvent};
@@ -109,15 +107,6 @@ fn render_span(out: &mut String, node: NodeId, phase: Option<u16>, time: f64) {
     }
 }
 
-/// Separator before a record: records live one per line, comma-joined.
-fn render_separator(out: &mut String, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-}
-
 fn render_footer(out: &mut String, nodes: &[NodeSummary]) {
     out.push_str("\n],\"nodes\":[");
     for (i, n) in nodes.iter().enumerate() {
@@ -130,94 +119,6 @@ fn render_footer(out: &mut String, nodes: &[NodeSummary]) {
     out.push_str("\n]}\n");
 }
 
-enum Record {
-    Event(TraceEvent),
-    Span {
-        node: NodeId,
-        phase: Option<u16>,
-        time: f64,
-    },
-}
-
-/// In-memory sink: keeps the record stream and serializes it whole on
-/// [`BufferedSink::to_json`]. Memory grows with the trace — use
-/// [`StreamingSink`] for large runs.
-#[derive(Default)]
-pub struct BufferedSink {
-    header: Option<(usize, CostModel, LinkModel)>,
-    key_type: Option<String>,
-    records: Vec<Record>,
-    nodes: Vec<NodeSummary>,
-    finished: bool,
-    events_metric: Option<Counter>,
-}
-
-impl BufferedSink {
-    /// An empty sink, ready to capture one run. Resolves the
-    /// `ftsort_sink_events_total` counter if the process-global metrics
-    /// registry is installed.
-    pub fn new() -> Self {
-        BufferedSink {
-            events_metric: metrics::global().map(|g| g.run.sink.events.clone()),
-            ..Self::default()
-        }
-    }
-
-    /// Records the run's element key type in the file header (e.g.
-    /// `"pair"`), so offline replay can reproduce a keyed
-    /// [`RunReport`](super::RunReport) byte-for-byte. Call before
-    /// [`TraceSink::begin`]; presentation metadata only — the simulation
-    /// never reads it.
-    pub fn set_key_type(&mut self, key_type: impl Into<String>) {
-        self.key_type = Some(key_type.into());
-    }
-
-    /// Serializes the captured run; byte-identical to what a
-    /// [`StreamingSink`] fed the same record stream writes out.
-    pub fn to_json(&self) -> String {
-        let (dim, cost, link_model) = self.header.expect("BufferedSink::to_json before begin");
-        let mut out = String::with_capacity(96 * self.records.len() + 256);
-        render_header(&mut out, dim, &cost, link_model, &self.key_type);
-        let mut first = true;
-        for rec in &self.records {
-            render_separator(&mut out, &mut first);
-            match rec {
-                Record::Event(e) => write_trace_event(&mut out, e),
-                Record::Span { node, phase, time } => render_span(&mut out, *node, *phase, *time),
-            }
-        }
-        render_footer(&mut out, &self.nodes);
-        out
-    }
-}
-
-impl TraceSink for BufferedSink {
-    fn begin(&mut self, dim: usize, cost: &CostModel, link_model: LinkModel) {
-        assert!(self.header.is_none(), "TraceSink reused across runs");
-        self.header = Some((dim, *cost, link_model));
-    }
-
-    fn event(&mut self, event: &TraceEvent) {
-        if let Some(c) = &self.events_metric {
-            c.inc();
-        }
-        self.records.push(Record::Event(*event));
-    }
-
-    fn span(&mut self, node: NodeId, phase: Option<u16>, time: f64) {
-        if let Some(c) = &self.events_metric {
-            c.inc();
-        }
-        self.records.push(Record::Span { node, phase, time });
-    }
-
-    fn finish(&mut self, nodes: &[NodeSummary]) {
-        assert!(!self.finished, "TraceSink finished twice");
-        self.finished = true;
-        self.nodes = nodes.to_vec();
-    }
-}
-
 /// Incremental sink: each record is serialized and handed to the writer
 /// immediately, so memory stays O(1) in the trace length. I/O errors
 /// panic (engines have no error channel mid-run); the writer is flushed
@@ -225,25 +126,22 @@ impl TraceSink for BufferedSink {
 pub struct StreamingSink<W: Write + Send> {
     writer: W,
     buf: String,
-    first: bool,
+    /// Events and span boundaries written so far.
+    records: u64,
     began: bool,
     key_type: Option<String>,
-    events_metric: Option<Counter>,
 }
 
 impl<W: Write + Send> StreamingSink<W> {
     /// Wraps a writer. Callers streaming to disk should hand in a
-    /// buffered writer (or use [`StreamingSink::create`]). Resolves the
-    /// `ftsort_sink_events_total` counter if the process-global metrics
-    /// registry is installed.
+    /// buffered writer (or use [`StreamingSink::create`]).
     pub fn new(writer: W) -> Self {
         Self {
             writer,
             buf: String::with_capacity(256),
-            first: true,
+            records: 0,
             began: false,
             key_type: None,
-            events_metric: metrics::global().map(|g| g.run.sink.events.clone()),
         }
     }
 
@@ -262,6 +160,15 @@ impl<W: Write + Send> StreamingSink<W> {
     pub fn into_inner(mut self) -> io::Result<W> {
         self.writer.flush()?;
         Ok(self.writer)
+    }
+
+    /// Starts the next record: records live one per line, comma-joined.
+    fn next_record(&mut self) {
+        if self.records > 0 {
+            self.buf.push(',');
+        }
+        self.buf.push('\n');
+        self.records += 1;
     }
 
     fn emit(&mut self) {
@@ -301,19 +208,13 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
     }
 
     fn event(&mut self, event: &TraceEvent) {
-        if let Some(c) = &self.events_metric {
-            c.inc();
-        }
-        render_separator(&mut self.buf, &mut self.first);
+        self.next_record();
         write_trace_event(&mut self.buf, event);
         self.emit();
     }
 
     fn span(&mut self, node: NodeId, phase: Option<u16>, time: f64) {
-        if let Some(c) = &self.events_metric {
-            c.inc();
-        }
-        render_separator(&mut self.buf, &mut self.first);
+        self.next_record();
         render_span(&mut self.buf, node, phase, time);
         self.emit();
     }
@@ -323,6 +224,9 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
         render_footer(&mut self.buf, nodes);
         self.emit();
         self.writer.flush().expect("trace sink flush failed");
+        if let Some(g) = metrics::global() {
+            g.run.sink.events.add(self.records);
+        }
     }
 }
 
@@ -372,23 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn buffered_and_streaming_agree_bytewise() {
-        let mut buffered = BufferedSink::new();
-        sample_stream(&mut buffered);
-        let mut streaming = StreamingSink::new(Vec::new());
-        sample_stream(&mut streaming);
-        let streamed = String::from_utf8(streaming.into_inner().unwrap()).unwrap();
-        assert_eq!(buffered.to_json(), streamed);
-        // and the result is one well-formed JSON document
-        super::super::json::Json::parse(&streamed).expect("valid JSON");
-    }
-
-    #[test]
     fn empty_run_serializes_cleanly() {
-        let mut sink = BufferedSink::new();
+        let mut sink = StreamingSink::new(Vec::new());
         sink.begin(0, &CostModel::paper_form(), LinkModel::Uncontended);
         sink.finish(&[]);
-        let doc = super::super::json::Json::parse(&sink.to_json()).expect("valid JSON");
+        let json = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+        let doc = super::super::json::Json::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(
             doc.get("link_model").and_then(|v| v.as_str()),
@@ -412,6 +305,8 @@ mod tests {
         let mut plain = StreamingSink::new(Vec::new());
         sample_stream(&mut plain);
         let expect = plain.into_inner().unwrap();
+        let text = std::str::from_utf8(&expect).expect("UTF-8");
+        super::super::json::Json::parse(text).expect("one well-formed JSON document");
         let packed = std::fs::read(&path).expect("read");
         assert!(super::super::gz::is_gzip(&packed));
         assert!(packed.len() < expect.len());

@@ -18,18 +18,21 @@
 //! detour under the total-fault model costs more virtual time than the
 //! same message under partial faults.
 
-use super::frontier::{build_cells, collect_run, CellCtx, SharedCell};
-use super::trace::Trace;
+use super::frontier::{
+    build_cells, collect_run, CellRecord, NodeCell, PendOnce, SharedCell, SimMessage,
+};
+use super::trace::{Trace, TraceEvent, TraceKind};
 use super::{par, sequential, Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::fault::FaultSet;
+use crate::obs::metrics;
 use crate::obs::sink::TraceSink;
 use crate::obs::{NodeMetrics, NodeObservation, RunObservation, SpanRecord};
 use crate::routing;
 use crate::stats::RunStats;
 use crate::topology::Hypercube;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which routing algorithm the simulated machine charges hops with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -186,14 +189,17 @@ fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
 ///
 /// Implements [`Comm`] over the node's own frontier cell; created only by
 /// the executors. Both hand out this one type, so one generic node
-/// program compiles once and runs on either.
+/// program compiles once and runs on either. Every operation acts on the
+/// node's own cell, so node programs of one round never contend.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
     faults: Arc<FaultSet>,
     cost: CostModel,
     router: RouterKind,
-    cell: CellCtx<K>,
+    cell: SharedCell<K>,
+    /// Which addresses run a program — the send-side assert checks it.
+    participation: Arc<Vec<bool>>,
 }
 
 impl<K> NodeCtx<K> {
@@ -210,8 +216,13 @@ impl<K> NodeCtx<K> {
             faults: Arc::clone(&engine.faults),
             cost: engine.cost,
             router: engine.router,
-            cell: CellCtx::new(Arc::clone(&cells[me]), Arc::clone(participation)),
+            cell: Arc::clone(&cells[me]),
+            participation: Arc::clone(participation),
         }
+    }
+
+    fn cell(&self) -> MutexGuard<'_, NodeCell<K>> {
+        self.cell.lock().expect("node cell lock poisoned")
     }
 }
 
@@ -235,27 +246,127 @@ impl<K> Comm<K> for NodeCtx<K> {
     fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>) {
         assert!(self.cube.contains(dst), "send to address outside cube");
         let hops = route_hops(&self.faults, self.router, self.me, dst);
-        self.cell.send(self.me, dst, tag, data, hops, self.cost);
+        assert!(
+            self.participation[dst.index()],
+            "send to non-participating node {dst:?}"
+        );
+        let mut cell = self.cell();
+        // The sender's port is busy pushing the elements onto its first link.
+        cell.clock
+            .advance(self.cost.transfer(data.len(), hops.min(1)));
+        cell.stats.record_message(data.len(), hops);
+        cell.metrics
+            .on_send(self.me, dst, data.len(), hops, &self.cost);
+        if cell.observing() {
+            let ev = TraceEvent {
+                time: cell.clock.now(),
+                node: self.me,
+                tag,
+                kind: TraceKind::Send {
+                    to: dst,
+                    elements: data.len(),
+                    hops,
+                },
+            };
+            cell.emit(ev);
+        }
+        let sent_at = cell.clock.now();
+        cell.outbox.push(SimMessage {
+            src: self.me,
+            dst,
+            tag,
+            data,
+            sent_at,
+            hops,
+            arrival: f64::NAN,
+            wait: 0.0,
+        });
     }
 
     async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K> {
-        self.cell.recv(self.me, src, tag, self.cost).await
+        loop {
+            {
+                let mut cell = self.cell();
+                if let Some(i) = cell.inbox.iter().position(|m| m.src == src && m.tag == tag) {
+                    let msg = cell.inbox.remove(i);
+                    cell.waiting = None;
+                    let before = cell.clock.now();
+                    if msg.arrival.is_nan() {
+                        // Uncontended: the receiver prices the wire itself.
+                        cell.clock
+                            .receive(msg.sent_at, self.cost.transfer(msg.data.len(), msg.hops));
+                    } else {
+                        // Contended: the commit barrier's link ledger already
+                        // decided when this message lands.
+                        cell.clock.receive_at(msg.arrival);
+                    }
+                    // Any forward jump is time spent waiting on the wire.
+                    cell.metrics.blocked_us += cell.clock.now() - before;
+                    cell.metrics.link_wait_us += msg.wait;
+                    cell.metrics.msgs_received += 1;
+                    if cell.observing() {
+                        let ev = TraceEvent {
+                            time: cell.clock.now(),
+                            node: self.me,
+                            tag,
+                            kind: TraceKind::Recv {
+                                from: src,
+                                elements: msg.data.len(),
+                                wait: msg.wait,
+                            },
+                        };
+                        cell.emit(ev);
+                    }
+                    return msg.data;
+                }
+                // Park: the barrier wakes us once the message is delivered.
+                cell.waiting = Some((src, tag));
+            }
+            PendOnce(false).await;
+        }
     }
 
     fn span_enter(&mut self, phase: u16) {
-        self.cell.span_enter(phase);
+        let mut cell = self.cell();
+        let now = cell.clock.now();
+        cell.spans.enter(phase, now);
+        if cell.sinking {
+            cell.records.push(CellRecord::Span {
+                phase: Some(phase),
+                time: now,
+            });
+        }
     }
 
     fn span_exit(&mut self) {
-        self.cell.span_exit();
+        let mut cell = self.cell();
+        let now = cell.clock.now();
+        cell.spans.exit(now);
+        if cell.sinking {
+            cell.records.push(CellRecord::Span {
+                phase: None,
+                time: now,
+            });
+        }
     }
 
     fn charge_comparisons(&mut self, count: usize) {
-        self.cell.charge_comparisons(self.me, count, self.cost);
+        let mut cell = self.cell();
+        cell.clock.advance(self.cost.compare(count));
+        cell.stats.record_comparisons(count);
+        if cell.observing() {
+            let ev = TraceEvent {
+                time: cell.clock.now(),
+                node: self.me,
+                tag: Tag::new(0),
+                kind: TraceKind::Compute { comparisons: count },
+            };
+            cell.emit(ev);
+        }
     }
 
     fn clock(&self) -> f64 {
-        self.cell.clock()
+        self.cell().clock.now()
     }
 }
 
@@ -419,8 +530,27 @@ impl Engine {
             EngineKind::Seq => sequential::run(self, &cells, &participation, inputs, program),
             EngineKind::Par => par::run(self, &cells, &participation, inputs, program),
         };
-        collect_run(cells, results, &self.sink, dim, self.cost, self.link_model)
+        let out = collect_run(cells, results, &self.sink, dim, self.cost, self.link_model);
+        if let Some(g) = metrics::global() {
+            fold_counters(&g.run.engine, &out);
+        }
+        out
     }
+}
+
+/// Adds a finished run's own per-node totals to the engine instruments.
+/// Every message sent is delivered at its round's commit, so the sent
+/// counts are also the delivered ones.
+fn fold_counters<T>(m: &metrics::EngineMetrics, out: &RunOutcome<T>) {
+    let mut link_wait_us = 0.0;
+    for node in out.outcomes.iter().flatten() {
+        m.messages_delivered.add(node.stats.messages);
+        m.elements_priced.add(node.stats.elements_sent);
+        m.msg_elements
+            .add_counts(&node.metrics.msg_size_hist, node.stats.elements_sent);
+        link_wait_us += node.metrics.link_wait_us;
+    }
+    m.link_wait_us.add(link_wait_us as u64);
 }
 
 #[cfg(test)]

@@ -4,12 +4,14 @@
 //! Both executors run node programs in *rounds*. A round polls every node
 //! on the ready frontier once — the node runs until it parks in a blocked
 //! [`Comm::recv`] or finishes — with sends buffered in the sender's outbox
-//! and observability records in a per-node record buffer. A barrier then
-//! *commits* the round ([`RoundCommitter::commit`]): outboxes are delivered
-//! to inboxes in ascending node-id order (which makes the receive-queue
-//! high-water mark deterministic), buffered records are flushed to the
-//! attached [`TraceSink`] in the same order, and the parked nodes whose
-//! awaited `(src, tag)` message has now arrived form the next frontier.
+//! and observability records in a per-node record buffer (the node's
+//! [`NodeCtx`](super::NodeCtx) does both, on its own [`NodeCell`]). A
+//! barrier then *commits* the round ([`RoundCommitter::commit`]):
+//! outboxes are delivered to inboxes in ascending node-id order (which
+//! makes the receive-queue high-water mark deterministic), buffered
+//! records are flushed to the attached [`TraceSink`] in the same order,
+//! and the parked nodes whose awaited `(src, tag)` message has now arrived
+//! form the next frontier.
 //!
 //! Because a round's sends stay invisible until its barrier, the members of
 //! one frontier are mutually independent: polling them in any order — or on
@@ -25,15 +27,18 @@
 //! monotonic host time — lives entirely in the parallel engine's worker
 //! loop and barrier, outside this file. Frontier commits stay
 //! timestamp-free and byte-identical whether or not profiling is on.
+//! Nor does the core touch the metrics registry ([`crate::obs::metrics`]):
+//! the cells' own counters (`RunStats`, `NodeMetrics`) are the run's
+//! totals, and `Engine::run` folds them into the registry once the run
+//! has ended.
 //!
 //! [`Comm::recv`]: super::Comm::recv
 
 use super::engine::{NodeOutcome, RunOutcome};
-use super::trace::{Trace, TraceEvent, TraceKind};
+use super::trace::{Trace, TraceEvent};
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::{CostModel, VirtualClock};
-use crate::obs::metrics::{self, EngineMetrics};
 use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::{NodeSummary, TraceSink};
 use crate::obs::{NodeMetrics, SpanLog};
@@ -132,11 +137,11 @@ impl<K> NodeCell<K> {
         }
     }
 
-    fn observing(&self) -> bool {
+    pub(super) fn observing(&self) -> bool {
         self.trace.is_some() || self.sinking
     }
 
-    fn emit(&mut self, ev: TraceEvent) {
+    pub(super) fn emit(&mut self, ev: TraceEvent) {
         if let Some(trace) = &mut self.trace {
             trace.push(ev);
         }
@@ -160,177 +165,6 @@ pub(super) fn build_cells<K, I>(
         .map(|&p| Arc::new(Mutex::new(NodeCell::new(dim, tracing, sinking, p))))
         .collect();
     (cells, participation)
-}
-
-/// The frontier engines' half of a [`super::NodeCtx`]: all operations act
-/// on the node's own cell, so node programs of one round never contend.
-pub(super) struct CellCtx<K> {
-    cell: Arc<Mutex<NodeCell<K>>>,
-    participation: Arc<Vec<bool>>,
-    /// Live-telemetry handles, resolved once at construction (cold path);
-    /// `None` — a single check per hook — whenever the process-global
-    /// registry is not installed. Recording never touches clocks or
-    /// payloads, so simulated output is byte-identical either way.
-    metrics: Option<EngineMetrics>,
-}
-
-impl<K> CellCtx<K> {
-    pub(super) fn new(cell: Arc<Mutex<NodeCell<K>>>, participation: Arc<Vec<bool>>) -> Self {
-        CellCtx {
-            cell,
-            participation,
-            metrics: metrics::global().map(|g| g.run.engine.clone()),
-        }
-    }
-
-    fn cell(&self) -> std::sync::MutexGuard<'_, NodeCell<K>> {
-        self.cell.lock().expect("node cell lock poisoned")
-    }
-
-    pub(super) fn send(
-        &mut self,
-        me: NodeId,
-        dst: NodeId,
-        tag: Tag,
-        data: Vec<K>,
-        hops: u32,
-        cost: CostModel,
-    ) {
-        assert!(
-            self.participation[dst.index()],
-            "send to non-participating node {dst:?}"
-        );
-        if let Some(m) = &self.metrics {
-            m.elements_priced.add(data.len() as u64);
-            m.msg_elements.record(data.len() as u64);
-        }
-        let mut cell = self.cell();
-        // The sender's port is busy pushing the elements onto its first link.
-        cell.clock.advance(cost.transfer(data.len(), hops.min(1)));
-        cell.stats.record_message(data.len(), hops);
-        cell.metrics.on_send(me, dst, data.len(), hops, &cost);
-        if cell.observing() {
-            let ev = TraceEvent {
-                time: cell.clock.now(),
-                node: me,
-                tag,
-                kind: TraceKind::Send {
-                    to: dst,
-                    elements: data.len(),
-                    hops,
-                },
-            };
-            cell.emit(ev);
-        }
-        let sent_at = cell.clock.now();
-        cell.outbox.push(SimMessage {
-            src: me,
-            dst,
-            tag,
-            data,
-            sent_at,
-            hops,
-            arrival: f64::NAN,
-            wait: 0.0,
-        });
-    }
-
-    pub(super) async fn recv(
-        &mut self,
-        me: NodeId,
-        src: NodeId,
-        tag: Tag,
-        cost: CostModel,
-    ) -> Vec<K> {
-        loop {
-            {
-                let mut cell = self.cell();
-                if let Some(i) = cell.inbox.iter().position(|m| m.src == src && m.tag == tag) {
-                    let msg = cell.inbox.remove(i);
-                    cell.waiting = None;
-                    let before = cell.clock.now();
-                    if msg.arrival.is_nan() {
-                        // Uncontended: the receiver prices the wire itself.
-                        cell.clock
-                            .receive(msg.sent_at, cost.transfer(msg.data.len(), msg.hops));
-                    } else {
-                        // Contended: the commit barrier's link ledger already
-                        // decided when this message lands.
-                        cell.clock.receive_at(msg.arrival);
-                    }
-                    // Any forward jump is time spent waiting on the wire.
-                    cell.metrics.blocked_us += cell.clock.now() - before;
-                    cell.metrics.link_wait_us += msg.wait;
-                    cell.metrics.msgs_received += 1;
-                    if let Some(m) = &self.metrics {
-                        if msg.wait > 0.0 {
-                            m.link_wait_us.add(msg.wait as u64);
-                        }
-                    }
-                    if cell.observing() {
-                        let ev = TraceEvent {
-                            time: cell.clock.now(),
-                            node: me,
-                            tag,
-                            kind: TraceKind::Recv {
-                                from: src,
-                                elements: msg.data.len(),
-                                wait: msg.wait,
-                            },
-                        };
-                        cell.emit(ev);
-                    }
-                    return msg.data;
-                }
-                // Park: the barrier wakes us once the message is delivered.
-                cell.waiting = Some((src, tag));
-            }
-            PendOnce(false).await;
-        }
-    }
-
-    pub(super) fn charge_comparisons(&mut self, me: NodeId, count: usize, cost: CostModel) {
-        let mut cell = self.cell();
-        cell.clock.advance(cost.compare(count));
-        cell.stats.record_comparisons(count);
-        if cell.observing() {
-            let ev = TraceEvent {
-                time: cell.clock.now(),
-                node: me,
-                tag: Tag::new(0),
-                kind: TraceKind::Compute { comparisons: count },
-            };
-            cell.emit(ev);
-        }
-    }
-
-    pub(super) fn span_enter(&mut self, phase: u16) {
-        let mut cell = self.cell();
-        let now = cell.clock.now();
-        cell.spans.enter(phase, now);
-        if cell.sinking {
-            cell.records.push(CellRecord::Span {
-                phase: Some(phase),
-                time: now,
-            });
-        }
-    }
-
-    pub(super) fn span_exit(&mut self) {
-        let mut cell = self.cell();
-        let now = cell.clock.now();
-        cell.spans.exit(now);
-        if cell.sinking {
-            cell.records.push(CellRecord::Span {
-                phase: None,
-                time: now,
-            });
-        }
-    }
-
-    pub(super) fn clock(&self) -> f64 {
-        self.cell().clock.now()
-    }
 }
 
 /// Yields exactly once, returning control to the scheduler.
@@ -360,8 +194,6 @@ pub(super) struct RoundCommitter<K> {
     cost: CostModel,
     msgs: Vec<SimMessage<K>>,
     recs: Vec<CellRecord>,
-    /// Live-telemetry handles (see [`CellCtx`]); `None` when disabled.
-    metrics: Option<EngineMetrics>,
 }
 
 impl<K> RoundCommitter<K> {
@@ -377,7 +209,6 @@ impl<K> RoundCommitter<K> {
             cost,
             msgs: Vec::new(),
             recs: Vec::new(),
-            metrics: metrics::global().map(|g| g.run.engine.clone()),
         }
     }
 
@@ -393,9 +224,6 @@ impl<K> RoundCommitter<K> {
         alive: &mut Vec<usize>,
         next: &mut Vec<usize>,
     ) {
-        if let Some(m) = &self.metrics {
-            m.rounds.inc();
-        }
         for &i in ran {
             {
                 let mut cell = cells[i].lock().expect("node cell lock poisoned");
@@ -430,10 +258,6 @@ impl<K> RoundCommitter<K> {
                 dst.inbox.push(msg);
                 let backlog = dst.inbox.len() as u64;
                 dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
-                drop(dst);
-                if let Some(m) = &self.metrics {
-                    m.messages_delivered.inc();
-                }
             }
         }
         next.clear();

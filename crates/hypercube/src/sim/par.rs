@@ -82,7 +82,7 @@ use super::engine::{Engine, NodeCtx};
 use super::frontier::{deadlock_panic, flush_records, CellRecord, SharedCell, SimMessage};
 use super::ws::{SenseBarrier, ShardSlot, WsDeque};
 use crate::cost::CostModel;
-use crate::obs::metrics::{self, EngineMetrics, WsMetrics};
+use crate::obs::metrics;
 use crate::obs::sched::{SchedCat, SchedProfile, WorkerProf};
 use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::TraceSink;
@@ -154,12 +154,18 @@ struct Sched<'a, K, T> {
     /// links): outboxes then stay put in phase 1 and are flushed, priced
     /// and binned by the coordinator in global canonical order.
     serial: bool,
-    /// Live-telemetry handles (rounds, deliveries), resolved once at
-    /// construction from the process-wide registry; `None` keeps every hook
-    /// a single branch.
-    metrics: Option<EngineMetrics>,
-    /// Work-stealing telemetry (successful steals); same lifecycle.
-    ws: Option<WsMetrics>,
+}
+
+/// What one worker counted over the run, returned when it exits and
+/// folded into the metrics registry once the pool has joined.
+#[derive(Default)]
+struct Tally {
+    /// Rounds run (every worker runs every round).
+    rounds: u64,
+    /// Barrier phase crossings (every worker crosses every phase).
+    crossings: u64,
+    /// Shards this worker stole from a peer.
+    steals: u64,
 }
 
 /// Immutable run context shared by every worker.
@@ -265,8 +271,6 @@ where
         slot_of,
         workers,
         serial,
-        metrics: metrics::global().map(|g| g.run.engine.clone()),
-        ws: metrics::global().map(|g| g.run.ws.clone()),
     };
     let ser = serial.then(|| {
         let dim = engine.faults.cube().dim();
@@ -289,8 +293,9 @@ where
 
     // When profiling, every worker gets a preallocated recorder sharing
     // one clock epoch; recorders ride into the spawn closures and come
-    // back through the join handles, so the hot path stays lock-free
-    // and the disabled path is a single `Option` check per hook.
+    // back through the join handles with the workers' tallies, so the hot
+    // path stays lock-free and the disabled path is a single `Option`
+    // check per hook.
     let epoch = Instant::now();
     let mut profs: Vec<Option<WorkerProf>> = (0..workers)
         .map(|w| {
@@ -300,6 +305,7 @@ where
                 .map(|p| WorkerProf::new(w, workers, epoch, p.ring_capacity()))
         })
         .collect();
+    let mut tallies: Vec<Tally> = Vec::with_capacity(workers);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers.saturating_sub(1));
@@ -307,17 +313,17 @@ where
             let mut prof = slot.take();
             let (sched, env) = (&sched, &env);
             handles.push(scope.spawn(move || {
-                worker_loop(w, sched, env, None, prof.as_mut());
+                let tally = worker_loop(w, sched, env, None, prof.as_mut());
                 if let Some(p) = prof.as_mut() {
                     p.finish();
                 }
-                prof
+                (prof, tally)
             }));
         }
         // The caller is worker 0: the coordinator for the serial flush
         // phase and the `woken` slot resets.
         let mut prof0 = profs[0].take();
-        worker_loop(0, &sched, &env, ser, prof0.as_mut());
+        tallies.push(worker_loop(0, &sched, &env, ser, prof0.as_mut()));
         if let Some(p) = prof0.as_mut() {
             p.finish();
         }
@@ -328,7 +334,10 @@ where
         let mut first_panic = None;
         for (w, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok(prof) => profs[w + 1] = prof,
+                Ok((prof, tally)) => {
+                    profs[w + 1] = prof;
+                    tallies.push(tally);
+                }
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
@@ -339,6 +348,11 @@ where
         }
     });
 
+    if let Some(g) = metrics::global() {
+        g.run.engine.rounds.add(tallies[0].rounds);
+        g.run.ws.barrier_epochs.add(tallies[0].crossings);
+        g.run.ws.steals.add(tallies.iter().map(|t| t.steals).sum());
+    }
     if let Some(profiler) = &engine.sched_profiler {
         let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
         if let Some(g) = metrics::global() {
@@ -418,7 +432,8 @@ fn worker_loop<'a, K, T, F>(
     env: &Env<'a, K, T, F>,
     mut ser: Option<SerialCtx<K>>,
     mut prof: Option<&mut WorkerProf>,
-) where
+) -> Tally
+where
     K: Send,
     T: Send,
     F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
@@ -431,19 +446,14 @@ fn worker_loop<'a, K, T, F>(
     }
     let mut poll_cx = Context::from_waker(Waker::noop());
     let shard_count = sched.shards.len();
+    let mut tally = Tally::default();
     let mut r: usize = 0;
     loop {
+        tally.rounds += 1;
         // Phase 1 — poll. Stage own affine runnable shards, then claim;
         // staging is work acquisition, so it is charged to `Steal`.
         if let Some(p) = prof.as_deref_mut() {
             p.switch(SchedCat::Steal, 0);
-        }
-        // The coordinator counts the round — once, matching the sequential
-        // committer's one `rounds` tick per commit.
-        if w == 0 {
-            if let Some(m) = &sched.metrics {
-                m.rounds.inc();
-            }
         }
         for s in (w..shard_count).step_by(sched.workers) {
             // SAFETY: pre-push reads of an unclaimed shard belong to its
@@ -463,11 +473,13 @@ fn worker_loop<'a, K, T, F>(
             sched,
             |s| unsafe { poll_shard(s, sched, env, &mut poll_cx) },
             &mut prof,
+            &mut tally.steals,
             SchedCat::Poll,
         );
         if sched.barrier.wait_prof(prof.as_deref_mut()) {
-            return;
+            return tally;
         }
+        tally.crossings += 1;
 
         // Phase 2 — serial flush (coordinator only, when needed): record
         // flushing and link pricing are global orders.
@@ -479,8 +491,9 @@ fn worker_loop<'a, K, T, F>(
                 serial_flush(ser, sched, env.cells);
             }
             if sched.barrier.wait_prof(prof.as_deref_mut()) {
-                return;
+                return tally;
             }
+            tally.crossings += 1;
         }
 
         // Phase 3 — deliver + wake. The coordinator also resets the *next*
@@ -508,13 +521,15 @@ fn worker_loop<'a, K, T, F>(
             sched,
             |s| unsafe { deliver_shard(s, r, sched, env.cells) },
             &mut prof,
+            &mut tally.steals,
             SchedCat::Deliver,
         );
         if sched.barrier.wait_prof(prof.as_deref_mut()) {
-            return;
+            return tally;
         }
+        tally.crossings += 1;
         if sched.woken[r & 1].load(Ordering::Relaxed) == 0 {
-            return;
+            return tally;
         }
         r += 1;
     }
@@ -527,6 +542,7 @@ fn worker_loop<'a, K, T, F>(
 ///
 /// `run` returns the number of nodes processed on the claimed shard —
 /// recorded into the shard-size histogram when `cat` is the poll phase.
+/// Successful steals are added to `steals`.
 /// The caller enters [`SchedCat::Steal`] before staging; time between
 /// claims (pop/steal scanning) stays there up to the caller's barrier
 /// arrival, and time inside `run` is charged to `cat`.
@@ -535,6 +551,7 @@ fn claim_shards<K, T>(
     sched: &Sched<'_, K, T>,
     mut run: impl FnMut(usize) -> u32,
     prof: &mut Option<&mut WorkerProf>,
+    steals: &mut u64,
     cat: SchedCat,
 ) {
     let own = &sched.deques[w];
@@ -557,9 +574,7 @@ fn claim_shards<K, T>(
         for k in 1..sched.workers {
             let victim = (w + k) % sched.workers;
             if let Some(s) = sched.deques[victim].steal() {
-                if let Some(m) = &sched.ws {
-                    m.steals.inc();
-                }
+                *steals += 1;
                 if let Some(p) = prof.as_deref_mut() {
                     p.stole(victim);
                     p.switch(cat, s);
@@ -711,11 +726,9 @@ unsafe fn deliver_shard<K, T>(
     let sh = unsafe { sched.shards[s].get() };
     if sched.incoming[s].load(Ordering::Relaxed) {
         sched.incoming[s].store(false, Ordering::Relaxed);
-        let mut delivered: u64 = 0;
         for src in 0..shard_count {
             // SAFETY: column `s` of the bin matrix belongs to this claim.
             let bin = unsafe { sched.bins[src * shard_count + s].get() };
-            delivered += bin.len() as u64;
             for msg in bin.drain(..) {
                 let mut dst = cells[msg.dst.index()]
                     .lock()
@@ -723,11 +736,6 @@ unsafe fn deliver_shard<K, T>(
                 dst.inbox.push(msg);
                 let backlog = dst.inbox.len() as u64;
                 dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
-            }
-        }
-        if delivered > 0 {
-            if let Some(m) = &sched.metrics {
-                m.messages_delivered.add(delivered);
             }
         }
     }

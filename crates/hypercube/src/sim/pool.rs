@@ -20,11 +20,11 @@
 //! Pools built with [`BufferPool::with_stats`] additionally count
 //! take/put traffic and the parked-slab high-water mark into a
 //! [`PoolStats`] block (relaxed atomics — the warm path stays alloc- and
-//! lock-free) and, when the process-global metrics registry is installed,
-//! mirror them into the `ftsort_pool_*` instruments. [`BufferPool::new`]
-//! pools carry no stats at all, so library-internal pools pay nothing.
+//! lock-free), which the pool's owner reads after the run (`ftsort-cli
+//! sort` folds it into the metrics registry's `ftsort_pool_*` families).
+//! [`BufferPool::new`] pools carry no stats at all, so library-internal
+//! pools pay nothing.
 
-use crate::obs::metrics::{self, PoolMetrics};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -70,7 +70,6 @@ impl PoolStats {
 pub struct BufferPool<K> {
     shared: Arc<Mutex<Vec<Vec<K>>>>,
     stats: Option<Arc<PoolStats>>,
-    metrics: Option<PoolMetrics>,
 }
 
 impl<K> Clone for BufferPool<K> {
@@ -78,7 +77,6 @@ impl<K> Clone for BufferPool<K> {
         BufferPool {
             shared: Arc::clone(&self.shared),
             stats: self.stats.clone(),
-            metrics: self.metrics.clone(),
         }
     }
 }
@@ -96,18 +94,14 @@ impl<K> BufferPool<K> {
         BufferPool {
             shared: Arc::new(Mutex::new(Vec::new())),
             stats: None,
-            metrics: None,
         }
     }
 
-    /// An empty pool that counts its traffic into a [`PoolStats`] block
-    /// and, if [`metrics::install_global`] has run, into the
-    /// `ftsort_pool_*` registry instruments.
+    /// An empty pool that counts its traffic into a [`PoolStats`] block.
     pub fn with_stats() -> Self {
         BufferPool {
             shared: Arc::new(Mutex::new(Vec::new())),
             stats: Some(Arc::new(PoolStats::default())),
-            metrics: metrics::global().map(|g| g.run.pool.clone()),
         }
     }
 
@@ -125,7 +119,6 @@ impl<K> BufferPool<K> {
             local: Vec::with_capacity(LOCAL_SLABS),
             shared: Arc::clone(&self.shared),
             stats: self.stats.clone(),
-            metrics: self.metrics.clone(),
         }
     }
 
@@ -142,16 +135,12 @@ pub struct PoolHandle<K> {
     local: Vec<Vec<K>>,
     shared: Arc<Mutex<Vec<Vec<K>>>>,
     stats: Option<Arc<PoolStats>>,
-    metrics: Option<PoolMetrics>,
 }
 
 impl<K> PoolHandle<K> {
     fn note_high_water(&self, parked: usize) {
         if let Some(s) = &self.stats {
             s.high_water.fetch_max(parked as u64, Ordering::Relaxed);
-        }
-        if let Some(m) = &self.metrics {
-            m.slab_high_water.set_max(parked as i64);
         }
     }
 
@@ -162,19 +151,14 @@ impl<K> PoolHandle<K> {
         if let Some(s) = &self.stats {
             s.takes.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(m) = &self.metrics {
-            m.takes.inc();
-        }
         let mut buf = match self.local.pop() {
             Some(buf) => buf,
-            None => {
-                let mut shared = self.shared.lock().expect("buffer pool lock poisoned");
-                let buf = shared.pop();
-                if let Some(m) = &self.metrics {
-                    m.shared_slabs.set(shared.len() as i64);
-                }
-                buf.unwrap_or_default()
-            }
+            None => self
+                .shared
+                .lock()
+                .expect("buffer pool lock poisoned")
+                .pop()
+                .unwrap_or_default(),
         };
         buf.reserve(capacity);
         buf
@@ -187,9 +171,6 @@ impl<K> PoolHandle<K> {
         if let Some(s) = &self.stats {
             s.puts.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(m) = &self.metrics {
-            m.puts.inc();
-        }
         if self.local.len() < LOCAL_SLABS {
             self.local.push(buf);
             self.note_high_water(self.local.len());
@@ -197,9 +178,6 @@ impl<K> PoolHandle<K> {
             let parked = {
                 let mut shared = self.shared.lock().expect("buffer pool lock poisoned");
                 shared.push(buf);
-                if let Some(m) = &self.metrics {
-                    m.shared_slabs.set(shared.len() as i64);
-                }
                 shared.len()
             };
             self.note_high_water(parked);
@@ -222,9 +200,6 @@ impl<K> Drop for PoolHandle<K> {
         if let Ok(mut shared) = self.shared.lock() {
             shared.append(&mut self.local);
             let parked = shared.len();
-            if let Some(m) = &self.metrics {
-                m.shared_slabs.set(parked as i64);
-            }
             drop(shared);
             self.note_high_water(parked);
         }

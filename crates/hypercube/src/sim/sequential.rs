@@ -26,6 +26,7 @@
 
 use super::engine::{Engine, NodeCtx};
 use super::frontier::{deadlock_panic, RoundCommitter, SharedCell};
+use crate::obs::metrics;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -76,7 +77,9 @@ where
     let mut committer =
         RoundCommitter::new(engine.sink.clone(), engine.link_model, dim, engine.cost);
     let mut poll_cx = Context::from_waker(Waker::noop());
+    let mut rounds: u64 = 0;
     while !round.is_empty() {
+        rounds += 1;
         for &i in &round {
             let task = tasks[i].as_mut().expect("scheduled node has a task");
             match task.as_mut().poll(&mut poll_cx) {
@@ -101,6 +104,9 @@ where
         std::mem::swap(&mut round, &mut next);
     }
 
+    if let Some(g) = metrics::global() {
+        g.run.engine.rounds.add(rounds);
+    }
     if !alive.is_empty() {
         deadlock_panic(cells, alive.len());
     }

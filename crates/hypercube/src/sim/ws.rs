@@ -18,7 +18,6 @@
 //! uses it to unwind the whole pool when one worker panics inside a node
 //! program.
 
-use crate::obs::metrics::{self, WsMetrics};
 use crate::obs::sched::WorkerProf;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU32, AtomicUsize, Ordering};
@@ -134,10 +133,6 @@ pub(super) struct SenseBarrier {
     /// mutex guards nothing — it exists to pair with the condvar.
     lock: Mutex<()>,
     cv: Condvar,
-    /// Live-telemetry handles, resolved once at construction from the
-    /// process-wide registry (see [`metrics::global`]); `None` keeps every
-    /// hook a single branch.
-    metrics: Option<WsMetrics>,
 }
 
 impl SenseBarrier {
@@ -150,7 +145,6 @@ impl SenseBarrier {
             parkers: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
-            metrics: metrics::global().map(|g| g.run.ws.clone()),
         }
     }
 
@@ -189,9 +183,6 @@ impl SenseBarrier {
             // read is guaranteed to see the flipped sense before parking.
             self.pending.store(self.participants, Ordering::Release);
             self.sense.store(!my_sense, Ordering::SeqCst);
-            if let Some(m) = &self.metrics {
-                m.barrier_epochs.inc();
-            }
             if self.parkers.load(Ordering::SeqCst) > 0 {
                 drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
                 self.cv.notify_all();
@@ -213,9 +204,6 @@ impl SenseBarrier {
                 p.parked();
             }
             self.parkers.fetch_add(1, Ordering::SeqCst);
-            if let Some(m) = &self.metrics {
-                m.parked_workers.add(1);
-            }
             let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
             while self.sense.load(Ordering::SeqCst) == my_sense
                 && !self.poisoned.load(Ordering::SeqCst)
@@ -224,9 +212,6 @@ impl SenseBarrier {
             }
             drop(guard);
             self.parkers.fetch_sub(1, Ordering::SeqCst);
-            if let Some(m) = &self.metrics {
-                m.parked_workers.sub(1);
-            }
             if let Some(p) = prof {
                 p.unparked();
             }

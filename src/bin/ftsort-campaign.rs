@@ -21,8 +21,8 @@
 //! live `RunReport` JSONs for `ftsort-cli replay`/`trace-diff` forensics.
 //! `--metrics-snapshot` installs the global metrics registry and writes a
 //! Prometheus snapshot once the campaign is half done (live progress:
-//! runs-completed counter, per-cell makespan histograms), refreshing it at
-//! completion.
+//! runs-completed counter, per-cell makespan histograms, and the engine
+//! totals of the runs that have ended), refreshing it at completion.
 //!
 //! Progress goes to stderr; tables and the summary go to stdout.
 //!
@@ -114,7 +114,7 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("--jobs must be at least 1".into());
     }
 
-    // Telemetry attaches before anything it observes is constructed.
+    // Installed before the first run, so every run folds its totals in.
     let snapshot = flags.get("metrics-snapshot");
     if snapshot.is_some() {
         hypercube::obs::metrics::install_global();

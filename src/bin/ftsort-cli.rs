@@ -280,8 +280,8 @@ fn run_sort<K: ftsort::seq::Key>(
     let sched_out = flags.get("sched-out");
     let sched_wanted = sched_out.is_some() || flags.contains_key("sched-profile");
     let metrics_snapshot = flags.get("metrics-snapshot");
-    // Telemetry attaches before anything it observes is constructed:
-    // engines, pools and sinks resolve the global registry at build time.
+    // Installed before the run, so the run, its sink and its gzip stream
+    // fold their totals into the registry when they end.
     if metrics_snapshot.is_some() {
         hypercube::obs::metrics::install_global();
     }
@@ -387,13 +387,15 @@ fn run_sort<K: ftsort::seq::Key>(
     if let Some(path) = metrics_out {
         let mut report = obs.report(&phase_name).with_key_type(key_type.as_str());
         if let Some(threads) = threads {
+            report = report.with_threads(threads);
             // Record the effective schedule too: the par engine clamps the
-            // worker count to the shard count (`schedule_for`).
-            let (workers_effective, shard_size, _) =
-                hypercube::sim::par::schedule_for(report.nodes.len(), Some(threads), None);
-            report = report
-                .with_threads(threads)
-                .with_schedule(workers_effective, shard_size);
+            // worker count to the shard count (`schedule_for`). The seq
+            // executor runs no schedule, so its report claims none.
+            if engine == EngineKind::Par {
+                let (workers_effective, shard_size, _) =
+                    hypercube::sim::par::schedule_for(report.nodes.len(), Some(threads), None);
+                report = report.with_schedule(workers_effective, shard_size);
+            }
         }
         if let Some(counters) = pool.as_ref().and_then(|p| p.stats()).map(|s| s.counters()) {
             report =
@@ -430,6 +432,15 @@ fn run_sort<K: ftsort::seq::Key>(
     }
     if let Some(path) = metrics_snapshot {
         let global = hypercube::obs::metrics::global().expect("registry installed above");
+        // The run folded its own totals when it ended; the pool is ours.
+        if let Some(pool) = &pool {
+            let counters = pool.stats().expect("stats pool").counters();
+            let m = &global.run.pool;
+            m.takes.add(counters.takes);
+            m.puts.add(counters.puts);
+            m.slab_high_water.set_max(counters.slab_high_water as i64);
+            m.shared_slabs.set(pool.shared_slabs() as i64);
+        }
         std::fs::write(path, global.registry.render_prom())
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");

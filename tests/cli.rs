@@ -722,41 +722,117 @@ fn trace_check_rejects_out_of_range_and_non_finite_reports() {
     let _ = std::fs::remove_file(&good);
 }
 
+/// The value of the unlabelled sample `name` in a Prometheus snapshot.
+fn prom_sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {name} in\n{text}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("sample {name}: {e}"))
+}
+
 #[test]
 fn sort_metrics_report_carries_pool_stats() {
     // `--metrics-snapshot` switches the CLI onto a stats-carrying
-    // BufferPool; the RunReport then records the pool counters.
+    // BufferPool; the RunReport then records the pool counters. The
+    // snapshot's counters are the run's own totals, folded in when the
+    // run, its sink and its gzip stream end — so each one matches an
+    // output of the same run, on both engines.
     let dir = std::env::temp_dir();
-    let prom = dir.join("ftsort_cli_poolstats.prom");
-    let report = dir.join("ftsort_cli_poolstats_report.json");
-    let out = cli()
-        .args([
-            "sort",
-            "--n",
-            "4",
-            "--faults",
-            "2",
-            "--m",
-            "2000",
-            "--metrics-snapshot",
-            prom.to_str().unwrap(),
-            "--metrics-out",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&report).expect("report written");
-    let parsed = hypercube::obs::RunReport::from_json(&json).expect("report parses");
-    assert!(parsed.pool_takes.expect("pool_takes recorded") > 0);
-    assert!(parsed.pool_puts.expect("pool_puts recorded") > 0);
-    assert!(parsed.pool_slab_high_water.expect("high water recorded") > 0);
+    let mut rounds = Vec::new();
+    for (name, engine) in [
+        ("seq", &["--engine", "seq"][..]),
+        ("par", &["--engine", "par", "--threads", "2"]),
+    ] {
+        let path = |suffix: &str| dir.join(format!("ftsort_cli_poolstats_{name}{suffix}"));
+        let (prom, report, run) = (path(".prom"), path("_report.json"), path(".jsonl.gz"));
+        let out = cli()
+            .args(["sort", "--n", "6", "--faults", "9,22,51", "--m", "20000"])
+            .args(engine)
+            .args(["--link-model", "contended", "--run-out"])
+            .arg(&run)
+            .arg("--metrics-snapshot")
+            .arg(&prom)
+            .arg("--metrics-out")
+            .arg(&report)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let json = std::fs::read_to_string(&report).expect("report written");
+        let parsed = hypercube::obs::RunReport::from_json(&json).expect("report parses");
+        let takes = parsed.pool_takes.expect("pool_takes recorded");
+        let puts = parsed.pool_puts.expect("pool_puts recorded");
+        let high_water = parsed.pool_slab_high_water.expect("high water recorded");
+        assert!(takes > 0 && puts > 0 && high_water > 0, "{name}");
+
+        let text = std::fs::read_to_string(&prom).expect("snapshot written");
+        let sample = |family: &str| prom_sample(&text, family);
+        let messages: u64 = stdout
+            .lines()
+            .find_map(|line| line.strip_prefix("messages")?.split(':').nth(1))
+            .expect("messages line")
+            .trim()
+            .parse()
+            .unwrap();
+        assert_eq!(
+            sample("ftsort_messages_delivered_total"),
+            messages,
+            "{name}"
+        );
+        assert_eq!(sample("ftsort_msg_elements_count"), messages, "{name}");
+        let elements = parsed.stats.elements_sent;
+        assert_eq!(sample("ftsort_elements_priced_total"), elements, "{name}");
+        assert_eq!(sample("ftsort_msg_elements_sum"), elements, "{name}");
+        let wait: f64 = parsed.nodes.iter().map(|n| n.link_wait_us).sum();
+        assert!(wait > 0.0, "{name}: a contended sort waits");
+        assert_eq!(sample("ftsort_link_wait_us_total"), wait as u64, "{name}");
+        assert_eq!(sample("ftsort_pool_takes_total"), takes, "{name}");
+        assert_eq!(sample("ftsort_pool_puts_total"), puts, "{name}");
+        assert_eq!(sample("ftsort_pool_slab_high_water"), high_water, "{name}");
+
+        let packed = std::fs::read(&run).expect("run file written");
+        let inflated = hypercube::obs::gz::gunzip(&packed).expect("run file inflates");
+        let doc = hypercube::obs::json::Json::parse(std::str::from_utf8(&inflated).unwrap())
+            .expect("run file parses");
+        let records = doc.get("events").and_then(|v| v.as_arr()).expect("events");
+        assert_eq!(
+            sample("ftsort_sink_events_total"),
+            records.len() as u64,
+            "{name}"
+        );
+        assert_eq!(
+            sample("ftsort_gz_bytes_in_total"),
+            inflated.len() as u64,
+            "{name}"
+        );
+        assert_eq!(
+            sample("ftsort_gz_bytes_out_total"),
+            packed.len() as u64,
+            "{name}"
+        );
+
+        let (r, epochs) = (
+            sample("ftsort_rounds_total"),
+            sample("ftsort_ws_barrier_epochs_total"),
+        );
+        assert!(r > 0, "{name}");
+        // Par crosses three barriers a round (poll, serial flush, deliver);
+        // seq has no barrier.
+        assert_eq!(epochs, if name == "par" { 3 * r } else { 0 }, "{name}");
+        rounds.push(r);
+        for file in [&prom, &report, &run] {
+            let _ = std::fs::remove_file(file);
+        }
+    }
+    assert_eq!(rounds[0], rounds[1], "seq and par commit the same rounds");
 
     // Without telemetry, the report omits the pool fields entirely.
+    let report = dir.join("ftsort_cli_poolstats_plain_report.json");
     let out = cli()
         .args([
             "sort",
@@ -774,8 +850,40 @@ fn sort_metrics_report_carries_pool_stats() {
     assert!(out.status.success());
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(!json.contains("pool_takes"), "{json}");
-    let _ = std::fs::remove_file(&prom);
     let _ = std::fs::remove_file(&report);
+}
+
+#[test]
+fn sort_report_claims_a_schedule_only_for_the_par_engine() {
+    // The seq executor runs one thread and no shards: given `--threads`,
+    // its report records the request but no effective schedule. The par
+    // executor records both.
+    let dir = std::env::temp_dir();
+    for engine in ["seq", "par"] {
+        let report = dir.join(format!("ftsort_cli_schedule_{engine}.json"));
+        let out = cli()
+            .args(["sort", "--n", "4", "--faults", "2", "--m", "1000"])
+            .args(["--engine", engine, "--threads", "2", "--metrics-out"])
+            .arg(&report)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = std::fs::read_to_string(&report).expect("report written");
+        let _ = std::fs::remove_file(&report);
+        let parsed = hypercube::obs::RunReport::from_json(&json).expect("report parses");
+        assert_eq!(parsed.threads, Some(2), "{engine}");
+        if engine == "par" {
+            assert_eq!(parsed.workers_effective, Some(2), "{json}");
+            assert_eq!(parsed.shard_size, Some(2), "{json}");
+        } else {
+            assert!(!json.contains("workers_effective"), "{json}");
+            assert!(!json.contains("shard_size"), "{json}");
+        }
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@ use hypercube::obs::json::Json;
 use hypercube::obs::perfetto::perfetto_json;
 use hypercube::obs::replay::{observation_from_json, run_to_json};
 use hypercube::obs::schedule::reprice;
-use hypercube::obs::sink::{BufferedSink, StreamingSink, TraceSink};
+use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::obs::{RunObservation, RunReport};
 use hypercube::sim::{EngineKind, LinkModel};
 use hypercube::topology::Hypercube;
@@ -164,9 +164,9 @@ fn engines_agree_on_observations() {
     );
 }
 
-/// The deterministic run of [`observed`], but streamed through a caller-
-/// supplied sink instead of (only) buffered in engine memory.
-fn streamed(engine: EngineKind, sink: Arc<Mutex<dyn TraceSink>>) -> RunObservation {
+/// The deterministic run of [`observed`], but streamed through a
+/// [`StreamingSink`] into memory; returns the run file it wrote.
+fn streamed(engine: EngineKind) -> String {
     let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 9]);
     let plan = FtPlan::new(&faults).expect("tolerable");
     let mut rng = StdRng::seed_from_u64(0x0b5e_11e5);
@@ -176,53 +176,39 @@ fn streamed(engine: EngineKind, sink: Arc<Mutex<dyn TraceSink>>) -> RunObservati
         tracing: true,
         ..FtConfig::default()
     };
-    let (_, _, obs) = fault_tolerant_sort(
+    let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
+    let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
+    fault_tolerant_sort(
         &plan,
         &config,
         data,
         Attach {
-            sink: Some(sink),
+            sink: Some(dyn_sink),
             ..Attach::default()
         },
     );
-    obs
+    let bytes = Arc::try_unwrap(sink)
+        .ok()
+        .expect("the engine dropped its sink handle")
+        .into_inner()
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    String::from_utf8(bytes).expect("UTF-8")
 }
 
 #[test]
-fn streaming_and_buffered_sinks_write_identical_bytes() {
-    // Two identical deterministic seq runs, one per sink flavor: the
-    // sinks see the same record stream, so the streamed file must be
-    // byte-for-byte the buffered render.
-    let buffered = Arc::new(Mutex::new(BufferedSink::new()));
-    streamed(EngineKind::Seq, buffered.clone());
-    let buffered_json = buffered.lock().unwrap().to_json();
-
-    let stream_of = |engine: EngineKind| {
-        let streaming = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
-        streamed(engine, streaming.clone());
-        let bytes = Arc::try_unwrap(streaming)
-            .ok()
-            .expect("the engine dropped its sink handle")
-            .into_inner()
-            .unwrap()
-            .into_inner()
-            .unwrap();
-        String::from_utf8(bytes).expect("UTF-8")
-    };
+fn seq_and_par_sinks_stream_identical_bytes() {
+    let seq_json = streamed(EngineKind::Seq);
+    // the parallel engine's barrier flush reproduces the sequential
+    // committer's stream — same record order, same bytes
     assert_eq!(
-        stream_of(EngineKind::Seq),
-        buffered_json,
-        "streaming and buffered sinks diverged"
-    );
-    // the parallel engine's barrier flush reproduces the same stream —
-    // same record order, same bytes
-    assert_eq!(
-        stream_of(EngineKind::Par),
-        buffered_json,
+        streamed(EngineKind::Par),
+        seq_json,
         "par streamed different bytes than seq"
     );
-    // and both replay (the acceptance path behind sort --run-out)
-    let replayed = observation_from_json(&buffered_json).expect("replays");
+    // and the file replays (the acceptance path behind sort --run-out)
+    let replayed = observation_from_json(&seq_json).expect("replays");
     assert!(!replayed.trace.is_empty());
 }
 

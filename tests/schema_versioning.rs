@@ -16,7 +16,7 @@ use hypercube::fault::FaultSet;
 use hypercube::obs::replay::{
     observation_from_file, observation_from_json, run_to_json, write_run_file,
 };
-use hypercube::obs::sink::{BufferedSink, StreamingSink, TraceSink};
+use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::obs::RunObservation;
 use hypercube::sim::{EngineKind, LinkModel, TraceKind};
 use hypercube::topology::Hypercube;
@@ -121,10 +121,9 @@ fn v2_uncontended_files_differ_from_v1_only_in_the_header() {
 }
 
 #[test]
-fn v2_round_trips_buffered_streamed_and_contended() {
-    // Buffered and streamed sinks see the same record stream, so the
-    // streamed v2 file is byte-for-byte the buffered render — with the
-    // contended model (and its wait fields) on and tracing enabled.
+fn v2_round_trips_streamed_and_contended() {
+    // A streamed v2 file with the contended model (and its wait fields)
+    // on and tracing enabled replays to the live observation exactly.
     let faults = FaultSet::from_raw(Hypercube::new(4), &[2, 9]);
     let plan = FtPlan::new(&faults).expect("tolerable");
     let mut rng = StdRng::seed_from_u64(42);
@@ -135,19 +134,6 @@ fn v2_round_trips_buffered_streamed_and_contended() {
         tracing: true,
         ..FtConfig::default()
     };
-    let buffered = Arc::new(Mutex::new(BufferedSink::new()));
-    let dyn_buf: Arc<Mutex<dyn TraceSink>> = buffered.clone();
-    fault_tolerant_sort(
-        &plan,
-        &config,
-        data.clone(),
-        Attach {
-            sink: Some(dyn_buf),
-            ..Attach::default()
-        },
-    );
-    let buffered_json = buffered.lock().unwrap().to_json();
-
     let (live, streamed_bytes) = {
         let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
         let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
@@ -170,7 +156,6 @@ fn v2_round_trips_buffered_streamed_and_contended() {
         (obs, bytes)
     };
     let streamed = String::from_utf8(streamed_bytes).expect("UTF-8");
-    assert_eq!(streamed, buffered_json, "streamed vs buffered v2 diverged");
     assert!(
         streamed.contains("\"wait\":"),
         "a contended Q4 sort must record at least one nonzero wait"
