@@ -1,7 +1,6 @@
 //! Per-metric regression gate between two bench files of one kind: two
 //! `BENCH_engines.json` (written by `engines_json`), two `BENCH_sched.json`
-//! (`sched_json`) or two campaign reports (`campaign_json` /
-//! `ftsort-campaign --out`).
+//! (`sched_json`) or two campaign reports (`ftsort-campaign --out`).
 //!
 //! Every input becomes rows of named metrics. Results rows and campaign
 //! cells are matched by `(n, r, m, workers, link_model)` (`workers`

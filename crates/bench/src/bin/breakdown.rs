@@ -19,7 +19,7 @@ fn main() {
     let mut host_io = false;
     let mut engine = EngineKind::default();
     let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::new();
+    let mut obs_flags = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -52,7 +52,7 @@ fn run<K: GenKey>(
     host_io: bool,
     engine: EngineKind,
     key_type: KeyType,
-    mut obs_flags: ObsFlags,
+    obs_flags: ObsFlags,
 ) {
     let mut rng = ft_bench::rng(seed);
     println!(
@@ -65,6 +65,7 @@ fn run<K: GenKey>(
         "r", "m", "N'", "scatter", "step3", "step7", "step8", "gather", "total"
     );
     println!("{}", "-".repeat(86));
+    let mut last = None;
     for r in 0..n {
         let faults = random_faults(n, r, &mut rng);
         let plan = FtPlan::new(&faults).expect("tolerable");
@@ -72,18 +73,13 @@ fn run<K: GenKey>(
         let config = FtConfig {
             include_host_io: host_io,
             engine,
-            tracing: obs_flags.tracing(),
             threads: obs_flags.threads,
             ..FtConfig::default()
         };
-        let sched_data = obs_flags.sched_enabled().then(|| data.clone());
-        let (out, phases, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
         if obs_flags.enabled() {
-            obs_flags.observe(obs);
+            last = Some((plan.clone(), config, data.clone()));
         }
-        if let Some(sched_data) = sched_data {
-            obs_flags.profile_sched(&plan, &config, sched_data);
-        }
+        let (out, phases, _) = fault_tolerant_sort(&plan, &config, data, Attach::default());
         println!(
             "{:>2} {:>3} {:>4} | {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} | {:>9.1}",
             r,
@@ -97,5 +93,7 @@ fn run<K: GenKey>(
             out.time_us / 1000.0
         );
     }
-    obs_flags.write();
+    if let Some((plan, config, data)) = last {
+        obs_flags.drill(&plan, &config, data, key_type);
+    }
 }

@@ -107,7 +107,7 @@ fn main() {
         seed: DEFAULT_SEED,
         out: String::from("BENCH_engines.json"),
         key_type: KeyType::default(),
-        obs_flags: ObsFlags::new(),
+        obs_flags: ObsFlags::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -157,7 +157,7 @@ fn main() {
     }
 }
 
-fn run<K: GenKey>(mut cfg: Cfg) {
+fn run<K: GenKey>(cfg: Cfg) {
     let mut rng = ft_bench::rng(cfg.seed);
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let ladder = worker_ladder(host_cores);
@@ -176,6 +176,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
     println!("{}", "-".repeat(97));
 
     let mut rows = Vec::new();
+    let mut last = None;
     for &n in &cfg.sizes {
         let r = n - 1;
         let faults = random_faults(n, r, &mut rng);
@@ -202,14 +203,12 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 (best, outcome.expect("trials ≥ 1"))
             };
             let (seq_s, seq) = time(EngineKind::Seq, None);
-            // One extra (untimed) observed run per (n, link model): its
-            // RunReport supplies the per-phase virtual-time split and the
-            // link-wait total, and the observability exports reuse it — so
-            // trace-recording overhead never contaminates the wall clocks.
+            // One extra (untimed) run per (n, link model): its RunReport
+            // supplies the per-phase virtual-time split and the link-wait
+            // total without touching the wall clocks.
             let config = FtConfig {
                 protocol: Protocol::HalfExchange,
                 engine: EngineKind::Seq,
-                tracing: cfg.obs_flags.tracing(),
                 link_model,
                 ..FtConfig::default()
             };
@@ -221,19 +220,14 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 .map(|p| (p.name.clone(), p.max_node_us))
                 .collect();
             let wait_total_us: f64 = report.nodes.iter().map(|m| m.link_wait_us).sum();
-            // The exported observation stays the paper-model (uncontended)
-            // run, as before the contended row set existed.
-            if link_model == LinkModel::Uncontended {
-                if cfg.obs_flags.enabled() {
-                    cfg.obs_flags.observe(obs);
-                }
-                if cfg.obs_flags.sched_enabled() {
-                    let config = FtConfig {
-                        protocol: Protocol::HalfExchange,
-                        ..FtConfig::default()
-                    };
-                    cfg.obs_flags.profile_sched(&plan, &config, data.clone());
-                }
+            // The drill-down runs the last paper-model (uncontended) case
+            // on par, the engine the scheduler profile needs.
+            if link_model == LinkModel::Uncontended && cfg.obs_flags.enabled() {
+                let config = FtConfig {
+                    engine: EngineKind::Par,
+                    ..config
+                };
+                last = Some((plan.clone(), config, data.clone()));
             }
             for &workers in &ladder {
                 let (workers_effective, shard_size, _) =
@@ -302,7 +296,9 @@ fn run<K: GenKey>(mut cfg: Cfg) {
     let json = render_json(&cfg, host_cores, &rows, &kernels);
     std::fs::write(&cfg.out, &json).expect("write BENCH_engines.json");
     println!("\nwrote {}", cfg.out);
-    cfg.obs_flags.write();
+    if let Some((plan, config, data)) = last {
+        cfg.obs_flags.drill(&plan, &config, data, cfg.key_type);
+    }
 }
 
 /// Times the merge kernels for every key type (independent of

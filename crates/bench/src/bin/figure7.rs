@@ -33,7 +33,7 @@ fn main() {
     let mut cost = CostModel::default();
     let mut engine = EngineKind::default();
     let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::new();
+    let mut obs_flags = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -69,24 +69,36 @@ fn main() {
         Some(n) => vec![n],
         None => vec![6, 5, 3, 4], // the paper's (a), (b), (c), (d) order
     };
-    for n in panels {
-        match key_type {
-            KeyType::U32 => {
-                figure7_panel::<u32>(n, seed, trials, csv, cost, engine, &mut obs_flags)
-            }
-            KeyType::U64 => {
-                figure7_panel::<u64>(n, seed, trials, csv, cost, engine, &mut obs_flags)
-            }
-            KeyType::I64 => {
-                figure7_panel::<i64>(n, seed, trials, csv, cost, engine, &mut obs_flags)
-            }
-            KeyType::Pair => {
-                figure7_panel::<KeyPair>(n, seed, trials, csv, cost, engine, &mut obs_flags)
-            }
-        }
+    let run = match key_type {
+        KeyType::U32 => run::<u32>,
+        KeyType::U64 => run::<u64>,
+        KeyType::I64 => run::<i64>,
+        KeyType::Pair => run::<KeyPair>,
+    };
+    run(
+        &panels, seed, trials, csv, cost, engine, key_type, &obs_flags,
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run<K: GenKey>(
+    panels: &[usize],
+    seed: u64,
+    trials: usize,
+    csv: bool,
+    cost: CostModel,
+    engine: EngineKind,
+    key_type: KeyType,
+    obs_flags: &ObsFlags,
+) {
+    let mut last = None;
+    for &n in panels {
+        figure7_panel::<K>(n, seed, trials, csv, cost, engine, obs_flags, &mut last);
         println!();
     }
-    obs_flags.write();
+    if let Some((plan, config, data)) = last {
+        obs_flags.drill(&plan, &config, data, key_type);
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -97,7 +109,8 @@ fn figure7_panel<K: GenKey>(
     csv: bool,
     cost: CostModel,
     engine: EngineKind,
-    obs_flags: &mut ObsFlags,
+    obs_flags: &ObsFlags,
+    last: &mut Option<(FtPlan, FtConfig, Vec<K>)>,
 ) {
     let label = match n {
         6 => "(a)",
@@ -150,31 +163,18 @@ fn figure7_panel<K: GenKey>(
             let mut total = 0.0;
             for faults in sets {
                 let plan = FtPlan::new(faults).expect("tolerable");
-                let (out, _, obs) = fault_tolerant_sort(
-                    &plan,
-                    &FtConfig {
-                        cost,
-                        protocol: Protocol::HalfExchange,
-                        engine,
-                        tracing: obs_flags.tracing(),
-                        threads: obs_flags.threads,
-                        ..FtConfig::default()
-                    },
-                    data.clone(),
-                    Attach::default(),
-                );
+                let config = FtConfig {
+                    cost,
+                    protocol: Protocol::HalfExchange,
+                    engine,
+                    threads: obs_flags.threads,
+                    ..FtConfig::default()
+                };
+                let (out, _, _) =
+                    fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
                 total += out.time_us;
                 if obs_flags.enabled() {
-                    obs_flags.observe(obs);
-                }
-                if obs_flags.sched_enabled() {
-                    let config = FtConfig {
-                        cost,
-                        protocol: Protocol::HalfExchange,
-                        engine,
-                        ..FtConfig::default()
-                    };
-                    obs_flags.profile_sched(&plan, &config, data.clone());
+                    *last = Some((plan, config, data.clone()));
                 }
             }
             let ms = total / sets.len() as f64 / 1000.0;

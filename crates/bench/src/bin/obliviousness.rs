@@ -27,7 +27,7 @@ fn main() {
     let mut seed = DEFAULT_SEED;
     let mut engine = EngineKind::default();
     let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::new();
+    let mut obs_flags = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -58,7 +58,7 @@ fn run<K: GenKey>(
     seed: u64,
     engine: EngineKind,
     key_type: KeyType,
-    mut obs_flags: ObsFlags,
+    obs_flags: ObsFlags,
 ) {
     let mut rng = ft_bench::rng(seed);
     let cube = Hypercube::new(n);
@@ -75,34 +75,22 @@ fn run<K: GenKey>(
     println!("{}", "-".repeat(46));
     let mut ft_times = Vec::new();
     let mut hq_times = Vec::new();
+    let mut last = None;
     for w in Workload::ALL {
         let data: Vec<K> = w.generate_typed(m_total, &mut rng);
         let mut expect = data.clone();
         expect.sort_unstable();
         let plan = FtPlan::new(&faults).expect("tolerable");
-        let (ours, _, obs) = fault_tolerant_sort(
-            &plan,
-            &FtConfig {
-                protocol: Protocol::HalfExchange,
-                engine,
-                tracing: obs_flags.tracing(),
-                threads: obs_flags.threads,
-                ..FtConfig::default()
-            },
-            data.clone(),
-            Attach::default(),
-        );
+        let config = FtConfig {
+            protocol: Protocol::HalfExchange,
+            engine,
+            threads: obs_flags.threads,
+            ..FtConfig::default()
+        };
+        let (ours, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
         assert_eq!(ours.sorted, expect);
         if obs_flags.enabled() {
-            obs_flags.observe(obs);
-        }
-        if obs_flags.sched_enabled() {
-            let config = FtConfig {
-                protocol: Protocol::HalfExchange,
-                engine,
-                ..FtConfig::default()
-            };
-            obs_flags.profile_sched(&plan, &config, data.clone());
+            last = Some((plan, config, data.clone()));
         }
         let hq = hyperquicksort_with_engine(cube, CostModel::default(), data, engine);
         assert_eq!(hq.sorted, expect);
@@ -126,5 +114,7 @@ fn run<K: GenKey>(
         spread(&ft_times),
         spread(&hq_times)
     );
-    obs_flags.write();
+    if let Some((plan, config, data)) = last {
+        obs_flags.drill(&plan, &config, data, key_type);
+    }
 }

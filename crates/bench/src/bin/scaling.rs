@@ -27,7 +27,7 @@ fn main() {
     let mut seed = DEFAULT_SEED;
     let mut engine = EngineKind::default();
     let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::new();
+    let mut obs_flags = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -56,7 +56,7 @@ fn run<K: GenKey>(
     seed: u64,
     engine: EngineKind,
     key_type: KeyType,
-    mut obs_flags: ObsFlags,
+    obs_flags: ObsFlags,
 ) {
     let mut rng = ft_bench::rng(seed);
 
@@ -70,6 +70,7 @@ fn run<K: GenKey>(
     );
     println!("{}", "-".repeat(54));
     let trials = 6;
+    let mut last = None;
     for n in 3..=8 {
         let mut live = 0usize;
         let mut ours_ms = 0.0;
@@ -82,18 +83,13 @@ fn run<K: GenKey>(
             let config = FtConfig {
                 protocol: Protocol::HalfExchange,
                 engine,
-                tracing: obs_flags.tracing(),
                 threads: obs_flags.threads,
                 ..FtConfig::default()
             };
-            let (out, _, obs) =
-                fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
+            let (out, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
             ours_ms += out.time_us / 1000.0;
             if obs_flags.enabled() {
-                obs_flags.observe(obs);
-            }
-            if obs_flags.sched_enabled() {
-                obs_flags.profile_sched(&plan, &config, data.clone());
+                last = Some((plan, config, data.clone()));
             }
             mffs_ms += mffs_sort_with_engine(
                 &faults,
@@ -144,18 +140,13 @@ fn run<K: GenKey>(
                 let config = FtConfig {
                     protocol: Protocol::HalfExchange,
                     engine,
-                    tracing: obs_flags.tracing(),
                     threads: obs_flags.threads,
                     ..FtConfig::default()
                 };
-                let sched_data = obs_flags.sched_enabled().then(|| data.clone());
-                let (out, _, obs) = fault_tolerant_sort(&p, &config, data, Attach::default());
                 if obs_flags.enabled() {
-                    obs_flags.observe(obs);
+                    last = Some((p.clone(), config, data.clone()));
                 }
-                if let Some(sched_data) = sched_data {
-                    obs_flags.profile_sched(&p, &config, sched_data);
-                }
+                let (out, _, _) = fault_tolerant_sort(&p, &config, data, Attach::default());
                 println!(
                     "{:>2} {:>10} {:>4} {:>8} {:>9.1}% {:>12.1}",
                     r,
@@ -169,5 +160,7 @@ fn run<K: GenKey>(
             None => println!("{r:>2} {:>10}", "none found"),
         }
     }
-    obs_flags.write();
+    if let Some((plan, config, data)) = last {
+        obs_flags.drill(&plan, &config, data, key_type);
+    }
 }

@@ -1,13 +1,24 @@
 //! Shared helpers for the benchmark harness that regenerates every table
 //! and figure of the paper's evaluation (§4).
 
-use ftsort::ftsort::FtPlan;
+use ftsort::bitonic::SortOutcome;
+use ftsort::distribute::Padded;
+use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use ftsort::mffs::max_fault_free_subcube;
-use ftsort::seq::Key;
+use ftsort::seq::{Key, KeyType};
 use hypercube::fault::FaultSet;
+use hypercube::obs::log::{self, Level, Value};
+use hypercube::obs::perfetto::perfetto_json;
+use hypercube::obs::sched::SchedProfiler;
+use hypercube::obs::sink::{StreamingSink, TraceSink};
+use hypercube::obs::{metrics, RunObservation};
+use hypercube::sim::par::schedule_for;
+use hypercube::sim::{BufferPool, EngineKind};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fs::File;
+use std::sync::{Arc, Mutex};
 
 /// The seed printed by every report binary so runs are reproducible.
 pub const DEFAULT_SEED: u64 = 1992;
@@ -119,270 +130,283 @@ pub fn worker_ladder(host_cores: usize) -> Vec<usize> {
     ladder
 }
 
-/// `--trace-out FILE` / `--metrics-out FILE` / `--run-out FILE` support
-/// shared by the report binaries: when any flag is given, the binary records the
-/// [`RunObservation`](hypercube::obs::RunObservation) of its **last**
-/// fault-tolerant sort and writes the Perfetto trace and/or
-/// [`RunReport`](hypercube::obs::RunReport) JSON on exit — the same
-/// artifacts `ftsort-cli sort` emits, so any report row can be drilled
-/// into with the observability tooling. `--metrics-snapshot` /
-/// `--log-level` / `--log-out` attach the live telemetry layer the same
-/// way the CLI does.
+/// The observability flags of `ftsort-cli sort` and the report binaries,
+/// and the one code path that runs an observed sort.
+///
+/// [`set`](Self::set) takes the flags in [`NAMES`](Self::NAMES), each
+/// checked and worded in one place. [`sort`](Self::sort) then runs one
+/// fault-tolerant sort with the attachments they ask for and writes every
+/// artifact: the Perfetto trace, the keyed
+/// [`RunReport`](hypercube::obs::RunReport), the run file streamed in
+/// commit order, the scheduler profile and the Prometheus snapshot.
+/// `ftsort-cli sort` runs its sort this way. A report binary runs the
+/// configuration it exports once more, untimed, through
+/// [`drill`](Self::drill), so its timed runs record nothing and its
+/// artifacts are exactly what `ftsort-cli sort` writes for the same plan,
+/// config and keys.
 #[derive(Default)]
 pub struct ObsFlags {
-    /// Perfetto trace destination (`--trace-out`).
-    pub trace_out: Option<String>,
-    /// `RunReport` JSON destination (`--metrics-out`).
-    pub metrics_out: Option<String>,
-    /// Replayable run-file destination (`--run-out`) — the schema
-    /// [`ftsort-cli replay`](../ftsort-cli) and `trace-diff` consume.
-    pub run_out: Option<String>,
-    /// Worker count for the parallel engine (`--threads`, default: the
-    /// host's available parallelism). Recorded in the `--metrics-out`
-    /// report when given; wall-clock only, never simulated results.
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    run_out: Option<String>,
+    sched_out: Option<String>,
+    sched_profile: bool,
+    metrics_snapshot: Option<String>,
+    log_level: Option<Level>,
+    log_out: Option<String>,
+    /// Worker count for the par engine (`--threads`; default: the host's
+    /// available parallelism). Wall-clock only, never simulated results.
     pub threads: Option<usize>,
-    /// `SchedReport` JSON destination (`--sched-out`): per-worker
-    /// wall-clock scheduler telemetry from an extra profiled par-engine
-    /// run. Also writes `<path>.perfetto.json` (worker timeline + steal
-    /// flows) and prints the ASCII summary.
-    pub sched_out: Option<String>,
-    /// `--sched-profile`: print the scheduler summary and worker timeline
-    /// without writing files.
-    pub sched_profile: bool,
-    /// Prometheus-exposition destination (`--metrics-snapshot`): installs
-    /// the process-wide live-telemetry registry
-    /// ([`hypercube::obs::metrics`]) at parse time — before any run, so
-    /// every run folds its totals into it when it ends — and writes the
-    /// final snapshot in [`write`](Self::write).
-    pub metrics_snapshot: Option<String>,
-    /// Structured-log destination (`--log-out`): installs the JSON-lines
-    /// logger ([`hypercube::obs::log`]) at parse time. Pass it *before*
-    /// `--log-level` when combining — the first installed writer wins.
-    pub log_out: Option<String>,
-    last: Option<hypercube::obs::RunObservation>,
-    sched_report: Option<hypercube::obs::sched::SchedReport>,
-    sched_perfetto: Option<String>,
-    sched_timeline: Option<String>,
 }
 
 impl ObsFlags {
-    /// No exports requested.
-    pub fn new() -> Self {
-        Self::default()
+    /// The flags [`set`](Self::set) takes, without their leading `--`.
+    pub const NAMES: [&'static str; 9] = [
+        "threads",
+        "trace-out",
+        "metrics-out",
+        "run-out",
+        "sched-out",
+        "sched-profile",
+        "metrics-snapshot",
+        "log-level",
+        "log-out",
+    ];
+
+    /// Sets flag `name`, one of [`NAMES`](Self::NAMES), from its value
+    /// (`sched-profile` ignores it). Only the value is checked here:
+    /// [`sort`](Self::sort) creates the files and installs the logger and
+    /// the metrics registry, so the order of the flags never matters.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let path = Some(value.to_string());
+        match name {
+            "threads" => {
+                let t: usize = value.parse().map_err(|e| format!("bad --threads: {e}"))?;
+                if t == 0 {
+                    return Err("bad --threads: must be at least 1".into());
+                }
+                self.threads = Some(t);
+            }
+            "trace-out" => self.trace_out = path,
+            "metrics-out" => self.metrics_out = path,
+            "run-out" => self.run_out = path,
+            "sched-out" => self.sched_out = path,
+            "sched-profile" => self.sched_profile = true,
+            "metrics-snapshot" => self.metrics_snapshot = path,
+            "log-level" => {
+                let level = Level::parse(value).ok_or_else(|| {
+                    format!("unknown log level '{value}' (error|warn|info|debug|trace)")
+                })?;
+                self.log_level = Some(level);
+            }
+            "log-out" => self.log_out = path,
+            _ => return Err(format!("unknown flag --{name}")),
+        }
+        Ok(())
     }
 
-    /// Consumes `--trace-out`/`--metrics-out` (and their values) from the
-    /// argument stream; returns `false` for any other argument so callers
-    /// can fall through to their own error handling.
+    /// Takes `arg` and, unless it is `--sched-profile`, its value from
+    /// `args`, for the report binaries' argument loops. Returns `false`
+    /// for any other argument; exits with status 2 on a missing or bad
+    /// value.
     pub fn parse(&mut self, arg: &str, args: &mut dyn Iterator<Item = String>) -> bool {
-        if arg == "--threads" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(t)) if t >= 1 => self.threads = Some(t),
-                _ => {
-                    eprintln!("--threads requires a worker count ≥ 1");
-                    std::process::exit(2);
-                }
-            }
-            return true;
-        }
-        if arg == "--sched-profile" {
-            self.sched_profile = true;
-            return true;
-        }
-        if arg == "--metrics-snapshot" {
-            match args.next() {
-                Some(path) => {
-                    // Install before the runs, so each run folds its
-                    // totals into the registry when it ends.
-                    hypercube::obs::metrics::install_global();
-                    self.metrics_snapshot = Some(path);
-                }
-                None => {
-                    eprintln!("--metrics-snapshot requires a file path");
-                    std::process::exit(2);
-                }
-            }
-            return true;
-        }
-        if arg == "--log-out" {
-            use hypercube::obs::log;
-            match args.next() {
-                Some(path) => {
-                    let file = std::fs::File::create(&path).unwrap_or_else(|e| {
-                        eprintln!("--log-out: creating {path}: {e}");
-                        std::process::exit(2);
-                    });
-                    let level = log::level().unwrap_or(log::Level::Info);
-                    if !log::init(level, Box::new(file)) {
-                        eprintln!("--log-out: a logger is already installed; records stay on the earlier writer");
-                    }
-                    self.log_out = Some(path);
-                }
-                None => {
-                    eprintln!("--log-out requires a file path");
-                    std::process::exit(2);
-                }
-            }
-            return true;
-        }
-        if arg == "--log-level" {
-            use hypercube::obs::log;
-            match args.next().as_deref().and_then(log::Level::parse) {
-                Some(level) => {
-                    if log::level().is_some() {
-                        log::set_level(level);
-                    } else {
-                        log::init_stderr(level);
-                    }
-                }
-                None => {
-                    eprintln!("--log-level requires one of error|warn|info|debug|trace");
-                    std::process::exit(2);
-                }
-            }
-            return true;
-        }
-        let slot = match arg {
-            "--trace-out" => &mut self.trace_out,
-            "--metrics-out" => &mut self.metrics_out,
-            "--run-out" => &mut self.run_out,
-            "--sched-out" => &mut self.sched_out,
-            _ => return false,
+        let Some(name) = arg.strip_prefix("--").filter(|n| Self::NAMES.contains(n)) else {
+            return false;
         };
-        match args.next() {
-            Some(path) => *slot = Some(path),
-            None => {
-                eprintln!("{arg} requires a file path");
-                std::process::exit(2);
-            }
+        let value = match name {
+            "sched-profile" => Some(String::new()),
+            _ => args.next(),
+        };
+        let set = match value {
+            Some(value) => self.set(name, &value),
+            None => Err(format!("{arg} requires a value")),
+        };
+        if let Err(e) = set {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
         true
     }
 
-    /// Whether the engine should record the event trace
-    /// (`FtConfig::tracing`) — needed when a trace or run-file export was
-    /// asked for; metrics come from the always-on spans.
-    pub fn tracing(&self) -> bool {
-        self.trace_out.is_some() || self.run_out.is_some()
-    }
-
-    /// Whether any export was requested; callers skip the observation
-    /// plumbing entirely otherwise.
+    /// Whether any output was asked for; `--threads` alone asks for none.
     pub fn enabled(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.run_out.is_some()
+        self.trace_out.is_some()
+            || self.metrics_out.is_some()
+            || self.run_out.is_some()
+            || self.sched_out.is_some()
+            || self.sched_profile
+            || self.metrics_snapshot.is_some()
+            || self.log_level.is_some()
+            || self.log_out.is_some()
     }
 
-    /// Whether a scheduler profile was requested
-    /// (`--sched-out`/`--sched-profile`).
-    pub fn sched_enabled(&self) -> bool {
-        self.sched_out.is_some() || self.sched_profile
+    /// A report binary's drill-down: [`sort`](Self::sort)s `data` once
+    /// more, untimed, and exits with status 1 on an error. Call it at the
+    /// end of `main` with the last configuration the binary ran, and only
+    /// when [`enabled`](Self::enabled).
+    pub fn drill<K: Key>(&self, plan: &FtPlan, config: &FtConfig, data: Vec<K>, key_type: KeyType) {
+        if let Err(e) = self.sort(plan, config, data, key_type, |_, _, _| Ok(())) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 
-    /// Remembers `obs` as the run to export (last call wins).
-    pub fn observe(&mut self, obs: hypercube::obs::RunObservation) {
-        self.last = Some(obs);
-    }
-
-    /// Runs one extra par-engine sort of `data` with a
-    /// [`SchedProfiler`](hypercube::obs::sched::SchedProfiler) attached and
-    /// remembers the resulting [`SchedReport`], Perfetto export and worker
-    /// timeline for [`write`](Self::write); a no-op unless
-    /// `--sched-out`/`--sched-profile` was given. The profiled run is
-    /// *extra* (and forced onto [`EngineKind::Par`]) so a report binary's
-    /// own timed runs — whatever engine they use — stay untouched;
-    /// simulated results are engine-independent, so the profiled run sorts
-    /// the same data to the same bytes.
+    /// Sorts `data` on `plan` under `config`, observed as the flags ask,
+    /// then calls `show` on the results and writes the artifacts, one
+    /// stdout line each.
     ///
-    /// [`SchedReport`]: hypercube::obs::sched::SchedReport
-    /// [`EngineKind::Par`]: hypercube::sim::EngineKind::Par
-    pub fn profile_sched<K>(&mut self, plan: &FtPlan, base: &ftsort::ftsort::FtConfig, data: Vec<K>)
-    where
-        K: Key,
-    {
-        if !self.sched_enabled() {
-            return;
+    /// Before the sort it installs the metrics registry
+    /// (`--metrics-snapshot`) and the JSON-lines logger (`--log-level`,
+    /// default `info`, to `--log-out` or stderr). The sort runs with
+    /// tracing on under `--trace-out` and with `--threads` workers. It
+    /// streams `--run-out` through a sink stamped with `key_type`,
+    /// profiles the scheduler under `--sched-out`/`--sched-profile`, and
+    /// draws slabs from a counting pool under `--metrics-snapshot`. The
+    /// report records `key_type`, the requested threads, the schedule the
+    /// par engine ran and the pool counters.
+    pub fn sort<K: Key>(
+        &self,
+        plan: &FtPlan,
+        config: &FtConfig,
+        data: Vec<K>,
+        key_type: KeyType,
+        show: impl FnOnce(&SortOutcome<K>, &PhaseBreakdown, &RunObservation) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.metrics_snapshot.is_some() {
+            // Before the run, so the run, its sink and its gzip stream
+            // fold their totals into the registry when they end.
+            metrics::install_global();
         }
-        let profiler = std::sync::Arc::new(hypercube::obs::sched::SchedProfiler::new());
-        let config = ftsort::ftsort::FtConfig {
-            engine: hypercube::sim::EngineKind::Par,
+        if self.log_level.is_some() || self.log_out.is_some() {
+            // The first install wins the writer; a later one sets the level.
+            let level = self.log_level.unwrap_or(Level::Info);
+            match &self.log_out {
+                Some(path) => {
+                    let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+                    log::init(level, Box::new(file))
+                }
+                None => log::init_stderr(level),
+            };
+        }
+        let sink: Option<Arc<Mutex<dyn TraceSink>>> = match &self.run_out {
+            None => None,
+            Some(path) => {
+                let mut sink =
+                    StreamingSink::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+                // Stamp the key type into the run-file header so offline
+                // replay reproduces the keyed report byte for byte.
+                sink.set_key_type(key_type.as_str());
+                Some(Arc::new(Mutex::new(sink)))
+            }
+        };
+        let profiler = (self.sched_out.is_some() || self.sched_profile)
+            .then(|| Arc::new(SchedProfiler::new()));
+        // A counting pool only for the snapshot, so a plain run keeps the
+        // library default (no counters at all).
+        let pool = self
+            .metrics_snapshot
+            .as_ref()
+            .map(|_| BufferPool::<Padded<K>>::with_stats());
+        let config = FtConfig {
+            tracing: self.trace_out.is_some(),
             threads: self.threads,
-            ..*base
+            ..*config
         };
-        let attach = ftsort::ftsort::Attach {
-            profiler: Some(std::sync::Arc::clone(&profiler)),
-            ..Default::default()
+        let keys = data.len() as u64;
+        let faults = plan.faults();
+        log::info(
+            "ftsort::cli",
+            "sort starting",
+            &[
+                ("n", Value::from(faults.cube().dim() as u64)),
+                ("faults", Value::from(faults.count() as u64)),
+                ("keys", Value::from(keys)),
+                ("engine", Value::from(config.engine.to_string().as_str())),
+            ],
+        );
+        let attach = Attach {
+            sink,
+            pool: pool.as_ref(),
+            profiler: profiler.clone(),
         };
-        let _ = ftsort::ftsort::fault_tolerant_sort(plan, &config, data, attach);
-        if let Some(profile) = profiler.take() {
-            self.sched_report = Some(profile.report());
-            self.sched_perfetto = Some(profile.perfetto_json());
-            self.sched_timeline = Some(profile.timeline(64));
-        }
-    }
+        let (out, phases, run) = fault_tolerant_sort(plan, &config, data, attach);
+        log::info(
+            "ftsort::cli",
+            "sort complete",
+            &[
+                ("keys", Value::from(keys)),
+                ("processors", Value::from(out.processors_used as u64)),
+                ("time_us", Value::from(out.time_us)),
+                ("messages", Value::from(out.stats.messages)),
+            ],
+        );
+        show(&out, &phases, &run)?;
 
-    /// Writes the requested artifacts from the last observed run. Call
-    /// once at the end of `main`.
-    pub fn write(&self) {
+        let write = |path: &str, text: &str| {
+            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
+        };
+        if let Some(path) = &self.trace_out {
+            write(path, &perfetto_json(&run, &phase_name))?;
+            println!("trace written  : {path} (load in ui.perfetto.dev)");
+        }
+        if let Some(path) = &self.metrics_out {
+            let mut report = run.report(&phase_name).with_key_type(key_type.as_str());
+            if let Some(threads) = self.threads {
+                report = report.with_threads(threads);
+                // Record the effective schedule too: the par engine clamps
+                // the worker count to the shard count (`schedule_for`). The
+                // seq executor runs no schedule, so its report claims none.
+                if config.engine == EngineKind::Par {
+                    let (workers_effective, shard_size, _) =
+                        schedule_for(report.nodes.len(), Some(threads), None);
+                    report = report.with_schedule(workers_effective, shard_size);
+                }
+            }
+            if let Some(c) = pool.as_ref().and_then(|p| p.stats()).map(|s| s.counters()) {
+                report = report.with_pool_stats(c.takes, c.puts, c.slab_high_water);
+            }
+            write(path, &report.to_json())?;
+            println!("metrics written: {path}");
+        }
+        if let Some(path) = &self.run_out {
+            println!("run written    : {path} (ftsort-cli replay --trace {path})");
+        }
+        if let Some(profiler) = profiler {
+            match profiler.take() {
+                Some(profile) => {
+                    let report = profile.report();
+                    if let Some(path) = &self.sched_out {
+                        write(path, &report.to_json())?;
+                        println!("sched written  : {path}");
+                        let trace_path = format!("{path}.perfetto.json");
+                        write(&trace_path, &profile.perfetto_json())?;
+                        println!("sched trace    : {trace_path} (load in ui.perfetto.dev)");
+                    }
+                    print!("{}", report.summary());
+                    print!("{}", profile.timeline(64));
+                }
+                // Only the par engine has a work-stealing scheduler; the
+                // seq engine ignores the profiler.
+                None => println!(
+                    "sched profile  : no scheduler to profile (--sched-profile needs --engine par)"
+                ),
+            }
+        }
         if let Some(path) = &self.metrics_snapshot {
-            let global =
-                hypercube::obs::metrics::global().expect("registry installed at parse time");
-            std::fs::write(path, global.registry.render_prom()).expect("write metrics snapshot");
+            let global = metrics::global().expect("registry installed above");
+            // The run folded its own totals when it ended; the pool is ours.
+            if let Some(pool) = &pool {
+                let counters = pool.stats().expect("stats pool").counters();
+                let m = &global.run.pool;
+                m.takes.add(counters.takes);
+                m.puts.add(counters.puts);
+                m.slab_high_water.set_max(counters.slab_high_water as i64);
+                m.shared_slabs.set(pool.shared_slabs() as i64);
+            }
+            write(path, &global.registry.render_prom())?;
             println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");
         }
-        if self.enabled() {
-            let Some(obs) = &self.last else {
-                eprintln!("--trace-out/--metrics-out: no run was observed");
-                std::process::exit(2);
-            };
-            if let Some(path) = &self.trace_out {
-                let json =
-                    hypercube::obs::perfetto::perfetto_json(obs, &ftsort::ftsort::phase_name);
-                std::fs::write(path, json).expect("write trace");
-                println!("trace written  : {path} (load in ui.perfetto.dev)");
-            }
-            if let Some(path) = &self.metrics_out {
-                let mut report = obs.report(&ftsort::ftsort::phase_name);
-                if let Some(threads) = self.threads {
-                    // Record the *effective* schedule next to the request:
-                    // the par engine clamps workers to the shard count
-                    // (`schedule_for`), and reports must not claim more
-                    // workers than ever ran.
-                    let live = report.nodes.len();
-                    let (workers_effective, shard_size, _) =
-                        hypercube::sim::par::schedule_for(live, Some(threads), None);
-                    report = report
-                        .with_threads(threads)
-                        .with_schedule(workers_effective, shard_size);
-                }
-                std::fs::write(path, report.to_json()).expect("write metrics");
-                println!("metrics written: {path}");
-            }
-            if let Some(path) = &self.run_out {
-                hypercube::obs::replay::write_run_file(obs, path).expect("write run file");
-                println!("run written    : {path} (ftsort-cli replay --trace {path})");
-            }
-        }
-        if self.sched_enabled() {
-            let Some(report) = &self.sched_report else {
-                println!("sched profile  : no run was profiled (nothing to report)");
-                return;
-            };
-            if let Some(path) = &self.sched_out {
-                std::fs::write(path, report.to_json()).expect("write sched report");
-                println!("sched written  : {path}");
-                let trace_path = format!("{path}.perfetto.json");
-                let trace = self
-                    .sched_perfetto
-                    .as_ref()
-                    .expect("profiled run has a perfetto export");
-                std::fs::write(&trace_path, trace).expect("write sched trace");
-                println!("sched trace    : {trace_path} (load in ui.perfetto.dev)");
-            }
-            print!("{}", report.summary());
-            if let Some(timeline) = &self.sched_timeline {
-                print!("{timeline}");
-            }
-        }
+        Ok(())
     }
 }
 

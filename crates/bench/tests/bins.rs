@@ -99,6 +99,63 @@ fn breakdown_engine_flag_smoke() {
 }
 
 #[test]
+fn breakdown_drill_down_writes_what_the_cli_writes() {
+    // The drill-down reruns the bin's last sort through the CLI's
+    // observed-sort path: a keyed report that claims a schedule only for
+    // par, a run file that replays to the same report, a valid trace.
+    let dir = std::env::temp_dir().join(format!("ft_bench_drill_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (metrics, run, trace) = (path("m.json"), path("r.jsonl.gz"), path("t.json"));
+    let base = [
+        "--n",
+        "4",
+        "--m",
+        "2000",
+        "--seed",
+        "1",
+        "--threads",
+        "2",
+        "--key-type",
+        "u32",
+    ];
+    let outputs = [
+        "--metrics-out",
+        &metrics,
+        "--run-out",
+        &run,
+        "--trace-out",
+        &trace,
+    ];
+    breakdown(&[&base[..], &["--engine", "seq"], &outputs].concat());
+    let json = std::fs::read_to_string(&metrics).expect("report written");
+    assert!(json.contains("\"threads\":2"), "{json}");
+    assert!(json.contains("\"key_type\":\"u32\""), "{json}");
+    assert!(!json.contains("workers_effective"), "{json}");
+    assert!(!json.contains("shard_size"), "{json}");
+    let replayed = hypercube::obs::replay::observation_from_file(&run).expect("run file replays");
+    assert_eq!(
+        replayed.report(&ftsort::ftsort::phase_name).to_json(),
+        json.replacen("\"threads\":2,", "", 1)
+    );
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let doc = hypercube::obs::json::Json::parse(&text).expect("trace is JSON");
+    hypercube::obs::perfetto::validate_chrome_trace(&doc).expect("valid trace");
+
+    breakdown(&[&base[..], &["--engine", "par", "--metrics-out", &metrics]].concat());
+    let json = std::fs::read_to_string(&metrics).expect("report written");
+    let report = hypercube::obs::RunReport::from_json(&json).expect("report parses");
+    let (workers, shard_size, _) =
+        hypercube::sim::par::schedule_for(report.nodes.len(), Some(2), None);
+    assert_eq!(report.workers_effective, Some(workers), "{json}");
+    assert_eq!(report.shard_size, Some(shard_size), "{json}");
+
+    let text = breakdown(&[&base[..], &["--engine", "seq", "--sched-profile"]].concat());
+    assert!(text.contains("no scheduler to profile"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn engines_json_smoke() {
     let out = std::env::temp_dir().join("ft_bench_engines_smoke.json");
     let out_str = out.to_str().unwrap();

@@ -20,6 +20,9 @@
 //! ftsort-cli trace-diff  --a run_a.json --b run_b.json
 //! ```
 //!
+//! `sort` takes its observability flags and runs its sort through
+//! [`ObsFlags`], the code the report binaries in `crates/bench` drill
+//! down with, so both write the same artifacts.
 //! `--trace-out` writes Chrome-trace-event JSON loadable in
 //! <https://ui.perfetto.dev>; `--metrics-out` writes the aggregate
 //! [`RunReport`]; `--run-out` streams a replayable run file to disk as
@@ -56,6 +59,7 @@
 //! critical paths and attributes the makespan delta to (phase, link)
 //! segments — including `wait dim j` buckets for contended runs.
 
+use ft_bench::ObsFlags;
 use ftsort::prelude::*;
 use hypercube::diagnosis::Syndrome;
 use hypercube::routing;
@@ -263,228 +267,60 @@ fn run_sort<K: ftsort::seq::Key>(
         Some(s) => EngineKind::parse(s).ok_or_else(|| format!("unknown engine '{s}' (seq|par)"))?,
     };
     let link_model = parse_link_model(flags)?.unwrap_or_default();
-    let threads: Option<usize> = match flags.get("threads") {
-        None => None,
-        Some(s) => {
-            let t: usize = s.parse().map_err(|e| format!("bad --threads: {e}"))?;
-            if t == 0 {
-                return Err("bad --threads: must be at least 1".into());
-            }
-            Some(t)
+    let mut obs = ObsFlags::default();
+    for name in ObsFlags::NAMES {
+        if let Some(value) = flags.get(name) {
+            obs.set(name, value)?;
         }
-    };
-    let plan = FtPlan::new(faults).map_err(|e| e.to_string())?;
-    let trace_out = flags.get("trace-out");
-    let metrics_out = flags.get("metrics-out");
-    let run_out = flags.get("run-out");
-    let sched_out = flags.get("sched-out");
-    let sched_wanted = sched_out.is_some() || flags.contains_key("sched-profile");
-    let metrics_snapshot = flags.get("metrics-snapshot");
-    // Installed before the run, so the run, its sink and its gzip stream
-    // fold their totals into the registry when they end.
-    if metrics_snapshot.is_some() {
-        hypercube::obs::metrics::install_global();
     }
-    init_logging(flags)?;
+    let plan = FtPlan::new(faults).map_err(|e| e.to_string())?;
     let config = FtConfig {
         protocol,
         step8,
         engine,
         link_model,
         include_host_io: flags.contains_key("host-io"),
-        tracing: trace_out.is_some(),
-        threads,
         ..FtConfig::default()
     };
-    use hypercube::obs::sink::TraceSink;
-    use std::sync::{Arc, Mutex};
-    let sink: Option<Arc<Mutex<dyn TraceSink>>> = match run_out {
-        None => None,
-        Some(path) => {
-            use hypercube::obs::sink::StreamingSink;
-            let mut sink =
-                StreamingSink::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-            // Stamp the key type into the run-file header so offline
-            // replay reproduces the keyed RunReport byte-for-byte.
-            sink.set_key_type(key_type.as_str());
-            Some(Arc::new(Mutex::new(sink)))
+    obs.sort(&plan, &config, data, key_type, |out, phases, run| {
+        if !out.sorted.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("output not sorted — this is a bug".into());
         }
-    };
-    let profiler = sched_wanted.then(|| Arc::new(hypercube::obs::sched::SchedProfiler::new()));
-    // A stats-carrying pool only when telemetry is on, so the plain path
-    // keeps the library default (no counters at all).
-    let pool = metrics_snapshot
-        .map(|_| hypercube::sim::BufferPool::<ftsort::distribute::Padded<K>>::with_stats());
-    {
-        use hypercube::obs::log::{info, Value};
-        info(
-            "ftsort::cli",
-            "sort starting",
-            &[
-                ("n", Value::from(faults.cube().dim() as u64)),
-                ("faults", Value::from(faults.count() as u64)),
-                ("keys", Value::from(m_total as u64)),
-                (
-                    "engine",
-                    Value::from(flags.get("engine").map_or("default", String::as_str)),
-                ),
-            ],
+        println!(
+            "sorted {} keys on {} live processors of Q{} ({} faults)",
+            m_total,
+            out.processors_used,
+            faults.cube().dim(),
+            faults.count()
         );
-    }
-    let attach = Attach {
-        sink,
-        pool: pool.as_ref(),
-        profiler: profiler.clone(),
-    };
-    let (out, phases, obs) = fault_tolerant_sort(&plan, &config, data, attach);
-    {
-        use hypercube::obs::log::{info, Value};
-        info(
-            "ftsort::cli",
-            "sort complete",
-            &[
-                ("keys", Value::from(m_total as u64)),
-                ("processors", Value::from(out.processors_used as u64)),
-                ("time_us", Value::from(out.time_us)),
-                ("messages", Value::from(out.stats.messages)),
-            ],
+        println!("simulated time : {:>12.1} ms", out.time_us / 1000.0);
+        println!(
+            "  scatter      : {:>12.1} ms",
+            phases.host_scatter_us / 1000.0
         );
-    }
-    if !out.sorted.windows(2).all(|w| w[0] <= w[1]) {
-        return Err("output not sorted — this is a bug".into());
-    }
-    println!(
-        "sorted {} keys on {} live processors of Q{} ({} faults)",
-        m_total,
-        out.processors_used,
-        faults.cube().dim(),
-        faults.count()
-    );
-    println!("simulated time : {:>12.1} ms", out.time_us / 1000.0);
-    println!(
-        "  scatter      : {:>12.1} ms",
-        phases.host_scatter_us / 1000.0
-    );
-    println!("  step 3       : {:>12.1} ms", phases.step3_us / 1000.0);
-    println!("  step 7       : {:>12.1} ms", phases.step7_us / 1000.0);
-    println!("  step 8       : {:>12.1} ms", phases.step8_us / 1000.0);
-    println!(
-        "  gather       : {:>12.1} ms",
-        phases.host_gather_us / 1000.0
-    );
-    println!("messages       : {:>12}", out.stats.messages);
-    println!("element·hops   : {:>12}", out.stats.element_hops);
-    println!("comparisons    : {:>12}", out.stats.comparisons);
-    if link_model == LinkModel::Contended {
-        let wait: f64 = obs.participants().map(|n| n.metrics.link_wait_us).sum();
-        println!("link wait      : {:>12.1} ms", wait / 1000.0);
-    }
-    if let Some(path) = trace_out {
-        let json = hypercube::obs::perfetto::perfetto_json(&obs, &phase_name);
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("trace written  : {path} (load in ui.perfetto.dev)");
-    }
-    if let Some(path) = metrics_out {
-        let mut report = obs.report(&phase_name).with_key_type(key_type.as_str());
-        if let Some(threads) = threads {
-            report = report.with_threads(threads);
-            // Record the effective schedule too: the par engine clamps the
-            // worker count to the shard count (`schedule_for`). The seq
-            // executor runs no schedule, so its report claims none.
-            if engine == EngineKind::Par {
-                let (workers_effective, shard_size, _) =
-                    hypercube::sim::par::schedule_for(report.nodes.len(), Some(threads), None);
-                report = report.with_schedule(workers_effective, shard_size);
-            }
+        println!("  step 3       : {:>12.1} ms", phases.step3_us / 1000.0);
+        println!("  step 7       : {:>12.1} ms", phases.step7_us / 1000.0);
+        println!("  step 8       : {:>12.1} ms", phases.step8_us / 1000.0);
+        println!(
+            "  gather       : {:>12.1} ms",
+            phases.host_gather_us / 1000.0
+        );
+        println!("messages       : {:>12}", out.stats.messages);
+        println!("element·hops   : {:>12}", out.stats.element_hops);
+        println!("comparisons    : {:>12}", out.stats.comparisons);
+        if link_model == LinkModel::Contended {
+            let wait: f64 = run.participants().map(|n| n.metrics.link_wait_us).sum();
+            println!("link wait      : {:>12.1} ms", wait / 1000.0);
         }
-        if let Some(counters) = pool.as_ref().and_then(|p| p.stats()).map(|s| s.counters()) {
-            report =
-                report.with_pool_stats(counters.takes, counters.puts, counters.slab_high_water);
-        }
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("metrics written: {path}");
-    }
-    if let Some(path) = run_out {
-        println!("run written    : {path} (ftsort-cli replay --trace {path})");
-    }
-    if let Some(profiler) = profiler {
-        match profiler.take() {
-            Some(profile) => {
-                let report = profile.report();
-                if let Some(path) = sched_out {
-                    std::fs::write(path, report.to_json())
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                    println!("sched written  : {path}");
-                    let trace_path = format!("{path}.perfetto.json");
-                    std::fs::write(&trace_path, profile.perfetto_json())
-                        .map_err(|e| format!("writing {trace_path}: {e}"))?;
-                    println!("sched trace    : {trace_path} (load in ui.perfetto.dev)");
-                }
-                print!("{}", report.summary());
-                print!("{}", profile.timeline(64));
-            }
-            // Only the par engine has a work-stealing scheduler; other
-            // engines ignore the profiler, so the flag had no effect.
-            None => println!(
-                "sched profile  : no scheduler to profile (--sched-profile needs --engine par)"
-            ),
-        }
-    }
-    if let Some(path) = metrics_snapshot {
-        let global = hypercube::obs::metrics::global().expect("registry installed above");
-        // The run folded its own totals when it ended; the pool is ours.
-        if let Some(pool) = &pool {
-            let counters = pool.stats().expect("stats pool").counters();
-            let m = &global.run.pool;
-            m.takes.add(counters.takes);
-            m.puts.add(counters.puts);
-            m.slab_high_water.set_max(counters.slab_high_water as i64);
-            m.shared_slabs.set(pool.shared_slabs() as i64);
-        }
-        std::fs::write(path, global.registry.render_prom())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");
-    }
-    Ok(())
-}
-
-/// Installs the structured logger when `--log-level` / `--log-out` ask
-/// for one: records go to the `--log-out` file as JSON lines, or to
-/// stderr without it. Level defaults to `info`.
-fn init_logging(flags: &HashMap<String, String>) -> Result<(), String> {
-    use hypercube::obs::log::{init, init_stderr, set_level, Level};
-    let level = match flags.get("log-level") {
-        None => None,
-        Some(s) => Some(
-            Level::parse(s)
-                .ok_or_else(|| format!("unknown log level '{s}' (error|warn|info|debug|trace)"))?,
-        ),
-    };
-    let out = flags.get("log-out");
-    if level.is_none() && out.is_none() {
-        return Ok(());
-    }
-    let level = level.unwrap_or(Level::Info);
-    let installed = match out {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-            init(level, Box::new(file))
-        }
-        None => init_stderr(level),
-    };
-    if !installed {
-        // A logger already existed (first init wins the writer); still
-        // honor the requested level.
-        set_level(level);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Rebuilds a [`RunObservation`] from a run file written by
 /// `sort --run-out` and reruns the offline analyzers on it:
 /// `--metrics-out` the [`RunReport`], `--trace-out` the Perfetto export,
-/// `--critical-path` the same report the `critical_path` bench binary
-/// prints — all byte-identical to what the live run produces.
+/// `--critical-path` the critical-path attribution and gantt — the
+/// report and trace byte-identical to what the live run writes.
 /// `--recost MODEL` first re-prices every event under a different
 /// [`CostModel`] and `--link-model` under a different link model
 /// (contended ↔ uncontended), both through

@@ -459,4 +459,30 @@ fn critical_path_diff_attributes_the_full_makespan() {
     assert!(diff_profiles(&profile, &profile_par)
         .iter()
         .all(|r| r.delta() == 0.0));
+
+    // A second fault on Q6 (same keys) moves the makespan; the diff rows
+    // attribute all of the change.
+    let profile_of = |fault_list: &[u32]| {
+        let faults = FaultSet::from_raw(Hypercube::new(6), fault_list);
+        let plan = FtPlan::new(&faults).expect("tolerable");
+        let mut rng = StdRng::seed_from_u64(1992);
+        let data: Vec<u32> = (0..4_800).map(|_| rng.random()).collect();
+        let config = FtConfig {
+            tracing: true,
+            ..FtConfig::default()
+        };
+        let (out, _, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
+        assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]), "output sorted");
+        let cp = CriticalPath::compute(&obs).expect("path");
+        SegmentProfile::collect(&obs, &cp, &phase_name)
+    };
+    let (a, b) = (profile_of(&[9]), profile_of(&[9, 22]));
+    let rows = diff_profiles(&a, &b);
+    assert!(!rows.is_empty(), "critical paths produced no segments");
+    let attributed: f64 = rows.iter().map(|r| r.delta()).sum();
+    let delta = b.makespan - a.makespan;
+    assert!(
+        (attributed - delta).abs() <= 1e-6 * delta.abs().max(1.0),
+        "diff rows {attributed} must sum to the makespan delta {delta}"
+    );
 }
