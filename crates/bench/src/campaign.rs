@@ -27,7 +27,8 @@
 use crate::{random_faults, random_keys_typed, GenKey};
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use ftsort::seq::KeyType;
-use hypercube::obs::campaign::{CampaignAccumulator, CampaignMetrics, CampaignReport, RunSummary};
+use hypercube::obs::campaign::{CampaignAccumulator, CampaignReport, RunSummary};
+use hypercube::obs::metrics;
 use hypercube::obs::sink::StreamingSink;
 use hypercube::sim::LinkModel;
 use rand::rngs::StdRng;
@@ -154,8 +155,7 @@ fn run_campaign_typed<K: GenKey>(
         return Err("no feasible (n, fault-count) cell: every r exceeds n - 1".into());
     }
     let total = cells.len() * cfg.runs_per_cell;
-    let metrics =
-        hypercube::obs::metrics::global().map(|g| CampaignMetrics::register(&g.registry, &cells));
+    metrics::fold(|t| t.start_campaign(&cells));
 
     // Job pool: workers claim global run indices from an atomic cursor
     // and park results in an index-addressed slot table. Nothing
@@ -174,8 +174,8 @@ fn run_campaign_typed<K: GenKey>(
                 }
                 let (n, r) = cells[i / cfg.runs_per_cell];
                 let result = execute_run::<K>(cfg, n, r, i as u64);
-                if let (Some(m), Ok(s)) = (&metrics, &result) {
-                    m.on_run(n, r, s.makespan_us);
+                if let Ok(s) = &result {
+                    metrics::fold(|t| t.campaign_run((n, r), s.makespan_us));
                 }
                 *slots[i].lock().unwrap() = Some(result);
                 done.fetch_add(1, Ordering::Release);

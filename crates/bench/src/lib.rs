@@ -176,7 +176,7 @@ impl ObsFlags {
     /// Sets flag `name`, one of [`NAMES`](Self::NAMES), from its value
     /// (`sched-profile` ignores it). Only the value is checked here:
     /// [`sort`](Self::sort) creates the files and installs the logger and
-    /// the metrics registry, so the order of the flags never matters.
+    /// the metric totals, so the order of the flags never matters.
     pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
         let path = Some(value.to_string());
         match name {
@@ -255,7 +255,7 @@ impl ObsFlags {
     /// then calls `show` on the results and writes the artifacts, one
     /// stdout line each.
     ///
-    /// Before the sort it installs the metrics registry
+    /// Before the sort it installs the process's metric totals
     /// (`--metrics-snapshot`) and the JSON-lines logger (`--log-level`,
     /// default `info`, to `--log-out` or stderr). The sort runs with
     /// tracing on under `--trace-out` and with `--threads` workers. It
@@ -274,8 +274,8 @@ impl ObsFlags {
     ) -> Result<(), String> {
         if self.metrics_snapshot.is_some() {
             // Before the run, so the run, its sink and its gzip stream
-            // fold their totals into the registry when they end.
-            metrics::install_global();
+            // fold their totals in when they end.
+            metrics::install();
         }
         if self.log_level.is_some() || self.log_out.is_some() {
             // The first install wins the writer; a later one sets the level.
@@ -362,7 +362,7 @@ impl ObsFlags {
                     report = report.with_schedule(workers_effective, shard_size);
                 }
             }
-            if let Some(c) = pool.as_ref().and_then(|p| p.stats()).map(|s| s.counters()) {
+            if let Some(c) = pool.as_ref().and_then(BufferPool::counters) {
                 report = report.with_pool_stats(c.takes, c.puts, c.slab_high_water);
             }
             write(path, &report.to_json())?;
@@ -393,17 +393,18 @@ impl ObsFlags {
             }
         }
         if let Some(path) = &self.metrics_snapshot {
-            let global = metrics::global().expect("registry installed above");
             // The run folded its own totals when it ended; the pool is ours.
             if let Some(pool) = &pool {
-                let counters = pool.stats().expect("stats pool").counters();
-                let m = &global.run.pool;
-                m.takes.add(counters.takes);
-                m.puts.add(counters.puts);
-                m.slab_high_water.set_max(counters.slab_high_water as i64);
-                m.shared_slabs.set(pool.shared_slabs() as i64);
+                let counters = pool.counters().expect("stats pool");
+                let shared_slabs = pool.shared_slabs() as u64;
+                metrics::fold(|t| {
+                    t.pool_takes += counters.takes;
+                    t.pool_puts += counters.puts;
+                    t.pool_slab_high_water = t.pool_slab_high_water.max(counters.slab_high_water);
+                    t.pool_shared_slabs = shared_slabs;
+                });
             }
-            write(path, &global.registry.render_prom())?;
+            write(path, &metrics::snapshot().expect("totals installed above"))?;
             println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");
         }
         Ok(())

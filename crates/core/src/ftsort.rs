@@ -328,7 +328,7 @@ pub struct Attach<'a, K> {
     /// runs (benchmark trials, replays); pinned by
     /// `crates/hypercube/tests/alloc_free.rs`. A
     /// [`BufferPool::with_stats`] pool also counts its traffic, for the
-    /// caller to read from [`BufferPool::stats`] after the run.
+    /// caller to read from [`BufferPool::counters`] after the run.
     pub pool: Option<&'a BufferPool<Padded<K>>>,
     /// Records per-worker wall-clock telemetry (poll/steal/park/barrier
     /// splits, steal matrix, shard-size histogram) when

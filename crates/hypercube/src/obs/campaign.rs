@@ -29,9 +29,10 @@
 //!   streaming sink to capture gzip v2 run files for `replay`/`trace-diff`
 //!   forensics. Selection happens after the deterministic aggregation
 //!   pass, so the captured set (and bytes) is `--jobs`-independent.
-//! * [`CampaignMetrics`] — live-progress instruments on the
-//!   [`metrics`](super::metrics) registry: a `runs_completed` counter and
-//!   one makespan histogram per cell, so a Prometheus snapshot taken
+//! * **Live progress** — the campaign runner sets up the campaign's
+//!   families in the process's [`Totals`](super::metrics::Totals) when it
+//!   starts (a runs counter and one makespan histogram per cell) and folds
+//!   each run in as it finishes, so a Prometheus snapshot taken
 //!   mid-campaign shows the distributions filling in.
 //!
 //! The sort-executing driver itself lives downstream (the `ft-bench`
@@ -40,7 +41,6 @@
 
 use super::hist::LogHistogram;
 use super::json::{json_object, read_member, write_member, Json, JsonValue};
-use super::metrics::{Counter, Histogram, Registry};
 use crate::sim::LinkModel;
 use std::fmt::Write as _;
 
@@ -581,52 +581,9 @@ fn pct(count: u64, total: u64) -> f64 {
     }
 }
 
-/// Live-progress instruments for one campaign, registered on a
-/// [`Registry`]: a total-runs counter plus one makespan histogram per
-/// (n, fault-count) cell — a mid-campaign Prometheus snapshot shows the
-/// distributions filling in while workers are still drawing placements.
-pub struct CampaignMetrics {
-    /// Runs finished (any cell).
-    pub runs_completed: Counter,
-    cells: Vec<(usize, usize, Histogram)>,
-}
-
-impl CampaignMetrics {
-    /// Registers the campaign instruments for the given (n, r) cells.
-    pub fn register(registry: &Registry, cells: &[(usize, usize)]) -> CampaignMetrics {
-        let runs_completed = registry.counter(
-            "ftsort_campaign_runs_completed_total",
-            "Monte-Carlo campaign runs finished",
-        );
-        let cells = cells
-            .iter()
-            .map(|&(n, r)| {
-                let hist = registry.histogram(
-                    &format!("ftsort_campaign_makespan_us_n{n}_r{r}"),
-                    "Makespan distribution of one campaign (n, faults) cell, us",
-                );
-                (n, r, hist)
-            })
-            .collect();
-        CampaignMetrics {
-            runs_completed,
-            cells,
-        }
-    }
-
-    /// Records one finished run (called by worker threads as runs
-    /// complete — live progress only; the deterministic aggregates come
-    /// from the ordered merge pass).
-    pub fn on_run(&self, n: usize, r: usize, makespan_us: f64) {
-        self.runs_completed.inc();
-        if let Some((_, _, hist)) = self.cells.iter().find(|(cn, cr, _)| *cn == n && *cr == r) {
-            hist.record(makespan_us as u64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::metrics::{validate_prom, Totals};
     use super::*;
 
     fn summary(run_index: u64, n: usize, r: usize, makespan: f64) -> RunSummary {
@@ -768,18 +725,33 @@ mod tests {
 
     #[test]
     fn campaign_metrics_register_and_record() {
-        let registry = Registry::new();
-        let metrics = CampaignMetrics::register(&registry, &[(5, 3), (6, 2)]);
-        metrics.on_run(5, 3, 41_000.0);
-        metrics.on_run(6, 2, 93_000.0);
-        metrics.on_run(9, 9, 1.0); // unknown cell: counted, not bucketed
-        assert_eq!(metrics.runs_completed.get(), 3);
-        let prom = registry.render_prom();
+        let mut totals = Totals::default();
+        totals.start_campaign(&[(5, 3), (6, 2)]);
+        // A second start with an overlapping cell adds only the new one.
+        totals.start_campaign(&[(6, 2), (7, 1)]);
+        totals.campaign_run((5, 3), 41_000.0);
+        totals.campaign_run((6, 2), 93_000.0);
+        totals.campaign_run((9, 9), 1.0); // unknown cell: counted, not bucketed
+        assert_eq!(totals.campaign_runs, Some(3));
+        let cells: Vec<_> = totals
+            .campaign_makespan_us
+            .iter()
+            .map(|(c, _)| *c)
+            .collect();
+        assert_eq!(cells, [(5, 3), (6, 2), (7, 1)]);
+        let prom = totals.render_prom();
         assert!(
             prom.contains("ftsort_campaign_runs_completed_total 3"),
             "{prom}"
         );
-        assert!(prom.contains("ftsort_campaign_makespan_us_n5_r3"), "{prom}");
-        super::super::metrics::validate_prom(&prom).expect("valid exposition");
+        assert!(
+            prom.contains("ftsort_campaign_makespan_us_n5_r3_count 1"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("ftsort_campaign_makespan_us_n7_r1_count 0"),
+            "{prom}"
+        );
+        validate_prom(&prom).expect("valid exposition");
     }
 }

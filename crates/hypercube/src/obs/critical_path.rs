@@ -457,6 +457,7 @@ mod tests {
                 clock,
                 stats: RunStats::new(),
                 spans,
+                span_at: Vec::new(),
                 metrics: NodeMetrics::new(1),
             })
         };

@@ -522,12 +522,11 @@ impl<W: Write> GzEncoder<W> {
         self.bits.bytes.extend_from_slice(&crc.to_le_bytes());
         self.bits.bytes.extend_from_slice(&isize.to_le_bytes());
         self.write_bits()?;
-        // The stream's byte totals fold into the registry once, when it
-        // ends (per-byte atomics would put an RMW in the bit writer).
-        if let Some(g) = metrics::global() {
-            g.run.sink.gz_bytes_in.add(self.total_in as u64);
-            g.run.sink.gz_bytes_out.add(self.total_out);
-        }
+        // The stream's byte totals fold in once, when it ends.
+        metrics::fold(|t| {
+            t.gz_bytes_in += u64::from(self.total_in);
+            t.gz_bytes_out += self.total_out;
+        });
         self.out.as_mut().expect("writer taken").flush()
     }
 

@@ -12,7 +12,7 @@
 //!
 //! `ts` is the wall clock (seconds since the Unix epoch, millisecond
 //! precision) — wall time, *not* the simulation's virtual clock, so log
-//! records never feed back into pricing. Like the metrics registry, the
+//! records never feed back into pricing. Like the metric totals, the
 //! logger is invisible to the simulation: when nothing is installed,
 //! [`log`] is a single `None` check.
 //!
@@ -137,7 +137,7 @@ static LOGGER: OnceLock<Logger> = OnceLock::new();
 
 /// Installs the process-global logger writing to `out` at `level`.
 /// The first call wins the writer; later calls only update the level
-/// (the logger, like the metrics registry, is install-once). Returns
+/// (the logger, like the metric totals, is install-once). Returns
 /// whether this call installed the writer.
 pub fn init(level: Level, out: Box<dyn Write + Send>) -> bool {
     let mut installed = false;

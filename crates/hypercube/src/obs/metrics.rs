@@ -1,36 +1,26 @@
-//! Live metrics: a process-wide registry of monotonic counters, gauges and
-//! log-bucket histograms with Prometheus-text exposition.
+//! Live metrics: the process's run totals, exported as Prometheus text.
 //!
-//! Everything observability built so far (spans, run files, the scheduler
-//! profiler) is post-hoc — nothing reports state *while* a run is in
-//! flight, and a long `ftsort-campaign` cannot be watched through run
-//! files alone. This module is the live substrate:
+//! The paper's results are counts turned into virtual time: messages,
+//! element·hops and comparisons per phase. `--metrics-snapshot` exports
+//! those counts summed over every run a process finished, so a long
+//! `ftsort-campaign` can be watched while it runs:
 //!
-//! * **Instruments** — [`Counter`] (monotonic `u64`), [`Gauge`] (`i64`)
-//!   and [`Histogram`] (the [`super::hist`] log₂-bucket layout with an
-//!   atomic bucket array). All are cheap `Arc` handles over atomics:
-//!   recording is lock-free, allocation-free and wait-free — pinned by the
-//!   counting-allocator test in `crates/hypercube/tests/alloc_free.rs`.
-//! * **[`Registry`]** — owns the instrument families. Registration (names,
-//!   help text, the family vector) happens at startup under a mutex;
-//!   after that the registry is only locked again to render, so warm
-//!   recording never contends.
-//! * **Exposition** — [`Registry::render_prom`] writes the Prometheus text
-//!   format (hand-rolled per the vendored-deps constraint): `# HELP` /
-//!   `# TYPE` lines, counter/gauge samples, and cumulative histogram
-//!   `_bucket{le="..."}` / `_sum` / `_count` series. [`validate_prom`]
-//!   parses the format back and rejects malformed families, duplicate
-//!   series and non-monotone bucket counts — `ftsort-cli trace-check
-//!   --prom` runs it in CI.
-//! * **The global registry** — [`install_global`] installs one registry +
-//!   [`RunMetrics`] bundle per process. Nothing records into it while a
-//!   run is in flight: the engine, the executors, the sinks and the gzip
-//!   encoder already keep their own totals (`RunStats`, `NodeMetrics`,
-//!   per-worker tallies, byte counts), and each *folds* them into
-//!   [`global`] once, when its run or stream ends. So a snapshot counts
-//!   exactly the finished runs, and the hot path never touches a shared
-//!   atomic. With nothing installed (the default) a fold is one `None`
-//!   check per run.
+//! * **[`Totals`]** — one plain field per exported family. The engine,
+//!   the executors, the sinks and the gzip encoder already keep their own
+//!   totals (`RunStats`, `NodeMetrics`, per-worker tallies, byte counts);
+//!   each adds them through [`fold`] once, when its run or stream ends.
+//!   So a snapshot counts exactly the finished runs, and nothing on a
+//!   simulation hot path touches shared state.
+//! * **The process's totals** — [`install`] puts one [`Totals`] behind
+//!   one process-wide mutex. Until then (the default) a fold is one
+//!   `None` check.
+//! * **Exposition** — [`Totals::render_prom`] writes the Prometheus text
+//!   format (hand-rolled per the vendored-deps constraint) from one table
+//!   of families: `# HELP` / `# TYPE` lines, counter/gauge samples, and
+//!   cumulative histogram `_bucket{le="..."}` / `_sum` / `_count` series.
+//!   [`validate_prom`] parses the format back and rejects malformed
+//!   families, duplicate series and non-monotone bucket counts —
+//!   `ftsort-cli trace-check --prom` runs it in CI.
 //!
 //! House rule, test-pinned: metrics observe the simulation, they never
 //! steer it. Sorted output, `RunReport` JSON and streamed run files are
@@ -38,159 +28,178 @@
 
 use super::hist::{LogHistogram, BUCKETS};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-/// A monotonically increasing counter. Cloning shares the underlying
-/// atomic — handles are cheap and `Send + Sync`.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A counter not attached to any registry (useful in tests).
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `v`.
-    #[inline]
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+/// A histogram family's totals in [`LogHistogram`]'s bucket layout
+/// (bucket 0 = zero, bucket `i ≥ 1` = values with bit length `i`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Buckets {
+    /// Samples per bucket.
+    pub counts: [u64; BUCKETS],
+    /// Sum of all samples.
+    pub sum: u64,
 }
 
-/// A gauge: a signed value that can go up and down.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A gauge not attached to any registry (useful in tests).
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the value to at least `v` (a high-water mark).
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-struct HistCore {
-    /// One atomic per [`LogHistogram`] bucket — same layout, same
-    /// `bucket_of` indexing, shareable across threads.
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-}
-
-/// A log₂-bucketed histogram sharing [`super::hist::LogHistogram`]'s
-/// bucket layout (bucket 0 = zero, bucket `i ≥ 1` = values with bit
-/// length `i`), recorded through atomics so handles can be shared across
-/// worker threads.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistCore>);
-
-impl Default for Histogram {
+impl Default for Buckets {
     fn default() -> Self {
-        Histogram::new()
+        Buckets {
+            counts: [0; BUCKETS],
+            sum: 0,
+        }
     }
 }
 
-impl Histogram {
-    /// A histogram not attached to any registry (useful in tests).
-    pub fn new() -> Self {
-        Histogram(Arc::new(HistCore {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }))
+impl Buckets {
+    /// Adds one sample.
+    pub fn record(&mut self, v: u64) {
+        self.counts[LogHistogram::bucket_of(v)] += 1;
+        self.sum += v;
     }
 
-    /// Records one sample: two relaxed atomic adds, no allocation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.buckets[LogHistogram::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Folds in samples bucketed elsewhere in the same layout: `counts[i]`
+    /// Adds samples bucketed elsewhere in the same layout: `counts[i]`
     /// more samples in bucket `i`, and `sum` more in the sum.
-    pub fn add_counts(&self, counts: &[u64], sum: u64) {
-        for (bucket, &c) in self.0.buckets.iter().zip(counts) {
-            bucket.fetch_add(c, Ordering::Relaxed);
+    pub fn add(&mut self, counts: &[u64], sum: u64) {
+        for (total, &c) in self.counts.iter_mut().zip(counts) {
+            *total += c;
         }
-        self.0.sum.fetch_add(sum, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the raw (non-cumulative) bucket counts.
-    pub fn snapshot(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed))
+        self.sum += sum;
     }
 }
 
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
+/// One value per exported family, declared once here: [`Totals`] gets a
+/// field for each row, documented by the family's help text, and
+/// `write_run_families` renders the rows in this order.
+macro_rules! totals {
+    ($($field:ident: $ty:ty = $kind:ident($name:literal, $help:literal),)*) => {
+        /// Every exported family's value, summed over the runs, sinks and
+        /// gzip streams the process finished. Counters only grow; the
+        /// gauges hold the last value folded in, except
+        /// `pool_slab_high_water`, which holds the highest.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct Totals {
+            $(#[doc = $help] pub $field: $ty,)*
+            /// Campaign runs finished; `None` until a campaign starts.
+            pub campaign_runs: Option<u64>,
+            /// Makespan (µs) per campaign `(n, faults)` cell, in set-up order.
+            pub campaign_makespan_us: Vec<((usize, usize), Buckets)>,
+        }
+
+        impl Totals {
+            fn write_run_families(&self, out: &mut String) {
+                $(write_family(out, $name, $help, Sample::$kind(&self.$field));)*
+            }
+        }
+    };
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Instrument::Counter(_) => "counter",
-            Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
+totals! {
+    rounds: u64 = Counter("ftsort_rounds_total", "Frontier rounds committed across all runs."),
+    messages_delivered: u64 = Counter("ftsort_messages_delivered_total", "Simulated messages delivered into node inboxes."),
+    elements_priced: u64 = Counter("ftsort_elements_priced_total", "Elements priced through the cost model on sends."),
+    link_wait_us: u64 = Counter("ftsort_link_wait_us_total", "Whole virtual microseconds messages spent queued behind busy links."),
+    msg_elements: Buckets = Histogram("ftsort_msg_elements", "Elements per simulated message."),
+    ws_steals: u64 = Counter("ftsort_ws_steals_total", "Successful shard steals in the work-stealing scheduler."),
+    ws_barrier_epochs: u64 = Counter("ftsort_ws_barrier_epochs_total", "Sense-reversing barrier phase crossings."),
+    pool_takes: u64 = Counter("ftsort_pool_takes_total", "Slabs taken from the buffer pool."),
+    pool_puts: u64 = Counter("ftsort_pool_puts_total", "Slabs returned to the buffer pool."),
+    pool_shared_slabs: u64 = Gauge("ftsort_pool_shared_slabs", "Slabs currently parked in the pool's shared store."),
+    pool_slab_high_water: u64 = Gauge("ftsort_pool_slab_high_water", "High-water mark of parked slabs in any single pool store."),
+    sink_events: u64 = Counter("ftsort_sink_events_total", "Trace records (events and spans) written through a sink."),
+    gz_bytes_in: u64 = Counter("ftsort_gz_bytes_in_total", "Uncompressed bytes fed into the gzip encoder."),
+    gz_bytes_out: u64 = Counter("ftsort_gz_bytes_out_total", "Compressed bytes written by the gzip encoder."),
+    sched_ring_events: u64 = Gauge("ftsort_sched_ring_events", "Events held in scheduler-profiler rings after the last profiled run."),
+    sched_events_dropped: u64 = Counter("ftsort_sched_events_dropped_total", "Scheduler-profiler ring overflows (events dropped)."),
+}
+
+/// One family's value: counters and gauges carry a number, histograms
+/// their buckets.
+enum Sample<'a> {
+    Counter(&'a u64),
+    Gauge(&'a u64),
+    Histogram(&'a Buckets),
+}
+
+impl Totals {
+    /// Sets up a campaign's families: the runs counter, and a makespan
+    /// histogram for each `(n, faults)` cell that has none yet.
+    pub fn start_campaign(&mut self, cells: &[(usize, usize)]) {
+        self.campaign_runs.get_or_insert(0);
+        for &cell in cells {
+            if !self.campaign_makespan_us.iter().any(|(c, _)| *c == cell) {
+                self.campaign_makespan_us.push((cell, Buckets::default()));
+            }
         }
     }
+
+    /// Counts one finished campaign run, and its makespan in its cell's
+    /// histogram when the cell was set up.
+    pub fn campaign_run(&mut self, cell: (usize, usize), makespan_us: f64) {
+        *self.campaign_runs.get_or_insert(0) += 1;
+        if let Some((_, hist)) = self
+            .campaign_makespan_us
+            .iter_mut()
+            .find(|(c, _)| *c == cell)
+        {
+            hist.record(makespan_us as u64);
+        }
+    }
+
+    /// Renders every family as Prometheus text: the run families in table
+    /// order, then the campaign's, once a campaign started. Histograms
+    /// render as cumulative `_bucket{le="..."}` series (upper bounds are
+    /// the inclusive tops of the log₂ buckets) plus `_sum`/`_count`.
+    pub fn render_prom(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        self.write_run_families(&mut out);
+        if let Some(runs) = &self.campaign_runs {
+            write_family(
+                &mut out,
+                "ftsort_campaign_runs_completed_total",
+                "Monte-Carlo campaign runs finished",
+                Sample::Counter(runs),
+            );
+            for ((n, r), hist) in &self.campaign_makespan_us {
+                write_family(
+                    &mut out,
+                    &format!("ftsort_campaign_makespan_us_n{n}_r{r}"),
+                    "Makespan distribution of one campaign (n, faults) cell, us",
+                    Sample::Histogram(hist),
+                );
+            }
+        }
+        out
+    }
 }
 
-struct Family {
-    name: String,
-    help: String,
-    instrument: Instrument,
-}
-
-/// The instrument registry: families are registered once at startup (the
-/// only mutex acquisitions besides rendering); the returned handles record
-/// through shared atomics thereafter.
-#[derive(Default)]
-pub struct Registry {
-    families: Mutex<Vec<Family>>,
+fn write_family(out: &mut String, name: &str, help: &str, sample: Sample<'_>) {
+    let kind = match sample {
+        Sample::Counter(_) => "counter",
+        Sample::Gauge(_) => "gauge",
+        Sample::Histogram(_) => "histogram",
+    };
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    match sample {
+        Sample::Counter(v) | Sample::Gauge(v) => {
+            let _ = writeln!(out, "{name} {v}");
+        }
+        Sample::Histogram(h) => {
+            let used = h.counts.iter().rposition(|&c| c > 0).map_or(1, |i| i + 1);
+            let mut cumulative = 0u64;
+            for (i, &c) in h.counts[..used].iter().enumerate() {
+                cumulative += c;
+                let _ = writeln!(
+                    out,
+                    "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                    bucket_upper(i)
+                );
+            }
+            let total: u64 = h.counts.iter().sum();
+            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
+            let _ = writeln!(out, "{name}_sum {}", h.sum);
+            let _ = writeln!(out, "{name}_count {total}");
+        }
+    }
 }
 
 /// Whether `name` is a valid Prometheus metric name:
@@ -204,115 +213,6 @@ fn valid_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    fn register(&self, name: &str, help: &str, make: impl FnOnce() -> Instrument) -> Instrument {
-        assert!(valid_name(name), "invalid metric name '{name}'");
-        let mut families = self.families.lock().expect("metrics registry poisoned");
-        if let Some(f) = families.iter().find(|f| f.name == name) {
-            // Re-registration returns the existing handle — registration is
-            // idempotent so component bundles can be rebuilt per run — but
-            // a kind clash is a programming error.
-            let made = make();
-            assert_eq!(
-                f.instrument.kind(),
-                made.kind(),
-                "metric '{name}' re-registered as a different kind"
-            );
-            return match &f.instrument {
-                Instrument::Counter(c) => Instrument::Counter(c.clone()),
-                Instrument::Gauge(g) => Instrument::Gauge(g.clone()),
-                Instrument::Histogram(h) => Instrument::Histogram(h.clone()),
-            };
-        }
-        let instrument = make();
-        let handle = match &instrument {
-            Instrument::Counter(c) => Instrument::Counter(c.clone()),
-            Instrument::Gauge(g) => Instrument::Gauge(g.clone()),
-            Instrument::Histogram(h) => Instrument::Histogram(h.clone()),
-        };
-        families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            instrument,
-        });
-        handle
-    }
-
-    /// Registers (or re-fetches) a monotonic counter. Counter names must
-    /// carry the Prometheus `_total` suffix.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        assert!(
-            name.ends_with("_total"),
-            "counter '{name}' must end in _total"
-        );
-        match self.register(name, help, || Instrument::Counter(Counter::new())) {
-            Instrument::Counter(c) => c,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Registers (or re-fetches) a gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        match self.register(name, help, || Instrument::Gauge(Gauge::new())) {
-            Instrument::Gauge(g) => g,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Registers (or re-fetches) a histogram.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        match self.register(name, help, || Instrument::Histogram(Histogram::new())) {
-            Instrument::Histogram(h) => h,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Renders every family in registration order as Prometheus text:
-    /// `# HELP`/`# TYPE` headers, then the samples — histograms as
-    /// cumulative `_bucket{le="..."}` series (upper bounds are the
-    /// inclusive tops of the log₂ buckets) plus `_sum`/`_count`.
-    pub fn render_prom(&self) -> String {
-        let families = self.families.lock().expect("metrics registry poisoned");
-        let mut out = String::with_capacity(256 * families.len());
-        for f in families.iter() {
-            let _ = writeln!(out, "# HELP {} {}", f.name, escape_help(&f.help));
-            let _ = writeln!(out, "# TYPE {} {}", f.name, f.instrument.kind());
-            match &f.instrument {
-                Instrument::Counter(c) => {
-                    let _ = writeln!(out, "{} {}", f.name, c.get());
-                }
-                Instrument::Gauge(g) => {
-                    let _ = writeln!(out, "{} {}", f.name, g.get());
-                }
-                Instrument::Histogram(h) => {
-                    let counts = h.snapshot();
-                    let used = counts.iter().rposition(|&c| c > 0).map_or(1, |i| i + 1);
-                    let mut cumulative = 0u64;
-                    for (i, &c) in counts[..used].iter().enumerate() {
-                        cumulative += c;
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{{le=\"{}\"}} {cumulative}",
-                            f.name,
-                            bucket_upper(i)
-                        );
-                    }
-                    let total: u64 = counts.iter().sum();
-                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {total}", f.name);
-                    let _ = writeln!(out, "{}_sum {}", f.name, h.sum());
-                    let _ = writeln!(out, "{}_count {total}", f.name);
-                }
-            }
-        }
-        out
-    }
-}
-
 /// The inclusive upper bound of log₂ bucket `i` (bucket 0 holds only 0;
 /// bucket `i ≥ 1` holds `[2^(i-1), 2^i)`, so its top is `2^i - 1`).
 fn bucket_upper(i: usize) -> u64 {
@@ -324,9 +224,27 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Escapes a help string per the exposition format (`\` and newlines).
-fn escape_help(help: &str) -> String {
-    help.replace('\\', "\\\\").replace('\n', "\\n")
+static TOTALS: OnceLock<Mutex<Totals>> = OnceLock::new();
+
+/// Starts collecting this process's totals (idempotent). After this,
+/// every run, sink and gzip stream that ends anywhere in the process
+/// folds its totals in.
+pub fn install() {
+    TOTALS.get_or_init(Mutex::default);
+}
+
+/// Applies `f` to the process's totals, if [`install`] has run. With
+/// nothing installed (the default) a fold is one `None` check.
+pub fn fold(f: impl FnOnce(&mut Totals)) {
+    if let Some(totals) = TOTALS.get() {
+        f(&mut totals.lock().expect("metric totals poisoned"));
+    }
+}
+
+/// The process's totals as Prometheus text, if [`install`] has run.
+pub fn snapshot() -> Option<String> {
+    let totals = TOTALS.get()?.lock().expect("metric totals poisoned");
+    Some(totals.render_prom())
 }
 
 // ---------------------------------------------------------------------------
@@ -624,293 +542,118 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(pairs)
 }
 
-// ---------------------------------------------------------------------------
-// The component bundles and the process-global registry.
-// ---------------------------------------------------------------------------
-
-/// Engine instruments, folded in when each run ends: rounds by the
-/// executor, the rest by `Engine::run` from the nodes' own counters.
-#[derive(Clone)]
-pub struct EngineMetrics {
-    /// Frontier rounds committed (`ftsort_rounds_total`).
-    pub rounds: Counter,
-    /// Messages delivered into inboxes (`ftsort_messages_delivered_total`).
-    pub messages_delivered: Counter,
-    /// Elements priced through the cost model on sends
-    /// (`ftsort_elements_priced_total`).
-    pub elements_priced: Counter,
-    /// Virtual µs messages spent queued behind busy links, each run's
-    /// total rounded down (`ftsort_link_wait_us_total`); zero under
-    /// uncontended pricing.
-    pub link_wait_us: Counter,
-    /// Elements per message (`ftsort_msg_elements`).
-    pub msg_elements: Histogram,
-}
-
-/// Work-stealing scheduler instruments ([`crate::sim`]'s parallel engine),
-/// folded in from the workers' tallies when the pool joins.
-#[derive(Clone)]
-pub struct WsMetrics {
-    /// Successful shard steals (`ftsort_ws_steals_total`).
-    pub steals: Counter,
-    /// Barrier phase crossings (`ftsort_ws_barrier_epochs_total`).
-    pub barrier_epochs: Counter,
-}
-
-/// [`crate::sim::pool::BufferPool`] instruments, folded in from a stats
-/// pool's [`PoolCounters`](crate::sim::PoolCounters) by its owner (the
-/// `ftsort-cli sort` snapshot path).
-#[derive(Clone)]
-pub struct PoolMetrics {
-    /// Slabs taken (`ftsort_pool_takes_total`).
-    pub takes: Counter,
-    /// Slabs returned (`ftsort_pool_puts_total`).
-    pub puts: Counter,
-    /// Slabs parked in the shared store when the pool was folded
-    /// (`ftsort_pool_shared_slabs`).
-    pub shared_slabs: Gauge,
-    /// High-water mark of parked slabs in any single store — the shared
-    /// store or one handle's local free list
-    /// (`ftsort_pool_slab_high_water`).
-    pub slab_high_water: Gauge,
-}
-
-/// Sink/compression pipeline instruments, folded in when a sink finishes
-/// and when a gzip stream ends.
-#[derive(Clone)]
-pub struct SinkMetrics {
-    /// Trace records (events + spans) written through a sink
-    /// (`ftsort_sink_events_total`).
-    pub events: Counter,
-    /// Bytes fed into the gzip encoder (`ftsort_gz_bytes_in_total`).
-    pub gz_bytes_in: Counter,
-    /// Compressed bytes out of the gzip encoder
-    /// (`ftsort_gz_bytes_out_total`).
-    pub gz_bytes_out: Counter,
-}
-
-/// Scheduler-profiler instruments ([`super::sched`]).
-#[derive(Clone)]
-pub struct SchedMetrics {
-    /// Events held in worker rings at the end of the last profiled run
-    /// (`ftsort_sched_ring_events`).
-    pub ring_events: Gauge,
-    /// Profiler ring overflows (`ftsort_sched_events_dropped_total`).
-    pub events_dropped: Counter,
-}
-
-/// Every instrument bundle of one process, registered together.
-#[derive(Clone)]
-pub struct RunMetrics {
-    /// Engine instruments.
-    pub engine: EngineMetrics,
-    /// Work-stealing scheduler instruments.
-    pub ws: WsMetrics,
-    /// Buffer-pool instruments.
-    pub pool: PoolMetrics,
-    /// Sink/compression instruments.
-    pub sink: SinkMetrics,
-    /// Scheduler-profiler instruments.
-    pub sched: SchedMetrics,
-}
-
-impl RunMetrics {
-    /// Registers the full instrument set on `registry` (idempotent — the
-    /// same names return the same handles).
-    pub fn register(registry: &Registry) -> RunMetrics {
-        RunMetrics {
-            engine: EngineMetrics {
-                rounds: registry.counter(
-                    "ftsort_rounds_total",
-                    "Frontier rounds committed across all runs.",
-                ),
-                messages_delivered: registry.counter(
-                    "ftsort_messages_delivered_total",
-                    "Simulated messages delivered into node inboxes.",
-                ),
-                elements_priced: registry.counter(
-                    "ftsort_elements_priced_total",
-                    "Elements priced through the cost model on sends.",
-                ),
-                link_wait_us: registry.counter(
-                    "ftsort_link_wait_us_total",
-                    "Whole virtual microseconds messages spent queued behind busy links.",
-                ),
-                msg_elements: registry
-                    .histogram("ftsort_msg_elements", "Elements per simulated message."),
-            },
-            ws: WsMetrics {
-                steals: registry.counter(
-                    "ftsort_ws_steals_total",
-                    "Successful shard steals in the work-stealing scheduler.",
-                ),
-                barrier_epochs: registry.counter(
-                    "ftsort_ws_barrier_epochs_total",
-                    "Sense-reversing barrier phase crossings.",
-                ),
-            },
-            pool: PoolMetrics {
-                takes: registry.counter(
-                    "ftsort_pool_takes_total",
-                    "Slabs taken from the buffer pool.",
-                ),
-                puts: registry.counter(
-                    "ftsort_pool_puts_total",
-                    "Slabs returned to the buffer pool.",
-                ),
-                shared_slabs: registry.gauge(
-                    "ftsort_pool_shared_slabs",
-                    "Slabs currently parked in the pool's shared store.",
-                ),
-                slab_high_water: registry.gauge(
-                    "ftsort_pool_slab_high_water",
-                    "High-water mark of parked slabs in any single pool store.",
-                ),
-            },
-            sink: SinkMetrics {
-                events: registry.counter(
-                    "ftsort_sink_events_total",
-                    "Trace records (events and spans) written through a sink.",
-                ),
-                gz_bytes_in: registry.counter(
-                    "ftsort_gz_bytes_in_total",
-                    "Uncompressed bytes fed into the gzip encoder.",
-                ),
-                gz_bytes_out: registry.counter(
-                    "ftsort_gz_bytes_out_total",
-                    "Compressed bytes written by the gzip encoder.",
-                ),
-            },
-            sched: SchedMetrics {
-                ring_events: registry.gauge(
-                    "ftsort_sched_ring_events",
-                    "Events held in scheduler-profiler rings after the last profiled run.",
-                ),
-                events_dropped: registry.counter(
-                    "ftsort_sched_events_dropped_total",
-                    "Scheduler-profiler ring overflows (events dropped).",
-                ),
-            },
-        }
-    }
-}
-
-/// The process-global registry + instrument bundle.
-pub struct GlobalMetrics {
-    /// The registry (render with [`Registry::render_prom`]).
-    pub registry: Registry,
-    /// The shared instrument bundle components record into.
-    pub run: RunMetrics,
-}
-
-static GLOBAL: OnceLock<GlobalMetrics> = OnceLock::new();
-
-/// Installs (or returns the already-installed) process-global metrics.
-/// After this, every run, sink and gzip stream that ends anywhere in the
-/// process folds its totals into the returned instruments.
-pub fn install_global() -> &'static GlobalMetrics {
-    GLOBAL.get_or_init(|| {
-        let registry = Registry::new();
-        let run = RunMetrics::register(&registry);
-        GlobalMetrics { registry, run }
-    })
-}
-
-/// The process-global metrics, if [`install_global`] has run — `None` is
-/// the default, and the whole cost of disabled metrics (one check per fold
-/// site, each run or stream end).
-pub fn global() -> Option<&'static GlobalMetrics> {
-    GLOBAL.get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_gauge_histogram_record() {
-        let r = Registry::new();
-        let c = r.counter("t_total", "a counter");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = r.gauge("g", "a gauge");
-        g.set(3);
-        g.set_max(10);
-        g.set_max(7);
-        assert_eq!(g.get(), 10);
-        let h = r.histogram("h", "a histogram");
-        for v in [0, 1, 5, 5, 300] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 311);
-        let counts = h.snapshot();
-        assert_eq!(counts[0], 1); // 0
-        assert_eq!(counts[1], 1); // 1
-        assert_eq!(counts[3], 2); // 5, 5
-        assert_eq!(counts[9], 1); // 300
-
-        // Pre-bucketed samples fold into the same layout.
-        h.add_counts(&[0, 2, 0, 1], 7);
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 318);
-        assert_eq!(h.snapshot()[1], 3);
-        assert_eq!(h.snapshot()[3], 3);
+    /// Fixed nonzero values in every family, a two-cell campaign included.
+    fn sample_totals() -> Totals {
+        let mut t = Totals {
+            rounds: 193,
+            messages_delivered: 186_000,
+            elements_priced: 845_520,
+            link_wait_us: 350,
+            ws_steals: 12,
+            ws_barrier_epochs: 386,
+            pool_takes: 4_100,
+            pool_puts: 4_099,
+            pool_shared_slabs: 63,
+            pool_slab_high_water: 71,
+            sink_events: 718_000,
+            gz_bytes_in: 63_500_000,
+            gz_bytes_out: 7_500_000,
+            sched_ring_events: 4_096,
+            sched_events_dropped: 3,
+            ..Totals::default()
+        };
+        t.msg_elements.add(&[2, 5, 0, 7, 1], 60);
+        t.msg_elements.record(16_000);
+        t.start_campaign(&[(5, 3), (6, 2)]);
+        t.campaign_run((5, 3), 41_000.0);
+        t.campaign_run((5, 3), 39_500.5);
+        t.campaign_run((6, 2), 93_000.0);
+        t
     }
 
     #[test]
-    fn registration_is_idempotent_but_kind_clashes_panic() {
-        let r = Registry::new();
-        let a = r.counter("x_total", "x");
-        let b = r.counter("x_total", "x");
-        a.inc();
-        assert_eq!(b.get(), 1, "same name shares the same atomic");
-        let clash =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.gauge("x_total", "x")));
-        assert!(clash.is_err(), "kind clash must panic");
-        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.counter("9bad_total", "x")
-        }));
-        assert!(bad.is_err(), "invalid names are rejected");
-        let suffix =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.counter("no_suffix", "x")));
-        assert!(suffix.is_err(), "counters must end in _total");
+    fn snapshot_text_is_pinned() {
+        // The fixture was rendered from the same values by the
+        // instrument registry this table replaced: snapshots keep their
+        // bytes.
+        let text = sample_totals().render_prom();
+        assert_eq!(
+            text,
+            include_str!("../../tests/fixtures/metrics_snapshot.prom")
+        );
+        let check = validate_prom(&text).expect("pinned snapshot validates");
+        assert_eq!(check.families, 19);
+    }
+
+    #[test]
+    fn counter_gauge_histogram_record() {
+        let mut h = Buckets::default();
+        for v in [0, 1, 5, 5, 300] {
+            h.record(v);
+        }
+        assert_eq!(h.counts.iter().sum::<u64>(), 5);
+        assert_eq!(h.sum, 311);
+        assert_eq!(h.counts[0], 1); // 0
+        assert_eq!(h.counts[1], 1); // 1
+        assert_eq!(h.counts[3], 2); // 5, 5
+        assert_eq!(h.counts[9], 1); // 300
+
+        // Pre-bucketed samples fold into the same layout.
+        h.add(&[0, 2, 0, 1], 7);
+        assert_eq!(h.counts.iter().sum::<u64>(), 8);
+        assert_eq!(h.sum, 318);
+        assert_eq!(h.counts[1], 3);
+        assert_eq!(h.counts[3], 3);
+
+        // Counters render as counters, gauges as gauges.
+        let t = Totals {
+            rounds: 5,
+            pool_slab_high_water: 10,
+            msg_elements: h,
+            ..Totals::default()
+        };
+        let text = t.render_prom();
+        assert!(text.contains("# TYPE ftsort_rounds_total counter\nftsort_rounds_total 5\n"));
+        assert!(text.contains(
+            "# TYPE ftsort_pool_slab_high_water gauge\nftsort_pool_slab_high_water 10\n"
+        ));
+        assert!(text.contains("ftsort_msg_elements_count 8\n"));
     }
 
     #[test]
     fn render_prom_roundtrips_through_the_validator() {
-        let r = Registry::new();
-        let c = r.counter("ft_rounds_total", "Rounds.");
-        c.add(42);
-        let g = r.gauge("ft_workers", "Workers with a\nnewline help.");
-        g.set(-3);
-        let h = r.histogram("ft_sizes", "Sizes.");
+        let mut t = Totals {
+            rounds: 42,
+            sched_ring_events: 3,
+            ..Totals::default()
+        };
         for v in [0, 1, 2, 3, 700] {
-            h.record(v);
+            t.msg_elements.record(v);
         }
-        let text = r.render_prom();
-        assert!(text.contains("# TYPE ft_rounds_total counter"));
-        assert!(text.contains("ft_rounds_total 42"));
-        assert!(text.contains("ft_workers -3"));
-        assert!(text.contains("newline help"), "help is escaped, not split");
-        assert!(text.contains("ft_sizes_bucket{le=\"0\"} 1"));
-        assert!(text.contains("ft_sizes_bucket{le=\"1\"} 2"));
-        assert!(text.contains("ft_sizes_bucket{le=\"3\"} 4"));
-        assert!(text.contains("ft_sizes_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("ft_sizes_sum 706"));
-        assert!(text.contains("ft_sizes_count 5"));
+        let text = t.render_prom();
+        assert!(text.contains("# TYPE ftsort_rounds_total counter"));
+        assert!(text.contains("ftsort_rounds_total 42"));
+        assert!(text.contains("ftsort_sched_ring_events 3"));
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"0\"} 1"));
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"1\"} 2"));
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"3\"} 4"));
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"+Inf\"} 5"));
+        assert!(text.contains("ftsort_msg_elements_sum 706"));
+        assert!(text.contains("ftsort_msg_elements_count 5"));
         let check = validate_prom(&text).expect("self-rendered snapshot validates");
-        assert_eq!(check.families, 3);
+        assert_eq!(check.families, 16);
         assert!(check.samples >= 5);
     }
 
     #[test]
     fn empty_histogram_renders_validly() {
-        let r = Registry::new();
-        r.histogram("empty_h", "Empty.");
-        let text = r.render_prom();
-        assert!(text.contains("empty_h_bucket{le=\"+Inf\"} 0"));
+        let text = Totals::default().render_prom();
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"0\"} 0\n"));
+        assert!(text.contains("ftsort_msg_elements_bucket{le=\"+Inf\"} 0"));
         validate_prom(&text).expect("empty histogram validates");
     }
 
@@ -950,29 +693,60 @@ mod tests {
 
     #[test]
     fn run_metrics_register_everything_and_rerender() {
-        let r = Registry::new();
-        let m = RunMetrics::register(&r);
-        m.engine.rounds.inc();
-        m.ws.steals.add(3);
-        m.pool.shared_slabs.set(2);
-        m.sched.events_dropped.add(1);
-        m.engine.msg_elements.record(100);
-        let text = r.render_prom();
-        let check = validate_prom(&text).expect("full bundle validates");
-        assert!(check.families >= 14);
-        assert!(text.contains("ftsort_rounds_total 1"));
-        assert!(text.contains("ftsort_ws_steals_total 3"));
-        // registering again returns the same handles
-        let again = RunMetrics::register(&r);
-        again.engine.rounds.inc();
-        assert_eq!(m.engine.rounds.get(), 2);
+        // The 16 run families, in exposition order; campaign families
+        // follow only once a campaign starts.
+        let t = sample_totals();
+        let text = t.render_prom();
+        let types: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert_eq!(
+            types[..16],
+            [
+                "ftsort_rounds_total",
+                "ftsort_messages_delivered_total",
+                "ftsort_elements_priced_total",
+                "ftsort_link_wait_us_total",
+                "ftsort_msg_elements",
+                "ftsort_ws_steals_total",
+                "ftsort_ws_barrier_epochs_total",
+                "ftsort_pool_takes_total",
+                "ftsort_pool_puts_total",
+                "ftsort_pool_shared_slabs",
+                "ftsort_pool_slab_high_water",
+                "ftsort_sink_events_total",
+                "ftsort_gz_bytes_in_total",
+                "ftsort_gz_bytes_out_total",
+                "ftsort_sched_ring_events",
+                "ftsort_sched_events_dropped_total",
+            ]
+        );
+        assert_eq!(types.len(), 19);
+        assert_eq!(t.render_prom(), text, "rendering reads, never resets");
+        let run_only = Totals {
+            campaign_runs: None,
+            campaign_makespan_us: Vec::new(),
+            ..t
+        };
+        assert_eq!(validate_prom(&run_only.render_prom()).unwrap().families, 16);
     }
 
     #[test]
     fn global_install_is_idempotent() {
-        let a = install_global() as *const GlobalMetrics;
-        let b = install_global() as *const GlobalMetrics;
-        assert_eq!(a, b);
-        assert!(global().is_some());
+        install();
+        install();
+        let mut rounds = None;
+        fold(|t| {
+            t.rounds += 1;
+            rounds = Some(t.rounds);
+        });
+        assert!(
+            rounds.is_some_and(|r| r >= 1),
+            "folds reach the installed totals"
+        );
+        let text = snapshot().expect("installed above");
+        validate_prom(&text).expect("the process snapshot validates");
     }
 }

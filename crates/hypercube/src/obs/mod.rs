@@ -82,47 +82,68 @@ impl SpanRecord {
 
 /// Per-node span recorder. Spans nest like a stack: `enter` pushes,
 /// `exit` closes the innermost open span at the current virtual time.
+/// It numbers the node's records (boundaries, and events through
+/// [`event`](Self::event)) and can keep each span's boundary positions
+/// ([`NodeObservation::span_at`]).
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
-    open: Vec<(u16, f64)>,
+    open: Vec<(u16, f64, usize)>,
     closed: Vec<SpanRecord>,
+    /// `(begin, end)` positions of the `closed` spans, when kept.
+    at: Option<Vec<(usize, usize)>>,
+    /// Records numbered so far: the position of the next one.
+    next: usize,
 }
 
 impl SpanLog {
     /// An empty log with room for a typical run (a handful of phases,
-    /// re-entered per substage).
-    pub fn new() -> Self {
+    /// re-entered per substage), keeping boundary positions or not.
+    pub fn new(keep_positions: bool) -> Self {
         SpanLog {
             open: Vec::with_capacity(4),
             closed: Vec::with_capacity(32),
+            at: keep_positions.then(|| Vec::with_capacity(32)),
+            next: 0,
         }
+    }
+
+    /// Numbers one recorded node event (send, receive or compute).
+    #[inline]
+    pub fn event(&mut self) {
+        self.next += 1;
     }
 
     /// Opens a span for `phase` at virtual time `now`.
     pub fn enter(&mut self, phase: u16, now: f64) {
-        self.open.push((phase, now));
+        self.open.push((phase, now, self.next));
+        self.next += 1;
     }
 
     /// Closes the innermost open span at virtual time `now`. A stray exit
     /// with nothing open is ignored (robustness over panics inside node
-    /// programs).
+    /// programs) and takes no position.
     pub fn exit(&mut self, now: f64) {
-        if let Some((phase, begin)) = self.open.pop() {
+        if let Some((phase, begin, begin_at)) = self.open.pop() {
             self.closed.push(SpanRecord {
                 phase,
                 begin,
                 end: now,
             });
+            if let Some(at) = &mut self.at {
+                at.push((begin_at, self.next));
+            }
+            self.next += 1;
         }
     }
 
     /// Finishes the log at the node's final clock, force-closing any spans
-    /// a node program left open, and returns the records in close order.
-    pub fn finish(mut self, now: f64) -> Vec<SpanRecord> {
+    /// a node program left open, and returns the records in close order
+    /// with their boundary positions (empty unless kept).
+    pub fn finish(mut self, now: f64) -> (Vec<SpanRecord>, Vec<(usize, usize)>) {
         while !self.open.is_empty() {
             self.exit(now);
         }
-        self.closed
+        (self.closed, self.at.unwrap_or_default())
     }
 }
 
@@ -233,6 +254,12 @@ pub struct NodeObservation {
     pub stats: RunStats,
     /// Closed phase spans, in close order.
     pub spans: Vec<SpanRecord>,
+    /// Each span's `(begin, end)` boundary positions, parallel to `spans`:
+    /// how many of the node's records (events and boundaries) precede the
+    /// boundary. A boundary shares its timestamp with events; only its
+    /// position says which of them it follows. Empty when the node's
+    /// events were not recorded (no trace, no sink).
+    pub span_at: Vec<(usize, usize)>,
     /// Utilization/communication metrics.
     pub metrics: NodeMetrics,
 }
@@ -614,7 +641,7 @@ impl RunReport {
 
     /// Records the run's buffer-pool statistics (builder style):
     /// take/put counts and the parked-slab high-water mark, from
-    /// `hypercube::sim::pool::PoolStats::counters`. Presentation-layer
+    /// [`BufferPool::counters`](crate::sim::BufferPool::counters). Presentation-layer
     /// metadata like [`with_threads`](Self::with_threads): set by CLIs
     /// that ran with a stats-enabled pool, never by the library sort
     /// functions.
@@ -654,12 +681,14 @@ mod tests {
 
     #[test]
     fn span_log_nests_and_force_closes() {
-        let mut log = SpanLog::new();
+        let mut log = SpanLog::new(true);
         log.enter(1, 0.0);
+        log.event();
         log.enter(2, 5.0);
         log.exit(7.0); // closes phase 2
         log.enter(3, 8.0); // left open
-        let spans = log.finish(10.0);
+        log.event();
+        let (spans, at) = log.finish(10.0);
         assert_eq!(
             spans,
             vec![
@@ -680,13 +709,25 @@ mod tests {
                 },
             ]
         );
+        // records: enter 1, event, enter 2, exit 2, enter 3, event, then
+        // the two force-closes
+        assert_eq!(at, vec![(2, 3), (4, 6), (0, 7)]);
     }
 
     #[test]
     fn stray_exit_is_ignored() {
-        let mut log = SpanLog::new();
+        let mut log = SpanLog::new(true);
         log.exit(1.0);
-        assert!(log.finish(2.0).is_empty());
+        assert!(log.finish(2.0).0.is_empty());
+        // and takes no position
+        let mut log = SpanLog::new(true);
+        log.exit(1.0);
+        log.enter(1, 1.0);
+        assert_eq!(log.finish(2.0).1, vec![(0, 1)]);
+        // a log that keeps no positions returns none
+        let mut log = SpanLog::new(false);
+        log.enter(1, 1.0);
+        assert_eq!(log.finish(2.0).1, vec![]);
     }
 
     #[test]
@@ -761,6 +802,7 @@ mod tests {
                     end: 90.0,
                 },
             ],
+            span_at: Vec::new(),
             metrics: m0,
         };
         let n1 = NodeObservation {
@@ -772,6 +814,7 @@ mod tests {
                 begin: 0.0,
                 end: 60.0,
             }],
+            span_at: Vec::new(),
             metrics: NodeMetrics::new(2),
         };
         RunObservation {

@@ -543,6 +543,7 @@ mod tests {
                         begin: 0.0,
                         end: 4.0,
                     }],
+                    span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
                 }),
                 Some(crate::obs::NodeObservation {
@@ -550,6 +551,7 @@ mod tests {
                     clock: 3.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
+                    span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
                 }),
             ],
@@ -581,6 +583,7 @@ mod tests {
                     clock: 4.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
+                    span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
                 }),
                 Some(crate::obs::NodeObservation {
@@ -588,6 +591,7 @@ mod tests {
                     clock: 3.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
+                    span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
                 }),
             ],

@@ -27,22 +27,57 @@ use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
 
 /// Serializes a buffered [`RunObservation`] into the run-file schema (the
-/// exact document a live [`StreamingSink`] would have written, modulo
-/// record interleaving). The observation must carry a trace (tracing
-/// enabled) for the file to replay with full counters.
+/// exact document a live [`StreamingSink`] would have written, modulo the
+/// interleaving of different nodes' records). Each node's span boundaries
+/// go back at their program-order positions
+/// ([`NodeObservation::span_at`]), so the file replays to the same spans;
+/// spans without positions follow the node's events. The observation
+/// must carry a trace (tracing enabled) for the file to replay with full
+/// counters.
 pub fn run_to_json(obs: &RunObservation) -> String {
     let mut sink = StreamingSink::new(Vec::new());
     if let Some(kt) = &obs.key_type {
         sink.set_key_type(kt.clone());
     }
     sink.begin(obs.dim, &obs.cost, obs.link_model);
+    // Per node: its positioned boundaries, last position first, and the
+    // records written so far — the position of the next one.
+    let mut bounds: Vec<Vec<(usize, Option<u16>, f64)>> = obs
+        .nodes
+        .iter()
+        .map(|slot| {
+            let mut b: Vec<_> = slot
+                .iter()
+                .flat_map(|n| n.spans.iter().zip(&n.span_at))
+                .flat_map(|(s, &(begin_at, end_at))| {
+                    [(begin_at, Some(s.phase), s.begin), (end_at, None, s.end)]
+                })
+                .collect();
+            b.sort_unstable_by_key(|&(at, ..)| std::cmp::Reverse(at));
+            b
+        })
+        .collect();
+    let mut written = vec![0usize; bounds.len()];
     for e in obs.trace.events() {
+        let n = e.node.index();
+        if let Some(b) = bounds.get_mut(n) {
+            while let Some((_, phase, t)) = b.pop_if(|&mut (at, ..)| at <= written[n]) {
+                sink.span(e.node, phase, t);
+                written[n] += 1;
+            }
+            written[n] += 1;
+        }
         sink.event(e);
     }
-    for n in obs.participants() {
-        for s in &n.spans {
-            sink.span(n.node, Some(s.phase), s.begin);
-            sink.span(n.node, None, s.end);
+    for (slot, b) in obs.nodes.iter().zip(&bounds) {
+        if let Some(n) = slot {
+            for &(_, phase, t) in b.iter().rev() {
+                sink.span(n.node, phase, t);
+            }
+            for s in n.spans.iter().skip(n.span_at.len()) {
+                sink.span(n.node, Some(s.phase), s.begin);
+                sink.span(n.node, None, s.end);
+            }
         }
     }
     let summaries: Vec<NodeSummary> = obs
@@ -287,7 +322,7 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
             summary,
             stats: RunStats::new(),
             metrics: NodeMetrics::new(dim),
-            spans: SpanLog::new(),
+            spans: SpanLog::new(true),
         });
     }
 
@@ -311,6 +346,7 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
             Body::Enter { phase, t } => acc.spans.enter(phase, t),
             Body::Exit { t } => acc.spans.exit(t),
             Body::Event(ev) => {
+                acc.spans.event();
                 match ev.kind {
                     TraceKind::Send { to, elements, hops } => {
                         if to.index() >= len {
@@ -355,11 +391,13 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
                 let mut metrics = acc.metrics;
                 metrics.blocked_us = acc.summary.blocked_us;
                 metrics.inbox_peak = acc.summary.inbox_peak;
+                let (spans, span_at) = acc.spans.finish(acc.summary.clock);
                 NodeObservation {
                     node: acc.summary.node,
                     clock: acc.summary.clock,
                     stats: acc.stats,
-                    spans: acc.spans.finish(acc.summary.clock),
+                    spans,
+                    span_at,
                     metrics,
                 }
             })

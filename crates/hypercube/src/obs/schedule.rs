@@ -282,21 +282,13 @@ pub(crate) fn contended_times(obs: &RunObservation) -> ContendedTimes {
     }
 }
 
-/// Translates an old-timeline instant on one node into the new timeline:
-/// piecewise through the node's `(old, new)` event checkpoints (program
-/// order), carrying un-evented residuals verbatim.
-///
-/// Exact for clocks, not always for span boundaries: a boundary that
-/// shares its timestamp with the next phase's first receive maps through
-/// that receive's checkpoint, so when the re-priced receive waits, the
-/// boundary lands after the wait instead of before it.
-fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
-    match cps.partition_point(|&(old, _)| old <= t) {
-        0 => t,
-        p => {
-            let (old, new) = cps[p - 1];
-            new + (t - old)
-        }
+/// Translates an old-timeline instant on one node into the new timeline
+/// through the last of the node's first `events` `(old, new)` event
+/// checkpoints (program order), carrying the un-evented residual verbatim.
+fn shift(cps: &[(f64, f64)], events: usize, t: f64) -> f64 {
+    match cps[..events.min(cps.len())].last() {
+        None => t,
+        Some(&(old, new)) => new + (t - old),
     }
 }
 
@@ -311,15 +303,16 @@ fn map_checkpoint(cps: &[(f64, f64)], t: f64) -> f64 {
 /// jump to `max(local, arrival)`. A clock advance no event accounts for
 /// is carried into the new timeline verbatim as a residual; the engines
 /// record an event for every advance, so residuals arise only from edited
-/// or truncated run files. Events,
-/// clocks, counters and metrics are bit-identical to a live run under the
-/// target model (pinned on every instance of `tests/engine_diff.rs`);
-/// span boundaries can drift — see `map_checkpoint`. Re-pricing to the
-/// run's own model and a new [`CostModel`] is the what-if re-costing of
-/// `ftsort-cli replay --recost`.
+/// or truncated run files. A span boundary maps through the last node
+/// event before its program-order position
+/// ([`NodeObservation::span_at`]). Events, clocks, span boundaries,
+/// counters and metrics are bit-identical to a live run under the target
+/// model (pinned on every instance of `tests/engine_diff.rs`). Re-pricing
+/// to the run's own model and a new [`CostModel`] is the what-if
+/// re-costing of `ftsort-cli replay --recost`.
 ///
 /// Errors if the observation carries no trace events — without the event
-/// stream there is no schedule to re-price.
+/// stream there is no schedule to re-price — or spans without positions.
 pub fn reprice(
     obs: &RunObservation,
     new_cost: CostModel,
@@ -327,6 +320,9 @@ pub fn reprice(
 ) -> Result<RunObservation, String> {
     if obs.trace.is_empty() {
         return Err("run has no trace events — was the sort traced?".into());
+    }
+    if obs.participants().any(|n| n.span_at.len() != n.spans.len()) {
+        return Err("spans carry no program positions".into());
     }
     let events = obs.trace.events();
     let len = obs.nodes.len();
@@ -444,19 +440,31 @@ pub fn reprice(
                 metrics.blocked_us = blocked[n];
                 metrics.link_wait_us = link_wait[n];
                 metrics.dim_busy_us = dim_busy[n].clone();
+                let cps = &checkpoints[n];
+                // The node events before a boundary: the records before
+                // its position, less the boundaries among them.
+                let mut bounds: Vec<usize> =
+                    node.span_at.iter().flat_map(|&(b, e)| [b, e]).collect();
+                bounds.sort_unstable();
+                let at = |pos: usize, t: f64| {
+                    let events = pos.saturating_sub(bounds.partition_point(|&b| b < pos));
+                    shift(cps, events, t)
+                };
                 NodeObservation {
                     node: node.node,
-                    clock: map_checkpoint(&checkpoints[n], node.clock),
+                    clock: shift(cps, cps.len(), node.clock),
                     stats: node.stats,
                     spans: node
                         .spans
                         .iter()
-                        .map(|s| SpanRecord {
-                            phase: s.phase,
-                            begin: map_checkpoint(&checkpoints[n], s.begin),
-                            end: map_checkpoint(&checkpoints[n], s.end),
+                        .zip(&node.span_at)
+                        .map(|(s, &(begin_at, end_at))| SpanRecord {
+                            begin: at(begin_at, s.begin),
+                            end: at(end_at, s.end),
+                            ..*s
                         })
                         .collect(),
+                    span_at: node.span_at.clone(),
                     metrics,
                 }
             })

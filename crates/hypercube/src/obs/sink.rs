@@ -21,7 +21,7 @@
 //! the same bytes (pinned by `tests/obs_invariants.rs`), and each node's
 //! own records stay in program order, which is all replay needs. When a
 //! sink finishes, it folds the number of records it wrote into the
-//! metrics registry ([`super::metrics`]), if one is installed.
+//! process's metric totals ([`super::metrics`]), if they are installed.
 
 use super::gz::GzEncoder;
 use super::json::{json_object, write_member, write_trace_event, JsonValue};
@@ -224,9 +224,7 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
         render_footer(&mut self.buf, nodes);
         self.emit();
         self.writer.flush().expect("trace sink flush failed");
-        if let Some(g) = metrics::global() {
-            g.run.sink.events.add(self.records);
-        }
+        metrics::fold(|t| t.sink_events += self.records);
     }
 }
 

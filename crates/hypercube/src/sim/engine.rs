@@ -59,6 +59,9 @@ pub struct NodeOutcome<T> {
     /// Closed observability spans ([`crate::sim::Comm::span_enter`]), in
     /// close order.
     pub spans: Vec<SpanRecord>,
+    /// Each span's boundary positions in program order
+    /// ([`NodeObservation::span_at`]); empty unless events were recorded.
+    pub span_at: Vec<(usize, usize)>,
     /// Per-node utilization/communication metrics.
     pub metrics: NodeMetrics,
 }
@@ -110,6 +113,7 @@ impl<T> RunOutcome<T> {
                         clock: o.clock,
                         stats: o.stats,
                         spans: o.spans.clone(),
+                        span_at: o.span_at.clone(),
                         metrics: o.metrics.clone(),
                     })
                 })
@@ -531,26 +535,22 @@ impl Engine {
             EngineKind::Par => par::run(self, &cells, &participation, inputs, program),
         };
         let out = collect_run(cells, results, &self.sink, dim, self.cost, self.link_model);
-        if let Some(g) = metrics::global() {
-            fold_counters(&g.run.engine, &out);
-        }
+        // The run's own per-node totals. Every message sent is delivered
+        // at its round's commit, so the sent counts are also the
+        // delivered ones.
+        metrics::fold(|t| {
+            let mut link_wait_us = 0.0;
+            for node in out.outcomes.iter().flatten() {
+                t.messages_delivered += node.stats.messages;
+                t.elements_priced += node.stats.elements_sent;
+                t.msg_elements
+                    .add(&node.metrics.msg_size_hist, node.stats.elements_sent);
+                link_wait_us += node.metrics.link_wait_us;
+            }
+            t.link_wait_us += link_wait_us as u64;
+        });
         out
     }
-}
-
-/// Adds a finished run's own per-node totals to the engine instruments.
-/// Every message sent is delivered at its round's commit, so the sent
-/// counts are also the delivered ones.
-fn fold_counters<T>(m: &metrics::EngineMetrics, out: &RunOutcome<T>) {
-    let mut link_wait_us = 0.0;
-    for node in out.outcomes.iter().flatten() {
-        m.messages_delivered.add(node.stats.messages);
-        m.elements_priced.add(node.stats.elements_sent);
-        m.msg_elements
-            .add_counts(&node.metrics.msg_size_hist, node.stats.elements_sent);
-        link_wait_us += node.metrics.link_wait_us;
-    }
-    m.link_wait_us.add(link_wait_us as u64);
 }
 
 #[cfg(test)]

@@ -27,10 +27,9 @@
 //! monotonic host time — lives entirely in the parallel engine's worker
 //! loop and barrier, outside this file. Frontier commits stay
 //! timestamp-free and byte-identical whether or not profiling is on.
-//! Nor does the core touch the metrics registry ([`crate::obs::metrics`]):
+//! Nor does the core touch the metric totals ([`crate::obs::metrics`]):
 //! the cells' own counters (`RunStats`, `NodeMetrics`) are the run's
-//! totals, and `Engine::run` folds them into the registry once the run
-//! has ended.
+//! totals, and `Engine::run` folds them in once the run has ended.
 //!
 //! [`Comm::recv`]: super::Comm::recv
 
@@ -125,7 +124,9 @@ impl<K> NodeCell<K> {
             clock: VirtualClock::new(),
             stats: RunStats::new(),
             trace: (tracing && participating).then(|| Vec::with_capacity(trace_capacity(dim))),
-            spans: SpanLog::new(),
+            // Boundary positions matter only among recorded events; an
+            // unobserved run keeps none (they would add 16 B per span).
+            spans: SpanLog::new((tracing || sinking) && participating),
             metrics: NodeMetrics::new(dim),
             waiting: None,
             participating,
@@ -142,6 +143,7 @@ impl<K> NodeCell<K> {
     }
 
     pub(super) fn emit(&mut self, ev: TraceEvent) {
+        self.spans.event();
         if let Some(trace) = &mut self.trace {
             trace.push(ev);
         }
@@ -333,11 +335,13 @@ pub(super) fn collect_run<K, T>(
         match result {
             Some(result) => {
                 let clock = cell.clock.now();
+                let (spans, span_at) = cell.spans.finish(clock);
                 outcomes.push(Some(NodeOutcome {
                     result,
                     clock,
                     stats: cell.stats,
-                    spans: cell.spans.finish(clock),
+                    spans,
+                    span_at,
                     metrics: cell.metrics,
                 }));
                 traces.push(cell.trace.unwrap_or_default());

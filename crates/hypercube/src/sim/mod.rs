@@ -33,7 +33,7 @@ pub mod trace;
 mod ws;
 
 pub use engine::{Engine, NodeCtx, NodeOutcome, RouterKind, RunOutcome};
-pub use pool::{BufferPool, PoolCounters, PoolHandle, PoolStats};
+pub use pool::{BufferPool, PoolCounters, PoolHandle};
 pub use trace::{Trace, TraceEvent, TraceKind};
 
 use crate::address::NodeId;

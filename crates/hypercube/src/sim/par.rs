@@ -157,7 +157,7 @@ struct Sched<'a, K, T> {
 }
 
 /// What one worker counted over the run, returned when it exits and
-/// folded into the metrics registry once the pool has joined.
+/// folded into the metric totals once the pool has joined.
 #[derive(Default)]
 struct Tally {
     /// Rounds run (every worker runs every round).
@@ -348,19 +348,17 @@ where
         }
     });
 
-    if let Some(g) = metrics::global() {
-        g.run.engine.rounds.add(tallies[0].rounds);
-        g.run.ws.barrier_epochs.add(tallies[0].crossings);
-        g.run.ws.steals.add(tallies.iter().map(|t| t.steals).sum());
-    }
+    metrics::fold(|t| {
+        t.rounds += tallies[0].rounds;
+        t.ws_barrier_epochs += tallies[0].crossings;
+        t.ws_steals += tallies.iter().map(|w| w.steals).sum::<u64>();
+    });
     if let Some(profiler) = &engine.sched_profiler {
         let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
-        if let Some(g) = metrics::global() {
-            let events: u64 = workers_prof.iter().map(|p| p.events().len() as u64).sum();
-            let dropped: u64 = workers_prof.iter().map(WorkerProf::dropped).sum();
-            g.run.sched.ring_events.set(events as i64);
-            g.run.sched.events_dropped.add(dropped);
-        }
+        metrics::fold(|t| {
+            t.sched_ring_events = workers_prof.iter().map(|p| p.events().len() as u64).sum();
+            t.sched_events_dropped += workers_prof.iter().map(WorkerProf::dropped).sum::<u64>();
+        });
         profiler.install(SchedProfile {
             workers_requested: workers_req,
             workers,

@@ -18,32 +18,26 @@
 //! pin this).
 //!
 //! Pools built with [`BufferPool::with_stats`] additionally count
-//! take/put traffic and the parked-slab high-water mark into a
-//! [`PoolStats`] block (relaxed atomics — the warm path stays alloc- and
-//! lock-free), which the pool's owner reads after the run (`ftsort-cli
-//! sort` folds it into the metrics registry's `ftsort_pool_*` families).
-//! [`BufferPool::new`] pools carry no stats at all, so library-internal
-//! pools pay nothing.
+//! take/put traffic and the parked-slab high-water mark
+//! ([`PoolCounters`]). Each handle counts its own takes, puts and fullest
+//! local list in plain fields and adds them to the pool's counters once,
+//! when it drops, so the warm path touches no shared counter. The shared
+//! store's own high water is noted under the lock its spills and drops
+//! already hold. The pool's owner reads the counters after the run, once
+//! every handle is gone (`ftsort-cli sort` folds them into the metrics
+//! snapshot's `ftsort_pool_*` families). [`BufferPool::new`] pools keep
+//! no counters at all.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Slabs a handle keeps locally before spilling to the shared store. Sized
 /// for the compare-split working set (merge output + loser half + two
 /// in-flight payloads) with slack; larger values just delay sharing.
 const LOCAL_SLABS: usize = 8;
 
-/// Pool traffic counters, recorded only by stats-enabled pools
+/// Pool traffic counters, kept only by stats-enabled pools
 /// ([`BufferPool::with_stats`]).
-#[derive(Debug, Default)]
-pub struct PoolStats {
-    takes: AtomicU64,
-    puts: AtomicU64,
-    high_water: AtomicU64,
-}
-
-/// A snapshot of [`PoolStats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Slabs taken (local hit, shared hit or fresh allocation alike).
     pub takes: u64,
@@ -54,13 +48,18 @@ pub struct PoolCounters {
     pub slab_high_water: u64,
 }
 
-impl PoolStats {
-    /// A point-in-time snapshot of the counters.
-    pub fn counters(&self) -> PoolCounters {
-        PoolCounters {
-            takes: self.takes.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            slab_high_water: self.high_water.load(Ordering::Relaxed),
+/// The shared state of one pool: the parked slabs, and the counters when
+/// the pool keeps them.
+struct Store<K> {
+    slabs: Vec<Vec<K>>,
+    counters: Option<PoolCounters>,
+}
+
+impl<K> Store<K> {
+    /// Raises the high water to `parked` slabs.
+    fn note(&mut self, parked: usize) {
+        if let Some(c) = &mut self.counters {
+            c.slab_high_water = c.slab_high_water.max(parked as u64);
         }
     }
 }
@@ -68,15 +67,13 @@ impl PoolStats {
 /// The shared slab store of one run. Cheap to clone (an [`Arc`]); create
 /// one per run and hand each node (or worker) a [`BufferPool::handle`].
 pub struct BufferPool<K> {
-    shared: Arc<Mutex<Vec<Vec<K>>>>,
-    stats: Option<Arc<PoolStats>>,
+    shared: Arc<Mutex<Store<K>>>,
 }
 
 impl<K> Clone for BufferPool<K> {
     fn clone(&self) -> Self {
         BufferPool {
             shared: Arc::clone(&self.shared),
-            stats: self.stats.clone(),
         }
     }
 }
@@ -88,27 +85,35 @@ impl<K> Default for BufferPool<K> {
 }
 
 impl<K> BufferPool<K> {
+    fn with_counters(counters: Option<PoolCounters>) -> Self {
+        BufferPool {
+            shared: Arc::new(Mutex::new(Store {
+                slabs: Vec::new(),
+                counters,
+            })),
+        }
+    }
+
     /// An empty pool with no statistics — the zero-overhead default used
     /// by the library sort paths.
     pub fn new() -> Self {
-        BufferPool {
-            shared: Arc::new(Mutex::new(Vec::new())),
-            stats: None,
-        }
+        BufferPool::with_counters(None)
     }
 
-    /// An empty pool that counts its traffic into a [`PoolStats`] block.
+    /// An empty pool that counts its traffic ([`PoolCounters`]).
     pub fn with_stats() -> Self {
-        BufferPool {
-            shared: Arc::new(Mutex::new(Vec::new())),
-            stats: Some(Arc::new(PoolStats::default())),
-        }
+        BufferPool::with_counters(Some(PoolCounters::default()))
     }
 
-    /// This pool's statistics block, when built with
-    /// [`with_stats`](Self::with_stats).
-    pub fn stats(&self) -> Option<&Arc<PoolStats>> {
-        self.stats.as_ref()
+    /// This pool's counters, when built with
+    /// [`with_stats`](Self::with_stats). A handle adds its traffic when
+    /// it drops, so they are complete once the run's handles are gone.
+    pub fn counters(&self) -> Option<PoolCounters> {
+        self.store().counters
+    }
+
+    fn store(&self) -> MutexGuard<'_, Store<K>> {
+        self.shared.lock().expect("buffer pool lock poisoned")
     }
 
     /// A per-worker handle drawing on this pool. The local free list is
@@ -117,15 +122,17 @@ impl<K> BufferPool<K> {
     pub fn handle(&self) -> PoolHandle<K> {
         PoolHandle {
             local: Vec::with_capacity(LOCAL_SLABS),
-            shared: Arc::clone(&self.shared),
-            stats: self.stats.clone(),
+            pool: self.clone(),
+            takes: 0,
+            puts: 0,
+            local_high_water: 0,
         }
     }
 
     /// Slabs currently parked in the shared store (diagnostics/tests);
     /// slabs held by live handles are not counted.
     pub fn shared_slabs(&self) -> usize {
-        self.shared.lock().expect("buffer pool lock poisoned").len()
+        self.store().slabs.len()
     }
 }
 
@@ -133,32 +140,22 @@ impl<K> BufferPool<K> {
 /// the shared store. `take`/`put` are lock-free in the warm path.
 pub struct PoolHandle<K> {
     local: Vec<Vec<K>>,
-    shared: Arc<Mutex<Vec<Vec<K>>>>,
-    stats: Option<Arc<PoolStats>>,
+    pool: BufferPool<K>,
+    /// This handle's traffic, added to the pool's counters when it drops.
+    takes: u64,
+    puts: u64,
+    local_high_water: usize,
 }
 
 impl<K> PoolHandle<K> {
-    fn note_high_water(&self, parked: usize) {
-        if let Some(s) = &self.stats {
-            s.high_water.fetch_max(parked as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Takes an empty slab with capacity ≥ `capacity`: most recently
     /// returned local slab first (cache warmth), then the shared store,
     /// then a fresh allocation.
     pub fn take(&mut self, capacity: usize) -> Vec<K> {
-        if let Some(s) = &self.stats {
-            s.takes.fetch_add(1, Ordering::Relaxed);
-        }
+        self.takes += 1;
         let mut buf = match self.local.pop() {
             Some(buf) => buf,
-            None => self
-                .shared
-                .lock()
-                .expect("buffer pool lock poisoned")
-                .pop()
-                .unwrap_or_default(),
+            None => self.pool.store().slabs.pop().unwrap_or_default(),
         };
         buf.reserve(capacity);
         buf
@@ -168,19 +165,15 @@ impl<K> PoolHandle<K> {
     /// the local list, spilling to the shared store past `LOCAL_SLABS`.
     pub fn put(&mut self, mut buf: Vec<K>) {
         buf.clear();
-        if let Some(s) = &self.stats {
-            s.puts.fetch_add(1, Ordering::Relaxed);
-        }
+        self.puts += 1;
         if self.local.len() < LOCAL_SLABS {
             self.local.push(buf);
-            self.note_high_water(self.local.len());
+            self.local_high_water = self.local_high_water.max(self.local.len());
         } else {
-            let parked = {
-                let mut shared = self.shared.lock().expect("buffer pool lock poisoned");
-                shared.push(buf);
-                shared.len()
-            };
-            self.note_high_water(parked);
+            let mut store = self.pool.store();
+            store.slabs.push(buf);
+            let parked = store.slabs.len();
+            store.note(parked);
         }
     }
 
@@ -192,16 +185,19 @@ impl<K> PoolHandle<K> {
 
 impl<K> Drop for PoolHandle<K> {
     /// Returns local slabs to the shared store so other workers can reuse
-    /// allocations warmed by finished nodes.
+    /// allocations warmed by finished nodes, and adds this handle's
+    /// traffic to the pool's counters.
     fn drop(&mut self) {
-        if self.local.is_empty() {
+        // No panic in drop: a poisoned store just keeps its slabs.
+        let Ok(mut store) = self.pool.shared.lock() else {
             return;
-        }
-        if let Ok(mut shared) = self.shared.lock() {
-            shared.append(&mut self.local);
-            let parked = shared.len();
-            drop(shared);
-            self.note_high_water(parked);
+        };
+        store.slabs.append(&mut self.local);
+        let parked = store.slabs.len().max(self.local_high_water);
+        store.note(parked);
+        if let Some(c) = &mut store.counters {
+            c.takes += self.takes;
+            c.puts += self.puts;
         }
     }
 }
@@ -264,8 +260,8 @@ mod tests {
     #[test]
     fn plain_pools_carry_no_stats() {
         let pool: BufferPool<u8> = BufferPool::new();
-        assert!(pool.stats().is_none());
-        assert!(pool.handle().stats.is_none());
+        drop(pool.handle());
+        assert!(pool.counters().is_none());
     }
 
     #[test]
@@ -280,16 +276,28 @@ mod tests {
         // One extra round trip through the (now warm) local list.
         let s = a.take(8);
         a.put(s);
-        let counters = pool.stats().expect("stats enabled").counters();
+        // A handle adds its traffic when it drops. Dropping `a` parks
+        // everything shared, so the shared store is the fullest one.
+        drop(a);
+        let counters = pool.counters().expect("stats enabled");
         assert_eq!(counters.takes, taken + 1);
         assert_eq!(counters.puts, taken + 1);
-        // The local list filled to LOCAL_SLABS before spilling; the shared
-        // store then grew to 3 — the fullest single store was the local one.
-        assert_eq!(counters.slab_high_water, LOCAL_SLABS as u64);
-        // Dropping the handle parks everything shared: new high water.
-        drop(a);
-        let counters = pool.stats().expect("stats enabled").counters();
         assert_eq!(counters.slab_high_water, taken);
         assert_eq!(pool.shared_slabs() as u64, taken);
+
+        // A local list that ran fuller than any shared store sets the
+        // high water: this handle fills its list, then keeps six slabs.
+        let pool: BufferPool<u32> = BufferPool::with_stats();
+        let mut b = pool.handle();
+        let slabs: Vec<_> = (0..LOCAL_SLABS).map(|_| b.take(64)).collect();
+        for s in slabs {
+            b.put(s);
+        }
+        let kept: Vec<_> = (0..6).map(|_| b.take(64)).collect();
+        drop(b);
+        let counters = pool.counters().expect("stats enabled");
+        assert_eq!(pool.shared_slabs(), LOCAL_SLABS - kept.len());
+        assert_eq!(counters.slab_high_water, LOCAL_SLABS as u64);
+        assert_eq!(counters.takes, LOCAL_SLABS as u64 + 6);
     }
 }

@@ -104,9 +104,7 @@ where
         std::mem::swap(&mut round, &mut next);
     }
 
-    if let Some(g) = metrics::global() {
-        g.run.engine.rounds.add(rounds);
-    }
+    metrics::fold(|t| t.rounds += rounds);
     if !alive.is_empty() {
         deadlock_panic(cells, alive.len());
     }

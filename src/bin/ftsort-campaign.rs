@@ -19,7 +19,7 @@
 //! every outlier (≥ ~p99 makespan of its cell) and each cell's median
 //! exemplar with a streaming sink, capturing gzip v2 run files plus their
 //! live `RunReport` JSONs for `ftsort-cli replay`/`trace-diff` forensics.
-//! `--metrics-snapshot` installs the global metrics registry and writes a
+//! `--metrics-snapshot` installs the process's metric totals and writes a
 //! Prometheus snapshot once the campaign is half done (live progress:
 //! runs-completed counter, per-cell makespan histograms, and the engine
 //! totals of the runs that have ended), refreshing it at completion.
@@ -117,7 +117,7 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
     // Installed before the first run, so every run folds its totals in.
     let snapshot = flags.get("metrics-snapshot");
     if snapshot.is_some() {
-        hypercube::obs::metrics::install_global();
+        hypercube::obs::metrics::install();
     }
 
     // Progress to stderr; the mid-campaign Prometheus snapshot fires once
@@ -130,8 +130,8 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
             last_reported = done;
         }
         if !snapshot_written && done * 2 >= total {
-            if let (Some(path), Some(g)) = (snapshot, hypercube::obs::metrics::global()) {
-                std::fs::write(path, g.registry.render_prom())
+            if let (Some(path), Some(text)) = (snapshot, hypercube::obs::metrics::snapshot()) {
+                std::fs::write(path, text)
                     .unwrap_or_else(|e| eprintln!("warning: metrics snapshot {path}: {e}"));
             }
             snapshot_written = true;
@@ -155,9 +155,8 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
         std::fs::write(out, outcome.report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("campaign report written: {out}");
     }
-    if let (Some(path), Some(g)) = (snapshot, hypercube::obs::metrics::global()) {
-        std::fs::write(path, g.registry.render_prom())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+    if let (Some(path), Some(text)) = (snapshot, hypercube::obs::metrics::snapshot()) {
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics snapshot written: {path}");
     }
     Ok(())

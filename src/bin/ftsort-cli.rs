@@ -41,8 +41,8 @@
 //! 16-byte key+payload records) — recorded in the `--metrics-out` report.
 //! `--metrics-snapshot` turns on the live telemetry layer
 //! ([`hypercube::obs::metrics`]) for the run and writes a
-//! Prometheus-exposition snapshot of every registered counter, gauge and
-//! histogram after the sort; `--log-level`/`--log-out` install the
+//! Prometheus-exposition snapshot of the process's run totals (every
+//! counter, gauge and histogram family) after the sort; `--log-level`/`--log-out` install the
 //! structured JSON-lines logger ([`hypercube::obs::log`]). Both observe
 //! the host only — sorted output, reports and run files stay
 //! byte-identical with telemetry on or off.

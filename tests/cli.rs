@@ -547,7 +547,7 @@ fn sort_metrics_snapshot_is_byte_invisible_in_run_files() {
     // House rule of the live-telemetry layer: metrics and logging observe
     // the host only. Streamed run files of a telemetry-on and a
     // telemetry-off run of the same seeded sort are byte-identical.
-    // (Separate processes, so the on-run's global registry cannot leak
+    // (Separate processes, so the on-run's metric totals cannot leak
     // into the off-run.)
     let dir = std::env::temp_dir();
     let plain = dir.join("ftsort_cli_metrics_plain_run.json");

@@ -26,6 +26,9 @@
 //!   re-pricing each to the other link model reproduces the other run;
 //! * contended loop — a traced seq run and a contended run under
 //!   [`CostModel::paper_form`]; re-pricing to the paper form reproduces it.
+//!
+//! "Reproduces" is bit for bit: every event, and per node the clock,
+//! counters, metrics and span boundaries.
 
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
@@ -59,14 +62,8 @@ fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
 }
 
 /// Asserts that an offline re-pricing reproduces a live run bit for bit:
-/// every trace event, and per node the clock, operation counters and
-/// metrics.
-///
-/// Span boundaries are not compared: the re-pricer translates a boundary
-/// through the last event at or before it, so a boundary that shares its
-/// timestamp with the next phase's first (non-waiting) receive lands after
-/// that receive's re-priced wait — a known defect in the translation, not
-/// in the clocks this test pins.
+/// every trace event, and per node the clock, operation counters, metrics
+/// and span boundaries.
 fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &str) {
     assert_eq!(replayed.link_model, live.link_model, "{what}: link model");
     let (got, want) = (replayed.trace.events(), live.trace.events());
@@ -96,6 +93,16 @@ fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &st
                         && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
                     "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
                 );
+                assert_eq!(g.spans.len(), w.spans.len(), "{what}: spans of {node:?}");
+                assert_eq!(g.span_at, w.span_at, "{what}: span positions of {node:?}");
+                for (gs, ws) in g.spans.iter().zip(&w.spans) {
+                    assert!(
+                        gs.phase == ws.phase
+                            && gs.begin.to_bits() == ws.begin.to_bits()
+                            && gs.end.to_bits() == ws.end.to_bits(),
+                        "{what}: span of {node:?} differs: {gs:?} vs live {ws:?}"
+                    );
+                }
             }
             _ => panic!("{what}: participation differs"),
         }

@@ -234,6 +234,7 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
                     assert_eq!(a.clock.to_bits(), b.clock.to_bits());
                     assert_eq!(a.stats, b.stats, "stats differ on node {}", a.node);
                     assert_eq!(a.spans, b.spans, "spans differ on node {}", a.node);
+                    assert_eq!(a.span_at, b.span_at, "span positions on node {}", a.node);
                     assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
                 }
                 _ => panic!("participation differs after replay"),
