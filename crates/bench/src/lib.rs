@@ -2,7 +2,6 @@
 //! and figure of the paper's evaluation (§4).
 
 use ftsort::bitonic::SortOutcome;
-use ftsort::distribute::Padded;
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use ftsort::mffs::max_fault_free_subcube;
 use ftsort::seq::{Key, KeyType};
@@ -306,7 +305,7 @@ impl ObsFlags {
         let pool = self
             .metrics_snapshot
             .as_ref()
-            .map(|_| BufferPool::<Padded<K>>::with_stats());
+            .map(|_| BufferPool::<K>::with_stats());
         let config = FtConfig {
             tracing: self.trace_out.is_some(),
             threads: self.threads,

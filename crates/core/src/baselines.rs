@@ -14,7 +14,7 @@
 //!   as the recursion deepens.
 
 use crate::bitonic::{compare_split_remote, KeepHalf, Protocol};
-use crate::distribute::{gather, scatter, Padded};
+use crate::distribute::{gather, scatter};
 use crate::seq::{heapsort, merge_runs_auto, Direction, Key, Scratch};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
@@ -57,7 +57,7 @@ where
     let chunks = scatter(data, p);
 
     // inputs by physical address; chunk i goes to ring position i
-    let mut inputs: Vec<Option<Vec<Padded<K>>>> = (0..p).map(|_| None).collect();
+    let mut inputs: Vec<Option<Vec<K>>> = (0..p).map(|_| None).collect();
     for (pos, chunk) in chunks.into_iter().enumerate() {
         inputs[ring.node_at(pos).index()] = Some(chunk);
     }
@@ -103,12 +103,11 @@ where
 
     let time_us = out.turnaround();
     let stats = out.total_stats();
-    let mut by_pos: Vec<Vec<Padded<K>>> = vec![Vec::new(); p];
+    let mut by_pos: Vec<Vec<K>> = vec![Vec::new(); p];
     for (node, run) in out.into_results() {
         by_pos[ring.position_of(node)] = run;
     }
-    let sorted = gather(by_pos);
-    assert_eq!(sorted.len(), m_total);
+    let sorted = gather(by_pos, m_total);
     SortOutcome {
         sorted,
         time_us,
@@ -140,7 +139,7 @@ where
     let p = cube.len();
     let m_total = data.len();
     let chunks = scatter(data, p);
-    let inputs: Vec<Option<Vec<Padded<K>>>> = chunks.into_iter().map(Some).collect();
+    let inputs: Vec<Option<Vec<K>>> = chunks.into_iter().map(Some).collect();
 
     let engine = Engine::fault_free(cube, cost).with_engine(kind);
     let out = engine.run(inputs, async move |ctx, mut run| {
@@ -152,14 +151,14 @@ where
         for d in (0..ctx.cube().dim()).rev() {
             // subcube root (low bits cleared) picks the pivot: its median
             let root_addr = NodeId::new(me.raw() & !((1u32 << (d + 1)) - 1));
-            let pivot: Option<Padded<K>> = if me == root_addr {
+            let pivot: Option<K> = if me == root_addr {
                 run.get(run.len() / 2).cloned()
             } else {
                 None
             };
             // broadcast the pivot within the subcube via dimension sweep
             // over dims d..0 (root sends down; empty payload = no pivot,
-            // meaning the root's run was empty — use Dummy as +∞ pivot)
+            // meaning the root's run was empty — use K::INF as +∞ pivot)
             let pivot = broadcast_in_subcube(ctx, root_addr, d, pivot).await;
             // split the local run and exchange along dimension d
             let split_at = run.partition_point(|x| *x < pivot);
@@ -185,12 +184,11 @@ where
 
     let time_us = out.turnaround();
     let stats = out.total_stats();
-    let mut by_node: Vec<Vec<Padded<K>>> = vec![Vec::new(); p];
+    let mut by_node: Vec<Vec<K>> = vec![Vec::new(); p];
     for (node, run) in out.into_results() {
         by_node[node.index()] = run;
     }
-    let sorted = gather(by_node);
-    assert_eq!(sorted.len(), m_total);
+    let sorted = gather(by_node, m_total);
     SortOutcome {
         sorted,
         time_us,
@@ -200,23 +198,19 @@ where
 }
 
 /// Broadcast of one optional key from the subcube root over dimensions
-/// `d..=0`; a missing pivot (empty root run) is replaced by `Dummy` (`+∞`),
-/// which sends everything to the low side — a safe degenerate split.
-async fn broadcast_in_subcube<K, C>(
-    ctx: &mut C,
-    root: NodeId,
-    d: usize,
-    pivot: Option<Padded<K>>,
-) -> Padded<K>
+/// `d..=0`; a missing pivot (empty root run) is replaced by [`Key::INF`]
+/// (`+∞`), which sends every key below it to the low side — a safe
+/// degenerate split.
+async fn broadcast_in_subcube<K, C>(ctx: &mut C, root: NodeId, d: usize, pivot: Option<K>) -> K
 where
     K: Key,
-    C: Comm<Padded<K>>,
+    C: Comm<K>,
 {
     let me = ctx.me();
     let rel = me.raw() ^ root.raw();
     debug_assert_eq!(rel >> (d + 1), 0, "root must be in my subcube");
-    let mut have: Option<Padded<K>> = if me == root {
-        Some(pivot.unwrap_or(Padded::Dummy))
+    let mut have: Option<K> = if me == root {
+        Some(pivot.unwrap_or(K::INF))
     } else {
         None
     };

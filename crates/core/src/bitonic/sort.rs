@@ -9,7 +9,7 @@
 
 use super::distributed::distributed_bitonic_sort;
 use super::protocol::Protocol;
-use crate::distribute::{chunk_len, gather, scatter, Padded};
+use crate::distribute::{chunk_len, gather, scatter};
 use crate::seq::{heapsort, Direction, Key, Scratch};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
@@ -140,7 +140,7 @@ where
     let chunks = scatter(data, live.len());
 
     // inputs indexed by *physical* address
-    let mut inputs: Vec<Option<Vec<Padded<K>>>> = (0..cube.len()).map(|_| None).collect();
+    let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
     for (&logical, chunk) in live.iter().zip(chunks) {
         inputs[members[logical].index()] = Some(chunk);
     }
@@ -172,13 +172,12 @@ where
     let time_us = out.turnaround();
     let stats = out.total_stats();
     // gather in logical order
-    let mut by_logical: Vec<Vec<Padded<K>>> = vec![Vec::new(); members.len()];
+    let mut by_logical: Vec<Vec<K>> = vec![Vec::new(); members.len()];
     for (node, run) in out.into_results() {
         let logical = members.iter().position(|&p| p == node).expect("member");
         by_logical[logical] = run;
     }
-    let sorted = gather(by_logical);
-    assert_eq!(sorted.len(), m_total, "keys lost or duplicated");
+    let sorted = gather(by_logical, m_total);
     SortOutcome {
         sorted,
         time_us,

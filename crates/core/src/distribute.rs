@@ -1,71 +1,54 @@
 //! Host-side distribution and collection of elements.
 //!
-//! The paper's host distributes `⌊M/N'⌋` elements to each of the `N'` live
+//! The paper's host distributes `⌈M/N'⌉` elements to each of the `N'` live
 //! processors, filling with dummy keys (`∞`) when `M` does not divide evenly
-//! (§2.1). We realize `∞` as [`Padded::Dummy`], which compares greater than
-//! every real key, so dummies sink to the global tail and are stripped at
-//! gather time.
+//! (§2.1). We realize `∞` as the key type's greatest value, [`Key::INF`], so
+//! the machine sorts bare keys: dummies sink to the global tail and are
+//! dropped at gather time.
 
-/// A key extended with the paper's `∞` dummy value.
-///
-/// Derived ordering makes every `Real` key less than `Dummy`, so padded
-/// processors behave as if they held `+∞` sentinels.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Padded<K> {
-    /// An actual input key.
-    Real(K),
-    /// The `∞` filler.
-    Dummy,
-}
+use crate::seq::Key;
 
-impl<K> Padded<K> {
-    /// Extracts the real key, if any.
-    pub fn into_real(self) -> Option<K> {
-        match self {
-            Padded::Real(k) => Some(k),
-            Padded::Dummy => None,
-        }
-    }
-
-    /// Whether this is a real key.
-    pub fn is_real(&self) -> bool {
-        matches!(self, Padded::Real(_))
-    }
-}
-
-/// Splits `data` into `parts` chunks of exactly `⌈data.len()/parts⌉` padded
-/// keys each — the host's scatter step. Chunks are filled in order; the last
-/// chunks carry the dummies.
+/// Splits `data` into `parts` chunks of exactly `⌈data.len()/parts⌉` keys
+/// each — the host's scatter step. Chunks are filled in order; the last
+/// chunks are padded with [`Key::INF`].
 ///
 /// # Panics
 /// If `parts == 0`.
-pub fn scatter<K>(data: Vec<K>, parts: usize) -> Vec<Vec<Padded<K>>> {
+pub fn scatter<K: Key>(data: Vec<K>, parts: usize) -> Vec<Vec<K>> {
     assert!(parts > 0, "cannot scatter to zero processors");
-    let k = data.len().div_ceil(parts).max(1);
-    let mut chunks: Vec<Vec<Padded<K>>> = Vec::with_capacity(parts);
+    let k = chunk_len(data.len(), parts);
     let mut it = data.into_iter();
-    for _ in 0..parts {
-        let mut chunk = Vec::with_capacity(k);
-        for _ in 0..k {
-            chunk.push(match it.next() {
-                Some(x) => Padded::Real(x),
-                None => Padded::Dummy,
-            });
-        }
-        chunks.push(chunk);
-    }
-    debug_assert!(it.next().is_none());
-    chunks
+    (0..parts)
+        .map(|_| {
+            let mut chunk = Vec::with_capacity(k);
+            chunk.extend(it.by_ref().take(k));
+            chunk.resize(k, K::INF);
+            chunk
+        })
+        .collect()
 }
 
 /// Reassembles sorted output: concatenates the chunks in the given order and
-/// strips the dummy keys — the host's gather step.
-pub fn gather<K>(chunks: impl IntoIterator<Item = Vec<Padded<K>>>) -> Vec<K> {
-    chunks
-        .into_iter()
-        .flatten()
-        .filter_map(Padded::into_real)
-        .collect()
+/// keeps the first `m` keys, dropping the `∞` padding behind them — the
+/// host's gather step.
+///
+/// # Panics
+/// If the chunks hold fewer than `m` keys, or a dropped slot is not
+/// [`Key::INF`]: keys were lost or duplicated, or the key type's `INF` is
+/// not its greatest value.
+pub fn gather<K: Key>(chunks: impl IntoIterator<Item = Vec<K>>, m: usize) -> Vec<K> {
+    let mut sorted = Vec::with_capacity(m);
+    for chunk in chunks {
+        let take = (m - sorted.len()).min(chunk.len());
+        sorted.extend_from_slice(&chunk[..take]);
+        assert!(
+            chunk[take..].iter().all(|x| *x == K::INF),
+            "keys lost or duplicated: a dropped padding slot is not Key::INF \
+             (Key::INF must be the greatest value of the key type)"
+        );
+    }
+    assert_eq!(sorted.len(), m, "keys lost or duplicated");
+    sorted
 }
 
 /// Elements per processor for `m_total` elements over `parts` processors —
@@ -81,33 +64,17 @@ mod tests {
 
     #[test]
     fn dummy_sorts_above_all_real_keys() {
-        assert!(Padded::Real(u32::MAX) < Padded::Dummy);
-        assert!(Padded::Real(0u32) < Padded::Real(1u32));
-        assert_eq!(Padded::<u32>::Dummy, Padded::Dummy);
-        let mut v = vec![
-            Padded::Dummy,
-            Padded::Real(5),
-            Padded::Dummy,
-            Padded::Real(1),
-        ];
+        let mut v = scatter(vec![5u32, 1], 4).concat();
+        assert_eq!(v, vec![5, 1, u32::MAX, u32::MAX]);
         v.sort();
-        assert_eq!(
-            v,
-            vec![
-                Padded::Real(1),
-                Padded::Real(5),
-                Padded::Dummy,
-                Padded::Dummy
-            ]
-        );
+        assert_eq!(v, vec![1, 5, u32::MAX, u32::MAX]);
+        assert_eq!(gather([v], 2), vec![1, 5]);
     }
 
     #[test]
     fn scatter_even_division() {
         let chunks = scatter(vec![1, 2, 3, 4, 5, 6], 3);
-        assert_eq!(chunks.len(), 3);
-        assert!(chunks.iter().all(|c| c.len() == 2));
-        assert!(chunks.iter().flatten().all(|p| p.is_real()));
+        assert_eq!(chunks, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
     }
 
     #[test]
@@ -117,32 +84,53 @@ mod tests {
         let chunks = scatter((0..47u32).collect(), 28);
         assert_eq!(chunks.len(), 28);
         assert!(chunks.iter().all(|c| c.len() == 2));
-        let dummies = chunks.iter().flatten().filter(|p| !p.is_real()).count();
+        let dummies = chunks.iter().flatten().filter(|&&x| x == u32::MAX).count();
         assert_eq!(dummies, 28 * 2 - 47);
     }
 
     #[test]
     fn scatter_fewer_elements_than_processors() {
-        let chunks = scatter(vec![9, 8], 4);
-        assert_eq!(chunks.len(), 4);
-        assert!(chunks.iter().all(|c| c.len() == 1));
-        assert_eq!(chunks[0][0], Padded::Real(9));
-        assert_eq!(chunks[1][0], Padded::Real(8));
-        assert_eq!(chunks[2][0], Padded::Dummy);
+        let chunks = scatter(vec![9u64, 8], 4);
+        assert_eq!(
+            chunks,
+            vec![vec![9], vec![8], vec![u64::MAX], vec![u64::MAX]]
+        );
     }
 
     #[test]
     fn scatter_empty_input_gives_all_dummies() {
-        let chunks = scatter(Vec::<u32>::new(), 3);
-        assert_eq!(chunks.len(), 3);
-        assert!(chunks.iter().flatten().all(|p| !p.is_real()));
+        let chunks = scatter(Vec::<i64>::new(), 3);
+        assert_eq!(chunks, vec![vec![i64::MAX]; 3]);
+        assert!(gather(chunks, 0).is_empty());
     }
 
     #[test]
     fn gather_inverts_scatter_order_and_strips_dummies() {
         let data: Vec<u32> = (0..47).collect();
         let chunks = scatter(data.clone(), 28);
-        assert_eq!(gather(chunks), data);
+        assert_eq!(gather(chunks, 47), data);
+    }
+
+    #[test]
+    fn gather_keeps_real_keys_equal_to_inf() {
+        // a real u32::MAX ties with the padding, and the first m keys are
+        // still the sorted input
+        let data = vec![u32::MAX, 3, u32::MAX];
+        let mut flat = scatter(data, 2).concat();
+        flat.sort();
+        assert_eq!(gather([flat], 3), vec![3, u32::MAX, u32::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Key::INF")]
+    fn gather_rejects_a_real_key_in_the_dropped_tail() {
+        let _ = gather([vec![1u32, 2], vec![u32::MAX, 7]], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "keys lost")]
+    fn gather_rejects_too_few_keys() {
+        let _ = gather([vec![1u32, 2]], 3);
     }
 
     #[test]

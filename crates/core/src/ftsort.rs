@@ -38,7 +38,7 @@ use crate::bitonic::{
     compare_split_remote, distributed_bitonic_merge, distributed_bitonic_sort, reverse_windows,
     KeepHalf, Protocol,
 };
-use crate::distribute::{chunk_len, gather, scatter, Padded};
+use crate::distribute::{chunk_len, gather, scatter};
 use crate::partition::{partition, PartitionResult, SingleFaultStructure};
 use crate::select::{build_structure, select_cutting_sequence, Selection};
 use crate::seq::{Direction, Key, Scratch};
@@ -329,7 +329,7 @@ pub struct Attach<'a, K> {
     /// `crates/hypercube/tests/alloc_free.rs`. A
     /// [`BufferPool::with_stats`] pool also counts its traffic, for the
     /// caller to read from [`BufferPool::counters`] after the run.
-    pub pool: Option<&'a BufferPool<Padded<K>>>,
+    pub pool: Option<&'a BufferPool<K>>,
     /// Records per-worker wall-clock telemetry (poll/steal/park/barrier
     /// splits, steal matrix, shard-size histogram) when
     /// [`FtConfig::engine`] is [`EngineKind::Par`]; take the
@@ -411,7 +411,7 @@ pub fn fault_tolerant_sort<K: Key>(
         let host = *live.iter().min().expect("at least one live processor");
         hypercube::collectives::Participants::new(cube.len(), host, &live)
     });
-    let mut inputs: Vec<Option<Vec<Padded<K>>>> = (0..cube.len()).map(|_| None).collect();
+    let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
     match &host_parts {
         None => {
             for (&p, chunk) in live.iter().zip(chunks) {
@@ -420,7 +420,7 @@ pub fn fault_tolerant_sort<K: Key>(
         }
         Some(parts) => {
             // the host entry node starts with everything, in rank order
-            let mut by_rank: Vec<Vec<Padded<K>>> = vec![Vec::new(); live.len()];
+            let mut by_rank: Vec<Vec<K>> = vec![Vec::new(); live.len()];
             for (&p, chunk) in live.iter().zip(chunks) {
                 by_rank[parts.rank(p).expect("live node participates")] = chunk;
             }
@@ -458,7 +458,7 @@ pub fn fault_tolerant_sort<K: Key>(
     // pool ([`Attach::pool`]) so warm slabs survive run to run. Slab identity is unobservable to the simulation, so results
     // stay byte-identical whichever engine runs and wherever slabs come
     // from.
-    let local_pool: BufferPool<Padded<K>>;
+    let local_pool: BufferPool<K>;
     let pool = match pool {
         Some(shared) => shared,
         None => {
@@ -635,13 +635,14 @@ pub fn fault_tolerant_sort<K: Key>(
     // Gather in (v, w) order — the subcubes' address order of the paper.
     let sorted = match host_parts {
         None => {
-            let mut by_node: Vec<Option<Vec<Padded<K>>>> = (0..cube.len()).map(|_| None).collect();
+            let mut by_node: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
             for (node, (run, _)) in out.into_results() {
                 by_node[node.index()] = Some(run);
             }
             gather(
                 live.iter()
                     .map(|p| by_node[p.index()].take().expect("live node produced a run")),
+                m_total,
             )
         }
         Some(parts) => {
@@ -653,10 +654,10 @@ pub fn fault_tolerant_sort<K: Key>(
             gather(
                 live.iter()
                     .map(|p| root_pieces[parts.rank(*p).expect("live")].clone()),
+                m_total,
             )
         }
     };
-    assert_eq!(sorted.len(), m_total, "keys lost or duplicated");
     (
         SortOutcome {
             sorted,
@@ -764,7 +765,7 @@ mod tests {
             ..FtConfig::default()
         };
         let plain = sort(&plan, &config, data.clone());
-        let pool: BufferPool<Padded<u32>> = BufferPool::new();
+        let pool: BufferPool<u32> = BufferPool::new();
         let pooled = || Attach {
             pool: Some(&pool),
             ..Attach::default()

@@ -18,7 +18,8 @@
 //! * [`mffs`] — the maximum-dimensional fault-free subcube baseline the
 //!   paper compares against.
 //! * [`cost_model`] — the paper's closed-form worst-case time `T`.
-//! * [`distribute`] — host scatter/gather with `∞` dummy-key padding.
+//! * [`distribute`] — host scatter/gather, padding with `Key::INF` (the
+//!   paper's `∞` dummy key).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

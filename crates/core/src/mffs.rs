@@ -8,7 +8,7 @@
 
 use crate::bitonic::sort::SortOutcome;
 use crate::bitonic::{distributed_bitonic_sort, Protocol};
-use crate::distribute::{gather, scatter, Padded};
+use crate::distribute::{gather, scatter};
 use crate::seq::{heapsort, Direction, Key, Scratch};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
@@ -69,7 +69,7 @@ where
     let m_total = data.len();
     let chunks = scatter(data, members.len());
 
-    let mut inputs: Vec<Option<Vec<Padded<K>>>> = (0..cube.len()).map(|_| None).collect();
+    let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
     for (&p, chunk) in members.iter().zip(chunks) {
         inputs[p.index()] = Some(chunk);
     }
@@ -100,13 +100,12 @@ where
 
     let time_us = out.turnaround();
     let stats = out.total_stats();
-    let mut by_logical: Vec<Vec<Padded<K>>> = vec![Vec::new(); members.len()];
+    let mut by_logical: Vec<Vec<K>> = vec![Vec::new(); members.len()];
     for (node, run) in out.into_results() {
         let logical = members.iter().position(|&p| p == node).expect("member");
         by_logical[logical] = run;
     }
-    let sorted = gather(by_logical);
-    assert_eq!(sorted.len(), m_total);
+    let sorted = gather(by_logical, m_total);
     SortOutcome {
         sorted,
         time_us,

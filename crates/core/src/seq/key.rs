@@ -5,26 +5,45 @@
 //! need keys they can load and move by value inside a fixed-width inner loop
 //! with no data-dependent control flow — that is what [`Key`] captures:
 //! `Ord + Copy` plus the thread bounds the parallel engine needs to ship
-//! runs between nodes. Everything above the kernels (`compare_split_remote`, the
-//! sorts in `ftsort`/`mffs`/`baselines`) dispatches over `Key`
-//! monomorphically, so each concrete key type gets its own specialized
-//! branchless loop.
+//! runs between nodes, and the type's greatest value [`Key::INF`], which
+//! the host pads short runs with. Everything above the kernels
+//! (`compare_split_remote`, the sorts in `ftsort`/`mffs`/`baselines`)
+//! dispatches over `Key` monomorphically, so each concrete key type gets
+//! its own specialized branchless loop, and the simulated machine sorts
+//! bare keys.
 
 /// A sortable key the branchless kernels can move by value.
 ///
-/// Implemented for the primitive integers, for [`KeyPair`]
-/// (key + payload), and for [`crate::distribute::Padded<K>`] so the
-/// dummy-extended element type used on the wire is itself a `Key`.
+/// Implemented for the primitive integers and for [`KeyPair`]
+/// (key + payload).
 ///
 /// `Copy` is the load-bearing bound: the branchless inner loop reads both
 /// candidates, selects with a conditional move, and advances one index —
 /// none of which is expressible (without branches) over move-only values.
 /// `Send + Sync + 'static` are what the work-stealing engine requires to
 /// poll node programs, and ship their runs, on worker threads.
-pub trait Key: Ord + Copy + Send + Sync + std::fmt::Debug + 'static {}
+pub trait Key: Ord + Copy + Send + Sync + std::fmt::Debug + 'static {
+    /// The paper's dummy key `∞` (§2.1): the greatest value of the type.
+    ///
+    /// When `M` keys do not divide evenly over the processors, the host
+    /// fills the last runs with `INF` ([`crate::distribute::scatter`]);
+    /// the dummies sort to the global tail, and
+    /// [`crate::distribute::gather`] drops them. On an input with no key
+    /// equal to `INF`, every comparison, and so every count and virtual
+    /// time, is that of a dummy strictly above every real key.
+    ///
+    /// A real key equal to `INF` ties with the dummies. The output is
+    /// still sorted exactly, but the comparison count, and so the virtual
+    /// time, may differ from a sort whose dummies rank strictly above every
+    /// real key.
+    ///
+    /// `INF` must be the greatest value: a real key above it would sort
+    /// behind the padding, and `gather` panics when it finds one there.
+    const INF: Self;
+}
 
 macro_rules! impl_key {
-    ($($t:ty),*) => {$( impl Key for $t {} )*};
+    ($($t:ty),*) => {$( impl Key for $t { const INF: Self = <$t>::MAX; } )*};
 }
 impl_key!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 
@@ -48,7 +67,12 @@ impl KeyPair {
     }
 }
 
-impl Key for KeyPair {}
+impl Key for KeyPair {
+    const INF: Self = KeyPair {
+        key: u64::MAX,
+        payload: u64::MAX,
+    };
+}
 
 /// The concrete key types the CLI and report bins can sort — the monomorphic
 /// dispatch set. Parsed from `--key-type`, recorded in `RunReport` JSON.
@@ -99,8 +123,6 @@ impl std::fmt::Display for KeyType {
     }
 }
 
-impl<K: Key> Key for crate::distribute::Padded<K> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +132,14 @@ mod tests {
         assert!(KeyPair::new(1, 9) < KeyPair::new(2, 0));
         assert!(KeyPair::new(1, 0) < KeyPair::new(1, 1));
         assert_eq!(KeyPair::new(3, 3), KeyPair::new(3, 3));
+    }
+
+    #[test]
+    fn inf_is_the_greatest_value() {
+        assert_eq!(<u32 as Key>::INF, u32::MAX);
+        assert_eq!(<i64 as Key>::INF, i64::MAX);
+        assert!(KeyPair::new(u64::MAX, u64::MAX - 1) < KeyPair::INF);
+        assert_eq!(KeyPair::INF, KeyPair::new(u64::MAX, u64::MAX));
     }
 
     #[test]

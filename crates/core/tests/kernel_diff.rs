@@ -8,7 +8,6 @@
 //! presorted, reversed(-interleaved), all-equal, lengths 0/1, and sizes
 //! that are not powers of two (including past the blocking threshold).
 
-use ftsort::distribute::Padded;
 use ftsort::seq::{
     charged_merge_comparisons, merge_keep_high_branchless_into, merge_keep_high_into,
     merge_keep_low_branchless_into, merge_keep_low_into, merge_runs_auto_into,
@@ -149,18 +148,12 @@ fn every_key_type_dispatches_identically() {
         b.sort_unstable();
         check_keeps(&a, &b);
 
-        // the wire element type: padded keys with Dummy = +∞ tails
-        let mut a: Vec<Padded<i64>> = raw_a
+        // the machine's padded runs: i64 keys with i64::MAX (∞) tails
+        let mut a: Vec<i64> = raw_a
             .iter()
-            .map(|&x| {
-                if x >= 8 {
-                    Padded::Dummy
-                } else {
-                    Padded::Real(x as i64)
-                }
-            })
+            .map(|&x| if x >= 8 { i64::MAX } else { x as i64 })
             .collect();
-        let mut b: Vec<Padded<i64>> = raw_b.iter().map(|&x| Padded::Real(x as i64)).collect();
+        let mut b: Vec<i64> = raw_b.iter().map(|&x| x as i64).collect();
         a.sort_unstable();
         b.sort_unstable();
         check_keeps(&a, &b);

@@ -160,6 +160,6 @@ fn scatter_gather_roundtrip() {
         assert_eq!(chunks.len(), parts);
         let k = chunk_len(data.len(), parts);
         assert!(chunks.iter().all(|c| c.len() == k));
-        assert_eq!(gather(chunks), data);
+        assert_eq!(gather(chunks, data.len()), data);
     }
 }

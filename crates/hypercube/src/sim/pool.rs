@@ -7,10 +7,12 @@
 //! on the parallel engine that is `N` cold starts, and slabs
 //! idled by finished nodes are stranded. A [`BufferPool`] fixes both: one
 //! global slab store shared by every node of a run, accessed through
-//! per-worker [`PoolHandle`]s that keep a small local free list, so the
-//! warm path never touches the shared lock — it only pops and pushes a
-//! thread-local `Vec`. The global mutex is hit on local misses and local
-//! overflow only.
+//! per-node [`PoolHandle`]s (the fault-tolerant sort gives each node
+//! program one, through `Scratch::pooled`). Each handle keeps a small local
+//! free list, so the warm path never touches the shared lock — it only pops
+//! and pushes the handle's own `Vec`. The global mutex is hit on local
+//! misses and local overflow only. A handle lives as long as its node
+//! program, so a run parks up to `LOCAL_SLABS` slabs per live node.
 //!
 //! Slab identity and capacity are deliberately unobservable to the
 //! simulation: whichever engine runs, and however slabs migrate between
@@ -33,6 +35,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Slabs a handle keeps locally before spilling to the shared store. Sized
 /// for the compare-split working set (merge output + loser half + two
 /// in-flight payloads) with slack; larger values just delay sharing.
+/// Smaller values park fewer slabs per node, but send more take/put
+/// traffic through the shared lock.
 const LOCAL_SLABS: usize = 8;
 
 /// Pool traffic counters, kept only by stats-enabled pools
@@ -65,7 +69,7 @@ impl<K> Store<K> {
 }
 
 /// The shared slab store of one run. Cheap to clone (an [`Arc`]); create
-/// one per run and hand each node (or worker) a [`BufferPool::handle`].
+/// one per run and hand each node program a [`BufferPool::handle`].
 pub struct BufferPool<K> {
     shared: Arc<Mutex<Store<K>>>,
 }
@@ -116,8 +120,8 @@ impl<K> BufferPool<K> {
         self.shared.lock().expect("buffer pool lock poisoned")
     }
 
-    /// A per-worker handle drawing on this pool. The local free list is
-    /// sized up front so `put` never grows it — a handle's warm
+    /// A handle drawing on this pool, for one node program. The local free
+    /// list is sized up front so `put` never grows it — a handle's warm
     /// take/put cycle allocates nothing from its very first use.
     pub fn handle(&self) -> PoolHandle<K> {
         PoolHandle {
@@ -136,8 +140,8 @@ impl<K> BufferPool<K> {
     }
 }
 
-/// A per-worker view of a [`BufferPool`]: a small local free list backed by
-/// the shared store. `take`/`put` are lock-free in the warm path.
+/// One node program's view of a [`BufferPool`]: a small local free list
+/// backed by the shared store. `take`/`put` are lock-free in the warm path.
 pub struct PoolHandle<K> {
     local: Vec<Vec<K>>,
     pool: BufferPool<K>,
@@ -184,7 +188,7 @@ impl<K> PoolHandle<K> {
 }
 
 impl<K> Drop for PoolHandle<K> {
-    /// Returns local slabs to the shared store so other workers can reuse
+    /// Returns local slabs to the shared store so other nodes can reuse
     /// allocations warmed by finished nodes, and adds this handle's
     /// traffic to the pool's counters.
     fn drop(&mut self) {

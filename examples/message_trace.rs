@@ -9,7 +9,7 @@
 //! ```
 
 use ftsort::bitonic::distributed_bitonic_sort;
-use ftsort::distribute::{chunk_len, scatter, Padded};
+use ftsort::distribute::{chunk_len, scatter};
 use ftsort::prelude::*;
 use ftsort::seq::{heapsort, Scratch};
 use hypercube::obs::critical_path::{gantt, CriticalPath, SegmentKind};
@@ -47,7 +47,7 @@ fn main() {
         .collect();
     let chunks = scatter(data, live.len());
     let k = chunk_len(m_total, live.len());
-    let mut inputs: Vec<Option<Vec<Padded<u32>>>> = vec![None; cube.len()];
+    let mut inputs: Vec<Option<Vec<u32>>> = vec![None; cube.len()];
     for (&logical, chunk) in live.iter().zip(chunks) {
         inputs[members[logical].index()] = Some(chunk);
     }

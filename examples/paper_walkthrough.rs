@@ -11,7 +11,7 @@
 //! ```
 
 use ftsort::bitonic::{compare_split_remote, distributed_bitonic_sort, KeepHalf, Protocol};
-use ftsort::distribute::{chunk_len, scatter, Padded};
+use ftsort::distribute::{chunk_len, scatter};
 use ftsort::ftsort::FtPlan;
 use ftsort::seq::{heapsort, Direction, Scratch};
 use hypercube::cost::CostModel;
@@ -19,7 +19,7 @@ use hypercube::prelude::*;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 /// Pretty-prints the machine state grouped by subcube.
-fn print_state(plan: &FtPlan, label: &str, state: &[Option<Vec<Padded<u32>>>]) {
+fn print_state(plan: &FtPlan, label: &str, state: &[Option<Vec<u32>>]) {
     println!("--- {label} ---");
     let st = plan.structure();
     for v in 0..(1u32 << st.m()) {
@@ -30,9 +30,9 @@ fn print_state(plan: &FtPlan, label: &str, state: &[Option<Vec<Padded<u32>>>]) {
                 Some(run) => {
                     let keys: Vec<String> = run
                         .iter()
-                        .map(|k| match k {
-                            Padded::Real(x) => x.to_string(),
-                            Padded::Dummy => "∞".into(),
+                        .map(|&k| match k {
+                            u32::MAX => "∞".into(),
+                            x => x.to_string(),
                         })
                         .collect();
                     print!("  w{}=[{}]", w, keys.join(","));
@@ -64,7 +64,7 @@ fn main() {
 
     let live = st.live_in_order();
     let chunks = scatter(data, live.len());
-    let mut inputs: Vec<Option<Vec<Padded<u32>>>> = vec![None; cube.len()];
+    let mut inputs: Vec<Option<Vec<u32>>> = vec![None; cube.len()];
     for (&p, c) in live.iter().zip(chunks) {
         inputs[p.index()] = Some(c);
     }
@@ -151,7 +151,7 @@ fn main() {
             }
             run
         });
-        let mut state: Vec<Option<Vec<Padded<u32>>>> = vec![None; cube.len()];
+        let mut state: Vec<Option<Vec<u32>>> = vec![None; cube.len()];
         for (node, run) in out.into_results() {
             state[node.index()] = Some(run);
         }

@@ -7,7 +7,7 @@
 //! the algorithm reproduces every intermediate machine state.
 
 use ftsort::bitonic::{compare_split_remote, distributed_bitonic_sort, KeepHalf, Protocol};
-use ftsort::distribute::{scatter, Padded};
+use ftsort::distribute::scatter;
 use ftsort::ftsort::FtPlan;
 use ftsort::seq::{heapsort, Direction, Scratch};
 use hypercube::cost::CostModel;
@@ -28,11 +28,7 @@ fn scheduled_direction(v: u32, i: usize, j: usize) -> Direction {
 
 /// Runs the algorithm up to (and including) the `upto`-th (i, j) substage
 /// (0 = just step 3) and returns each node's run.
-fn run_prefix(
-    plan: &FtPlan,
-    inputs: &[Option<Vec<Padded<u32>>>],
-    upto: usize,
-) -> Vec<Option<Vec<Padded<u32>>>> {
+fn run_prefix(plan: &FtPlan, inputs: &[Option<Vec<u32>>], upto: usize) -> Vec<Option<Vec<u32>>> {
     let st = plan.structure().clone();
     let engine = Engine::new(plan.faults().clone(), CostModel::paper_form());
     let st_ref = &st;
@@ -95,7 +91,7 @@ fn run_prefix(
         }
         run
     });
-    let mut state: Vec<Option<Vec<Padded<u32>>>> = vec![None; plan.faults().cube().len()];
+    let mut state: Vec<Option<Vec<u32>>> = vec![None; plan.faults().cube().len()];
     for (node, run) in out.into_results() {
         state[node.index()] = Some(run);
     }
@@ -116,7 +112,7 @@ fn every_intermediate_state_respects_the_schedule() {
 
     let live = st.live_in_order();
     let chunks = scatter(data, live.len());
-    let mut inputs: Vec<Option<Vec<Padded<u32>>>> = vec![None; 32];
+    let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 32];
     for (&p, c) in live.iter().zip(chunks) {
         inputs[p.index()] = Some(c);
     }
@@ -131,19 +127,20 @@ fn every_intermediate_state_respects_the_schedule() {
 
     for (upto, stage) in schedule.iter().enumerate() {
         let state = run_prefix(&plan, &inputs, upto);
-        // multiset preservation
+        // multiset preservation (the keys are below u32::MAX, the padding)
         let mut all: Vec<u32> = state
             .iter()
             .flatten()
             .flatten()
-            .filter_map(|p| (*p).into_real())
+            .copied()
+            .filter(|&x| x != u32::MAX)
             .collect();
         all.sort_unstable();
         assert_eq!(all, multiset, "keys corrupted at prefix {upto}");
         // per-subcube order
         for v in 0..(1u32 << m) {
             let members = st.members(v);
-            let mut flat: Vec<Padded<u32>> = Vec::new();
+            let mut flat: Vec<u32> = Vec::new();
             for (w, &p) in members.iter().enumerate() {
                 match &state[p.index()] {
                     Some(run) => {

@@ -209,13 +209,19 @@ fn adaptive_router_costs_at_least_the_oracle() {
 
 #[test]
 fn sorts_structs_not_just_integers() {
-    // the API is generic over Key types: any Ord + Copy record works
+    // the API is generic over Key types: any Ord + Copy record with a
+    // greatest value (its INF) works
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
     struct Record {
         key: u32,
         payload: [u8; 8],
     }
-    impl ftsort::seq::Key for Record {}
+    impl ftsort::seq::Key for Record {
+        const INF: Self = Record {
+            key: u32::MAX,
+            payload: [u8::MAX; 8],
+        };
+    }
     let mut rng = StdRng::seed_from_u64(13);
     let data: Vec<Record> = (0..500)
         .map(|_| Record {
