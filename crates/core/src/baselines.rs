@@ -15,11 +15,11 @@
 
 use crate::bitonic::{compare_split_remote, KeepHalf, Protocol};
 use crate::distribute::{gather, scatter};
-use crate::seq::{heapsort, merge_runs_auto, Direction, Key, Scratch};
+use crate::seq::{heapsort, merge_runs_auto, Direction, Key};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
 use hypercube::embedding::RingEmbedding;
-use hypercube::sim::{Comm, Engine, EngineKind, Tag};
+use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, Tag};
 use hypercube::topology::Hypercube;
 
 use crate::bitonic::sort::SortOutcome;
@@ -64,9 +64,11 @@ where
 
     let engine = Engine::fault_free(cube, cost).with_engine(kind);
     let ring_ref = &ring;
+    let pool = BufferPool::new();
+    let pool_ref = &pool;
     let out = engine.run(inputs, async move |ctx, mut run| {
         let pos = ring_ref.position_of(ctx.me());
-        let mut scratch = Scratch::new();
+        let mut scratch = pool_ref.handle();
         let comparisons = heapsort(&mut run, Direction::Ascending);
         ctx.charge_comparisons(comparisons as usize);
         // P phases; in phase t, pair starts at even (t even) or odd (t odd)
@@ -100,6 +102,8 @@ where
         }
         run
     });
+    // Free the run's slabs before the gather allocates the output.
+    drop(pool);
 
     let time_us = out.turnaround();
     let stats = out.total_stats();

@@ -17,9 +17,9 @@
 //! this works for any fault location.
 
 use super::protocol::{compare_split_remote, KeepHalf, Protocol};
-use crate::seq::{Direction, Key, Scratch};
+use crate::seq::{Direction, Key};
 use hypercube::address::NodeId;
-use hypercube::sim::{Comm, Tag};
+use hypercube::sim::{Comm, PoolHandle, Tag};
 
 /// Runs the distributed bitonic sort among the processors listed in
 /// `members` (physical addresses indexed by *logical* address).
@@ -37,8 +37,8 @@ use hypercube::sim::{Comm, Tag};
 ///
 /// Every participating live processor must call this with identical
 /// `members`, `dead_logical`, `dir`, `phase`, `protocol`, and equal-length
-/// sorted-ascending runs. `scratch` is the node's reusable buffer pool;
-/// after it warms up the compare-split substages stop allocating.
+/// sorted-ascending runs. `scratch` is the node's handle on the run's slab
+/// pool; after it warms up the compare-split substages stop allocating.
 ///
 /// Returns this processor's final run (sorted ascending, same length).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
@@ -51,7 +51,7 @@ pub async fn distributed_bitonic_sort<K, C>(
     run: Vec<K>,
     phase: u16,
     protocol: Protocol,
-    scratch: &mut Scratch<K>,
+    scratch: &mut PoolHandle<K>,
 ) -> Vec<K>
 where
     K: Key,
@@ -127,7 +127,7 @@ pub async fn distributed_bitonic_merge<K, C>(
     run: Vec<K>,
     phase: u16,
     protocol: Protocol,
-    scratch: &mut Scratch<K>,
+    scratch: &mut PoolHandle<K>,
 ) -> Vec<K>
 where
     K: Key,
@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use hypercube::cost::CostModel;
     use hypercube::fault::FaultSet;
-    use hypercube::sim::Engine;
+    use hypercube::sim::{BufferPool, Engine};
     use hypercube::topology::Hypercube;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -242,9 +242,10 @@ mod tests {
             .map(|(i, c)| if dead == Some(i) { None } else { Some(c) })
             .collect();
         let members_ref = &members;
+        let pool = &BufferPool::new();
         let out = engine.run(inputs, async move |ctx, mut data| {
             data.sort_unstable();
-            let mut scratch = Scratch::new();
+            let mut scratch = pool.handle();
             distributed_bitonic_sort(
                 ctx,
                 members_ref,
@@ -396,8 +397,9 @@ mod tests {
             .map(|(i, c)| if dead == Some(i) { None } else { Some(c) })
             .collect();
         let members_ref = &members;
+        let pool = &BufferPool::new();
         let out = engine.run(inputs, async move |ctx, data| {
-            let mut scratch = Scratch::new();
+            let mut scratch = pool.handle();
             distributed_bitonic_merge(
                 ctx,
                 members_ref,
@@ -593,10 +595,11 @@ mod tests {
             .map(|phys| Some(vec![phys * 7 % 13, phys * 3 % 11]))
             .collect();
         let members_ref = &members;
+        let pool = &BufferPool::new();
         let out = engine.run(inputs, async move |ctx, mut data| {
             data.sort_unstable();
             let my_logical = (ctx.me().raw() ^ mask) as usize;
-            let mut scratch = Scratch::new();
+            let mut scratch = pool.handle();
             distributed_bitonic_sort(
                 ctx,
                 members_ref,

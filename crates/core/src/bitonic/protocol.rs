@@ -14,10 +14,10 @@
 
 use crate::seq::{
     merge_keep_high_branchless_into, merge_keep_low_branchless_into, merge_runs,
-    merge_runs_auto_into, Key, Scratch,
+    merge_runs_auto_into, Key,
 };
 use hypercube::address::NodeId;
-use hypercube::sim::{Comm, Tag};
+use hypercube::sim::{Comm, PoolHandle, Tag};
 
 /// Which half of the union this processor keeps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,11 +78,12 @@ pub fn compare_split_local<K: Ord>(a: Vec<K>, b: Vec<K>) -> (Vec<K>, Vec<K>) {
 /// Returns this side's kept half, sorted ascending. Comparisons and element
 /// transfers are charged to the node's clock and counters.
 ///
-/// `scratch` is the node's buffer pool: all intermediate runs (merge
-/// outputs, loser halves, the `FullExchange` working copy) are taken from
-/// and returned to it, so a warm pool makes the call allocation-free. The
-/// returned run itself comes from the pool; hand it back (directly or via a
-/// later send whose reply is pooled) to keep the cycle closed.
+/// `scratch` is the node's handle on the run's slab pool: all intermediate
+/// runs (merge outputs, loser halves, the `FullExchange` working copy) are
+/// taken from and returned to it, so a warm pool makes the call
+/// allocation-free. The returned run itself comes from the pool; hand it
+/// back (directly or via a later send whose reply is pooled) to keep the
+/// cycle closed.
 pub async fn compare_split_remote<K, C>(
     ctx: &mut C,
     partner: NodeId,
@@ -90,7 +91,7 @@ pub async fn compare_split_remote<K, C>(
     run: Vec<K>,
     keep: KeepHalf,
     protocol: Protocol,
-    scratch: &mut Scratch<K>,
+    scratch: &mut PoolHandle<K>,
 ) -> Vec<K>
 where
     K: Key,
@@ -143,7 +144,7 @@ async fn half_exchange<K, C>(
     tag: Tag,
     run: Vec<K>,
     keep: KeepHalf,
-    scratch: &mut Scratch<K>,
+    scratch: &mut PoolHandle<K>,
 ) -> Vec<K>
 where
     K: Key,
@@ -251,7 +252,7 @@ mod tests {
     use super::*;
     use hypercube::cost::CostModel;
     use hypercube::fault::FaultSet;
-    use hypercube::sim::Engine;
+    use hypercube::sim::{BufferPool, Engine};
     use hypercube::topology::Hypercube;
 
     #[test]
@@ -278,13 +279,14 @@ mod tests {
         for protocol in [Protocol::FullExchange, Protocol::HalfExchange] {
             let engine = Engine::new(FaultSet::none(Hypercube::new(1)), CostModel::paper_form());
             let inputs = vec![Some(a.clone()), Some(b.clone())];
+            let pool = &BufferPool::new();
             let out = engine.run(inputs, async move |ctx, data| {
                 let keep = if ctx.me().raw() == 0 {
                     KeepHalf::Low
                 } else {
                     KeepHalf::High
                 };
-                let mut scratch = Scratch::new();
+                let mut scratch = pool.handle();
                 compare_split_remote(
                     ctx,
                     ctx.me().neighbor(0),
@@ -333,13 +335,14 @@ mod tests {
             let engine = Engine::new(FaultSet::none(Hypercube::new(1)), CostModel::paper_form());
             let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
             let b: Vec<u32> = (0..100).map(|i| i * 2 + 1).collect();
+            let pool = &BufferPool::new();
             let out = engine.run(vec![Some(a), Some(b)], async move |ctx, data| {
                 let keep = if ctx.me().raw() == 0 {
                     KeepHalf::Low
                 } else {
                     KeepHalf::High
                 };
-                let mut scratch = Scratch::new();
+                let mut scratch = pool.handle();
                 compare_split_remote(
                     ctx,
                     ctx.me().neighbor(0),

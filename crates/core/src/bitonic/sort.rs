@@ -10,11 +10,11 @@
 use super::distributed::distributed_bitonic_sort;
 use super::protocol::Protocol;
 use crate::distribute::{chunk_len, gather, scatter};
-use crate::seq::{heapsort, Direction, Key, Scratch};
+use crate::seq::{heapsort, Direction, Key};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::sim::{Comm, Engine, EngineKind};
+use hypercube::sim::{BufferPool, Comm, Engine, EngineKind};
 use hypercube::stats::RunStats;
 use hypercube::topology::Hypercube;
 
@@ -145,12 +145,13 @@ where
         inputs[members[logical].index()] = Some(chunk);
     }
 
+    let pool = BufferPool::new();
     let out = engine.run(inputs, async |ctx, mut chunk| {
         let my_logical = members
             .iter()
             .position(|&p| p == ctx.me())
             .expect("node not in member map");
-        let mut scratch = Scratch::new();
+        let mut scratch = pool.handle();
         let comparisons = heapsort(&mut chunk, Direction::Ascending);
         ctx.charge_comparisons(comparisons as usize);
         let run = distributed_bitonic_sort(
@@ -168,6 +169,8 @@ where
         assert_eq!(run.len(), k, "bitonic sort must preserve run length");
         run
     });
+    // Free the run's slabs before the gather allocates the output.
+    drop(pool);
 
     let time_us = out.turnaround();
     let stats = out.total_stats();

@@ -41,7 +41,7 @@ use crate::bitonic::{
 use crate::distribute::{chunk_len, gather, scatter};
 use crate::partition::{partition, PartitionResult, SingleFaultStructure};
 use crate::select::{build_structure, select_cutting_sequence, Selection};
-use crate::seq::{Direction, Key, Scratch};
+use crate::seq::{Direction, Key};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::sched::SchedProfiler;
@@ -326,7 +326,9 @@ pub struct Attach<'a, K> {
     /// instead of a run-local one, so the slabs warmed by one run are
     /// reused by the next — the zero-allocation warm path for repeated
     /// runs (benchmark trials, replays); pinned by
-    /// `crates/hypercube/tests/alloc_free.rs`. A
+    /// `crates/hypercube/tests/alloc_free.rs`. A caller-owned pool keeps
+    /// its slabs through the gather; a run-local pool is freed first, so
+    /// the M-key output never sits beside the run's parked slabs. A
     /// [`BufferPool::with_stats`] pool also counts its traffic, for the
     /// caller to read from [`BufferPool::counters`] after the run.
     pub pool: Option<&'a BufferPool<K>>,
@@ -455,19 +457,16 @@ pub fn fault_tolerant_sort<K: Key>(
     // compare-splits cycle allocations through per-node handles instead of
     // allocating per substage, and slabs warmed by finished nodes are
     // reused by the rest. Callers with repeated runs can pass their own
-    // pool ([`Attach::pool`]) so warm slabs survive run to run. Slab identity is unobservable to the simulation, so results
-    // stay byte-identical whichever engine runs and wherever slabs come
-    // from.
-    let local_pool: BufferPool<K>;
-    let pool = match pool {
+    // pool ([`Attach::pool`]) so warm slabs survive run to run. Slab
+    // identity is unobservable to the simulation, so results stay
+    // byte-identical whichever engine runs and wherever slabs come from.
+    let mut local_pool = None;
+    let pool: &BufferPool<K> = match pool {
         Some(shared) => shared,
-        None => {
-            local_pool = BufferPool::new();
-            &local_pool
-        }
+        None => local_pool.insert(BufferPool::new()),
     };
     let out = engine.run(inputs, async |ctx, mut chunk| {
-        let mut scratch = Scratch::pooled(pool.handle());
+        let mut scratch = pool.handle();
         if let Some(parts) = host_parts {
             let pieces = (ctx.me() == parts.root())
                 .then(|| chunk.chunks(k).map(|c| c.to_vec()).collect::<Vec<_>>());
@@ -627,6 +626,9 @@ pub fn fault_tolerant_sort<K: Key>(
         }
     });
 
+    // Every handle dropped with its node program; free the run-local
+    // pool's slabs before the gather allocates the M-key output.
+    drop(local_pool);
     let time_us = out.turnaround();
     let stats = out.total_stats();
     let observation = out.observation();

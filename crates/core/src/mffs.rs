@@ -9,11 +9,11 @@
 use crate::bitonic::sort::SortOutcome;
 use crate::bitonic::{distributed_bitonic_sort, Protocol};
 use crate::distribute::{gather, scatter};
-use crate::seq::{heapsort, Direction, Key, Scratch};
+use crate::seq::{heapsort, Direction, Key};
 use hypercube::address::NodeId;
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::sim::{Comm, Engine, EngineKind};
+use hypercube::sim::{BufferPool, Comm, Engine, EngineKind};
 use hypercube::subcube::Subcube;
 
 /// Finds a maximum-dimension fault-free subcube, scanning dimensions from
@@ -76,12 +76,14 @@ where
 
     let engine = Engine::new(faults.clone(), cost).with_engine(kind);
     let members_ref = &members;
+    let pool = BufferPool::new();
+    let pool_ref = &pool;
     let out = engine.run(inputs, async move |ctx, mut chunk| {
         let my_logical = members_ref
             .iter()
             .position(|&p| p == ctx.me())
             .expect("node in subcube");
-        let mut scratch = Scratch::new();
+        let mut scratch = pool_ref.handle();
         let comparisons = heapsort(&mut chunk, Direction::Ascending);
         ctx.charge_comparisons(comparisons as usize);
         distributed_bitonic_sort(
@@ -97,6 +99,8 @@ where
         )
         .await
     });
+    // Free the run's slabs before the gather allocates the output.
+    drop(pool);
 
     let time_us = out.turnaround();
     let stats = out.total_stats();

@@ -3,8 +3,9 @@
 //! Every kernel exists in two forms: an owning form (`merge_runs`, …) that
 //! allocates its output, and an `_into` form that drains the inputs into a
 //! caller-supplied buffer, leaving the input allocations intact for reuse.
-//! The `_into` forms, together with the [`crate::seq::Scratch`] buffer pool,
-//! make a compare-split round allocation-free once the pool is warm. Both
+//! The `_into` forms, together with the run's slab pool
+//! ([`hypercube::sim::BufferPool`]), make a compare-split round
+//! allocation-free once the pool is warm. Both
 //! forms perform identical comparison sequences, so charged virtual time
 //! does not depend on which is used.
 //!

@@ -16,7 +16,6 @@ mod heapsort;
 mod key;
 mod merge;
 mod quicksort;
-mod scratch;
 
 pub use branchless::{
     charged_merge_comparisons, merge_keep_high_branchless_into, merge_keep_low_branchless_into,
@@ -30,7 +29,6 @@ pub use merge::{
     merge_runs_into, sort_bitonic_run,
 };
 pub use quicksort::{mergesort, quicksort};
-pub use scratch::Scratch;
 
 /// The local sorting algorithm used in step 3. The paper prescribes
 /// [`LocalSort::Heapsort`]; the alternatives exist for the local-sort

@@ -13,7 +13,7 @@
 //!   encoding carries in bits 32..48, so message tags and spans attribute
 //!   to the same phase for free.
 //! * **Node metrics** ([`NodeMetrics`]) — blocked-on-recv time,
-//!   per-dimension link traffic, message-size/hop histograms, and the
+//!   per-dimension link traffic, the message-size histogram, and the
 //!   receive-queue high-water mark.
 //! * **[`RunObservation`]** — everything the engines captured for one run
 //!   (per-node clocks, stats, spans, metrics, plus the optional event
@@ -178,8 +178,6 @@ pub struct NodeMetrics {
     /// Message-size histogram: bucket 0 counts empty messages, bucket
     /// `i >= 1` counts sizes in `[2^(i-1), 2^i)`.
     pub msg_size_hist: Vec<u64>,
-    /// Message-hop histogram: index = links crossed.
-    pub msg_hops_hist: Vec<u64>,
     /// High-water mark of this node's receive queue, in messages: the
     /// inbox length after each enqueue at the round barrier, which delivers
     /// in node-id order — exact, deterministic and identical on both
@@ -198,14 +196,13 @@ impl NodeMetrics {
             dim_busy_us: vec![0.0; dim],
             detour_element_hops: 0,
             msg_size_hist: Vec::new(),
-            msg_hops_hist: Vec::new(),
             inbox_peak: 0,
         }
     }
 
     /// Records a send of `elements` keys from `src` to `dst` over `hops`
     /// links, attributing traffic (element counts and `cost`-priced
-    /// transfer time) to dimensions and histograms.
+    /// transfer time) to dimensions and the message-size histogram.
     pub fn on_send(
         &mut self,
         src: NodeId,
@@ -231,16 +228,11 @@ impl NodeMetrics {
         } else {
             (usize::BITS - elements.leading_zeros()) as usize
         };
-        bump(&mut self.msg_size_hist, size_bucket);
-        bump(&mut self.msg_hops_hist, hops as usize);
+        if self.msg_size_hist.len() <= size_bucket {
+            self.msg_size_hist.resize(size_bucket + 1, 0);
+        }
+        self.msg_size_hist[size_bucket] += 1;
     }
-}
-
-fn bump(hist: &mut Vec<u64>, index: usize) {
-    if hist.len() <= index {
-        hist.resize(index + 1, 0);
-    }
-    hist[index] += 1;
 }
 
 /// Everything observed about one node in a completed run.
@@ -760,11 +752,9 @@ mod tests {
         assert_eq!(m.dim_elements, vec![10, 4, 10]);
         assert_eq!(m.dim_busy_us[1], cost.transfer(4, 1));
         assert_eq!(m.detour_element_hops, 8);
-        // histograms: sizes 10 -> bucket 4 ([8,16)), 4 -> bucket 3 ([4,8))
+        // sizes 10 -> bucket 4 ([8,16)), 4 -> bucket 3 ([4,8))
         assert_eq!(m.msg_size_hist[4], 1);
         assert_eq!(m.msg_size_hist[3], 1);
-        assert_eq!(m.msg_hops_hist[2], 1);
-        assert_eq!(m.msg_hops_hist[3], 1);
         // empty message lands in bucket 0
         m.on_send(NodeId::new(0), NodeId::new(1), 0, 1, &cost);
         assert_eq!(m.msg_size_hist[0], 1);

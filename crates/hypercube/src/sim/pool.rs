@@ -2,17 +2,18 @@
 //! entire run.
 //!
 //! The compare-split hot path cycles merge buffers at a high rate. A
-//! per-node free list (`ftsort::Scratch`) already makes the warm path
-//! allocation-free on one thread, but each node then warms its own slabs —
-//! on the parallel engine that is `N` cold starts, and slabs
-//! idled by finished nodes are stranded. A [`BufferPool`] fixes both: one
-//! global slab store shared by every node of a run, accessed through
-//! per-node [`PoolHandle`]s (the fault-tolerant sort gives each node
-//! program one, through `Scratch::pooled`). Each handle keeps a small local
-//! free list, so the warm path never touches the shared lock — it only pops
-//! and pushes the handle's own `Vec`. The global mutex is hit on local
-//! misses and local overflow only. A handle lives as long as its node
-//! program, so a run parks up to `LOCAL_SLABS` slabs per live node.
+//! [`BufferPool`] is one slab store shared by every node of a run,
+//! accessed through per-node [`PoolHandle`]s: each sort entry point builds
+//! one pool per run and hands each node program `pool.handle()`, so slabs
+//! warmed by one node are reused by the rest. Each handle keeps a local
+//! free list of small slabs, so the warm path of a fine-grained run never
+//! touches the shared lock — it only pops and pushes the handle's own
+//! `Vec`. A slab parks locally only if its capacity spans at most
+//! `LOCAL_SLAB_BYTES` (32 KiB) and the list holds fewer than `LOCAL_SLABS`
+//! (8), so a handle parks at most 256 KiB however long the runs. Larger
+//! slabs go straight to the shared store, where the next take by any node
+//! reuses them. The mutex is hit on local misses, local overflow and every
+//! large slab.
 //!
 //! Slab identity and capacity are deliberately unobservable to the
 //! simulation: whichever engine runs, and however slabs migrate between
@@ -32,12 +33,20 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Slabs a handle keeps locally before spilling to the shared store. Sized
-/// for the compare-split working set (merge output + loser half + two
-/// in-flight payloads) with slack; larger values just delay sharing.
-/// Smaller values park fewer slabs per node, but send more take/put
-/// traffic through the shared lock.
+/// Small slabs (at most `LOCAL_SLAB_BYTES`) a handle keeps locally before
+/// spilling to the shared store. Sized for the compare-split working set
+/// (merge output + loser half + two in-flight payloads) with slack; larger
+/// values just delay sharing. Smaller values send more take/put traffic
+/// through the shared lock.
 const LOCAL_SLABS: usize = 8;
+
+/// Largest slab, in bytes of capacity, a handle parks in its local list;
+/// larger slabs go straight to the shared store. With [`LOCAL_SLABS`] this
+/// bounds what one node parks at 256 KiB. Below the limit merges are short
+/// and a lock per take and put shows in the wall: a 4 KiB limit made a
+/// Q10 par@2 sort with 4.7 KB slabs half again as slow. Above it the merge
+/// a slab carries (over 4,096 eight-byte keys) dwarfs the lock.
+const LOCAL_SLAB_BYTES: usize = 32 * 1024;
 
 /// Pool traffic counters, kept only by stats-enabled pools
 /// ([`BufferPool::with_stats`]).
@@ -166,11 +175,15 @@ impl<K> PoolHandle<K> {
     }
 
     /// Returns a spent slab. Contents are dropped; the allocation parks in
-    /// the local list, spilling to the shared store past `LOCAL_SLABS`.
+    /// the local list if its capacity spans at most 32 KiB
+    /// (`LOCAL_SLAB_BYTES`) and the list holds fewer than 8 slabs
+    /// (`LOCAL_SLABS`), and in the shared store otherwise, where the next
+    /// take by any handle reuses it.
     pub fn put(&mut self, mut buf: Vec<K>) {
         buf.clear();
         self.puts += 1;
-        if self.local.len() < LOCAL_SLABS {
+        let small = buf.capacity() * std::mem::size_of::<K>() <= LOCAL_SLAB_BYTES;
+        if small && self.local.len() < LOCAL_SLABS {
             self.local.push(buf);
             self.local_high_water = self.local_high_water.max(self.local.len());
         } else {
@@ -219,10 +232,26 @@ mod tests {
         let ptr = slab.as_ptr();
         let cap = slab.capacity();
         handle.put(slab);
+        assert_eq!(handle.local_slabs(), 1);
         let again = handle.take(10);
         assert_eq!(again.as_ptr(), ptr, "pooled allocation is reused");
         assert_eq!(again.capacity(), cap, "capacity survives the round trip");
         assert!(again.is_empty(), "contents are dropped on put");
+        assert_eq!(handle.local_slabs(), 0);
+    }
+
+    #[test]
+    fn take_grows_a_dry_pool_or_a_small_slab() {
+        let pool: BufferPool<u8> = BufferPool::new();
+        let mut handle = pool.handle();
+        let slab = handle.take(16);
+        assert!(slab.capacity() >= 16, "a dry pool allocates");
+        handle.put(slab);
+        let slab = handle.take(1024);
+        assert!(
+            slab.capacity() >= 1024,
+            "reserve grows a too-small pooled slab"
+        );
     }
 
     #[test]
@@ -259,6 +288,47 @@ mod tests {
         assert_eq!(pool.shared_slabs(), 0);
         drop(handle);
         assert_eq!(pool.shared_slabs(), 2);
+        // Another node picks up the last slab parked.
+        let last = pool.store().slabs.last().map(|s| s.as_ptr());
+        let again = pool.handle().take(8);
+        assert_eq!(Some(again.as_ptr()), last, "another node reuses it");
+    }
+
+    /// A `u64` slab whose capacity spans `bytes`.
+    fn slab_of(handle: &mut PoolHandle<u64>, bytes: usize) -> Vec<u64> {
+        let slab = handle.take(bytes / std::mem::size_of::<u64>());
+        assert_eq!(slab.capacity() * std::mem::size_of::<u64>(), bytes);
+        slab
+    }
+
+    #[test]
+    fn slabs_over_the_byte_limit_skip_the_local_list() {
+        let pool: BufferPool<u64> = BufferPool::new();
+        let mut a = pool.handle();
+        let big = slab_of(&mut a, 2 * LOCAL_SLAB_BYTES);
+        let ptr = big.as_ptr();
+        a.put(big);
+        assert_eq!(a.local_slabs(), 0, "a big slab never parks locally");
+        assert_eq!(pool.shared_slabs(), 1);
+        // The next take by any node reuses it.
+        let mut b = pool.handle();
+        let again = b.take(1);
+        assert_eq!(again.as_ptr(), ptr, "b reuses a's big slab");
+        assert_eq!(pool.shared_slabs(), 0);
+    }
+
+    #[test]
+    fn a_slab_of_exactly_the_byte_limit_parks_locally() {
+        let pool: BufferPool<u64> = BufferPool::new();
+        let mut handle = pool.handle();
+        let at_limit = slab_of(&mut handle, LOCAL_SLAB_BYTES);
+        let over = slab_of(&mut handle, LOCAL_SLAB_BYTES + 8);
+        handle.put(at_limit);
+        assert_eq!(handle.local_slabs(), 1);
+        assert_eq!(pool.shared_slabs(), 0);
+        handle.put(over);
+        assert_eq!(handle.local_slabs(), 1, "one key more takes the lock");
+        assert_eq!(pool.shared_slabs(), 1);
     }
 
     #[test]
@@ -303,5 +373,30 @@ mod tests {
         assert_eq!(pool.shared_slabs(), LOCAL_SLABS - kept.len());
         assert_eq!(counters.slab_high_water, LOCAL_SLABS as u64);
         assert_eq!(counters.takes, LOCAL_SLABS as u64 + 6);
+    }
+
+    #[test]
+    fn stats_pools_count_the_shared_path() {
+        // Big slabs bypass both local lists: three parked at once set the
+        // shared store's high water, and every take and put is counted.
+        let pool: BufferPool<u64> = BufferPool::with_stats();
+        let mut a = pool.handle();
+        let slabs: Vec<_> = (0..3)
+            .map(|_| slab_of(&mut a, 2 * LOCAL_SLAB_BYTES))
+            .collect();
+        for s in slabs {
+            a.put(s);
+        }
+        let mut b = pool.handle();
+        let s = b.take(1);
+        b.put(s);
+        assert_eq!((a.local_slabs(), b.local_slabs()), (0, 0));
+        drop(a);
+        drop(b);
+        let counters = pool.counters().expect("stats enabled");
+        assert_eq!(counters.takes, 4);
+        assert_eq!(counters.puts, 4);
+        assert_eq!(counters.slab_high_water, 3);
+        assert_eq!(pool.shared_slabs(), 3);
     }
 }

@@ -21,12 +21,21 @@
 //! warm — and because the pool is an `Arc`-backed store that outlives any
 //! single engine run, a *second* run on the same pool starts warm: its
 //! very first slab cycle reuses run 1's allocations and must allocate
-//! nothing.
+//! nothing. Slabs over the pool's 32 KiB local limit skip the handles'
+//! local lists and cycle through the shared store; that path is pinned
+//! too, with 64 KiB slabs: once warm, the store's `Vec` keeps its
+//! capacity, so a locked take/put cycle allocates nothing either.
 //!
 //! The scheduler profiler ([`hypercube::obs::sched`]) is pinned to the
 //! same standard: its per-worker event rings are preallocated before any
 //! node program runs, so attaching it must add zero allocations to the
 //! warm message path.
+//!
+//! The six cases: the seq message path; the par message path with small
+//! pooled slabs; the par path with the scheduler profiler attached; a
+//! second run on a warm pool; the par path with metric totals installed
+//! and a stats pool; and the par path cycling 64 KiB slabs through the
+//! shared store.
 //!
 //! Because the counter is process-wide, this file is a `harness = false`
 //! test: [`main`] runs the cases one after another on the main thread.
@@ -70,7 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let cases: [(&str, fn()); 5] = [
+    let cases: [(&str, fn()); 6] = [
         (
             "seq_engine_message_path_is_allocation_free_when_warm",
             seq_engine_message_path_is_allocation_free_when_warm,
@@ -91,9 +100,13 @@ fn main() {
             "metered_par_engine_message_path_is_allocation_free_when_warm",
             metered_par_engine_message_path_is_allocation_free_when_warm,
         ),
+        (
+            "big_slabs_cycle_through_the_shared_store_allocation_free",
+            big_slabs_cycle_through_the_shared_store_allocation_free,
+        ),
     ];
     // Arguments meant for libtest (filters, `--test-threads`) are ignored:
-    // all five cases take milliseconds.
+    // all six cases take milliseconds.
     for (name, case) in cases {
         case();
         println!("test {name} ... ok");
@@ -373,4 +386,67 @@ fn metered_par_engine_message_path_is_allocation_free_when_warm() {
     assert!(totals.msg_elements.counts.iter().sum::<u64>() > 0);
     assert!(pool.counters().expect("stats pool").takes > 0);
     assert!(totals.ws_barrier_epochs > 0);
+}
+
+fn big_slabs_cycle_through_the_shared_store_allocation_free() {
+    // The par ping-pong cycling 64 KiB slabs (8,192 `u64`s), twice the
+    // pool's local limit: every put parks in the shared store and every
+    // take pops from it, under the lock.
+    const BIG: usize = 8192;
+    let cube = Hypercube::new(2);
+    let engine = Engine::new(FaultSet::none(cube), CostModel::default())
+        .with_engine(EngineKind::Par)
+        .with_workers(2);
+    let pool: BufferPool<u64> = BufferPool::new();
+    let pool = &pool;
+    let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
+        .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
+        .collect();
+    let out = engine.run(inputs, async |ctx, data| {
+        let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
+        let tag = Tag::phase(9, 0, 0);
+        let mut handle = pool.handle();
+        let mut buf = data;
+        ctx.span_enter(9);
+        for _ in 0..4 {
+            // Every node holds its slab across a round, so the store ends
+            // the warm-up with one slab per node and room to park them all.
+            let slab = handle.take(BIG);
+            buf = ctx.exchange(partner, tag, buf).await;
+            handle.put(slab);
+        }
+        ctx.span_exit();
+        let mut parked_locally = 0;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..64 {
+            buf = ctx.exchange(partner, tag, buf).await;
+            ctx.charge_comparisons(buf.len());
+            let mut slab = handle.take(BIG);
+            slab.push(buf.len() as u64);
+            handle.put(slab);
+            parked_locally += handle.local_slabs();
+        }
+        let after = ALLOCS.load(Ordering::Relaxed);
+        // Post-window barrier: keeps handle-Drop spills out of the window.
+        buf = ctx.exchange(partner, tag, buf).await;
+        (buf.len(), after - before, parked_locally)
+    });
+    for (i, outcome) in out.outcomes().iter().enumerate() {
+        let Some(outcome) = outcome else { continue };
+        let (len, allocs, parked_locally) = outcome.result;
+        assert_eq!(len, 256, "payload must survive the ping-pong");
+        assert_eq!(
+            parked_locally, 0,
+            "a 64 KiB slab parked in node {i}'s local list"
+        );
+        assert_eq!(
+            allocs, 0,
+            "big-slab shared-store cycle allocated {allocs} times on node {i}"
+        );
+    }
+    assert_eq!(
+        pool.shared_slabs(),
+        cube.len(),
+        "the store holds the one big slab each node warmed"
+    );
 }

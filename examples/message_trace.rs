@@ -11,9 +11,9 @@
 use ftsort::bitonic::distributed_bitonic_sort;
 use ftsort::distribute::{chunk_len, scatter};
 use ftsort::prelude::*;
-use ftsort::seq::{heapsort, Scratch};
+use ftsort::seq::heapsort;
 use hypercube::obs::critical_path::{gantt, CriticalPath, SegmentKind};
-use hypercube::sim::TraceKind;
+use hypercube::sim::{BufferPool, TraceKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn main() {
@@ -54,12 +54,13 @@ fn main() {
 
     let engine = Engine::new(faults.clone(), CostModel::paper_form()).with_tracing();
     let members_ref = &members;
+    let pool = &BufferPool::new();
     let out = engine.run(inputs, async move |ctx, mut chunk| {
         let my_logical = members_ref
             .iter()
             .position(|&p| p == ctx.me())
             .expect("member");
-        let mut scratch = Scratch::new();
+        let mut scratch = pool.handle();
         let c = heapsort(&mut chunk, Direction::Ascending);
         ctx.charge_comparisons(c as usize);
         distributed_bitonic_sort(

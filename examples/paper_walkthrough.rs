@@ -13,9 +13,10 @@
 use ftsort::bitonic::{compare_split_remote, distributed_bitonic_sort, KeepHalf, Protocol};
 use ftsort::distribute::{chunk_len, scatter};
 use ftsort::ftsort::FtPlan;
-use ftsort::seq::{heapsort, Direction, Scratch};
+use ftsort::seq::{heapsort, Direction};
 use hypercube::cost::CostModel;
 use hypercube::prelude::*;
+use hypercube::sim::BufferPool;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 /// Pretty-prints the machine state grouped by subcube.
@@ -87,11 +88,12 @@ fn main() {
     for (label, upto) in phase_plans {
         let engine = Engine::new(faults.clone(), CostModel::default());
         let st_ref = &st;
+        let pool = &BufferPool::new();
         let out = engine.run(inputs.clone(), async move |ctx, mut chunk| {
             let (v, w) = st_ref.locate(ctx.me());
             let members = st_ref.members(v);
             let dead = st_ref.subcube(v).dead_local.map(|_| 0usize);
-            let mut scratch = Scratch::new();
+            let mut scratch = pool.handle();
             let cmp = heapsort(&mut chunk, Direction::Ascending);
             ctx.charge_comparisons(cmp as usize);
             let mut run = distributed_bitonic_sort(

@@ -9,9 +9,10 @@
 use ftsort::bitonic::{compare_split_remote, distributed_bitonic_sort, KeepHalf, Protocol};
 use ftsort::distribute::scatter;
 use ftsort::ftsort::FtPlan;
-use ftsort::seq::{heapsort, Direction, Scratch};
+use ftsort::seq::{heapsort, Direction};
 use hypercube::cost::CostModel;
 use hypercube::prelude::*;
+use hypercube::sim::BufferPool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The direction a subcube must hold after step 8 of substage `(i, j)`
@@ -32,11 +33,12 @@ fn run_prefix(plan: &FtPlan, inputs: &[Option<Vec<u32>>], upto: usize) -> Vec<Op
     let st = plan.structure().clone();
     let engine = Engine::new(plan.faults().clone(), CostModel::paper_form());
     let st_ref = &st;
+    let pool = &BufferPool::new();
     let out = engine.run(inputs.to_vec(), async move |ctx, mut chunk| {
         let (v, w) = st_ref.locate(ctx.me());
         let members = st_ref.members(v);
         let dead = st_ref.subcube(v).dead_local.map(|_| 0usize);
-        let mut scratch = Scratch::new();
+        let mut scratch = pool.handle();
         let c = heapsort(&mut chunk, Direction::Ascending);
         ctx.charge_comparisons(c as usize);
         let mut run = distributed_bitonic_sort(
