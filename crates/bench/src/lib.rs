@@ -353,8 +353,8 @@ impl ObsFlags {
             if let Some(threads) = self.threads {
                 report = report.with_threads(threads);
                 // Record the effective schedule too: the par engine clamps
-                // the worker count to the shard count (`schedule_for`). The
-                // seq executor runs no schedule, so its report claims none.
+                // the worker count to the shard count (`schedule_for`). Seq
+                // ignores `--threads`, so its report claims no schedule.
                 if config.engine == EngineKind::Par {
                     let (workers_effective, shard_size, _) =
                         schedule_for(report.nodes.len(), Some(threads), None);
@@ -370,26 +370,17 @@ impl ObsFlags {
         if let Some(path) = &self.run_out {
             println!("run written    : {path} (ftsort-cli replay --trace {path})");
         }
-        if let Some(profiler) = profiler {
-            match profiler.take() {
-                Some(profile) => {
-                    let report = profile.report();
-                    if let Some(path) = &self.sched_out {
-                        write(path, &report.to_json())?;
-                        println!("sched written  : {path}");
-                        let trace_path = format!("{path}.perfetto.json");
-                        write(&trace_path, &profile.perfetto_json())?;
-                        println!("sched trace    : {trace_path} (load in ui.perfetto.dev)");
-                    }
-                    print!("{}", report.summary());
-                    print!("{}", profile.timeline(64));
-                }
-                // Only the par engine has a work-stealing scheduler; the
-                // seq engine ignores the profiler.
-                None => println!(
-                    "sched profile  : no scheduler to profile (--sched-profile needs --engine par)"
-                ),
+        if let Some(profile) = profiler.and_then(|p| p.take()) {
+            let report = profile.report();
+            if let Some(path) = &self.sched_out {
+                write(path, &report.to_json())?;
+                println!("sched written  : {path}");
+                let trace_path = format!("{path}.perfetto.json");
+                write(&trace_path, &profile.perfetto_json())?;
+                println!("sched trace    : {trace_path} (load in ui.perfetto.dev)");
             }
+            print!("{}", report.summary());
+            print!("{}", profile.timeline(64));
         }
         if let Some(path) = &self.metrics_snapshot {
             // The run folded its own totals when it ended; the pool is ours.

@@ -150,8 +150,13 @@ fn breakdown_drill_down_writes_what_the_cli_writes() {
     assert_eq!(report.workers_effective, Some(workers), "{json}");
     assert_eq!(report.shard_size, Some(shard_size), "{json}");
 
+    // Seq is the one-worker schedule, so it profiles like par@1.
     let text = breakdown(&[&base[..], &["--engine", "seq", "--sched-profile"]].concat());
-    assert!(text.contains("no scheduler to profile"), "{text}");
+    assert!(
+        text.contains("scheduler profile: 1 worker(s) (1 requested), 1 shard(s)"),
+        "{text}"
+    );
+    assert!(text.contains("serial flush on"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -63,8 +63,8 @@ where
 }
 
 /// [`bitonic_sort`] with an explicit execution engine and, for the
-/// parallel engine, worker count (`None` = available parallelism; the
-/// sequential engine ignores it). Both engines return byte-identical
+/// par engine, worker count (`None` = available parallelism; the seq
+/// engine is one worker and ignores it). Both engines return byte-identical
 /// outcomes at any worker count; the choice only affects wall-clock speed.
 pub fn bitonic_sort_with_engine<K>(
     cube: Hypercube,

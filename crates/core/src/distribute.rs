@@ -36,9 +36,10 @@ pub fn scatter<K: Key>(data: Vec<K>, parts: usize) -> Vec<Vec<K>> {
 /// If the chunks hold fewer than `m` keys, or a dropped slot is not
 /// [`Key::INF`]: keys were lost or duplicated, or the key type's `INF` is
 /// not its greatest value.
-pub fn gather<K: Key>(chunks: impl IntoIterator<Item = Vec<K>>, m: usize) -> Vec<K> {
+pub fn gather<K: Key>(chunks: impl IntoIterator<Item = impl AsRef<[K]>>, m: usize) -> Vec<K> {
     let mut sorted = Vec::with_capacity(m);
     for chunk in chunks {
+        let chunk = chunk.as_ref();
         let take = (m - sorted.len()).min(chunk.len());
         sorted.extend_from_slice(&chunk[..take]);
         assert!(

@@ -119,10 +119,10 @@ pub struct FtConfig {
     /// The routing algorithm charging message hops (oracle shortest paths
     /// vs distributed depth-first adaptive routing).
     pub router: hypercube::sim::engine::RouterKind,
-    /// Which execution engine simulates the run (the single-threaded
-    /// frontier scheduler by default; the work-stealing pool with
-    /// [`EngineKind::Par`]). Both produce byte-identical sorted output,
-    /// virtual times, statistics and run files.
+    /// Which schedule simulates the run (one worker by default; the
+    /// work-stealing pool with [`EngineKind::Par`]). Both produce
+    /// byte-identical sorted output, virtual times, statistics and run
+    /// files.
     pub engine: EngineKind,
     /// The link pricing model (uncontended paper model by default; the
     /// contended model serializes messages per directed link and records
@@ -142,13 +142,14 @@ pub struct FtConfig {
     /// recorded; only the event trace is gated, because it is the one
     /// observability channel that allocates on the message hot path.
     pub tracing: bool,
-    /// Worker count for the parallel engine ([`EngineKind::Par`]); `None`
-    /// (default) uses the host's available parallelism. Affects wall-clock
-    /// only — simulated results are byte-identical at any worker count.
+    /// Worker count for the par engine ([`EngineKind::Par`]; seq is one
+    /// worker); `None` (default) uses the host's available parallelism.
+    /// Affects wall-clock only — simulated results are byte-identical at
+    /// any worker count.
     pub threads: Option<usize>,
-    /// Shard size for the parallel engine's work-stealing scheduler;
-    /// `None` (default) sizes shards automatically (~4 per worker).
-    /// Wall-clock only, like [`FtConfig::threads`].
+    /// Shard size for the par engine's work-stealing scheduler (seq is one
+    /// shard); `None` (default) sizes shards automatically (~4 per
+    /// worker). Wall-clock only, like [`FtConfig::threads`].
     pub par_shard: Option<usize>,
 }
 
@@ -333,12 +334,11 @@ pub struct Attach<'a, K> {
     /// caller to read from [`BufferPool::counters`] after the run.
     pub pool: Option<&'a BufferPool<K>>,
     /// Records per-worker wall-clock telemetry (poll/steal/park/barrier
-    /// splits, steal matrix, shard-size histogram) when
-    /// [`FtConfig::engine`] is [`EngineKind::Par`]; take the
+    /// splits, steal matrix, shard-size histogram); take the
     /// [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
-    /// [`SchedProfiler::take`] after the call. The sequential engine leaves
-    /// the mailbox empty. With a `sink` as well, the profile shows the
-    /// serial flush the sink forces as coordinator
+    /// [`SchedProfiler::take`] after the call. Under [`EngineKind::Seq`]
+    /// it profiles one worker. The profile shows the serial flush — which
+    /// one worker, a `sink` or contended links turn on — as coordinator
     /// [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
     pub profiler: Option<Arc<SchedProfiler>>,
 }
@@ -468,13 +468,12 @@ pub fn fault_tolerant_sort<K: Key>(
     let out = engine.run(inputs, async |ctx, mut chunk| {
         let mut scratch = pool.handle();
         if let Some(parts) = host_parts {
-            let pieces = (ctx.me() == parts.root())
-                .then(|| chunk.chunks(k).map(|c| c.to_vec()).collect::<Vec<_>>());
+            let bundle = (ctx.me() == parts.root()).then_some(chunk);
             chunk = hypercube::collectives::scatter(
                 ctx,
                 parts,
                 Tag::phase(PHASE_SCATTER, 0, 0),
-                pieces,
+                bundle,
                 k,
             )
             .await;
@@ -648,14 +647,17 @@ pub fn fault_tolerant_sort<K: Key>(
             )
         }
         Some(parts) => {
-            let root_pieces = out
-                .node(parts.root())
-                .and_then(|o| o.result.1.clone())
+            let root_bundle = out
+                .into_results()
+                .into_iter()
+                .find_map(|(_, (_, collected))| collected)
                 .expect("host entry node collected the result");
             // rank order → (v, w) live order
             gather(
-                live.iter()
-                    .map(|p| root_pieces[parts.rank(*p).expect("live")].clone()),
+                live.iter().map(|p| {
+                    let r = parts.rank(*p).expect("live");
+                    &root_bundle[r * k..(r + 1) * k]
+                }),
                 m_total,
             )
         }

@@ -126,22 +126,23 @@ impl Participants {
     }
 }
 
-/// Scatters `pieces[r]` to the participant of rank `r`; every participant
-/// returns its own piece. Only the root supplies `pieces`.
+/// Scatters the root's `bundle` — one `piece_len` piece per rank, in rank
+/// order — so the participant of rank `r` returns piece `r`. Only the root
+/// supplies `bundle`.
 ///
 /// Bundles travel down the binomial tree: each node receives the
-/// concatenation for its subtree (with a piece-length header encoded by the
-/// caller-supplied uniform `piece_len`), keeps the front piece, and forwards
-/// contiguous sub-bundles to its children.
+/// concatenation for its subtree (pieces of the uniform `piece_len`),
+/// keeps the front piece, and forwards contiguous sub-bundles to its
+/// children.
 pub async fn scatter<K, C>(
     ctx: &mut C,
     parts: &Participants,
     tag: Tag,
-    pieces: Option<Vec<Vec<K>>>,
+    bundle: Option<Vec<K>>,
     piece_len: usize,
 ) -> Vec<K>
 where
-    K: Clone + Send,
+    K: Send,
     C: Comm<K>,
 {
     let me = ctx.me();
@@ -149,13 +150,7 @@ where
     ctx.span_enter((tag.0 >> 32) as u16);
     let my_span = parts.subtree_span(rank);
     let mut bundle: Vec<K> = if rank == 0 {
-        let pieces = pieces.expect("root must supply the scatter pieces");
-        assert_eq!(pieces.len(), parts.len(), "one piece per participant");
-        assert!(
-            pieces.iter().all(|p| p.len() == piece_len),
-            "scatter requires uniform piece length"
-        );
-        pieces.into_iter().flatten().collect()
+        bundle.expect("root must supply the scatter bundle")
     } else {
         let parent = parts.parent(rank).expect("non-root has a parent");
         ctx.recv(parts.node(parent), tag).await
@@ -169,21 +164,24 @@ where
         let sub = bundle.split_off(offset);
         ctx.send(parts.node(child), tag, sub);
     }
+    // `split_off` leaves the whole subtree's capacity behind the piece.
+    bundle.shrink_to_fit();
     ctx.span_exit();
     bundle
 }
 
 /// Gathers every participant's piece to the root, which returns
-/// `Some(pieces-in-rank-order)`; everyone else returns `None`.
+/// `Some(bundle)` — the pieces concatenated in rank order; everyone else
+/// returns `None`.
 pub async fn gather<K, C>(
     ctx: &mut C,
     parts: &Participants,
     tag: Tag,
     piece: Vec<K>,
     piece_len: usize,
-) -> Option<Vec<Vec<K>>>
+) -> Option<Vec<K>>
 where
-    K: Clone + Send,
+    K: Send,
     C: Comm<K>,
 {
     let me = ctx.me();
@@ -209,12 +207,7 @@ where
             ctx.send(parts.node(parent), tag, bundle);
             None
         }
-        None => Some(
-            bundle
-                .chunks(piece_len.max(1))
-                .map(|c| c.to_vec())
-                .collect(),
-        ),
+        None => Some(bundle),
     };
     ctx.span_exit();
     result
@@ -277,12 +270,12 @@ mod tests {
         let parts_ref = &parts;
         let out = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
-            let pieces = (rank == 0).then(|| {
+            let bundle = (rank == 0).then(|| {
                 (0..parts_ref.len() as u32)
-                    .map(|r| vec![r * 10, r * 10 + 1])
+                    .flat_map(|r| [r * 10, r * 10 + 1])
                     .collect::<Vec<_>>()
             });
-            let piece = scatter(ctx, parts_ref, Tag::new(6), pieces, 2).await;
+            let piece = scatter(ctx, parts_ref, Tag::new(6), bundle, 2).await;
             (rank, piece)
         });
         for (_, (rank, piece)) in out.into_results() {
@@ -307,10 +300,10 @@ mod tests {
                 assert!(res.is_none());
             }
         }
-        let pieces = root_result.expect("root gathers");
-        assert_eq!(pieces.len(), 5);
-        for (r, p) in pieces.iter().enumerate() {
-            assert_eq!(*p, vec![r as u32, r as u32 + 100]);
+        let bundle = root_result.expect("root gathers");
+        assert_eq!(bundle.len(), 5 * 2);
+        for (r, p) in bundle.chunks(2).enumerate() {
+            assert_eq!(*p, [r as u32, r as u32 + 100]);
         }
     }
 
@@ -321,20 +314,19 @@ mod tests {
         let parts_ref = &parts;
         let out = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
-            let pieces =
-                (rank == 0).then(|| (0..16u32).map(|r| vec![r, r * r]).collect::<Vec<_>>());
-            let mine = scatter(ctx, parts_ref, Tag::new(8), pieces.clone(), 2).await;
+            let bundle = (rank == 0).then(|| (0..16u32).flat_map(|r| [r, r * r]).collect());
+            let mine = scatter(ctx, parts_ref, Tag::new(8), bundle, 2).await;
             gather(ctx, parts_ref, Tag::new(9), mine, 2).await
         });
-        let root_pieces = out
+        let root_bundle = out
             .node(NodeId::new(0))
             .unwrap()
             .result
             .clone()
             .expect("root");
         assert_eq!(
-            root_pieces,
-            (0..16u32).map(|r| vec![r, r * r]).collect::<Vec<_>>()
+            root_bundle,
+            (0..16u32).flat_map(|r| [r, r * r]).collect::<Vec<_>>()
         );
     }
 

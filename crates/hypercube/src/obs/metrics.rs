@@ -6,7 +6,7 @@
 //! `ftsort-campaign` can be watched while it runs:
 //!
 //! * **[`Totals`]** — one plain field per exported family. The engine,
-//!   the executors, the sinks and the gzip encoder already keep their own
+//!   the executor, the sinks and the gzip encoder already keep their own
 //!   totals (`RunStats`, `NodeMetrics`, per-worker tallies, byte counts);
 //!   each adds them through [`fold`] once, when its run or stream ends.
 //!   So a snapshot counts exactly the finished runs, and nothing on a

@@ -1,11 +1,12 @@
-//! Wall-clock scheduler profiler for the work-stealing parallel engine.
+//! Wall-clock scheduler profiler for the work-stealing executor.
 //!
 //! Everything else in `obs` measures *virtual* time — the simulated
 //! hypercube. This module measures the *host*: where each worker of the
-//! parallel executor ([`crate::sim::par`]) actually spends wall-clock time
-//! (polling shards, delivering commits, stealing, spinning or parked at
-//! the barrier, the coordinator's serial pricing pass), so "why par loses
-//! to seq" is a pinned artifact instead of a guess.
+//! executor ([`crate::sim::par`]; one worker on the seq engine) actually
+//! spends wall-clock time (polling shards, delivering commits, stealing,
+//! spinning or parked at the barrier, the coordinator's serial pricing
+//! pass), so "why par loses to seq" is a pinned artifact instead of a
+//! guess.
 //!
 //! ## Recording model
 //!
@@ -361,8 +362,8 @@ pub struct SchedProfile {
     pub shard_count: usize,
     /// Participating (live) nodes.
     pub live_nodes: usize,
-    /// Whether the serial flush phase ran (sink attached or contended
-    /// links).
+    /// Whether the serial flush phase ran (one worker, a sink attached or
+    /// contended links).
     pub serial: bool,
     /// Per-worker recorders, indexed by worker.
     pub workers_prof: Vec<WorkerProf>,

@@ -6,9 +6,9 @@
 //! e-cube route in ascending dimension order, waiting for each link's
 //! `busy_until` clock before its transfer starts. Arbitration happens at
 //! the round barrier, in (round, node-id, program-order) order — exactly
-//! the order [`RoundCommitter`] already delivers sends in — so contended
-//! virtual time is as deterministic as uncontended time: a pure function
-//! of the input, identical on every engine.
+//! the order the executor's serial flush already delivers sends in — so
+//! contended virtual time is as deterministic as uncontended time: a pure
+//! function of the input, identical on every engine.
 //!
 //! The same property makes the schedule *replayable*. The algorithms in
 //! this workspace are data-oblivious, so the round structure (who runs
@@ -29,7 +29,6 @@
 //! operations in the same order on the same inputs.
 //!
 //! [`LinkModel::Contended`]: crate::sim::LinkModel::Contended
-//! [`RoundCommitter`]: crate::sim
 
 use super::perfetto::match_messages;
 use super::{NodeObservation, RunObservation, SpanRecord};

@@ -2,13 +2,12 @@
 //! ([`NodeCtx`]) that node programs run against.
 //!
 //! [`Engine::run`] validates the inputs, builds one frontier cell per
-//! processor, and dispatches on [`EngineKind`] (default
-//! [`EngineKind::Seq`]) to one of two executors over the shared
-//! round/frontier core: `sequential::run`, which polls every node on one
-//! thread, and `par::run`, which shares each round across a
-//! work-stealing pool. Both hand every node a [`NodeCtx`] backed by the
-//! node's own frontier cell, so one generic node program compiles once,
-//! runs on either, and produces byte-identical simulated results.
+//! processor, and runs the one executor, `par::run`, which shares each
+//! round across a work-stealing pool. [`EngineKind`] picks its schedule:
+//! [`EngineKind::Seq`] (the default) is one worker and one shard,
+//! [`EngineKind::Par`] the requested pool. Every node gets a [`NodeCtx`]
+//! backed by its own frontier cell, so one generic node program compiles
+//! once and produces byte-identical simulated results on any schedule.
 //!
 //! Only processors given an input run a program; faulty and dangling
 //! processors stay idle, mirroring the paper's implementation where faulty
@@ -22,7 +21,7 @@ use super::frontier::{
     build_cells, collect_run, CellRecord, NodeCell, PendOnce, SharedCell, SimMessage,
 };
 use super::trace::{Trace, TraceEvent, TraceKind};
-use super::{par, sequential, Comm, EngineKind, LinkModel, Tag};
+use super::{par, Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::fault::FaultSet;
@@ -192,9 +191,8 @@ fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
 /// The per-node communication handle handed to node programs.
 ///
 /// Implements [`Comm`] over the node's own frontier cell; created only by
-/// the executors. Both hand out this one type, so one generic node
-/// program compiles once and runs on either. Every operation acts on the
-/// node's own cell, so node programs of one round never contend.
+/// the executor. Every operation acts on the node's own cell, so node
+/// programs of one round never contend.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
@@ -374,8 +372,8 @@ impl<K> Comm<K> for NodeCtx<K> {
     }
 }
 
-/// The simulated multicomputer: its fault set, pricing and executor.
-/// The executors read these fields directly.
+/// The simulated multicomputer: its fault set, pricing and schedule.
+/// The executor reads these fields directly.
 #[derive(Clone)]
 pub struct Engine {
     pub(super) faults: Arc<FaultSet>,
@@ -392,7 +390,7 @@ pub struct Engine {
 
 impl Engine {
     /// Creates a machine over the fault set's topology with the given cost
-    /// model, using the default executor ([`EngineKind::Seq`]).
+    /// model, using the default schedule ([`EngineKind::Seq`]).
     pub fn new(faults: FaultSet, cost: CostModel) -> Self {
         Engine {
             faults: Arc::new(faults),
@@ -418,14 +416,15 @@ impl Engine {
     /// [`LinkModel::Uncontended`], prices every transfer as if its links
     /// were private; [`LinkModel::Contended`] serializes messages on the
     /// cube's shared directed links, and every receive records its
-    /// wait/transfer split. All executors produce identical simulated
+    /// wait/transfer split. Every schedule produces identical simulated
     /// results under either model.
     pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
         self.link_model = link_model;
         self
     }
 
-    /// Selects the executor (builder style). Both executors produce
+    /// Selects the schedule (builder style): one worker
+    /// ([`EngineKind::Seq`]) or a pool ([`EngineKind::Par`]). Both produce
     /// identical simulated results; they differ only in wall-clock cost.
     pub fn with_engine(mut self, kind: EngineKind) -> Self {
         self.kind = kind;
@@ -455,28 +454,28 @@ impl Engine {
         Engine::new(FaultSet::none(cube), cost)
     }
 
-    /// Sets the parallel executor's worker-pool size (builder style); only
-    /// [`EngineKind::Par`] reads it. Defaults to the host's available
-    /// parallelism. Worker count affects wall-clock only, never simulated
-    /// results.
+    /// Sets the worker-pool size (builder style); only
+    /// [`EngineKind::Par`] reads it ([`EngineKind::Seq`] is one worker).
+    /// Defaults to the host's available parallelism. Worker count affects
+    /// wall-clock only, never simulated results.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
-    /// Sets the parallel executor's shard size — how many contiguous
-    /// live-rank nodes form one unit of stealable work (builder style);
-    /// only [`EngineKind::Par`] reads it. Defaults to an automatic size
-    /// targeting ~4 shards per worker. Like the worker count, shard size
-    /// affects wall-clock only, never simulated results.
+    /// Sets the shard size — how many contiguous live-rank nodes form one
+    /// unit of stealable work (builder style); only [`EngineKind::Par`]
+    /// reads it ([`EngineKind::Seq`] is one shard). Defaults to an
+    /// automatic size targeting ~4 shards per worker. Like the worker
+    /// count, shard size affects wall-clock only, never simulated results.
     pub fn with_shard_size(mut self, shard: usize) -> Self {
         self.shard = Some(shard.max(1));
         self
     }
 
-    /// Attaches a scheduler profiler (builder style); only
-    /// [`EngineKind::Par`] reads it. The run records per-worker wall-clock
-    /// telemetry into the profiler's mailbox as a
+    /// Attaches a scheduler profiler (builder style). The run records
+    /// per-worker wall-clock telemetry — one worker under
+    /// [`EngineKind::Seq`] — into the profiler's mailbox as a
     /// [`SchedProfile`](crate::obs::sched::SchedProfile); take it with
     /// [`SchedProfiler::take`](crate::obs::sched::SchedProfiler::take)
     /// after the run. Profiling observes the host scheduler only — it
@@ -501,7 +500,7 @@ impl Engine {
         self.cost
     }
 
-    /// The executor this machine runs programs on.
+    /// The schedule this machine runs programs on.
     pub fn kind(&self) -> EngineKind {
         self.kind
     }
@@ -530,10 +529,7 @@ impl Engine {
                 .begin(dim, &self.cost, self.link_model);
         }
         let (cells, participation) = build_cells(&inputs, dim, self.tracing, self.sink.is_some());
-        let results = match self.kind {
-            EngineKind::Seq => sequential::run(self, &cells, &participation, inputs, program),
-            EngineKind::Par => par::run(self, &cells, &participation, inputs, program),
-        };
+        let results = par::run(self, &cells, &participation, inputs, program);
         let out = collect_run(cells, results, &self.sink, dim, self.cost, self.link_model);
         // The run's own per-node totals. Every message sent is delivered
         // at its round's commit, so the sent counts are also the
@@ -636,10 +632,46 @@ mod tests {
         assert_eq!(t1, t2);
         assert_eq!(c1, c2);
         assert!(t1 > 0.0);
-        // …and the parallel executor computes the exact same virtual times.
+        // …and the par schedule computes the exact same virtual times.
         let (t3, c3) = run(EngineKind::Par);
         assert_eq!(t1, t3);
         assert_eq!(c1, c3);
+    }
+
+    #[test]
+    fn virtual_times_reflect_sender_clocks() {
+        // Node 1 does heavy local compute before its send; node 2 sends
+        // immediately. Node 0 receives from both — the virtual times must
+        // reflect each sender's own clock regardless of scheduling order.
+        for eng in all_engines(2) {
+            let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 4];
+            inputs[0] = Some(vec![]);
+            inputs[1] = Some(vec![]);
+            inputs[2] = Some(vec![]);
+            let out = eng.run(inputs, async |ctx, _| match ctx.me().raw() {
+                0 => {
+                    let a = ctx.recv(NodeId::new(1), Tag::new(1)).await;
+                    let b = ctx.recv(NodeId::new(2), Tag::new(2)).await;
+                    (a[0], b[0])
+                }
+                1 => {
+                    ctx.charge_comparisons(1000);
+                    ctx.send(NodeId::new(0), Tag::new(1), vec![10]);
+                    (0, 0)
+                }
+                _ => {
+                    ctx.send(NodeId::new(0), Tag::new(2), vec![20]);
+                    (0, 0)
+                }
+            });
+            assert_eq!(out.node(NodeId::new(0)).unwrap().result, (10, 20));
+            let t0 = out.node(NodeId::new(0)).unwrap().clock;
+            let compute = 1000.0 * eng.cost_model().t_c;
+            assert!(
+                t0 >= compute,
+                "receiver clock {t0} must include the slow sender's compute {compute}"
+            );
+        }
     }
 
     #[test]
@@ -834,7 +866,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_detects_deadlock() {
-        // Both executors detect deadlock without a timeout: once no node is
+        // Both schedules detect deadlock without a timeout: once no node is
         // runnable the engine panics with the wait map. A node panic must
         // surface from `Engine::run` as that node's own payload, even while
         // its partner is parked in `recv` (the parallel pool must unwind

@@ -1,35 +1,34 @@
-//! The round/frontier scheduling core shared by the two deterministic
-//! executors, `sequential::run` and `par::run`.
+//! The round/frontier state of the frontier executor (`par::run`): the
+//! per-node cells, the message and record types they buffer, and the
+//! run's shared tail.
 //!
-//! Both executors run node programs in *rounds*. A round polls every node
+//! The executor runs node programs in *rounds*. A round polls every node
 //! on the ready frontier once — the node runs until it parks in a blocked
 //! [`Comm::recv`] or finishes — with sends buffered in the sender's outbox
 //! and observability records in a per-node record buffer (the node's
-//! [`NodeCtx`](super::NodeCtx) does both, on its own [`NodeCell`]). A
-//! barrier then *commits* the round ([`RoundCommitter::commit`]):
-//! outboxes are delivered to inboxes in ascending node-id order (which
-//! makes the receive-queue high-water mark deterministic), buffered
-//! records are flushed to the attached [`TraceSink`] in the same order,
-//! and the parked nodes whose awaited `(src, tag)` message has now arrived
-//! form the next frontier.
+//! [`NodeCtx`](super::NodeCtx) does both, on its own [`NodeCell`]). The
+//! round's commit then delivers outboxes to inboxes in ascending node-id
+//! order (which makes the receive-queue high-water mark deterministic),
+//! flushes buffered records to the attached [`TraceSink`] in the same
+//! order, and wakes the parked nodes whose awaited `(src, tag)` message
+//! has now arrived into the next frontier.
 //!
-//! Because a round's sends stay invisible until its barrier, the members of
+//! Because a round's sends stay invisible until its commit, the members of
 //! one frontier are mutually independent: polling them in any order — or on
 //! any number of threads — produces the same clocks, statistics, traces,
-//! record stream and inbox peaks. That is the determinism argument for the
-//! parallel engine: it inherits byte-identical output from this core by
-//! construction, and `tests/engine_diff.rs` / `tests/obs_invariants.rs`
-//! assert it end to end.
+//! record stream and inbox peaks. That is why every worker count and shard
+//! size gives byte-identical output, and `tests/engine_diff.rs` /
+//! `tests/obs_invariants.rs` assert it end to end.
 //!
-//! Nothing in this core reads a wall clock: virtual time comes from the
+//! Nothing in this file reads a wall clock: virtual time comes from the
 //! [`CostModel`] alone, so the scheduler profiler
 //! ([`crate::obs::sched`]) — which *does* timestamp worker phases with
-//! monotonic host time — lives entirely in the parallel engine's worker
-//! loop and barrier, outside this file. Frontier commits stay
-//! timestamp-free and byte-identical whether or not profiling is on.
-//! Nor does the core touch the metric totals ([`crate::obs::metrics`]):
-//! the cells' own counters (`RunStats`, `NodeMetrics`) are the run's
-//! totals, and `Engine::run` folds them in once the run has ended.
+//! monotonic host time — lives entirely in the executor's worker loop and
+//! barrier, outside this file. Cells stay timestamp-free and
+//! byte-identical whether or not profiling is on. Nor does this file touch
+//! the metric totals ([`crate::obs::metrics`]): the cells' own counters
+//! (`RunStats`, `NodeMetrics`) are the run's totals, and `Engine::run`
+//! folds them in once the run has ended.
 //!
 //! [`Comm::recv`]: super::Comm::recv
 
@@ -38,7 +37,6 @@ use super::trace::{Trace, TraceEvent};
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::{CostModel, VirtualClock};
-use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::{NodeSummary, TraceSink};
 use crate::obs::{NodeMetrics, SpanLog};
 use crate::stats::RunStats;
@@ -47,7 +45,7 @@ use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 
-/// A node cell as shared between its program's task and the committer.
+/// A node cell as shared between its program's task and the executor.
 pub(super) type SharedCell<K> = Arc<Mutex<NodeCell<K>>>;
 
 /// A message buffered in the sender's outbox until the round's barrier,
@@ -59,7 +57,7 @@ pub(super) struct SimMessage<K> {
     pub(super) data: Vec<K>,
     pub(super) sent_at: f64,
     pub(super) hops: u32,
-    /// Link-scheduled arrival time, stamped by the commit barrier under
+    /// Link-scheduled arrival time, stamped by the serial flush under
     /// [`LinkModel::Contended`]. NaN under [`LinkModel::Uncontended`],
     /// where the receiver prices the transfer itself — keeping that path's
     /// float operations identical to the pre-contention engine.
@@ -89,8 +87,8 @@ fn trace_capacity(dim: usize) -> usize {
 }
 
 /// Per-node state of a frontier-scheduled run. During a round only the
-/// node's own task touches its cell; at the barrier only the committer
-/// does — so every lock acquisition is uncontended.
+/// node's own task touches its cell; at the commit only the worker
+/// delivering to it does — so every lock acquisition is uncontended.
 pub(super) struct NodeCell<K> {
     pub(super) clock: VirtualClock,
     pub(super) stats: RunStats,
@@ -185,103 +183,8 @@ impl Future for PendOnce {
     }
 }
 
-/// The barrier between rounds: delivers outboxes, flushes records, prunes
-/// finished nodes and computes the next frontier. Owns reusable scratch so
-/// warm rounds allocate nothing.
-pub(super) struct RoundCommitter<K> {
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    /// Present under [`LinkModel::Contended`]: the shared-link busy clocks
-    /// that stamp each delivered message's arrival and wait.
-    ledger: Option<LinkLedger>,
-    cost: CostModel,
-    msgs: Vec<SimMessage<K>>,
-    recs: Vec<CellRecord>,
-}
-
-impl<K> RoundCommitter<K> {
-    pub(super) fn new(
-        sink: Option<Arc<Mutex<dyn TraceSink>>>,
-        link_model: LinkModel,
-        dim: usize,
-        cost: CostModel,
-    ) -> Self {
-        RoundCommitter {
-            sink,
-            ledger: (link_model == LinkModel::Contended).then(|| LinkLedger::new(dim, 1 << dim)),
-            cost,
-            msgs: Vec::new(),
-            recs: Vec::new(),
-        }
-    }
-
-    /// Commits one round: for each node that ran (`ran`, ascending id),
-    /// flushes its buffered records to the sink and delivers its outbox;
-    /// then drops finished nodes from `alive` and fills `next` with the
-    /// woken frontier (ascending id). Everything here is single-threaded
-    /// and id-ordered — the source of cross-engine determinism.
-    pub(super) fn commit(
-        &mut self,
-        cells: &[Arc<Mutex<NodeCell<K>>>],
-        ran: &[usize],
-        alive: &mut Vec<usize>,
-        next: &mut Vec<usize>,
-    ) {
-        for &i in ran {
-            {
-                let mut cell = cells[i].lock().expect("node cell lock poisoned");
-                std::mem::swap(&mut cell.outbox, &mut self.msgs);
-                if cell.sinking {
-                    std::mem::swap(&mut cell.records, &mut self.recs);
-                }
-            }
-            if !self.recs.is_empty() {
-                let sink = self.sink.as_ref().expect("records buffered without a sink");
-                flush_records(sink, i, &mut self.recs);
-            }
-            for mut msg in self.msgs.drain(..) {
-                if let Some(ledger) = &mut self.ledger {
-                    // Links are acquired in commit order — ascending ran
-                    // node, then per-node outbox (program) order — which is
-                    // the deterministic arbitration rule schema v2 records.
-                    let (arrival, wait) = ledger.acquire(
-                        msg.src,
-                        msg.dst,
-                        msg.data.len(),
-                        msg.hops,
-                        msg.sent_at,
-                        &self.cost,
-                    );
-                    msg.arrival = arrival;
-                    msg.wait = wait;
-                }
-                let mut dst = cells[msg.dst.index()]
-                    .lock()
-                    .expect("node cell lock poisoned");
-                dst.inbox.push(msg);
-                let backlog = dst.inbox.len() as u64;
-                dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
-            }
-        }
-        next.clear();
-        alive.retain(|&i| {
-            let mut cell = cells[i].lock().expect("node cell lock poisoned");
-            if cell.done {
-                return false;
-            }
-            if let Some((src, tag)) = cell.waiting {
-                if cell.inbox.iter().any(|m| m.src == src && m.tag == tag) {
-                    cell.waiting = None;
-                    next.push(i);
-                }
-            }
-            true
-        });
-    }
-}
-
 /// Drains one node's buffered trace records into the sink, in buffer
-/// (program) order. Shared by the sequential committer and the parallel
-/// engine's serial flush phase so both emit the same byte stream.
+/// (program) order, from the executor's serial flush phase.
 pub(super) fn flush_records(
     sink: &Arc<Mutex<dyn TraceSink>>,
     node: usize,
@@ -315,8 +218,8 @@ pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: us
 }
 
 /// Unwraps the cells into per-node outcomes, emits the sink footer and
-/// assembles the [`RunOutcome`] — the shared tail of
-/// [`Engine::run`](super::Engine::run) under either executor.
+/// assembles the [`RunOutcome`] — the tail of
+/// [`Engine::run`](super::Engine::run).
 pub(super) fn collect_run<K, T>(
     cells: Vec<Arc<Mutex<NodeCell<K>>>>,
     results: Vec<Option<T>>,

@@ -3,12 +3,12 @@
 //! Algorithms are written SPMD-style: the same *node program* runs on every
 //! normal processor, communicating through the [`Comm`] handle. Node
 //! programs are `async`: a blocked receive suspends the node, which lets
-//! one executor schedule all of them cooperatively on a single thread
-//! (`sequential::run`, the default) and another share the ready frontier
-//! across a fixed worker pool ([`par`]). Both run the same round/frontier
-//! core and hand nodes the same [`NodeCtx`] — same program, identical
-//! simulated results. [`Engine`] is the one machine type: its
-//! [`Engine::run`] picks the executor by [`EngineKind`].
+//! one executor ([`par`]) schedule all of them cooperatively, sharing each
+//! round's ready frontier across a work-stealing pool of any size — one
+//! worker under [`EngineKind::Seq`] (the default), several under
+//! [`EngineKind::Par`]. Every node gets the same [`NodeCtx`] — same
+//! program, identical simulated results. [`Engine`] is the one machine
+//! type, and [`Engine::run`] its one entry point.
 //!
 //! ## Deterministic virtual time
 //!
@@ -17,18 +17,17 @@
 //! time and the receiver synchronizes to `max(local, sent_at + transfer)`.
 //! Because the algorithms' communication patterns are data-independent, the
 //! resulting virtual times are a deterministic function of the inputs — they
-//! do not depend on OS scheduling *or on the executor* — so simulated
+//! do not depend on OS scheduling *or on the worker count* — so simulated
 //! "execution times" (Figure 7) are exactly reproducible, and both engines
 //! produce byte-identical outputs, clocks, statistics and traces (asserted
 //! by `tests/engine_diff.rs` in the workspace root, which also checks the
-//! shared clock algebra against the independent offline re-pricer in
+//! executor's clock algebra against the independent offline re-pricer in
 //! [`crate::obs::schedule`]).
 
 pub mod engine;
 mod frontier;
 pub mod par;
 pub mod pool;
-mod sequential;
 pub mod trace;
 mod ws;
 
@@ -41,23 +40,24 @@ use crate::cost::CostModel;
 use crate::fault::FaultSet;
 use crate::topology::Hypercube;
 
-/// Which executor runs the node programs.
+/// Which schedule the executor ([`par`]) runs the node programs on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum EngineKind {
-    /// Single-threaded run-to-completion cooperative scheduler
-    /// (`sequential::run`): the ready frontier of node programs is
-    /// polled round by round, with sends delivered at a deterministic
-    /// barrier between rounds. No OS threads, no contended synchronization
-    /// on the hot path — the default.
+    /// One worker and one shard, on the calling thread: the ready frontier
+    /// of node programs is polled round by round in ascending node id, and
+    /// each round's sends are priced and delivered by the serial flush
+    /// between rounds. No OS threads, no contended synchronization on the
+    /// hot path — the default. Ignores
+    /// [`with_workers`](engine::Engine::with_workers) and
+    /// [`with_shard_size`](engine::Engine::with_shard_size).
     #[default]
     Seq,
-    /// Work-stealing worker pool ([`par`]): the same
-    /// frontier/barrier schedule as [`EngineKind::Seq`], with each round's
-    /// runnable nodes sharded and claimed from per-worker Chase–Lev deques
-    /// by `available_parallelism` workers (override with
-    /// [`engine::Engine::with_workers`]), and delivery fanned out by
-    /// destination shard. Byte-identical to `Seq` — results, reports, run
-    /// files and critical paths — by construction.
+    /// Work-stealing worker pool: the same frontier/barrier schedule as
+    /// [`EngineKind::Seq`], with each round's runnable nodes sharded and
+    /// claimed from per-worker Chase–Lev deques by `available_parallelism`
+    /// workers (override with [`engine::Engine::with_workers`]), and
+    /// delivery fanned out by destination shard. Byte-identical to `Seq` —
+    /// results, reports, run files and critical paths — by construction.
     Par,
 }
 
@@ -170,8 +170,7 @@ pub trait Comm<K> {
 
     /// Sends `data` to `dst` (non-blocking); the router charges
     /// `hops(me, dst)` links per element. Ownership of the payload moves to
-    /// the receiver — on the sequential engine this is a pointer handoff,
-    /// no copy.
+    /// the receiver — a pointer handoff, no copy.
     fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>);
 
     /// Receives the message with tag `tag` from `src`, suspending until it

@@ -1,8 +1,9 @@
-//! The parallel frontier executor: a work-stealing scheduler executes each
-//! round's ready frontier — and the round's commit — concurrently, with the
-//! barrier/commit discipline of the shared frontier core (`sim::frontier`)
-//! keeping every observable byte-identical to the sequential executor.
-//! [`Engine::run`] reaches it under [`EngineKind::Par`].
+//! The frontier executor: a work-stealing scheduler executes each round's
+//! ready frontier — and the round's commit — with the round/frontier
+//! discipline of `sim::frontier` keeping every observable byte-identical
+//! at any worker count and shard size. [`Engine::run`] calls it for both
+//! [`EngineKind`]s: `Par` on the requested pool, `Seq` as the schedule of
+//! one worker and one shard.
 //!
 //! ## Execution model
 //!
@@ -19,50 +20,50 @@
 //! payload. Each round is:
 //!
 //! 1. **Poll** (parallel): claimed shard by claimed shard, poll every
-//!    runnable node once. Under the uncontended link model with no sink
-//!    attached, the claimant also moves each polled node's outbox into an
-//!    `S × S` bin matrix — `bins[src_shard][dst_shard]` — in (ascending
-//!    node, program) order.
-//! 2. **Serial flush** (coordinator only, and only when a [`TraceSink`] is
-//!    attached or links are contended): walk the round's ran nodes in
-//!    ascending id order, flush their buffered records to the sink and
-//!    price their messages through the `LinkLedger` — both are global
-//!    sequencing decisions, so they stay a single-threaded pass in exactly
-//!    the sequential engine's order. (Link pricing cannot fan out by
-//!    destination: two messages to different destinations can contend for
-//!    the same directed link, so the arbitration order is global, not
-//!    per-partition.)
+//!    runnable node once. With two or more workers, uncontended links and
+//!    no sink attached, the claimant also moves each polled node's outbox
+//!    into an `S × S` bin matrix — `bins[src_shard][dst_shard]` — in
+//!    (ascending node, program) order.
+//! 2. **Serial flush** (coordinator only, and only with one worker, a
+//!    [`TraceSink`] attached or contended links): walk the round's ran
+//!    nodes in ascending id order, flush their buffered records to the
+//!    sink, price their messages through the `LinkLedger` and deliver each
+//!    one straight into its destination inbox. Record flushing and link
+//!    pricing are global sequencing decisions, so they stay a
+//!    single-threaded pass in canonical order. (Link pricing cannot fan
+//!    out by destination: two messages to different destinations can
+//!    contend for the same directed link, so the arbitration order is
+//!    global, not per-partition.) One worker takes this path even bare:
+//!    delivering in place moves each message once, binning twice.
 //! 3. **Deliver + wake** (parallel): shards are claimed again; the claimant
 //!    of shard `d` drains bin column `bins[0..S][d]` in ascending source
-//!    shard order into its nodes' inboxes, then prunes finished nodes and
-//!    wakes those whose awaited `(src, tag)` message arrived, forming the
-//!    next frontier.
+//!    shard order into its nodes' inboxes (the bins are empty after a
+//!    serial flush), then prunes finished nodes and wakes those whose
+//!    awaited `(src, tag)` message arrived, forming the next frontier.
 //!
 //! During the poll phase a node's cell is touched only by its shard's
-//! claimant; during delivery only by its destination shard's claimant —
-//! every lock is uncontended, and warm rounds allocate nothing (deque
-//! rings, bins, frontier vectors and the futures themselves are all
-//! recycled; see `crates/hypercube/tests/alloc_free.rs`).
+//! claimant; during delivery only by the coordinator or its destination
+//! shard's claimant — every lock is uncontended, and warm rounds allocate
+//! nothing (deque rings, bins, frontier vectors and the futures themselves
+//! are all recycled; see `crates/hypercube/tests/alloc_free.rs`).
 //!
 //! ## Why this is deterministic
 //!
-//! A round's sends are invisible until its barrier, so the members of one
+//! A round's sends are invisible until its commit, so the members of one
 //! frontier are mutually independent: polling them on any worker in any
 //! steal order yields the same per-node clocks, stats, spans and trace
-//! events. Delivery is deterministic because the bin matrix preserves
-//! canonical order per destination: within `bins[s][d]` messages sit in
-//! (ascending source node, program) order — shards are contiguous ascending
-//! ranges, and the poll loop walks each claimed shard's nodes in ascending
-//! id — and the delivery phase drains sources in ascending shard order, so
-//! every inbox receives exactly the sequence the sequential committer would
-//! have produced, giving the same FIFO receive order and the same
-//! `inbox_peak`. Record flushing and link pricing are global orders and run
-//! single-threaded (phase 2) in the sequential engine's exact sequence.
-//! The three-way differential tests (`tests/engine_diff.rs`,
-//! `tests/ws_stress.rs`, `tests/obs_invariants.rs`) pin this: results,
-//! `RunReport` JSON, run files, Perfetto exports and critical paths match
-//! the sequential executor byte for byte at every worker count and shard
-//! size.
+//! events. Delivery is deterministic either way. The serial flush delivers
+//! in (ascending source node, program) order. The bin matrix preserves
+//! that order per destination: within `bins[s][d]` messages sit in
+//! (ascending source node, program) order — shards are contiguous
+//! ascending ranges, and the poll loop walks each claimed shard's nodes in
+//! ascending id — and the delivery phase drains sources in ascending shard
+//! order. So every inbox receives the same sequence on either path, giving
+//! the same FIFO receive order and the same `inbox_peak`. The differential
+//! tests (`tests/engine_diff.rs`, `tests/ws_stress.rs`,
+//! `tests/obs_invariants.rs`) pin this: results, `RunReport` JSON, run
+//! files, Perfetto exports and critical paths match byte for byte between
+//! `Seq` and `Par` at every worker count and shard size.
 //!
 //! ## Futures migrate between workers
 //!
@@ -76,7 +77,6 @@
 //! `Rc`, `MutexGuard`s, thread-local handles — across an `.await`.
 //!
 //! [`TraceSink`]: crate::obs::sink::TraceSink
-//! [`EngineKind::Par`]: super::EngineKind::Par
 
 use super::engine::{Engine, NodeCtx};
 use super::frontier::{deadlock_panic, flush_records, CellRecord, SharedCell, SimMessage};
@@ -86,7 +86,7 @@ use crate::obs::metrics;
 use crate::obs::sched::{SchedCat, SchedProfile, WorkerProf};
 use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::TraceSink;
-use crate::sim::LinkModel;
+use crate::sim::{EngineKind, LinkModel};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -133,10 +133,12 @@ struct Shard<'a, K, T> {
 struct Sched<'a, K, T> {
     shards: Vec<ShardSlot<Shard<'a, K, T>>>,
     /// `S × S` outbox bins: `bins[src_shard * S + dst_shard]`. Row `s` is
-    /// written by shard `s`'s poll/flush claimant; column `d` is drained by
-    /// shard `d`'s delivery claimant — a barrier separates the two.
+    /// written by shard `s`'s poll claimant; column `d` is drained by
+    /// shard `d`'s delivery claimant — a barrier separates the two. Unused
+    /// when `serial`.
     bins: Vec<ShardSlot<Vec<SimMessage<K>>>>,
-    /// Per destination shard: messages were binned for it this round.
+    /// Per destination shard: messages were binned or delivered for it
+    /// this round, so phase 3 must claim it to wake its nodes.
     incoming: Vec<AtomicBool>,
     deques: Vec<WsDeque>,
     barrier: SenseBarrier,
@@ -150,9 +152,10 @@ struct Sched<'a, K, T> {
     /// Node id → slot within its shard.
     slot_of: Vec<u32>,
     workers: usize,
-    /// Whether the serial flush phase runs (sink attached or contended
-    /// links): outboxes then stay put in phase 1 and are flushed, priced
-    /// and binned by the coordinator in global canonical order.
+    /// Whether the serial flush phase runs (one worker, a sink attached or
+    /// contended links): outboxes then stay put in phase 1 and are
+    /// flushed, priced and delivered by the coordinator in global
+    /// canonical order.
     serial: bool,
 }
 
@@ -200,9 +203,9 @@ impl Drop for PoisonGuard<'_> {
 }
 
 /// Runs `program` on every node for which `inputs` supplies data, each
-/// round's frontier executed on the work-stealing pool — [`Engine::run`]
-/// under [`EngineKind::Par`]. Returns each node's result, indexed by
-/// address, byte-identical to the sequential executor's.
+/// round's frontier executed on the work-stealing pool — one worker and
+/// one shard under [`EngineKind::Seq`]. Returns each node's result,
+/// indexed by address, byte-identical at any worker count.
 ///
 /// # Panics
 /// Propagates node-program panics, and panics immediately (with the wait
@@ -232,8 +235,16 @@ where
         .filter_map(|(i, slot)| slot.is_some().then_some(i))
         .collect();
     let live = participants.len();
-    let workers_req = engine.workers.unwrap_or_else(default_workers).max(1);
-    let (workers, shard_size, shard_count) = schedule_for(live, Some(workers_req), engine.shard);
+    // Seq is the one-worker, one-shard schedule; it reads neither the
+    // worker count nor the shard size.
+    let (workers_req, shard) = match engine.kind {
+        EngineKind::Seq => (1, Some(live)),
+        EngineKind::Par => (
+            engine.workers.unwrap_or_else(default_workers).max(1),
+            engine.shard,
+        ),
+    };
+    let (workers, shard_size, shard_count) = schedule_for(live, Some(workers_req), shard);
 
     let mut inputs = inputs;
     let mut shard_of: Vec<u32> = vec![u32::MAX; cells.len()];
@@ -257,7 +268,9 @@ where
     }
 
     let contended = engine.link_model == LinkModel::Contended;
-    let serial = engine.sink.is_some() || contended;
+    // One worker always commits serially: delivering each message as it
+    // is priced moves it once, binning it moves it twice.
+    let serial = workers == 1 || engine.sink.is_some() || contended;
     let mut sched = Sched {
         shards,
         bins: (0..shard_count * shard_count)
@@ -400,7 +413,7 @@ fn auto_shard_size(live: usize, workers: usize) -> usize {
 
 /// The effective schedule for `live` participating nodes: the
 /// `(workers, shard_size, shard_count)` triple [`Engine::run`] uses under
-/// [`EngineKind::Par`](super::EngineKind::Par) after clamping — `workers`
+/// [`EngineKind::Par`] after clamping — `workers`
 /// defaults to the host parallelism and is capped by the shard count,
 /// `shard_size` defaults to ~4 shards per worker capped at 64 nodes.
 /// Exposed so reports
@@ -660,12 +673,12 @@ where
     sh.ran.len() as u32
 }
 
-/// Phase 2, coordinator only: flush records and price messages for the
-/// round's ran nodes in ascending node-id order — the sequential executor's
-/// exact sequence — binning each priced message for parallel delivery.
+/// Phase 2, coordinator only: for the round's ran nodes in ascending
+/// node-id order — the canonical commit order — flush records, price each
+/// message and deliver it straight into its destination inbox, flagging
+/// the destination shard for phase 3's wake.
 fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[SharedCell<K>]) {
-    let shard_count = sched.shards.len();
-    for s in 0..shard_count {
+    for s in 0..sched.shards.len() {
         // SAFETY: phase 2 runs on the coordinator alone, between barriers.
         let sh = unsafe { sched.shards[s].get() };
         for &id in &sh.ran {
@@ -696,19 +709,24 @@ fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[
                     msg.arrival = arrival;
                     msg.wait = wait;
                 }
-                let d = sched.shard_of[msg.dst.index()] as usize;
-                // SAFETY: coordinator-exclusive phase.
-                unsafe { sched.bins[s * shard_count + d].get() }.push(msg);
-                sched.incoming[d].store(true, Ordering::Relaxed);
+                sched.incoming[sched.shard_of[msg.dst.index()] as usize]
+                    .store(true, Ordering::Relaxed);
+                let mut dst = cells[msg.dst.index()]
+                    .lock()
+                    .expect("node cell lock poisoned");
+                dst.inbox.push(msg);
+                let backlog = dst.inbox.len() as u64;
+                dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
             }
         }
     }
 }
 
 /// Phase 3 for one claimed shard: drain the shard's bin column (ascending
-/// source shard = ascending source node order) into its nodes' inboxes,
-/// then prune finished nodes and stage the woken frontier. Returns the
-/// number of nodes woken into the next frontier.
+/// source shard = ascending source node order) into its nodes' inboxes —
+/// empty after a serial flush, which delivered in place — then prune
+/// finished nodes and stage the woken frontier. Returns the number of
+/// nodes woken into the next frontier.
 ///
 /// # Safety
 /// The caller must hold the claim on shard `s` (popped or stolen from a

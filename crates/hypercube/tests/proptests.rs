@@ -185,18 +185,19 @@ fn collectives_roundtrip_arbitrary_participant_sets() {
         let parts_ref = &parts;
         let out = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
-            let pieces = (rank == 0).then(|| {
+            let bundle = (rank == 0).then(|| {
                 (0..parts_ref.len())
-                    .map(|r| (0..k).map(|j| (r * 10 + j) as u32).collect())
-                    .collect::<Vec<Vec<u32>>>()
+                    .flat_map(|r| (0..k).map(move |j| (r * 10 + j) as u32))
+                    .collect::<Vec<u32>>()
             });
-            let mine = scatter(ctx, parts_ref, Tag::new(1), pieces, k).await;
+            let mine = scatter(ctx, parts_ref, Tag::new(1), bundle, k).await;
             assert_eq!(mine.len(), k);
             assert_eq!(mine[0], (rank * 10) as u32);
             let back = gather(ctx, parts_ref, Tag::new(2), mine, k).await;
             if rank == 0 {
-                let pieces = back.unwrap();
-                for (r, p) in pieces.iter().enumerate() {
+                let bundle = back.unwrap();
+                assert_eq!(bundle.len(), parts_ref.len() * k);
+                for (r, p) in bundle.chunks(k).enumerate() {
                     assert_eq!(p[0], (r * 10) as u32);
                 }
             } else {

@@ -517,7 +517,7 @@ fn sort_sched_profile_is_byte_invisible_in_run_files() {
 }
 
 #[test]
-fn sort_sched_profile_needs_the_par_engine() {
+fn sort_sched_profile_on_seq_profiles_one_worker() {
     let out = cli()
         .args([
             "sort",
@@ -538,8 +538,15 @@ fn sort_sched_profile_needs_the_par_engine() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // Seq is the one-worker, one-shard schedule, committed serially.
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("no scheduler to profile"), "{text}");
+    assert!(
+        text.contains("scheduler profile: 1 worker(s) (1 requested), 1 shard(s)"),
+        "{text}"
+    );
+    assert!(text.contains("serial flush on"), "{text}");
+    assert!(text.contains("  W0 "), "{text}");
+    assert!(!text.contains("  W1 "), "{text}");
 }
 
 #[test]
@@ -821,9 +828,17 @@ fn sort_metrics_report_carries_pool_stats() {
             sample("ftsort_ws_barrier_epochs_total"),
         );
         assert!(r > 0, "{name}");
-        // Par crosses three barriers a round (poll, serial flush, deliver);
-        // seq has no barrier.
-        assert_eq!(epochs, if name == "par" { 3 * r } else { 0 }, "{name}");
+        // Both cross three barriers a round (poll, serial flush, deliver):
+        // seq is one worker, and this run's sink and contended links turn
+        // par's serial flush on.
+        assert_eq!(epochs, 3 * r, "{name}");
+        if name == "seq" {
+            assert_eq!(
+                sample("ftsort_ws_steals_total"),
+                0,
+                "one worker steals nothing"
+            );
+        }
         rounds.push(r);
         for file in [&prom, &report, &run] {
             let _ = std::fs::remove_file(file);

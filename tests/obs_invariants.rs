@@ -200,8 +200,8 @@ fn streamed(engine: EngineKind) -> String {
 #[test]
 fn seq_and_par_sinks_stream_identical_bytes() {
     let seq_json = streamed(EngineKind::Seq);
-    // the parallel engine's barrier flush reproduces the sequential
-    // committer's stream — same record order, same bytes
+    // par's serial flush on the host's pool reproduces seq's one-worker
+    // stream — same record order, same bytes
     assert_eq!(
         streamed(EngineKind::Par),
         seq_json,

@@ -1,8 +1,9 @@
 //! Integration tests for the work-stealing scheduler profiler
 //! ([`hypercube::obs::sched`]) attached to the full fault-tolerant sort.
 //!
-//! Three properties are pinned here, end to end through the real par
-//! engine rather than against synthetic recorders:
+//! Three properties are pinned here, end to end through the real
+//! executor (seq's one worker and par's pools) rather than against
+//! synthetic recorders:
 //!
 //! 1. **Tiling** — the profiler's category state machine charges every
 //!    nanosecond of a worker's wall time to exactly one category, so per
@@ -64,46 +65,63 @@ fn par_config(workers: usize) -> FtConfig {
     }
 }
 
-/// Runs the sort on the par engine with a profiler attached and returns
-/// the installed profile (plus the sorted output for sanity).
-fn profiled_run(plan: &FtPlan, data: Vec<u64>, workers: usize) -> (SchedProfile, Vec<u64>) {
+/// Runs the sort under `config` with a profiler attached and returns the
+/// installed profile (plus the sorted output for sanity).
+fn profiled_run(plan: &FtPlan, data: Vec<u64>, config: &FtConfig) -> (SchedProfile, Vec<u64>) {
     let profiler = Arc::new(SchedProfiler::new());
     let (out, _, _) = fault_tolerant_sort(
         plan,
-        &par_config(workers),
+        config,
         data,
         Attach {
             profiler: Some(Arc::clone(&profiler)),
             ..Attach::default()
         },
     );
-    let profile = profiler.take().expect("par run installs a profile");
+    let profile = profiler.take().expect("the run installs a profile");
     (profile, out.sorted)
 }
 
 /// Acceptance bar: per worker, `busy + steal + park + barrier` tiles
-/// ≥ 95 % of that worker's wall time, at 1, 2, 4 and 8 workers.
+/// ≥ 95 % of that worker's wall time, on seq and at 1, 2, 4 and 8 par
+/// workers.
 #[test]
 fn categories_tile_every_workers_wall_time() {
     let _serial = serial();
     let (plan, data) = instance(6, 4_000, 0x5c4e_d001);
-    for workers in [1usize, 2, 4, 8] {
-        let (profile, sorted) = profiled_run(&plan, data.clone(), workers);
+    let seq = FtConfig {
+        engine: EngineKind::Seq,
+        ..par_config(1)
+    };
+    let runs = [
+        ("seq", seq),
+        ("par@1", par_config(1)),
+        ("par@2", par_config(2)),
+        ("par@4", par_config(4)),
+        ("par@8", par_config(8)),
+    ];
+    for (name, config) in runs {
+        let (profile, sorted) = profiled_run(&plan, data.clone(), &config);
         let mut expect = data.clone();
         expect.sort_unstable();
-        assert_eq!(sorted, expect, "workers={workers}: sort broke");
+        assert_eq!(sorted, expect, "{name}: sort broke");
+        if name == "seq" {
+            // Seq profiles as the one-worker, one-shard schedule, and one
+            // worker always commits through the serial flush.
+            assert_eq!(
+                (profile.workers, profile.shard_count, profile.serial),
+                (1, 1, true)
+            );
+        }
 
         let report = profile.report();
-        assert_eq!(
-            report.events_dropped, 0,
-            "workers={workers}: ring overflowed"
-        );
+        assert_eq!(report.events_dropped, 0, "{name}: ring overflowed");
         assert_eq!(report.per_worker.len(), report.workers);
         for w in &report.per_worker {
             let covered = w.busy_ns() + w.steal_ns + w.park_ns + w.barrier_ns;
             assert!(
                 covered as f64 >= 0.95 * w.wall_ns as f64,
-                "workers={workers} worker {}: busy+steal+park+barrier = {covered} ns \
+                "{name} worker {}: busy+steal+park+barrier = {covered} ns \
                  covers < 95% of wall {} ns (other = {} ns)",
                 w.worker,
                 w.wall_ns,
@@ -113,24 +131,20 @@ fn categories_tile_every_workers_wall_time() {
             assert_eq!(
                 w.accounted_ns(),
                 w.wall_ns,
-                "workers={workers} worker {}: categories do not tile the wall",
+                "{name} worker {}: categories do not tile the wall",
                 w.worker
             );
         }
         let util = report.utilization();
         assert!(
             util > 0.0 && util <= 1.0,
-            "workers={workers}: utilization {util} out of (0, 1]"
+            "{name}: utilization {util} out of (0, 1]"
         );
 
         // The report round-trips through its hand-written JSON exactly.
         let json = report.to_json();
         let back = SchedReport::from_json(&json).expect("report JSON parses");
-        assert_eq!(
-            back.to_json(),
-            json,
-            "workers={workers}: JSON round-trip drifted"
-        );
+        assert_eq!(back.to_json(), json, "{name}: JSON round-trip drifted");
     }
 }
 
@@ -141,7 +155,7 @@ fn profile_records_effective_schedule_after_clamp() {
     let _serial = serial();
     // n = 2, r = 1: 3 live nodes → 3 shards of 1 → at most 3 workers.
     let (plan, data) = instance(2, 500, 0x5c4e_d002);
-    let (profile, _) = profiled_run(&plan, data, 8);
+    let (profile, _) = profiled_run(&plan, data, &par_config(8));
     assert_eq!(profile.workers_requested, 8);
     assert_eq!(
         profile.workers, 3,
@@ -228,7 +242,7 @@ fn profiling_is_byte_invisible() {
 fn sched_perfetto_validates_and_rejects_corruption() {
     let _serial = serial();
     let (plan, data) = instance(6, 4_000, 0x5c4e_d004);
-    let (profile, _) = profiled_run(&plan, data, 4);
+    let (profile, _) = profiled_run(&plan, data, &par_config(4));
     let trace = profile.perfetto_json();
 
     let doc = Json::parse(&trace).expect("sched perfetto export is valid JSON");
