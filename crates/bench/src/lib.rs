@@ -7,7 +7,7 @@ use ftsort::mffs::max_fault_free_subcube;
 use ftsort::seq::{Key, KeyType};
 use hypercube::fault::FaultSet;
 use hypercube::obs::log::{self, Level, Value};
-use hypercube::obs::perfetto::perfetto_json;
+use hypercube::obs::perfetto::write_perfetto;
 use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::obs::{metrics, RunObservation};
@@ -17,6 +17,7 @@ use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
+use std::io::BufWriter;
 use std::sync::{Arc, Mutex};
 
 /// The seed printed by every report binary so runs are reproducible.
@@ -345,7 +346,7 @@ impl ObsFlags {
             std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
         };
         if let Some(path) = &self.trace_out {
-            write(path, &perfetto_json(&run, &phase_name))?;
+            write_trace(path, &run)?;
             println!("trace written  : {path} (load in ui.perfetto.dev)");
         }
         if let Some(path) = &self.metrics_out {
@@ -399,6 +400,16 @@ impl ObsFlags {
         }
         Ok(())
     }
+}
+
+/// Writes `run`'s Perfetto export to `path` (`--trace-out` of `ftsort-cli
+/// sort` and `replay`), streamed through a 64 KiB buffer.
+pub fn write_trace(path: &str, run: &RunObservation) -> Result<(), String> {
+    let write = || {
+        let mut file = BufWriter::with_capacity(1 << 16, File::create(path)?);
+        write_perfetto(run, &phase_name, &mut file)
+    };
+    write().map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// Calls `f` for every `r`-subset of the `2^n` processor addresses —

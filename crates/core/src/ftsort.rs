@@ -46,7 +46,7 @@ use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::TraceSink;
-use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, LinkModel, Tag};
+use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, LinkModel, Tag, Trace};
 use std::sync::{Arc, Mutex};
 
 /// Phase id of step 3 (local sort + intra-subcube single-fault bitonic).
@@ -136,11 +136,11 @@ pub struct FtConfig {
     /// (default, matching the paper's Figure 7 which times the sort proper)
     /// data appears on / is read off the processors for free.
     pub include_host_io: bool,
-    /// When set, the engine records the full message/compute event trace
-    /// (needed for Perfetto export and critical-path analysis — see
-    /// `hypercube::obs`). Phase spans and per-node metrics are always
-    /// recorded; only the event trace is gated, because it is the one
-    /// observability channel that allocates on the message hot path.
+    /// When set, the sort attaches a [`Trace`] sink and returns the full
+    /// message/compute event trace in the observation (needed for
+    /// Perfetto export and critical-path analysis — see `hypercube::obs`).
+    /// Phase spans and per-node metrics are always recorded; the trace
+    /// grows with the message count, so it is kept only on request.
     pub tracing: bool,
     /// Worker count for the par engine ([`EngineKind::Par`]; seq is one
     /// worker); `None` (default) uses the host's available parallelism.
@@ -319,9 +319,8 @@ pub struct Attach<'a, K> {
     /// Streams every trace record into this sink as the engine emits it —
     /// the O(1)-memory path for writing run files to disk (see
     /// [`StreamingSink`](hypercube::obs::sink::StreamingSink)). The sink
-    /// receives events even when [`FtConfig::tracing`] is off; the
-    /// in-memory trace of the returned observation is still gated on
-    /// `tracing`.
+    /// receives events whether or not [`FtConfig::tracing`] is on, which
+    /// alone gates the returned observation's in-memory trace.
     pub sink: Option<Arc<Mutex<dyn TraceSink>>>,
     /// Draws compare-split scratch slabs from this caller-owned pool
     /// instead of a run-local one, so the slabs warmed by one run are
@@ -438,8 +437,9 @@ pub fn fault_tolerant_sort<K: Key>(
         .with_router(config.router)
         .with_engine(config.engine)
         .with_link_model(config.link_model);
-    if config.tracing {
-        engine = engine.with_tracing();
+    let trace = config.tracing.then(Arc::<Mutex<Trace>>::default);
+    if let Some(trace) = &trace {
+        engine = engine.with_trace_sink(trace.clone());
     }
     if let Some(sink) = sink {
         engine = engine.with_trace_sink(sink);
@@ -630,7 +630,10 @@ pub fn fault_tolerant_sort<K: Key>(
     drop(local_pool);
     let time_us = out.turnaround();
     let stats = out.total_stats();
-    let observation = out.observation();
+    let mut observation = out.observation();
+    if let Some(trace) = trace {
+        observation.trace = std::mem::take(&mut *trace.lock().expect("trace sink lock poisoned"));
+    }
     // Per-phase attribution from the recorded spans: max over processors.
     let breakdown = PhaseBreakdown::from_observation(&observation);
     // Gather in (v, w) order — the subcubes' address order of the paper.

@@ -22,8 +22,8 @@
 //! construction, so per-phase attribution sums to the makespan (up to
 //! float dust from telescoping differences).
 //!
-//! Requires tracing: the walk is over trace events, so run the engine
-//! `with_tracing(true)`.
+//! Requires the event trace: attach a [`Trace`](crate::sim::Trace) sink
+//! (a sort's `FtConfig::tracing` does), or replay a run file.
 
 use super::{RunObservation, SpanRecord};
 use crate::address::NodeId;

@@ -250,7 +250,7 @@ pub struct NodeObservation {
     /// how many of the node's records (events and boundaries) precede the
     /// boundary. A boundary shares its timestamp with events; only its
     /// position says which of them it follows. Empty when the node's
-    /// events were not recorded (no trace, no sink).
+    /// events were not recorded (no sink attached).
     pub span_at: Vec<(usize, usize)>,
     /// Utilization/communication metrics.
     pub metrics: NodeMetrics,
@@ -266,7 +266,7 @@ pub struct RunObservation {
     pub cost: CostModel,
     /// The link model the run was priced under.
     pub link_model: LinkModel,
-    /// The event trace (empty unless tracing was enabled).
+    /// The event trace (empty unless a [`Trace`] sink kept it).
     pub trace: Trace,
     /// Per-node observations, indexed by node address (`None` for nodes
     /// that did not participate, e.g. faulty ones).

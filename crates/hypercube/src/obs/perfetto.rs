@@ -30,7 +30,16 @@ use super::json::{write_str, Json};
 use super::RunObservation;
 use crate::sim::{LinkModel, Trace, TraceKind};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::io::{self, Write};
+
+/// Writes the separator before every `traceEvents` entry but the first.
+fn sep(w: &mut impl Write, first: &mut bool) -> io::Result<()> {
+    if !*first {
+        w.write_all(b",")?;
+    }
+    *first = false;
+    Ok(())
+}
 
 /// Pairs each receive event with its send. Returns `(send_index,
 /// recv_index)` pairs into `trace.events()`, in receive order. Receives
@@ -59,48 +68,44 @@ pub fn match_messages(trace: &Trace) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Renders a run observation as Chrome-trace-event JSON, naming span
-/// phases through `namer` (unknown ids become `phase-<id>`).
-pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'static str>) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[");
+/// Streams a run observation to `w` as Chrome-trace-event JSON, naming
+/// span phases through `namer` (unknown ids become `phase-<id>`), then
+/// flushes `w`.
+pub fn write_perfetto(
+    obs: &RunObservation,
+    namer: &dyn Fn(u16) -> Option<&'static str>,
+    w: &mut impl Write,
+) -> io::Result<()> {
+    w.write_all(b"{\"traceEvents\":[")?;
     let mut first = true;
-    let emit = |out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-    };
 
     // Track naming metadata, one per participating node.
     for node in obs.participants() {
-        emit(&mut out, &mut first);
-        let _ = write!(
-            out,
+        sep(w, &mut first)?;
+        write!(
+            w,
             "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"node {}\"}}}}",
             node.node.raw(),
             node.node.raw()
-        );
+        )?;
     }
 
     // Phase spans as complete (X) events.
     for node in obs.participants() {
         for span in &node.spans {
-            emit(&mut out, &mut first);
-            let name = match namer(span.phase) {
-                Some(s) => s.to_string(),
-                None => format!("phase-{}", span.phase),
-            };
-            out.push_str("{\"ph\":\"X\",\"pid\":0,\"tid\":");
-            let _ = write!(out, "{}", node.node.raw());
-            out.push_str(",\"name\":");
-            write_str(&mut out, &name);
-            let _ = write!(
-                out,
-                ",\"cat\":\"phase\",\"ts\":{},\"dur\":{}}}",
+            sep(w, &mut first)?;
+            let mut name = String::new();
+            match namer(span.phase) {
+                Some(s) => write_str(&mut name, s),
+                None => write_str(&mut name, &format!("phase-{}", span.phase)),
+            }
+            write!(
+                w,
+                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":{name},\"cat\":\"phase\",\"ts\":{},\"dur\":{}}}",
+                node.node.raw(),
                 span.begin,
                 span.duration()
-            );
+            )?;
         }
     }
 
@@ -115,32 +120,32 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
             TraceKind::Send { elements, .. } => elements,
             _ => 0,
         };
-        emit(&mut out, &mut first);
-        let _ = write!(
-            out,
+        sep(w, &mut first)?;
+        write!(
+            w,
             "{{\"ph\":\"s\",\"pid\":0,\"tid\":{},\"id\":{},\"name\":\"msg\",\"cat\":\"msg\",\"ts\":{},\"args\":{{\"tag\":\"{}\",\"elements\":{}",
             s.node.raw(),
             flow_id,
             s.time,
             s.tag.0,
             elements
-        );
+        )?;
         if contended {
             let wait = match f.kind {
                 TraceKind::Recv { wait, .. } => wait,
                 _ => 0.0,
             };
-            let _ = write!(out, ",\"wait\":{wait}");
+            write!(w, ",\"wait\":{wait}")?;
         }
-        out.push_str("}}");
-        emit(&mut out, &mut first);
-        let _ = write!(
-            out,
+        w.write_all(b"}}")?;
+        sep(w, &mut first)?;
+        write!(
+            w,
             "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{},\"id\":{},\"name\":\"msg\",\"cat\":\"msg\",\"ts\":{}}}",
             f.node.raw(),
             flow_id,
             f.time
-        );
+        )?;
     }
 
     // Inbox-depth counters, one track per destination node: +1 at each
@@ -153,13 +158,13 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
     }
     for (node, deltas) in inbox.iter_mut().enumerate() {
         counter_track(
-            &mut out,
+            w,
             &mut first,
             0,
             &format!("inbox P{node}"),
             "messages",
             deltas,
-        );
+        )?;
     }
 
     // Cumulative element·hops counters, one track per sender, sampled at
@@ -169,14 +174,14 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
         if let TraceKind::Send { elements, hops, .. } = e.kind {
             let cum = &mut cum_hops[e.node.index()];
             *cum += elements as u64 * hops as u64;
-            emit(&mut out, &mut first);
-            let _ = write!(
-                out,
+            sep(w, &mut first)?;
+            write!(
+                w,
                 "{{\"ph\":\"C\",\"pid\":0,\"name\":\"element-hops P{}\",\"ts\":{},\"args\":{{\"element_hops\":{}}}}}",
                 e.node.raw(),
                 e.time,
                 cum
-            );
+            )?;
         }
     }
 
@@ -196,28 +201,28 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
         }
         for (d, deltas) in busy.iter_mut().enumerate() {
             counter_track(
-                &mut out,
+                w,
                 &mut first,
                 0,
                 &format!("link dim {d} busy"),
                 "links",
                 deltas,
-            );
+            )?;
         }
         for (d, deltas) in queue.iter_mut().enumerate() {
             counter_track(
-                &mut out,
+                w,
                 &mut first,
                 0,
                 &format!("link dim {d} queue"),
                 "messages",
                 deltas,
-            );
+            )?;
         }
     }
 
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    w.write_all(b"],\"displayTimeUnit\":\"ms\"}")?;
+    w.flush()
 }
 
 /// Emits one counter track from `(timestamp, delta)` pairs: sorts by
@@ -229,13 +234,13 @@ pub fn perfetto_json(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'stati
 /// scheduler-profiler export's runnable tracks ([`super::sched`]), which
 /// emit under their own `pid`.
 pub(crate) fn counter_track(
-    out: &mut String,
+    w: &mut impl Write,
     first: &mut bool,
     pid: u32,
     name: &str,
     series: &str,
     deltas: &mut [(f64, i64)],
-) {
+) -> io::Result<()> {
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
     let (mut depth, mut k) = (0i64, 0);
     while k < deltas.len() {
@@ -244,15 +249,13 @@ pub(crate) fn counter_track(
             depth += deltas[k].1;
             k += 1;
         }
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        let _ = write!(
-            out,
+        sep(w, first)?;
+        write!(
+            w,
             "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"{name}\",\"ts\":{t},\"args\":{{\"{series}\":{depth}}}}}"
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Summary counts from a validated Chrome-trace document.
@@ -438,6 +441,13 @@ mod tests {
     use crate::obs::json::Json;
     use crate::sim::{Tag, TraceEvent};
 
+    /// The export as text, rendered into a `Vec<u8>`.
+    fn render(obs: &RunObservation, namer: &dyn Fn(u16) -> Option<&'static str>) -> String {
+        let mut buf = Vec::new();
+        write_perfetto(obs, namer, &mut buf).expect("writing to a Vec cannot fail");
+        String::from_utf8(buf).expect("the export is UTF-8")
+    }
+
     fn two_node_trace() -> Trace {
         let tag = Tag::phase(7, 0, 0);
         Trace::from_events(vec![
@@ -556,7 +566,7 @@ mod tests {
                 }),
             ],
         };
-        let text = perfetto_json(&obs, &|p| if p == 7 { Some("exchange") } else { None });
+        let text = render(&obs, &|p| if p == 7 { Some("exchange") } else { None });
         let doc = Json::parse(&text).expect("valid JSON");
         let check = validate_chrome_trace(&doc).expect("structurally valid");
         // 2 metadata + 1 span + 2 flows × 2 events + 6 counter samples
@@ -596,7 +606,7 @@ mod tests {
                 }),
             ],
         };
-        let text = perfetto_json(&obs, &|_| None);
+        let text = render(&obs, &|_| None);
         // node 1's inbox holds the first message over [1.0, 2.0)
         assert!(text.contains("\"name\":\"inbox P1\",\"ts\":1,\"args\":{\"messages\":1}"));
         assert!(text.contains("\"name\":\"inbox P1\",\"ts\":2,\"args\":{\"messages\":0}"));

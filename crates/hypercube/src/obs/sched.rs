@@ -57,6 +57,7 @@
 use super::hist::LogHistogram;
 use super::json::{json_object, Json, JsonValue};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -440,12 +441,12 @@ impl SchedProfile {
     /// dropped events, because a truncated ring's deltas no longer
     /// balance). Validated by `validate_chrome_trace`.
     pub fn perfetto_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"traceEvents\":[");
+        let mut out = Vec::with_capacity(4096);
+        out.extend_from_slice(b"{\"traceEvents\":[");
         let mut first = true;
-        let emit = |out: &mut String, first: &mut bool| {
+        let emit = |out: &mut Vec<u8>, first: &mut bool| {
             if !*first {
-                out.push(',');
+                out.push(b',');
             }
             *first = false;
         };
@@ -470,7 +471,7 @@ impl SchedProfile {
         // slices (sub-microsecond bookkeeping) are left as gaps.
         for p in &self.workers_prof {
             let mut open: Option<(SchedCat, u64, u32)> = None;
-            let close = |out: &mut String,
+            let close = |out: &mut Vec<u8>,
                          first: &mut bool,
                          open: &mut Option<(SchedCat, u64, u32)>,
                          end: u64| {
@@ -488,7 +489,7 @@ impl SchedProfile {
                         if matches!(cat, SchedCat::Poll | SchedCat::Deliver) {
                             let _ = write!(out, ",\"args\":{{\"shard\":{arg}}}");
                         }
-                        out.push('}');
+                        out.push(b'}');
                     }
                 }
             };
@@ -553,7 +554,8 @@ impl SchedProfile {
                     &format!("runnable W{w}"),
                     "shards",
                     series,
-                );
+                )
+                .expect("writing to a Vec cannot fail");
             }
         } else {
             emit(&mut out, &mut first);
@@ -563,8 +565,8 @@ impl SchedProfile {
             );
         }
 
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        out.extend_from_slice(b"],\"displayTimeUnit\":\"ms\"}");
+        String::from_utf8(out).expect("the export is UTF-8")
     }
 
     /// Renders an ASCII timeline: one row of `width` buckets per worker,

@@ -1,17 +1,16 @@
-//! Streaming trace sinks: incremental capture of a run's record stream.
+//! Trace sinks: the receivers of a run's record stream.
 //!
-//! The buffered observability pipeline holds every trace event in memory
-//! until the run completes, which caps tracing at small cubes and
-//! moderate message counts. A [`TraceSink`] instead receives the run's
-//! records *as the engines emit them*: a header with the geometry and
-//! cost model, the trace events (send/recv/compute), span boundaries,
-//! and a per-node footer carrying the final clock and blocked time (so a
-//! reader need not re-derive them from the events) and the one quantity
-//! no event stream can reconstruct: the receive-queue high-water mark
-//! (enqueue-time state).
+//! A [`TraceSink`] receives the run's records as the engine commits them:
+//! a header with the geometry and cost model, the trace events
+//! (send/recv/compute), span boundaries, and a per-node footer carrying
+//! the final clock and blocked time (so a reader need not re-derive them
+//! from the events) and the one quantity no event stream can reconstruct:
+//! the receive-queue high-water mark (enqueue-time state). Every attached
+//! sink receives the same records.
 //!
-//! [`StreamingSink`] serializes each record straight into any
-//! `io::Write` — a buffered (optionally gzipped) file via
+//! [`Trace`](crate::sim::Trace) keeps the events in memory for the
+//! analyzers. [`StreamingSink`] serializes each record straight into
+//! any `io::Write` — a buffered (optionally gzipped) file via
 //! [`StreamingSink::create`], or an in-memory `Vec<u8>` — so heap usage
 //! stays O(1) in the trace length; [`super::replay::run_to_json`] renders
 //! a buffered observation through the same sink. The run file is a single
@@ -19,9 +18,9 @@
 //! [`super::replay`]. Records appear in emission order, which the round
 //! barrier fixes: (round, node id, program order) — so both engines write
 //! the same bytes (pinned by `tests/obs_invariants.rs`), and each node's
-//! own records stay in program order, which is all replay needs. When a
-//! sink finishes, it folds the number of records it wrote into the
-//! process's metric totals ([`super::metrics`]), if they are installed.
+//! own records stay in program order, which is all replay needs. When it
+//! finishes, it folds the number of records it wrote into the process's
+//! metric totals ([`super::metrics`]), if they are installed.
 
 use super::gz::GzEncoder;
 use super::json::{json_object, write_member, write_trace_event, JsonValue};

@@ -17,10 +17,8 @@
 //! detour under the total-fault model costs more virtual time than the
 //! same message under partial faults.
 
-use super::frontier::{
-    build_cells, collect_run, CellRecord, NodeCell, PendOnce, SharedCell, SimMessage,
-};
-use super::trace::{Trace, TraceEvent, TraceKind};
+use super::frontier::{build_cells, collect_run, NodeCell, PendOnce, SharedCell, SimMessage};
+use super::trace::{Trace, TraceKind};
 use super::{par, Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
@@ -68,40 +66,23 @@ pub struct NodeOutcome<T> {
 /// The result of running a program on the machine.
 #[derive(Clone, Debug)]
 pub struct RunOutcome<T> {
-    outcomes: Vec<Option<NodeOutcome<T>>>,
-    trace: Trace,
-    dim: usize,
-    cost: CostModel,
-    link_model: LinkModel,
+    pub(super) outcomes: Vec<Option<NodeOutcome<T>>>,
+    pub(super) dim: usize,
+    pub(super) cost: CostModel,
+    pub(super) link_model: LinkModel,
 }
 
 impl<T> RunOutcome<T> {
-    pub(super) fn new(
-        outcomes: Vec<Option<NodeOutcome<T>>>,
-        trace: Trace,
-        dim: usize,
-        cost: CostModel,
-        link_model: LinkModel,
-    ) -> Self {
-        RunOutcome {
-            outcomes,
-            trace,
-            dim,
-            cost,
-            link_model,
-        }
-    }
-
-    /// The run's observability view — spans, metrics and trace detached
-    /// from the node results — for reporting ([`RunObservation::report`]),
-    /// Perfetto export and critical-path analysis.
+    /// The run's observability view — spans and metrics copied from the
+    /// node results — for reporting ([`RunObservation::report`]). Its
+    /// trace is empty: a caller that attached a [`Trace`] moves it in.
     pub fn observation(&self) -> RunObservation {
         RunObservation {
             dim: self.dim,
             cost: self.cost,
             link_model: self.link_model,
             key_type: None,
-            trace: self.trace.clone(),
+            trace: Trace::default(),
             nodes: self
                 .outcomes
                 .iter()
@@ -124,11 +105,6 @@ impl<T> RunOutcome<T> {
     /// program ran: faulty or idle processors).
     pub fn outcomes(&self) -> &[Option<NodeOutcome<T>>] {
         &self.outcomes
-    }
-
-    /// The event trace (empty unless [`Engine::with_tracing`] was enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The outcome of a specific node, if it participated.
@@ -259,19 +235,15 @@ impl<K> Comm<K> for NodeCtx<K> {
         cell.stats.record_message(data.len(), hops);
         cell.metrics
             .on_send(self.me, dst, data.len(), hops, &self.cost);
-        if cell.observing() {
-            let ev = TraceEvent {
-                time: cell.clock.now(),
-                node: self.me,
-                tag,
-                kind: TraceKind::Send {
-                    to: dst,
-                    elements: data.len(),
-                    hops,
-                },
-            };
-            cell.emit(ev);
-        }
+        cell.emit(
+            self.me,
+            tag,
+            TraceKind::Send {
+                to: dst,
+                elements: data.len(),
+                hops,
+            },
+        );
         let sent_at = cell.clock.now();
         cell.outbox.push(SimMessage {
             src: self.me,
@@ -306,19 +278,15 @@ impl<K> Comm<K> for NodeCtx<K> {
                     cell.metrics.blocked_us += cell.clock.now() - before;
                     cell.metrics.link_wait_us += msg.wait;
                     cell.metrics.msgs_received += 1;
-                    if cell.observing() {
-                        let ev = TraceEvent {
-                            time: cell.clock.now(),
-                            node: self.me,
-                            tag,
-                            kind: TraceKind::Recv {
-                                from: src,
-                                elements: msg.data.len(),
-                                wait: msg.wait,
-                            },
-                        };
-                        cell.emit(ev);
-                    }
+                    cell.emit(
+                        self.me,
+                        tag,
+                        TraceKind::Recv {
+                            from: src,
+                            elements: msg.data.len(),
+                            wait: msg.wait,
+                        },
+                    );
                     return msg.data;
                 }
                 // Park: the barrier wakes us once the message is delivered.
@@ -329,42 +297,22 @@ impl<K> Comm<K> for NodeCtx<K> {
     }
 
     fn span_enter(&mut self, phase: u16) {
-        let mut cell = self.cell();
-        let now = cell.clock.now();
-        cell.spans.enter(phase, now);
-        if cell.sinking {
-            cell.records.push(CellRecord::Span {
-                phase: Some(phase),
-                time: now,
-            });
-        }
+        self.cell().span(Some(phase));
     }
 
     fn span_exit(&mut self) {
-        let mut cell = self.cell();
-        let now = cell.clock.now();
-        cell.spans.exit(now);
-        if cell.sinking {
-            cell.records.push(CellRecord::Span {
-                phase: None,
-                time: now,
-            });
-        }
+        self.cell().span(None);
     }
 
     fn charge_comparisons(&mut self, count: usize) {
         let mut cell = self.cell();
         cell.clock.advance(self.cost.compare(count));
         cell.stats.record_comparisons(count);
-        if cell.observing() {
-            let ev = TraceEvent {
-                time: cell.clock.now(),
-                node: self.me,
-                tag: Tag::new(0),
-                kind: TraceKind::Compute { comparisons: count },
-            };
-            cell.emit(ev);
-        }
+        cell.emit(
+            self.me,
+            Tag::new(0),
+            TraceKind::Compute { comparisons: count },
+        );
     }
 
     fn clock(&self) -> f64 {
@@ -380,9 +328,9 @@ pub struct Engine {
     pub(super) cost: CostModel,
     pub(super) router: RouterKind,
     pub(super) link_model: LinkModel,
-    pub(super) tracing: bool,
     pub(super) kind: EngineKind,
-    pub(super) sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    /// The attached sinks, in attach order.
+    pub(super) sinks: Vec<Arc<Mutex<dyn TraceSink>>>,
     pub(super) workers: Option<usize>,
     pub(super) shard: Option<usize>,
     pub(super) sched_profiler: Option<Arc<crate::obs::sched::SchedProfiler>>,
@@ -397,9 +345,8 @@ impl Engine {
             cost,
             router: RouterKind::default(),
             link_model: LinkModel::default(),
-            tracing: false,
             kind: EngineKind::default(),
-            sink: None,
+            sinks: Vec::new(),
             workers: None,
             shard: None,
             sched_profiler: None,
@@ -431,21 +378,14 @@ impl Engine {
         self
     }
 
-    /// Enables per-event tracing (builder style); the run's [`Trace`] is
-    /// then available from [`RunOutcome::trace`].
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
-    /// Attaches a streaming [`TraceSink`] (builder style): the run's
-    /// records — trace events, span boundaries and a per-node footer —
-    /// are handed to the sink as they are emitted, independently of
-    /// [`Engine::with_tracing`] (which controls only the in-memory
-    /// buffered [`Trace`]). Streaming without tracing is the O(1)-memory
-    /// path for large runs.
+    /// Adds a [`TraceSink`] (builder style): at each round's commit every
+    /// sink, in attach order, receives the run's records — trace events,
+    /// span boundaries and a per-node footer — in (round, node id,
+    /// program) order. A [`Trace`] keeps the events in memory; a
+    /// [`StreamingSink`](crate::obs::sink::StreamingSink) writes them out
+    /// in O(1) memory. A run with no sink records no events.
     pub fn with_trace_sink(mut self, sink: Arc<Mutex<dyn TraceSink>>) -> Self {
-        self.sink = Some(sink);
+        self.sinks.push(sink);
         self
     }
 
@@ -523,14 +463,14 @@ impl Engine {
     {
         validate_inputs(&self.faults, &inputs);
         let dim = self.faults.cube().dim();
-        if let Some(sink) = &self.sink {
+        for sink in &self.sinks {
             sink.lock()
                 .expect("trace sink lock poisoned")
                 .begin(dim, &self.cost, self.link_model);
         }
-        let (cells, participation) = build_cells(&inputs, dim, self.tracing, self.sink.is_some());
+        let (cells, participation) = build_cells(&inputs, dim, !self.sinks.is_empty());
         let results = par::run(self, &cells, &participation, inputs, program);
-        let out = collect_run(cells, results, &self.sink, dim, self.cost, self.link_model);
+        let out = collect_run(cells, results, &self.sinks, dim, self.cost, self.link_model);
         // The run's own per-node totals. Every message sent is delivered
         // at its round's commit, so the sent counts are also the
         // delivered ones.
@@ -804,44 +744,87 @@ mod tests {
         }
     }
 
+    /// Takes the events an in-memory [`Trace`] sink kept.
+    fn taken(trace: &Mutex<Trace>) -> Trace {
+        std::mem::take(&mut *trace.lock().unwrap())
+    }
+
     #[test]
     fn tracing_records_sends_recvs_and_compute() {
-        use super::super::trace::TraceKind;
         for eng in all_engines(1) {
-            let eng = eng.with_tracing();
-            let out = eng.run(identity_inputs(1), async |ctx, data| {
-                ctx.charge_comparisons(3);
-                let partner = ctx.me().neighbor(0);
-                let theirs = ctx.exchange(partner, Tag::new(4), data).await;
-                theirs[0]
-            });
-            let trace = out.trace();
-            assert!(!trace.is_empty());
+            let trace = Arc::new(Mutex::new(Trace::default()));
+            eng.with_trace_sink(trace.clone())
+                .run(identity_inputs(1), async |ctx, data| {
+                    ctx.charge_comparisons(3);
+                    let partner = ctx.me().neighbor(0);
+                    let theirs = ctx.exchange(partner, Tag::new(4), data).await;
+                    theirs[0]
+                });
+            let trace = taken(&trace);
             // 2 sends + 2 recvs + 2 computes
             assert_eq!(trace.len(), 6);
-            assert_eq!(trace.sends().count(), 2);
+            let sends = || {
+                trace
+                    .events()
+                    .iter()
+                    .filter(|e| matches!(e.kind, TraceKind::Send { .. }))
+            };
+            assert_eq!(sends().count(), 2);
             // timestamps are non-decreasing
             assert!(trace.events().windows(2).all(|w| w[0].time <= w[1].time));
             // every send has a matching recv with the same element count
-            for s in trace.sends() {
+            for s in sends() {
                 let TraceKind::Send { to, elements, .. } = s.kind else {
                     unreachable!()
                 };
-                assert!(trace.for_node(to).any(|e| matches!(
-                    e.kind,
-                    TraceKind::Recv { from, elements: el, .. } if from == s.node && el == elements
-                )));
+                assert!(trace.events().iter().any(|e| e.node == to
+                    && matches!(
+                        e.kind,
+                        TraceKind::Recv { from, elements: el, .. } if from == s.node && el == elements
+                    )));
             }
         }
     }
 
     #[test]
-    fn tracing_disabled_by_default() {
-        let eng = Engine::fault_free(Hypercube::new(1), CostModel::paper_form());
-        let out = eng.run(identity_inputs(1), async |ctx, data| {
-            ctx.exchange(ctx.me().neighbor(0), Tag::new(4), data).await
-        });
-        assert!(out.trace().is_empty());
+    fn every_attached_sink_receives_the_same_records() {
+        use crate::obs::sink::StreamingSink;
+        let n = 3;
+        let mut files = Vec::new();
+        for eng in all_engines(n) {
+            let a = Arc::new(Mutex::new(StreamingSink::new(Vec::new())));
+            let b = Arc::new(Mutex::new(StreamingSink::new(Vec::new())));
+            let eng = eng.with_trace_sink(a.clone()).with_trace_sink(b.clone());
+            eng.run(identity_inputs(n), async |ctx, data| {
+                ctx.span_enter(1);
+                let mut acc = data;
+                for d in 0..ctx.cube().dim() {
+                    let theirs = ctx
+                        .exchange(ctx.me().neighbor(d), Tag::new(d as u64), acc.clone())
+                        .await;
+                    ctx.charge_comparisons(theirs.len());
+                    acc.extend(theirs);
+                }
+                ctx.span_exit();
+                acc.len()
+            });
+            // The engine holds the sinks until it drops.
+            drop(eng);
+            let written = |sink: Arc<Mutex<StreamingSink<Vec<u8>>>>| {
+                Arc::into_inner(sink)
+                    .expect("the engine dropped its handle")
+                    .into_inner()
+                    .unwrap()
+                    .into_inner()
+                    .unwrap()
+            };
+            let (a, b) = (written(a), written(b));
+            // 8 nodes × 3 dimensions × (send + recv + compute) events
+            assert!(a.split(|&c| c == b'\n').count() > 8 * 3 * 3);
+            assert_eq!(a, b, "two sinks on one run got different records");
+            files.push(a);
+        }
+        assert_eq!(files[0], files[1], "seq and par@2 streamed different runs");
     }
 
     /// Runs `body` on a fresh thread and returns its panic message, or
@@ -928,9 +911,10 @@ mod tests {
         // A busier program: binomial-tree gather at node 0 on Q3.
         let n = 3;
         let run = |kind: EngineKind| {
-            engine(n)
+            let trace = Arc::new(Mutex::new(Trace::default()));
+            let out = engine(n)
                 .with_engine(kind)
-                .with_tracing()
+                .with_trace_sink(trace.clone())
                 .run(identity_inputs(n), async |ctx, data| {
                     let me = ctx.me().raw();
                     let mut acc = data;
@@ -946,10 +930,11 @@ mod tests {
                         }
                     }
                     acc
-                })
+                });
+            (out, taken(&trace))
         };
-        let a = run(EngineKind::Seq);
-        let b = run(EngineKind::Par);
+        let (a, a_trace) = run(EngineKind::Seq);
+        let (b, b_trace) = run(EngineKind::Par);
         assert_eq!(a.node(NodeId::new(0)).unwrap().result.len(), 8);
         for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
             match (x, y) {
@@ -962,6 +947,7 @@ mod tests {
                 _ => panic!("participation differs between engines"),
             }
         }
-        assert_eq!(a.trace().events(), b.trace().events());
+        assert!(!a_trace.is_empty());
+        assert_eq!(a_trace.events(), b_trace.events());
     }
 }

@@ -9,7 +9,7 @@
 //! [`NodeCtx`](super::NodeCtx) does both, on its own [`NodeCell`]). The
 //! round's commit then delivers outboxes to inboxes in ascending node-id
 //! order (which makes the receive-queue high-water mark deterministic),
-//! flushes buffered records to the attached [`TraceSink`] in the same
+//! flushes buffered records to every attached [`TraceSink`] in the same
 //! order, and wakes the parked nodes whose awaited `(src, tag)` message
 //! has now arrived into the next frontier.
 //!
@@ -33,7 +33,7 @@
 //! [`Comm::recv`]: super::Comm::recv
 
 use super::engine::{NodeOutcome, RunOutcome};
-use super::trace::{Trace, TraceEvent};
+use super::trace::{TraceEvent, TraceKind};
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::{CostModel, VirtualClock};
@@ -67,23 +67,11 @@ pub(super) struct SimMessage<K> {
 }
 
 /// An observability record buffered in its node's cell until the barrier
-/// flushes it to the sink — per-node program order is preserved, and the
+/// flushes it to the sinks — per-node program order is preserved, and the
 /// barrier's node-id-ordered flush makes the global stream deterministic.
 pub(super) enum CellRecord {
     Event(TraceEvent),
     Span { phase: Option<u16>, time: f64 },
-}
-
-/// Capacity preallocated for a node's trace buffer when tracing is on.
-///
-/// One step-8 pass of the fault-tolerant sort runs at most `dim` merge
-/// stages of up to `dim` substages each, and every substage produces at
-/// most 6 traced events per node (two protocol rounds of send + recv,
-/// plus compute charges). `16·dim² + 64` therefore covers the heaviest
-/// algorithm in the workspace with ≥2× slack — a buffer that overflows it
-/// simply reallocates, so this is a fast path, not a correctness bound.
-fn trace_capacity(dim: usize) -> usize {
-    16 * dim * dim + 64
 }
 
 /// Per-node state of a frontier-scheduled run. During a round only the
@@ -92,7 +80,6 @@ fn trace_capacity(dim: usize) -> usize {
 pub(super) struct NodeCell<K> {
     pub(super) clock: VirtualClock,
     pub(super) stats: RunStats,
-    pub(super) trace: Option<Vec<TraceEvent>>,
     /// Observability spans ([`super::Comm::span_enter`]).
     pub(super) spans: SpanLog,
     /// Per-node utilization/communication metrics. `inbox_peak` here is
@@ -117,14 +104,13 @@ pub(super) struct NodeCell<K> {
 }
 
 impl<K> NodeCell<K> {
-    fn new(dim: usize, tracing: bool, sinking: bool, participating: bool) -> Self {
+    fn new(dim: usize, sinking: bool, participating: bool) -> Self {
         NodeCell {
             clock: VirtualClock::new(),
             stats: RunStats::new(),
-            trace: (tracing && participating).then(|| Vec::with_capacity(trace_capacity(dim))),
             // Boundary positions matter only among recorded events; an
             // unobserved run keeps none (they would add 16 B per span).
-            spans: SpanLog::new((tracing || sinking) && participating),
+            spans: SpanLog::new(sinking && participating),
             metrics: NodeMetrics::new(dim),
             waiting: None,
             participating,
@@ -136,17 +122,29 @@ impl<K> NodeCell<K> {
         }
     }
 
-    pub(super) fn observing(&self) -> bool {
-        self.trace.is_some() || self.sinking
+    /// Records one event at the node's clock, if a sink is attached.
+    pub(super) fn emit(&mut self, node: NodeId, tag: Tag, kind: TraceKind) {
+        if self.sinking {
+            self.spans.event();
+            self.records.push(CellRecord::Event(TraceEvent {
+                time: self.clock.now(),
+                node,
+                tag,
+                kind,
+            }));
+        }
     }
 
-    pub(super) fn emit(&mut self, ev: TraceEvent) {
-        self.spans.event();
-        if let Some(trace) = &mut self.trace {
-            trace.push(ev);
+    /// Enters span `Some(phase)` or exits the innermost (`None`) at the
+    /// node's clock, recording the boundary if a sink is attached.
+    pub(super) fn span(&mut self, phase: Option<u16>) {
+        let time = self.clock.now();
+        match phase {
+            Some(p) => self.spans.enter(p, time),
+            None => self.spans.exit(time),
         }
         if self.sinking {
-            self.records.push(CellRecord::Event(ev));
+            self.records.push(CellRecord::Span { phase, time });
         }
     }
 }
@@ -156,13 +154,12 @@ impl<K> NodeCell<K> {
 pub(super) fn build_cells<K, I>(
     inputs: &[Option<I>],
     dim: usize,
-    tracing: bool,
     sinking: bool,
 ) -> (Vec<SharedCell<K>>, Arc<Vec<bool>>) {
     let participation: Arc<Vec<bool>> = Arc::new(inputs.iter().map(Option::is_some).collect());
     let cells = participation
         .iter()
-        .map(|&p| Arc::new(Mutex::new(NodeCell::new(dim, tracing, sinking, p))))
+        .map(|&p| Arc::new(Mutex::new(NodeCell::new(dim, sinking, p))))
         .collect();
     (cells, participation)
 }
@@ -183,20 +180,23 @@ impl Future for PendOnce {
     }
 }
 
-/// Drains one node's buffered trace records into the sink, in buffer
+/// Drains one node's buffered trace records into every sink, in buffer
 /// (program) order, from the executor's serial flush phase.
 pub(super) fn flush_records(
-    sink: &Arc<Mutex<dyn TraceSink>>,
+    sinks: &[Arc<Mutex<dyn TraceSink>>],
     node: usize,
     recs: &mut Vec<CellRecord>,
 ) {
-    let mut sink = sink.lock().expect("trace sink lock poisoned");
-    for rec in recs.drain(..) {
-        match rec {
-            CellRecord::Event(ev) => sink.event(&ev),
-            CellRecord::Span { phase, time } => sink.span(NodeId::from(node), phase, time),
+    for sink in sinks {
+        let mut sink = sink.lock().expect("trace sink lock poisoned");
+        for rec in recs.iter() {
+            match *rec {
+                CellRecord::Event(ev) => sink.event(&ev),
+                CellRecord::Span { phase, time } => sink.span(NodeId::from(node), phase, time),
+            }
         }
     }
+    recs.clear();
 }
 
 /// Panics with the full wait map — called when unfinished nodes remain but
@@ -217,19 +217,18 @@ pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: us
     );
 }
 
-/// Unwraps the cells into per-node outcomes, emits the sink footer and
+/// Unwraps the cells into per-node outcomes, emits the sinks' footer and
 /// assembles the [`RunOutcome`] — the tail of
 /// [`Engine::run`](super::Engine::run).
 pub(super) fn collect_run<K, T>(
     cells: Vec<Arc<Mutex<NodeCell<K>>>>,
     results: Vec<Option<T>>,
-    sink: &Option<Arc<Mutex<dyn TraceSink>>>,
+    sinks: &[Arc<Mutex<dyn TraceSink>>],
     dim: usize,
     cost: CostModel,
     link_model: LinkModel,
 ) -> RunOutcome<T> {
     let mut outcomes: Vec<Option<NodeOutcome<T>>> = Vec::with_capacity(cells.len());
-    let mut traces = Vec::new();
     for (i, (result, cell)) in results.into_iter().zip(cells).enumerate() {
         let cell = Arc::into_inner(cell)
             .expect("all node contexts dropped with their tasks")
@@ -247,7 +246,6 @@ pub(super) fn collect_run<K, T>(
                     span_at,
                     metrics: cell.metrics,
                 }));
-                traces.push(cell.trace.unwrap_or_default());
             }
             None => {
                 debug_assert!(!cell.participating, "participant P{i} lost its result");
@@ -255,7 +253,7 @@ pub(super) fn collect_run<K, T>(
             }
         }
     }
-    if let Some(sink) = sink {
+    if !sinks.is_empty() {
         let summaries: Vec<NodeSummary> = outcomes
             .iter()
             .enumerate()
@@ -268,9 +266,16 @@ pub(super) fn collect_run<K, T>(
                 })
             })
             .collect();
-        sink.lock()
-            .expect("trace sink lock poisoned")
-            .finish(&summaries);
+        for sink in sinks {
+            sink.lock()
+                .expect("trace sink lock poisoned")
+                .finish(&summaries);
+        }
     }
-    RunOutcome::new(outcomes, Trace::assemble(traces), dim, cost, link_model)
+    RunOutcome {
+        outcomes,
+        dim,
+        cost,
+        link_model,
+    }
 }

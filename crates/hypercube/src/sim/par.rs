@@ -24,9 +24,9 @@
 //!    no sink attached, the claimant also moves each polled node's outbox
 //!    into an `S × S` bin matrix — `bins[src_shard][dst_shard]` — in
 //!    (ascending node, program) order.
-//! 2. **Serial flush** (coordinator only, and only with one worker, a
+//! 2. **Serial flush** (coordinator only, and only with one worker, any
 //!    [`TraceSink`] attached or contended links): walk the round's ran
-//!    nodes in ascending id order, flush their buffered records to the
+//!    nodes in ascending id order, flush their buffered records to every
 //!    sink, price their messages through the `LinkLedger` and deliver each
 //!    one straight into its destination inbox. Record flushing and link
 //!    pricing are global sequencing decisions, so they stay a
@@ -182,7 +182,7 @@ struct Env<'a, K, T, F> {
 
 /// Coordinator-only state for the serial flush phase.
 struct SerialCtx<K> {
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    sinks: Vec<Arc<Mutex<dyn TraceSink>>>,
     ledger: Option<LinkLedger>,
     cost: CostModel,
     msgs: Vec<SimMessage<K>>,
@@ -270,7 +270,7 @@ where
     let contended = engine.link_model == LinkModel::Contended;
     // One worker always commits serially: delivering each message as it
     // is priced moves it once, binning it moves it twice.
-    let serial = workers == 1 || engine.sink.is_some() || contended;
+    let serial = workers == 1 || !engine.sinks.is_empty() || contended;
     let mut sched = Sched {
         shards,
         bins: (0..shard_count * shard_count)
@@ -288,7 +288,7 @@ where
     let ser = serial.then(|| {
         let dim = engine.faults.cube().dim();
         SerialCtx {
-            sink: engine.sink.clone(),
+            sinks: engine.sinks.clone(),
             ledger: contended.then(|| LinkLedger::new(dim, 1 << dim)),
             cost: engine.cost,
             msgs: Vec::new(),
@@ -690,8 +690,7 @@ fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[
                 }
             }
             if !ser.recs.is_empty() {
-                let sink = ser.sink.as_ref().expect("records buffered without a sink");
-                flush_records(sink, id, &mut ser.recs);
+                flush_records(&ser.sinks, id, &mut ser.recs);
             }
             for mut msg in ser.msgs.drain(..) {
                 if let Some(ledger) = &mut ser.ledger {

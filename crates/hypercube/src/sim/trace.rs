@@ -1,12 +1,15 @@
-//! Event tracing for simulated runs.
+//! Event traces of simulated runs.
 //!
-//! When enabled on the [`super::Engine`], every send, receive and local
-//! computation is recorded with its virtual timestamp, giving a space-time
-//! view of the algorithm (see the `message_trace` example for a textual
-//! rendering). Tracing is off by default — it allocates per event.
+//! Every send, receive and local computation is a [`TraceEvent`] stamped
+//! with its node's virtual clock, handed to the run's [`TraceSink`]s. A
+//! [`Trace`] is the sink that keeps them in memory: a space-time view of
+//! the algorithm (see the `message_trace` example for a textual
+//! rendering).
 
 use crate::address::NodeId;
-use crate::sim::Tag;
+use crate::cost::CostModel;
+use crate::obs::sink::{NodeSummary, TraceSink};
+use crate::sim::{LinkModel, Tag};
 
 /// What happened.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -57,22 +60,23 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from per-node event lists.
-    pub(crate) fn assemble(per_node: Vec<Vec<TraceEvent>>) -> Self {
-        Trace::from_events(per_node.into_iter().flatten().collect())
+    /// Builds a trace from an event list — the entry point for
+    /// deserializers (see `obs::replay::observation_from_json`). Events
+    /// are sorted as the live sink sorts them at [`TraceSink::finish`].
+    pub fn from_events(events: Vec<TraceEvent>) -> Self {
+        let mut trace = Trace { events };
+        trace.sort();
+        trace
     }
 
-    /// Builds a trace from an already time-ordered event list — the entry
-    /// point for deserializers (see `obs::replay::observation_from_json`).
-    /// Events are re-sorted defensively so downstream invariants hold even
-    /// if the input was shuffled.
-    pub fn from_events(mut events: Vec<TraceEvent>) -> Self {
-        events.sort_by(|a, b| {
+    /// The stable `(time, node)` sort: events with equal keys come from
+    /// one node, so they keep that node's program order.
+    fn sort(&mut self) {
+        self.events.sort_by(|a, b| {
             a.time
                 .total_cmp(&b.time)
                 .then(a.node.raw().cmp(&b.node.raw()))
         });
-        Trace { events }
     }
 
     /// All events, time-ordered.
@@ -85,21 +89,25 @@ impl Trace {
         self.events.len()
     }
 
-    /// Whether the trace is empty (tracing disabled or nothing happened).
+    /// Whether the trace is empty (not recorded, or nothing happened).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+}
 
-    /// Events involving one node.
-    pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.node == node)
+/// The in-memory sink: keeps the events and sorts them when the run
+/// finishes; each node's outcome already carries its spans and footer.
+impl TraceSink for Trace {
+    fn begin(&mut self, _dim: usize, _cost: &CostModel, _link_model: LinkModel) {}
+
+    fn event(&mut self, event: &TraceEvent) {
+        self.events.push(*event);
     }
 
-    /// The send events, in time order.
-    pub fn sends(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Send { .. }))
+    fn span(&mut self, _node: NodeId, _phase: Option<u16>, _time: f64) {}
+
+    fn finish(&mut self, _nodes: &[NodeSummary]) {
+        self.sort();
     }
 }
 
@@ -108,25 +116,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn assemble_orders_by_time_then_node() {
-        let mk = |time, node| TraceEvent {
+    fn sink_orders_by_time_then_node_then_program_order() {
+        let mk = |time, node, comparisons| TraceEvent {
             time,
             node: NodeId::new(node),
             tag: Tag::new(0),
-            kind: TraceKind::Compute { comparisons: 1 },
+            kind: TraceKind::Compute { comparisons },
         };
-        let trace = Trace::assemble(vec![
-            vec![mk(3.0, 1), mk(1.0, 1)],
-            vec![mk(1.0, 0), mk(2.0, 0)],
-        ]);
-        let order: Vec<(f64, u32)> = trace
+        // Commit order: round 1 flushes node 0, then node 1; round 2
+        // flushes them again. Each node's clock only moves forward, but
+        // node 1 runs behind node 0, and at t = 1 its two events tie with
+        // each other and with node 0's.
+        let committed = [
+            mk(1.0, 0, 1),
+            mk(0.5, 1, 2),
+            mk(1.0, 1, 3),
+            mk(1.0, 1, 4),
+            mk(2.0, 0, 5),
+            mk(1.5, 1, 6),
+        ];
+        let mut trace = Trace::default();
+        trace.begin(1, &CostModel::default(), LinkModel::Uncontended);
+        trace.span(NodeId::new(0), Some(1), 0.0);
+        for e in &committed {
+            trace.event(e);
+        }
+        trace.span(NodeId::new(0), None, 2.0);
+        trace.finish(&[]);
+        let order: Vec<(f64, u32, usize)> = trace
             .events()
             .iter()
-            .map(|e| (e.time, e.node.raw()))
+            .map(|e| match e.kind {
+                TraceKind::Compute { comparisons } => (e.time, e.node.raw(), comparisons),
+                _ => unreachable!(),
+            })
             .collect();
-        assert_eq!(order, vec![(1.0, 0), (1.0, 1), (2.0, 0), (3.0, 1)]);
-        assert_eq!(trace.len(), 4);
+        assert_eq!(
+            order,
+            vec![
+                (0.5, 1, 2),
+                (1.0, 0, 1),
+                (1.0, 1, 3),
+                (1.0, 1, 4),
+                (1.5, 1, 6),
+                (2.0, 0, 5),
+            ]
+        );
+        assert_eq!(trace.len(), 6);
         assert!(!trace.is_empty());
-        assert_eq!(trace.for_node(NodeId::new(0)).count(), 2);
+        assert_eq!(
+            Trace::from_events(committed.to_vec()).events(),
+            trace.events()
+        );
     }
 }

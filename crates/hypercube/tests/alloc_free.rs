@@ -1,5 +1,5 @@
 //! Asserts the frontier engines' message path is allocation-free once
-//! warm when tracing is off — the property the zero-alloc hot path (and
+//! warm when no trace sink is attached — the property the zero-alloc hot path (and
 //! the preallocated observability buffers riding on it) is built around.
 //!
 //! The counting `#[global_allocator]` sees every allocation in the

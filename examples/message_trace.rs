@@ -13,8 +13,9 @@ use ftsort::distribute::{chunk_len, scatter};
 use ftsort::prelude::*;
 use ftsort::seq::heapsort;
 use hypercube::obs::critical_path::{gantt, CriticalPath, SegmentKind};
-use hypercube::sim::{BufferPool, TraceKind};
+use hypercube::sim::{BufferPool, Trace, TraceKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,8 +35,8 @@ fn main() {
         faults.to_vec()
     );
 
-    // Run the distributed bitonic sort (with reindexing if r == 1) under a
-    // tracing engine.
+    // Run the distributed bitonic sort (with reindexing if r == 1) with an
+    // in-memory trace attached.
     let fault_mask = faults.iter().next().map(|f| f.raw()).unwrap_or(0);
     let members: Vec<NodeId> = (0..cube.len() as u32)
         .map(|l| NodeId::new(l ^ fault_mask))
@@ -52,7 +53,9 @@ fn main() {
         inputs[members[logical].index()] = Some(chunk);
     }
 
-    let engine = Engine::new(faults.clone(), CostModel::paper_form()).with_tracing();
+    let trace = Arc::new(Mutex::new(Trace::default()));
+    let engine =
+        Engine::new(faults.clone(), CostModel::paper_form()).with_trace_sink(trace.clone());
     let members_ref = &members;
     let pool = &BufferPool::new();
     let out = engine.run(inputs, async move |ctx, mut chunk| {
@@ -78,9 +81,10 @@ fn main() {
     });
 
     // Render the trace.
+    let trace = std::mem::take(&mut *trace.lock().expect("trace sink lock poisoned"));
     println!("{:>10}  {:>4}  event", "time µs", "node");
     println!("{}", "-".repeat(64));
-    for e in out.trace().events() {
+    for e in trace.events() {
         let desc = match e.kind {
             TraceKind::Send { to, elements, hops } => {
                 format!("send → P{:<2}  {elements} keys, {hops} hop(s)", to.raw())
@@ -94,14 +98,15 @@ fn main() {
     }
     println!(
         "\n{} events; turnaround {:.1} µs; {} keys per live processor",
-        out.trace().len(),
+        trace.len(),
         out.turnaround(),
         k
     );
 
     // Walk the happens-before graph backward from the last-finishing node
     // and show which stretches were local work vs message transfers.
-    let obs = out.observation();
+    let mut obs = out.observation();
+    obs.trace = trace;
     let path = CriticalPath::compute(&obs).expect("traced run has a path");
     println!("\ncritical path ({} segments):", path.segments.len());
     for seg in &path.segments {

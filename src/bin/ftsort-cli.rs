@@ -378,8 +378,7 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("metrics written: {out}");
     }
     if let Some(out) = flags.get("trace-out") {
-        let json = hypercube::obs::perfetto::perfetto_json(&obs, &phase_name);
-        std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
+        ft_bench::write_trace(out, &obs)?;
         println!("trace written  : {out} (load in ui.perfetto.dev)");
     }
     if flags.contains_key("critical-path") {

@@ -10,7 +10,7 @@ use hypercube::fault::FaultSet;
 use hypercube::obs::critical_path::{render_report, CriticalPath};
 use hypercube::obs::diff::{diff_profiles, SegmentProfile};
 use hypercube::obs::json::Json;
-use hypercube::obs::perfetto::perfetto_json;
+use hypercube::obs::perfetto::write_perfetto;
 use hypercube::obs::replay::{observation_from_json, run_to_json};
 use hypercube::obs::schedule::reprice;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
@@ -20,6 +20,13 @@ use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
+
+/// The Perfetto export of `obs`, rendered into a `Vec<u8>`.
+fn perfetto_text(obs: &RunObservation) -> String {
+    let mut buf = Vec::new();
+    write_perfetto(obs, &phase_name, &mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("the export is UTF-8")
+}
 
 fn observed(engine: EngineKind, host_io: bool) -> (PhaseBreakdown, RunObservation) {
     observed_with(engine, host_io, LinkModel::Uncontended)
@@ -85,7 +92,7 @@ fn run_report_roundtrips_and_matches_breakdown() {
 #[test]
 fn perfetto_flows_respect_happens_before() {
     let (_, obs) = observed(EngineKind::Seq, false);
-    let text = perfetto_json(&obs, &phase_name);
+    let text = perfetto_text(&obs);
     let doc = Json::parse(&text).expect("valid JSON");
     let events = doc
         .get("traceEvents")
@@ -248,8 +255,8 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
             "{engine:?}: replayed report drifted"
         );
         assert_eq!(
-            perfetto_json(&replayed, &phase_name),
-            perfetto_json(&live, &phase_name),
+            perfetto_text(&replayed),
+            perfetto_text(&live),
             "{engine:?}: replayed Perfetto export drifted"
         );
         let cp_live = CriticalPath::compute(&live).expect("path");
@@ -371,7 +378,7 @@ fn contended_report_and_perfetto_carry_wait_accounting() {
 
     // the Perfetto export stays structurally valid and gains per-dim link
     // occupancy/queue counter tracks plus wait args on flow starts
-    let text = perfetto_json(&con, &phase_name);
+    let text = perfetto_text(&con);
     let doc = Json::parse(&text).expect("valid JSON");
     let check = hypercube::obs::perfetto::validate_chrome_trace(&doc).expect("structurally valid");
     assert!(check.flows > 0 && check.counters > 0);
@@ -384,7 +391,7 @@ fn contended_report_and_perfetto_carry_wait_accounting() {
 
     // uncontended exports never mention waits or link tracks
     let (_, unc) = observed(EngineKind::Seq, false);
-    let unc_text = perfetto_json(&unc, &phase_name);
+    let unc_text = perfetto_text(&unc);
     assert!(!unc_text.contains("\"wait\":"));
     assert!(!unc_text.contains("link dim"));
 }
