@@ -1,6 +1,6 @@
 //! Per-metric regression gate between two bench files of one kind: two
-//! `BENCH_engines.json` (written by `engines_json`), two `BENCH_sched.json`
-//! (`sched_json`) or two campaign reports (`ftsort-campaign --out`).
+//! `BENCH_engines.json` (written by `engines_json`) or two campaign
+//! reports (`ftsort-campaign --out`).
 //!
 //! Every input becomes rows of named metrics. Results rows and campaign
 //! cells are matched by `(n, r, m, workers, link_model)` (`workers`
@@ -37,7 +37,7 @@
 //! On a single-core host the parallel engine cannot beat the sequential
 //! one and the check is skipped with a note.
 //!
-//! A B row with profiler ring drops (`events_dropped`, sched rows) or
+//! A B row with profiler ring drops (`events_dropped`, par rows) or
 //! failed runs (`runs_failed`, campaign cells) prints a `WARNING`: its
 //! aggregates under-count. That never fails the diff.
 //!
@@ -326,10 +326,10 @@ fn load(path: &str) -> Bench {
     })
 }
 
-/// Reads an engines or sched file (`results[]`, optional `kernel.rows[]`)
-/// or a campaign report (`cells[]`). Tolerates older engines schemas
-/// without `workers`, `link_model`, `host_cores` or a kernel section, so
-/// a new binary can diff against an old baseline.
+/// Reads an engines file (`results[]`, optional `kernel.rows[]`) or a
+/// campaign report (`cells[]`). Tolerates older schemas without
+/// `workers`, `link_model`, `host_cores`, the scheduler fields or a kernel
+/// section, so a new binary can diff against an old baseline.
 fn parse_bench(text: &str) -> Result<Bench, String> {
     let doc = Json::parse(text)?;
     if doc.get("cells").is_some() {
@@ -365,7 +365,7 @@ fn parse_bench(text: &str) -> Result<Bench, String> {
     })
 }
 
-/// The metrics of one engines, sched or kernel row: every numeric field
+/// The metrics of one results or kernel row: every numeric field
 /// with a [`gate`], the same inside `speedups`, and every `phases` entry
 /// as `phase NAME`.
 fn row_metrics(row: &Json) -> Result<Vec<(String, f64)>, String> {
@@ -394,7 +394,7 @@ fn row_metrics(row: &Json) -> Result<Vec<(String, f64)>, String> {
     Ok(metrics)
 }
 
-/// One `results[]` row of an engines or sched file.
+/// One `results[]` row of an engines file.
 fn results_row(row: &Json) -> Result<Row, String> {
     let int = |k: &str| {
         row.get(k)

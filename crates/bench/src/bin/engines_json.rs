@@ -23,6 +23,17 @@
 //! `bench_diff` gates at the virtual-time tolerance (uncontended rows
 //! report it too; it is identically 0 there).
 //!
+//! Every par row also carries the scheduler's health on that rung, from
+//! a [`SchedReport`]: **utilization** (Σ busy / workers × makespan),
+//! **steal_rate** (stolen / claimed), **barrier_share** (barrier + park /
+//! Σ wall), the run's `makespan_ns` and the profiler's `events_dropped`.
+//! After its timed sorts each rung runs `--trials` profiled ones and keeps
+//! the one with the smallest makespan: scheduler noise (a descheduled
+//! worker, a cold cache) only ever makes health look worse. The timed
+//! sorts stay bare, so the wall columns never pay for the profiler.
+//! `bench_diff` gates utilization and barrier share like the wall ratios
+//! (same host, banded by `--wall-tolerance`).
+//!
 //! Keys default to `i64`; `--key-type u32|u64|i64|pair` selects the
 //! element type the whole run is monomorphised over (recorded top-level).
 //! A `kernel` section times the merge kernels themselves — scalar vs
@@ -40,14 +51,20 @@
 //! Compare two outputs (e.g. before/after a scheduler change) with the
 //! `bench_diff` binary, which flags per-engine and per-phase regressions
 //! and checks the multi-core crossover.
+//!
+//! [`SchedReport`]: hypercube::obs::sched::SchedReport
 
 use ft_bench::{random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::bitonic::Protocol;
+use ftsort::bitonic::{Protocol, SortOutcome};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
+use hypercube::obs::sched::{SchedProfiler, SchedReport};
 use hypercube::sim::{EngineKind, LinkModel};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Instant;
 
 struct Row {
@@ -56,11 +73,6 @@ struct Row {
     m_total: usize,
     /// Worker count the par engine was asked to run with for this row.
     workers: usize,
-    /// Worker count that actually ran after the shard-count clamp
-    /// (`schedule_for`): on small cubes fewer shards than workers exist.
-    workers_effective: usize,
-    /// Effective shard size (after `auto_shard_size`).
-    shard_size: usize,
     /// Link pricing model this row ran under.
     link_model: LinkModel,
     virtual_us: f64,
@@ -69,6 +81,10 @@ struct Row {
     wait_total_us: f64,
     seq_s: f64,
     par_s: f64,
+    /// Scheduler profile of the rung's profiled run with the smallest
+    /// makespan. Its `workers` and `shard_size` are the schedule that ran:
+    /// on small cubes fewer shards than workers exist.
+    sched: SchedReport,
     /// Per-phase virtual time, `(name, max-over-nodes µs)`, from the
     /// run's [`RunReport`](hypercube::obs::RunReport).
     phases: Vec<(String, f64)>,
@@ -113,36 +129,25 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--sizes" => {
+                let needs = "a comma list of cube dimensions ≥ 1, e.g. 6,8,10";
                 cfg.sizes = args
                     .next()
                     .unwrap_or_default()
                     .split(',')
-                    .filter_map(|v| v.parse().ok())
+                    .map(|v| parse::<NonZeroUsize>(&a, Some(v), needs).get())
                     .collect();
-                if cfg.sizes.is_empty() {
-                    eprintln!("--sizes needs a comma list, e.g. 6,8,10");
-                    std::process::exit(2);
-                }
             }
-            "--m" => {
-                cfg.m_total = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.m_total)
-            }
+            "--m" => cfg.m_total = parse(&a, args.next().as_deref(), "a key count, e.g. 16000"),
             "--trials" => {
-                cfg.trials = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.trials)
+                let needs = "a count ≥ 1, e.g. 3";
+                cfg.trials = parse::<NonZeroUsize>(&a, args.next().as_deref(), needs).get();
             }
-            "--seed" => cfg.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(cfg.seed),
-            "--out" => cfg.out = args.next().unwrap_or(cfg.out),
+            "--seed" => cfg.seed = parse(&a, args.next().as_deref(), "an integer, e.g. 1992"),
+            "--out" => cfg.out = args.next().unwrap_or_else(|| usage("--out needs a path")),
             "--key-type" => cfg.key_type = ft_bench::parse_key_type(args.next()),
             other => {
                 if !cfg.obs_flags.parse(other, &mut args) {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
+                    usage(&format!("unknown argument {other}"));
                 }
             }
         }
@@ -155,6 +160,22 @@ fn main() {
         KeyType::I64 => run::<i64>(cfg),
         KeyType::Pair => run::<KeyPair>(cfg),
     }
+}
+
+/// `value` parsed as a `T`, or a usage error saying what `flag` needs.
+fn parse<T: FromStr>(flag: &str, value: Option<&str>, needs: &str) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} needs {needs}")))
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: engines_json [--sizes N,N,...] [--m KEYS] [--trials T] [--seed S] \
+         [--key-type u32|u64|i64|pair] [--out FILE] [observability flags]"
+    );
+    std::process::exit(2);
 }
 
 fn run<K: GenKey>(cfg: Cfg) {
@@ -170,11 +191,22 @@ fn run<K: GenKey>(cfg: Cfg) {
         cfg.seed, cfg.key_type
     );
     println!(
-        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>9}",
-        "n", "r", "workers", "link", "virtual ms", "wait ms", "seq s", "par s", "par/seq"
+        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>9} {:>11} {:>13}",
+        "n",
+        "r",
+        "workers",
+        "link",
+        "virtual ms",
+        "wait ms",
+        "seq s",
+        "par s",
+        "par/seq",
+        "utilization",
+        "barrier share"
     );
-    println!("{}", "-".repeat(97));
+    println!("{}", "-".repeat(123));
 
+    let profiler = Arc::new(SchedProfiler::new());
     let mut rows = Vec::new();
     let mut last = None;
     for &n in &cfg.sizes {
@@ -183,36 +215,29 @@ fn run<K: GenKey>(cfg: Cfg) {
         let plan = FtPlan::new(&faults).expect("r = n − 1 is tolerable");
         let data: Vec<K> = random_keys_typed(m_total, &mut rng);
         for link_model in [LinkModel::Uncontended, LinkModel::Contended] {
-            let time = |kind: EngineKind, threads: Option<usize>| {
-                let config = FtConfig {
-                    protocol: Protocol::HalfExchange,
-                    engine: kind,
-                    threads,
-                    link_model,
-                    ..FtConfig::default()
-                };
-                let mut best = f64::INFINITY;
-                let mut outcome = None;
-                for _ in 0..trials {
-                    let start = Instant::now();
-                    let run =
-                        fault_tolerant_sort(&plan, &config, data.clone(), Attach::default()).0;
-                    best = best.min(start.elapsed().as_secs_f64());
-                    outcome = Some(run);
-                }
-                (best, outcome.expect("trials ≥ 1"))
-            };
-            let (seq_s, seq) = time(EngineKind::Seq, None);
-            // One extra (untimed) run per (n, link model): its RunReport
-            // supplies the per-phase virtual-time split and the link-wait
-            // total without touching the wall clocks.
-            let config = FtConfig {
+            let config = |engine: EngineKind, threads: Option<usize>| FtConfig {
                 protocol: Protocol::HalfExchange,
-                engine: EngineKind::Seq,
+                engine,
+                threads,
                 link_model,
                 ..FtConfig::default()
             };
-            let (_, _, obs) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
+            // Best-of-`trials` wall clock of bare sorts, and the last run.
+            let time = |config: &FtConfig| {
+                let mut best = f64::INFINITY;
+                let mut last = None;
+                for _ in 0..trials {
+                    let start = Instant::now();
+                    let run = fault_tolerant_sort(&plan, config, data.clone(), Attach::default());
+                    best = best.min(start.elapsed().as_secs_f64());
+                    last = Some(run);
+                }
+                (best, last.expect("--trials is at least 1"))
+            };
+            let (seq_s, (seq, _, obs)) = time(&config(EngineKind::Seq, None));
+            // Every sort observes its phase spans and link waits, so the
+            // last timed run supplies the per-phase virtual-time split and
+            // the link-wait total.
             let report = obs.report(&ftsort::ftsort::phase_name);
             let phases: Vec<(String, f64)> = report
                 .phases
@@ -221,32 +246,38 @@ fn run<K: GenKey>(cfg: Cfg) {
                 .collect();
             let wait_total_us: f64 = report.nodes.iter().map(|m| m.link_wait_us).sum();
             // The drill-down runs the last paper-model (uncontended) case
-            // on par, the engine the scheduler profile needs.
+            // on par, the engine whose worker ladder this bin sweeps.
             if link_model == LinkModel::Uncontended && cfg.obs_flags.enabled() {
-                let config = FtConfig {
-                    engine: EngineKind::Par,
-                    ..config
-                };
-                last = Some((plan.clone(), config, data.clone()));
+                last = Some((plan.clone(), config(EngineKind::Par, None), data.clone()));
             }
+            let same_as_seq = |run: &SortOutcome<K>, workers: usize, what: &str| {
+                let at = format!("n={n} {link_model} workers={workers}: {what}");
+                assert_eq!(run.sorted, seq.sorted, "{at}: sorted output differs");
+                assert_eq!(run.time_us, seq.time_us, "{at}: virtual time differs");
+                assert_eq!(run.stats, seq.stats, "{at}: operation counts differ");
+            };
             for &workers in &ladder {
-                let (workers_effective, shard_size, _) =
-                    hypercube::sim::par::schedule_for(plan.live_count(), Some(workers), None);
-                let (par_s, par) = time(EngineKind::Par, Some(workers));
-                assert_eq!(
-                    par.sorted, seq.sorted,
-                    "n={n} {link_model} workers={workers}: par sorted output differs"
-                );
-                assert_eq!(
-                    par.time_us, seq.time_us,
-                    "n={n} {link_model} workers={workers}: par virtual time differs"
-                );
-                assert_eq!(
-                    par.stats, seq.stats,
-                    "n={n} {link_model} workers={workers}: par operation counts differ"
-                );
+                let par_config = config(EngineKind::Par, Some(workers));
+                let (par_s, (par, _, _)) = time(&par_config);
+                same_as_seq(&par, workers, "par");
+                // Profiled after the timed runs, so the profiler's cost
+                // stays out of the wall clocks.
+                let sched = (0..trials)
+                    .map(|_| {
+                        let attach = Attach {
+                            profiler: Some(Arc::clone(&profiler)),
+                            ..Attach::default()
+                        };
+                        let (run, _, _) =
+                            fault_tolerant_sort(&plan, &par_config, data.clone(), attach);
+                        same_as_seq(&run, workers, "profiled par");
+                        profiler.take().expect("par installs its profile").report()
+                    })
+                    .min_by_key(|report| report.makespan_ns)
+                    .expect("--trials is at least 1");
                 println!(
-                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>8.2}×",
+                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>8.2}× \
+                     {:>11.3} {:>13.3}",
                     n,
                     r,
                     workers,
@@ -255,20 +286,21 @@ fn run<K: GenKey>(cfg: Cfg) {
                     wait_total_us / 1000.0,
                     seq_s,
                     par_s,
-                    seq_s / par_s
+                    seq_s / par_s,
+                    sched.utilization(),
+                    sched.barrier_share()
                 );
                 rows.push(Row {
                     n,
                     r,
                     m_total,
                     workers,
-                    workers_effective,
-                    shard_size,
                     link_model,
                     virtual_us: seq.time_us,
                     wait_total_us,
                     seq_s,
                     par_s,
+                    sched,
                     phases: phases.clone(),
                 });
             }
@@ -386,18 +418,25 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
              \"workers_effective\": {}, \"shard_size\": {}, \"link_model\": \"{}\", \
              \"virtual_us\": {:.3}, \"wait_total_us\": {:.3}, \
              \"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \
+             \"utilization\": {:.4}, \"steal_rate\": {:.4}, \"barrier_share\": {:.4}, \
+             \"makespan_ns\": {}, \"events_dropped\": {}, \
              \"speedups\": {{\"par_over_seq\": {:.2}}}, \"phases\": {{",
             row.n,
             row.r,
             row.m_total,
             row.workers,
-            row.workers_effective,
-            row.shard_size,
+            row.sched.workers,
+            row.sched.shard_size,
             row.link_model,
             row.virtual_us,
             row.wait_total_us,
             row.seq_s,
             row.par_s,
+            row.sched.utilization(),
+            row.sched.steal_rate(),
+            row.sched.barrier_share(),
+            row.sched.makespan_ns,
+            row.sched.events_dropped,
             row.seq_s / row.par_s
         );
         for (j, (name, us)) in row.phases.iter().enumerate() {

@@ -117,8 +117,8 @@ pub fn parse_engine(value: Option<String>) -> hypercube::sim::EngineKind {
     }
 }
 
-/// The par-engine worker counts `engines_json` and `sched_json` sweep on
-/// a host with `host_cores` cores: `{1, 2, 4, host_cores}`, deduplicated,
+/// The par-engine worker counts `engines_json` sweeps on a host with
+/// `host_cores` cores: `{1, 2, 4, host_cores}`, deduplicated,
 /// ascending. Rungs above the core count still run — they measure the
 /// scheduler's oversubscription robustness, and emitting them
 /// unconditionally keeps row keys comparable across hosts with different

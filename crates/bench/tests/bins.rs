@@ -177,6 +177,66 @@ fn engines_json_smoke() {
     assert!(json.contains("\"par_wall_s\""), "{json}");
     assert!(json.contains("\"par_over_seq\""), "{json}");
     assert!(json.contains("\"workers\": 1"), "{json}");
+    // Every par row carries its profiled run's scheduler health.
+    let doc = hypercube::obs::json::Json::parse(&json).expect("bench file is JSON");
+    let rows = doc
+        .get("results")
+        .and_then(|r| r.as_arr())
+        .expect("results");
+    assert!(!rows.is_empty(), "{json}");
+    for row in rows {
+        let num = |k: &str| row.get(k).and_then(|v| v.as_f64());
+        for share in ["utilization", "barrier_share"] {
+            let v = num(share).unwrap_or_else(|| panic!("row lacks {share}: {json}"));
+            assert!((0.0..=1.0).contains(&v), "{share} {v}: {json}");
+        }
+        assert!(num("steal_rate").is_some(), "{json}");
+        assert!(num("makespan_ns").is_some_and(|ns| ns > 0.0), "{json}");
+        assert_eq!(
+            row.get("events_dropped").and_then(|v| v.as_u64()),
+            Some(0),
+            "{json}"
+        );
+    }
+}
+
+#[test]
+fn engines_json_rejects_bad_arguments() {
+    // Each bad value is a usage error naming its flag, before any sort
+    // runs; the leading flags keep a missed rejection quick.
+    let out =
+        std::env::temp_dir().join(format!("ft_bench_engines_bad_{}.json", std::process::id()));
+    let base = [
+        "--sizes",
+        "3",
+        "--m",
+        "500",
+        "--trials",
+        "1",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    for (bad, flag) in [
+        (&["--trials", "0"][..], "--trials"),
+        (&["--trials"], "--trials"),
+        (&["--sizes", "0"], "--sizes"),
+        (&["--sizes", "3,x"], "--sizes"),
+        (&["--m", "abc"], "--m"),
+        (&["--seed", "abc"], "--seed"),
+        (&["--out"], "--out"),
+        (&["--bogus"], "--bogus"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_engines_json"))
+            .args(base)
+            .args(bad)
+            .output()
+            .expect("engines_json runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains(flag), "{bad:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{bad:?} ran");
+    }
+    assert!(!out.exists(), "no bench file on a usage error");
 }
 
 #[test]
@@ -192,6 +252,8 @@ fn bench_diff_smoke() {
     assert!(text.contains("virtual_us"), "{text}");
     assert!(text.contains("workers=1"), "{text}");
     assert!(text.contains("par_over_seq"), "{text}");
+    assert!(text.contains("utilization"), "{text}");
+    assert!(text.contains("barrier_share"), "{text}");
     // a negative tolerance flags even the +0.0% self-diff: exit 1
     let fail = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
         .args(["--a", out_str, "--b", out_str, "--tolerance", "-1"])
@@ -225,9 +287,9 @@ fn bench_diff_smoke() {
 
 #[test]
 fn bench_diff_warns_on_dropped_events_without_failing() {
-    // Hand-built sched-style rows: B reports ring drops. The diff must
-    // print a loud WARNING but still exit 0 — truncated telemetry is not
-    // a performance regression.
+    // Hand-built rows with only the scheduler fields: B reports ring
+    // drops. The diff must print a loud WARNING but still exit 0 —
+    // truncated telemetry is not a performance regression.
     let row = |dropped: u64| {
         format!(
             "{{\"results\": [{{\"n\": 10, \"r\": 1, \"m\": 4000, \"workers\": 4, \
@@ -252,8 +314,6 @@ fn bench_diff_warns_on_dropped_events_without_failing() {
 // Variants are made by string replacement, as CI's `sed`s do.
 const ENGINES_CI: &str = include_str!("fixtures/BENCH_engines_ci.json");
 const ENGINES: &str = include_str!("fixtures/BENCH_engines.json");
-const SCHED_CI: &str = include_str!("fixtures/BENCH_sched_ci.json");
-const SCHED: &str = include_str!("fixtures/BENCH_sched.json");
 const CAMPAIGN_CI: &str = include_str!("fixtures/BENCH_campaign_ci.json");
 
 /// What one bench_diff run decided.
@@ -266,8 +326,15 @@ struct Verdict {
 }
 
 impl Verdict {
-    fn counts(&self) -> (i32, usize, usize) {
-        (self.exit, self.regressions.len(), self.warnings)
+    /// Exit code, regressed metrics, how many of those are scheduler gates
+    /// (`utilization`, `barrier_share`), and warnings.
+    fn counts(&self) -> (i32, usize, usize, usize) {
+        let sched = self
+            .regressions
+            .iter()
+            .filter(|l| l.contains("utilization") || l.contains("barrier_share"))
+            .count();
+        (self.exit, self.regressions.len(), sched, self.warnings)
     }
 }
 
@@ -324,54 +391,60 @@ fn set_all(text: &str, key: &str, value: &str) -> String {
 
 #[test]
 fn bench_diff_verdicts_on_engine_baselines() {
+    // Negative wall bands flag the wall ratios, the kernel speedups and,
+    // on the uncontended par rows, the scheduler gates. Each pin is the
+    // exit code, all regressed metrics (the wall and kernel ones + the
+    // scheduler gates), the scheduler gates alone, and the warnings.
     for (tag, a, b, extra, want) in [
-        ("eci_self", ENGINES_CI, ENGINES_CI, &[][..], (0, 0, 0)),
-        ("eng_self", ENGINES, ENGINES, &[], (0, 0, 0)),
+        ("eci_self", ENGINES_CI, ENGINES_CI, &[][..], (0, 0, 0, 0)),
+        ("eng_self", ENGINES, ENGINES, &[], (0, 0, 0, 0)),
         (
             "eci_tol",
             ENGINES_CI,
             ENGINES_CI,
             &["--tolerance", "-1"],
-            (1, 60, 0),
+            (1, 60, 0, 0),
         ),
         (
             "eci_wall_all",
             ENGINES_CI,
             ENGINES_CI,
             &["--wall-tolerance", "-5", "--min-ratio-wall", "0"],
-            (1, 20, 0),
+            (1, 20 + 6, 6, 0),
         ),
         (
             "eng_wall",
             ENGINES,
             ENGINES,
             &["--wall-tolerance", "-5"],
-            (1, 14, 0),
+            (1, 14 + 12, 12, 0),
         ),
-        ("eci_vs_sci", ENGINES_CI, SCHED_CI, &[], (0, 0, 0)),
     ] {
         let v = pin(tag, a, b, extra);
         assert_eq!(v.counts(), want, "{tag}:\n{}", v.stdout);
     }
 
     // The default --min-ratio-wall keeps the CI rows' sub-millisecond
-    // par_over_seq out of the gate: only the kernel speedups fire.
+    // par_over_seq out of the gate: only the kernel speedups and the
+    // scheduler gates fire.
     let v = pin(
         "eci_wall",
         ENGINES_CI,
         ENGINES_CI,
         &["--wall-tolerance", "-5"],
     );
-    assert_eq!(v.counts(), (1, 8, 0), "{}", v.stdout);
+    assert_eq!(v.counts(), (1, 8 + 6, 6, 0), "{}", v.stdout);
     assert!(
-        v.regressions.iter().all(|l| l.contains("_over_scalar")),
+        v.regressions.iter().all(|l| l.contains("_over_scalar")
+            || l.contains("utilization")
+            || l.contains("barrier_share")),
         "{}",
         v.stdout
     );
 
     let slow = set_all(ENGINES_CI, "\"branchless_over_scalar\": ", "0.10");
     let v = pin("eci_kernel", ENGINES_CI, &slow, &[]);
-    assert_eq!(v.counts(), (1, 4, 0), "{}", v.stdout);
+    assert_eq!(v.counts(), (1, 4, 0, 0), "{}", v.stdout);
     assert!(
         v.regressions
             .iter()
@@ -415,43 +488,35 @@ fn bench_diff_crossover_verdicts() {
 
 #[test]
 fn bench_diff_verdicts_on_sched_and_campaign_baselines() {
-    let dropped = set_all(SCHED_CI, "\"events_dropped\": ", "5");
+    // The scheduler fields ride on the engines baselines' par rows.
+    let dropped = set_all(ENGINES_CI, "\"events_dropped\": ", "5");
     let p99 = set_all(CAMPAIGN_CI, "\"p99_makespan_us\":", "999999");
     let failed = set_all(CAMPAIGN_CI, "\"runs_failed\":", "2");
     for (tag, a, b, extra, want) in [
-        ("sci_self", SCHED_CI, SCHED_CI, &[][..], (0, 0, 0)),
         (
-            "sci_wall",
-            SCHED_CI,
-            SCHED_CI,
-            &["--wall-tolerance", "-5"],
-            (1, 6, 0),
+            "eci_dropped",
+            ENGINES_CI,
+            dropped.as_str(),
+            &[][..],
+            (0, 0, 0, 6),
         ),
-        (
-            "sch_wall",
-            SCHED,
-            SCHED,
-            &["--wall-tolerance", "-5"],
-            (1, 12, 0),
-        ),
-        ("sci_dropped", SCHED_CI, &dropped, &[], (0, 0, 6)),
-        ("camp_self", CAMPAIGN_CI, CAMPAIGN_CI, &[], (0, 0, 0)),
+        ("camp_self", CAMPAIGN_CI, CAMPAIGN_CI, &[], (0, 0, 0, 0)),
         (
             "camp_tol",
             CAMPAIGN_CI,
             CAMPAIGN_CI,
             &["--tolerance", "-1"],
-            (1, 6, 0),
+            (1, 6, 0, 0),
         ),
-        ("camp_p99", CAMPAIGN_CI, &p99, &[], (1, 1, 0)),
-        ("camp_failed", CAMPAIGN_CI, &failed, &[], (0, 0, 1)),
+        ("camp_p99", CAMPAIGN_CI, &p99, &[], (1, 1, 0, 0)),
+        ("camp_failed", CAMPAIGN_CI, &failed, &[], (0, 0, 0, 1)),
     ] {
         let v = pin(tag, a, b, extra);
         assert_eq!(v.counts(), want, "{tag}:\n{}", v.stdout);
         if tag == "camp_p99" {
             assert!(v.regressions[0].contains("p99_makespan_us"), "{}", v.stdout);
         }
-        if tag == "sci_dropped" {
+        if tag == "eci_dropped" {
             assert!(v.stdout.contains("dropped 5 event(s)"), "{}", v.stdout);
         }
         if tag == "camp_failed" {

@@ -799,8 +799,8 @@ impl SchedReport {
     }
 
     /// Serializes to the sched-report JSON schema (DESIGN.md §6). Derived
-    /// metrics are included for consumers (`sched_json`, `bench_diff`) but
-    /// ignored on parse.
+    /// metrics are included for consumers (`ftsort-bench` reads them from
+    /// `--sched-out` files) but ignored on parse.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         self.write(&mut out);
