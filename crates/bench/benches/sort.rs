@@ -3,11 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ft_bench::{random_faults, random_keys};
-use ftsort::bitonic::{bitonic_sort, Protocol};
+use ftsort::bitonic::bitonic_sort;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
 use ftsort::seq::{heapsort, Direction};
-use hypercube::cost::CostModel;
 use hypercube::topology::Hypercube;
 use std::hint::black_box;
 
@@ -41,9 +40,9 @@ fn bench_fault_free(c: &mut Criterion) {
                 |data| {
                     black_box(bitonic_sort(
                         Hypercube::new(n),
-                        CostModel::default(),
+                        &FtConfig::default(),
                         data,
-                        Protocol::HalfExchange,
+                        Attach::default(),
                     ))
                 },
                 BatchSize::LargeInput,
@@ -85,9 +84,9 @@ fn bench_mffs(c: &mut Criterion) {
                 |data| {
                     black_box(mffs_sort(
                         &faults,
-                        CostModel::default(),
+                        &FtConfig::default(),
                         data,
-                        Protocol::HalfExchange,
+                        Attach::default(),
                     ))
                 },
                 BatchSize::LargeInput,

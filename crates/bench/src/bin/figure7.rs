@@ -16,7 +16,7 @@
 //! ```
 
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::bitonic::{bitonic_sort_with_engine, Protocol};
+use ftsort::bitonic::{bitonic_sort, Protocol};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
@@ -91,9 +91,16 @@ fn run<K: GenKey>(
     key_type: KeyType,
     obs_flags: &ObsFlags,
 ) {
+    let config = FtConfig {
+        cost,
+        protocol: Protocol::HalfExchange,
+        engine,
+        threads: obs_flags.threads,
+        ..FtConfig::default()
+    };
     let mut last = None;
     for &n in panels {
-        figure7_panel::<K>(n, seed, trials, csv, cost, engine, obs_flags, &mut last);
+        figure7_panel::<K>(n, seed, trials, csv, &config, obs_flags, &mut last);
         println!();
     }
     if let Some((plan, config, data)) = last {
@@ -101,14 +108,12 @@ fn run<K: GenKey>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn figure7_panel<K: GenKey>(
     n: usize,
     seed: u64,
     trials: usize,
     csv: bool,
-    cost: CostModel,
-    engine: EngineKind,
+    config: &FtConfig,
     obs_flags: &ObsFlags,
     last: &mut Option<(FtPlan, FtConfig, Vec<K>)>,
 ) {
@@ -133,7 +138,7 @@ fn figure7_panel<K: GenKey>(
         println!(
             "Figure 7{label}: execution time (simulated ms) on Q{n}; seed = {seed}, \
              {trials} fault draws per r; cost model {:?}",
-            cost
+            config.cost
         );
         print!("{:>9}", "M");
         for r in 0..n {
@@ -163,18 +168,11 @@ fn figure7_panel<K: GenKey>(
             let mut total = 0.0;
             for faults in sets {
                 let plan = FtPlan::new(faults).expect("tolerable");
-                let config = FtConfig {
-                    cost,
-                    protocol: Protocol::HalfExchange,
-                    engine,
-                    threads: obs_flags.threads,
-                    ..FtConfig::default()
-                };
                 let (out, _, _) =
-                    fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
+                    fault_tolerant_sort(&plan, config, data.clone(), Attach::default());
                 total += out.time_us;
                 if obs_flags.enabled() {
-                    *last = Some((plan, config, data.clone()));
+                    *last = Some((plan, *config, data.clone()));
                 }
             }
             let ms = total / sets.len() as f64 / 1000.0;
@@ -185,13 +183,11 @@ fn figure7_panel<K: GenKey>(
             }
         }
         for t in 1..n {
-            let out = bitonic_sort_with_engine(
+            let (out, _) = bitonic_sort(
                 Hypercube::new(n - t),
-                cost,
+                config,
                 data.clone(),
-                Protocol::HalfExchange,
-                engine,
-                obs_flags.threads,
+                Attach::default(),
             );
             let ms = out.time_us / 1000.0;
             if csv {

@@ -12,11 +12,10 @@
 
 use ft_bench::workload::Workload;
 use ft_bench::{parse_engine, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::baselines::hyperquicksort_with_engine;
+use ftsort::baselines::hyperquicksort;
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::sim::EngineKind;
 use hypercube::topology::Hypercube;
@@ -73,6 +72,12 @@ fn run<K: GenKey>(
         "distribution", "FT bitonic ms", "hyperquick ms"
     );
     println!("{}", "-".repeat(46));
+    let config = FtConfig {
+        protocol: Protocol::HalfExchange,
+        engine,
+        threads: obs_flags.threads,
+        ..FtConfig::default()
+    };
     let mut ft_times = Vec::new();
     let mut hq_times = Vec::new();
     let mut last = None;
@@ -81,18 +86,12 @@ fn run<K: GenKey>(
         let mut expect = data.clone();
         expect.sort_unstable();
         let plan = FtPlan::new(&faults).expect("tolerable");
-        let config = FtConfig {
-            protocol: Protocol::HalfExchange,
-            engine,
-            threads: obs_flags.threads,
-            ..FtConfig::default()
-        };
         let (ours, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
         assert_eq!(ours.sorted, expect);
         if obs_flags.enabled() {
             last = Some((plan, config, data.clone()));
         }
-        let hq = hyperquicksort_with_engine(cube, CostModel::default(), data, engine);
+        let (hq, _) = hyperquicksort(cube, &config, data, Attach::default());
         assert_eq!(hq.sorted, expect);
         println!(
             "{:<14} {:>14.1} {:>16.1}",

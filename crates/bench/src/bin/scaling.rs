@@ -15,9 +15,8 @@
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
-use ftsort::mffs::mffs_sort_with_engine;
+use ftsort::mffs::mffs_sort;
 use ftsort::seq::{KeyPair, KeyType};
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::sim::EngineKind;
 use hypercube::topology::Hypercube;
@@ -59,6 +58,12 @@ fn run<K: GenKey>(
     obs_flags: ObsFlags,
 ) {
     let mut rng = ft_bench::rng(seed);
+    let config = FtConfig {
+        protocol: Protocol::HalfExchange,
+        engine,
+        threads: obs_flags.threads,
+        ..FtConfig::default()
+    };
 
     println!(
         "1. Machine-size sweep at r = n − 1 faults, M = {m_total}; seed = {seed}, \
@@ -80,26 +85,13 @@ fn run<K: GenKey>(
             let data: Vec<K> = random_keys_typed(m_total, &mut rng);
             let plan = FtPlan::new(&faults).expect("tolerable");
             live += plan.live_count();
-            let config = FtConfig {
-                protocol: Protocol::HalfExchange,
-                engine,
-                threads: obs_flags.threads,
-                ..FtConfig::default()
-            };
             let (out, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
             ours_ms += out.time_us / 1000.0;
             if obs_flags.enabled() {
                 last = Some((plan, config, data.clone()));
             }
-            mffs_ms += mffs_sort_with_engine(
-                &faults,
-                CostModel::default(),
-                data,
-                Protocol::HalfExchange,
-                engine,
-            )
-            .time_us
-                / 1000.0;
+            let (mffs, _) = mffs_sort(&faults, &config, data, Attach::default());
+            mffs_ms += mffs.time_us / 1000.0;
         }
         let t = trials as f64;
         println!(
@@ -137,12 +129,6 @@ fn run<K: GenKey>(
         match plan {
             Some((_faults, p)) => {
                 let data: Vec<K> = random_keys_typed(m_total, &mut rng);
-                let config = FtConfig {
-                    protocol: Protocol::HalfExchange,
-                    engine,
-                    threads: obs_flags.threads,
-                    ..FtConfig::default()
-                };
                 if obs_flags.enabled() {
                     last = Some((p.clone(), config, data.clone()));
                 }

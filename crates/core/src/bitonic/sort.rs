@@ -8,13 +8,13 @@
 //!   skip rule.
 
 use super::distributed::distributed_bitonic_sort;
-use super::protocol::Protocol;
-use crate::distribute::{chunk_len, gather, scatter};
-use crate::seq::{heapsort, Direction, Key};
+use crate::distribute::chunk_len;
+use crate::ftsort::{sort_on_members, Attach, FtConfig};
+use crate::seq::{Direction, Key};
 use hypercube::address::NodeId;
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::sim::{BufferPool, Comm, Engine, EngineKind};
+use hypercube::obs::RunObservation;
+use hypercube::sim::Comm;
 use hypercube::stats::RunStats;
 use hypercube::topology::Hypercube;
 
@@ -35,54 +35,29 @@ pub struct SortOutcome<K> {
 const PHASE_MAIN: u16 = 1;
 
 /// Sorts `data` on a fault-free `Q_n` with the bitonic sorting algorithm,
-/// each processor first heapsorting its local chunk.
+/// each processor first sorting its local chunk (`config.local_sort`,
+/// heapsort by default). Returns the outcome and the run's observation.
 ///
 /// ```
-/// use ftsort::bitonic::{bitonic_sort, Protocol};
-/// use hypercube::prelude::*;
+/// use ftsort::prelude::*;
 ///
-/// let out = bitonic_sort(
+/// let (out, _) = bitonic_sort(
 ///     Hypercube::new(3),
-///     CostModel::default(),
+///     &FtConfig::default(),
 ///     vec![5u32, 3, 9, 1, 7, 2, 8, 4],
-///     Protocol::HalfExchange,
+///     Attach::default(),
 /// );
 /// assert_eq!(out.sorted, vec![1, 2, 3, 4, 5, 7, 8, 9]);
 /// assert_eq!(out.processors_used, 8);
 /// ```
-pub fn bitonic_sort<K>(
+pub fn bitonic_sort<K: Key>(
     cube: Hypercube,
-    cost: CostModel,
+    config: &FtConfig,
     data: Vec<K>,
-    protocol: Protocol,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    bitonic_sort_with_engine(cube, cost, data, protocol, EngineKind::default(), None)
-}
-
-/// [`bitonic_sort`] with an explicit execution engine and, for the
-/// par engine, worker count (`None` = available parallelism; the seq
-/// engine is one worker and ignores it). Both engines return byte-identical
-/// outcomes at any worker count; the choice only affects wall-clock speed.
-pub fn bitonic_sort_with_engine<K>(
-    cube: Hypercube,
-    cost: CostModel,
-    data: Vec<K>,
-    protocol: Protocol,
-    kind: EngineKind,
-    threads: Option<usize>,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    let mut engine = Engine::fault_free(cube, cost).with_engine(kind);
-    if let Some(threads) = threads {
-        engine = engine.with_workers(threads);
-    }
+    attach: Attach<'_, K>,
+) -> (SortOutcome<K>, RunObservation) {
     let members: Vec<NodeId> = cube.nodes().collect();
-    sort_on_members(&engine, &members, None, data, protocol)
+    bitonic_on_members(&FaultSet::none(cube), config, attach, &members, None, data)
 }
 
 /// Sorts `data` on a `Q_n` that has **exactly one** faulty processor
@@ -95,104 +70,85 @@ where
 ///
 /// # Panics
 /// If `faults` does not contain exactly one faulty processor.
-pub fn single_fault_bitonic_sort<K>(
-    faults: FaultSet,
-    cost: CostModel,
+pub fn single_fault_bitonic_sort<K: Key>(
+    faults: &FaultSet,
+    config: &FtConfig,
     data: Vec<K>,
-    protocol: Protocol,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
+    attach: Attach<'_, K>,
+) -> (SortOutcome<K>, RunObservation) {
     assert_eq!(
         faults.count(),
         1,
         "single_fault_bitonic_sort requires exactly one fault"
     );
-    let cube = faults.cube();
     let fault = faults.iter().next().expect("one fault");
     // members[logical] = physical address = logical ⊕ fault
-    let members: Vec<NodeId> = (0..cube.len() as u32)
-        .map(|logical| NodeId::new(logical).xor(fault.raw()))
-        .collect();
-    let engine = Engine::new(faults, cost);
-    sort_on_members(&engine, &members, Some(0), data, protocol)
+    let members: Vec<NodeId> = faults.cube().nodes().map(|p| p.xor(fault.raw())).collect();
+    bitonic_on_members(faults, config, attach, &members, Some(0), data)
 }
 
-/// Shared driver: scatter over the live members, run heapsort +
-/// distributed bitonic on each node, gather in logical order.
-fn sort_on_members<K>(
-    engine: &Engine,
+/// The bitonic sort over `members` (in logical order, slot `dead` holding
+/// no data): each holder sorts its chunk locally, then runs the
+/// distributed bitonic sort ascending.
+pub(crate) fn bitonic_on_members<K: Key>(
+    faults: &FaultSet,
+    config: &FtConfig,
+    attach: Attach<'_, K>,
     members: &[NodeId],
-    dead_logical: Option<usize>,
+    dead: Option<usize>,
     data: Vec<K>,
-    protocol: Protocol,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    let cube = engine.cube();
-    let live: Vec<usize> = (0..members.len())
-        .filter(|&l| dead_logical != Some(l))
-        .collect();
-    let m_total = data.len();
-    let k = chunk_len(m_total, live.len());
-    let chunks = scatter(data, live.len());
-
-    // inputs indexed by *physical* address
-    let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
-    for (&logical, chunk) in live.iter().zip(chunks) {
-        inputs[members[logical].index()] = Some(chunk);
-    }
-
-    let pool = BufferPool::new();
-    let out = engine.run(inputs, async |ctx, mut chunk| {
-        let my_logical = members
-            .iter()
-            .position(|&p| p == ctx.me())
-            .expect("node not in member map");
-        let mut scratch = pool.handle();
-        let comparisons = heapsort(&mut chunk, Direction::Ascending);
-        ctx.charge_comparisons(comparisons as usize);
-        let run = distributed_bitonic_sort(
-            ctx,
-            members,
-            my_logical,
-            dead_logical,
-            Direction::Ascending,
-            chunk,
-            PHASE_MAIN,
-            protocol,
-            &mut scratch,
-        )
-        .await;
-        assert_eq!(run.len(), k, "bitonic sort must preserve run length");
-        run
-    });
-    // Free the run's slabs before the gather allocates the output.
-    drop(pool);
-
-    let time_us = out.turnaround();
-    let stats = out.total_stats();
-    // gather in logical order
-    let mut by_logical: Vec<Vec<K>> = vec![Vec::new(); members.len()];
-    for (node, run) in out.into_results() {
-        let logical = members.iter().position(|&p| p == node).expect("member");
-        by_logical[logical] = run;
-    }
-    let sorted = gather(by_logical, m_total);
-    SortOutcome {
-        sorted,
-        time_us,
-        stats,
-        processors_used: live.len(),
-    }
+) -> (SortOutcome<K>, RunObservation) {
+    let k = chunk_len(data.len(), members.len() - usize::from(dead.is_some()));
+    sort_on_members(
+        faults,
+        config,
+        attach,
+        members,
+        dead,
+        data,
+        async |ctx, logical, mut chunk, scratch| {
+            let comparisons = config.local_sort.sort(&mut chunk, Direction::Ascending);
+            ctx.charge_comparisons(comparisons as usize);
+            let run = distributed_bitonic_sort(
+                ctx,
+                members,
+                logical,
+                dead,
+                Direction::Ascending,
+                chunk,
+                PHASE_MAIN,
+                config.protocol,
+                scratch,
+            )
+            .await;
+            assert_eq!(run.len(), k, "bitonic sort must preserve run length");
+            run
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::Protocol;
     use super::*;
+    use hypercube::cost::CostModel;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn config(protocol: Protocol) -> FtConfig {
+        FtConfig {
+            cost: CostModel::paper_form(),
+            protocol,
+            ..FtConfig::default()
+        }
+    }
+
+    fn bitonic(cube: Hypercube, data: Vec<u32>, protocol: Protocol) -> SortOutcome<u32> {
+        bitonic_sort(cube, &config(protocol), data, Attach::default()).0
+    }
+
+    fn single_fault(faults: &FaultSet, data: Vec<u32>, protocol: Protocol) -> SortOutcome<u32> {
+        single_fault_bitonic_sort(faults, &config(protocol), data, Attach::default()).0
+    }
 
     fn random_data(rng: &mut StdRng, m: usize) -> Vec<u32> {
         (0..m).map(|_| rng.random_range(0..1_000_000)).collect()
@@ -204,12 +160,7 @@ mod tests {
         let data = random_data(&mut rng, 64);
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = bitonic_sort(
-            Hypercube::new(3),
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let out = bitonic(Hypercube::new(3), data, Protocol::HalfExchange);
         assert_eq!(out.sorted, expect);
         assert_eq!(out.processors_used, 8);
         assert!(out.time_us > 0.0);
@@ -222,24 +173,14 @@ mod tests {
             let data = random_data(&mut rng, m);
             let mut expect = data.clone();
             expect.sort_unstable();
-            let out = bitonic_sort(
-                Hypercube::new(4),
-                CostModel::paper_form(),
-                data,
-                Protocol::FullExchange,
-            );
+            let out = bitonic(Hypercube::new(4), data, Protocol::FullExchange);
             assert_eq!(out.sorted, expect, "M = {m}");
         }
     }
 
     #[test]
     fn fault_free_on_single_node_cube() {
-        let out = bitonic_sort(
-            Hypercube::new(0),
-            CostModel::paper_form(),
-            vec![3u32, 1, 2],
-            Protocol::HalfExchange,
-        );
+        let out = bitonic(Hypercube::new(0), vec![3u32, 1, 2], Protocol::HalfExchange);
         assert_eq!(out.sorted, vec![1, 2, 3]);
         assert_eq!(out.stats.messages, 0);
     }
@@ -253,12 +194,7 @@ mod tests {
             let mut expect = data.clone();
             expect.sort_unstable();
             let faults = FaultSet::from_raw(cube, &[fault]);
-            let out = single_fault_bitonic_sort(
-                faults,
-                CostModel::paper_form(),
-                data,
-                Protocol::HalfExchange,
-            );
+            let out = single_fault(&faults, data, Protocol::HalfExchange);
             assert_eq!(out.sorted, expect, "fault at {fault}");
             assert_eq!(out.processors_used, 7);
         }
@@ -269,18 +205,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data = random_data(&mut rng, 96);
         let cube = Hypercube::new(4);
-        let a = single_fault_bitonic_sort(
-            FaultSet::from_raw(cube, &[11]),
-            CostModel::paper_form(),
-            data.clone(),
-            Protocol::FullExchange,
-        );
-        let b = single_fault_bitonic_sort(
-            FaultSet::from_raw(cube, &[11]),
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let faults = FaultSet::from_raw(cube, &[11]);
+        let a = single_fault(&faults, data.clone(), Protocol::FullExchange);
+        let b = single_fault(&faults, data, Protocol::HalfExchange);
         assert_eq!(a.sorted, b.sorted);
     }
 
@@ -291,15 +218,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let data = random_data(&mut rng, 1 << 10);
         let cube = Hypercube::new(4);
-        let free = bitonic_sort(
-            cube,
-            CostModel::paper_form(),
-            data.clone(),
-            Protocol::HalfExchange,
-        );
-        let faulty = single_fault_bitonic_sort(
-            FaultSet::from_raw(cube, &[5]),
-            CostModel::paper_form(),
+        let free = bitonic(cube, data.clone(), Protocol::HalfExchange);
+        let faulty = single_fault(
+            &FaultSet::from_raw(cube, &[5]),
             data,
             Protocol::HalfExchange,
         );
@@ -317,18 +238,9 @@ mod tests {
         // back to the largest fault-free subcube (here Q3 out of Q4).
         let mut rng = StdRng::seed_from_u64(6);
         let data = random_data(&mut rng, 1 << 12);
-        let faulty = single_fault_bitonic_sort(
-            FaultSet::from_raw(Hypercube::new(4), &[9]),
-            CostModel::paper_form(),
-            data.clone(),
-            Protocol::HalfExchange,
-        );
-        let fallback = bitonic_sort(
-            Hypercube::new(3),
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let faults = FaultSet::from_raw(Hypercube::new(4), &[9]);
+        let faulty = single_fault(&faults, data.clone(), Protocol::HalfExchange);
+        let fallback = bitonic(Hypercube::new(3), data, Protocol::HalfExchange);
         assert!(
             faulty.time_us < fallback.time_us,
             "15-processor faulty run {} should beat 8-processor fallback {}",
@@ -342,12 +254,7 @@ mod tests {
         let data: Vec<u32> = (0..200).map(|i| i % 3).collect();
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = bitonic_sort(
-            Hypercube::new(3),
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let out = bitonic(Hypercube::new(3), data, Protocol::HalfExchange);
         assert_eq!(out.sorted, expect);
     }
 
@@ -355,11 +262,6 @@ mod tests {
     #[should_panic(expected = "exactly one fault")]
     fn single_fault_rejects_multi_fault_sets() {
         let faults = FaultSet::from_raw(Hypercube::new(3), &[1, 2]);
-        let _ = single_fault_bitonic_sort(
-            faults,
-            CostModel::paper_form(),
-            vec![1u32],
-            Protocol::HalfExchange,
-        );
+        let _ = single_fault(&faults, vec![1u32], Protocol::HalfExchange);
     }
 }

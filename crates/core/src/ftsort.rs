@@ -42,11 +42,16 @@ use crate::distribute::{chunk_len, gather, scatter};
 use crate::partition::{partition, PartitionResult, SingleFaultStructure};
 use crate::select::{build_structure, select_cutting_sequence, Selection};
 use crate::seq::{Direction, Key};
+use hypercube::address::NodeId;
+use hypercube::collectives::{self, Participants};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::TraceSink;
-use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, LinkModel, Tag, Trace};
+use hypercube::obs::RunObservation;
+use hypercube::sim::{
+    BufferPool, Comm, Engine, EngineKind, LinkModel, NodeCtx, PoolHandle, Tag, Trace,
+};
 use std::sync::{Arc, Mutex};
 
 /// Phase id of step 3 (local sort + intra-subcube single-fault bitonic).
@@ -105,16 +110,19 @@ pub enum Step8Strategy {
     FullSort,
 }
 
-/// Configuration of a fault-tolerant sort run.
+/// Configuration of one sort run: the fault-tolerant sort and every
+/// baseline ([`bitonic_sort`](crate::bitonic::bitonic_sort),
+/// [`mffs_sort`](crate::mffs::mffs_sort), …) read the same fields.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FtConfig {
     /// The machine cost model.
     pub cost: CostModel,
-    /// The compare-split wire protocol.
+    /// The compare-split wire protocol (hyperquicksort exchanges split
+    /// runs and ignores it).
     pub protocol: Protocol,
-    /// The step-8 strategy.
+    /// The step-8 strategy; only the fault-tolerant sort has a step 8.
     pub step8: Step8Strategy,
-    /// The local sorting algorithm of step 3 (paper: heapsort).
+    /// The local sorting algorithm every node runs first (paper: heapsort).
     pub local_sort: crate::seq::LocalSort,
     /// The routing algorithm charging message hops (oracle shortest paths
     /// vs distributed depth-first adaptive routing).
@@ -131,10 +139,12 @@ pub struct FtConfig {
     pub link_model: LinkModel,
     /// When set, the host distribution (step 2) and final collection are
     /// simulated as real binomial-tree scatter/gather collectives rooted at
-    /// the lowest-addressed live processor (the node the NCUBE host board
-    /// talks to), and their traffic is charged to the run. When unset
+    /// the lowest-addressed data-holding processor (the node the NCUBE host
+    /// board talks to), and their traffic is charged to the run. When unset
     /// (default, matching the paper's Figure 7 which times the sort proper)
-    /// data appears on / is read off the processors for free.
+    /// data appears on / is read off the processors for free. Every entry
+    /// point but [`hyperquicksort`](crate::baselines::hyperquicksort),
+    /// whose runs differ in length, can pay it.
     pub include_host_io: bool,
     /// When set, the sort attaches a [`Trace`] sink and returns the full
     /// message/compute event trace in the observation (needed for
@@ -293,7 +303,7 @@ impl PhaseBreakdown {
     /// the same "work *and* waiting, max over processors" semantics the
     /// inline clock subtraction used to compute, but derived from the
     /// shared span log every algorithm now feeds.
-    pub fn from_observation(obs: &hypercube::obs::RunObservation) -> PhaseBreakdown {
+    pub fn from_observation(obs: &RunObservation) -> PhaseBreakdown {
         let report = obs.report(&phase_name);
         let mut breakdown = PhaseBreakdown::default();
         for phase in &report.phases {
@@ -311,7 +321,7 @@ impl PhaseBreakdown {
     }
 }
 
-/// Optional attachments to one [`fault_tolerant_sort`] run. Each is
+/// Optional attachments to one sort run, of any entry point. Each is
 /// unobservable to the simulation — sorted output, virtual times, reports
 /// and run files stay byte-identical with or without it — and
 /// `Attach::default()` attaches nothing.
@@ -358,7 +368,7 @@ impl<K> Default for Attach<'_, K> {
 /// Returns the keys sorted ascending (gathered in subcube-address order)
 /// with the simulated time and operation counts, where the virtual time
 /// went per phase, and the full
-/// [`RunObservation`](hypercube::obs::RunObservation) — phase spans,
+/// [`RunObservation`] — phase spans,
 /// per-node/per-link metrics and (with [`FtConfig::tracing`]) the event
 /// trace — for Perfetto export, report generation and critical-path
 /// analysis.
@@ -383,49 +393,211 @@ pub fn fault_tolerant_sort<K: Key>(
     config: &FtConfig,
     data: Vec<K>,
     attach: Attach<'_, K>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-) {
+) -> (SortOutcome<K>, PhaseBreakdown, RunObservation) {
+    let protocol = config.protocol;
+    let step8 = config.step8;
+    let st = plan.structure();
+    let m = st.m();
+    assert!(m <= 16, "tag namespace supports m ≤ 16");
+    let live = st.live_in_order();
+    let k = chunk_len(data.len(), live.len());
+    let (outcome, observation) = sort_on_members(
+        plan.faults(),
+        config,
+        attach,
+        &live,
+        None,
+        data,
+        async |ctx, _, mut chunk, scratch| {
+            let (v, w) = st.locate(ctx.me());
+            let members = st.members(v);
+            let dead = st.subcube(v).dead_local.map(|_| 0usize);
+
+            // Step 3: local sort (heapsort per the paper, configurable), then
+            // the single-fault bitonic sort inside the subcube; subcube order
+            // follows the subcube-address parity. The outer span also covers
+            // the local sort, which the bitonic's own span cannot see.
+            ctx.span_enter(PHASE_STEP3);
+            let comparisons = config.local_sort.sort(&mut chunk, Direction::Ascending);
+            ctx.charge_comparisons(comparisons as usize);
+            let mut dir = Direction::from_parity(v);
+            let mut run = distributed_bitonic_sort(
+                ctx,
+                &members,
+                w as usize,
+                dead,
+                dir,
+                chunk,
+                PHASE_STEP3,
+                protocol,
+                scratch,
+            )
+            .await;
+            ctx.span_exit();
+
+            // Steps 4–8: bitonic-like merge over subcubes.
+            for i in 0..m {
+                let mask = (v >> (i + 1)) & 1; // v_{i+1}, with v_m ≡ 0
+                for j in (0..=i).rev() {
+                    // Step 7: compare-split with the corresponding processor of
+                    // the neighboring subcube along dimension j.
+                    let u = v ^ (1 << j);
+                    let partner = st.member(u, w);
+                    // Invariant: before substage (i, j) the subcube's window
+                    // order is ascending iff bit_j(v) == 0 when j == i (set by
+                    // the previous block's final re-sort or the step-3 parity),
+                    // and iff bit_j(v) == mask otherwise (set by the previous
+                    // step 8). Either way the partner, differing in bit j,
+                    // carries the opposite order.
+                    let expected_asc = if j == i {
+                        (v >> j) & 1 == 0
+                    } else {
+                        (v >> j) & 1 == mask
+                    };
+                    debug_assert_eq!(
+                        dir,
+                        if expected_asc {
+                            Direction::Ascending
+                        } else {
+                            Direction::Descending
+                        },
+                        "window-order invariant broken at (i={i}, j={j}, v={v:b})"
+                    );
+                    let keep = if (v >> j) & 1 == mask {
+                        KeepHalf::Low
+                    } else {
+                        KeepHalf::High
+                    };
+                    ctx.span_enter(PHASE_STEP7);
+                    run = compare_split_remote(
+                        ctx,
+                        partner,
+                        Tag::phase(PHASE_STEP7, i as u16, j as u16),
+                        run,
+                        keep,
+                        protocol,
+                        scratch,
+                    )
+                    .await;
+                    ctx.span_exit();
+                    // Step 8: re-establish subcube order; the schedule demands
+                    // ascending iff v_{j-1} == mask (v_{-1} ≡ 0). The outer
+                    // span spans merge + reversal so the substage reads as one
+                    // contiguous interval even across the two inner spans.
+                    dir = direction_for(v, j, mask);
+                    let phase = PHASE_STEP8_BASE + (i * 16 + j) as u16;
+                    ctx.span_enter(phase);
+                    run = match step8 {
+                        Step8Strategy::FullSort => {
+                            distributed_bitonic_sort(
+                                ctx, &members, w as usize, dead, dir, run, phase, protocol, scratch,
+                            )
+                            .await
+                        }
+                        Step8Strategy::BitonicMerge => {
+                            // The compare-split left this side's windows in the
+                            // bitonic form its kept half implies: Low keepers
+                            // can merge ascending, High keepers descending.
+                            let compatible = match keep {
+                                KeepHalf::Low => Direction::Ascending,
+                                KeepHalf::High => Direction::Descending,
+                            };
+                            let mut run = distributed_bitonic_merge(
+                                ctx, &members, w as usize, dead, compatible, run, phase, protocol,
+                                scratch,
+                            )
+                            .await;
+                            if dir != compatible {
+                                run = reverse_windows(
+                                    ctx,
+                                    &members,
+                                    w as usize,
+                                    dead,
+                                    run,
+                                    PHASE_STEP8_BASE + 512 + (i * 16 + j) as u16,
+                                )
+                                .await;
+                            }
+                            run
+                        }
+                    };
+                    ctx.span_exit();
+                }
+            }
+            assert_eq!(run.len(), k, "sort must preserve run length");
+            run
+        },
+    );
+    // Per-phase attribution from the recorded spans: max over processors.
+    let breakdown = PhaseBreakdown::from_observation(&observation);
+    (outcome, breakdown, observation)
+}
+
+/// The one sort driver behind every entry point: scatters `data` over
+/// `members`, runs `program` on every node that holds a chunk, and gathers
+/// the runs back.
+///
+/// `members` lists physical nodes in logical order, which is also the
+/// output order; slot `dead` (the single-fault sort's logical 0) holds no
+/// data. `program` receives the node's context, its logical index, its
+/// chunk and a handle on the run's pool, and returns the node's share of
+/// the output. The engine, its attachments and the host I/O come from
+/// `config` and `attach`. With [`FtConfig::include_host_io`] the chunks
+/// travel through binomial scatter/gather collectives rooted at the
+/// lowest-addressed holder, and every run must keep its chunk's length.
+pub(crate) fn sort_on_members<K, P>(
+    faults: &FaultSet,
+    config: &FtConfig,
+    attach: Attach<'_, K>,
+    members: &[NodeId],
+    dead: Option<usize>,
+    data: Vec<K>,
+    program: P,
+) -> (SortOutcome<K>, RunObservation)
+where
+    K: Key,
+    P: AsyncFn(&mut NodeCtx<K>, usize, Vec<K>, &mut PoolHandle<K>) -> Vec<K> + Sync,
+{
     let Attach {
         sink,
         pool,
         profiler,
     } = attach;
-    let cost = config.cost;
-    let protocol = config.protocol;
-    let step8 = config.step8;
-    let st = plan.structure();
-    let cube = st.cube();
-    let m = st.m();
-    assert!(m <= 16, "tag namespace supports m ≤ 16");
-    let live = st.live_in_order();
+    let cube = faults.cube();
+    let holders: Vec<NodeId> = (0..members.len())
+        .filter(|&l| dead != Some(l))
+        .map(|l| members[l])
+        .collect();
     let m_total = data.len();
-    let k = chunk_len(m_total, live.len());
-    let chunks = scatter(data, live.len());
+    let k = chunk_len(m_total, holders.len());
+    let chunks = scatter(data, holders.len());
+    // Physical address → logical index, looked up once per node program.
+    let mut logical = vec![usize::MAX; cube.len()];
+    for (l, p) in members.iter().enumerate() {
+        logical[p.index()] = l;
+    }
 
-    // Step 2: the host hands each live processor its ⌈M/N'⌉ keys — either
-    // for free (paper-style timing of the sort proper) or as a real
-    // binomial-tree scatter rooted at the host's entry node.
+    // The host hands each holder its ⌈M/N'⌉ keys — either for free
+    // (paper-style timing of the sort proper) or as a real binomial-tree
+    // scatter rooted at the host's entry node.
     let host_parts = config.include_host_io.then(|| {
-        let host = *live.iter().min().expect("at least one live processor");
-        hypercube::collectives::Participants::new(cube.len(), host, &live)
+        let host = *holders.iter().min().expect("at least one holder");
+        Participants::new(cube.len(), host, &holders)
     });
     let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
     match &host_parts {
         None => {
-            for (&p, chunk) in live.iter().zip(chunks) {
+            for (&p, chunk) in holders.iter().zip(chunks) {
                 inputs[p.index()] = Some(chunk);
             }
         }
         Some(parts) => {
             // the host entry node starts with everything, in rank order
-            let mut by_rank: Vec<Vec<K>> = vec![Vec::new(); live.len()];
-            for (&p, chunk) in live.iter().zip(chunks) {
-                by_rank[parts.rank(p).expect("live node participates")] = chunk;
+            let mut by_rank: Vec<Vec<K>> = vec![Vec::new(); holders.len()];
+            for (&p, chunk) in holders.iter().zip(chunks) {
+                by_rank[parts.rank(p).expect("holder participates")] = chunk;
             }
-            for &p in &live {
+            for &p in &holders {
                 inputs[p.index()] = Some(Vec::new());
             }
             inputs[parts.root().index()] = Some(by_rank.into_iter().flatten().collect());
@@ -433,7 +605,7 @@ pub fn fault_tolerant_sort<K: Key>(
     }
     let host_parts = &host_parts;
 
-    let mut engine = Engine::new(plan.faults().clone(), cost)
+    let mut engine = Engine::new(faults.clone(), config.cost)
         .with_router(config.router)
         .with_engine(config.engine)
         .with_link_model(config.link_model);
@@ -469,157 +641,15 @@ pub fn fault_tolerant_sort<K: Key>(
         let mut scratch = pool.handle();
         if let Some(parts) = host_parts {
             let bundle = (ctx.me() == parts.root()).then_some(chunk);
-            chunk = hypercube::collectives::scatter(
-                ctx,
-                parts,
-                Tag::phase(PHASE_SCATTER, 0, 0),
-                bundle,
-                k,
-            )
-            .await;
+            chunk =
+                collectives::scatter(ctx, parts, Tag::phase(PHASE_SCATTER, 0, 0), bundle, k).await;
         }
-        let (v, w) = st.locate(ctx.me());
-        let members = st.members(v);
-        let dead = st.subcube(v).dead_local.map(|_| 0usize);
-
-        // Step 3: local sort (heapsort per the paper, configurable), then
-        // the single-fault bitonic sort inside the subcube; subcube order
-        // follows the subcube-address parity. The outer span also covers
-        // the local sort, which the bitonic's own span cannot see.
-        ctx.span_enter(PHASE_STEP3);
-        let comparisons = config.local_sort.sort(&mut chunk, Direction::Ascending);
-        ctx.charge_comparisons(comparisons as usize);
-        let mut dir = Direction::from_parity(v);
-        let mut run = distributed_bitonic_sort(
-            ctx,
-            &members,
-            w as usize,
-            dead,
-            dir,
-            chunk,
-            PHASE_STEP3,
-            protocol,
-            &mut scratch,
-        )
-        .await;
-        ctx.span_exit();
-
-        // Steps 4–8: bitonic-like merge over subcubes.
-        for i in 0..m {
-            let mask = (v >> (i + 1)) & 1; // v_{i+1}, with v_m ≡ 0
-            for j in (0..=i).rev() {
-                // Step 7: compare-split with the corresponding processor of
-                // the neighboring subcube along dimension j.
-                let u = v ^ (1 << j);
-                let partner = st.member(u, w);
-                // Invariant: before substage (i, j) the subcube's window
-                // order is ascending iff bit_j(v) == 0 when j == i (set by
-                // the previous block's final re-sort or the step-3 parity),
-                // and iff bit_j(v) == mask otherwise (set by the previous
-                // step 8). Either way the partner, differing in bit j,
-                // carries the opposite order.
-                let expected_asc = if j == i {
-                    (v >> j) & 1 == 0
-                } else {
-                    (v >> j) & 1 == mask
-                };
-                debug_assert_eq!(
-                    dir,
-                    if expected_asc {
-                        Direction::Ascending
-                    } else {
-                        Direction::Descending
-                    },
-                    "window-order invariant broken at (i={i}, j={j}, v={v:b})"
-                );
-                let keep = if (v >> j) & 1 == mask {
-                    KeepHalf::Low
-                } else {
-                    KeepHalf::High
-                };
-                ctx.span_enter(PHASE_STEP7);
-                run = compare_split_remote(
-                    ctx,
-                    partner,
-                    Tag::phase(PHASE_STEP7, i as u16, j as u16),
-                    run,
-                    keep,
-                    protocol,
-                    &mut scratch,
-                )
-                .await;
-                ctx.span_exit();
-                // Step 8: re-establish subcube order; the schedule demands
-                // ascending iff v_{j-1} == mask (v_{-1} ≡ 0). The outer
-                // span spans merge + reversal so the substage reads as one
-                // contiguous interval even across the two inner spans.
-                dir = direction_for(v, j, mask);
-                let phase = PHASE_STEP8_BASE + (i * 16 + j) as u16;
-                ctx.span_enter(phase);
-                run = match step8 {
-                    Step8Strategy::FullSort => {
-                        distributed_bitonic_sort(
-                            ctx,
-                            &members,
-                            w as usize,
-                            dead,
-                            dir,
-                            run,
-                            phase,
-                            protocol,
-                            &mut scratch,
-                        )
-                        .await
-                    }
-                    Step8Strategy::BitonicMerge => {
-                        // The compare-split left this side's windows in the
-                        // bitonic form its kept half implies: Low keepers
-                        // can merge ascending, High keepers descending.
-                        let compatible = match keep {
-                            KeepHalf::Low => Direction::Ascending,
-                            KeepHalf::High => Direction::Descending,
-                        };
-                        let mut run = distributed_bitonic_merge(
-                            ctx,
-                            &members,
-                            w as usize,
-                            dead,
-                            compatible,
-                            run,
-                            phase,
-                            protocol,
-                            &mut scratch,
-                        )
-                        .await;
-                        if dir != compatible {
-                            run = reverse_windows(
-                                ctx,
-                                &members,
-                                w as usize,
-                                dead,
-                                run,
-                                PHASE_STEP8_BASE + 512 + (i * 16 + j) as u16,
-                            )
-                            .await;
-                        }
-                        run
-                    }
-                };
-                ctx.span_exit();
-            }
-        }
-        assert_eq!(run.len(), k, "sort must preserve run length");
+        let run = program(ctx, logical[ctx.me().index()], chunk, &mut scratch).await;
         match host_parts {
             None => (run, None),
             Some(parts) => {
-                let collected = hypercube::collectives::gather(
-                    ctx,
-                    parts,
-                    Tag::phase(PHASE_GATHER, 0, 0),
-                    run,
-                    k,
-                )
-                .await;
+                let collected =
+                    collectives::gather(ctx, parts, Tag::phase(PHASE_GATHER, 0, 0), run, k).await;
                 (Vec::new(), collected)
             }
         }
@@ -634,9 +664,7 @@ pub fn fault_tolerant_sort<K: Key>(
     if let Some(trace) = trace {
         observation.trace = std::mem::take(&mut *trace.lock().expect("trace sink lock poisoned"));
     }
-    // Per-phase attribution from the recorded spans: max over processors.
-    let breakdown = PhaseBreakdown::from_observation(&observation);
-    // Gather in (v, w) order — the subcubes' address order of the paper.
+    // Gather in logical order.
     let sorted = match host_parts {
         None => {
             let mut by_node: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
@@ -644,8 +672,9 @@ pub fn fault_tolerant_sort<K: Key>(
                 by_node[node.index()] = Some(run);
             }
             gather(
-                live.iter()
-                    .map(|p| by_node[p.index()].take().expect("live node produced a run")),
+                holders
+                    .iter()
+                    .map(|p| by_node[p.index()].take().expect("holder produced a run")),
                 m_total,
             )
         }
@@ -655,26 +684,23 @@ pub fn fault_tolerant_sort<K: Key>(
                 .into_iter()
                 .find_map(|(_, (_, collected))| collected)
                 .expect("host entry node collected the result");
-            // rank order → (v, w) live order
+            // rank order → logical order
             gather(
-                live.iter().map(|p| {
-                    let r = parts.rank(*p).expect("live");
+                holders.iter().map(|p| {
+                    let r = parts.rank(*p).expect("holder");
                     &root_bundle[r * k..(r + 1) * k]
                 }),
                 m_total,
             )
         }
     };
-    (
-        SortOutcome {
-            sorted,
-            time_us,
-            stats,
-            processors_used: live.len(),
-        },
-        breakdown,
-        observation,
-    )
+    let outcome = SortOutcome {
+        sorted,
+        time_us,
+        stats,
+        processors_used: holders.len(),
+    };
+    (outcome, observation)
 }
 
 /// The step-8 direction after substage `(i, j)`: ascending iff

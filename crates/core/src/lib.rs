@@ -14,7 +14,8 @@
 //! * [`select`] — the §3 heuristics: cutting-sequence selection by the
 //!   minmax extra-communication formula, and dangling-processor placement.
 //! * [`ftsort`] — the full fault-tolerant sorting algorithm (§3 steps 1–8),
-//!   tolerating up to `n − 1` faulty processors.
+//!   tolerating up to `n − 1` faulty processors, and the one driver
+//!   (scatter, run, gather) that every sort entry point runs through.
 //! * [`mffs`] — the maximum-dimensional fault-free subcube baseline the
 //!   paper compares against.
 //! * [`cost_model`] — the paper's closed-form worst-case time `T`.
@@ -34,20 +35,18 @@ pub mod partition;
 pub mod select;
 pub mod seq;
 
-/// The commonly-used names in one import.
+/// The commonly-used names in one import: the six sort entry points —
+/// each takes an [`FtConfig`](crate::ftsort::FtConfig) and an
+/// [`Attach`](crate::ftsort::Attach) and returns its run's observation —
+/// and the types around them.
 pub mod prelude {
-    pub use crate::baselines::{
-        hyperquicksort, hyperquicksort_with_engine, odd_even_ring_sort,
-        odd_even_ring_sort_with_engine,
-    };
-    pub use crate::bitonic::{
-        bitonic_sort, bitonic_sort_with_engine, single_fault_bitonic_sort, Protocol, SortOutcome,
-    };
+    pub use crate::baselines::{hyperquicksort, odd_even_ring_sort};
+    pub use crate::bitonic::{bitonic_sort, single_fault_bitonic_sort, Protocol, SortOutcome};
     pub use crate::ftsort::{
         fault_tolerant_sort, phase_name, Attach, FtConfig, FtError, FtPlan, PhaseBreakdown,
         Step8Strategy,
     };
-    pub use crate::mffs::{max_fault_free_subcube, mffs_sort, mffs_sort_with_engine};
+    pub use crate::mffs::{max_fault_free_subcube, mffs_sort};
     pub use crate::partition::{partition, PartitionResult, SingleFaultStructure};
     pub use crate::select::{select_cutting_sequence, Selection};
     pub use crate::seq::{Direction, LocalSort};

@@ -6,14 +6,12 @@
 //! it idle ("dangling"). With one fault in `Q_6` this wastes almost half the
 //! machine — the underutilization the paper's partition scheme removes.
 
-use crate::bitonic::sort::SortOutcome;
-use crate::bitonic::{distributed_bitonic_sort, Protocol};
-use crate::distribute::{gather, scatter};
-use crate::seq::{heapsort, Direction, Key};
+use crate::bitonic::sort::{bitonic_on_members, SortOutcome};
+use crate::ftsort::{Attach, FtConfig};
+use crate::seq::Key;
 use hypercube::address::NodeId;
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::sim::{BufferPool, Comm, Engine, EngineKind};
+use hypercube::obs::RunObservation;
 use hypercube::subcube::Subcube;
 
 /// Finds a maximum-dimension fault-free subcube, scanning dimensions from
@@ -35,92 +33,27 @@ pub fn max_fault_free_subcube(faults: &FaultSet) -> Option<Subcube> {
 }
 
 /// Sorts `data` with the baseline: plain bitonic sort confined to the
-/// maximum fault-free subcube.
+/// maximum fault-free subcube. Returns the outcome and the run's
+/// observation.
 ///
 /// # Panics
 /// If every processor is faulty.
-pub fn mffs_sort<K>(
+pub fn mffs_sort<K: Key>(
     faults: &FaultSet,
-    cost: CostModel,
+    config: &FtConfig,
     data: Vec<K>,
-    protocol: Protocol,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
-    mffs_sort_with_engine(faults, cost, data, protocol, EngineKind::default())
-}
-
-/// [`mffs_sort`] with an explicit execution engine. Both engines return
-/// identical outcomes; the choice only affects wall-clock speed.
-pub fn mffs_sort_with_engine<K>(
-    faults: &FaultSet,
-    cost: CostModel,
-    data: Vec<K>,
-    protocol: Protocol,
-    kind: EngineKind,
-) -> SortOutcome<K>
-where
-    K: Key,
-{
+    attach: Attach<'_, K>,
+) -> (SortOutcome<K>, RunObservation) {
     let sc = max_fault_free_subcube(faults).expect("no fault-free processor left");
-    let cube = faults.cube();
     let members: Vec<NodeId> = sc.nodes().collect();
-    let m_total = data.len();
-    let chunks = scatter(data, members.len());
-
-    let mut inputs: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
-    for (&p, chunk) in members.iter().zip(chunks) {
-        inputs[p.index()] = Some(chunk);
-    }
-
-    let engine = Engine::new(faults.clone(), cost).with_engine(kind);
-    let members_ref = &members;
-    let pool = BufferPool::new();
-    let pool_ref = &pool;
-    let out = engine.run(inputs, async move |ctx, mut chunk| {
-        let my_logical = members_ref
-            .iter()
-            .position(|&p| p == ctx.me())
-            .expect("node in subcube");
-        let mut scratch = pool_ref.handle();
-        let comparisons = heapsort(&mut chunk, Direction::Ascending);
-        ctx.charge_comparisons(comparisons as usize);
-        distributed_bitonic_sort(
-            ctx,
-            members_ref,
-            my_logical,
-            None,
-            Direction::Ascending,
-            chunk,
-            1,
-            protocol,
-            &mut scratch,
-        )
-        .await
-    });
-    // Free the run's slabs before the gather allocates the output.
-    drop(pool);
-
-    let time_us = out.turnaround();
-    let stats = out.total_stats();
-    let mut by_logical: Vec<Vec<K>> = vec![Vec::new(); members.len()];
-    for (node, run) in out.into_results() {
-        let logical = members.iter().position(|&p| p == node).expect("member");
-        by_logical[logical] = run;
-    }
-    let sorted = gather(by_logical, m_total);
-    SortOutcome {
-        sorted,
-        time_us,
-        stats,
-        processors_used: members.len(),
-    }
+    bitonic_on_members(faults, config, attach, &members, None, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ftsort::{fault_tolerant_sort, FtPlan};
+    use hypercube::cost::CostModel;
     use hypercube::topology::Hypercube;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -190,12 +123,11 @@ mod tests {
         let data: Vec<u32> = (0..200).map(|_| rng.random_range(0..10_000)).collect();
         let mut expect = data.clone();
         expect.sort_unstable();
-        let out = mffs_sort(
-            &faults,
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let config = FtConfig {
+            cost: CostModel::paper_form(),
+            ..FtConfig::default()
+        };
+        let (out, _) = mffs_sort(&faults, &config, data, Attach::default());
         assert_eq!(out.sorted, expect);
         assert_eq!(out.processors_used, 8, "only the Q3 works");
     }
@@ -208,19 +140,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let faults = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
         let data: Vec<u32> = (0..8000).map(|_| rng.random()).collect();
-        use crate::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
         let config = FtConfig {
             cost: CostModel::paper_form(),
             ..FtConfig::default()
         };
         let plan = FtPlan::new(&faults).unwrap();
         let (ours, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
-        let baseline = mffs_sort(
-            &faults,
-            CostModel::paper_form(),
-            data,
-            Protocol::HalfExchange,
-        );
+        let (baseline, _) = mffs_sort(&faults, &config, data, Attach::default());
         assert_eq!(ours.sorted, baseline.sorted);
         assert!(
             ours.time_us < baseline.time_us,
@@ -228,5 +154,33 @@ mod tests {
             ours.time_us,
             baseline.time_us
         );
+    }
+
+    #[test]
+    fn host_io_reverses_ft_lead_over_mffs() {
+        // Figure 7 times the sort proper. Charging the host scatter and
+        // gather costs the fault-tolerant sort more than MFFS: MFFS's Q5
+        // makes its binomial trees the cube's own (one hop per edge), while
+        // FT's 58 live processors do not line up with the cube's
+        // dimensions, so its tree edges span several hops. At M = 10k the
+        // lead flips (EXPERIMENTS.md, "Host I/O").
+        let mut rng = StdRng::seed_from_u64(44);
+        let faults = FaultSet::from_raw(Hypercube::new(6), &[9, 22, 51]);
+        let plan = FtPlan::new(&faults).unwrap();
+        let data: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
+        let times = |include_host_io: bool| {
+            let config = FtConfig {
+                include_host_io,
+                ..FtConfig::default()
+            };
+            let (ours, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
+            let (mffs, _) = mffs_sort(&faults, &config, data.clone(), Attach::default());
+            assert_eq!(ours.sorted, mffs.sorted);
+            (ours.time_us, mffs.time_us)
+        };
+        let (ours, mffs) = times(false);
+        assert!(ours < mffs, "host I/O free: ours {ours} vs MFFS {mffs}");
+        let (ours, mffs) = times(true);
+        assert!(mffs < ours, "host I/O charged: MFFS {mffs} vs ours {ours}");
     }
 }

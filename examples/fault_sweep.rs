@@ -46,7 +46,7 @@ fn main() {
             ours_time += out.time_us / 1000.0;
 
             let sc = max_fault_free_subcube(&faults).expect("normal node exists");
-            let base = mffs_sort(&faults, CostModel::default(), data, Protocol::HalfExchange);
+            let (base, _) = mffs_sort(&faults, &FtConfig::default(), data, Attach::default());
             mffs_live += sc.len() as f64;
             mffs_util += sc.len() as f64 / faults.normal_count() as f64 * 100.0;
             mffs_time += base.time_us / 1000.0;

@@ -8,14 +8,11 @@
 //! cargo run --release --example message_trace [n] [r] [M]
 //! ```
 
-use ftsort::bitonic::distributed_bitonic_sort;
-use ftsort::distribute::{chunk_len, scatter};
+use ftsort::distribute::chunk_len;
 use ftsort::prelude::*;
-use ftsort::seq::heapsort;
 use hypercube::obs::critical_path::{gantt, CriticalPath, SegmentKind};
-use hypercube::sim::{BufferPool, Trace, TraceKind};
+use hypercube::sim::TraceKind;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -37,54 +34,24 @@ fn main() {
 
     // Run the distributed bitonic sort (with reindexing if r == 1) with an
     // in-memory trace attached.
-    let fault_mask = faults.iter().next().map(|f| f.raw()).unwrap_or(0);
-    let members: Vec<NodeId> = (0..cube.len() as u32)
-        .map(|l| NodeId::new(l ^ fault_mask))
-        .collect();
-    let dead = (!faults.is_empty()).then_some(0usize);
-    let live: Vec<usize> = (0..members.len()).filter(|&l| dead != Some(l)).collect();
     let data: Vec<u32> = (0..m_total as u32)
         .map(|_| rng.random_range(0..100))
         .collect();
-    let chunks = scatter(data, live.len());
-    let k = chunk_len(m_total, live.len());
-    let mut inputs: Vec<Option<Vec<u32>>> = vec![None; cube.len()];
-    for (&logical, chunk) in live.iter().zip(chunks) {
-        inputs[members[logical].index()] = Some(chunk);
-    }
-
-    let trace = Arc::new(Mutex::new(Trace::default()));
-    let engine =
-        Engine::new(faults.clone(), CostModel::paper_form()).with_trace_sink(trace.clone());
-    let members_ref = &members;
-    let pool = &BufferPool::new();
-    let out = engine.run(inputs, async move |ctx, mut chunk| {
-        let my_logical = members_ref
-            .iter()
-            .position(|&p| p == ctx.me())
-            .expect("member");
-        let mut scratch = pool.handle();
-        let c = heapsort(&mut chunk, Direction::Ascending);
-        ctx.charge_comparisons(c as usize);
-        distributed_bitonic_sort(
-            ctx,
-            members_ref,
-            my_logical,
-            dead,
-            Direction::Ascending,
-            chunk,
-            1,
-            Protocol::HalfExchange,
-            &mut scratch,
-        )
-        .await
-    });
+    let config = FtConfig {
+        cost: CostModel::paper_form(),
+        tracing: true,
+        ..FtConfig::default()
+    };
+    let (out, obs) = if faults.is_empty() {
+        bitonic_sort(cube, &config, data, Attach::default())
+    } else {
+        single_fault_bitonic_sort(&faults, &config, data, Attach::default())
+    };
 
     // Render the trace.
-    let trace = std::mem::take(&mut *trace.lock().expect("trace sink lock poisoned"));
     println!("{:>10}  {:>4}  event", "time µs", "node");
     println!("{}", "-".repeat(64));
-    for e in trace.events() {
+    for e in obs.trace.events() {
         let desc = match e.kind {
             TraceKind::Send { to, elements, hops } => {
                 format!("send → P{:<2}  {elements} keys, {hops} hop(s)", to.raw())
@@ -98,15 +65,13 @@ fn main() {
     }
     println!(
         "\n{} events; turnaround {:.1} µs; {} keys per live processor",
-        trace.len(),
-        out.turnaround(),
-        k
+        obs.trace.len(),
+        out.time_us,
+        chunk_len(m_total, out.processors_used)
     );
 
     // Walk the happens-before graph backward from the last-finishing node
     // and show which stretches were local work vs message transfers.
-    let mut obs = out.observation();
-    obs.trace = trace;
     let path = CriticalPath::compute(&obs).expect("traced run has a path");
     println!("\ncritical path ({} segments):", path.segments.len());
     for seg in &path.segments {

@@ -54,7 +54,7 @@ fn main() {
             println!("  max hops/msg   : {:>10}", out.stats.max_hops);
 
             // Baseline.
-            let base = mffs_sort(&faults, CostModel::default(), data, Protocol::HalfExchange);
+            let (base, _) = mffs_sort(&faults, &FtConfig::default(), data, Attach::default());
             assert_eq!(base.sorted, expect);
             println!(
                 "\nMFFS baseline: Q{} → {} processors",

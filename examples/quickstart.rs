@@ -57,12 +57,7 @@ fn main() {
     );
 
     // Compare with the maximum fault-free subcube baseline.
-    let baseline = mffs_sort(
-        &faults,
-        CostModel::default(),
-        expect.clone(),
-        Protocol::HalfExchange,
-    );
+    let (baseline, _) = mffs_sort(&faults, &config, expect.clone(), Attach::default());
     println!(
         "MFFS baseline: {} processors, {:.1} ms — ours is {:.2}× faster",
         baseline.processors_used,

@@ -16,7 +16,7 @@ fn main() {
     let m_total: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(64_000);
 
     let cube = Hypercube::new(n);
-    let cost = CostModel::default();
+    let config = FtConfig::default();
     let mut rng = StdRng::seed_from_u64(17);
     let data: Vec<u32> = (0..m_total).map(|_| rng.random()).collect();
     let mut expect = data.clone();
@@ -46,23 +46,19 @@ fn main() {
     };
 
     // fault-free contenders
-    let out = bitonic_sort(cube, cost, data.clone(), Protocol::HalfExchange);
+    let (out, _) = bitonic_sort(cube, &config, data.clone(), Attach::default());
     report("bitonic (fault-free)", &out);
-    let out = odd_even_ring_sort(cube, cost, data.clone(), Protocol::HalfExchange);
+    let (out, _) = odd_even_ring_sort(cube, &config, data.clone(), Attach::default());
     report("odd-even ring (fault-free)", &out);
-    let out = hyperquicksort(cube, cost, data.clone());
+    let (out, _) = hyperquicksort(cube, &config, data.clone(), Attach::default());
     report("hyperquicksort (fault-free)", &out);
 
     // now break n−1 processors
     let faults = FaultSet::random(cube, n - 1, &mut rng);
     println!("\ninjecting {} faults: {:?}\n", n - 1, faults.to_vec());
     let plan = FtPlan::new(&faults).expect("tolerable");
-    let config = FtConfig {
-        cost,
-        ..FtConfig::default()
-    };
     let (out, _, _) = fault_tolerant_sort(&plan, &config, data.clone(), Attach::default());
     report("fault-tolerant sort (ours)", &out);
-    let out = mffs_sort(&faults, cost, data, Protocol::HalfExchange);
+    let (out, _) = mffs_sort(&faults, &config, data, Attach::default());
     report("MFFS baseline", &out);
 }

@@ -525,7 +525,11 @@ fn mffs_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), St
         "maximum fault-free subcube: {sc:?} ({} processors)",
         sc.len()
     );
-    let out = mffs_sort(faults, CostModel::default(), data, protocol);
+    let config = FtConfig {
+        protocol,
+        ..FtConfig::default()
+    };
+    let (out, _) = mffs_sort(faults, &config, data, Attach::default());
     println!("simulated time : {:>12.1} ms", out.time_us / 1000.0);
     println!("element·hops   : {:>12}", out.stats.element_hops);
     Ok(())

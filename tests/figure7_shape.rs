@@ -5,10 +5,9 @@
 //! the *shape*: who wins, and where the fault-tolerant sort falls relative
 //! to the fault-free subcube fallbacks the MFFS baseline would use.
 
-use ftsort::bitonic::{bitonic_sort, Protocol};
+use ftsort::bitonic::bitonic_sort;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
-use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::topology::Hypercube;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -37,10 +36,11 @@ fn ft_time(n: usize, faults: &[u32], seed: u64) -> f64 {
 fn fault_free_time(n: usize, seed: u64) -> f64 {
     bitonic_sort(
         Hypercube::new(n),
-        CostModel::default(),
+        &FtConfig::default(),
         data(seed),
-        Protocol::HalfExchange,
+        Attach::default(),
     )
+    .0
     .time_us
 }
 
@@ -108,7 +108,7 @@ fn paper_example_beats_mffs() {
     let fs = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
     let input = data(4);
     let ours = ft_sort(&fs, input.clone());
-    let baseline = mffs_sort(&fs, CostModel::default(), input, Protocol::HalfExchange);
+    let (baseline, _) = mffs_sort(&fs, &FtConfig::default(), input, Attach::default());
     assert_eq!(ours.sorted, baseline.sorted);
     assert_eq!(baseline.processors_used, 8);
     assert_eq!(ours.processors_used, 24);

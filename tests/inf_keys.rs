@@ -7,61 +7,81 @@ use ftsort::prelude::*;
 use ftsort::seq::{Key, KeyPair};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Sorts `data` with every entry point on both engines (the single-fault
-/// sort has no engine choice) and checks each output against the sorted
-/// input, and each par run's time and counts against seq's.
+/// Sorts `data` with all six entry points on seq and par@2, under both
+/// link models, and again with host I/O charged wherever the runs keep
+/// their length (all but hyperquicksort). Checks each output against the
+/// sorted input, and each par@2 run's time and counts against seq's.
 fn sorts_everywhere<K: Key>(data: Vec<K>) {
     let mut expect = data.clone();
     expect.sort();
     let m = data.len();
     let cube = Hypercube::new(5);
     let faults = FaultSet::from_raw(cube, &[3, 17, 22]);
+    let single = FaultSet::from_raw(cube, &[3]);
     let plan = FtPlan::new(&faults).expect("Q5 tolerates three faults");
     let mffs = max_fault_free_subcube(&faults).expect("a fault-free subcube");
     for procs in [plan.live_count(), mffs.len(), cube.len() - 1, cube.len()] {
         assert_ne!(m % procs, 0, "{procs} processors divide M: no padding");
     }
-    let cost = CostModel::default();
-    let protocol = Protocol::HalfExchange;
-    let run = |kind: EngineKind| {
-        let config = FtConfig {
-            engine: kind,
-            threads: Some(2),
-            ..FtConfig::default()
-        };
-        [
-            (
-                "fault-tolerant",
-                fault_tolerant_sort(&plan, &config, data.clone(), Attach::default()).0,
-            ),
-            (
-                "mffs",
-                mffs_sort_with_engine(&faults, cost, data.clone(), protocol, kind),
-            ),
-            (
-                "bitonic",
-                bitonic_sort_with_engine(cube, cost, data.clone(), protocol, kind, Some(2)),
-            ),
-            (
-                "odd-even ring",
-                odd_even_ring_sort_with_engine(cube, cost, data.clone(), protocol, kind),
-            ),
-            (
-                "hyperquicksort",
-                hyperquicksort_with_engine(cube, cost, data.clone(), kind),
-            ),
-        ]
-    };
-    let [seq, par] = [EngineKind::Seq, EngineKind::Par].map(run);
-    for ((name, s), (_, p)) in seq.iter().zip(&par) {
-        assert_eq!(s.sorted, expect, "{name} (seq) did not sort");
-        assert_eq!(p.sorted, expect, "{name} (par) did not sort");
-        assert_eq!(s.time_us.to_bits(), p.time_us.to_bits(), "{name}: time");
-        assert_eq!(s.stats, p.stats, "{name}: stats");
+    for link_model in [LinkModel::Uncontended, LinkModel::Contended] {
+        for include_host_io in [false, true] {
+            let run = |engine: EngineKind| {
+                let config = FtConfig {
+                    engine,
+                    threads: Some(2),
+                    link_model,
+                    include_host_io,
+                    ..FtConfig::default()
+                };
+                let mut runs = vec![
+                    (
+                        "fault-tolerant",
+                        fault_tolerant_sort(&plan, &config, data.clone(), Attach::default()).0,
+                    ),
+                    (
+                        "mffs",
+                        mffs_sort(&faults, &config, data.clone(), Attach::default()).0,
+                    ),
+                    (
+                        "single fault",
+                        single_fault_bitonic_sort(
+                            &single,
+                            &config,
+                            data.clone(),
+                            Attach::default(),
+                        )
+                        .0,
+                    ),
+                    (
+                        "bitonic",
+                        bitonic_sort(cube, &config, data.clone(), Attach::default()).0,
+                    ),
+                    (
+                        "odd-even ring",
+                        odd_even_ring_sort(cube, &config, data.clone(), Attach::default()).0,
+                    ),
+                ];
+                // hyperquicksort's run lengths follow its pivots, and the
+                // host gather takes equal pieces only
+                if !include_host_io {
+                    runs.push((
+                        "hyperquicksort",
+                        hyperquicksort(cube, &config, data.clone(), Attach::default()).0,
+                    ));
+                }
+                runs
+            };
+            let [seq, par] = [EngineKind::Seq, EngineKind::Par].map(run);
+            assert_eq!(seq.len(), par.len());
+            for ((name, s), (_, p)) in seq.iter().zip(&par) {
+                let case = format!("{name}, {link_model:?}, host I/O {include_host_io}");
+                assert_eq!(s.sorted, expect, "{case} (seq) did not sort");
+                assert_eq!(p.sorted, expect, "{case} (par) did not sort");
+                assert_eq!(s.time_us.to_bits(), p.time_us.to_bits(), "{case}: time");
+                assert_eq!(s.stats, p.stats, "{case}: stats");
+            }
+        }
     }
-    let single = FaultSet::from_raw(cube, &[3]);
-    let out = single_fault_bitonic_sort(single, cost, data, protocol);
-    assert_eq!(out.sorted, expect, "single fault did not sort");
 }
 
 #[test]

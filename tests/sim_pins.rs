@@ -34,8 +34,7 @@ fn run_all<K: Key>(data: Vec<K>) -> Vec<(&'static str, Pin)> {
     for procs in [plan.live_count(), mffs.len(), cube.len() - 1, cube.len()] {
         assert_ne!(M % procs, 0, "{procs} processors divide M: no padding");
     }
-    let cost = CostModel::default();
-    let protocol = Protocol::HalfExchange;
+    let config = FtConfig::default();
     let ft =
         |config: FtConfig| fault_tolerant_sort(&plan, &config, data.clone(), Attach::default()).0;
     let runs = [
@@ -69,22 +68,32 @@ fn run_all<K: Key>(data: Vec<K>) -> Vec<(&'static str, Pin)> {
                 ..FtConfig::default()
             }),
         ),
-        ("mffs", mffs_sort(&faults, cost, data.clone(), protocol)),
+        (
+            "mffs",
+            mffs_sort(&faults, &config, data.clone(), Attach::default()).0,
+        ),
         (
             "single fault",
             single_fault_bitonic_sort(
-                FaultSet::from_raw(cube, &FAULTS[..1]),
-                cost,
+                &FaultSet::from_raw(cube, &FAULTS[..1]),
+                &config,
                 data.clone(),
-                protocol,
-            ),
+                Attach::default(),
+            )
+            .0,
         ),
-        ("bitonic", bitonic_sort(cube, cost, data.clone(), protocol)),
+        (
+            "bitonic",
+            bitonic_sort(cube, &config, data.clone(), Attach::default()).0,
+        ),
         (
             "odd-even ring",
-            odd_even_ring_sort(cube, cost, data.clone(), protocol),
+            odd_even_ring_sort(cube, &config, data.clone(), Attach::default()).0,
         ),
-        ("hyperquicksort", hyperquicksort(cube, cost, data)),
+        (
+            "hyperquicksort",
+            hyperquicksort(cube, &config, data, Attach::default()).0,
+        ),
     ];
     runs.into_iter()
         .map(|(name, out)| {
