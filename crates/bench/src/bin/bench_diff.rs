@@ -51,6 +51,7 @@
 //!     [--tolerance 10] [--wall-tolerance 25] [--min-ratio-wall 0.05]
 //! ```
 
+use ft_bench::parse;
 use hypercube::obs::campaign::{CampaignReport, MetricAgg};
 use hypercube::obs::json::Json;
 
@@ -129,23 +130,18 @@ fn main() {
     let mut tolerance = 10.0f64;
     let mut wall_tolerance = 25.0f64;
     let mut min_ratio_wall = 0.05f64;
+    // A band must be finite: NaN would switch its gate off.
+    let band = |flag: &str, value: Option<String>, needs: &str| {
+        parse(flag, value.as_deref(), f64::MIN..=f64::MAX, needs)
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--a" => a_path = args.next(),
             "--b" => b_path = args.next(),
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => usage("--tolerance needs a percentage, e.g. 10"),
-            },
-            "--wall-tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => wall_tolerance = t,
-                None => usage("--wall-tolerance needs a percentage, e.g. 25"),
-            },
-            "--min-ratio-wall" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => min_ratio_wall = t,
-                None => usage("--min-ratio-wall needs seconds, e.g. 0.05"),
-            },
+            "--tolerance" => tolerance = band(&arg, args.next(), "a percentage, e.g. 10"),
+            "--wall-tolerance" => wall_tolerance = band(&arg, args.next(), "a percentage, e.g. 25"),
+            "--min-ratio-wall" => min_ratio_wall = band(&arg, args.next(), "seconds, e.g. 0.05"),
             other => usage(&format!("unknown argument {other}")),
         }
     }

@@ -7,7 +7,10 @@
 //!     [-- --n 6 --m 100000 --seed 1992 --host-io --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
 //! ```
 
-use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{
+    parse, parse_dim, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags,
+    DEFAULT_SEED,
+};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::sim::EngineKind;
@@ -23,9 +26,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--n" => n = args.next().and_then(|v| v.parse().ok()).unwrap_or(n),
-            "--m" => m_total = args.next().and_then(|v| v.parse().ok()).unwrap_or(m_total),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--n" => n = parse_dim(&a, args.next().as_deref()),
+            "--m" => m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 100000"),
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--host-io" => host_io = true,
             "--engine" => engine = parse_engine(args.next()),
             "--key-type" => key_type = ft_bench::parse_key_type(args.next()),

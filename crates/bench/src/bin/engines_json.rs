@@ -54,7 +54,10 @@
 //!
 //! [`SchedReport`]: hypercube::obs::sched::SchedReport
 
-use ft_bench::{random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{
+    parse, parse_dim, random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags,
+    DEFAULT_SEED,
+};
 use ftsort::bitonic::{Protocol, SortOutcome};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -62,8 +65,6 @@ use hypercube::obs::sched::{SchedProfiler, SchedReport};
 use hypercube::sim::{EngineKind, LinkModel};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::num::NonZeroUsize;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -129,20 +130,18 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--sizes" => {
-                let needs = "a comma list of cube dimensions ≥ 1, e.g. 6,8,10";
                 cfg.sizes = args
                     .next()
                     .unwrap_or_default()
                     .split(',')
-                    .map(|v| parse::<NonZeroUsize>(&a, Some(v), needs).get())
+                    .map(|v| parse_dim(&a, Some(v)))
                     .collect();
             }
-            "--m" => cfg.m_total = parse(&a, args.next().as_deref(), "a key count, e.g. 16000"),
+            "--m" => cfg.m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 16000"),
             "--trials" => {
-                let needs = "a count ≥ 1, e.g. 3";
-                cfg.trials = parse::<NonZeroUsize>(&a, args.next().as_deref(), needs).get();
+                cfg.trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 3");
             }
-            "--seed" => cfg.seed = parse(&a, args.next().as_deref(), "an integer, e.g. 1992"),
+            "--seed" => cfg.seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--out" => cfg.out = args.next().unwrap_or_else(|| usage("--out needs a path")),
             "--key-type" => cfg.key_type = ft_bench::parse_key_type(args.next()),
             other => {
@@ -160,13 +159,6 @@ fn main() {
         KeyType::I64 => run::<i64>(cfg),
         KeyType::Pair => run::<KeyPair>(cfg),
     }
-}
-
-/// `value` parsed as a `T`, or a usage error saying what `flag` needs.
-fn parse<T: FromStr>(flag: &str, value: Option<&str>, needs: &str) -> T {
-    value
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs {needs}")))
 }
 
 fn usage(msg: &str) -> ! {
@@ -442,22 +434,6 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
         for (j, (name, us)) in row.phases.iter().enumerate() {
             let sep = if j == 0 { "" } else { ", " };
             let _ = write!(s, "{sep}\"{name}\": {us:.3}");
-        }
-        // Per-phase wall attribution: the seq engine's wall clock split
-        // across phases in proportion to their virtual time (the engines
-        // interleave phases across nodes, so the virtual profile is the
-        // attribution base). Informational, like the wall columns —
-        // bench_diff never gates on it.
-        s.push_str("}, \"phase_walls\": {");
-        let virtual_total: f64 = row.phases.iter().map(|(_, us)| us).sum();
-        for (j, (name, us)) in row.phases.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
-            let wall = if virtual_total > 0.0 {
-                row.seq_s * us / virtual_total
-            } else {
-                0.0
-            };
-            let _ = write!(s, "{sep}\"{name}\": {wall:.6}");
         }
         s.push_str("}}");
         s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });

@@ -15,7 +15,10 @@
 //!     [-- --n 6 --seed 1992 --trials 3 --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
 //! ```
 
-use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{
+    parse, parse_dim, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags,
+    DEFAULT_SEED,
+};
 use ftsort::bitonic::{bitonic_sort, Protocol};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -34,29 +37,27 @@ fn main() {
     let mut engine = EngineKind::default();
     let mut key_type = KeyType::default();
     let mut obs_flags = ObsFlags::default();
+    let micros = |flag: &str, value: Option<String>| {
+        parse(
+            flag,
+            value.as_deref(),
+            0.0..=f64::MAX,
+            "a finite µs cost ≥ 0, e.g. 5",
+        )
+    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--n" => panel = args.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--trials" => trials = args.next().and_then(|v| v.parse().ok()).unwrap_or(trials),
+            "--n" => panel = Some(parse_dim(&a, args.next().as_deref())),
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
+            "--trials" => trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 3"),
             "--csv" => csv = true,
             "--engine" => engine = parse_engine(args.next()),
             "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
             // sensitivity knobs (see EXPERIMENTS.md §Sensitivity)
-            "--tsr" => {
-                cost.t_sr = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cost.t_sr)
-            }
-            "--tc" => cost.t_c = args.next().and_then(|v| v.parse().ok()).unwrap_or(cost.t_c),
-            "--startup" => {
-                cost.t_startup = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cost.t_startup)
-            }
+            "--tsr" => cost.t_sr = micros(&a, args.next()),
+            "--tc" => cost.t_c = micros(&a, args.next()),
+            "--startup" => cost.t_startup = micros(&a, args.next()),
             other => {
                 if !obs_flags.parse(other, &mut args) {
                     eprintln!("unknown argument {other}");

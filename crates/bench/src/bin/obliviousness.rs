@@ -11,7 +11,7 @@
 //! ```
 
 use ft_bench::workload::Workload;
-use ft_bench::{parse_engine, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{parse, parse_dim, parse_engine, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::baselines::hyperquicksort;
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
@@ -30,9 +30,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--n" => n = args.next().and_then(|v| v.parse().ok()).unwrap_or(n),
-            "--m" => m_total = args.next().and_then(|v| v.parse().ok()).unwrap_or(m_total),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--n" => n = parse_dim(&a, args.next().as_deref()),
+            "--m" => m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 64000"),
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--engine" => engine = parse_engine(args.next()),
             "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
             other => {

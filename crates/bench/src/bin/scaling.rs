@@ -12,7 +12,9 @@
 //!     [-- --m 64000 --seed 1992 --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
 //! ```
 
-use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
+use ft_bench::{
+    parse, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED,
+};
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
@@ -30,8 +32,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--m" => m_total = args.next().and_then(|v| v.parse().ok()).unwrap_or(m_total),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--m" => m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 64000"),
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--engine" => engine = parse_engine(args.next()),
             "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
             other => {

@@ -6,7 +6,7 @@
 //! cargo run -p ft-bench --release --bin table1 [-- --trials 10000 --seed 1992]
 //! ```
 
-use ft_bench::{fault_set_count, MincutHistogram, DEFAULT_SEED, DEFAULT_TRIALS};
+use ft_bench::{fault_set_count, parse, MincutHistogram, DEFAULT_SEED, DEFAULT_TRIALS};
 
 fn main() {
     let mut trials = DEFAULT_TRIALS;
@@ -15,8 +15,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--trials" => trials = args.next().and_then(|v| v.parse().ok()).unwrap_or(trials),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--trials" => {
+                trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 10000")
+            }
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--exhaustive" => exhaustive = true,
             // Accepted for interface uniformity with the other report bins;
             // Table 1 only runs the partition algorithm, no simulation, so
@@ -26,7 +28,7 @@ fn main() {
                 eprintln!("note: table1 runs no simulation; --engine has no effect");
             }
             "--threads" => {
-                let _ = args.next();
+                let _: usize = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 4");
                 eprintln!("note: table1 runs no simulation; --threads has no effect");
             }
             other => {

@@ -8,7 +8,7 @@
 //! cargo run -p ft-bench --release --bin table2 [-- --trials 10000 --seed 1992 --ablation-selection]
 //! ```
 
-use ft_bench::{random_faults, UtilizationCell, DEFAULT_SEED, DEFAULT_TRIALS};
+use ft_bench::{parse, random_faults, UtilizationCell, DEFAULT_SEED, DEFAULT_TRIALS};
 use ftsort::partition::partition;
 use ftsort::select::{extra_comm_cost, select_cutting_sequence};
 
@@ -20,8 +20,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--trials" => trials = args.next().and_then(|v| v.parse().ok()).unwrap_or(trials),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--trials" => {
+                trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 10000")
+            }
+            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
             "--ablation-selection" => ablation = true,
             "--exhaustive" => exhaustive = true,
             // Accepted for interface uniformity with the other report bins;
@@ -32,7 +34,7 @@ fn main() {
                 eprintln!("note: table2 runs no simulation; --engine has no effect");
             }
             "--threads" => {
-                let _ = args.next();
+                let _: usize = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 4");
                 eprintln!("note: table2 runs no simulation; --threads has no effect");
             }
             other => {

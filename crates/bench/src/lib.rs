@@ -5,6 +5,7 @@ use ftsort::bitonic::SortOutcome;
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use ftsort::mffs::max_fault_free_subcube;
 use ftsort::seq::{Key, KeyType};
+use hypercube::address::MAX_DIM;
 use hypercube::fault::FaultSet;
 use hypercube::obs::log::{self, Level, Value};
 use hypercube::obs::perfetto::write_perfetto;
@@ -18,6 +19,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::BufWriter;
+use std::ops::RangeBounds;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// The seed printed by every report binary so runs are reproducible.
@@ -29,11 +32,6 @@ pub const DEFAULT_TRIALS: usize = 10_000;
 /// Draws a random fault set of size `r` on `Q_n`.
 pub fn random_faults(n: usize, r: usize, rng: &mut StdRng) -> FaultSet {
     FaultSet::random(Hypercube::new(n), r, rng)
-}
-
-/// Random `u32` keys.
-pub fn random_keys(m: usize, rng: &mut StdRng) -> Vec<u32> {
-    (0..m).map(|_| rng.random()).collect()
 }
 
 /// Key types the harness can draw uniformly at random — the set behind
@@ -71,8 +69,7 @@ impl GenKey for ftsort::seq::KeyPair {
     }
 }
 
-/// Random keys of any [`GenKey`] type; the typed counterpart of
-/// [`random_keys`] for `--key-type` dispatch.
+/// Random keys of any [`GenKey`] type, for `--key-type` dispatch.
 pub fn random_keys_typed<K: GenKey>(m: usize, rng: &mut StdRng) -> Vec<K> {
     (0..m).map(|_| K::gen(rng)).collect()
 }
@@ -93,6 +90,32 @@ pub fn parse_key_type(value: Option<String>) -> ftsort::seq::KeyType {
             std::process::exit(2);
         }
     }
+}
+
+/// `value` parsed as a `T` in `range`, or a usage error: prints that
+/// `flag` needs `needs` and exits with status 2. The report binaries read
+/// every numeric flag through it, so a bad value stops them before any
+/// sort runs.
+pub fn parse<T: FromStr + PartialOrd>(
+    flag: &str,
+    value: Option<&str>,
+    range: impl RangeBounds<T>,
+    needs: &str,
+) -> T {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(v) if range.contains(&v) => v,
+        _ => {
+            eprintln!("{flag} needs {needs}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// A cube dimension for `flag`, from 1 to [`MAX_DIM`], read through
+/// [`parse`].
+pub fn parse_dim(flag: &str, value: Option<&str>) -> usize {
+    let needs = format!("a cube dimension from 1 to {MAX_DIM}, e.g. 6");
+    parse(flag, value, 1..=MAX_DIM, &needs)
 }
 
 /// A seeded RNG for the harness.

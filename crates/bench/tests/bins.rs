@@ -240,6 +240,63 @@ fn engines_json_rejects_bad_arguments() {
 }
 
 #[test]
+fn report_bins_reject_bad_numbers() {
+    // Every numeric flag of the report bins and bench_diff's bands reads
+    // through `ft_bench::parse`: a value the bin cannot run is a usage
+    // error naming its flag (the next-to-last word), before any sort runs.
+    // Leading small values keep a missed rejection quick, and bench_diff
+    // diffs a checked-in baseline (`BASE`) with itself, so a missed
+    // rejection exits 0.
+    let base = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/BENCH_engines_ci.json"
+    );
+    for (bin, case) in [
+        (env!("CARGO_BIN_EXE_breakdown"), "--n 3 --m abc"),
+        (env!("CARGO_BIN_EXE_breakdown"), "--m 10 --n 40"),
+        (env!("CARGO_BIN_EXE_breakdown"), "--n 1 --seed -1"),
+        (env!("CARGO_BIN_EXE_table1"), "--trials 0"),
+        (env!("CARGO_BIN_EXE_table1"), "--trials 1 --threads 0"),
+        (env!("CARGO_BIN_EXE_table2"), "--trials 1 --trials x"),
+        (env!("CARGO_BIN_EXE_table2"), "--trials 1 --seed x"),
+        (env!("CARGO_BIN_EXE_figure7"), "--n 3 --trials 0"),
+        (env!("CARGO_BIN_EXE_figure7"), "--trials 1 --n 0"),
+        (env!("CARGO_BIN_EXE_figure7"), "--n 1 --tsr nan"),
+        (env!("CARGO_BIN_EXE_figure7"), "--n 1 --tc -1"),
+        (env!("CARGO_BIN_EXE_figure7"), "--n 1 --startup x"),
+        (env!("CARGO_BIN_EXE_obliviousness"), "--m 100 --n 0"),
+        (env!("CARGO_BIN_EXE_obliviousness"), "--n 1 --m -1"),
+        (env!("CARGO_BIN_EXE_scaling"), "--m 100 --m -5"),
+        (env!("CARGO_BIN_EXE_scaling"), "--m 100 --seed x"),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            "--a BASE --b BASE --tolerance nan",
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            "--a BASE --b BASE --wall-tolerance x",
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            "--a BASE --b BASE --min-ratio-wall inf",
+        ),
+    ] {
+        let args: Vec<&str> = case
+            .split(' ')
+            .map(|w| if w == "BASE" { base } else { w })
+            .collect();
+        let run = Command::new(bin).args(&args).output().expect("bin runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{bin} {case}: {stderr}");
+        assert!(
+            stderr.contains(args[args.len() - 2]),
+            "{bin} {case}: {stderr}"
+        );
+        assert!(run.stdout.is_empty(), "{bin} {case} ran");
+    }
+}
+
+#[test]
 fn bench_diff_smoke() {
     let out = std::env::temp_dir().join("ft_bench_diff_smoke.json");
     let out_str = out.to_str().unwrap();
