@@ -46,12 +46,11 @@
 //! matched (kernel rows do not count) — so it can gate CI:
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin bench_diff -- \
-//!     --a BENCH_engines.json --b /tmp/new.json \
-//!     [--tolerance 10] [--wall-tolerance 25] [--min-ratio-wall 0.05]
+//! bench_diff --a OLD.json --b NEW.json [--tolerance 10] [--wall-tolerance 25]
+//!            [--min-ratio-wall 0.05]
 //! ```
 
-use ft_bench::parse;
+use ft_bench::args::{Args, Flag};
 use hypercube::obs::campaign::{CampaignReport, MetricAgg};
 use hypercube::obs::json::Json;
 
@@ -124,30 +123,25 @@ struct Limits {
     same_host: bool,
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--a", "OLD.json", "the baseline (required)"),
+    ("--b", "NEW.json", "the file judged against it (required)"),
+    ("--tolerance", "PCT", "virtual-time tolerance (default 10)"),
+    ("--wall-tolerance", "PCT", "width of the same-host ratio bands (default 25)"),
+    ("--min-ratio-wall", "SECS", "least seq wall at which par_over_seq gates (default 0.05)"),
+];
+
 fn main() {
-    let mut a_path = None;
-    let mut b_path = None;
-    let mut tolerance = 10.0f64;
-    let mut wall_tolerance = 25.0f64;
-    let mut min_ratio_wall = 0.05f64;
+    let args = Args::parse("bench_diff", &[FLAGS]);
+    let a_path = args.required("--a");
+    let b_path = args.required("--b");
     // A band must be finite: NaN would switch its gate off.
-    let band = |flag: &str, value: Option<String>, needs: &str| {
-        parse(flag, value.as_deref(), f64::MIN..=f64::MAX, needs)
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--a" => a_path = args.next(),
-            "--b" => b_path = args.next(),
-            "--tolerance" => tolerance = band(&arg, args.next(), "a percentage, e.g. 10"),
-            "--wall-tolerance" => wall_tolerance = band(&arg, args.next(), "a percentage, e.g. 25"),
-            "--min-ratio-wall" => min_ratio_wall = band(&arg, args.next(), "seconds, e.g. 0.05"),
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    let (Some(a_path), Some(b_path)) = (a_path, b_path) else {
-        usage("bench_diff needs --a OLD.json --b NEW.json");
-    };
+    let finite = f64::MIN..=f64::MAX;
+    let tolerance = args.get("--tolerance", finite.clone(), 10.0);
+    let wall_tolerance = args.get("--wall-tolerance", finite.clone(), 25.0);
+    let min_ratio_wall = args.get("--min-ratio-wall", finite, 0.05);
+    args.finish();
     let a = load(&a_path);
     let b = load(&b_path);
 
@@ -300,15 +294,6 @@ fn judge(name: &str, old: f64, new: f64, timed: bool, limits: &Limits) -> bool {
         if regressed { "  REGRESSION" } else { "" }
     );
     regressed
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: bench_diff --a OLD.json --b NEW.json \
-         [--tolerance PCT] [--wall-tolerance PCT] [--min-ratio-wall SECS]"
-    );
-    std::process::exit(2);
 }
 
 fn load(path: &str) -> Bench {

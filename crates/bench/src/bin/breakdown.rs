@@ -3,43 +3,36 @@
 //! the cost-structure view behind the paper's §3 analysis.
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin breakdown \
-//!     [-- --n 6 --m 100000 --seed 1992 --host-io --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
+//! breakdown [--n 6] [--m 100000] [--seed 1992] [--host-io] [--engine seq|par]
+//!           [--key-type u32|u64|i64|pair] [observability flags of ftsort-cli sort]
 //! ```
 
-use ft_bench::{
-    parse, parse_dim, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags,
-    DEFAULT_SEED,
-};
+use ft_bench::args::{dims, engine, Args, Flag, ENGINE, KEY_TYPE};
+use ft_bench::{random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::sim::EngineKind;
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--n", "N", "cube dimension (default 6)"),
+    ("--m", "KEYS", "keys per sort (default 100000)"),
+    ("--seed", "SEED", "fault and key seed (default 1992)"),
+    ("--host-io", "", "charge the host's scatter and gather"),
+    ENGINE,
+    KEY_TYPE,
+];
+
 fn main() {
-    let mut n = 6usize;
-    let mut m_total = 100_000usize;
-    let mut seed = DEFAULT_SEED;
-    let mut host_io = false;
-    let mut engine = EngineKind::default();
-    let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--n" => n = parse_dim(&a, args.next().as_deref()),
-            "--m" => m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 100000"),
-            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--host-io" => host_io = true,
-            "--engine" => engine = parse_engine(args.next()),
-            "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
-            other => {
-                if !obs_flags.parse(other, &mut args) {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+    let args = Args::parse("breakdown", &[FLAGS, ObsFlags::FLAGS]);
+    let n = args.get("--n", dims(1), 6);
+    let m_total = args.get("--m", .., 100_000);
+    let seed = args.get("--seed", .., DEFAULT_SEED);
+    let host_io = args.switch("--host-io");
+    let engine = args.value("--engine", engine).unwrap_or_default();
+    let key_type = args.value("--key-type", KeyType::parse).unwrap_or_default();
+    let obs_flags = ObsFlags::read(&args);
+    args.finish();
     match key_type {
         KeyType::U32 => run::<u32>(n, m_total, seed, host_io, engine, key_type, obs_flags),
         KeyType::U64 => run::<u64>(n, m_total, seed, host_io, engine, key_type, obs_flags),

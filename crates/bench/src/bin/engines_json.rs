@@ -43,9 +43,9 @@
 //! banded by `--wall-tolerance`).
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin engines_json \
-//!     [-- --sizes 6,8,10 --m 16000 --trials 3 --seed 1992 \
-//!          --key-type i64 --out BENCH_engines.json]
+//! engines_json [--sizes 6,8,10] [--m 16000] [--trials 3] [--seed 1992]
+//!              [--key-type u32|u64|i64|pair] [--out BENCH_engines.json]
+//!              [observability flags of ftsort-cli sort]
 //! ```
 //!
 //! Compare two outputs (e.g. before/after a scheduler change) with the
@@ -54,10 +54,8 @@
 //!
 //! [`SchedReport`]: hypercube::obs::sched::SchedReport
 
-use ft_bench::{
-    parse, parse_dim, random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags,
-    DEFAULT_SEED,
-};
+use ft_bench::args::{dims, Args, Flag, KEY_TYPE};
+use ft_bench::{random_faults, random_keys_typed, worker_ladder, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::{Protocol, SortOutcome};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -116,41 +114,30 @@ struct Cfg {
     obs_flags: ObsFlags,
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--sizes", "N,N,..", "cube dimensions (default 6,8,10)"),
+    ("--m", "KEYS", "keys per sort (default 16000)"),
+    ("--trials", "T", "timed runs per rung, best kept (default 3)"),
+    ("--seed", "SEED", "fault and key seed (default 1992)"),
+    KEY_TYPE,
+    ("--out", "FILE", "bench file to write (default BENCH_engines.json)"),
+];
+
 fn main() {
-    let mut cfg = Cfg {
-        sizes: vec![6, 8, 10],
-        m_total: 16_000,
-        trials: 3,
-        seed: DEFAULT_SEED,
-        out: String::from("BENCH_engines.json"),
-        key_type: KeyType::default(),
-        obs_flags: ObsFlags::default(),
+    let args = Args::parse("engines_json", &[FLAGS, ObsFlags::FLAGS]);
+    let cfg = Cfg {
+        sizes: args.list("--sizes", dims(1), &[6, 8, 10]),
+        m_total: args.get("--m", .., 16_000),
+        trials: args.get("--trials", 1.., 3),
+        seed: args.get("--seed", .., DEFAULT_SEED),
+        out: args
+            .path("--out")
+            .unwrap_or_else(|| "BENCH_engines.json".into()),
+        key_type: args.value("--key-type", KeyType::parse).unwrap_or_default(),
+        obs_flags: ObsFlags::read(&args),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sizes" => {
-                cfg.sizes = args
-                    .next()
-                    .unwrap_or_default()
-                    .split(',')
-                    .map(|v| parse_dim(&a, Some(v)))
-                    .collect();
-            }
-            "--m" => cfg.m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 16000"),
-            "--trials" => {
-                cfg.trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 3");
-            }
-            "--seed" => cfg.seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--out" => cfg.out = args.next().unwrap_or_else(|| usage("--out needs a path")),
-            "--key-type" => cfg.key_type = ft_bench::parse_key_type(args.next()),
-            other => {
-                if !cfg.obs_flags.parse(other, &mut args) {
-                    usage(&format!("unknown argument {other}"));
-                }
-            }
-        }
-    }
+    args.finish();
     // The whole run is monomorphised over the selected key type, exactly
     // like `ftsort-cli sort --key-type`.
     match cfg.key_type {
@@ -159,15 +146,6 @@ fn main() {
         KeyType::I64 => run::<i64>(cfg),
         KeyType::Pair => run::<KeyPair>(cfg),
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: engines_json [--sizes N,N,...] [--m KEYS] [--trials T] [--seed S] \
-         [--key-type u32|u64|i64|pair] [--out FILE] [observability flags]"
-    );
-    std::process::exit(2);
 }
 
 fn run<K: GenKey>(cfg: Cfg) {

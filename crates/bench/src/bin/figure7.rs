@@ -11,14 +11,13 @@
 //! * no `--n` → all four panels
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin figure7 \
-//!     [-- --n 6 --seed 1992 --trials 3 --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
+//! figure7 [--n 6] [--seed 1992] [--trials 3] [--csv] [--engine seq|par]
+//!         [--key-type u32|u64|i64|pair] [--tsr US] [--tc US] [--startup US]
+//!         [observability flags of ftsort-cli sort]
 //! ```
 
-use ft_bench::{
-    parse, parse_dim, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags,
-    DEFAULT_SEED,
-};
+use ft_bench::args::{dims, engine, number, Args, Flag, ENGINE, KEY_TYPE};
+use ft_bench::{random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::{bitonic_sort, Protocol};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
@@ -28,48 +27,39 @@ use hypercube::topology::Hypercube;
 
 const M_SWEEP: [usize; 5] = [3_200, 10_000, 32_000, 100_000, 320_000];
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--n", "N", "one panel, Q_N (default: the paper's four, 6 5 3 4)"),
+    ("--seed", "SEED", "fault and key seed (default 1992)"),
+    ("--trials", "T", "fault draws per r (default 3)"),
+    ("--csv", "", "print CSV rows"),
+    ENGINE,
+    KEY_TYPE,
+    // sensitivity knobs (see EXPERIMENTS.md §Sensitivity)
+    ("--tsr", "US", "µs to move one element across one link (default 3.2)"),
+    ("--tc", "US", "µs per key comparison (default 3)"),
+    ("--startup", "US", "µs of start-up per message (default 300)"),
+];
+
 fn main() {
-    let mut panel: Option<usize> = None;
-    let mut seed = DEFAULT_SEED;
-    let mut trials = 3usize;
-    let mut csv = false;
-    let mut cost = CostModel::default();
-    let mut engine = EngineKind::default();
-    let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::default();
-    let micros = |flag: &str, value: Option<String>| {
-        parse(
-            flag,
-            value.as_deref(),
-            0.0..=f64::MAX,
-            "a finite µs cost ≥ 0, e.g. 5",
-        )
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--n" => panel = Some(parse_dim(&a, args.next().as_deref())),
-            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--trials" => trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 3"),
-            "--csv" => csv = true,
-            "--engine" => engine = parse_engine(args.next()),
-            "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
-            // sensitivity knobs (see EXPERIMENTS.md §Sensitivity)
-            "--tsr" => cost.t_sr = micros(&a, args.next()),
-            "--tc" => cost.t_c = micros(&a, args.next()),
-            "--startup" => cost.t_startup = micros(&a, args.next()),
-            other => {
-                if !obs_flags.parse(other, &mut args) {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    let panels: Vec<usize> = match panel {
+    let args = Args::parse("figure7", &[FLAGS, ObsFlags::FLAGS]);
+    let panels = match args.value("--n", |s| number(s, &dims(1))) {
         Some(n) => vec![n],
         None => vec![6, 5, 3, 4], // the paper's (a), (b), (c), (d) order
     };
+    let seed = args.get("--seed", .., DEFAULT_SEED);
+    let trials = args.get("--trials", 1.., 3);
+    let csv = args.switch("--csv");
+    let engine = args.value("--engine", engine).unwrap_or_default();
+    let key_type = args.value("--key-type", KeyType::parse).unwrap_or_default();
+    let d = CostModel::default();
+    let cost = CostModel {
+        t_sr: args.get("--tsr", 0.0..f64::INFINITY, d.t_sr),
+        t_c: args.get("--tc", 0.0..f64::INFINITY, d.t_c),
+        t_startup: args.get("--startup", 0.0..f64::INFINITY, d.t_startup),
+    };
+    let obs_flags = ObsFlags::read(&args);
+    args.finish();
     let run = match key_type {
         KeyType::U32 => run::<u32>,
         KeyType::U64 => run::<u64>,

@@ -8,13 +8,12 @@
 //!    normal node is isolated (paper §2.2's closing remark).
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin scaling \
-//!     [-- --m 64000 --seed 1992 --engine seq --key-type i64 --threads 4 --trace-out t.json --metrics-out m.json]
+//! scaling [--m 64000] [--seed 1992] [--engine seq|par] [--key-type u32|u64|i64|pair]
+//!         [observability flags of ftsort-cli sort]
 //! ```
 
-use ft_bench::{
-    parse, parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED,
-};
+use ft_bench::args::{engine, Args, Flag, ENGINE, KEY_TYPE};
+use ft_bench::{random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use ftsort::mffs::mffs_sort;
@@ -23,27 +22,22 @@ use hypercube::fault::FaultSet;
 use hypercube::sim::EngineKind;
 use hypercube::topology::Hypercube;
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--m", "KEYS", "keys per sort (default 64000)"),
+    ("--seed", "SEED", "fault and key seed (default 1992)"),
+    ENGINE,
+    KEY_TYPE,
+];
+
 fn main() {
-    let mut m_total = 64_000usize;
-    let mut seed = DEFAULT_SEED;
-    let mut engine = EngineKind::default();
-    let mut key_type = KeyType::default();
-    let mut obs_flags = ObsFlags::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--m" => m_total = parse(&a, args.next().as_deref(), .., "a key count, e.g. 64000"),
-            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--engine" => engine = parse_engine(args.next()),
-            "--key-type" => key_type = ft_bench::parse_key_type(args.next()),
-            other => {
-                if !obs_flags.parse(other, &mut args) {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+    let args = Args::parse("scaling", &[FLAGS, ObsFlags::FLAGS]);
+    let m_total = args.get("--m", .., 64_000);
+    let seed = args.get("--seed", .., DEFAULT_SEED);
+    let engine = args.value("--engine", engine).unwrap_or_default();
+    let key_type = args.value("--key-type", KeyType::parse).unwrap_or_default();
+    let obs_flags = ObsFlags::read(&args);
+    args.finish();
     match key_type {
         KeyType::U32 => run::<u32>(m_total, seed, engine, key_type, obs_flags),
         KeyType::U64 => run::<u64>(m_total, seed, engine, key_type, obs_flags),

@@ -3,40 +3,25 @@
 //! and `0 ≤ r ≤ n − 1`.
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin table1 [-- --trials 10000 --seed 1992]
+//! table1 [--trials 10000] [--seed 1992] [--exhaustive]
 //! ```
 
-use ft_bench::{fault_set_count, parse, MincutHistogram, DEFAULT_SEED, DEFAULT_TRIALS};
+use ft_bench::args::{Args, Flag};
+use ft_bench::{fault_set_count, MincutHistogram, DEFAULT_SEED, DEFAULT_TRIALS};
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--trials", "T", "fault placements per cell (default 10000)"),
+    ("--seed", "SEED", "fault seed (default 1992)"),
+    ("--exhaustive", "", "visit every placement instead"),
+];
 
 fn main() {
-    let mut trials = DEFAULT_TRIALS;
-    let mut seed = DEFAULT_SEED;
-    let mut exhaustive = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trials" => {
-                trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 10000")
-            }
-            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--exhaustive" => exhaustive = true,
-            // Accepted for interface uniformity with the other report bins;
-            // Table 1 only runs the partition algorithm, no simulation, so
-            // the engine choice cannot change anything.
-            "--engine" => {
-                let _ = ft_bench::parse_engine(args.next());
-                eprintln!("note: table1 runs no simulation; --engine has no effect");
-            }
-            "--threads" => {
-                let _: usize = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 4");
-                eprintln!("note: table1 runs no simulation; --threads has no effect");
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse("table1", &[FLAGS]);
+    let trials = args.get("--trials", 1.., DEFAULT_TRIALS);
+    let seed = args.get("--seed", .., DEFAULT_SEED);
+    let exhaustive = args.switch("--exhaustive");
+    args.finish();
     let mut rng = ft_bench::rng(seed);
 
     if exhaustive {

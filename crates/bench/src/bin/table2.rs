@@ -5,44 +5,29 @@
 //! Utilization = running processors / normal processors (×100%).
 //!
 //! ```text
-//! cargo run -p ft-bench --release --bin table2 [-- --trials 10000 --seed 1992 --ablation-selection]
+//! table2 [--trials 10000] [--seed 1992] [--exhaustive] [--ablation-selection]
 //! ```
 
-use ft_bench::{parse, random_faults, UtilizationCell, DEFAULT_SEED, DEFAULT_TRIALS};
+use ft_bench::args::{Args, Flag};
+use ft_bench::{random_faults, UtilizationCell, DEFAULT_SEED, DEFAULT_TRIALS};
 use ftsort::partition::partition;
 use ftsort::select::{extra_comm_cost, select_cutting_sequence};
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--trials", "T", "fault placements per cell (default 10000)"),
+    ("--seed", "SEED", "fault seed (default 1992)"),
+    ("--exhaustive", "", "visit every placement instead"),
+    ("--ablation-selection", "", "add the cutting-sequence selection ablation"),
+];
+
 fn main() {
-    let mut trials = DEFAULT_TRIALS;
-    let mut seed = DEFAULT_SEED;
-    let mut ablation = false;
-    let mut exhaustive = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trials" => {
-                trials = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 10000")
-            }
-            "--seed" => seed = parse(&a, args.next().as_deref(), .., "an integer, e.g. 1992"),
-            "--ablation-selection" => ablation = true,
-            "--exhaustive" => exhaustive = true,
-            // Accepted for interface uniformity with the other report bins;
-            // Table 2 only runs the partition algorithm, no simulation, so
-            // the engine choice cannot change anything.
-            "--engine" => {
-                let _ = ft_bench::parse_engine(args.next());
-                eprintln!("note: table2 runs no simulation; --engine has no effect");
-            }
-            "--threads" => {
-                let _: usize = parse(&a, args.next().as_deref(), 1.., "a count ≥ 1, e.g. 4");
-                eprintln!("note: table2 runs no simulation; --threads has no effect");
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse("table2", &[FLAGS]);
+    let trials = args.get("--trials", 1.., DEFAULT_TRIALS);
+    let seed = args.get("--seed", .., DEFAULT_SEED);
+    let exhaustive = args.switch("--exhaustive");
+    let ablation = args.switch("--ablation-selection");
+    args.finish();
     let mut rng = ft_bench::rng(seed);
 
     if exhaustive {

@@ -166,8 +166,9 @@ fn run_campaign_typed<K: GenKey>(
     let slots: Vec<Mutex<Option<Result<RunSummary, String>>>> =
         (0..total).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         for _ in 0..cfg.jobs.max(1) {
-            scope.spawn(|| loop {
+            workers.push(scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= total {
                     break;
@@ -179,17 +180,16 @@ fn run_campaign_typed<K: GenKey>(
                 }
                 *slots[i].lock().unwrap() = Some(result);
                 done.fetch_add(1, Ordering::Release);
-            });
+            }));
         }
-        loop {
-            let d = done.load(Ordering::Acquire);
-            progress(d, total);
-            if d >= total {
-                break;
-            }
+        // A worker that panics leaves runs undone: stop waiting once every
+        // worker has stopped, and the scope re-raises the panic.
+        while done.load(Ordering::Acquire) < total && !workers.iter().all(|w| w.is_finished()) {
+            progress(done.load(Ordering::Acquire), total);
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
     });
+    progress(total, total);
 
     // Deterministic merge: ascending run-index order, always.
     let mut acc = CampaignAccumulator::new(
@@ -340,6 +340,20 @@ mod tests {
         let (cells, skipped) = campaign_cells(&cfg);
         assert_eq!(cells, vec![(3, 2), (5, 2), (5, 4)]);
         assert_eq!(skipped, vec![(3, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_run_ends_the_campaign() {
+        // Q40 does not exist, so the one run panics in `Hypercube::new`;
+        // the coordinator stops waiting and the panic reaches the caller.
+        let cfg = CampaignConfig {
+            sizes: vec![40],
+            runs_per_cell: 1,
+            jobs: 1,
+            ..CampaignConfig::default()
+        };
+        let _ = run_campaign(&cfg, &mut |_, _| {});
     }
 
     #[test]

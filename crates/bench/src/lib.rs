@@ -1,11 +1,11 @@
 //! Shared helpers for the benchmark harness that regenerates every table
 //! and figure of the paper's evaluation (§4).
 
+use args::{number, Args, Flag};
 use ftsort::bitonic::SortOutcome;
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use ftsort::mffs::max_fault_free_subcube;
 use ftsort::seq::{Key, KeyType};
-use hypercube::address::MAX_DIM;
 use hypercube::fault::FaultSet;
 use hypercube::obs::log::{self, Level, Value};
 use hypercube::obs::perfetto::write_perfetto;
@@ -19,8 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::BufWriter;
-use std::ops::RangeBounds;
-use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// The seed printed by every report binary so runs are reproducible.
@@ -74,70 +72,9 @@ pub fn random_keys_typed<K: GenKey>(m: usize, rng: &mut StdRng) -> Vec<K> {
     (0..m).map(|_| K::gen(rng)).collect()
 }
 
-/// Parses a `--key-type` value for the report binaries, exiting with a
-/// usage error on unknown spellings. The key type changes the element
-/// width and comparison outcomes of the generated workload (and therefore
-/// the simulated clocks); it never changes the communication schedule.
-pub fn parse_key_type(value: Option<String>) -> ftsort::seq::KeyType {
-    let Some(v) = value else {
-        eprintln!("--key-type requires a value (u32|u64|i64|pair)");
-        std::process::exit(2);
-    };
-    match ftsort::seq::KeyType::parse(&v) {
-        Ok(kt) => kt,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `value` parsed as a `T` in `range`, or a usage error: prints that
-/// `flag` needs `needs` and exits with status 2. The report binaries read
-/// every numeric flag through it, so a bad value stops them before any
-/// sort runs.
-pub fn parse<T: FromStr + PartialOrd>(
-    flag: &str,
-    value: Option<&str>,
-    range: impl RangeBounds<T>,
-    needs: &str,
-) -> T {
-    match value.and_then(|v| v.parse().ok()) {
-        Some(v) if range.contains(&v) => v,
-        _ => {
-            eprintln!("{flag} needs {needs}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// A cube dimension for `flag`, from 1 to [`MAX_DIM`], read through
-/// [`parse`].
-pub fn parse_dim(flag: &str, value: Option<&str>) -> usize {
-    let needs = format!("a cube dimension from 1 to {MAX_DIM}, e.g. 6");
-    parse(flag, value, 1..=MAX_DIM, &needs)
-}
-
 /// A seeded RNG for the harness.
 pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
-}
-
-/// Parses a `--engine` value for the report binaries, exiting with a usage
-/// error on unknown spellings. Both engines produce identical simulated
-/// results; the flag only changes how fast the reports regenerate.
-pub fn parse_engine(value: Option<String>) -> hypercube::sim::EngineKind {
-    let Some(v) = value else {
-        eprintln!("--engine requires a value (seq|par)");
-        std::process::exit(2);
-    };
-    match hypercube::sim::EngineKind::parse(&v) {
-        Some(kind) => kind,
-        None => {
-            eprintln!("unknown engine '{v}' (seq|par)");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// The par-engine worker counts `engines_json` sweeps on a host with
@@ -156,7 +93,7 @@ pub fn worker_ladder(host_cores: usize) -> Vec<usize> {
 /// The observability flags of `ftsort-cli sort` and the report binaries,
 /// and the one code path that runs an observed sort.
 ///
-/// [`set`](Self::set) takes the flags in [`NAMES`](Self::NAMES), each
+/// [`read`](Self::read) takes the flags of [`FLAGS`](Self::FLAGS), each
 /// checked and worded in one place. [`sort`](Self::sort) then runs one
 /// fault-tolerant sort with the attachments they ask for and writes every
 /// artifact: the Perfetto trace, the keyed
@@ -167,7 +104,6 @@ pub fn worker_ladder(host_cores: usize) -> Vec<usize> {
 /// [`drill`](Self::drill), so its timed runs record nothing and its
 /// artifacts are exactly what `ftsort-cli sort` writes for the same plan,
 /// config and keys.
-#[derive(Default)]
 pub struct ObsFlags {
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -183,72 +119,38 @@ pub struct ObsFlags {
 }
 
 impl ObsFlags {
-    /// The flags [`set`](Self::set) takes, without their leading `--`.
-    pub const NAMES: [&'static str; 9] = [
-        "threads",
-        "trace-out",
-        "metrics-out",
-        "run-out",
-        "sched-out",
-        "sched-profile",
-        "metrics-snapshot",
-        "log-level",
-        "log-out",
+    /// The observability flags, for a binary's declaration.
+    #[rustfmt::skip]
+    pub const FLAGS: &'static [Flag] = &[
+        ("--threads", "N", "par-engine workers (default: the host's cores)"),
+        ("--trace-out", "FILE", "write the Perfetto trace"),
+        ("--metrics-out", "FILE", "write the run report JSON"),
+        ("--run-out", "FILE", "stream the run file (gzipped if FILE ends in .gz)"),
+        ("--sched-out", "FILE", "write the scheduler profile JSON and its Perfetto timeline"),
+        ("--sched-profile", "", "print the scheduler profile"),
+        ("--metrics-snapshot", "FILE", "write a Prometheus snapshot of the run totals"),
+        ("--log-level", "LEVEL", "log JSON lines at error|warn|info|debug|trace"),
+        ("--log-out", "FILE", "log to FILE instead of stderr (default level info)"),
     ];
 
-    /// Sets flag `name`, one of [`NAMES`](Self::NAMES), from its value
-    /// (`sched-profile` ignores it). Only the value is checked here:
-    /// [`sort`](Self::sort) creates the files and installs the logger and
-    /// the metric totals, so the order of the flags never matters.
-    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
-        let path = Some(value.to_string());
-        match name {
-            "threads" => {
-                let t: usize = value.parse().map_err(|e| format!("bad --threads: {e}"))?;
-                if t == 0 {
-                    return Err("bad --threads: must be at least 1".into());
-                }
-                self.threads = Some(t);
-            }
-            "trace-out" => self.trace_out = path,
-            "metrics-out" => self.metrics_out = path,
-            "run-out" => self.run_out = path,
-            "sched-out" => self.sched_out = path,
-            "sched-profile" => self.sched_profile = true,
-            "metrics-snapshot" => self.metrics_snapshot = path,
-            "log-level" => {
-                let level = Level::parse(value).ok_or_else(|| {
-                    format!("unknown log level '{value}' (error|warn|info|debug|trace)")
-                })?;
-                self.log_level = Some(level);
-            }
-            "log-out" => self.log_out = path,
-            _ => return Err(format!("unknown flag --{name}")),
+    /// The flags of [`FLAGS`](Self::FLAGS) that `args` holds. Only the
+    /// values are checked here: [`sort`](Self::sort) creates the files and
+    /// installs the logger and the metric totals.
+    pub fn read(args: &Args) -> ObsFlags {
+        ObsFlags {
+            trace_out: args.path("--trace-out"),
+            metrics_out: args.path("--metrics-out"),
+            run_out: args.path("--run-out"),
+            sched_out: args.path("--sched-out"),
+            sched_profile: args.switch("--sched-profile"),
+            metrics_snapshot: args.path("--metrics-snapshot"),
+            log_level: args.value("--log-level", |s| {
+                Level::parse(s)
+                    .ok_or_else(|| format!("unknown log level '{s}' (error|warn|info|debug|trace)"))
+            }),
+            log_out: args.path("--log-out"),
+            threads: args.value("--threads", |s| number(s, &(1..))),
         }
-        Ok(())
-    }
-
-    /// Takes `arg` and, unless it is `--sched-profile`, its value from
-    /// `args`, for the report binaries' argument loops. Returns `false`
-    /// for any other argument; exits with status 2 on a missing or bad
-    /// value.
-    pub fn parse(&mut self, arg: &str, args: &mut dyn Iterator<Item = String>) -> bool {
-        let Some(name) = arg.strip_prefix("--").filter(|n| Self::NAMES.contains(n)) else {
-            return false;
-        };
-        let value = match name {
-            "sched-profile" => Some(String::new()),
-            _ => args.next(),
-        };
-        let set = match value {
-            Some(value) => self.set(name, &value),
-            None => Err(format!("{arg} requires a value")),
-        };
-        if let Err(e) = set {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        true
     }
 
     /// Whether any output was asked for; `--threads` alone asks for none.
@@ -651,5 +553,6 @@ mod tests {
     }
 }
 
+pub mod args;
 pub mod campaign;
 pub mod workload;

@@ -200,6 +200,18 @@ fn engines_json_smoke() {
     }
 }
 
+/// Runs `bin` with `args` and checks a usage error: exit 2, `named` on the
+/// first stderr line (the usage follows it), nothing on stdout.
+fn rejects(bin: &str, args: &[&str], named: &str) {
+    let run = Command::new(bin).args(args).output().expect("bin runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.contains(named), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+    assert!(run.stdout.is_empty(), "{bin} {args:?} ran");
+}
+
 #[test]
 fn engines_json_rejects_bad_arguments() {
     // Each bad value is a usage error naming its flag, before any sort
@@ -226,15 +238,11 @@ fn engines_json_rejects_bad_arguments() {
         (&["--out"], "--out"),
         (&["--bogus"], "--bogus"),
     ] {
-        let run = Command::new(env!("CARGO_BIN_EXE_engines_json"))
-            .args(base)
-            .args(bad)
-            .output()
-            .expect("engines_json runs");
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert_eq!(run.status.code(), Some(2), "{bad:?}: {stderr}");
-        assert!(stderr.contains(flag), "{bad:?}: {stderr}");
-        assert!(run.stdout.is_empty(), "{bad:?} ran");
+        rejects(
+            env!("CARGO_BIN_EXE_engines_json"),
+            &[&base[..], bad].concat(),
+            flag,
+        );
     }
     assert!(!out.exists(), "no bench file on a usage error");
 }
@@ -242,7 +250,7 @@ fn engines_json_rejects_bad_arguments() {
 #[test]
 fn report_bins_reject_bad_numbers() {
     // Every numeric flag of the report bins and bench_diff's bands reads
-    // through `ft_bench::parse`: a value the bin cannot run is a usage
+    // through `ft_bench::args`: a value the bin cannot run is a usage
     // error naming its flag (the next-to-last word), before any sort runs.
     // Leading small values keep a missed rejection quick, and bench_diff
     // diffs a checked-in baseline (`BASE`) with itself, so a missed
@@ -251,6 +259,18 @@ fn report_bins_reject_bad_numbers() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/BENCH_engines_ci.json"
     );
+    let out = std::env::temp_dir().join(format!("ft_bench_reject_{}.json", std::process::id()));
+    let out = out.to_str().unwrap();
+    let words = |case: &str| -> Vec<String> {
+        case.split(' ')
+            .map(|w| match w {
+                "BASE" => base,
+                "OUT" => out,
+                w => w,
+            })
+            .map(String::from)
+            .collect()
+    };
     for (bin, case) in [
         (env!("CARGO_BIN_EXE_breakdown"), "--n 3 --m abc"),
         (env!("CARGO_BIN_EXE_breakdown"), "--m 10 --n 40"),
@@ -281,19 +301,45 @@ fn report_bins_reject_bad_numbers() {
             "--a BASE --b BASE --min-ratio-wall inf",
         ),
     ] {
-        let args: Vec<&str> = case
-            .split(' ')
-            .map(|w| if w == "BASE" { base } else { w })
-            .collect();
-        let run = Command::new(bin).args(&args).output().expect("bin runs");
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert_eq!(run.status.code(), Some(2), "{bin} {case}: {stderr}");
-        assert!(
-            stderr.contains(args[args.len() - 2]),
-            "{bin} {case}: {stderr}"
-        );
-        assert!(run.stdout.is_empty(), "{bin} {case} ran");
+        let args = words(case);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        rejects(bin, &args, args[args.len() - 2]);
     }
+    // Each bin reads its command line against one declaration, so an
+    // unknown flag, a flag missing its value and a stray word are usage
+    // errors too, named on the first stderr line.
+    for (bin, prefix, flag) in [
+        (env!("CARGO_BIN_EXE_breakdown"), "--n 1 --m 10", "--seed"),
+        (env!("CARGO_BIN_EXE_table1"), "--trials 1", "--seed"),
+        (env!("CARGO_BIN_EXE_table2"), "--trials 1", "--seed"),
+        (env!("CARGO_BIN_EXE_figure7"), "--n 1 --trials 1", "--seed"),
+        (
+            env!("CARGO_BIN_EXE_obliviousness"),
+            "--n 1 --m 10",
+            "--seed",
+        ),
+        (env!("CARGO_BIN_EXE_scaling"), "--m 10", "--seed"),
+        (
+            env!("CARGO_BIN_EXE_engines_json"),
+            "--sizes 1 --m 10 --trials 1 --out OUT",
+            "--seed",
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            "--a BASE --b BASE",
+            "--tolerance",
+        ),
+    ] {
+        for (bad, named) in [("--bogus 1", "--bogus"), (flag, flag), ("stray", "'stray'")] {
+            let args = words(&format!("{prefix} {bad}"));
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            rejects(bin, &args, named);
+        }
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "no bench file on a usage error"
+    );
 }
 
 #[test]

@@ -359,20 +359,19 @@ mod tests {
         let full = run_with(Protocol::FullExchange);
         let half = run_with(Protocol::HalfExchange);
         // Both protocols move 2k keys in total, but the paper's protocol
-        // splits them into twice as many messages of half the size — halving
-        // the peak per-round link traffic (and per-node buffer space) at the
-        // price of extra merge comparisons.
+        // splits them into twice as many messages of half the size, halving
+        // the peak per-round link traffic (and per-node buffer space).
         assert_eq!(full.elements_sent, 200);
         assert_eq!(half.elements_sent, 200);
         assert_eq!(full.messages, 2);
         assert_eq!(half.messages, 4);
         assert_eq!(full.max_message_elements, 100);
         assert_eq!(half.max_message_elements, 50);
-        assert!(
-            half.comparisons <= 3 * full.comparisons,
-            "half {} vs full {}",
-            half.comparisons,
-            full.comparisons
-        );
+        // Which protocol compares more depends on the keys. On these two
+        // interleaved runs half-exchange's element-wise pass and re-merge
+        // cost more than full exchange's merge; on `ftsort-cli sort --n 6
+        // --faults 9,22,51,13,40 --m 16000` it makes fewer comparisons
+        // (620,720 against 637,811 with `--protocol full`).
+        assert_eq!((half.comparisons, full.comparisons), (249, 200));
     }
 }

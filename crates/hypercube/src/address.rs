@@ -14,6 +14,11 @@ use std::fmt;
 /// `Q_6` — an NCUBE/7 with 64 processors).
 pub const MAX_DIM: usize = 32;
 
+/// Largest dimension of a cube a run may have: the bound on every binary's
+/// cube-dimension flags and on the `dim` a run file may declare. It keeps
+/// a node table within 2^24 slots; it does not bound a sort's memory.
+pub const MAX_RUN_DIM: usize = 24;
+
 /// Address of one processor in a hypercube.
 ///
 /// `NodeId` is a thin wrapper over the binary address. It is meaningful only

@@ -21,7 +21,7 @@
 use super::json::{read_member, EventFields, Field, Json, Token, Tokenizer};
 use super::sink::{NodeSummary, StreamingSink, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
-use crate::address::NodeId;
+use crate::address::{NodeId, MAX_RUN_DIM};
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
@@ -293,7 +293,7 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     };
     let key_type: Option<String> = read_member(&doc, "key_type")?;
     let dim: usize = read_member(&doc, "dim")?;
-    if dim > 24 {
+    if dim > MAX_RUN_DIM {
         return Err(format!("implausible dimension {dim}"));
     }
     let cost: CostModel = read_member(&doc, "cost")?;

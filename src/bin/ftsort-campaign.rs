@@ -2,10 +2,10 @@
 //! `ftsort-cli sort`.
 //!
 //! ```text
-//! ftsort-campaign [--sizes 5,6] [--fault-counts 3] [--runs 256] [--m 4000]
+//! ftsort-campaign [--sizes 5] [--fault-counts 3] [--runs 256] [--m 4000]
 //!                 [--seed 1992] [--jobs N] [--key-type u32|u64|i64|pair]
-//!                 [--link-model uncontended|contended] [--out report.json]
-//!                 [--capture-dir DIR] [--metrics-snapshot prom.txt]
+//!                 [--link-model uncontended|contended] [--out FILE]
+//!                 [--capture-dir DIR] [--metrics-snapshot FILE]
 //! ```
 //!
 //! Executes `--runs` seeded fault placements per (n, fault-count) cell
@@ -28,32 +28,45 @@
 //!
 //! [`CampaignReport`]: hypercube::obs::campaign::CampaignReport
 
+use ft_bench::args::{dims, link_model, Args, Flag, KEY_TYPE, LINK_MODEL};
 use ft_bench::campaign::{run_campaign, CampaignConfig};
-use std::collections::HashMap;
+use ftsort::seq::KeyType;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut key: Option<String> = None;
-    for a in std::env::args().skip(1) {
-        if let Some(stripped) = a.strip_prefix("--") {
-            if let Some(k) = key.take() {
-                flags.insert(k, String::from("true"));
-            }
-            key = Some(stripped.to_string());
-        } else if let Some(k) = key.take() {
-            flags.insert(k, a);
-        } else {
-            eprintln!("unexpected argument: {a}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(k) = key.take() {
-        flags.insert(k, String::from("true"));
-    }
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--sizes", "N,N,..", "cube dimensions (default 5)"),
+    ("--fault-counts", "R,R,..", "fault counts; cells with r > n - 1 are skipped (default 3)"),
+    ("--runs", "RUNS", "fault placements per cell (default 256)"),
+    ("--m", "KEYS", "keys per run (default 4000)"),
+    ("--seed", "SEED", "campaign seed (default 1992)"),
+    ("--jobs", "N", "worker threads (default: the host's cores)"),
+    KEY_TYPE,
+    LINK_MODEL,
+    ("--out", "FILE", "write the campaign report JSON"),
+    ("--capture-dir", "DIR", "capture outlier and median run files"),
+    ("--metrics-snapshot", "FILE", "write a Prometheus snapshot at half-way and at the end"),
+];
 
-    match run(&flags) {
+fn main() -> ExitCode {
+    let args = Args::parse("ftsort-campaign", &[FLAGS]);
+    let d = CampaignConfig::default();
+    let cfg = CampaignConfig {
+        sizes: args.list("--sizes", dims(0), &d.sizes),
+        fault_counts: args.list("--fault-counts", .., &d.fault_counts),
+        runs_per_cell: args.get("--runs", 1.., d.runs_per_cell),
+        m_total: args.get("--m", .., d.m_total),
+        seed: args.get("--seed", .., d.seed),
+        jobs: args.get("--jobs", 1.., d.jobs),
+        key_type: args.value("--key-type", KeyType::parse).unwrap_or_default(),
+        link_model: args.value("--link-model", link_model).unwrap_or_default(),
+        capture_dir: args.path("--capture-dir").map(PathBuf::from),
+    };
+    let out = args.path("--out");
+    let snapshot = args.path("--metrics-snapshot");
+    args.finish();
+    match run(&cfg, out.as_deref(), snapshot.as_deref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -62,60 +75,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let known = [
-        "sizes",
-        "fault-counts",
-        "runs",
-        "m",
-        "seed",
-        "jobs",
-        "key-type",
-        "link-model",
-        "out",
-        "capture-dir",
-        "metrics-snapshot",
-    ];
-    for k in flags.keys() {
-        if !known.contains(&k.as_str()) {
-            return Err(format!("unknown flag --{k} (known: {})", known.join(", ")));
-        }
-    }
-
-    let sizes = parse_list(flags.get("sizes").map(String::as_str).unwrap_or("5"))?;
-    let fault_counts = parse_list(flags.get("fault-counts").map(String::as_str).unwrap_or("3"))?;
-    let key_type = match flags.get("key-type") {
-        Some(v) => ftsort::seq::KeyType::parse(v)?,
-        None => ftsort::seq::KeyType::default(),
-    };
-    let link_model = match flags.get("link-model") {
-        Some(v) => hypercube::sim::LinkModel::parse(v)
-            .ok_or_else(|| format!("unknown link model '{v}' (uncontended|contended)"))?,
-        None => hypercube::sim::LinkModel::default(),
-    };
-    let cfg = CampaignConfig {
-        sizes,
-        fault_counts,
-        runs_per_cell: flag(flags, "runs", "256")?,
-        m_total: flag(flags, "m", "4000")?,
-        seed: flag(flags, "seed", "1992")?,
-        jobs: flag(
-            flags,
-            "jobs",
-            &std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .to_string(),
-        )?,
-        key_type,
-        link_model,
-        capture_dir: flags.get("capture-dir").map(PathBuf::from),
-    };
-    if cfg.jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
-
+fn run(cfg: &CampaignConfig, out: Option<&str>, snapshot: Option<&str>) -> Result<(), String> {
     // Installed before the first run, so every run folds its totals in.
-    let snapshot = flags.get("metrics-snapshot");
     if snapshot.is_some() {
         hypercube::obs::metrics::install();
     }
@@ -124,7 +85,7 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
     // the pool crosses the halfway mark (and is refreshed at the end).
     let mut snapshot_written = false;
     let mut last_reported = usize::MAX;
-    let outcome = run_campaign(&cfg, &mut |done, total| {
+    let outcome = run_campaign(cfg, &mut |done, total| {
         if done != last_reported && (done == total || done % 32 == 0) {
             eprintln!("campaign: {done}/{total} runs");
             last_reported = done;
@@ -151,7 +112,7 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("  {}", path.display());
         }
     }
-    if let Some(out) = flags.get("out") {
+    if let Some(out) = out {
         std::fs::write(out, outcome.report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("campaign report written: {out}");
     }
@@ -160,30 +121,4 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("metrics snapshot written: {path}");
     }
     Ok(())
-}
-
-fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    flags
-        .get(key)
-        .map(String::as_str)
-        .unwrap_or(default)
-        .parse()
-        .map_err(|e| format!("bad --{key}: {e}"))
-}
-
-fn parse_list(spec: &str) -> Result<Vec<usize>, String> {
-    spec.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|e| format!("bad list entry '{s}': {e}"))
-        })
-        .collect()
 }

@@ -3,22 +3,28 @@
 //! routes.
 //!
 //! ```text
-//! ftsort-cli partition   --n 5 --faults 3,5,16,24
-//! ftsort-cli sort        --n 6 --faults 9,22 --m 100000 [--protocol full] [--step8 fullsort] [--engine seq|par]
-//!                        [--key-type u32|u64|i64|pair] [--threads N] [--link-model uncontended|contended]
-//!                        [--trace-out trace.json] [--metrics-out report.json] [--run-out run.json[.gz]]
-//!                        [--sched-profile] [--sched-out sched.json]
-//!                        [--metrics-snapshot prom.txt] [--log-level info] [--log-out log.jsonl]
-//! ftsort-cli mffs        --n 6 --faults 9,22 --m 100000
-//! ftsort-cli route       --n 4 --faults 1,2 --model total --from 0 --to 3
-//! ftsort-cli diagnose    --n 5 --faults 3,5,16 [--seed 7]
-//! ftsort-cli trace-check --trace trace.json --metrics report.json --prom prom.txt
-//! ftsort-cli replay      --trace run.json [--recost default|paper|t_sr=..,t_c=..,t_startup=..]
-//!                        [--link-model uncontended|contended]
-//!                        [--metrics-out report.json] [--trace-out trace.json]
-//!                        [--run-out run.json] [--critical-path] [--width 72]
-//! ftsort-cli trace-diff  --a run_a.json --b run_b.json
+//! ftsort-cli partition   [--n 6] [--faults A,B,..] [--model partial|total]
+//! ftsort-cli sort        [--n 6] [--faults A,B,..] [--model partial|total]
+//!                        [--m 100000] [--seed 1992] [--protocol half|full]
+//!                        [--step8 merge|fullsort] [--engine seq|par]
+//!                        [--key-type u32|u64|i64|pair] [--link-model uncontended|contended]
+//!                        [--host-io] [--threads N] [--trace-out FILE] [--metrics-out FILE]
+//!                        [--run-out FILE[.gz]] [--sched-out FILE] [--sched-profile]
+//!                        [--metrics-snapshot FILE] [--log-level LEVEL] [--log-out FILE]
+//! ftsort-cli mffs        [--n 6] [--faults A,B,..] [--model partial|total]
+//!                        [--m 100000] [--seed 1992] [--protocol half|full]
+//! ftsort-cli route       [--n 6] [--faults A,B,..] [--model partial|total] [--from 0] [--to 1]
+//! ftsort-cli diagnose    [--n 6] [--faults A,B,..] [--model partial|total] [--seed 7]
+//! ftsort-cli trace-check [--trace FILE] [--metrics FILE] [--prom FILE]
+//! ftsort-cli replay      --trace FILE [--recost default|paper|t_sr=..,t_c=..,t_startup=..]
+//!                        [--link-model uncontended|contended] [--metrics-out FILE]
+//!                        [--trace-out FILE] [--run-out FILE] [--critical-path] [--width 72]
+//! ftsort-cli trace-diff  --a FILE --b FILE
 //! ```
+//!
+//! A bad argument, such as a fault outside the cube or listed twice,
+//! exits with status 2 before anything runs, naming it above the
+//! subcommand's usage; a run that fails exits with status 1.
 //!
 //! `sort` takes its observability flags and runs its sort through
 //! [`ObsFlags`], the code the report binaries in `crates/bench` drill
@@ -59,42 +65,99 @@
 //! critical paths and attributes the makespan delta to (phase, link)
 //! segments — including `wait dim j` buckets for contended runs.
 
-use ft_bench::ObsFlags;
+use ft_bench::args::{dims, engine, link_model, number, Args, Flag, ENGINE, KEY_TYPE, LINK_MODEL};
+use ft_bench::{random_keys_typed, GenKey, ObsFlags};
 use ftsort::prelude::*;
+use ftsort::seq::{KeyPair, KeyType};
+use hypercube::cost::CostModel;
 use hypercube::diagnosis::Syndrome;
 use hypercube::routing;
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// The machine of every subcommand that builds one.
+#[rustfmt::skip]
+const CUBE: &[Flag] = &[
+    ("--n", "N", "cube dimension (default 6)"),
+    ("--faults", "A,B,..", "faulty processors, each below 2^N, none twice (default none)"),
+    ("--model", "partial|total", "whether faulty processors still relay (default partial)"),
+];
+
+/// The workload of `sort` and `mffs`.
+#[rustfmt::skip]
+const KEYS: &[Flag] = &[
+    ("--m", "KEYS", "keys to sort (default 100000)"),
+    ("--seed", "SEED", "key seed (default 1992)"),
+    ("--protocol", "half|full", "compare-split protocol (default half)"),
+];
+
+#[rustfmt::skip]
+const SORT: &[Flag] = &[
+    ("--step8", "merge|fullsort", "step 8 strategy (default merge)"),
+    ENGINE,
+    KEY_TYPE,
+    LINK_MODEL,
+    ("--host-io", "", "charge the host's scatter and gather"),
+];
+
+#[rustfmt::skip]
+const ROUTE: &[Flag] = &[
+    ("--from", "NODE", "source address (default 0)"),
+    ("--to", "NODE", "destination address (default 1)"),
+];
+
+const DIAGNOSE: &[Flag] = &[("--seed", "SEED", "test-outcome seed (default 7)")];
+
+#[rustfmt::skip]
+const TRACE_CHECK: &[Flag] = &[
+    ("--trace", "FILE", "a Chrome trace to validate"),
+    ("--metrics", "FILE", "a run report to validate"),
+    ("--prom", "FILE", "a Prometheus snapshot to validate"),
+];
+
+#[rustfmt::skip]
+const REPLAY: &[Flag] = &[
+    ("--trace", "FILE", "the run file to replay (required)"),
+    ("--recost", "MODEL", "re-price under default, paper or t_sr=..,t_c=..,t_startup=.."),
+    ("--link-model", "uncontended|contended", "re-price under this link model"),
+    ("--metrics-out", "FILE", "write the run report JSON"),
+    ("--trace-out", "FILE", "write the Perfetto trace"),
+    ("--run-out", "FILE", "write the (re-priced) run file"),
+    ("--critical-path", "", "print the critical path and its gantt"),
+    ("--width", "COLS", "gantt width (default 72)"),
+];
+
+#[rustfmt::skip]
+const TRACE_DIFF: &[Flag] = &[
+    ("--a", "FILE", "the first run file (required)"),
+    ("--b", "FILE", "the second run file (required)"),
+];
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Each subcommand: its name, its flag declaration and what runs it.
+const COMMANDS: [(&str, &[&[Flag]], Command); 8] = [
+    ("partition", &[CUBE], partition_cmd),
+    ("sort", &[CUBE, KEYS, SORT, ObsFlags::FLAGS], sort_cmd),
+    ("mffs", &[CUBE, KEYS], mffs_cmd),
+    ("route", &[CUBE, ROUTE], route_cmd),
+    ("diagnose", &[CUBE, DIAGNOSE], diagnose_cmd),
+    ("trace-check", &[TRACE_CHECK], trace_check_cmd),
+    ("replay", &[REPLAY], replay_cmd),
+    ("trace-diff", &[TRACE_DIFF], trace_diff_cmd),
+];
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        eprintln!(
-            "usage: ftsort-cli <partition|sort|mffs|route|diagnose|trace-check|replay|trace-diff> [--flags]"
-        );
+    let mut argv = std::env::args().skip(1);
+    let cmd = argv.next().unwrap_or_default();
+    let Some(&(_, tables, run)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        if !cmd.is_empty() {
+            eprintln!("error: unknown command '{cmd}'");
+        }
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        eprintln!("usage: ftsort-cli <{}> [flags]", names.join("|"));
         return ExitCode::from(2);
     };
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut key: Option<String> = None;
-    for a in args {
-        if let Some(stripped) = a.strip_prefix("--") {
-            if let Some(k) = key.take() {
-                flags.insert(k, String::from("true"));
-            }
-            key = Some(stripped.to_string());
-        } else if let Some(k) = key.take() {
-            flags.insert(k, a);
-        } else {
-            eprintln!("unexpected argument: {a}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(k) = key.take() {
-        flags.insert(k, String::from("true"));
-    }
-
-    match run(&cmd, &flags) {
+    match run(&Args::read(&format!("ftsort-cli {cmd}"), tables, argv)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -103,63 +166,50 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    if cmd == "trace-check" {
-        return trace_check_cmd(flags);
-    }
-    if cmd == "replay" {
-        return replay_cmd(flags);
-    }
-    if cmd == "trace-diff" {
-        return trace_diff_cmd(flags);
-    }
-    let n: usize = flag(flags, "n", "6")?;
-    let cube = Hypercube::new(n);
-    let fault_list: Vec<u32> = match flags.get("faults") {
-        Some(s) if !s.is_empty() && s != "true" => s
+/// The fault set of [`CUBE`]'s flags.
+fn faults(args: &Args) -> FaultSet {
+    let cube = Hypercube::new(args.get("--n", dims(0), 6));
+    let nodes = 0..cube.len() as u32;
+    let faults = args.value("--faults", |s| {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        let list: Vec<u32> = s
             .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse()
-                    .map_err(|e| format!("bad fault '{x}': {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-        _ => Vec::new(),
-    };
-    let model = match flags.get("model").map(String::as_str) {
-        Some("total") => FaultModel::Total,
-        Some("partial") | None => FaultModel::Partial,
-        Some(other) => return Err(format!("unknown fault model '{other}'")),
-    };
-    let faults = FaultSet::from_raw(cube, &fault_list).with_model(model);
-
-    match cmd {
-        "partition" => partition_cmd(&faults),
-        "sort" => sort_cmd(&faults, flags),
-        "mffs" => mffs_cmd(&faults, flags),
-        "route" => route_cmd(&faults, flags),
-        "diagnose" => diagnose_cmd(&faults, flags),
-        other => Err(format!("unknown command '{other}'")),
-    }
+            .map(|a| number(a.trim(), &nodes))
+            .collect::<Result<_, _>>()?;
+        let mut sorted = list.clone();
+        sorted.sort_unstable();
+        match sorted.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(format!("{} is listed twice", w[0])),
+            None => Ok(list),
+        }
+    });
+    let model = args.value("--model", |s| match s {
+        "partial" => Ok(FaultModel::Partial),
+        "total" => Ok(FaultModel::Total),
+        _ => Err(format!("unknown fault model '{s}' (partial|total)")),
+    });
+    FaultSet::from_raw(cube, &faults.unwrap_or_default()).with_model(model.unwrap_or_default())
 }
 
-fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    flags
-        .get(key)
-        .map(String::as_str)
-        .unwrap_or(default)
-        .parse()
-        .map_err(|e| format!("bad --{key}: {e}"))
+/// [`KEYS`]' flags: key count, key seed and protocol.
+fn keys(args: &Args) -> (usize, u64, Protocol) {
+    let protocol = args.value("--protocol", |s| match s {
+        "half" => Ok(Protocol::HalfExchange),
+        "full" => Ok(Protocol::FullExchange),
+        _ => Err(format!("unknown protocol '{s}' (full|half)")),
+    });
+    (
+        args.get("--m", .., 100_000),
+        args.get("--seed", .., 1992),
+        protocol.unwrap_or_default(),
+    )
 }
 
-fn partition_cmd(faults: &FaultSet) -> Result<(), String> {
+fn partition_cmd(args: &Args) -> Result<(), String> {
+    let faults = &faults(args);
+    args.finish();
     let plan = FtPlan::new(faults).map_err(|e| e.to_string())?;
     let n = faults.cube().dim();
     println!("Q{n} with {} faults {:?}", faults.count(), faults.to_vec());
@@ -199,90 +249,47 @@ fn partition_cmd(faults: &FaultSet) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_link_model(flags: &HashMap<String, String>) -> Result<Option<LinkModel>, String> {
-    match flags.get("link-model") {
-        None => Ok(None),
-        Some(s) => LinkModel::parse(s)
-            .map(Some)
-            .ok_or_else(|| format!("unknown link model '{s}' (uncontended|contended)")),
-    }
-}
-
-fn parse_protocol(flags: &HashMap<String, String>) -> Result<Protocol, String> {
-    match flags.get("protocol").map(String::as_str) {
-        Some("full") => Ok(Protocol::FullExchange),
-        Some("half") | None => Ok(Protocol::HalfExchange),
-        Some(other) => Err(format!("unknown protocol '{other}' (full|half)")),
-    }
-}
-
-fn sort_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), String> {
-    use ftsort::seq::{KeyPair, KeyType};
-    let m_total: usize = flag(flags, "m", "100000")?;
-    let seed: u64 = flag(flags, "seed", "1992")?;
-    let key_type = match flags.get("key-type") {
-        None => KeyType::default(),
-        Some(s) => KeyType::parse(s)?,
-    };
-    // Monomorphic dispatch: each key type gets its own specialized engine
-    // and branchless-kernel instantiation.
-    let mut rng = StdRng::seed_from_u64(seed);
-    match key_type {
-        KeyType::U32 => {
-            let data: Vec<u32> = (0..m_total).map(|_| rng.random()).collect();
-            run_sort(faults, flags, key_type, data)
-        }
-        KeyType::U64 => {
-            let data: Vec<u64> = (0..m_total).map(|_| rng.random()).collect();
-            run_sort(faults, flags, key_type, data)
-        }
-        KeyType::I64 => {
-            let data: Vec<i64> = (0..m_total).map(|_| rng.random()).collect();
-            run_sort(faults, flags, key_type, data)
-        }
-        KeyType::Pair => {
-            let data: Vec<KeyPair> = (0..m_total)
-                .map(|_| KeyPair::new(rng.random(), rng.random()))
-                .collect();
-            run_sort(faults, flags, key_type, data)
-        }
-    }
-}
-
-fn run_sort<K: ftsort::seq::Key>(
-    faults: &FaultSet,
-    flags: &HashMap<String, String>,
-    key_type: ftsort::seq::KeyType,
-    data: Vec<K>,
-) -> Result<(), String> {
-    let m_total = data.len();
-    let protocol = parse_protocol(flags)?;
-    let step8 = match flags.get("step8").map(String::as_str) {
-        Some("fullsort") => Step8Strategy::FullSort,
-        Some("merge") | None => Step8Strategy::BitonicMerge,
-        Some(other) => return Err(format!("unknown step8 '{other}' (merge|fullsort)")),
-    };
-    let engine = match flags.get("engine") {
-        None => EngineKind::default(),
-        Some(s) => EngineKind::parse(s).ok_or_else(|| format!("unknown engine '{s}' (seq|par)"))?,
-    };
-    let link_model = parse_link_model(flags)?.unwrap_or_default();
-    let mut obs = ObsFlags::default();
-    for name in ObsFlags::NAMES {
-        if let Some(value) = flags.get(name) {
-            obs.set(name, value)?;
-        }
-    }
-    let plan = FtPlan::new(faults).map_err(|e| e.to_string())?;
+fn sort_cmd(args: &Args) -> Result<(), String> {
+    let faults = faults(args);
+    let (m_total, seed, protocol) = keys(args);
+    let key_type = args.value("--key-type", KeyType::parse).unwrap_or_default();
+    let step8 = args.value("--step8", |s| match s {
+        "merge" => Ok(Step8Strategy::BitonicMerge),
+        "fullsort" => Ok(Step8Strategy::FullSort),
+        _ => Err(format!("unknown step8 '{s}' (merge|fullsort)")),
+    });
     let config = FtConfig {
         protocol,
-        step8,
-        engine,
-        link_model,
-        include_host_io: flags.contains_key("host-io"),
+        step8: step8.unwrap_or_default(),
+        engine: args.value("--engine", engine).unwrap_or_default(),
+        link_model: args.value("--link-model", link_model).unwrap_or_default(),
+        include_host_io: args.switch("--host-io"),
         ..FtConfig::default()
     };
-    obs.sort(&plan, &config, data, key_type, |out, phases, run| {
+    let obs = ObsFlags::read(args);
+    args.finish();
+    // Monomorphic dispatch: each key type gets its own specialized engine
+    // and branchless-kernel instantiation.
+    let run = match key_type {
+        KeyType::U32 => run_sort::<u32>,
+        KeyType::U64 => run_sort::<u64>,
+        KeyType::I64 => run_sort::<i64>,
+        KeyType::Pair => run_sort::<KeyPair>,
+    };
+    run(&faults, &config, &obs, key_type, m_total, seed)
+}
+
+fn run_sort<K: GenKey>(
+    faults: &FaultSet,
+    config: &FtConfig,
+    obs: &ObsFlags,
+    key_type: KeyType,
+    m_total: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let data: Vec<K> = random_keys_typed(m_total, &mut ft_bench::rng(seed));
+    let plan = FtPlan::new(faults).map_err(|e| e.to_string())?;
+    obs.sort(&plan, config, data, key_type, |out, phases, run| {
         if !out.sorted.windows(2).all(|w| w[0] <= w[1]) {
             return Err("output not sorted — this is a bug".into());
         }
@@ -308,7 +315,7 @@ fn run_sort<K: ftsort::seq::Key>(
         println!("messages       : {:>12}", out.stats.messages);
         println!("element·hops   : {:>12}", out.stats.element_hops);
         println!("comparisons    : {:>12}", out.stats.comparisons);
-        if link_model == LinkModel::Contended {
+        if config.link_model == LinkModel::Contended {
             let wait: f64 = run.participants().map(|n| n.metrics.link_wait_us).sum();
             println!("link wait      : {:>12.1} ms", wait / 1000.0);
         }
@@ -327,11 +334,20 @@ fn run_sort<K: ftsort::seq::Key>(
 /// [`reprice`](hypercube::obs::schedule::reprice); the analyzers then run
 /// on the re-priced observation, and `--run-out` writes it back as a run
 /// file.
-fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = flags
-        .get("trace")
-        .ok_or("replay needs --trace FILE (a run file from sort --run-out)")?;
-    let obs = hypercube::obs::replay::observation_from_file(path)?;
+fn replay_cmd(args: &Args) -> Result<(), String> {
+    let path = args.required("--trace");
+    // Checked here, applied to the run file's own model below.
+    let recost = args.value("--recost", |spec| {
+        parse_cost_spec(spec, CostModel::default()).map(|_| spec.to_string())
+    });
+    let new_model = args.value("--link-model", link_model);
+    let run_out = args.path("--run-out");
+    let metrics_out = args.path("--metrics-out");
+    let trace_out = args.path("--trace-out");
+    let critical_path = args.switch("--critical-path");
+    let width = args.get("--width", .., 72);
+    args.finish();
+    let obs = hypercube::obs::replay::observation_from_file(&path)?;
     println!(
         "replayed {path}: Q{} run, {} participants, {} trace events, makespan {:.1} us",
         obs.dim,
@@ -339,13 +355,12 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         obs.trace.events().len(),
         obs.makespan()
     );
-    let new_model = parse_link_model(flags)?;
-    let obs = match (flags.get("recost"), new_model) {
+    let obs = match (recost, new_model) {
         (None, None) => obs,
         (spec, model) => {
             let target = match spec {
                 None => obs.cost,
-                Some(spec) => parse_cost_spec(spec, obs.cost)?,
+                Some(spec) => parse_cost_spec(&spec, obs.cost)?,
             };
             let model = model.unwrap_or(obs.link_model);
             let repriced = hypercube::obs::schedule::reprice(&obs, target, model)
@@ -367,22 +382,21 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             repriced
         }
     };
-    if let Some(out) = flags.get("run-out") {
-        hypercube::obs::replay::write_run_file(&obs, out)
+    if let Some(out) = run_out {
+        hypercube::obs::replay::write_run_file(&obs, &out)
             .map_err(|e| format!("writing {out}: {e}"))?;
         println!("run written    : {out} (ftsort-cli replay --trace {out})");
     }
-    if let Some(out) = flags.get("metrics-out") {
+    if let Some(out) = metrics_out {
         let report = obs.report(&phase_name);
-        std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("metrics written: {out}");
     }
-    if let Some(out) = flags.get("trace-out") {
-        ft_bench::write_trace(out, &obs)?;
+    if let Some(out) = trace_out {
+        ft_bench::write_trace(&out, &obs)?;
         println!("trace written  : {out} (load in ui.perfetto.dev)");
     }
-    if flags.contains_key("critical-path") {
-        let width: usize = flag(flags, "width", "72")?;
+    if critical_path {
         let cp = hypercube::obs::critical_path::CriticalPath::compute(&obs)
             .ok_or("no trace events in the run file — was the sort traced?")?;
         print!(
@@ -397,13 +411,10 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 /// iPSC/2-style constants), `paper` (the paper's analytic form, zero
 /// startup), or comma-separated `t_sr=..`/`t_c=..`/`t_startup=..`
 /// overrides applied on top of the run file's own cost model.
-fn parse_cost_spec(
-    spec: &str,
-    base: hypercube::cost::CostModel,
-) -> Result<hypercube::cost::CostModel, String> {
+fn parse_cost_spec(spec: &str, base: CostModel) -> Result<CostModel, String> {
     match spec {
-        "default" => Ok(hypercube::cost::CostModel::default()),
-        "paper" => Ok(hypercube::cost::CostModel::paper_form()),
+        "default" => Ok(CostModel::default()),
+        "paper" => Ok(CostModel::paper_form()),
         _ => {
             let mut cost = base;
             for part in spec.split(',') {
@@ -433,24 +444,19 @@ fn parse_cost_spec(
 /// Replays two run files and aligns their critical paths segment by
 /// segment (bucketed by covering phase and link class), attributing 100%
 /// of the makespan delta to named segments.
-fn trace_diff_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
+fn trace_diff_cmd(args: &Args) -> Result<(), String> {
     use hypercube::obs::critical_path::CriticalPath;
     use hypercube::obs::diff::{render_diff, SegmentProfile};
-    let profile = |key: &str| -> Result<(String, SegmentProfile), String> {
-        let path = flags
-            .get(key)
-            .ok_or(format!("trace-diff needs --{key} FILE"))?;
+    let (path_a, path_b) = (args.required("--a"), args.required("--b"));
+    args.finish();
+    let profile = |path: &str| -> Result<SegmentProfile, String> {
         let obs = hypercube::obs::replay::observation_from_file(path)?;
         let cp = CriticalPath::compute(&obs)
             .ok_or(format!("{path}: no trace events — was the sort traced?"))?;
-        Ok((
-            path.clone(),
-            SegmentProfile::collect(&obs, &cp, &phase_name),
-        ))
+        Ok(SegmentProfile::collect(&obs, &cp, &phase_name))
     };
-    let (label_a, a) = profile("a")?;
-    let (label_b, b) = profile("b")?;
-    print!("{}", render_diff(&a, &b, &label_a, &label_b));
+    let (a, b) = (profile(&path_a)?, profile(&path_b)?);
+    print!("{}", render_diff(&a, &b, &path_a, &path_b));
     Ok(())
 }
 
@@ -465,10 +471,18 @@ fn trace_diff_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 /// [`validate_prom`](hypercube::obs::metrics::validate_prom): every
 /// sample declared by a `# TYPE` family, no duplicate series, histogram
 /// buckets cumulative with a `+Inf` bucket matching `_count`.
-fn trace_check_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
+fn trace_check_cmd(args: &Args) -> Result<(), String> {
     use hypercube::obs::json::Json;
-    let mut checked = 0;
-    if let Some(path) = flags.get("trace") {
+    let (trace, metrics, prom) = (
+        args.path("--trace"),
+        args.path("--metrics"),
+        args.path("--prom"),
+    );
+    if trace.is_none() && metrics.is_none() && prom.is_none() {
+        args.fail("trace-check needs --trace, --metrics and/or --prom FILE".into());
+    }
+    args.finish();
+    if let Some(path) = &trace {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
         let check = hypercube::obs::perfetto::validate_chrome_trace(&doc)
@@ -477,9 +491,8 @@ fn trace_check_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             "{path}: ok ({} events, {} spans, {} flows, {} counters)",
             check.events, check.spans, check.flows, check.counters
         );
-        checked += 1;
     }
-    if let Some(path) = flags.get("metrics") {
+    if let Some(path) = &metrics {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let report =
             hypercube::obs::RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -496,9 +509,8 @@ fn trace_check_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             report.nodes.len(),
             report.makespan_us
         );
-        checked += 1;
     }
-    if let Some(path) = flags.get("prom") {
+    if let Some(path) = &prom {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let check =
             hypercube::obs::metrics::validate_prom(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -506,20 +518,15 @@ fn trace_check_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             "{path}: ok ({} families, {} series, {} samples)",
             check.families, check.series, check.samples
         );
-        checked += 1;
-    }
-    if checked == 0 {
-        return Err("trace-check needs --trace, --metrics and/or --prom FILE".into());
     }
     Ok(())
 }
 
-fn mffs_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), String> {
-    let m_total: usize = flag(flags, "m", "100000")?;
-    let seed: u64 = flag(flags, "seed", "1992")?;
-    let protocol = parse_protocol(flags)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data: Vec<u32> = (0..m_total).map(|_| rng.random()).collect();
+fn mffs_cmd(args: &Args) -> Result<(), String> {
+    let faults = &faults(args);
+    let (m_total, seed, protocol) = keys(args);
+    args.finish();
+    let data: Vec<u32> = random_keys_typed(m_total, &mut ft_bench::rng(seed));
     let sc = max_fault_free_subcube(faults).ok_or("every processor is faulty")?;
     println!(
         "maximum fault-free subcube: {sc:?} ({} processors)",
@@ -535,12 +542,13 @@ fn mffs_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), St
     Ok(())
 }
 
-fn route_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), String> {
-    let from: u32 = flag(flags, "from", "0")?;
-    let to: u32 = flag(flags, "to", "1")?;
+fn route_cmd(args: &Args) -> Result<(), String> {
+    let faults = &faults(args);
+    let nodes = 0..faults.cube().len() as u32;
+    let src = NodeId::new(args.get("--from", nodes.clone(), 0));
+    let dst = NodeId::new(args.get("--to", nodes, 1));
+    args.finish();
     let n = faults.cube().dim();
-    let src = NodeId::new(from);
-    let dst = NodeId::new(to);
     match routing::route(faults, src, dst) {
         Some(r) => {
             let path: Vec<String> = r.path().iter().map(|p| p.to_bits(n)).collect();
@@ -558,11 +566,12 @@ fn route_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), S
     Ok(())
 }
 
-fn diagnose_cmd(faults: &FaultSet, flags: &HashMap<String, String>) -> Result<(), String> {
-    let seed: u64 = flag(flags, "seed", "7")?;
+fn diagnose_cmd(args: &Args) -> Result<(), String> {
+    let faults = &faults(args);
+    let seed = args.get("--seed", .., 7);
+    args.finish();
     let n = faults.cube().dim();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let syndrome = Syndrome::collect(faults, &mut rng);
+    let syndrome = Syndrome::collect(faults, &mut ft_bench::rng(seed));
     println!(
         "collected {} mutual test results on Q{n}",
         syndrome.results().len()

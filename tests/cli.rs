@@ -370,6 +370,73 @@ fn unknown_command_fails_cleanly() {
 }
 
 #[test]
+fn bad_arguments_are_usage_errors() {
+    // Each subcommand and ftsort-campaign read their command line against
+    // one declaration: a bad argument exits 2, naming it on the first
+    // stderr line above the usage, before anything runs or is written.
+    // Dimensions stay above 32, which no parser ever accepted, and small
+    // workloads keep a missed rejection quick.
+    let campaign = env!("CARGO_BIN_EXE_ftsort-campaign");
+    let cli = env!("CARGO_BIN_EXE_ftsort-cli");
+    for (i, (bin, case, named)) in [
+        (cli, "sort --n 3 --faults 1 --m 10 --mm 10", "--mm"),
+        (
+            cli,
+            "sort --n 3 --faults 1 --m 10 --metrics-out",
+            "--metrics-out",
+        ),
+        (cli, "sort --n 3 --faults 1 --m 10 --engine", "--engine"),
+        (cli, "sort --n 3 --m 10 --faults 1,1", "--faults"),
+        (cli, "sort --n 4 --m 10 --faults 99", "--faults"),
+        (cli, "sort --m 10 --n 40", "--n"),
+        (cli, "sort --n 3 --m 10 --host-io yes", "'yes'"),
+        (cli, "sort --n 3 --m 10 --threads 0", "--threads"),
+        (cli, "partition --n 4 --seed abc", "--seed"),
+        (cli, "mffs --n 4 --faults 2 --m 10 --engine par", "--engine"),
+        (cli, "route --n 4 --from 99", "--from"),
+        (cli, "route --n 0", "--to"),
+        (cli, "diagnose --n 40", "--n"),
+        (cli, "trace-check --trace", "--trace"),
+        (cli, "trace-check", "--trace"),
+        (cli, "replay --trace", "--trace"),
+        (cli, "replay --trace run.json --width x", "--width"),
+        (cli, "trace-diff --a", "--a"),
+        (cli, "trace-diff --a run.json", "--b"),
+        (cli, "frobnicate", "frobnicate"),
+        (campaign, "--sizes 3 --runs 1 --m 10 --out", "--out"),
+        (campaign, "--runs 1 --m 10 --sizes 40", "--sizes"),
+        (campaign, "--sizes 3 --m 10 --runs 0", "--runs"),
+        (campaign, "--sizes 3 --runs 1 --m 10 --jobs 0", "--jobs"),
+        (
+            campaign,
+            "--sizes 3 --runs 1 --m 10 --fault-counts x",
+            "--fault-counts",
+        ),
+        (campaign, "--sizes 3 --runs 1 --m 10 stray", "'stray'"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = std::env::temp_dir().join(format!("ftsort_usage_{}_{i}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(bin)
+            .args(case.split(' '))
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(named), "{case}: {stderr}");
+        assert!(stderr.contains("usage: "), "{case}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case} ran");
+        let written = std::fs::read_dir(&dir).unwrap().count();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(written, 0, "{case} wrote a file");
+    }
+}
+
+#[test]
 fn isolation_reported_as_error() {
     // Q2 with both neighbors of node 0 dead cannot be tolerated
     let out = cli()
