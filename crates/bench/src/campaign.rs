@@ -258,9 +258,10 @@ fn execute_run<K: GenKey>(
         ..FtConfig::default()
     };
     let (outcome, phases, obs) = fault_tolerant_sort(&plan, &config, data, Attach::default());
-    let wait_total_us = obs.participants().map(|p| p.metrics.link_wait_us).sum();
+    let wait_total_us = obs.nodes.iter().map(|p| p.metrics.link_wait_us).sum();
     let inbox_peak = obs
-        .participants()
+        .nodes
+        .iter()
         .map(|p| p.metrics.inbox_peak)
         .max()
         .unwrap_or(0);

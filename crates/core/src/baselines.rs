@@ -20,7 +20,7 @@ use hypercube::address::NodeId;
 use hypercube::embedding::RingEmbedding;
 use hypercube::fault::FaultSet;
 use hypercube::obs::RunObservation;
-use hypercube::sim::{Comm, Tag};
+use hypercube::sim::{NodeCtx, Tag};
 use hypercube::topology::Hypercube;
 
 /// Odd-even transposition sort of `data` over the Gray-code ring embedded
@@ -145,11 +145,12 @@ pub fn hyperquicksort<K: Key>(
 /// `d..=0`; a missing pivot (empty root run) is replaced by [`Key::INF`]
 /// (`+∞`), which sends every key below it to the low side — a safe
 /// degenerate split.
-async fn broadcast_in_subcube<K, C>(ctx: &mut C, root: NodeId, d: usize, pivot: Option<K>) -> K
-where
-    K: Key,
-    C: Comm<K>,
-{
+async fn broadcast_in_subcube<K: Key>(
+    ctx: &mut NodeCtx<K>,
+    root: NodeId,
+    d: usize,
+    pivot: Option<K>,
+) -> K {
     let me = ctx.me();
     let rel = me.raw() ^ root.raw();
     debug_assert_eq!(rel >> (d + 1), 0, "root must be in my subcube");

@@ -19,7 +19,7 @@
 use super::protocol::{compare_split_remote, KeepHalf, Protocol};
 use crate::seq::{Direction, Key};
 use hypercube::address::NodeId;
-use hypercube::sim::{Comm, PoolHandle, Tag};
+use hypercube::sim::{NodeCtx, PoolHandle, Tag};
 
 /// Runs the distributed bitonic sort among the processors listed in
 /// `members` (physical addresses indexed by *logical* address).
@@ -42,8 +42,8 @@ use hypercube::sim::{Comm, PoolHandle, Tag};
 ///
 /// Returns this processor's final run (sorted ascending, same length).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
-pub async fn distributed_bitonic_sort<K, C>(
-    ctx: &mut C,
+pub async fn distributed_bitonic_sort<K: Key>(
+    ctx: &mut NodeCtx<K>,
     members: &[NodeId],
     my_logical: usize,
     dead_logical: Option<usize>,
@@ -52,11 +52,7 @@ pub async fn distributed_bitonic_sort<K, C>(
     phase: u16,
     protocol: Protocol,
     scratch: &mut PoolHandle<K>,
-) -> Vec<K>
-where
-    K: Key,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     let p = members.len();
     assert!(p.is_power_of_two(), "member count must be a power of two");
     let s = p.trailing_zeros() as usize;
@@ -118,8 +114,8 @@ where
 /// side (ascending) and the High-keeping side (descending), which is how
 /// the fault-tolerant sort's step 8 uses this merge.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
-pub async fn distributed_bitonic_merge<K, C>(
-    ctx: &mut C,
+pub async fn distributed_bitonic_merge<K: Key>(
+    ctx: &mut NodeCtx<K>,
     members: &[NodeId],
     my_logical: usize,
     dead_logical: Option<usize>,
@@ -128,11 +124,7 @@ pub async fn distributed_bitonic_merge<K, C>(
     phase: u16,
     protocol: Protocol,
     scratch: &mut PoolHandle<K>,
-) -> Vec<K>
-where
-    K: Key,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     let p = members.len();
     assert!(p.is_power_of_two(), "member count must be a power of two");
     let s = p.trailing_zeros() as usize;
@@ -180,18 +172,14 @@ where
 /// *descending* (and vice versa), with every local run still stored
 /// ascending. Used by the fault-tolerant sort to flip a subcube's order
 /// when the schedule demands the direction its merge could not produce.
-pub async fn reverse_windows<K, C>(
-    ctx: &mut C,
+pub async fn reverse_windows<K: Key>(
+    ctx: &mut NodeCtx<K>,
     members: &[NodeId],
     my_logical: usize,
     dead_logical: Option<usize>,
     run: Vec<K>,
     phase: u16,
-) -> Vec<K>
-where
-    K: Key,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     let p = members.len();
     let partner_logical = match dead_logical {
         // live windows are (w − 1) for w = 1..p-1; reversal pairs w ↔ p − w
@@ -243,7 +231,7 @@ mod tests {
             .collect();
         let members_ref = &members;
         let pool = &BufferPool::new();
-        let out = engine.run(inputs, async move |ctx, mut data| {
+        let (runs, obs) = engine.run(inputs, async move |ctx, mut data| {
             data.sort_unstable();
             let mut scratch = pool.handle();
             distributed_bitonic_sort(
@@ -260,8 +248,8 @@ mod tests {
             .await
         });
         let mut result: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (node, run) in out.into_results() {
-            result[node.index()] = run;
+        for (node, run) in obs.nodes.iter().zip(runs) {
+            result[node.node.index()] = run;
         }
         result
     }
@@ -398,7 +386,7 @@ mod tests {
             .collect();
         let members_ref = &members;
         let pool = &BufferPool::new();
-        let out = engine.run(inputs, async move |ctx, data| {
+        let (runs, obs) = engine.run(inputs, async move |ctx, data| {
             let mut scratch = pool.handle();
             distributed_bitonic_merge(
                 ctx,
@@ -414,8 +402,8 @@ mod tests {
             .await
         });
         let mut result: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (node, run) in out.into_results() {
-            result[node.index()] = run;
+        for (node, run) in obs.nodes.iter().zip(runs) {
+            result[node.node.index()] = run;
         }
         result
     }
@@ -560,12 +548,12 @@ mod tests {
                 })
                 .collect();
             let members_ref = &members;
-            let out = engine.run(inputs, async move |ctx, data| {
+            let (runs, obs) = engine.run(inputs, async move |ctx, data| {
                 reverse_windows(ctx, members_ref, ctx.me().index(), dead, data, 9).await
             });
             let mut result: Vec<Vec<u32>> = vec![Vec::new(); p];
-            for (node, run) in out.into_results() {
-                result[node.index()] = run;
+            for (node, run) in obs.nodes.iter().zip(runs) {
+                result[node.node.index()] = run;
             }
             // now windows must descend across nodes, runs still ascending
             let live: Vec<&Vec<u32>> = result
@@ -596,7 +584,7 @@ mod tests {
             .collect();
         let members_ref = &members;
         let pool = &BufferPool::new();
-        let out = engine.run(inputs, async move |ctx, mut data| {
+        let (runs, obs) = engine.run(inputs, async move |ctx, mut data| {
             data.sort_unstable();
             let my_logical = (ctx.me().raw() ^ mask) as usize;
             let mut scratch = pool.handle();
@@ -614,10 +602,9 @@ mod tests {
             .await
         });
         // gather in *logical* order
-        let results = out.into_results();
         let mut by_logical: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (node, run) in results {
-            by_logical[(node.raw() ^ mask) as usize] = run;
+        for (node, run) in obs.nodes.iter().zip(runs) {
+            by_logical[(node.node.raw() ^ mask) as usize] = run;
         }
         let flat = flatten(&by_logical);
         let mut expect = flat.clone();

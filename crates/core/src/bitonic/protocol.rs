@@ -17,7 +17,7 @@ use crate::seq::{
     merge_runs_auto_into, Key,
 };
 use hypercube::address::NodeId;
-use hypercube::sim::{Comm, PoolHandle, Tag};
+use hypercube::sim::{NodeCtx, PoolHandle, Tag};
 
 /// Which half of the union this processor keeps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,19 +84,15 @@ pub fn compare_split_local<K: Ord>(a: Vec<K>, b: Vec<K>) -> (Vec<K>, Vec<K>) {
 /// allocation-free. The returned run itself comes from the pool; hand it
 /// back (directly or via a later send whose reply is pooled) to keep the
 /// cycle closed.
-pub async fn compare_split_remote<K, C>(
-    ctx: &mut C,
+pub async fn compare_split_remote<K: Key>(
+    ctx: &mut NodeCtx<K>,
     partner: NodeId,
     tag: Tag,
     run: Vec<K>,
     keep: KeepHalf,
     protocol: Protocol,
     scratch: &mut PoolHandle<K>,
-) -> Vec<K>
-where
-    K: Key,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     debug_assert!(crate::seq::is_sorted(&run), "run must be sorted ascending");
     match protocol {
         Protocol::FullExchange => {
@@ -138,18 +134,14 @@ where
 /// out as **contiguous sorted slices** — no re-scan is needed, only merges.
 /// Returned keys are normalized (merged) before sending so each round is a
 /// single sorted message.
-async fn half_exchange<K, C>(
-    ctx: &mut C,
+async fn half_exchange<K: Key>(
+    ctx: &mut NodeCtx<K>,
     partner: NodeId,
     tag: Tag,
     run: Vec<K>,
     keep: KeepHalf,
     scratch: &mut PoolHandle<K>,
-) -> Vec<K>
-where
-    K: Key,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     let k = run.len();
     let h = k / 2;
     match keep {
@@ -253,6 +245,7 @@ mod tests {
     use hypercube::cost::CostModel;
     use hypercube::fault::FaultSet;
     use hypercube::sim::{BufferPool, Engine};
+    use hypercube::stats::RunStats;
     use hypercube::topology::Hypercube;
 
     #[test]
@@ -280,7 +273,7 @@ mod tests {
             let engine = Engine::new(FaultSet::none(Hypercube::new(1)), CostModel::paper_form());
             let inputs = vec![Some(a.clone()), Some(b.clone())];
             let pool = &BufferPool::new();
-            let out = engine.run(inputs, async move |ctx, data| {
+            let (results, _) = engine.run(inputs, async move |ctx, data| {
                 let keep = if ctx.me().raw() == 0 {
                     KeepHalf::Low
                 } else {
@@ -298,9 +291,8 @@ mod tests {
                 )
                 .await
             });
-            let results = out.into_results();
-            assert_eq!(results[0].1, want_lo, "{protocol:?} low side");
-            assert_eq!(results[1].1, want_hi, "{protocol:?} high side");
+            assert_eq!(results[0], want_lo, "{protocol:?} low side");
+            assert_eq!(results[1], want_hi, "{protocol:?} high side");
         }
     }
 
@@ -336,7 +328,7 @@ mod tests {
             let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
             let b: Vec<u32> = (0..100).map(|i| i * 2 + 1).collect();
             let pool = &BufferPool::new();
-            let out = engine.run(vec![Some(a), Some(b)], async move |ctx, data| {
+            let (_, obs) = engine.run(vec![Some(a), Some(b)], async move |ctx, data| {
                 let keep = if ctx.me().raw() == 0 {
                     KeepHalf::Low
                 } else {
@@ -354,7 +346,7 @@ mod tests {
                 )
                 .await
             });
-            out.total_stats()
+            obs.nodes.iter().map(|n| n.stats).sum::<RunStats>()
         };
         let full = run_with(Protocol::FullExchange);
         let half = run_with(Protocol::HalfExchange);

@@ -14,7 +14,6 @@ use crate::seq::{Direction, Key};
 use hypercube::address::NodeId;
 use hypercube::fault::FaultSet;
 use hypercube::obs::RunObservation;
-use hypercube::sim::Comm;
 use hypercube::stats::RunStats;
 use hypercube::topology::Hypercube;
 

@@ -49,15 +49,13 @@ use hypercube::fault::FaultSet;
 use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::TraceSink;
 use hypercube::obs::RunObservation;
-use hypercube::sim::{
-    BufferPool, Comm, Engine, EngineKind, LinkModel, NodeCtx, PoolHandle, Tag, Trace,
-};
+use hypercube::sim::{BufferPool, Engine, EngineKind, LinkModel, NodeCtx, PoolHandle, Tag, Trace};
 use std::sync::{Arc, Mutex};
 
 /// Phase id of step 3 (local sort + intra-subcube single-fault bitonic).
 ///
 /// Phase ids double as tag namespaces ([`Tag::phase`]) and as span keys
-/// ([`Comm::span_enter`]); step-8 re-sorts get a distinct namespace per
+/// ([`NodeCtx::span_enter`]); step-8 re-sorts get a distinct namespace per
 /// `(i, j)` so their messages never cross substages, while [`phase_name`]
 /// folds the whole step-8 range back into one reporting bucket.
 pub const PHASE_STEP3: u16 = 2;
@@ -401,6 +399,9 @@ pub fn fault_tolerant_sort<K: Key>(
     assert!(m <= 16, "tag namespace supports m ≤ 16");
     let live = st.live_in_order();
     let k = chunk_len(data.len(), live.len());
+    // Each subcube's member map, built once per run and shared by its
+    // members' programs.
+    let subcube_members: Vec<Vec<NodeId>> = (0..1u32 << m).map(|v| st.members(v)).collect();
     let (outcome, observation) = sort_on_members(
         plan.faults(),
         config,
@@ -410,7 +411,7 @@ pub fn fault_tolerant_sort<K: Key>(
         data,
         async |ctx, _, mut chunk, scratch| {
             let (v, w) = st.locate(ctx.me());
-            let members = st.members(v);
+            let members = &subcube_members[v as usize];
             let dead = st.subcube(v).dead_local.map(|_| 0usize);
 
             // Step 3: local sort (heapsort per the paper, configurable), then
@@ -423,7 +424,7 @@ pub fn fault_tolerant_sort<K: Key>(
             let mut dir = Direction::from_parity(v);
             let mut run = distributed_bitonic_sort(
                 ctx,
-                &members,
+                members,
                 w as usize,
                 dead,
                 dir,
@@ -490,7 +491,7 @@ pub fn fault_tolerant_sort<K: Key>(
                     run = match step8 {
                         Step8Strategy::FullSort => {
                             distributed_bitonic_sort(
-                                ctx, &members, w as usize, dead, dir, run, phase, protocol, scratch,
+                                ctx, members, w as usize, dead, dir, run, phase, protocol, scratch,
                             )
                             .await
                         }
@@ -503,14 +504,14 @@ pub fn fault_tolerant_sort<K: Key>(
                                 KeepHalf::High => Direction::Descending,
                             };
                             let mut run = distributed_bitonic_merge(
-                                ctx, &members, w as usize, dead, compatible, run, phase, protocol,
+                                ctx, members, w as usize, dead, compatible, run, phase, protocol,
                                 scratch,
                             )
                             .await;
                             if dir != compatible {
                                 run = reverse_windows(
                                     ctx,
-                                    &members,
+                                    members,
                                     w as usize,
                                     dead,
                                     run,
@@ -637,7 +638,7 @@ where
         Some(shared) => shared,
         None => local_pool.insert(BufferPool::new()),
     };
-    let out = engine.run(inputs, async |ctx, mut chunk| {
+    let (results, mut observation) = engine.run(inputs, async |ctx, mut chunk| {
         let mut scratch = pool.handle();
         if let Some(parts) = host_parts {
             let bundle = (ctx.me() == parts.root()).then_some(chunk);
@@ -658,9 +659,6 @@ where
     // Every handle dropped with its node program; free the run-local
     // pool's slabs before the gather allocates the M-key output.
     drop(local_pool);
-    let time_us = out.turnaround();
-    let stats = out.total_stats();
-    let mut observation = out.observation();
     if let Some(trace) = trace {
         observation.trace = std::mem::take(&mut *trace.lock().expect("trace sink lock poisoned"));
     }
@@ -668,8 +666,8 @@ where
     let sorted = match host_parts {
         None => {
             let mut by_node: Vec<Option<Vec<K>>> = (0..cube.len()).map(|_| None).collect();
-            for (node, (run, _)) in out.into_results() {
-                by_node[node.index()] = Some(run);
+            for (node, (run, _)) in observation.nodes.iter().zip(results) {
+                by_node[node.node.index()] = Some(run);
             }
             gather(
                 holders
@@ -679,10 +677,9 @@ where
             )
         }
         Some(parts) => {
-            let root_bundle = out
-                .into_results()
+            let root_bundle = results
                 .into_iter()
-                .find_map(|(_, (_, collected))| collected)
+                .find_map(|(_, collected)| collected)
                 .expect("host entry node collected the result");
             // rank order → logical order
             gather(
@@ -696,8 +693,8 @@ where
     };
     let outcome = SortOutcome {
         sorted,
-        time_us,
-        stats,
+        time_us: observation.makespan(),
+        stats: observation.nodes.iter().map(|n| n.stats).sum(),
         processors_used: holders.len(),
     };
     (outcome, observation)

@@ -14,7 +14,7 @@
 //! never break the schedule.
 
 use crate::address::NodeId;
-use crate::sim::{Comm, Tag};
+use crate::sim::{NodeCtx, Tag};
 
 /// The ordered participant set of a collective. Rank 0 is the root.
 #[derive(Clone, Debug)]
@@ -134,17 +134,13 @@ impl Participants {
 /// concatenation for its subtree (pieces of the uniform `piece_len`),
 /// keeps the front piece, and forwards contiguous sub-bundles to its
 /// children.
-pub async fn scatter<K, C>(
-    ctx: &mut C,
+pub async fn scatter<K>(
+    ctx: &mut NodeCtx<K>,
     parts: &Participants,
     tag: Tag,
     bundle: Option<Vec<K>>,
     piece_len: usize,
-) -> Vec<K>
-where
-    K: Send,
-    C: Comm<K>,
-{
+) -> Vec<K> {
     let me = ctx.me();
     let rank = parts.rank(me).expect("non-participant called scatter");
     ctx.span_enter((tag.0 >> 32) as u16);
@@ -173,17 +169,13 @@ where
 /// Gathers every participant's piece to the root, which returns
 /// `Some(bundle)` — the pieces concatenated in rank order; everyone else
 /// returns `None`.
-pub async fn gather<K, C>(
-    ctx: &mut C,
+pub async fn gather<K>(
+    ctx: &mut NodeCtx<K>,
     parts: &Participants,
     tag: Tag,
     piece: Vec<K>,
     piece_len: usize,
-) -> Option<Vec<K>>
-where
-    K: Send,
-    C: Comm<K>,
-{
+) -> Option<Vec<K>> {
     let me = ctx.me();
     let rank = parts.rank(me).expect("non-participant called gather");
     ctx.span_enter((tag.0 >> 32) as u16);
@@ -268,7 +260,7 @@ mod tests {
         let live = vec![6u32, 0, 1, 3, 4, 7];
         let (engine, parts, inputs) = make(3, 6, &live);
         let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
+        let (results, _) = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
             let bundle = (rank == 0).then(|| {
                 (0..parts_ref.len() as u32)
@@ -278,7 +270,7 @@ mod tests {
             let piece = scatter(ctx, parts_ref, Tag::new(6), bundle, 2).await;
             (rank, piece)
         });
-        for (_, (rank, piece)) in out.into_results() {
+        for (rank, piece) in results {
             assert_eq!(piece, vec![rank as u32 * 10, rank as u32 * 10 + 1]);
         }
     }
@@ -288,13 +280,13 @@ mod tests {
         let live = vec![2u32, 0, 5, 7, 6];
         let (engine, parts, inputs) = make(3, 2, &live);
         let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
+        let (results, obs) = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap() as u32;
             gather(ctx, parts_ref, Tag::new(7), vec![rank, rank + 100], 2).await
         });
         let mut root_result = None;
-        for (node, res) in out.into_results() {
-            if node == parts.root() {
+        for (node, res) in obs.nodes.iter().zip(results) {
+            if node.node == parts.root() {
                 root_result = res;
             } else {
                 assert!(res.is_none());
@@ -312,18 +304,14 @@ mod tests {
         let live: Vec<u32> = (0..16).collect();
         let (engine, parts, inputs) = make(4, 0, &live);
         let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
+        let (results, _) = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
             let bundle = (rank == 0).then(|| (0..16u32).flat_map(|r| [r, r * r]).collect());
             let mine = scatter(ctx, parts_ref, Tag::new(8), bundle, 2).await;
             gather(ctx, parts_ref, Tag::new(9), mine, 2).await
         });
-        let root_bundle = out
-            .node(NodeId::new(0))
-            .unwrap()
-            .result
-            .clone()
-            .expect("root");
+        // every node participates, so node 0's result comes first
+        let root_bundle = results[0].clone().expect("root");
         assert_eq!(
             root_bundle,
             (0..16u32).flat_map(|r| [r, r * r]).collect::<Vec<_>>()

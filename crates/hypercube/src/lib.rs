@@ -12,11 +12,13 @@
 //! * [`routing`] — e-cube (VERTEX-style) routing, plus shortest fault-avoiding
 //!   detours for the total-fault model.
 //! * [`sim`] — the simulated machine ([`sim::Engine`]), which runs async
-//!   SPMD node programs over one round/frontier core on either of two
-//!   executors: a single-threaded scheduler (the default) or a
-//!   work-stealing worker pool, both with identical deterministic
+//!   SPMD node programs, each against its [`sim::NodeCtx`], on one
+//!   round/frontier executor: one worker on the calling thread (the
+//!   default) or a work-stealing pool, with identical deterministic
 //!   virtual-time accounting under the paper's cost model ([`cost`]) and
 //!   operation counters ([`stats`]).
+//! * [`obs`] — what a run observed ([`obs::RunObservation`]: one record
+//!   per participating node), its reports, run files and analyzers.
 //! * [`diagnosis`] — a PMC-style off-line diagnosis stand-in for the fault
 //!   identification step the paper assumes.
 //! * [`embedding`] — the Gray-code ring embedding.
@@ -36,7 +38,7 @@
 //! let inputs: Vec<Option<Vec<u32>>> = (0..8)
 //!     .map(|i| if i < 4 { Some(vec![i]) } else { None })
 //!     .collect();
-//! let out = engine.run(inputs, async |ctx, data| {
+//! let (results, obs) = engine.run(inputs, async |ctx, data| {
 //!     let mut acc = data[0];
 //!     for d in 0..2 {
 //!         let got = ctx
@@ -46,7 +48,9 @@
 //!     }
 //!     acc
 //! });
-//! assert!(out.into_results().iter().all(|&(_, v)| v == 3));
+//! // one result per participant, in ascending address order
+//! assert_eq!(results, vec![3; 4]);
+//! assert_eq!(obs.nodes.len(), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -72,9 +76,7 @@ pub mod prelude {
     pub use crate::cost::CostModel;
     pub use crate::fault::{FaultModel, FaultSet, Link};
     pub use crate::obs::{RunObservation, RunReport};
-    pub use crate::sim::{
-        Comm, Engine, EngineKind, LinkModel, NodeCtx, RouterKind, RunOutcome, Tag,
-    };
+    pub use crate::sim::{Engine, EngineKind, LinkModel, NodeCtx, RouterKind, Tag};
     pub use crate::stats::RunStats;
     pub use crate::subcube::Subcube;
     pub use crate::topology::Hypercube;

@@ -81,7 +81,7 @@ impl CriticalPath {
     /// Extracts the critical path from a traced run. Returns `None` when
     /// the observation has no trace (tracing was off) or no participants.
     pub fn compute(obs: &RunObservation) -> Option<CriticalPath> {
-        let end = obs.participants().max_by(|a, b| {
+        let end = obs.nodes.iter().max_by(|a, b| {
             a.clock
                 .total_cmp(&b.clock)
                 .then(b.node.raw().cmp(&a.node.raw()))
@@ -91,9 +91,8 @@ impl CriticalPath {
         }
         let events = obs.trace.events();
 
-        // Per-node ascending lists of global event indices.
-        let nodes_len = obs.nodes.len();
-        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); nodes_len];
+        // Per-address ascending lists of global event indices.
+        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); 1 << obs.dim];
         for (i, e) in events.iter().enumerate() {
             per_node[e.node.index()].push(i);
         }
@@ -226,8 +225,8 @@ impl CriticalPath {
 
 /// The innermost span on `node` covering virtual time `t`.
 pub(crate) fn covering_span(obs: &RunObservation, node: NodeId, t: f64) -> Option<SpanRecord> {
-    let spans = &obs.nodes.get(node.index())?.as_ref()?.spans;
-    spans
+    obs.node(node)?
+        .spans
         .iter()
         .filter(|s| s.contains(t))
         .min_by(|a, b| {
@@ -339,7 +338,7 @@ pub fn gantt(
         makespan,
         path.end_node.raw()
     );
-    for n in obs.participants() {
+    for n in &obs.nodes {
         let mut row = String::with_capacity(width);
         for col in 0..width {
             let t = (col as f64 + 0.5) * makespan / width as f64;
@@ -451,15 +450,13 @@ mod tests {
                 },
             },
         ]);
-        let node = |id: u32, clock: f64, spans: Vec<SpanRecord>| {
-            Some(NodeObservation {
-                node: NodeId::new(id),
-                clock,
-                stats: RunStats::new(),
-                spans,
-                span_at: Vec::new(),
-                metrics: NodeMetrics::new(1),
-            })
+        let node = |id: u32, clock: f64, spans: Vec<SpanRecord>| NodeObservation {
+            node: NodeId::new(id),
+            clock,
+            stats: RunStats::new(),
+            spans,
+            span_at: Vec::new(),
+            metrics: NodeMetrics::new(1),
         };
         RunObservation {
             key_type: None,
@@ -537,9 +534,7 @@ mod tests {
         }
         let clock = events.iter().map(|e| e.time).fold(0.0, f64::max) + 1.0;
         obs.trace = Trace::from_events(events);
-        if let Some(n0) = &mut obs.nodes[0] {
-            n0.clock = clock;
-        }
+        obs.nodes[0].clock = clock;
         let cp = CriticalPath::compute(&obs).expect("path");
         // the walk never leaves node 0
         assert!(cp.segments.iter().all(|s| s.node == NodeId::new(0)));

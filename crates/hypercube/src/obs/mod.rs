@@ -8,7 +8,7 @@
 //!
 //! * **Spans** ([`SpanLog`]) — virtual-time intervals a node spends inside
 //!   a named algorithm phase, entered/exited through
-//!   [`Comm::span_enter`](crate::sim::Comm::span_enter). Phases are keyed
+//!   [`NodeCtx::span_enter`](crate::sim::NodeCtx::span_enter). Phases are keyed
 //!   by the same `u16` id the [`Tag::phase`](crate::sim::Tag::phase)
 //!   encoding carries in bits 32..48, so message tags and spans attribute
 //!   to the same phase for free.
@@ -268,9 +268,10 @@ pub struct RunObservation {
     pub link_model: LinkModel,
     /// The event trace (empty unless a [`Trace`] sink kept it).
     pub trace: Trace,
-    /// Per-node observations, indexed by node address (`None` for nodes
-    /// that did not participate, e.g. faulty ones).
-    pub nodes: Vec<Option<NodeObservation>>,
+    /// One observation per participating node, in ascending address order
+    /// (faulty and idle nodes have none). Tables indexed by address are
+    /// sized `1 << dim` by the code that keeps them.
+    pub nodes: Vec<NodeObservation>,
     /// The element key type the run sorted (e.g. `"i64"`, `"pair"`), when
     /// known. Live engines leave it `None` (they are generic over the
     /// element); CLIs record it in the run file via the sinks, and replay
@@ -282,16 +283,13 @@ pub struct RunObservation {
 impl RunObservation {
     /// The run's virtual makespan: the maximum final clock over nodes.
     pub fn makespan(&self) -> f64 {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(|n| n.clock)
-            .fold(0.0, f64::max)
+        self.nodes.iter().map(|n| n.clock).fold(0.0, f64::max)
     }
 
-    /// Participating nodes, in address order.
-    pub fn participants(&self) -> impl Iterator<Item = &NodeObservation> {
-        self.nodes.iter().flatten()
+    /// The observation of node `id`, if it participated.
+    pub fn node(&self, id: NodeId) -> Option<&NodeObservation> {
+        let i = self.nodes.binary_search_by_key(&id, |n| n.node).ok()?;
+        Some(&self.nodes[i])
     }
 
     /// Aggregates into a [`RunReport`], naming phases through `namer`
@@ -502,7 +500,7 @@ impl RunReport {
         let mut span_counts: Vec<u64> = Vec::new();
         // per name: per-node unioned time
         let mut per_node_us: Vec<Vec<f64>> = Vec::new();
-        for node in obs.participants() {
+        for node in &obs.nodes {
             // group this node's spans by name
             let mut by_name: Vec<(usize, Vec<(f64, f64)>)> = Vec::new();
             for s in &node.spans {
@@ -552,7 +550,8 @@ impl RunReport {
 
         // Node utilization rows.
         let nodes: Vec<NodeReport> = obs
-            .participants()
+            .nodes
+            .iter()
             .map(|n| {
                 let mut intervals: Vec<(f64, f64)> =
                     n.spans.iter().map(|s| (s.begin, s.end)).collect();
@@ -582,7 +581,7 @@ impl RunReport {
             })
             .collect();
         let mut detour_element_hops = 0;
-        for n in obs.participants() {
+        for n in &obs.nodes {
             for (d, link) in links.iter_mut().enumerate() {
                 link.elements += n.metrics.dim_elements.get(d).copied().unwrap_or(0);
                 link.busy_us += n.metrics.dim_busy_us.get(d).copied().unwrap_or(0.0);
@@ -590,7 +589,7 @@ impl RunReport {
             detour_element_hops += n.metrics.detour_element_hops;
         }
 
-        let stats: RunStats = obs.participants().map(|n| n.stats).sum();
+        let stats: RunStats = obs.nodes.iter().map(|n| n.stats).sum();
 
         RunReport {
             dim: obs.dim,
@@ -813,7 +812,7 @@ mod tests {
             cost: CostModel::default(),
             link_model: LinkModel::Contended,
             trace: Trace::default(),
-            nodes: vec![Some(n0), Some(n1), None, None],
+            nodes: vec![n0, n1],
         }
     }
 

@@ -80,7 +80,7 @@ pub fn write_perfetto(
     let mut first = true;
 
     // Track naming metadata, one per participating node.
-    for node in obs.participants() {
+    for node in &obs.nodes {
         sep(w, &mut first)?;
         write!(
             w,
@@ -91,7 +91,7 @@ pub fn write_perfetto(
     }
 
     // Phase spans as complete (X) events.
-    for node in obs.participants() {
+    for node in &obs.nodes {
         for span in &node.spans {
             sep(w, &mut first)?;
             let mut name = String::new();
@@ -150,7 +150,7 @@ pub fn write_perfetto(
 
     // Inbox-depth counters, one track per destination node: +1 at each
     // matched send, -1 at its receive.
-    let mut inbox: Vec<Vec<(f64, i64)>> = vec![Vec::new(); obs.nodes.len()];
+    let mut inbox: Vec<Vec<(f64, i64)>> = vec![Vec::new(); 1 << obs.dim];
     for &(s, r) in &pairs {
         let dst = events[r].node.index();
         inbox[dst].push((events[s].time, 1));
@@ -169,7 +169,7 @@ pub fn write_perfetto(
 
     // Cumulative element·hops counters, one track per sender, sampled at
     // each send. Monotone by construction — `trace-check` verifies it.
-    let mut cum_hops: Vec<u64> = vec![0; obs.nodes.len()];
+    let mut cum_hops: Vec<u64> = vec![0; 1 << obs.dim];
     for e in events {
         if let TraceKind::Send { elements, hops, .. } = e.kind {
             let cum = &mut cum_hops[e.node.index()];
@@ -544,7 +544,7 @@ mod tests {
             link_model: LinkModel::Uncontended,
             trace: two_node_trace(),
             nodes: vec![
-                Some(crate::obs::NodeObservation {
+                crate::obs::NodeObservation {
                     node: NodeId::new(0),
                     clock: 4.0,
                     stats: crate::stats::RunStats::new(),
@@ -555,15 +555,15 @@ mod tests {
                     }],
                     span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
-                }),
-                Some(crate::obs::NodeObservation {
+                },
+                crate::obs::NodeObservation {
                     node: NodeId::new(1),
                     clock: 3.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
                     span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
-                }),
+                },
             ],
         };
         let text = render(&obs, &|p| if p == 7 { Some("exchange") } else { None });
@@ -588,22 +588,22 @@ mod tests {
             link_model: LinkModel::Uncontended,
             trace: two_node_trace(),
             nodes: vec![
-                Some(crate::obs::NodeObservation {
+                crate::obs::NodeObservation {
                     node: NodeId::new(0),
                     clock: 4.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
                     span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
-                }),
-                Some(crate::obs::NodeObservation {
+                },
+                crate::obs::NodeObservation {
                     node: NodeId::new(1),
                     clock: 3.0,
                     stats: crate::stats::RunStats::new(),
                     spans: Vec::new(),
                     span_at: Vec::new(),
                     metrics: crate::obs::NodeMetrics::new(1),
-                }),
+                },
             ],
         };
         let text = render(&obs, &|_| None);

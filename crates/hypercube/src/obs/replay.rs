@@ -40,24 +40,23 @@ pub fn run_to_json(obs: &RunObservation) -> String {
         sink.set_key_type(kt.clone());
     }
     sink.begin(obs.dim, &obs.cost, obs.link_model);
-    // Per node: its positioned boundaries, last position first, and the
-    // records written so far — the position of the next one.
-    let mut bounds: Vec<Vec<(usize, Option<u16>, f64)>> = obs
-        .nodes
-        .iter()
-        .map(|slot| {
-            let mut b: Vec<_> = slot
+    // Per address: the node's positioned boundaries, last position first,
+    // and the records written so far — the position of the next one.
+    let len = 1usize << obs.dim;
+    let mut bounds: Vec<Vec<(usize, Option<u16>, f64)>> = vec![Vec::new(); len];
+    for n in &obs.nodes {
+        let b = &mut bounds[n.node.index()];
+        b.extend(
+            n.spans
                 .iter()
-                .flat_map(|n| n.spans.iter().zip(&n.span_at))
+                .zip(&n.span_at)
                 .flat_map(|(s, &(begin_at, end_at))| {
                     [(begin_at, Some(s.phase), s.begin), (end_at, None, s.end)]
-                })
-                .collect();
-            b.sort_unstable_by_key(|&(at, ..)| std::cmp::Reverse(at));
-            b
-        })
-        .collect();
-    let mut written = vec![0usize; bounds.len()];
+                }),
+        );
+        b.sort_unstable_by_key(|&(at, ..)| std::cmp::Reverse(at));
+    }
+    let mut written = vec![0usize; len];
     for e in obs.trace.events() {
         let n = e.node.index();
         if let Some(b) = bounds.get_mut(n) {
@@ -69,26 +68,16 @@ pub fn run_to_json(obs: &RunObservation) -> String {
         }
         sink.event(e);
     }
-    for (slot, b) in obs.nodes.iter().zip(&bounds) {
-        if let Some(n) = slot {
-            for &(_, phase, t) in b.iter().rev() {
-                sink.span(n.node, phase, t);
-            }
-            for s in n.spans.iter().skip(n.span_at.len()) {
-                sink.span(n.node, Some(s.phase), s.begin);
-                sink.span(n.node, None, s.end);
-            }
+    for n in &obs.nodes {
+        for &(_, phase, t) in bounds[n.node.index()].iter().rev() {
+            sink.span(n.node, phase, t);
+        }
+        for s in n.spans.iter().skip(n.span_at.len()) {
+            sink.span(n.node, Some(s.phase), s.begin);
+            sink.span(n.node, None, s.end);
         }
     }
-    let summaries: Vec<NodeSummary> = obs
-        .participants()
-        .map(|n| NodeSummary {
-            node: n.node,
-            clock: n.clock,
-            blocked_us: n.metrics.blocked_us,
-            inbox_peak: n.metrics.inbox_peak,
-        })
-        .collect();
+    let summaries: Vec<NodeSummary> = obs.nodes.iter().map(NodeSummary::of).collect();
     sink.finish(&summaries);
     let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
     String::from_utf8(bytes).expect("the sink renders UTF-8")
@@ -299,35 +288,50 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     let cost: CostModel = read_member(&doc, "cost")?;
     let footer: Vec<NodeSummary> = read_member(&doc, "nodes")?;
 
-    // Footer first: it defines the participants every event must belong to.
+    // Footer first: it names the participants every event must belong to.
+    // Their accumulators are kept in address order, one per footer entry.
+    let len = 1usize << dim;
+    let mut order: Vec<usize> = (0..footer.len()).collect();
+    order.sort_by_key(|&i| footer[i].node);
+    // The first entry in file order that lies outside the cube or repeats
+    // an earlier one's address (the stable sort keeps repeats in file order).
+    let first_bad = order
+        .windows(2)
+        .filter(|w| footer[w[0]].node == footer[w[1]].node)
+        .map(|w| w[1])
+        .chain(footer.iter().position(|s| s.node.index() >= len))
+        .min();
+    if let Some(i) = first_bad {
+        let idx = footer[i].node.index();
+        return Err(if idx >= len {
+            format!("node record {i}: address {idx} outside the {dim}-cube")
+        } else {
+            format!("node record {i}: duplicate address {idx}")
+        });
+    }
     struct Acc {
         summary: NodeSummary,
         stats: RunStats,
         metrics: NodeMetrics,
         spans: SpanLog,
     }
-    let len = 1usize << dim;
-    let mut accs: Vec<Option<Acc>> = (0..len).map(|_| None).collect();
-    for (i, summary) in footer.into_iter().enumerate() {
-        let idx = summary.node.index();
-        if idx >= len {
-            return Err(format!(
-                "node record {i}: address {idx} outside the {dim}-cube"
-            ));
-        }
-        if accs[idx].is_some() {
-            return Err(format!("node record {i}: duplicate address {idx}"));
-        }
-        accs[idx] = Some(Acc {
-            summary,
+    let mut accs: Vec<Acc> = order
+        .into_iter()
+        .map(|i| Acc {
+            summary: footer[i],
             stats: RunStats::new(),
             metrics: NodeMetrics::new(dim),
             spans: SpanLog::new(true),
-        });
-    }
+        })
+        .collect();
+    let find = |accs: &[Acc], node: usize| {
+        accs.binary_search_by_key(&node, |a| a.summary.node.index())
+            .ok()
+    };
 
     // Records, in file order — which preserves each node's emission order,
-    // the invariant the span stack and the stable trace sort rely on.
+    // the invariant the span stack and the stable trace sort rely on. One
+    // node's records mostly arrive together, so the last hit is tried first.
     let (records, bad) = events.ok_or("missing 'events'")?;
     let not_in_footer = |i: usize, node: usize| format!("event {i}: node {node} not in the footer");
     let outside = |i: usize, k: &str, p: NodeId| {
@@ -336,11 +340,12 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     let max_hops = 2 * (len as u64 - 1);
     let mut totals = Totals::default();
     let mut events = Vec::with_capacity(records.len());
+    let mut hit = 0;
     for (i, Record { node, body }) in records.into_iter().enumerate() {
-        let acc = accs
-            .get_mut(node)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| not_in_footer(i, node))?;
+        if accs.get(hit).is_none_or(|a| a.summary.node.index() != node) {
+            hit = find(&accs, node).ok_or_else(|| not_in_footer(i, node))?;
+        }
+        let acc = &mut accs[hit];
         let overflow = || format!("event {i}: counters overflow a u64");
         match body {
             Body::Enter { phase, t } => acc.spans.enter(phase, t),
@@ -378,7 +383,7 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
         }
     }
     if let Some((i, node, err)) = bad {
-        if let Some(node) = node.filter(|&n| accs.get(n).is_none_or(Option::is_none)) {
+        if let Some(node) = node.filter(|&n| find(&accs, n).is_none()) {
             return Err(not_in_footer(i, node));
         }
         return Err(err);
@@ -387,20 +392,18 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     let nodes = accs
         .into_iter()
         .map(|acc| {
-            acc.map(|acc| {
-                let mut metrics = acc.metrics;
-                metrics.blocked_us = acc.summary.blocked_us;
-                metrics.inbox_peak = acc.summary.inbox_peak;
-                let (spans, span_at) = acc.spans.finish(acc.summary.clock);
-                NodeObservation {
-                    node: acc.summary.node,
-                    clock: acc.summary.clock,
-                    stats: acc.stats,
-                    spans,
-                    span_at,
-                    metrics,
-                }
-            })
+            let mut metrics = acc.metrics;
+            metrics.blocked_us = acc.summary.blocked_us;
+            metrics.inbox_peak = acc.summary.inbox_peak;
+            let (spans, span_at) = acc.spans.finish(acc.summary.clock);
+            NodeObservation {
+                node: acc.summary.node,
+                clock: acc.summary.clock,
+                stats: acc.stats,
+                spans,
+                span_at,
+                metrics,
+            }
         })
         .collect();
 

@@ -186,7 +186,7 @@ fn plan_event_rounds(obs: &RunObservation) -> (Vec<u32>, Vec<usize>) {
     for (s, r) in match_messages(&obs.trace) {
         send_of[r] = s;
     }
-    let node_count = obs.nodes.len();
+    let node_count = 1usize << obs.dim;
     let mut per_node: Vec<Vec<(usize, Option<usize>)>> = vec![Vec::new(); node_count];
     for (i, e) in events.iter().enumerate() {
         let awaits = match e.kind {
@@ -245,7 +245,7 @@ pub(crate) fn contended_times(obs: &RunObservation) -> ContendedTimes {
     let mut arrival = vec![f64::NAN; events.len()];
     let mut wait = vec![0.0f64; events.len()];
     let mut links = Vec::new();
-    let mut ledger = LinkLedger::new(obs.dim, obs.nodes.len());
+    let mut ledger = LinkLedger::new(obs.dim, 1 << obs.dim);
     for &i in &canonical_order(events, &rounds) {
         if let TraceKind::Send { to, elements, hops } = events[i].kind {
             let (a, w) = ledger.acquire_with(
@@ -320,11 +320,11 @@ pub fn reprice(
     if obs.trace.is_empty() {
         return Err("run has no trace events — was the sort traced?".into());
     }
-    if obs.participants().any(|n| n.span_at.len() != n.spans.len()) {
+    if obs.nodes.iter().any(|n| n.span_at.len() != n.spans.len()) {
         return Err("spans carry no program positions".into());
     }
     let events = obs.trace.events();
-    let len = obs.nodes.len();
+    let len = 1usize << obs.dim;
     let (rounds, send_of) = plan_event_rounds(obs);
     let order = canonical_order(events, &rounds);
 
@@ -432,41 +432,38 @@ pub fn reprice(
     let nodes = obs
         .nodes
         .iter()
-        .enumerate()
-        .map(|(n, slot)| {
-            slot.as_ref().map(|node| {
-                let mut metrics = node.metrics.clone();
-                metrics.blocked_us = blocked[n];
-                metrics.link_wait_us = link_wait[n];
-                metrics.dim_busy_us = dim_busy[n].clone();
-                let cps = &checkpoints[n];
-                // The node events before a boundary: the records before
-                // its position, less the boundaries among them.
-                let mut bounds: Vec<usize> =
-                    node.span_at.iter().flat_map(|&(b, e)| [b, e]).collect();
-                bounds.sort_unstable();
-                let at = |pos: usize, t: f64| {
-                    let events = pos.saturating_sub(bounds.partition_point(|&b| b < pos));
-                    shift(cps, events, t)
-                };
-                NodeObservation {
-                    node: node.node,
-                    clock: shift(cps, cps.len(), node.clock),
-                    stats: node.stats,
-                    spans: node
-                        .spans
-                        .iter()
-                        .zip(&node.span_at)
-                        .map(|(s, &(begin_at, end_at))| SpanRecord {
-                            begin: at(begin_at, s.begin),
-                            end: at(end_at, s.end),
-                            ..*s
-                        })
-                        .collect(),
-                    span_at: node.span_at.clone(),
-                    metrics,
-                }
-            })
+        .map(|node| {
+            let n = node.node.index();
+            let mut metrics = node.metrics.clone();
+            metrics.blocked_us = blocked[n];
+            metrics.link_wait_us = link_wait[n];
+            metrics.dim_busy_us = dim_busy[n].clone();
+            let cps = &checkpoints[n];
+            // The node events before a boundary: the records before
+            // its position, less the boundaries among them.
+            let mut bounds: Vec<usize> = node.span_at.iter().flat_map(|&(b, e)| [b, e]).collect();
+            bounds.sort_unstable();
+            let at = |pos: usize, t: f64| {
+                let events = pos.saturating_sub(bounds.partition_point(|&b| b < pos));
+                shift(cps, events, t)
+            };
+            NodeObservation {
+                node: node.node,
+                clock: shift(cps, cps.len(), node.clock),
+                stats: node.stats,
+                spans: node
+                    .spans
+                    .iter()
+                    .zip(&node.span_at)
+                    .map(|(s, &(begin_at, end_at))| SpanRecord {
+                        begin: at(begin_at, s.begin),
+                        end: at(end_at, s.end),
+                        ..*s
+                    })
+                    .collect(),
+                span_at: node.span_at.clone(),
+                metrics,
+            }
         })
         .collect();
 

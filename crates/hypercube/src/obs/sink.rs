@@ -24,7 +24,7 @@
 
 use super::gz::GzEncoder;
 use super::json::{json_object, write_member, write_trace_event, JsonValue};
-use super::metrics;
+use super::{metrics, NodeObservation};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, TraceEvent};
@@ -54,6 +54,18 @@ json_object!(NodeSummary {
     blocked_us,
     inbox_peak,
 });
+
+impl NodeSummary {
+    /// The footer entry of an observed node.
+    pub fn of(node: &NodeObservation) -> NodeSummary {
+        NodeSummary {
+            node: node.node,
+            clock: node.clock,
+            blocked_us: node.metrics.blocked_us,
+            inbox_peak: node.metrics.inbox_peak,
+        }
+    }
+}
 
 /// Receiver of a run's record stream. Engines call the methods in strict
 /// order — `begin`, then any number of `event`/`span`, then `finish`

@@ -18,16 +18,15 @@
 //! same message under partial faults.
 
 use super::frontier::{build_cells, collect_run, NodeCell, PendOnce, SharedCell, SimMessage};
-use super::trace::{Trace, TraceKind};
-use super::{par, Comm, EngineKind, LinkModel, Tag};
+use super::trace::TraceKind;
+use super::{par, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::fault::FaultSet;
 use crate::obs::metrics;
 use crate::obs::sink::TraceSink;
-use crate::obs::{NodeMetrics, NodeObservation, RunObservation, SpanRecord};
+use crate::obs::RunObservation;
 use crate::routing;
-use crate::stats::RunStats;
 use crate::topology::Hypercube;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -42,100 +41,6 @@ pub enum RouterKind {
     /// ([`crate::routing::adaptive_route`], after Chen & Shin) — what a
     /// real fault-tolerant router achieves; may take longer walks.
     Adaptive,
-}
-
-/// What one simulated processor produced.
-#[derive(Clone, Debug)]
-pub struct NodeOutcome<T> {
-    /// The node program's return value.
-    pub result: T,
-    /// The node's final virtual clock, µs.
-    pub clock: f64,
-    /// Operation counters for this node.
-    pub stats: RunStats,
-    /// Closed observability spans ([`crate::sim::Comm::span_enter`]), in
-    /// close order.
-    pub spans: Vec<SpanRecord>,
-    /// Each span's boundary positions in program order
-    /// ([`NodeObservation::span_at`]); empty unless events were recorded.
-    pub span_at: Vec<(usize, usize)>,
-    /// Per-node utilization/communication metrics.
-    pub metrics: NodeMetrics,
-}
-
-/// The result of running a program on the machine.
-#[derive(Clone, Debug)]
-pub struct RunOutcome<T> {
-    pub(super) outcomes: Vec<Option<NodeOutcome<T>>>,
-    pub(super) dim: usize,
-    pub(super) cost: CostModel,
-    pub(super) link_model: LinkModel,
-}
-
-impl<T> RunOutcome<T> {
-    /// The run's observability view — spans and metrics copied from the
-    /// node results — for reporting ([`RunObservation::report`]). Its
-    /// trace is empty: a caller that attached a [`Trace`] moves it in.
-    pub fn observation(&self) -> RunObservation {
-        RunObservation {
-            dim: self.dim,
-            cost: self.cost,
-            link_model: self.link_model,
-            key_type: None,
-            trace: Trace::default(),
-            nodes: self
-                .outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    o.as_ref().map(|o| NodeObservation {
-                        node: NodeId::from(i),
-                        clock: o.clock,
-                        stats: o.stats,
-                        spans: o.spans.clone(),
-                        span_at: o.span_at.clone(),
-                        metrics: o.metrics.clone(),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-node outcomes indexed by physical address (`None` where no
-    /// program ran: faulty or idle processors).
-    pub fn outcomes(&self) -> &[Option<NodeOutcome<T>>] {
-        &self.outcomes
-    }
-
-    /// The outcome of a specific node, if it participated.
-    pub fn node(&self, id: NodeId) -> Option<&NodeOutcome<T>> {
-        self.outcomes.get(id.index()).and_then(|o| o.as_ref())
-    }
-
-    /// Turnaround time: the maximum virtual clock over all processors — the
-    /// quantity the paper plots as "execution time".
-    pub fn turnaround(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .flatten()
-            .map(|o| o.clock)
-            .fold(0.0, f64::max)
-    }
-
-    /// Aggregated operation counters over all processors.
-    pub fn total_stats(&self) -> RunStats {
-        self.outcomes.iter().flatten().map(|o| o.stats).sum()
-    }
-
-    /// Consumes the outcome, yielding `(node, result)` pairs in ascending
-    /// address order.
-    pub fn into_results(self) -> Vec<(NodeId, T)> {
-        self.outcomes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.map(|o| (NodeId::from(i), o.result)))
-            .collect()
-    }
 }
 
 /// Hops charged for a `src → dst` message under the given router.
@@ -164,11 +69,15 @@ fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
     }
 }
 
-/// The per-node communication handle handed to node programs.
+/// The handle a node program runs against: its address and machine, its
+/// messages, and the accounting of its clock, counters and spans.
 ///
-/// Implements [`Comm`] over the node's own frontier cell; created only by
-/// the executor. Every operation acts on the node's own cell, so node
-/// programs of one round never contend.
+/// Created only by the executor, over the node's own frontier cell; every
+/// operation acts on that cell, so node programs of one round never
+/// contend. [`recv`](Self::recv) (and anything built on it) is `async`: a
+/// receive whose message has not been delivered suspends the node program,
+/// and the executor resumes it after the round barrier that delivers the
+/// message.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
@@ -202,26 +111,31 @@ impl<K> NodeCtx<K> {
     fn cell(&self) -> MutexGuard<'_, NodeCell<K>> {
         self.cell.lock().expect("node cell lock poisoned")
     }
-}
 
-impl<K> Comm<K> for NodeCtx<K> {
-    fn me(&self) -> NodeId {
+    /// This processor's physical address.
+    pub fn me(&self) -> NodeId {
         self.me
     }
 
-    fn cube(&self) -> Hypercube {
+    /// The topology being simulated.
+    pub fn cube(&self) -> Hypercube {
         self.cube
     }
 
-    fn faults(&self) -> &FaultSet {
+    /// The fault set in force (processors this program must not address).
+    pub fn faults(&self) -> &FaultSet {
         &self.faults
     }
 
-    fn cost_model(&self) -> CostModel {
+    /// The cost model used for accounting.
+    pub fn cost_model(&self) -> CostModel {
         self.cost
     }
 
-    fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>) {
+    /// Sends `data` to `dst` (non-blocking); the router charges
+    /// `hops(me, dst)` links per element. Ownership of the payload moves to
+    /// the receiver — a pointer handoff, no copy.
+    pub fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>) {
         assert!(self.cube.contains(dst), "send to address outside cube");
         let hops = route_hops(&self.faults, self.router, self.me, dst);
         assert!(
@@ -257,7 +171,9 @@ impl<K> Comm<K> for NodeCtx<K> {
         });
     }
 
-    async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K> {
+    /// Receives the message with tag `tag` from `src`, suspending until it
+    /// arrives. Messages with other `(src, tag)` pairs are buffered.
+    pub async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K> {
         loop {
             {
                 let mut cell = self.cell();
@@ -296,15 +212,28 @@ impl<K> Comm<K> for NodeCtx<K> {
         }
     }
 
-    fn span_enter(&mut self, phase: u16) {
+    /// Full-duplex exchange with a partner: send ours, receive theirs.
+    pub async fn exchange(&mut self, partner: NodeId, tag: Tag, data: Vec<K>) -> Vec<K> {
+        self.send(partner, tag, data);
+        self.recv(partner, tag).await
+    }
+
+    /// Opens an observability span for `phase` (the [`Tag::phase`] `u16`
+    /// namespace) at the current virtual clock. Spans nest; close with
+    /// [`span_exit`](Self::span_exit). See [`crate::obs`].
+    pub fn span_enter(&mut self, phase: u16) {
         self.cell().span(Some(phase));
     }
 
-    fn span_exit(&mut self) {
+    /// Closes the innermost open span at the current virtual clock.
+    pub fn span_exit(&mut self) {
         self.cell().span(None);
     }
 
-    fn charge_comparisons(&mut self, count: usize) {
+    /// Charges `count` key comparisons to the local clock and statistics,
+    /// recording a compute event when the run is observed — the only way
+    /// a node advances its clock without a message.
+    pub fn charge_comparisons(&mut self, count: usize) {
         let mut cell = self.cell();
         cell.clock.advance(self.cost.compare(count));
         cell.stats.record_comparisons(count);
@@ -315,7 +244,8 @@ impl<K> Comm<K> for NodeCtx<K> {
         );
     }
 
-    fn clock(&self) -> f64 {
+    /// The local virtual clock, µs.
+    pub fn clock(&self) -> f64 {
         self.cell().clock.now()
     }
 }
@@ -381,9 +311,9 @@ impl Engine {
     /// Adds a [`TraceSink`] (builder style): at each round's commit every
     /// sink, in attach order, receives the run's records — trace events,
     /// span boundaries and a per-node footer — in (round, node id,
-    /// program) order. A [`Trace`] keeps the events in memory; a
-    /// [`StreamingSink`](crate::obs::sink::StreamingSink) writes them out
-    /// in O(1) memory. A run with no sink records no events.
+    /// program) order. A [`Trace`](super::Trace) keeps the events in
+    /// memory; a [`StreamingSink`](crate::obs::sink::StreamingSink) writes
+    /// them out in O(1) memory. A run with no sink records no events.
     pub fn with_trace_sink(mut self, sink: Arc<Mutex<dyn TraceSink>>) -> Self {
         self.sinks.push(sink);
         self
@@ -449,13 +379,17 @@ impl Engine {
     ///
     /// `inputs[i]` is the initial local data of node `i`; nodes with `None`
     /// (faulty or deliberately idle processors) are not run and must not be
-    /// addressed by the program. Returns per-node results, virtual clocks and
-    /// operation counts — identical for both [`EngineKind`]s.
+    /// addressed by the program. Returns each participant's result in
+    /// ascending address order, beside the run's observation, whose
+    /// [`nodes`](RunObservation::nodes) list the same participants in the
+    /// same order with their clocks, counters, spans and metrics —
+    /// identical for both [`EngineKind`]s. The observation's trace is
+    /// empty: a caller that attached a [`Trace`](super::Trace) moves it in.
     ///
     /// # Panics
     /// Propagates panics from node programs (including deadlock detection)
     /// and rejects inputs assigned to faulty processors.
-    pub fn run<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> RunOutcome<T>
+    pub fn run<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> (Vec<T>, RunObservation)
     where
         K: Send,
         T: Send,
@@ -470,13 +404,14 @@ impl Engine {
         }
         let (cells, participation) = build_cells(&inputs, dim, !self.sinks.is_empty());
         let results = par::run(self, &cells, &participation, inputs, program);
-        let out = collect_run(cells, results, &self.sinks, dim, self.cost, self.link_model);
+        let (results, obs) =
+            collect_run(cells, results, &self.sinks, dim, self.cost, self.link_model);
         // The run's own per-node totals. Every message sent is delivered
         // at its round's commit, so the sent counts are also the
         // delivered ones.
         metrics::fold(|t| {
             let mut link_wait_us = 0.0;
-            for node in out.outcomes.iter().flatten() {
+            for node in &obs.nodes {
                 t.messages_delivered += node.stats.messages;
                 t.elements_priced += node.stats.elements_sent;
                 t.msg_elements
@@ -485,7 +420,7 @@ impl Engine {
             }
             t.link_wait_us += link_wait_us as u64;
         });
-        out
+        (results, obs)
     }
 }
 
@@ -493,6 +428,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::fault::FaultModel;
+    use crate::sim::Trace;
+    use crate::stats::RunStats;
 
     fn engine(n: usize) -> Engine {
         Engine::fault_free(Hypercube::new(n), CostModel::paper_form())
@@ -514,13 +451,14 @@ mod tests {
     #[test]
     fn ping_pong_between_neighbors() {
         for eng in all_engines(1) {
-            let out = eng.run(identity_inputs(1), async |ctx, data| {
+            let (results, obs) = eng.run(identity_inputs(1), async |ctx, data| {
                 let partner = ctx.me().neighbor(0);
                 let theirs = ctx.exchange(partner, Tag::new(0), data).await;
                 theirs[0]
             });
-            let results = out.into_results();
-            assert_eq!(results, vec![(NodeId::new(0), 1), (NodeId::new(1), 0)]);
+            assert_eq!(results, vec![1, 0]);
+            let ids: Vec<NodeId> = obs.nodes.iter().map(|n| n.node).collect();
+            assert_eq!(ids, vec![NodeId::new(0), NodeId::new(1)]);
         }
     }
 
@@ -530,7 +468,7 @@ mod tests {
         // with the sum over the whole cube.
         let n = 4;
         for eng in all_engines(n) {
-            let out = eng.run(identity_inputs(n), async |ctx, data| {
+            let (results, _) = eng.run(identity_inputs(n), async |ctx, data| {
                 let mut acc = data[0];
                 for d in 0..ctx.cube().dim() {
                     let theirs = ctx
@@ -541,9 +479,7 @@ mod tests {
                 acc
             });
             let expected: u32 = (0..16).sum();
-            for (_, v) in out.into_results() {
-                assert_eq!(v, expected);
-            }
+            assert_eq!(results, vec![expected; 16]);
         }
     }
 
@@ -552,7 +488,7 @@ mod tests {
         let n = 4;
         let run = |kind: EngineKind| {
             let eng = engine(n).with_engine(kind);
-            let out = eng.run(identity_inputs(n), async |ctx, data| {
+            let (_, obs) = eng.run(identity_inputs(n), async |ctx, data| {
                 let mut acc = data;
                 for d in 0..ctx.cube().dim() {
                     let theirs = ctx
@@ -564,8 +500,8 @@ mod tests {
                 }
                 acc.len()
             });
-            let clocks: Vec<f64> = out.outcomes().iter().flatten().map(|o| o.clock).collect();
-            (out.turnaround(), clocks)
+            let clocks: Vec<f64> = obs.nodes.iter().map(|o| o.clock).collect();
+            (obs.makespan(), clocks)
         };
         let (t1, c1) = run(EngineKind::Seq);
         let (t2, c2) = run(EngineKind::Seq);
@@ -588,7 +524,7 @@ mod tests {
             inputs[0] = Some(vec![]);
             inputs[1] = Some(vec![]);
             inputs[2] = Some(vec![]);
-            let out = eng.run(inputs, async |ctx, _| match ctx.me().raw() {
+            let (results, obs) = eng.run(inputs, async |ctx, _| match ctx.me().raw() {
                 0 => {
                     let a = ctx.recv(NodeId::new(1), Tag::new(1)).await;
                     let b = ctx.recv(NodeId::new(2), Tag::new(2)).await;
@@ -604,8 +540,8 @@ mod tests {
                     (0, 0)
                 }
             });
-            assert_eq!(out.node(NodeId::new(0)).unwrap().result, (10, 20));
-            let t0 = out.node(NodeId::new(0)).unwrap().clock;
+            assert_eq!(results[0], (10, 20));
+            let t0 = obs.node(NodeId::new(0)).unwrap().clock;
             let compute = 1000.0 * eng.cost_model().t_c;
             assert!(
                 t0 >= compute,
@@ -624,7 +560,7 @@ mod tests {
             let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 8];
             inputs[0] = Some((0..k as u32).collect());
             inputs[7] = Some(vec![]);
-            let out = eng.run(inputs, async |ctx, data| {
+            let (results, obs) = eng.run(inputs, async |ctx, data| {
                 if ctx.me() == NodeId::new(0) {
                     ctx.send(NodeId::new(7), Tag::new(1), data);
                     0.0
@@ -635,14 +571,15 @@ mod tests {
                 }
             });
             let t_sr = eng.cost_model().t_sr;
-            let receiver_clock = out.node(NodeId::new(7)).unwrap().result;
+            // results follow address order: P0, then P7
+            let receiver_clock = results[1];
             // sender pays 1 hop of port time, receiver syncs to sent_at + 3 hops
             let expected = (k as f64) * t_sr + (k as f64) * 3.0 * t_sr;
             assert!(
                 (receiver_clock - expected).abs() < 1e-9,
                 "clock {receiver_clock} vs expected {expected}"
             );
-            let stats = out.total_stats();
+            let stats: RunStats = obs.nodes.iter().map(|n| n.stats).sum();
             assert_eq!(stats.messages, 1);
             assert_eq!(stats.elements_sent, k as u64);
             assert_eq!(stats.element_hops, (k * 3) as u64);
@@ -660,7 +597,7 @@ mod tests {
         let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 8];
         inputs[0] = Some(vec![42]);
         inputs[3] = Some(vec![]);
-        let out = eng.run(inputs, async |ctx, _data| {
+        let (_, obs) = eng.run(inputs, async |ctx, _data| {
             if ctx.me() == NodeId::new(0) {
                 ctx.send(NodeId::new(3), Tag::new(9), vec![7]);
             } else {
@@ -668,7 +605,8 @@ mod tests {
                 assert_eq!(got, vec![7]);
             }
         });
-        assert_eq!(out.total_stats().max_hops, 4);
+        let stats: RunStats = obs.nodes.iter().map(|n| n.stats).sum();
+        assert_eq!(stats.max_hops, 4);
     }
 
     #[test]
@@ -678,24 +616,21 @@ mod tests {
         let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 8];
         inputs[0] = Some(vec![]);
         inputs[3] = Some(vec![]);
-        let out = eng.run(inputs, async |ctx, _| {
+        let (_, obs) = eng.run(inputs, async |ctx, _| {
             if ctx.me() == NodeId::new(0) {
                 ctx.send(NodeId::new(3), Tag::new(9), vec![7u32]);
             } else {
                 ctx.recv(NodeId::new(0), Tag::new(9)).await;
             }
         });
-        assert_eq!(
-            out.total_stats().max_hops,
-            2,
-            "e-cube path relays via fault"
-        );
+        let stats: RunStats = obs.nodes.iter().map(|n| n.stats).sum();
+        assert_eq!(stats.max_hops, 2, "e-cube path relays via fault");
     }
 
     #[test]
     fn out_of_order_tags_are_buffered() {
         for eng in all_engines(1) {
-            let out = eng.run(identity_inputs(1), async |ctx, _| {
+            let (results, _) = eng.run(identity_inputs(1), async |ctx, _| {
                 let partner = ctx.me().neighbor(0);
                 if ctx.me() == NodeId::new(0) {
                     // send in one order…
@@ -709,24 +644,23 @@ mod tests {
                     a[0] + b[0]
                 }
             });
-            assert_eq!(out.node(NodeId::new(1)).unwrap().result, 30);
+            assert_eq!(results[1], 30);
         }
     }
 
     #[test]
     fn comparisons_charge_clock_and_stats() {
         for eng in all_engines(0) {
-            let out = eng.run(vec![Some(Vec::<u32>::new())], async |ctx, _| {
+            let (results, obs) = eng.run(vec![Some(Vec::<u32>::new())], async |ctx, _| {
                 ctx.charge_comparisons(17);
                 ctx.charge_comparisons(5);
                 ctx.clock()
             });
-            let o = out.node(NodeId::new(0)).unwrap();
             assert_eq!(
-                o.result,
-                17.0 * eng.cost_model().t_c + 5.0 * eng.cost_model().t_c
+                results,
+                vec![17.0 * eng.cost_model().t_c + 5.0 * eng.cost_model().t_c]
             );
-            assert_eq!(o.stats.comparisons, 22);
+            assert_eq!(obs.nodes[0].stats.comparisons, 22);
         }
     }
 
@@ -897,12 +831,13 @@ mod tests {
         for eng in all_engines(2) {
             let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 4];
             inputs[2] = Some(vec![]);
-            let out = eng.run(inputs, async |ctx, _| ctx.me().raw());
-            assert!(out.node(NodeId::new(0)).is_none());
-            assert!(out.node(NodeId::new(1)).is_none());
-            assert_eq!(out.node(NodeId::new(2)).unwrap().result, 2);
-            assert!(out.node(NodeId::new(3)).is_none());
-            assert_eq!(out.into_results().len(), 1);
+            let (results, obs) = eng.run(inputs, async |ctx, _| ctx.me().raw());
+            assert!(obs.node(NodeId::new(0)).is_none());
+            assert!(obs.node(NodeId::new(1)).is_none());
+            assert!(obs.node(NodeId::new(2)).is_some());
+            assert!(obs.node(NodeId::new(3)).is_none());
+            assert_eq!(results, vec![2]);
+            assert_eq!(obs.nodes.len(), 1);
         }
     }
 
@@ -933,19 +868,15 @@ mod tests {
                 });
             (out, taken(&trace))
         };
-        let (a, a_trace) = run(EngineKind::Seq);
-        let (b, b_trace) = run(EngineKind::Par);
-        assert_eq!(a.node(NodeId::new(0)).unwrap().result.len(), 8);
-        for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
-            match (x, y) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.result, y.result);
-                    assert_eq!(x.clock, y.clock);
-                    assert_eq!(x.stats, y.stats);
-                }
-                _ => panic!("participation differs between engines"),
-            }
+        let ((a, a_obs), a_trace) = run(EngineKind::Seq);
+        let ((b, b_obs), b_trace) = run(EngineKind::Par);
+        assert_eq!(a[0].len(), 8);
+        assert_eq!(a, b);
+        assert_eq!(a_obs.nodes.len(), b_obs.nodes.len());
+        for (x, y) in a_obs.nodes.iter().zip(&b_obs.nodes) {
+            assert_eq!(x.node, y.node);
+            assert_eq!(x.clock, y.clock);
+            assert_eq!(x.stats, y.stats);
         }
         assert!(!a_trace.is_empty());
         assert_eq!(a_trace.events(), b_trace.events());

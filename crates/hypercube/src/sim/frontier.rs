@@ -4,7 +4,7 @@
 //!
 //! The executor runs node programs in *rounds*. A round polls every node
 //! on the ready frontier once — the node runs until it parks in a blocked
-//! [`Comm::recv`] or finishes — with sends buffered in the sender's outbox
+//! [`NodeCtx::recv`] or finishes — with sends buffered in the sender's outbox
 //! and observability records in a per-node record buffer (the node's
 //! [`NodeCtx`](super::NodeCtx) does both, on its own [`NodeCell`]). The
 //! round's commit then delivers outboxes to inboxes in ascending node-id
@@ -30,15 +30,14 @@
 //! (`RunStats`, `NodeMetrics`) are the run's totals, and `Engine::run`
 //! folds them in once the run has ended.
 //!
-//! [`Comm::recv`]: super::Comm::recv
+//! [`NodeCtx::recv`]: super::NodeCtx::recv
 
-use super::engine::{NodeOutcome, RunOutcome};
-use super::trace::{TraceEvent, TraceKind};
+use super::trace::{Trace, TraceEvent, TraceKind};
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::{CostModel, VirtualClock};
 use crate::obs::sink::{NodeSummary, TraceSink};
-use crate::obs::{NodeMetrics, SpanLog};
+use crate::obs::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::stats::RunStats;
 use std::future::Future;
 use std::pin::Pin;
@@ -80,7 +79,7 @@ pub(super) enum CellRecord {
 pub(super) struct NodeCell<K> {
     pub(super) clock: VirtualClock,
     pub(super) stats: RunStats,
-    /// Observability spans ([`super::Comm::span_enter`]).
+    /// Observability spans ([`super::NodeCtx::span_enter`]).
     pub(super) spans: SpanLog,
     /// Per-node utilization/communication metrics. `inbox_peak` here is
     /// exact and deterministic: the inbox length right after each
@@ -217,9 +216,10 @@ pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: us
     );
 }
 
-/// Unwraps the cells into per-node outcomes, emits the sinks' footer and
-/// assembles the [`RunOutcome`] — the tail of
-/// [`Engine::run`](super::Engine::run).
+/// Unwraps the cells into the participants' results and observations,
+/// in ascending address order, and emits the sinks' footer — the tail of
+/// [`Engine::run`](super::Engine::run). Each node's spans, span positions
+/// and metrics move into the observation.
 pub(super) fn collect_run<K, T>(
     cells: Vec<Arc<Mutex<NodeCell<K>>>>,
     results: Vec<Option<T>>,
@@ -227,55 +227,46 @@ pub(super) fn collect_run<K, T>(
     dim: usize,
     cost: CostModel,
     link_model: LinkModel,
-) -> RunOutcome<T> {
-    let mut outcomes: Vec<Option<NodeOutcome<T>>> = Vec::with_capacity(cells.len());
+) -> (Vec<T>, RunObservation) {
+    let participants = results.iter().filter(|r| r.is_some()).count();
+    let mut values = Vec::with_capacity(participants);
+    let mut nodes = Vec::with_capacity(participants);
     for (i, (result, cell)) in results.into_iter().zip(cells).enumerate() {
         let cell = Arc::into_inner(cell)
             .expect("all node contexts dropped with their tasks")
             .into_inner()
             .expect("node cell lock poisoned");
-        match result {
-            Some(result) => {
-                let clock = cell.clock.now();
-                let (spans, span_at) = cell.spans.finish(clock);
-                outcomes.push(Some(NodeOutcome {
-                    result,
-                    clock,
-                    stats: cell.stats,
-                    spans,
-                    span_at,
-                    metrics: cell.metrics,
-                }));
-            }
-            None => {
-                debug_assert!(!cell.participating, "participant P{i} lost its result");
-                outcomes.push(None);
-            }
-        }
+        let Some(result) = result else {
+            debug_assert!(!cell.participating, "participant P{i} lost its result");
+            continue;
+        };
+        let clock = cell.clock.now();
+        let (spans, span_at) = cell.spans.finish(clock);
+        values.push(result);
+        nodes.push(NodeObservation {
+            node: NodeId::from(i),
+            clock,
+            stats: cell.stats,
+            spans,
+            span_at,
+            metrics: cell.metrics,
+        });
     }
     if !sinks.is_empty() {
-        let summaries: Vec<NodeSummary> = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| {
-                o.as_ref().map(|o| NodeSummary {
-                    node: NodeId::from(i),
-                    clock: o.clock,
-                    blocked_us: o.metrics.blocked_us,
-                    inbox_peak: o.metrics.inbox_peak,
-                })
-            })
-            .collect();
+        let summaries: Vec<NodeSummary> = nodes.iter().map(NodeSummary::of).collect();
         for sink in sinks {
             sink.lock()
                 .expect("trace sink lock poisoned")
                 .finish(&summaries);
         }
     }
-    RunOutcome {
-        outcomes,
+    let observation = RunObservation {
         dim,
         cost,
         link_model,
-    }
+        trace: Trace::default(),
+        nodes,
+        key_type: None,
+    };
+    (values, observation)
 }

@@ -1,14 +1,14 @@
 //! The simulated message-passing multicomputer.
 //!
 //! Algorithms are written SPMD-style: the same *node program* runs on every
-//! normal processor, communicating through the [`Comm`] handle. Node
-//! programs are `async`: a blocked receive suspends the node, which lets
-//! one executor ([`par`]) schedule all of them cooperatively, sharing each
-//! round's ready frontier across a work-stealing pool of any size — one
-//! worker under [`EngineKind::Seq`] (the default), several under
-//! [`EngineKind::Par`]. Every node gets the same [`NodeCtx`] — same
-//! program, identical simulated results. [`Engine`] is the one machine
-//! type, and [`Engine::run`] its one entry point.
+//! normal processor, communicating through its [`NodeCtx`] — the one node
+//! handle. Node programs are `async`: a blocked receive suspends the node,
+//! which lets one executor ([`par`]) schedule all of them cooperatively,
+//! sharing each round's ready frontier across a work-stealing pool of any
+//! size — one worker under [`EngineKind::Seq`] (the default), several
+//! under [`EngineKind::Par`] — with identical simulated results.
+//! [`Engine`] is the one machine type, and [`Engine::run`] its one entry
+//! point.
 //!
 //! ## Deterministic virtual time
 //!
@@ -31,14 +31,9 @@ pub mod pool;
 pub mod trace;
 mod ws;
 
-pub use engine::{Engine, NodeCtx, NodeOutcome, RouterKind, RunOutcome};
+pub use engine::{Engine, NodeCtx, RouterKind};
 pub use pool::{BufferPool, PoolCounters, PoolHandle};
 pub use trace::{Trace, TraceEvent, TraceKind};
-
-use crate::address::NodeId;
-use crate::cost::CostModel;
-use crate::fault::FaultSet;
-use crate::topology::Hypercube;
 
 /// Which schedule the executor ([`par`]) runs the node programs on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -145,60 +140,6 @@ impl Tag {
     pub const fn phase(phase: u16, i: u16, j: u16) -> Self {
         Tag(((phase as u64) << 32) | ((i as u64) << 16) | j as u64)
     }
-}
-
-/// The communication and accounting interface a node program runs against.
-///
-/// All sorting algorithms in the `ftsort` crate are generic over this trait,
-/// so they run unmodified on either engine. `recv` (and anything built on
-/// it) is `async`: a receive whose message has not been delivered suspends
-/// the node program, and the engine resumes it after the round barrier
-/// that delivers the message.
-#[allow(async_fn_in_trait)] // simulator-internal trait; no Send futures needed
-pub trait Comm<K> {
-    /// This processor's physical address.
-    fn me(&self) -> NodeId;
-
-    /// The topology being simulated.
-    fn cube(&self) -> Hypercube;
-
-    /// The fault set in force (processors this program must not address).
-    fn faults(&self) -> &FaultSet;
-
-    /// The cost model used for accounting.
-    fn cost_model(&self) -> CostModel;
-
-    /// Sends `data` to `dst` (non-blocking); the router charges
-    /// `hops(me, dst)` links per element. Ownership of the payload moves to
-    /// the receiver — a pointer handoff, no copy.
-    fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>);
-
-    /// Receives the message with tag `tag` from `src`, suspending until it
-    /// arrives. Messages with other `(src, tag)` pairs are buffered.
-    async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K>;
-
-    /// Full-duplex exchange with a partner: send ours, receive theirs.
-    async fn exchange(&mut self, partner: NodeId, tag: Tag, data: Vec<K>) -> Vec<K> {
-        self.send(partner, tag, data);
-        self.recv(partner, tag).await
-    }
-
-    /// Opens an observability span for `phase` (the [`Tag::phase`] `u16`
-    /// namespace) at the current virtual clock. Spans nest; close with
-    /// [`span_exit`](Comm::span_exit). Free when the engine records no
-    /// observations; see [`crate::obs`].
-    fn span_enter(&mut self, phase: u16);
-
-    /// Closes the innermost open span at the current virtual clock.
-    fn span_exit(&mut self);
-
-    /// Charges `count` key comparisons to the local clock and statistics,
-    /// recording a compute event when the run is observed — the only way
-    /// a node advances its clock without a message.
-    fn charge_comparisons(&mut self, count: usize);
-
-    /// The local virtual clock, µs.
-    fn clock(&self) -> f64;
 }
 
 #[cfg(test)]

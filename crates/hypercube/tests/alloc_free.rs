@@ -45,7 +45,7 @@
 
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
-use hypercube::sim::{BufferPool, Comm, Engine, EngineKind, Tag};
+use hypercube::sim::{BufferPool, Engine, EngineKind, Tag};
 use hypercube::topology::Hypercube;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -123,7 +123,7 @@ fn seq_engine_message_path_is_allocation_free_when_warm() {
     let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
         .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
         .collect();
-    let out = engine.run(inputs, async |ctx, data| {
+    let (results, _) = engine.run(inputs, async |ctx, data| {
         let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
         let tag = Tag::phase(9, 0, 0);
         let mut buf = data;
@@ -142,9 +142,7 @@ fn seq_engine_message_path_is_allocation_free_when_warm() {
         let after = ALLOCS.load(Ordering::Relaxed);
         (buf.len(), after - before)
     });
-    for (i, outcome) in out.outcomes().iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let (len, allocs) = outcome.result;
+    for (i, &(len, allocs)) in results.iter().enumerate() {
         assert_eq!(len, 256, "payload must survive the ping-pong");
         assert_eq!(
             allocs, 0,
@@ -167,7 +165,7 @@ fn par_engine_message_path_and_buffer_pool_are_allocation_free_when_warm() {
     let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
         .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
         .collect();
-    let out = engine.run(inputs, async |ctx, data| {
+    let (results, _) = engine.run(inputs, async |ctx, data| {
         let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
         let tag = Tag::phase(9, 0, 0);
         let mut handle = pool.handle();
@@ -197,9 +195,7 @@ fn par_engine_message_path_and_buffer_pool_are_allocation_free_when_warm() {
         buf = ctx.exchange(partner, tag, buf).await;
         (buf.len(), after - before)
     });
-    for (i, outcome) in out.outcomes().iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let (len, allocs) = outcome.result;
+    for (i, &(len, allocs)) in results.iter().enumerate() {
         assert_eq!(len, 256, "payload must survive the ping-pong");
         assert_eq!(
             allocs, 0,
@@ -223,7 +219,7 @@ fn sched_profiler_records_allocation_free_when_warm() {
     let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
         .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
         .collect();
-    let out = engine.run(inputs, async |ctx, data| {
+    let (results, _) = engine.run(inputs, async |ctx, data| {
         let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
         let tag = Tag::phase(9, 0, 0);
         let mut buf = data;
@@ -240,9 +236,7 @@ fn sched_profiler_records_allocation_free_when_warm() {
         let after = ALLOCS.load(Ordering::Relaxed);
         (buf.len(), after - before)
     });
-    for (i, outcome) in out.outcomes().iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let (len, allocs) = outcome.result;
+    for (i, &(len, allocs)) in results.iter().enumerate() {
         assert_eq!(len, 256, "payload must survive the ping-pong");
         assert_eq!(
             allocs, 0,
@@ -282,7 +276,7 @@ fn second_run_on_the_same_buffer_pool_starts_warm() {
         let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
             .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
             .collect();
-        let out = engine.run(inputs, async |ctx, data| {
+        let (results, _) = engine.run(inputs, async |ctx, data| {
             let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
             let tag = Tag::phase(9, 0, 0);
             let mut handle = pool.handle();
@@ -307,9 +301,7 @@ fn second_run_on_the_same_buffer_pool_starts_warm() {
             buf = ctx.exchange(partner, tag, buf).await;
             (buf.len(), after - before)
         });
-        for (i, outcome) in out.outcomes().iter().enumerate() {
-            let Some(outcome) = outcome else { continue };
-            let (len, allocs) = outcome.result;
+        for (i, &(len, allocs)) in results.iter().enumerate() {
             assert_eq!(len, 256, "payload must survive the ping-pong");
             if measure {
                 assert_eq!(
@@ -343,7 +335,7 @@ fn metered_par_engine_message_path_is_allocation_free_when_warm() {
     let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
         .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
         .collect();
-    let out = engine.run(inputs, async |ctx, data| {
+    let (results, _) = engine.run(inputs, async |ctx, data| {
         let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
         let tag = Tag::phase(9, 0, 0);
         let mut handle = pool.handle();
@@ -368,9 +360,7 @@ fn metered_par_engine_message_path_is_allocation_free_when_warm() {
         buf = ctx.exchange(partner, tag, buf).await;
         (buf.len(), after - before)
     });
-    for (i, outcome) in out.outcomes().iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let (len, allocs) = outcome.result;
+    for (i, &(len, allocs)) in results.iter().enumerate() {
         assert_eq!(len, 256, "payload must survive the ping-pong");
         assert_eq!(
             allocs, 0,
@@ -402,7 +392,7 @@ fn big_slabs_cycle_through_the_shared_store_allocation_free() {
     let inputs: Vec<Option<Vec<u64>>> = (0..cube.len())
         .map(|i| Some((0..256).map(|x| (i as u64) << 32 | x).collect()))
         .collect();
-    let out = engine.run(inputs, async |ctx, data| {
+    let (results, _) = engine.run(inputs, async |ctx, data| {
         let partner = hypercube::address::NodeId::new(ctx.me().raw() ^ 1);
         let tag = Tag::phase(9, 0, 0);
         let mut handle = pool.handle();
@@ -431,9 +421,7 @@ fn big_slabs_cycle_through_the_shared_store_allocation_free() {
         buf = ctx.exchange(partner, tag, buf).await;
         (buf.len(), after - before, parked_locally)
     });
-    for (i, outcome) in out.outcomes().iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let (len, allocs, parked_locally) = outcome.result;
+    for (i, &(len, allocs, parked_locally)) in results.iter().enumerate() {
         assert_eq!(len, 256, "payload must survive the ping-pong");
         assert_eq!(
             parked_locally, 0,

@@ -158,7 +158,7 @@ fn link_fault_routes_avoid_broken_links() {
 fn collectives_roundtrip_arbitrary_participant_sets() {
     use hypercube::collectives::{gather, scatter, Participants};
     use hypercube::cost::CostModel;
-    use hypercube::sim::{Comm, Engine, EngineKind, Tag};
+    use hypercube::sim::{Engine, EngineKind, Tag};
     let mut rng = StdRng::seed_from_u64(0x5eed_0008);
     for case in 0..64 {
         let n = rng.random_range(2usize..=4);
@@ -183,7 +183,7 @@ fn collectives_roundtrip_arbitrary_participant_sets() {
             inputs[p.index()] = Some(vec![]);
         }
         let parts_ref = &parts;
-        let out = engine.run(inputs, async move |ctx, _| {
+        let (results, _) = engine.run(inputs, async move |ctx, _| {
             let rank = parts_ref.rank(ctx.me()).unwrap();
             let bundle = (rank == 0).then(|| {
                 (0..parts_ref.len())
@@ -204,7 +204,7 @@ fn collectives_roundtrip_arbitrary_participant_sets() {
                 assert!(back.is_none());
             }
         });
-        assert_eq!(out.into_results().len(), live.len());
+        assert_eq!(results.len(), live.len());
     }
 }
 

@@ -89,7 +89,7 @@ fn main() {
         let engine = Engine::new(faults.clone(), CostModel::default());
         let st_ref = &st;
         let pool = &BufferPool::new();
-        let out = engine.run(inputs.clone(), async move |ctx, mut chunk| {
+        let (runs, obs) = engine.run(inputs.clone(), async move |ctx, mut chunk| {
             let (v, w) = st_ref.locate(ctx.me());
             let members = st_ref.members(v);
             let dead = st_ref.subcube(v).dead_local.map(|_| 0usize);
@@ -154,8 +154,8 @@ fn main() {
             run
         });
         let mut state: Vec<Option<Vec<u32>>> = vec![None; cube.len()];
-        for (node, run) in out.into_results() {
-            state[node.index()] = Some(run);
+        for (node, run) in obs.nodes.iter().zip(runs) {
+            state[node.node.index()] = Some(run);
         }
         print_state(&plan, &label, &state);
     }

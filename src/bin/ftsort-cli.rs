@@ -24,7 +24,9 @@
 //!
 //! A bad argument, such as a fault outside the cube or listed twice,
 //! exits with status 2 before anything runs, naming it above the
-//! subcommand's usage; a run that fails exits with status 1.
+//! subcommand's usage; a run that fails exits with status 1. When stdout
+//! closes early (`ftsort-cli sort … | head -1`), the CLI ends quietly, by
+//! the SIGPIPE signal as `cat` does: status 141 in a shell.
 //!
 //! `sort` takes its observability flags and runs its sort through
 //! [`ObsFlags`], the code the report binaries in `crates/bench` drill
@@ -147,6 +149,8 @@ const COMMANDS: [(&str, &[&[Flag]], Command); 8] = [
 ];
 
 fn main() -> ExitCode {
+    #[cfg(unix)]
+    end_on_closed_stdout();
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_default();
     let Some(&(_, tables, run)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
@@ -164,6 +168,18 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Restores SIGPIPE's default action, which the Rust runtime ignores, so
+/// a closed stdout ends the process instead of panicking a `println!`.
+#[cfg(unix)]
+fn end_on_closed_stdout() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: the C library's `signal`; installing SIG_DFL (0) for SIGPIPE
+    // (13) runs no handler code, and nothing else here touches SIGPIPE.
+    unsafe { signal(13, 0) };
 }
 
 /// The fault set of [`CUBE`]'s flags.
@@ -316,7 +332,7 @@ fn run_sort<K: GenKey>(
         println!("element·hops   : {:>12}", out.stats.element_hops);
         println!("comparisons    : {:>12}", out.stats.comparisons);
         if config.link_model == LinkModel::Contended {
-            let wait: f64 = run.participants().map(|n| n.metrics.link_wait_us).sum();
+            let wait: f64 = run.nodes.iter().map(|n| n.metrics.link_wait_us).sum();
             println!("link wait      : {:>12.1} ms", wait / 1000.0);
         }
         Ok(())
@@ -351,7 +367,7 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
     println!(
         "replayed {path}: Q{} run, {} participants, {} trace events, makespan {:.1} us",
         obs.dim,
-        obs.participants().count(),
+        obs.nodes.len(),
         obs.trace.events().len(),
         obs.makespan()
     );

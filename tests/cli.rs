@@ -1081,3 +1081,24 @@ fn sort_key_type_is_result_invariant_across_engines() {
         assert_eq!(run("seq"), run("par"), "--key-type {key_type}");
     }
 }
+
+#[test]
+fn a_closed_stdout_ends_the_cli_quietly() {
+    // A reader that went away (`ftsort-cli … | head -1`) must not turn the
+    // next `println!` into a panic with exit 101: SIGPIPE ends the CLI.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = cli()
+        .args(["partition", "--n", "5", "--faults", "3,5,16,24"])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(out.status.signal(), Some(13), "ended by SIGPIPE: {stderr}");
+    }
+}

@@ -76,35 +76,30 @@ fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &st
     }
     assert_eq!(replayed.nodes.len(), live.nodes.len(), "{what}: node count");
     for (g, w) in replayed.nodes.iter().zip(&live.nodes) {
-        match (g, w) {
-            (None, None) => {}
-            (Some(g), Some(w)) => {
-                let node = w.node;
-                assert_eq!(
-                    g.clock.to_bits(),
-                    w.clock.to_bits(),
-                    "{what}: clock of {node:?}"
-                );
-                assert_eq!(g.stats, w.stats, "{what}: counters of {node:?}");
-                let (gm, wm) = (&g.metrics, &w.metrics);
-                assert!(
-                    gm == wm
-                        && gm.blocked_us.to_bits() == wm.blocked_us.to_bits()
-                        && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
-                    "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
-                );
-                assert_eq!(g.spans.len(), w.spans.len(), "{what}: spans of {node:?}");
-                assert_eq!(g.span_at, w.span_at, "{what}: span positions of {node:?}");
-                for (gs, ws) in g.spans.iter().zip(&w.spans) {
-                    assert!(
-                        gs.phase == ws.phase
-                            && gs.begin.to_bits() == ws.begin.to_bits()
-                            && gs.end.to_bits() == ws.end.to_bits(),
-                        "{what}: span of {node:?} differs: {gs:?} vs live {ws:?}"
-                    );
-                }
-            }
-            _ => panic!("{what}: participation differs"),
+        assert_eq!(g.node, w.node, "{what}: participation differs");
+        let node = w.node;
+        assert_eq!(
+            g.clock.to_bits(),
+            w.clock.to_bits(),
+            "{what}: clock of {node:?}"
+        );
+        assert_eq!(g.stats, w.stats, "{what}: counters of {node:?}");
+        let (gm, wm) = (&g.metrics, &w.metrics);
+        assert!(
+            gm == wm
+                && gm.blocked_us.to_bits() == wm.blocked_us.to_bits()
+                && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
+            "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
+        );
+        assert_eq!(g.spans.len(), w.spans.len(), "{what}: spans of {node:?}");
+        assert_eq!(g.span_at, w.span_at, "{what}: span positions of {node:?}");
+        for (gs, ws) in g.spans.iter().zip(&w.spans) {
+            assert!(
+                gs.phase == ws.phase
+                    && gs.begin.to_bits() == ws.begin.to_bits()
+                    && gs.end.to_bits() == ws.end.to_bits(),
+                "{what}: span of {node:?} differs: {gs:?} vs live {ws:?}"
+            );
         }
     }
 }
@@ -190,11 +185,11 @@ fn seq_vs_par(
     assert_eq!(seq.sorted, expect, "not actually sorted — {tag}");
     // Every clock advance is an event: each live node's final clock is
     // the time of its last trace event, bit for bit (0 if it has none).
-    let mut last_event = vec![0.0f64; seq_obs.nodes.len()];
+    let mut last_event = vec![0.0f64; 1 << seq_obs.dim];
     for e in seq_obs.trace.events() {
         last_event[e.node.index()] = e.time;
     }
-    for node in seq_obs.nodes.iter().flatten() {
+    for node in &seq_obs.nodes {
         assert_eq!(
             node.clock.to_bits(),
             last_event[node.node.index()].to_bits(),

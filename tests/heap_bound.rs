@@ -11,6 +11,12 @@
 //! whole run, and the run's pool still held them while the gather built
 //! the output, the call peaked at 6.0× on every engine.
 //!
+//! Per-node memory must not grow with the cube either. With one fault the
+//! single subcube is the whole cube; when every node built its own copy of
+//! the subcube's member list, a run held 4^n addresses, and a sort of one
+//! key per node peaked at 2.51× (seq) and 2.42× (par@2) the heap per live
+//! node at n = 11 that it took at n = 8. The bound is 1.25×.
+//!
 //! The `#[global_allocator]` tracks live and peak bytes process-wide, so
 //! this binary holds this one test: nothing else moves the counters by
 //! more than libtest's own few KB.
@@ -84,6 +90,7 @@ static GLOBAL: TrackingAlloc = TrackingAlloc;
 fn sort_peak_heap_is_at_most_three_times_the_input() {
     const KEYS_PER_NODE: usize = 8192;
     const BOUND: f64 = 3.0;
+    const GROWTH_BOUND: f64 = 1.25;
     let faults = FaultSet::from_raw(Hypercube::new(6), &[9, 22, 51]);
     let plan = FtPlan::new(&faults).expect("tolerable");
     assert_eq!(plan.live_count(), 60);
@@ -111,6 +118,26 @@ fn sort_peak_heap_is_at_most_three_times_the_input() {
             ratio <= BOUND,
             "{engine:?}: the sort's heap peaked {ratio:.2}x its {input_bytes} input \
              bytes, above {BOUND}x"
+        );
+
+        // Faults {1} and M = 2^n keys: the peak heap per live node.
+        let per_node = |n: usize| {
+            let plan =
+                FtPlan::new(&FaultSet::from_raw(Hypercube::new(n), &[1])).expect("tolerable");
+            let data: Vec<u32> = (0..1u32 << n).rev().collect();
+            let before = LIVE.load(Ordering::Relaxed);
+            PEAK.store(before, Ordering::Relaxed);
+            let (out, _, _) = fault_tolerant_sort(&plan, &config, data, Attach::default());
+            let peak = PEAK.load(Ordering::Relaxed);
+            assert!(out.sorted.is_sorted(), "{engine:?}: Q{n} output");
+            (peak - before) as f64 / plan.live_count() as f64
+        };
+        let (small, large) = (per_node(8), per_node(11));
+        let growth = large / small;
+        assert!(
+            growth <= GROWTH_BOUND,
+            "{engine:?}: the heap per live node grew {growth:.2}x from Q8 ({small:.0} B) \
+             to Q11 ({large:.0} B), above {GROWTH_BOUND}x"
         );
     }
 }

@@ -127,17 +127,12 @@ fn engines_agree_on_observations() {
     let (bd_par, par) = observed(EngineKind::Par, false);
 
     // identical span attribution, node by node
+    assert_eq!(seq.nodes.len(), par.nodes.len(), "participation differs");
     for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-        match (a, b) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.node, b.node);
-                assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "node {}", a.node);
-                assert_eq!(a.spans, b.spans, "span log differs on node {}", a.node);
-                assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
-            }
-            _ => panic!("participation differs"),
-        }
+        assert_eq!(a.node, b.node);
+        assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "node {}", a.node);
+        assert_eq!(a.spans, b.spans, "span log differs on node {}", a.node);
+        assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
     }
     assert_eq!(bd_seq, bd_par, "phase breakdowns differ");
 
@@ -233,19 +228,18 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
         for (a, b) in live.trace.events().iter().zip(replayed.trace.events()) {
             assert_eq!(a.time.to_bits(), b.time.to_bits(), "timestamp drifted");
         }
+        assert_eq!(
+            live.nodes.len(),
+            replayed.nodes.len(),
+            "participation differs after replay"
+        );
         for (a, b) in live.nodes.iter().zip(&replayed.nodes) {
-            match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.clock.to_bits(), b.clock.to_bits());
-                    assert_eq!(a.stats, b.stats, "stats differ on node {}", a.node);
-                    assert_eq!(a.spans, b.spans, "spans differ on node {}", a.node);
-                    assert_eq!(a.span_at, b.span_at, "span positions on node {}", a.node);
-                    assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
-                }
-                _ => panic!("participation differs after replay"),
-            }
+            assert_eq!(a.node, b.node);
+            assert_eq!(a.clock.to_bits(), b.clock.to_bits());
+            assert_eq!(a.stats, b.stats, "stats differ on node {}", a.node);
+            assert_eq!(a.spans, b.spans, "spans differ on node {}", a.node);
+            assert_eq!(a.span_at, b.span_at, "span positions on node {}", a.node);
+            assert_eq!(a.metrics, b.metrics, "metrics differ on node {}", a.node);
         }
 
         // hence every analyzer is byte-identical on live vs replayed input

@@ -34,7 +34,7 @@ fn run_prefix(plan: &FtPlan, inputs: &[Option<Vec<u32>>], upto: usize) -> Vec<Op
     let engine = Engine::new(plan.faults().clone(), CostModel::paper_form());
     let st_ref = &st;
     let pool = &BufferPool::new();
-    let out = engine.run(inputs.to_vec(), async move |ctx, mut chunk| {
+    let (runs, obs) = engine.run(inputs.to_vec(), async move |ctx, mut chunk| {
         let (v, w) = st_ref.locate(ctx.me());
         let members = st_ref.members(v);
         let dead = st_ref.subcube(v).dead_local.map(|_| 0usize);
@@ -94,8 +94,8 @@ fn run_prefix(plan: &FtPlan, inputs: &[Option<Vec<u32>>], upto: usize) -> Vec<Op
         run
     });
     let mut state: Vec<Option<Vec<u32>>> = vec![None; plan.faults().cube().len()];
-    for (node, run) in out.into_results() {
-        state[node.index()] = Some(run);
+    for (node, run) in obs.nodes.iter().zip(runs) {
+        state[node.node.index()] = Some(run);
     }
     state
 }

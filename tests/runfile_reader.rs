@@ -12,6 +12,8 @@
 //! * **Implausible records.** Send and receive addresses outside the cube,
 //!   hop counts no route can take, and counts whose sums overflow are
 //!   errors, not truncations, wraps or unbounded allocations.
+//! * **Huge cubes.** The header's `dim` sizes no table: a one-node file at
+//!   the reader's largest dimension decodes without a 1 MiB allocation.
 //!
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
@@ -29,11 +31,52 @@ use hypercube::sim::{EngineKind, LinkModel};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{Arc, Mutex};
+
+/// Tracks the largest single allocation each thread asks for, so a test
+/// can check that no header field sizes one.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping only updates a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAlloc = LargestAlloc;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ftsort-cli"))
@@ -305,7 +348,7 @@ fn implausible_send_and_recv_fields_are_errors() {
     let edge = [send(7, 4, 14), recv(7), send(0, 0, 0), send(1, BIG, 3)];
     check(0, "edge", read(&edge));
     let obs = read(&edge).expect("edge cases replay");
-    assert_eq!(obs.nodes[0].as_ref().unwrap().stats.max_hops, 14);
+    assert_eq!(obs.nodes[0].stats.max_hops, 14);
 
     // Addresses outside the header's cube, including past u32.
     for to in [8, 99_999, u64::from(u32::MAX) + 2] {
@@ -328,4 +371,29 @@ fn implausible_send_and_recv_fields_are_errors() {
     check(1, "682 sends", read(&vec![send(1, BIG, 3); 682]));
     rejects(&vec![compute(BIG); 2049], "comparison overflow");
     check(2, "2048 computes", read(&vec![compute(BIG); 2048]));
+}
+
+#[test]
+fn huge_dimensions_allocate_by_the_footer_not_the_header() {
+    // One footer node, no events: 166 bytes at "dim":24, the reader's
+    // largest dimension. A reader that sized per-address tables from the
+    // header asked for a 293,601,280-byte block at "dim":20.
+    for dim in [20, 24] {
+        let text = format!(
+            "{{\"version\":2,\"dim\":{dim},\"link_model\":\"uncontended\",\
+             \"cost\":{{\"t_sr\":3.2,\"t_c\":3,\"t_startup\":300}},\"events\":[],\
+             \"nodes\":[{{\"node\":0,\"clock\":0,\"blocked_us\":0,\"inbox_peak\":0}}]}}"
+        );
+        LARGEST.with(|l| l.set(0));
+        let obs = observation_from_json(&text).expect("a one-node file replays");
+        let report = obs.report(&phase_name).to_json();
+        let largest = LARGEST.with(Cell::get);
+        assert_eq!(obs.dim, dim);
+        assert_eq!(obs.nodes.len(), 1, "\"dim\":{dim}: one participant");
+        assert!(report.contains(&format!("\"dim\":{dim}")), "{report}");
+        assert!(
+            largest < 1 << 20,
+            "\"dim\":{dim}: the reader asked for a {largest}-byte block"
+        );
+    }
 }

@@ -18,7 +18,7 @@ use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
-use hypercube::sim::{Comm, Engine, EngineKind, LinkModel};
+use hypercube::sim::{Engine, EngineKind, LinkModel};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,14 +150,12 @@ fn one_node_cube_with_oversubscribed_workers() {
         .with_workers(3)
         .with_shard_size(7);
     let inputs: Vec<Option<Vec<u64>>> = vec![Some(vec![3, 1, 2])];
-    let out = engine.run(inputs, async |ctx, mut data: Vec<u64>| {
+    let (results, _) = engine.run(inputs, async |ctx, mut data: Vec<u64>| {
         data.sort_unstable();
         ctx.charge_comparisons(data.len());
         ctx.span_enter(1);
         ctx.span_exit();
         data
     });
-    let results: Vec<_> = out.into_results();
-    assert_eq!(results.len(), 1);
-    assert_eq!(results[0].1, vec![1, 2, 3]);
+    assert_eq!(results, vec![vec![1, 2, 3]]);
 }
