@@ -133,6 +133,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("bench_diff", &[FLAGS]);
     let a_path = args.required("--a");
     let b_path = args.required("--b");

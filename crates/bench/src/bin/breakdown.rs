@@ -24,6 +24,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("breakdown", &[FLAGS, ObsFlags::FLAGS]);
     let n = args.get("--n", dims(1), 6);
     let m_total = args.get("--m", .., 100_000);

@@ -125,6 +125,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("engines_json", &[FLAGS, ObsFlags::FLAGS]);
     let cfg = Cfg {
         sizes: args.list("--sizes", dims(1), &[6, 8, 10]),

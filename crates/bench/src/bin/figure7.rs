@@ -42,6 +42,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("figure7", &[FLAGS, ObsFlags::FLAGS]);
     let panels = match args.value("--n", |s| number(s, &dims(1))) {
         Some(n) => vec![n],

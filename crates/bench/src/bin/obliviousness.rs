@@ -31,6 +31,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("obliviousness", &[FLAGS, ObsFlags::FLAGS]);
     let n = args.get("--n", dims(1), 5);
     let m_total = args.get("--m", .., 64_000);

@@ -31,6 +31,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("scaling", &[FLAGS, ObsFlags::FLAGS]);
     let m_total = args.get("--m", .., 64_000);
     let seed = args.get("--seed", .., DEFAULT_SEED);

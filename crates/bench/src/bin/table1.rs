@@ -17,6 +17,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("table1", &[FLAGS]);
     let trials = args.get("--trials", 1.., DEFAULT_TRIALS);
     let seed = args.get("--seed", .., DEFAULT_SEED);

@@ -21,6 +21,24 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::sync::{Arc, Mutex};
 
+/// Restores SIGPIPE's default action, which the Rust runtime ignores, so a
+/// binary whose stdout closes early (`… | head -1`) ends quietly by the
+/// signal, as `cat` does (status 141 in a shell), instead of panicking in
+/// a `println!`. Every binary of the workspace but `ftsort-bench` calls it
+/// first in `main`.
+pub fn end_on_closed_stdout() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        // SAFETY: the C library's `signal`; installing SIG_DFL (0) for
+        // SIGPIPE (13) runs no handler code, and nothing else here touches
+        // SIGPIPE.
+        unsafe { signal(13, 0) };
+    }
+}
+
 /// The seed printed by every report binary so runs are reproducible.
 pub const DEFAULT_SEED: u64 = 1992;
 

@@ -42,6 +42,42 @@ fn table1_smoke() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_report_bins_quietly() {
+    // Stdout is a pipe whose reader went away (`table1 | head -1`): the
+    // first `println!` must end the binary by SIGPIPE, not panic with 101.
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--trials", "20", "--seed", "1"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_figure7"),
+            &["--n", "3", "--trials", "1", "--seed", "1"][..],
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{bin}: {stderr}");
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            assert_eq!(
+                out.status.signal(),
+                Some(13),
+                "{bin}: ended by SIGPIPE: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn table2_smoke() {
     let text = table2(&["--trials", "20", "--seed", "1"]);
     assert!(text.contains("Table 2"), "{text}");

@@ -24,15 +24,21 @@
 //!   byte buffer that reaches the writer once per batch, and CRC32 is
 //!   sliced by 8.
 //!
-//! **Decompressor.** [`gunzip`] is complete — stored, fixed and dynamic
-//! blocks — so externally-gzipped run files replay too. Huffman symbols
-//! decode through a lookup table, the bit buffer refills a word at a
-//! time, and the output is bounded by the trailer's `ISIZE`: the initial
-//! allocation is capped and decoding fails as soon as the output would
-//! pass it (so members above 4 GiB, whose `ISIZE` wraps, are rejected).
+//! **Decompressor.** [`GzDecoder`] is complete — stored, fixed and dynamic
+//! blocks — so externally-gzipped run files replay too. It streams:
+//! reading it inflates the member block by block into a buffer that holds
+//! the 32 KiB window back-references reach into plus at most 64 KiB of new
+//! output, fed 32 KiB of compressed input at a time, so its memory does
+//! not grow with the member. When the member ends it checks the trailer's
+//! CRC32 and `ISIZE` (so members of 4 GiB or more, whose `ISIZE` wraps,
+//! are rejected) and that no bytes follow it. Huffman symbols decode
+//! through a lookup table and the bit buffer refills a word at a time.
+//! [`gunzip`] inflates a member held in memory through it into one buffer
+//! reserved from the trailer's `ISIZE` (capped by what the input can
+//! inflate to), and fails as soon as the output would pass `ISIZE`.
 
 use super::metrics;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::sync::OnceLock;
 
 /// The gzip magic bytes.
@@ -576,43 +582,105 @@ impl<W: Write> Drop for GzEncoder<W> {
 const EOF: &str = "gzip: unexpected end of compressed data";
 /// DEFLATE's best case: a 258-byte match per 2 bits.
 const MAX_RATIO: usize = 1032;
-/// The most output reserved up front, whatever the trailer claims.
+/// The most output [`gunzip`] reserves up front, whatever the trailer claims.
 const MAX_PREALLOC: usize = 64 << 20;
+/// Compressed bytes asked of the source at a time.
+const INPUT_CHUNK: usize = 32 * 1024;
+/// The decoder's output buffer: the [`WINDOW`] of history back-references
+/// reach into, then up to 64 KiB inflated per refill.
+const OUTPUT_CAP: usize = WINDOW + 64 * 1024;
 
-struct BitReader<'a> {
-    data: &'a [u8],
+fn corrupt(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, EOF)
+}
+
+/// Maps running out of input to the error `what`; other errors pass.
+fn truncated(what: &'static str) -> impl Fn(io::Error) -> io::Error {
+    move |e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => corrupt(what),
+        _ => e,
+    }
+}
+
+/// One `read` from `src`, retried while it is interrupted (as
+/// `read_exact` does).
+pub(crate) fn read_some(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match src.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            done => return done,
+        }
+    }
+}
+
+/// An LSB-first bit reader over a source, holding at most
+/// [`INPUT_CHUNK`] compressed bytes at a time.
+struct BitReader<R> {
+    src: R,
+    /// Bytes read from `src`; those from `pos` on are not yet in `bitbuf`.
+    buf: Vec<u8>,
     pos: usize,
+    /// Whether `src` has reported its end.
+    eof: bool,
     /// Bits not yet consumed, LSB first. Bits above `nbits` are lookahead
-    /// copies of `data[pos..]`, so re-reading those bytes is idempotent.
+    /// copies of `buf[pos..]`, so re-reading those bytes is idempotent.
     bitbuf: u64,
     nbits: u32,
 }
 
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
+impl<R: Read> BitReader<R> {
+    fn new(src: R) -> Self {
         BitReader {
-            data,
+            src,
+            buf: Vec::with_capacity(INPUT_CHUNK),
             pos: 0,
+            eof: false,
             bitbuf: 0,
             nbits: 0,
         }
     }
 
-    /// Tops the buffer up to at least 56 bits, or to the end of the data.
+    /// Drops the bytes already in `bitbuf` and reads from the source until
+    /// at least 8 bytes are buffered or the source ends.
+    #[cold]
+    fn fill(&mut self) -> io::Result<()> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        while self.buf.len() < 8 && !self.eof {
+            let len = self.buf.len();
+            self.buf.resize(INPUT_CHUNK, 0);
+            let read = read_some(&mut self.src, &mut self.buf[len..]);
+            let n = *read.as_ref().unwrap_or(&0);
+            self.buf.truncate(len + n);
+            self.eof = read? == 0;
+        }
+        Ok(())
+    }
+
+    /// Tops the bit buffer up to at least 56 bits, or to the end of the
+    /// input.
     #[inline]
-    fn refill(&mut self) {
-        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+    fn refill(&mut self) -> io::Result<()> {
+        if self.buf.len() - self.pos < 8 {
+            self.fill()?;
+        }
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
             self.bitbuf |= u64::from_le_bytes(word.try_into().expect("8 bytes")) << self.nbits;
             let take = (63 - self.nbits) / 8;
             self.pos += take as usize;
             self.nbits += take * 8;
         } else {
-            while self.nbits <= 56 && self.pos < self.data.len() {
-                self.bitbuf |= (self.data[self.pos] as u64) << self.nbits;
+            while self.nbits <= 56 && self.pos < self.buf.len() {
+                self.bitbuf |= (self.buf[self.pos] as u64) << self.nbits;
                 self.pos += 1;
                 self.nbits += 8;
             }
         }
+        Ok(())
     }
 
     #[inline]
@@ -621,11 +689,12 @@ impl<'a> BitReader<'a> {
         self.nbits -= n;
     }
 
-    fn take_bits(&mut self, n: u32) -> Result<u32, String> {
+    /// The next `n ≤ 32` bits.
+    fn take_bits(&mut self, n: u32) -> io::Result<u32> {
         if self.nbits < n {
-            self.refill();
+            self.refill()?;
             if self.nbits < n {
-                return Err(EOF.into());
+                return Err(eof());
             }
         }
         let v = (self.bitbuf & ((1u64 << n) - 1)) as u32;
@@ -633,12 +702,39 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
-    /// Drops the bits up to the next byte boundary and hands the buffered
-    /// whole bytes back to `data`.
+    /// Drops the bits up to the next byte boundary.
     fn align_byte(&mut self) {
-        self.pos -= (self.nbits / 8) as usize;
-        self.bitbuf = 0;
-        self.nbits = 0;
+        self.consume(self.nbits % 8);
+    }
+
+    /// Appends between 1 and `max ≥ 1` bytes of a byte-aligned stored block
+    /// to `out`, and returns how many.
+    fn copy_to(&mut self, out: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        if self.nbits >= 8 {
+            // whole bytes still in the bit buffer come first
+            out.push(self.bitbuf as u8);
+            self.consume(8);
+            return Ok(1);
+        }
+        self.bitbuf = 0; // lookahead only: the bytes are copied from `buf`
+        if self.pos == self.buf.len() {
+            self.fill()?;
+        }
+        let n = max.min(self.buf.len() - self.pos);
+        if n == 0 {
+            return Err(corrupt("gzip: truncated stored block"));
+        }
+        out.extend_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+
+    /// Whether the input ends here.
+    fn at_end(&mut self) -> io::Result<bool> {
+        if self.nbits == 0 && self.pos == self.buf.len() {
+            self.fill()?;
+        }
+        Ok(self.nbits == 0 && self.pos == self.buf.len())
     }
 }
 
@@ -658,7 +754,7 @@ struct Huffman {
 }
 
 impl Huffman {
-    fn new(lengths: &[u8]) -> Result<Huffman, String> {
+    fn new(lengths: &[u8]) -> io::Result<Huffman> {
         let mut fast = vec![0u16; 1 << FAST_BITS];
         let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
         if max_len == 0 {
@@ -698,7 +794,7 @@ impl Huffman {
             }
             code += count[bits];
             if code as u64 > 1u64 << bits {
-                return Err("gzip: over-subscribed Huffman code".into());
+                return Err(corrupt("gzip: over-subscribed Huffman code"));
             }
         }
         Ok(Huffman {
@@ -709,15 +805,15 @@ impl Huffman {
     }
 
     #[inline]
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, String> {
+    fn decode<R: Read>(&self, r: &mut BitReader<R>) -> io::Result<u16> {
         if r.nbits < 15 {
-            r.refill();
+            r.refill()?;
         }
         let e = self.fast[(r.bitbuf & ((1 << FAST_BITS) - 1)) as usize];
         if e != 0 {
             let len = (e & 15) as u32;
             if len > r.nbits {
-                return Err(EOF.into());
+                return Err(eof());
             }
             r.consume(len);
             return Ok(e >> 4);
@@ -725,7 +821,7 @@ impl Huffman {
         let mut code = 0u32;
         for (k, &(first, sym_base, count)) in self.levels.iter().enumerate() {
             if k as u32 >= r.nbits {
-                return Err(EOF.into());
+                return Err(eof());
             }
             code = (code << 1) | ((r.bitbuf >> k) & 1) as u32;
             if code < first + count {
@@ -733,7 +829,7 @@ impl Huffman {
                 return Ok(self.symbols[(sym_base + code - first) as usize]);
             }
         }
-        Err("gzip: invalid Huffman code".into())
+        Err(corrupt("gzip: invalid Huffman code"))
     }
 }
 
@@ -748,97 +844,7 @@ fn fixed_tables() -> &'static (Huffman, Huffman) {
     })
 }
 
-/// Inflates a raw DEFLATE stream whose output must not exceed `limit`
-/// bytes.
-fn inflate(data: &[u8], limit: usize) -> Result<Vec<u8>, String> {
-    const TOO_LONG: &str = "gzip: output exceeds the trailer's ISIZE";
-    let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(
-        limit
-            .min(data.len().saturating_mul(MAX_RATIO))
-            .min(MAX_PREALLOC),
-    );
-    loop {
-        let bfinal = r.take_bits(1)?;
-        let btype = r.take_bits(2)?;
-        match btype {
-            0b00 => {
-                r.align_byte();
-                let hdr = r
-                    .data
-                    .get(r.pos..r.pos + 4)
-                    .ok_or("gzip: truncated stored block header")?;
-                let len = u16::from_le_bytes([hdr[0], hdr[1]]);
-                if u16::from_le_bytes([hdr[2], hdr[3]]) != !len {
-                    return Err("gzip: stored block LEN/NLEN mismatch".into());
-                }
-                r.pos += 4;
-                let block = r
-                    .data
-                    .get(r.pos..r.pos + len as usize)
-                    .ok_or("gzip: truncated stored block")?;
-                if out.len() + block.len() > limit {
-                    return Err(TOO_LONG.into());
-                }
-                out.extend_from_slice(block);
-                r.pos += block.len();
-            }
-            0b01 | 0b10 => {
-                let dynamic;
-                let (litlen, dist) = if btype == 0b01 {
-                    let (l, d) = fixed_tables();
-                    (l, d)
-                } else {
-                    dynamic = read_dynamic_tables(&mut r)?;
-                    (&dynamic.0, &dynamic.1)
-                };
-                loop {
-                    let sym = litlen.decode(&mut r)? as usize;
-                    if sym < 256 {
-                        if out.len() >= limit {
-                            return Err(TOO_LONG.into());
-                        }
-                        out.push(sym as u8);
-                    } else if sym == 256 {
-                        break;
-                    } else if sym <= 285 {
-                        let lc = sym - 257;
-                        let len =
-                            LEN_BASE[lc] as usize + r.take_bits(LEN_EXTRA[lc] as u32)? as usize;
-                        let dc = dist.decode(&mut r)? as usize;
-                        if dc >= 30 {
-                            return Err("gzip: invalid distance code".into());
-                        }
-                        let d =
-                            DIST_BASE[dc] as usize + r.take_bits(DIST_EXTRA[dc] as u32)? as usize;
-                        if d > out.len() {
-                            return Err("gzip: distance beyond output".into());
-                        }
-                        if out.len() + len > limit {
-                            return Err(TOO_LONG.into());
-                        }
-                        // an overlapping match repeats its last `d` bytes
-                        let mut left = len;
-                        while left > 0 {
-                            let n = left.min(d);
-                            let from = out.len() - d;
-                            out.extend_from_within(from..from + n);
-                            left -= n;
-                        }
-                    } else {
-                        return Err("gzip: invalid litlen symbol".into());
-                    }
-                }
-            }
-            _ => return Err("gzip: reserved block type".into()),
-        }
-        if bfinal == 1 {
-            return Ok(out);
-        }
-    }
-}
-
-fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Huffman, Huffman), String> {
+fn read_dynamic_tables<R: Read>(r: &mut BitReader<R>) -> io::Result<(Huffman, Huffman)> {
     let hlit = r.take_bits(5)? as usize + 257;
     let hdist = r.take_bits(5)? as usize + 1;
     let hclen = r.take_bits(4)? as usize + 4;
@@ -854,7 +860,7 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Huffman, Huffman), Stri
             16 => {
                 let last = *lengths
                     .last()
-                    .ok_or("gzip: repeat with no previous length")?;
+                    .ok_or_else(|| corrupt("gzip: repeat with no previous length"))?;
                 let n = r.take_bits(2)? + 3;
                 for _ in 0..n {
                     lengths.push(last);
@@ -868,65 +874,262 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Huffman, Huffman), Stri
                 let n = r.take_bits(7)? + 11;
                 lengths.resize(lengths.len() + n as usize, 0);
             }
-            _ => return Err("gzip: invalid code-length symbol".into()),
+            _ => return Err(corrupt("gzip: invalid code-length symbol")),
         }
     }
     if lengths.len() != hlit + hdist {
-        return Err("gzip: code lengths overflow the alphabets".into());
+        return Err(corrupt("gzip: code lengths overflow the alphabets"));
     }
     let litlen = Huffman::new(&lengths[..hlit])?;
     let dist = Huffman::new(&lengths[hlit..])?;
     Ok((litlen, dist))
 }
 
-/// Decompresses a gzip member, verifying the CRC32 and ISIZE trailer.
-pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, String> {
-    if !is_gzip(data) {
-        return Err("not a gzip stream (bad magic)".into());
-    }
-    if data.len() < 18 {
-        return Err("gzip: truncated stream".into());
-    }
-    if data[2] != 0x08 {
-        return Err(format!("gzip: unsupported compression method {}", data[2]));
-    }
-    let flg = data[3];
-    let mut pos = 10;
-    if flg & 0x04 != 0 {
-        // FEXTRA
-        if pos + 2 > data.len() {
-            return Err("gzip: truncated FEXTRA".into());
-        }
-        let xlen = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
-        pos += 2 + xlen;
-    }
-    for flag in [0x08u8, 0x10] {
-        // FNAME, FCOMMENT: zero-terminated strings
-        if flg & flag != 0 {
-            while *data.get(pos).ok_or("gzip: truncated header string")? != 0 {
-                pos += 1;
+/// Decodes a Huffman-coded block's symbols into `out` until the block ends
+/// (`true`) or `out` has no room left for a longest match (`false`).
+fn inflate_codes<R: Read>(
+    r: &mut BitReader<R>,
+    out: &mut Vec<u8>,
+    litlen: &Huffman,
+    dist: &Huffman,
+) -> io::Result<bool> {
+    while out.len() + MAX_MATCH <= OUTPUT_CAP {
+        let sym = litlen.decode(r)? as usize;
+        if sym < 256 {
+            out.push(sym as u8);
+        } else if sym == 256 {
+            return Ok(true);
+        } else if sym <= 285 {
+            let lc = sym - 257;
+            let len = LEN_BASE[lc] as usize + r.take_bits(LEN_EXTRA[lc] as u32)? as usize;
+            let dc = dist.decode(r)? as usize;
+            if dc >= 30 {
+                return Err(corrupt("gzip: invalid distance code"));
             }
-            pos += 1;
+            let d = DIST_BASE[dc] as usize + r.take_bits(DIST_EXTRA[dc] as u32)? as usize;
+            // `out` keeps the whole window, so this is "before the start"
+            if d > out.len() {
+                return Err(corrupt("gzip: distance beyond output"));
+            }
+            // an overlapping match repeats its last `d` bytes
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(d);
+                let from = out.len() - d;
+                out.extend_from_within(from..from + n);
+                left -= n;
+            }
+        } else {
+            return Err(corrupt("gzip: invalid litlen symbol"));
         }
     }
-    if flg & 0x02 != 0 {
-        pos += 2; // FHCRC
+    Ok(false)
+}
+
+/// Where a [`GzDecoder`] stands in its member.
+enum Block {
+    /// The gzip header comes next.
+    Start,
+    /// A block header comes next, or the trailer after the last block.
+    Between,
+    /// Inside a stored block, with this many bytes left.
+    Stored(usize),
+    /// Inside a fixed-Huffman block.
+    Fixed,
+    /// Inside a dynamic-Huffman block, with its litlen and distance codes.
+    Dynamic(Box<(Huffman, Huffman)>),
+    /// The trailer checked out: the member is complete.
+    Done,
+}
+
+/// A streaming gzip decompressor: reading it yields the bytes of the one
+/// gzip member its source holds, inflated a block at a time into a buffer
+/// of 96 KiB (the 32 KiB window and up to 64 KiB of new output), so memory
+/// does not grow with the member. When the member ends it checks the
+/// trailer's CRC32 and `ISIZE` (a member of 4 GiB or more, whose `ISIZE`
+/// wraps, fails) and that nothing follows it; a corrupt stream is an
+/// `io::Error` naming the fault. The bytes handed out before an error are
+/// not checked yet.
+pub struct GzDecoder<R: Read> {
+    bits: BitReader<R>,
+    block: Block,
+    /// Whether the current (or just finished) block is the member's last.
+    last: bool,
+    /// The last ≤ [`WINDOW`] bytes handed out, then the ones not yet.
+    out: Vec<u8>,
+    /// Index in `out` of the next byte to hand out.
+    next: usize,
+    crc: Crc32,
+    /// Bytes inflated so far.
+    total: u64,
+}
+
+impl<R: Read> GzDecoder<R> {
+    /// A decoder of the gzip member `src` holds; nothing is read until the
+    /// first `read`.
+    pub fn new(src: R) -> Self {
+        GzDecoder {
+            bits: BitReader::new(src),
+            block: Block::Start,
+            last: false,
+            out: Vec::with_capacity(OUTPUT_CAP),
+            next: 0,
+            crc: Crc32::new(),
+            total: 0,
+        }
     }
-    if pos + 8 > data.len() {
-        return Err("gzip: truncated stream".into());
+
+    /// Reads the gzip header (RFC 1952 §2.3), up to the first block.
+    fn read_header(&mut self) -> io::Result<()> {
+        let r = &mut self.bits;
+        let mut byte = |what| r.take_bits(8).map_err(truncated(what));
+        if byte("not a gzip stream (bad magic)")? != 0x1f
+            || byte("not a gzip stream (bad magic)")? != 0x8b
+        {
+            return Err(corrupt("not a gzip stream (bad magic)"));
+        }
+        let method = byte("gzip: truncated stream")?;
+        if method != 0x08 {
+            return Err(corrupt(format!(
+                "gzip: unsupported compression method {method}"
+            )));
+        }
+        let flg = byte("gzip: truncated stream")?;
+        for _ in 0..6 {
+            byte("gzip: truncated stream")?; // MTIME, XFL, OS
+        }
+        if flg & 0x04 != 0 {
+            // FEXTRA
+            let xlen = byte("gzip: truncated FEXTRA")? | byte("gzip: truncated FEXTRA")? << 8;
+            for _ in 0..xlen {
+                byte("gzip: truncated FEXTRA")?;
+            }
+        }
+        for flag in [0x08, 0x10] {
+            // FNAME, FCOMMENT: zero-terminated strings
+            if flg & flag != 0 {
+                while byte("gzip: truncated header string")? != 0 {}
+            }
+        }
+        if flg & 0x02 != 0 {
+            byte("gzip: truncated stream")?; // FHCRC
+            byte("gzip: truncated stream")?;
+        }
+        Ok(())
     }
-    let body = &data[pos..data.len() - 8];
-    let trailer = &data[data.len() - 8..];
-    let want_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let want_isize = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-    let out = inflate(body, want_isize as usize)?;
-    let mut crc = Crc32::new();
-    crc.update(&out);
-    if crc.value() != want_crc {
-        return Err("gzip: CRC32 mismatch".into());
+
+    /// Checks the trailer of a member whose last block just ended.
+    fn read_trailer(&mut self) -> io::Result<()> {
+        let r = &mut self.bits;
+        r.align_byte();
+        let mut word = || r.take_bits(32).map_err(truncated("gzip: truncated stream"));
+        let (want_crc, want_isize) = (word()?, word()?);
+        if self.crc.value() != want_crc {
+            return Err(corrupt("gzip: CRC32 mismatch"));
+        }
+        if self.total != u64::from(want_isize) {
+            return Err(corrupt("gzip: ISIZE mismatch"));
+        }
+        if !self.bits.at_end()? {
+            return Err(corrupt("gzip: data after the end of the member"));
+        }
+        Ok(())
     }
-    if out.len() as u32 != want_isize {
-        return Err("gzip: ISIZE mismatch".into());
+
+    /// Slides the window and inflates until the buffer is full or the
+    /// member ends.
+    fn inflate_more(&mut self) -> io::Result<()> {
+        let cut = self.out.len().saturating_sub(WINDOW);
+        self.out.drain(..cut);
+        let start = self.out.len();
+        while self.out.len() + MAX_MATCH <= OUTPUT_CAP {
+            let r = &mut self.bits;
+            match &mut self.block {
+                Block::Start => {
+                    self.read_header()?;
+                    self.block = Block::Between;
+                }
+                Block::Between if self.last => break,
+                Block::Between => {
+                    self.last = r.take_bits(1)? == 1;
+                    self.block = match r.take_bits(2)? {
+                        0b00 => {
+                            r.align_byte();
+                            let len = r.take_bits(16)?;
+                            if r.take_bits(16)? != !len & 0xFFFF {
+                                return Err(corrupt("gzip: stored block LEN/NLEN mismatch"));
+                            }
+                            Block::Stored(len as usize)
+                        }
+                        0b01 => Block::Fixed,
+                        0b10 => Block::Dynamic(Box::new(read_dynamic_tables(r)?)),
+                        _ => return Err(corrupt("gzip: reserved block type")),
+                    };
+                }
+                Block::Stored(0) => self.block = Block::Between,
+                Block::Stored(left) => {
+                    let room = OUTPUT_CAP - self.out.len();
+                    *left -= r.copy_to(&mut self.out, (*left).min(room))?;
+                }
+                Block::Fixed => {
+                    let (litlen, dist) = fixed_tables();
+                    if inflate_codes(r, &mut self.out, litlen, dist)? {
+                        self.block = Block::Between;
+                    }
+                }
+                Block::Dynamic(codes) => {
+                    if inflate_codes(r, &mut self.out, &codes.0, &codes.1)? {
+                        self.block = Block::Between;
+                    }
+                }
+                Block::Done => break,
+            }
+        }
+        self.crc.update(&self.out[start..]);
+        self.total += (self.out.len() - start) as u64;
+        self.next = start;
+        if self.last && matches!(self.block, Block::Between) {
+            self.read_trailer()?;
+            self.block = Block::Done;
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Read for GzDecoder<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.next == self.out.len() {
+            if buf.is_empty() || matches!(self.block, Block::Done) {
+                return Ok(0);
+            }
+            self.inflate_more()?;
+        }
+        let n = buf.len().min(self.out.len() - self.next);
+        buf[..n].copy_from_slice(&self.out[self.next..self.next + n]);
+        self.next += n;
+        Ok(n)
+    }
+}
+
+/// Decompresses a gzip member held in memory through [`GzDecoder`],
+/// verifying the CRC32 and ISIZE trailer. The output buffer is reserved
+/// from the trailer's `ISIZE`, capped by what the input can inflate to,
+/// and decoding fails as soon as the output would pass `ISIZE`.
+pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, String> {
+    let limit = data.len().checked_sub(4).map_or(0, |at| {
+        u32::from_le_bytes(data[at..].try_into().expect("4 bytes")) as usize
+    });
+    let mut out = Vec::with_capacity(
+        limit
+            .min(data.len().saturating_mul(MAX_RATIO))
+            .min(MAX_PREALLOC),
+    );
+    GzDecoder::new(data)
+        .take(limit as u64 + 1)
+        .read_to_end(&mut out)
+        .map_err(|e| e.to_string())?;
+    if out.len() > limit {
+        return Err("gzip: output exceeds the trailer's ISIZE".into());
     }
     Ok(out)
 }
@@ -1448,5 +1651,65 @@ mod tests {
         let mut data = vec![b'x'; 1000];
         data.extend(b"abc".iter().cycle().take(1000));
         assert_eq!(roundtrip(&data), data);
+    }
+
+    /// A source that hands out one compressed byte per read.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Inflates `packed` from one-byte reads into 333-byte reads.
+    fn trickle(packed: &[u8]) -> Vec<u8> {
+        let mut dec = GzDecoder::new(OneByte(packed));
+        let (mut out, mut chunk) = (Vec::new(), [0u8; 333]);
+        loop {
+            let n = dec.read(&mut chunk).expect("inflates");
+            if n == 0 {
+                return out;
+            }
+            out.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    #[test]
+    fn streaming_reads_any_input_and_output_split() {
+        // Huffman-coded: noise, then repeats, past several output buffers
+        let data: Vec<u8> = noise(50_000, 11)
+            .into_iter()
+            .chain((0..400_000usize).map(|i| (i % 251) as u8))
+            .collect();
+        let mut enc = GzEncoder::new(Vec::new()).expect("header");
+        enc.write_all(&data).expect("write");
+        let packed = enc.finish().expect("finish");
+        assert!(trickle(&packed) == data);
+        // two stored blocks, each larger than one output buffer's room
+        let stored = noise(120_000, 5);
+        let mut member = vec![0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff];
+        for (last, block) in [(0u8, &stored[..60_000]), (1, &stored[60_000..])] {
+            let len = block.len() as u16;
+            member.push(last);
+            member.extend_from_slice(&len.to_le_bytes());
+            member.extend_from_slice(&(!len).to_le_bytes());
+            member.extend_from_slice(block);
+        }
+        let mut crc = Crc32::new();
+        crc.update(&stored);
+        member.extend_from_slice(&crc.value().to_le_bytes());
+        member.extend_from_slice(&(stored.len() as u32).to_le_bytes());
+        assert!(trickle(&member) == stored);
+        // the decoder checks that nothing follows the member
+        let mut trailing = packed.clone();
+        trailing.push(0);
+        let err = GzDecoder::new(&trailing[..])
+            .read_to_end(&mut Vec::new())
+            .expect_err("trailing byte");
+        assert!(err.to_string().contains("after the end"), "{err}");
     }
 }

@@ -1,16 +1,18 @@
 //! The workspace's one JSON layer (the build is offline, so there is no
 //! serialization framework):
 //!
-//! * a strict parser, [`Json::parse`] over a pull `Tokenizer`: integer
-//!   literals that fit a `u64` stay exact, and a number that overflows an
-//!   `f64` is an error;
+//! * a strict parser, [`Json::parse`] over a pull `Tokenizer` that reads a
+//!   `&str` in place or streams an `io::Read` through a refilling buffer:
+//!   integer literals that fit a `u64` stay exact, and a number that
+//!   overflows an `f64` is an error;
 //! * the codec every report goes through: [`JsonValue`], [`write_member`],
 //!   [`read_member`] and the `json_object!` field table, which derives a
 //!   struct's writer and reader from one list of its fields. Readers check
 //!   integers against their type and take only finite numbers; the first
 //!   of two members with one name wins, and unknown members are ignored;
 //! * the run files' streaming event codec ([`write_trace_event`] and
-//!   `EventFields`), which decodes records straight from tokens.
+//!   `EventFields`), which decodes records straight from tokens into
+//!   owned scalars, allocating nothing per record.
 //!
 //! `f64` values are written with Rust's `Display`, which produces the
 //! shortest decimal string that parses back to the identical bits — so
@@ -20,6 +22,8 @@ use crate::address::NodeId;
 use crate::sim::{LinkModel, Tag, TraceEvent, TraceKind};
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::Read;
+use std::ops::Range;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,7 +57,7 @@ impl Json {
 
     /// Builds the value that `first` starts from the tokens after it.
     /// Iterative, so only the tokenizer's depth cap bounds nesting.
-    pub(crate) fn build<'a>(tok: &mut Tokenizer<'a>, first: Token<'a>) -> Result<Json, String> {
+    pub(crate) fn build(tok: &mut Tokenizer<'_>, first: Token) -> Result<Json, String> {
         // Open containers, innermost last, each with the key its next
         // member belongs to (objects only).
         let mut open: Vec<(Json, Option<String>)> = Vec::new();
@@ -70,13 +74,13 @@ impl Json {
                     token = tok.expect_token()?;
                     continue;
                 }
-                Token::Key(k) => {
-                    open.last_mut().expect("keys occur inside objects").1 = Some(k.into_owned());
+                Token::Key => {
+                    open.last_mut().expect("keys occur inside objects").1 = Some(tok.text().into());
                     token = tok.expect_token()?;
                     continue;
                 }
                 Token::EndArray | Token::EndObject => open.pop().expect("brackets balance").0,
-                Token::Str(s) => Json::Str(s.into_owned()),
+                Token::Str => Json::Str(tok.text().into()),
                 Token::Int(n) => Json::Int(n),
                 Token::Num(x) => Json::Num(x),
                 Token::Bool(b) => Json::Bool(b),
@@ -159,17 +163,20 @@ fn num_as_u64(x: f64) -> Option<u64> {
 /// whatever walks the result.
 pub const MAX_DEPTH: usize = 512;
 
-/// One lexical step of a JSON document. Strings borrow from the input
-/// unless they contain escapes.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Token<'a> {
+/// Bytes a streamed document is read in at a time.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One lexical step of a JSON document. A key's or a string's text is
+/// [`Tokenizer::text`] until the next token is read.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Token {
     BeginObject,
     EndObject,
     BeginArray,
     EndArray,
     /// An object member's key; its value is the next token.
-    Key(Cow<'a, str>),
-    Str(Cow<'a, str>),
+    Key,
+    Str,
     Int(u64),
     Num(f64),
     Bool(bool),
@@ -193,47 +200,91 @@ enum State {
     Done,
 }
 
-/// A pull tokenizer over a borrowed document: the one JSON parser of the
-/// workspace. [`Json::parse`] builds a tree from its tokens; the run-file
-/// reader in [`super::replay`] decodes events straight from them. It
-/// enforces the full grammar, so a consumer that stops looking at a value
-/// (see [`Tokenizer::skip`]) still rejects malformed documents.
+/// A pull tokenizer: the one JSON parser of the workspace. [`Json::parse`]
+/// builds a tree from its tokens; the run-file reader in [`super::replay`]
+/// decodes events straight from them. It enforces the full grammar, so a
+/// consumer that stops looking at a value (see [`Tokenizer::skip`]) still
+/// rejects malformed documents.
+///
+/// It reads a buffer that refills from an `io::Read` ([`Tokenizer::from_reader`]):
+/// a refill keeps only the token being read, so memory follows the longest
+/// token, not the document. A borrowed `&str` ([`Tokenizer::new`]) is one
+/// buffer already at its end and is never copied. Errors name absolute
+/// byte offsets either way, and streamed string tokens are checked as
+/// UTF-8. No token borrows the buffer: a key's or string's text is read
+/// through [`Tokenizer::text`] before the next token (sliced from a
+/// borrowed document, copied out of a streamed one).
 pub(crate) struct Tokenizer<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
+    /// The document from byte `base` on: all of a borrowed one, or what a
+    /// streamed one's last reads left.
+    buf: Cow<'a, [u8]>,
+    base: usize,
     pos: usize,
+    /// Start in `buf` of the token being read; a refill drops what
+    /// precedes it.
+    mark: usize,
+    /// The rest of a streamed document; `None` once it has ended.
+    source: Option<&'a mut dyn Read>,
+    /// A borrowed document as text, which a string without escapes is
+    /// sliced from: then `span` is its range.
+    doc: Option<&'a str>,
+    span: Option<Range<usize>>,
+    /// The last key's or string's text, unescaped, unless `span` has it.
+    text: String,
     /// Open containers, innermost last: `true` for an object.
     open: Vec<bool>,
     state: State,
 }
 
 impl<'a> Tokenizer<'a> {
+    /// Tokenizes a document held in memory.
     pub(crate) fn new(text: &'a str) -> Self {
+        Self::over(Cow::Borrowed(text.as_bytes()), Some(text), None)
+    }
+
+    /// Tokenizes a document read from `source` as it goes.
+    pub(crate) fn from_reader(source: &'a mut dyn Read) -> Self {
+        Self::over(
+            Cow::Owned(Vec::with_capacity(2 * READ_CHUNK)),
+            None,
+            Some(source),
+        )
+    }
+
+    fn over(buf: Cow<'a, [u8]>, doc: Option<&'a str>, source: Option<&'a mut dyn Read>) -> Self {
         Tokenizer {
-            text,
-            bytes: text.as_bytes(),
+            buf,
+            base: 0,
             pos: 0,
+            mark: 0,
+            source,
+            doc,
+            span: None,
+            text: String::new(),
             open: Vec::new(),
             state: State::Value,
         }
     }
 
     /// The next token, or `None` once the document ended cleanly.
-    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, String> {
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token>, String> {
         loop {
-            self.skip_ws();
+            self.skip_ws()?;
+            // past the whitespace, `current` is `None` only at the end
             return match self.state {
-                State::Done if self.pos == self.bytes.len() => Ok(None),
-                State::Done => Err(format!("trailing garbage at byte {}", self.pos)),
+                State::Done => match self.current() {
+                    None => Ok(None),
+                    Some(_) => Err(format!("trailing garbage at byte {}", self.at())),
+                },
                 State::Value => self.value().map(Some),
-                State::FirstValue if self.peek() == Some(b']') => Ok(Some(self.close())),
+                State::FirstValue if self.current() == Some(b']') => Ok(Some(self.close())),
                 State::FirstValue => self.value().map(Some),
-                State::FirstKey if self.peek() == Some(b'}') => Ok(Some(self.close())),
+                State::FirstKey if self.current() == Some(b'}') => Ok(Some(self.close())),
                 State::FirstKey | State::Key => self.key().map(Some),
                 State::Next => {
                     let object = self.open.last() == Some(&true);
                     let close = if object { b'}' } else { b']' };
-                    match self.peek() {
+                    match self.current() {
                         Some(b',') => {
                             self.pos += 1;
                             self.state = if object { State::Key } else { State::Value };
@@ -243,7 +294,7 @@ impl<'a> Tokenizer<'a> {
                         other => Err(format!(
                             "expected ',' or '{}' at byte {}, found {:?}",
                             close as char,
-                            self.pos,
+                            self.at(),
                             other.map(|c| c as char)
                         )),
                     }
@@ -253,14 +304,22 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// The next token of a document that cannot have ended yet.
-    pub(crate) fn expect_token(&mut self) -> Result<Token<'a>, String> {
+    pub(crate) fn expect_token(&mut self) -> Result<Token, String> {
         self.next_token()?
             .ok_or_else(|| "unexpected end of document".to_string())
     }
 
+    /// The text of the last key or string token.
+    pub(crate) fn text(&self) -> &str {
+        match (self.doc, &self.span) {
+            (Some(doc), Some(span)) => &doc[span.clone()],
+            _ => &self.text,
+        }
+    }
+
     /// Consumes the rest of the value `first` opened (nothing if it is a
     /// scalar), checking its syntax on the way.
-    pub(crate) fn skip(&mut self, first: &Token<'a>) -> Result<(), String> {
+    pub(crate) fn skip(&mut self, first: Token) -> Result<(), String> {
         if matches!(first, Token::BeginArray | Token::BeginObject) {
             let depth = self.open.len();
             while self.open.len() >= depth {
@@ -274,31 +333,83 @@ impl<'a> Tokenizer<'a> {
     pub(crate) fn finish(&mut self) -> Result<(), String> {
         match self.next_token()? {
             None => Ok(()),
-            Some(_) => Err(format!("document continues at byte {}", self.pos)),
+            Some(_) => Err(format!("document continues at byte {}", self.at())),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
+    /// The absolute offset of the next byte.
+    fn at(&self) -> usize {
+        self.base + self.pos
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Reads more of a streamed document, dropping the bytes before
+    /// `mark`; `false` once it has ended.
+    #[cold]
+    fn fill(&mut self) -> Result<bool, String> {
+        let (Some(source), Cow::Owned(buf)) = (self.source.as_mut(), &mut self.buf) else {
+            return Ok(false);
+        };
+        buf.drain(..self.mark);
+        self.base += self.mark;
+        self.pos -= self.mark;
+        self.mark = 0;
+        let len = buf.len();
+        buf.resize(len + READ_CHUNK, 0);
+        let read = super::gz::read_some(source, &mut buf[len..]);
+        let n = *read.as_ref().unwrap_or(&0);
+        buf.truncate(len + n);
+        if read.map_err(|e| e.to_string())? == 0 {
+            self.source = None;
+        }
+        Ok(n > 0)
+    }
+
+    /// The byte at `pos`, if the buffer holds it.
+    fn current(&self) -> Option<u8> {
+        self.buf.get(self.pos).copied()
+    }
+
+    /// The byte at `pos`, reading more of the document if it must.
+    #[inline]
+    fn peek(&mut self) -> Result<Option<u8>, String> {
+        if self.pos == self.buf.len() && !self.fill()? {
+            return Ok(None);
+        }
+        Ok(self.current())
+    }
+
+    /// Buffers `n` bytes from `pos` on, or as many as the document has.
+    fn ensure(&mut self, n: usize) -> Result<(), String> {
+        while self.buf.len() - self.pos < n && self.fill()? {}
+        Ok(())
+    }
+
+    /// Skips whitespace, which the next refill may then drop.
+    fn skip_ws(&mut self) -> Result<(), String> {
+        loop {
+            let bytes = &self.buf[..];
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
+                self.pos += 1;
+            }
+            self.mark = self.pos;
+            if self.pos < self.buf.len() || !self.fill()? {
+                return Ok(());
+            }
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
+        match self.peek()? {
+            Some(c) if c == b => {
+                self.pos += 1;
+                Ok(())
+            }
+            other => Err(format!(
                 "expected '{}' at byte {}, found {:?}",
                 b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+                self.at(),
+                other.map(|c| c as char)
+            )),
         }
     }
 
@@ -312,7 +423,7 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Consumes the closing bracket of the innermost container.
-    fn close(&mut self) -> Token<'a> {
+    fn close(&mut self) -> Token {
         self.pos += 1;
         let object = self.open.pop().expect("a container is open");
         self.after_value();
@@ -323,13 +434,13 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Token<'a>, String> {
-        let token = match self.peek() {
+    fn value(&mut self) -> Result<Token, String> {
+        let token = match self.current() {
             Some(c @ (b'{' | b'[')) => {
                 if self.open.len() >= MAX_DEPTH {
                     return Err(format!(
                         "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                        self.pos
+                        self.at()
                     ));
                 }
                 self.pos += 1;
@@ -346,7 +457,10 @@ impl<'a> Tokenizer<'a> {
                     Token::BeginArray
                 });
             }
-            Some(b'"') => Token::Str(self.string()?),
+            Some(b'"') => {
+                self.string()?;
+                Token::Str
+            }
             Some(b'n') => self.literal("null", Token::Null)?,
             Some(b't') => self.literal("true", Token::Bool(true))?,
             Some(b'f') => self.literal("false", Token::Bool(false))?,
@@ -355,7 +469,7 @@ impl<'a> Tokenizer<'a> {
                 return Err(format!(
                     "unexpected {:?} at byte {}",
                     other.map(|c| c as char),
-                    self.pos
+                    self.at()
                 ))
             }
         };
@@ -363,130 +477,152 @@ impl<'a> Tokenizer<'a> {
         Ok(token)
     }
 
-    fn key(&mut self) -> Result<Token<'a>, String> {
-        let key = self.string()?;
-        self.skip_ws();
+    fn key(&mut self) -> Result<Token, String> {
+        self.string()?;
+        self.skip_ws()?;
         self.expect(b':')?;
         self.state = State::Value;
-        Ok(Token::Key(key))
+        Ok(Token::Key)
     }
 
-    fn literal(&mut self, word: &str, value: Token<'a>) -> Result<Token<'a>, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, value: Token) -> Result<Token, String> {
+        self.ensure(word.len())?;
+        if self.buf[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(format!("bad literal at byte {}", self.at()))
         }
     }
 
-    /// Advances past plain string bytes (anything but `"` and `\`).
-    fn plain_run(&mut self) {
-        while let Some(&c) = self.bytes.get(self.pos) {
-            if c == b'"' || c == b'\\' {
-                break;
-            }
-            self.pos += 1;
-        }
-    }
-
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// Reads a string, unescaped, into [`Tokenizer::text`].
+    fn string(&mut self) -> Result<(), String> {
         self.expect(b'"')?;
-        let start = self.pos;
-        self.plain_run();
-        // `"` and `\` are ASCII, so every cut below is on a char boundary.
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
-        }
-        let mut out = String::from(&self.text[start..self.pos]);
+        self.span = None;
+        self.text.clear();
         loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(Cow::Owned(out)),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            self.pos += 4;
-                            // surrogate pairs are not produced by our writers;
-                            // map lone surrogates to the replacement char
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            // Plain bytes up to the next `"` or `\`; offsets are kept from
+            // `mark`, which a refill moves to the buffer's start.
+            let from = self.pos - self.mark;
+            let stop = loop {
+                match self.buf[self.pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                {
+                    Some(k) => {
+                        self.pos += k;
+                        break self.buf[self.pos];
+                    }
+                    None => {
+                        self.pos = self.buf.len();
+                        if !self.fill()? {
+                            return Err("unterminated string".into());
                         }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
                 }
-                _ => {
-                    let run = self.pos - 1;
-                    self.plain_run();
-                    out.push_str(&self.text[run..self.pos]);
+            };
+            let run = self.mark + from..self.pos;
+            self.pos += 1;
+            // `"` and `\` are ASCII, so a run ends on a char boundary
+            match self.doc {
+                // a borrowed string without escapes is sliced in place
+                Some(_) if stop == b'"' && from == 1 => {
+                    self.span = Some(run);
+                    return Ok(());
                 }
+                Some(doc) => self.text.push_str(&doc[run]),
+                None => {
+                    let plain = std::str::from_utf8(&self.buf[run.clone()]).map_err(|e| {
+                        format!(
+                            "invalid UTF-8 in a string at byte {}",
+                            self.base + run.start + e.valid_up_to()
+                        )
+                    })?;
+                    self.text.push_str(plain);
+                }
+            }
+            if stop == b'"' {
+                return Ok(());
+            }
+            let esc = self.peek()?.ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => self.text.push('"'),
+                b'\\' => self.text.push('\\'),
+                b'/' => self.text.push('/'),
+                b'b' => self.text.push('\u{8}'),
+                b'f' => self.text.push('\u{c}'),
+                b'n' => self.text.push('\n'),
+                b'r' => self.text.push('\r'),
+                b't' => self.text.push('\t'),
+                b'u' => {
+                    self.ensure(4)?;
+                    let hex = self
+                        .buf
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| format!("bad \\u escape: {e}"))?;
+                    self.pos += 4;
+                    // surrogate pairs are not produced by our writers;
+                    // map lone surrogates to the replacement char
+                    self.text.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Token<'a>, String> {
-        let start = self.pos;
-        let digits = |t: &mut Self| {
-            while matches!(t.peek(), Some(b'0'..=b'9')) {
-                t.pos += 1;
+    fn number(&mut self) -> Result<Token, String> {
+        // offsets from the token's start, `mark`, which refills keep
+        let digits = |t: &mut Self| -> Result<(), String> {
+            loop {
+                let bytes = &t.buf[..];
+                while bytes.get(t.pos).is_some_and(u8::is_ascii_digit) {
+                    t.pos += 1;
+                }
+                if t.pos < t.buf.len() || !t.fill()? {
+                    return Ok(());
+                }
             }
         };
-        let negative = self.peek() == Some(b'-');
+        let negative = self.peek()? == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        let int_start = self.pos;
-        digits(self);
-        let int_end = self.pos;
-        if self.peek() == Some(b'.') {
+        let int_start = self.pos - self.mark;
+        digits(self)?;
+        let int_end = self.pos - self.mark;
+        if self.peek()? == Some(b'.') {
             self.pos += 1;
-            digits(self);
+            digits(self)?;
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek()?, Some(b'e') | Some(b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek()?, Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            digits(self);
+            digits(self)?;
         }
-        if !negative && self.pos == int_end && int_end > int_start {
+        let bytes = &self.buf[self.mark..self.pos];
+        // the scan above admits ASCII only
+        let text = std::str::from_utf8(bytes).expect("a number is ASCII");
+        if !negative && bytes.len() == int_end && int_end > int_start {
             // a plain integer stays exact while it fits a u64 (any 19
             // digits do); `as f64` on it later rounds as `parse` would
-            let digits = &self.bytes[int_start..int_end];
+            let digits = &bytes[int_start..int_end];
             let exact = if digits.len() <= 19 {
                 Some(digits.iter().fold(0, |v, &d| v * 10 + u64::from(d - b'0')))
             } else {
-                self.text[int_start..int_end].parse().ok()
+                text[int_start..int_end].parse().ok()
             };
             if let Some(n) = exact {
                 return Ok(Token::Int(n));
             }
         }
-        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(x) if x.is_finite() => Ok(Token::Num(x)),
             Ok(_) => Err(format!("number '{text}' overflows f64")),
@@ -768,121 +904,162 @@ pub fn write_trace_event(out: &mut String, e: &TraceEvent) {
     }
 }
 
-/// One member value of an event record, as the decoders look at it:
+/// What one member of an event record held, as the decoders look at it:
 /// `Other` is any value that is neither a number nor a string, so it fails
 /// both lookups exactly like a mistyped member of a parsed object.
 #[derive(Default)]
-pub(crate) enum Field<'a> {
+enum Value {
     #[default]
     Absent,
     Int(u64),
     Num(f64),
-    Str(Cow<'a, str>),
+    Str,
     Other,
 }
 
-impl Field<'_> {
+/// One member of an event record, decoded as it is read. A string's text
+/// goes into a buffer the next record reuses.
+#[derive(Default)]
+pub(crate) struct Field {
+    value: Value,
+    text: String,
+}
+
+impl Field {
     pub(crate) fn num(&self) -> Option<f64> {
-        match self {
-            Field::Int(n) => Some(*n as f64),
-            Field::Num(x) => Some(*x),
+        match self.value {
+            Value::Int(n) => Some(n as f64),
+            Value::Num(x) => Some(x),
             _ => None,
         }
     }
 
     pub(crate) fn uint(&self) -> Option<u64> {
-        match self {
-            Field::Int(n) => Some(*n),
-            Field::Num(x) => num_as_u64(*x),
+        match self.value {
+            Value::Int(n) => Some(n),
+            Value::Num(x) => num_as_u64(x),
             _ => None,
         }
     }
 
     pub(crate) fn str(&self) -> Option<&str> {
-        match self {
-            Field::Str(s) => Some(s),
+        match self.value {
+            Value::Str => Some(&self.text),
             _ => None,
         }
+    }
+
+    fn is_absent(&self) -> bool {
+        matches!(self.value, Value::Absent)
     }
 }
 
 /// The members of one trace or run-file event record that any reader
 /// looks at. Unknown members are ignored and, as with [`Json::get`], a
-/// repeated member keeps its first value.
+/// repeated member keeps its first value. One instance reads record after
+/// record without allocating once its string buffers have grown.
 #[derive(Default)]
-pub(crate) struct EventFields<'a> {
-    pub t: Field<'a>,
-    pub node: Field<'a>,
-    pub tag: Field<'a>,
-    pub kind: Field<'a>,
-    pub to: Field<'a>,
-    pub from: Field<'a>,
-    pub elements: Field<'a>,
-    pub hops: Field<'a>,
-    pub wait: Field<'a>,
-    pub comparisons: Field<'a>,
-    pub phase: Field<'a>,
+pub(crate) struct EventFields {
+    pub t: Field,
+    pub node: Field,
+    pub tag: Field,
+    pub kind: Field,
+    pub to: Field,
+    pub from: Field,
+    pub elements: Field,
+    pub hops: Field,
+    pub wait: Field,
+    pub comparisons: Field,
+    pub phase: Field,
 }
 
-impl<'a> EventFields<'a> {
+impl EventFields {
+    /// Forgets the last record's members (an empty record).
+    pub(crate) fn clear(&mut self) {
+        for f in [
+            &mut self.t,
+            &mut self.node,
+            &mut self.tag,
+            &mut self.kind,
+            &mut self.to,
+            &mut self.from,
+            &mut self.elements,
+            &mut self.hops,
+            &mut self.wait,
+            &mut self.comparisons,
+            &mut self.phase,
+        ] {
+            f.value = Value::Absent;
+        }
+    }
+
     /// Reads the members of the object whose `{` the tokenizer just
     /// returned, through its `}`.
-    pub(crate) fn read(tok: &mut Tokenizer<'a>) -> Result<Self, String> {
-        let mut f = EventFields::default();
+    pub(crate) fn read(&mut self, tok: &mut Tokenizer<'_>) -> Result<(), String> {
+        self.clear();
         // anything but a key here is the object's closing `}`
-        while let Token::Key(key) = tok.expect_token()? {
-            let value = tok.expect_token()?;
-            let slot = match &*key {
-                "t" => &mut f.t,
-                "node" => &mut f.node,
-                "tag" => &mut f.tag,
-                "kind" => &mut f.kind,
-                "to" => &mut f.to,
-                "from" => &mut f.from,
-                "elements" => &mut f.elements,
-                "hops" => &mut f.hops,
-                "wait" => &mut f.wait,
-                "comparisons" => &mut f.comparisons,
-                "phase" => &mut f.phase,
+        while let Token::Key = tok.expect_token()? {
+            let slot = match tok.text() {
+                "t" => &mut self.t,
+                "node" => &mut self.node,
+                "tag" => &mut self.tag,
+                "kind" => &mut self.kind,
+                "to" => &mut self.to,
+                "from" => &mut self.from,
+                "elements" => &mut self.elements,
+                "hops" => &mut self.hops,
+                "wait" => &mut self.wait,
+                "comparisons" => &mut self.comparisons,
+                "phase" => &mut self.phase,
                 _ => {
-                    tok.skip(&value)?;
+                    let value = tok.expect_token()?;
+                    tok.skip(value)?;
                     continue;
                 }
             };
-            let field = match value {
-                Token::Int(n) => Field::Int(n),
-                Token::Num(x) => Field::Num(x),
-                Token::Str(s) => Field::Str(s),
+            let value = tok.expect_token()?;
+            if !slot.is_absent() {
+                tok.skip(value)?;
+                continue;
+            }
+            slot.value = match value {
+                Token::Int(n) => Value::Int(n),
+                Token::Num(x) => Value::Num(x),
+                Token::Str => {
+                    slot.text.clear();
+                    slot.text.push_str(tok.text());
+                    Value::Str
+                }
                 other => {
-                    tok.skip(&other)?;
-                    Field::Other
+                    tok.skip(other)?;
+                    Value::Other
                 }
             };
-            if matches!(slot, Field::Absent) {
-                *slot = field;
-            }
         }
-        Ok(f)
+        Ok(())
     }
 
     /// Decodes a send/recv/compute record; `i` is the record's index in
     /// its array, used in error messages.
     pub(crate) fn trace_event(&self, i: usize) -> Result<TraceEvent, String> {
-        let present = |f: &'_ Field<'_>, k: &str| match f {
-            Field::Absent => Err(format!("event {i}: missing '{k}'")),
-            _ => Ok(()),
+        let present = |f: &Field, k: &str| {
+            if f.is_absent() {
+                Err(format!("event {i}: missing '{k}'"))
+            } else {
+                Ok(())
+            }
         };
-        let num = |f: &Field<'_>, k: &str| {
+        let num = |f: &Field, k: &str| {
             present(f, k)?;
             f.num().ok_or_else(|| format!("event {i}: bad '{k}'"))
         };
-        let int = |f: &Field<'_>, k: &str| {
+        let int = |f: &Field, k: &str| {
             present(f, k)?;
             f.uint().ok_or_else(|| format!("event {i}: bad '{k}'"))
         };
         // addresses and hop counts are u32 in memory: out of range is an
         // error, not a truncation
-        let int32 = |f: &Field<'_>, k: &str| {
+        let int32 = |f: &Field, k: &str| {
             u32::try_from(int(f, k)?).map_err(|_| format!("event {i}: bad '{k}'"))
         };
         let time = num(&self.t, "t")?;
@@ -904,9 +1081,10 @@ impl<'a> EventFields<'a> {
             Some("recv") => TraceKind::Recv {
                 from: NodeId::new(int32(&self.from, "from")?),
                 elements: int(&self.elements, "elements")? as usize,
-                wait: match self.wait {
-                    Field::Absent => 0.0,
-                    _ => num(&self.wait, "wait")?,
+                wait: if self.wait.is_absent() {
+                    0.0
+                } else {
+                    num(&self.wait, "wait")?
                 },
             },
             Some("compute") => TraceKind::Compute {
@@ -1014,5 +1192,66 @@ mod tests {
         }
         let max = Json::parse("18446744073709551615").unwrap();
         assert_eq!(max.as_u64(), Some(u64::MAX), "exact past 2^53");
+    }
+
+    /// A source that hands out at most `step` bytes per read, so every
+    /// token straddles refills somewhere.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every token of a document, with the text of keys and strings, or the
+    /// first error.
+    fn tokens(mut tok: Tokenizer<'_>) -> Result<Vec<(Token, String)>, String> {
+        let mut out = Vec::new();
+        while let Some(token) = tok.next_token()? {
+            let text = match token {
+                Token::Key | Token::Str => tok.text().to_string(),
+                _ => String::new(),
+            };
+            out.push((token, text));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn streamed_documents_tokenize_as_borrowed_ones() {
+        for doc in [
+            r#" {"a" : [1, -2.5e3, 18446744073709551616, true, false, null],
+                "esc\"aped\u00e9\n":"x\"y\u00e9z plain é", "": {} } "#,
+            "[1,]",
+            "{\"a\" 1}",
+            "\"unterminated",
+            "[\"\\u12\"]",
+            "1 2",
+            "[tru]",
+            "[1e999]",
+        ] {
+            let want = tokens(Tokenizer::new(doc));
+            for step in [1, 2, 3, 7] {
+                let mut source = Trickle {
+                    data: doc.as_bytes(),
+                    step,
+                };
+                let got = tokens(Tokenizer::from_reader(&mut source));
+                assert_eq!(got, want, "{doc:?} in {step}-byte reads");
+            }
+        }
+        let mut bad = Trickle {
+            data: b"[\"ok\",\"\xff\"]",
+            step: 2,
+        };
+        let err = tokens(Tokenizer::from_reader(&mut bad)).expect_err("not UTF-8");
+        assert!(err.contains("UTF-8 in a string at byte 7"), "{err}");
     }
 }

@@ -28,7 +28,7 @@
 
 use super::json::{write_str, Json};
 use super::RunObservation;
-use crate::sim::{LinkModel, Trace, TraceKind};
+use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use std::collections::HashMap;
 use std::io::{self, Write};
 
@@ -70,7 +70,9 @@ pub fn match_messages(trace: &Trace) -> Vec<(usize, usize)> {
 
 /// Streams a run observation to `w` as Chrome-trace-event JSON, naming
 /// span phases through `namer` (unknown ids become `phase-<id>`), then
-/// flushes `w`.
+/// flushes `w`. Every trace event must belong to a node of `obs.nodes`,
+/// as in any observation an engine or the run-file reader builds; the
+/// per-node tables are sized by those participants, not by the cube.
 pub fn write_perfetto(
     obs: &RunObservation,
     namer: &dyn Fn(u16) -> Option<&'static str>,
@@ -148,20 +150,28 @@ pub fn write_perfetto(
         )?;
     }
 
+    // Per-participant tables, indexed by the node's position in the
+    // address-sorted `obs.nodes`: every event belongs to a participant.
+    let participant = |e: &TraceEvent| {
+        obs.nodes
+            .binary_search_by_key(&e.node, |n| n.node)
+            .expect("trace events belong to participants")
+    };
+
     // Inbox-depth counters, one track per destination node: +1 at each
     // matched send, -1 at its receive.
-    let mut inbox: Vec<Vec<(f64, i64)>> = vec![Vec::new(); 1 << obs.dim];
+    let mut inbox: Vec<Vec<(f64, i64)>> = vec![Vec::new(); obs.nodes.len()];
     for &(s, r) in &pairs {
-        let dst = events[r].node.index();
+        let dst = participant(&events[r]);
         inbox[dst].push((events[s].time, 1));
         inbox[dst].push((events[r].time, -1));
     }
-    for (node, deltas) in inbox.iter_mut().enumerate() {
+    for (node, deltas) in obs.nodes.iter().zip(&mut inbox) {
         counter_track(
             w,
             &mut first,
             0,
-            &format!("inbox P{node}"),
+            &format!("inbox P{}", node.node.raw()),
             "messages",
             deltas,
         )?;
@@ -169,10 +179,10 @@ pub fn write_perfetto(
 
     // Cumulative element·hops counters, one track per sender, sampled at
     // each send. Monotone by construction — `trace-check` verifies it.
-    let mut cum_hops: Vec<u64> = vec![0; 1 << obs.dim];
+    let mut cum_hops: Vec<u64> = vec![0; obs.nodes.len()];
     for e in events {
         if let TraceKind::Send { elements, hops, .. } = e.kind {
-            let cum = &mut cum_hops[e.node.index()];
+            let cum = &mut cum_hops[participant(e)];
             *cum += elements as u64 * hops as u64;
             sep(w, &mut first)?;
             write!(

@@ -13,63 +13,62 @@
 //! the event stream cannot express: final clocks, blocked time and inbox
 //! peaks, which come from the file's footer.
 //!
-//! Reading is one pass that builds no JSON tree of the events (see
-//! [`observation_from_json`]): replay costs about what inflating and
-//! tokenizing the file costs, and holds compact decoded records rather
-//! than a document tree.
+//! Reading is one streaming pass (see [`observation_from_json`]): the file
+//! is inflated and tokenized as it is read, through buffers of tens of
+//! KiB, and each record is decoded straight into the trace's event list.
+//! Replay holds neither the file nor its text, only the decoded events
+//! (and the stable sort's scratch while it orders them), and costs about
+//! what inflating and tokenizing the file costs.
 
-use super::json::{read_member, EventFields, Field, Json, Token, Tokenizer};
+use super::gz::{is_gzip, GzDecoder};
+use super::json::{read_member, EventFields, Json, Token, Tokenizer};
 use super::sink::{NodeSummary, StreamingSink, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::address::{NodeId, MAX_RUN_DIM};
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, Write};
 
-/// Serializes a buffered [`RunObservation`] into the run-file schema (the
-/// exact document a live [`StreamingSink`] would have written, modulo the
-/// interleaving of different nodes' records). Each node's span boundaries
-/// go back at their program-order positions
-/// ([`NodeObservation::span_at`]), so the file replays to the same spans;
-/// spans without positions follow the node's events. The observation
-/// must carry a trace (tracing enabled) for the file to replay with full
-/// counters.
-pub fn run_to_json(obs: &RunObservation) -> String {
-    let mut sink = StreamingSink::new(Vec::new());
+/// Streams `obs` into `sink` as a run file (see [`run_to_json`]).
+fn write_run<W: Write + Send>(obs: &RunObservation, sink: &mut StreamingSink<W>) {
     if let Some(kt) = &obs.key_type {
         sink.set_key_type(kt.clone());
     }
     sink.begin(obs.dim, &obs.cost, obs.link_model);
-    // Per address: the node's positioned boundaries, last position first,
-    // and the records written so far — the position of the next one.
-    let len = 1usize << obs.dim;
-    let mut bounds: Vec<Vec<(usize, Option<u16>, f64)>> = vec![Vec::new(); len];
-    for n in &obs.nodes {
-        let b = &mut bounds[n.node.index()];
-        b.extend(
-            n.spans
+    // Per participant, in `obs.nodes` order: its positioned boundaries,
+    // last position first, and the records written so far — the position
+    // of the next one.
+    let mut bounds: Vec<Vec<(usize, Option<u16>, f64)>> = obs
+        .nodes
+        .iter()
+        .map(|n| {
+            let mut b: Vec<_> = n
+                .spans
                 .iter()
                 .zip(&n.span_at)
                 .flat_map(|(s, &(begin_at, end_at))| {
                     [(begin_at, Some(s.phase), s.begin), (end_at, None, s.end)]
-                }),
-        );
-        b.sort_unstable_by_key(|&(at, ..)| std::cmp::Reverse(at));
-    }
-    let mut written = vec![0usize; len];
+                })
+                .collect();
+            b.sort_unstable_by_key(|&(at, ..)| std::cmp::Reverse(at));
+            b
+        })
+        .collect();
+    let mut written = vec![0usize; obs.nodes.len()];
     for e in obs.trace.events() {
-        let n = e.node.index();
-        if let Some(b) = bounds.get_mut(n) {
-            while let Some((_, phase, t)) = b.pop_if(|&mut (at, ..)| at <= written[n]) {
+        if let Ok(p) = obs.nodes.binary_search_by_key(&e.node, |n| n.node) {
+            while let Some((_, phase, t)) = bounds[p].pop_if(|&mut (at, ..)| at <= written[p]) {
                 sink.span(e.node, phase, t);
-                written[n] += 1;
+                written[p] += 1;
             }
-            written[n] += 1;
+            written[p] += 1;
         }
         sink.event(e);
     }
-    for n in &obs.nodes {
-        for &(_, phase, t) in bounds[n.node.index()].iter().rev() {
+    for (n, b) in obs.nodes.iter().zip(&bounds) {
+        for &(_, phase, t) in b.iter().rev() {
             sink.span(n.node, phase, t);
         }
         for s in n.spans.iter().skip(n.span_at.len()) {
@@ -79,50 +78,60 @@ pub fn run_to_json(obs: &RunObservation) -> String {
     }
     let summaries: Vec<NodeSummary> = obs.nodes.iter().map(NodeSummary::of).collect();
     sink.finish(&summaries);
+}
+
+/// Serializes a buffered [`RunObservation`] into the run-file schema (the
+/// exact document a live [`StreamingSink`] would have written, modulo the
+/// interleaving of different nodes' records). Each node's span boundaries
+/// go back at their program-order positions ([`NodeObservation::span_at`]),
+/// so the file replays to the same spans; spans without positions follow
+/// the node's events. The observation must carry a trace (tracing enabled)
+/// for the file to replay with full counters.
+pub fn run_to_json(obs: &RunObservation) -> String {
+    let mut sink = StreamingSink::new(Vec::new());
+    write_run(obs, &mut sink);
     let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
     String::from_utf8(bytes).expect("the sink renders UTF-8")
 }
 
 /// Writes `obs` as a run file at `path` — gzip-compressed when the path
-/// ends in `.gz`, plain otherwise. The write-side counterpart of
+/// ends in `.gz`, plain otherwise — holding none of it in memory: the
+/// records of [`run_to_json`] stream through [`StreamingSink::create`],
+/// the writer `sort --run-out` uses, so a failed write after the file is
+/// created panics as it does there. The write-side counterpart of
 /// [`observation_from_file`].
-pub fn write_run_file(obs: &RunObservation, path: &str) -> std::io::Result<()> {
-    let json = run_to_json(obs);
-    if path.ends_with(".gz") {
-        let file = std::fs::File::create(path)?;
-        let mut enc = super::gz::GzEncoder::new(file)?;
-        std::io::Write::write_all(&mut enc, json.as_bytes())?;
-        enc.finish().map(|_| ())
-    } else {
-        std::fs::write(path, json)
-    }
+pub fn write_run_file(obs: &RunObservation, path: &str) -> io::Result<()> {
+    let mut sink = StreamingSink::create(path)?;
+    write_run(obs, &mut sink);
+    // flushed here; a gzip stream ends when its writer drops
+    sink.into_inner().map(drop)
 }
 
 /// Reads a run file from disk — gzip-compressed (written by
 /// `sort --run-out foo.jsonl.gz`) or plain text, sniffed by magic bytes —
-/// and rebuilds the observation via [`observation_from_json`].
+/// as it is decoded, holding neither the file nor its text; see
+/// [`observation_from_json`].
 pub fn observation_from_file(path: &str) -> Result<RunObservation, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let bytes = if super::gz::is_gzip(&bytes) {
-        super::gz::gunzip(&bytes).map_err(|e| format!("{path}: {e}"))?
+    let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let mut reader = BufReader::new(file);
+    let head = reader
+        .fill_buf()
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    let read = if is_gzip(head) {
+        read_observation(Tokenizer::from_reader(&mut GzDecoder::new(reader)))
     } else {
-        bytes
+        read_observation(Tokenizer::from_reader(&mut reader))
     };
-    let text = String::from_utf8(bytes).map_err(|e| format!("{path}: not UTF-8: {e}"))?;
-    observation_from_json(&text).map_err(|e| format!("{path}: {e}"))
+    read.map_err(|e| format!("{path}: {e}"))
 }
 
-/// One `events` entry, decoded but not yet attributed: the footer that
-/// says which nodes took part comes after the events in the file.
-struct Record {
+/// A span boundary read from the `events` array: the record's position
+/// there, its node and time, and the phase it enters (`None`: an exit).
+struct Bound {
+    at: usize,
     node: usize,
-    body: Body,
-}
-
-enum Body {
-    Enter { phase: u16, t: f64 },
-    Exit { t: f64 },
-    Event(TraceEvent),
+    phase: Option<u16>,
+    t: f64,
 }
 
 /// The first `events` entry that failed to decode: its index, its node
@@ -157,65 +166,79 @@ impl Totals {
     }
 }
 
-/// The decoded `events` entries before the first bad one, and that one.
-type Events = (Vec<Record>, Option<BadRecord>);
+/// The `events` entries before the first bad one, decoded but not yet
+/// attributed (the footer that says which nodes took part comes after the
+/// events in the file): the trace events in file order, the span
+/// boundaries beside them, and the bad entry.
+#[derive(Default)]
+struct Records {
+    events: Vec<TraceEvent>,
+    bounds: Vec<Bound>,
+    bad: Option<BadRecord>,
+}
 
-fn decode_record(i: usize, f: &EventFields<'_>) -> Result<Record, (Option<usize>, String)> {
-    let node = f
-        .node
-        .uint()
-        .ok_or_else(|| (None, format!("event {i}: missing 'node'")))? as usize;
-    let time = |t: &Field<'_>| t.num().ok_or_else(|| format!("event {i}: bad 't'"));
-    let body = match f.kind.str() {
-        Some("enter") => f
-            .phase
-            .uint()
-            .and_then(|p| u16::try_from(p).ok())
-            .ok_or_else(|| format!("event {i}: bad 'phase'"))
-            .and_then(|phase| {
-                Ok(Body::Enter {
-                    phase,
-                    t: time(&f.t)?,
-                })
-            }),
-        Some("exit") => time(&f.t).map(|t| Body::Exit { t }),
-        _ => f.trace_event(i).map(Body::Event),
-    };
-    body.map(|body| Record { node, body })
-        .map_err(|e| (Some(node), e))
+impl Records {
+    /// Decodes entry `i` into the events or the bounds.
+    fn push(&mut self, i: usize, f: &EventFields) -> Result<(), (Option<usize>, String)> {
+        let node =
+            f.node
+                .uint()
+                .ok_or_else(|| (None, format!("event {i}: missing 'node'")))? as usize;
+        let bad = |e: String| (Some(node), e);
+        let phase = match f.kind.str() {
+            Some("enter") => Some(
+                f.phase
+                    .uint()
+                    .and_then(|p| u16::try_from(p).ok())
+                    .ok_or_else(|| bad(format!("event {i}: bad 'phase'")))?,
+            ),
+            Some("exit") => None,
+            _ => {
+                self.events.push(f.trace_event(i).map_err(bad)?);
+                return Ok(());
+            }
+        };
+        let t =
+            f.t.num()
+                .ok_or_else(|| bad(format!("event {i}: bad 't'")))?;
+        self.bounds.push(Bound {
+            at: i,
+            node,
+            phase,
+            t,
+        });
+        Ok(())
+    }
 }
 
 /// Reads the `events` array whose `[` the tokenizer just returned. Entries
 /// after the first bad one are still checked for syntax, not decoded.
-fn read_events(tok: &mut Tokenizer<'_>) -> Result<Events, String> {
-    let mut records = Vec::new();
-    let mut bad = None;
-    let mut i = 0;
-    loop {
-        let fields = match tok.expect_token()? {
-            Token::EndArray => return Ok((records, bad)),
-            Token::BeginObject => EventFields::read(tok)?,
+fn read_events(tok: &mut Tokenizer<'_>) -> Result<Records, String> {
+    let mut records = Records::default();
+    let mut fields = EventFields::default();
+    for i in 0.. {
+        match tok.expect_token()? {
+            Token::EndArray => break,
+            Token::BeginObject => fields.read(tok)?,
             other => {
                 // not an object: no members, so it fails on 'node'
-                tok.skip(&other)?;
-                EventFields::default()
-            }
-        };
-        if bad.is_none() {
-            match decode_record(i, &fields) {
-                Ok(record) => records.push(record),
-                Err((node, e)) => bad = Some((i, node, e)),
+                tok.skip(other)?;
+                fields.clear();
             }
         }
-        i += 1;
+        if records.bad.is_none() {
+            if let Err((node, e)) = records.push(i, &fields) {
+                records.bad = Some((i, node, e));
+            }
+        }
     }
+    Ok(records)
 }
 
 /// A run file split in one pass: every top-level member except `events`
 /// as a [`Json`] value (the header and the footer, both small), and the
-/// first `events` array, if it is one, streamed into records.
-fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
-    let mut tok = Tokenizer::new(text);
+/// first `events` array, if it is one, decoded into records.
+fn read_run_file(mut tok: Tokenizer<'_>) -> Result<(Json, Option<Records>), String> {
     let first = tok.expect_token()?;
     if first != Token::BeginObject {
         let doc = Json::build(&mut tok, first)?;
@@ -226,12 +249,13 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
     let mut events = None;
     let mut seen_events = false;
     // anything but a key here is the closing `}`
-    while let Token::Key(key) = tok.expect_token()? {
+    while let Token::Key = tok.expect_token()? {
+        let key = tok.text().to_string();
         let value = tok.expect_token()?;
         if key == "events" {
             // like Json::get, the first member of a name wins
             if seen_events {
-                tok.skip(&value)?;
+                tok.skip(value)?;
                 continue;
             }
             seen_events = true;
@@ -240,7 +264,7 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
                 continue;
             }
         }
-        members.push((key.into_owned(), Json::build(&mut tok, value)?));
+        members.push((key, Json::build(&mut tok, value)?));
     }
     tok.finish()?;
     Ok((Json::Obj(members), events))
@@ -257,12 +281,15 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
 /// offending record.
 ///
 /// The reader makes one pass over the text without building a tree of the
-/// events: the JSON tokenizer of [`super::json`] streams each record into a compact
-/// decoded form, and the records are attributed to nodes once the footer
-/// (which follows them) is known — in file order, through the same
-/// accumulation code and with the same errors as a record-by-record walk.
-/// Members may come in any order, unknown members are ignored, and
-/// nesting deeper than [`MAX_DEPTH`](super::json::MAX_DEPTH) is an error.
+/// events: the JSON tokenizer of [`super::json`] decodes each record
+/// straight into the trace's event list (span boundaries go to a side
+/// list that keeps their file positions), and the records are attributed
+/// to nodes once the footer (which follows them) is known — both lists
+/// walked together in file order, through the same accumulation code and
+/// with the same errors as a record-by-record walk. The events are then
+/// sorted in place into the [`Trace`]. Members may come in any order,
+/// unknown members are ignored, and nesting deeper than
+/// [`MAX_DEPTH`](super::json::MAX_DEPTH) is an error.
 ///
 /// Records are also checked against what an engine can write: send and
 /// receive addresses lie inside the header's cube, a send crosses at most
@@ -271,7 +298,12 @@ fn read_run_file(text: &str) -> Result<(Json, Option<Events>), String> {
 /// is the longest route any engine charges), and no counter sum overflows
 /// a `u64`.
 pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
-    let (doc, events) = read_run_file(text)?;
+    read_observation(Tokenizer::new(text))
+}
+
+/// [`observation_from_json`] over any tokenizer.
+fn read_observation(tok: Tokenizer<'_>) -> Result<RunObservation, String> {
+    let (doc, records) = read_run_file(tok)?;
     let version: u64 = read_member(&doc, "version")?;
     if !(1..=2).contains(&version) {
         return Err(format!("unsupported run-file version {version}"));
@@ -330,55 +362,71 @@ pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
     };
 
     // Records, in file order — which preserves each node's emission order,
-    // the invariant the span stack and the stable trace sort rely on. One
-    // node's records mostly arrive together, so the last hit is tried first.
-    let (records, bad) = events.ok_or("missing 'events'")?;
+    // the invariant the span stack and the stable trace sort rely on: the
+    // bounds interleave with the events at their positions. One node's
+    // records mostly arrive together, so the last hit is tried first.
+    let Records {
+        events,
+        bounds,
+        bad,
+    } = records.ok_or("missing 'events'")?;
     let not_in_footer = |i: usize, node: usize| format!("event {i}: node {node} not in the footer");
     let outside = |i: usize, k: &str, p: NodeId| {
         format!("event {i}: '{k}' address {p} outside the {dim}-cube")
     };
     let max_hops = 2 * (len as u64 - 1);
     let mut totals = Totals::default();
-    let mut events = Vec::with_capacity(records.len());
+    let entries = events.len() + bounds.len();
+    let mut bounds = bounds.iter().peekable();
+    let mut next_event = events.iter();
     let mut hit = 0;
-    for (i, Record { node, body }) in records.into_iter().enumerate() {
+    let mut slot = |accs: &[Acc], i: usize, node: usize| {
         if accs.get(hit).is_none_or(|a| a.summary.node.index() != node) {
-            hit = find(&accs, node).ok_or_else(|| not_in_footer(i, node))?;
+            hit = find(accs, node).ok_or_else(|| not_in_footer(i, node))?;
         }
-        let acc = &mut accs[hit];
+        Ok::<_, String>(hit)
+    };
+    for i in 0..entries {
+        if let Some(b) = bounds.next_if(|b| b.at == i) {
+            let at = slot(&accs, i, b.node)?;
+            let acc = &mut accs[at];
+            match b.phase {
+                Some(phase) => acc.spans.enter(phase, b.t),
+                None => acc.spans.exit(b.t),
+            }
+            continue;
+        }
+        let ev = next_event
+            .next()
+            .expect("every entry before the bad one decoded");
+        let at = slot(&accs, i, ev.node.index())?;
+        let acc = &mut accs[at];
         let overflow = || format!("event {i}: counters overflow a u64");
-        match body {
-            Body::Enter { phase, t } => acc.spans.enter(phase, t),
-            Body::Exit { t } => acc.spans.exit(t),
-            Body::Event(ev) => {
-                acc.spans.event();
-                match ev.kind {
-                    TraceKind::Send { to, elements, hops } => {
-                        if to.index() >= len {
-                            return Err(outside(i, "to", to));
-                        }
-                        if u64::from(hops) > max_hops {
-                            return Err(format!(
-                                "event {i}: {hops} hops, longer than any route in the {dim}-cube"
-                            ));
-                        }
-                        totals.send(elements, hops).ok_or_else(overflow)?;
-                        acc.stats.record_message(elements, hops);
-                        acc.metrics.on_send(ev.node, to, elements, hops, &cost);
-                    }
-                    TraceKind::Recv { from, wait, .. } => {
-                        if from.index() >= len {
-                            return Err(outside(i, "from", from));
-                        }
-                        acc.metrics.msgs_received += 1;
-                        acc.metrics.link_wait_us += wait;
-                    }
-                    TraceKind::Compute { comparisons } => {
-                        totals.compute(comparisons).ok_or_else(overflow)?;
-                        acc.stats.record_comparisons(comparisons);
-                    }
+        acc.spans.event();
+        match ev.kind {
+            TraceKind::Send { to, elements, hops } => {
+                if to.index() >= len {
+                    return Err(outside(i, "to", to));
                 }
-                events.push(ev);
+                if u64::from(hops) > max_hops {
+                    return Err(format!(
+                        "event {i}: {hops} hops, longer than any route in the {dim}-cube"
+                    ));
+                }
+                totals.send(elements, hops).ok_or_else(overflow)?;
+                acc.stats.record_message(elements, hops);
+                acc.metrics.on_send(ev.node, to, elements, hops, &cost);
+            }
+            TraceKind::Recv { from, wait, .. } => {
+                if from.index() >= len {
+                    return Err(outside(i, "from", from));
+                }
+                acc.metrics.msgs_received += 1;
+                acc.metrics.link_wait_us += wait;
+            }
+            TraceKind::Compute { comparisons } => {
+                totals.compute(comparisons).ok_or_else(overflow)?;
+                acc.stats.record_comparisons(comparisons);
             }
         }
     }

@@ -50,6 +50,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() -> ExitCode {
+    ft_bench::end_on_closed_stdout();
     let args = Args::parse("ftsort-campaign", &[FLAGS]);
     let d = CampaignConfig::default();
     let cfg = CampaignConfig {

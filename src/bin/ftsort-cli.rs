@@ -149,8 +149,7 @@ const COMMANDS: [(&str, &[&[Flag]], Command); 8] = [
 ];
 
 fn main() -> ExitCode {
-    #[cfg(unix)]
-    end_on_closed_stdout();
+    ft_bench::end_on_closed_stdout();
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_default();
     let Some(&(_, tables, run)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
@@ -168,18 +167,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Restores SIGPIPE's default action, which the Rust runtime ignores, so
-/// a closed stdout ends the process instead of panicking a `println!`.
-#[cfg(unix)]
-fn end_on_closed_stdout() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    // SAFETY: the C library's `signal`; installing SIG_DFL (0) for SIGPIPE
-    // (13) runs no handler code, and nothing else here touches SIGPIPE.
-    unsafe { signal(13, 0) };
 }
 
 /// The fault set of [`CUBE`]'s flags.

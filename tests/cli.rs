@@ -1085,20 +1085,36 @@ fn sort_key_type_is_result_invariant_across_engines() {
 #[test]
 fn a_closed_stdout_ends_the_cli_quietly() {
     // A reader that went away (`ftsort-cli … | head -1`) must not turn the
-    // next `println!` into a panic with exit 101: SIGPIPE ends the CLI.
-    let (reader, writer) = std::io::pipe().expect("pipe");
-    drop(reader);
-    let out = cli()
-        .args(["partition", "--n", "5", "--faults", "3,5,16,24"])
-        .stdout(writer)
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_ne!(out.status.code(), Some(101), "{stderr}");
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        assert_eq!(out.status.signal(), Some(13), "ended by SIGPIPE: {stderr}");
+    // next `println!` into a panic with exit 101: SIGPIPE ends the binary.
+    let campaign = env!("CARGO_BIN_EXE_ftsort-campaign");
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_ftsort-cli"),
+            &["partition", "--n", "5", "--faults", "3,5,16,24"][..],
+        ),
+        (
+            campaign,
+            &["--sizes", "4", "--runs", "4", "--m", "64", "--jobs", "1"][..],
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{bin}: {stderr}");
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            assert_eq!(
+                out.status.signal(),
+                Some(13),
+                "{bin}: ended by SIGPIPE: {stderr}"
+            );
+        }
     }
 }

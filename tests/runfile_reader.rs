@@ -13,7 +13,11 @@
 //!   hop counts no route can take, and counts whose sums overflow are
 //!   errors, not truncations, wraps or unbounded allocations.
 //! * **Huge cubes.** The header's `dim` sizes no table: a one-node file at
-//!   the reader's largest dimension decodes without a 1 MiB allocation.
+//!   the reader's largest dimension decodes, and writes back as a run file
+//!   and a Perfetto trace, without a 1 MiB allocation.
+//! * **Long files.** A file's length sizes no buffer: 4 MiB of whitespace
+//!   between two records, plain or gzipped, reads without a 1 MiB
+//!   allocation.
 //!
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
@@ -25,6 +29,7 @@ use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::GzEncoder;
 use hypercube::obs::json::{write_str, Json};
+use hypercube::obs::perfetto::write_perfetto;
 use hypercube::obs::replay::{observation_from_file, observation_from_json, run_to_json};
 use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::sim::{EngineKind, LinkModel};
@@ -307,6 +312,38 @@ fn mutated_gzip_run_files_fail_cleanly() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn a_files_length_sizes_no_buffer() {
+    let plain = small_run_file();
+    let want = observation_from_json(std::str::from_utf8(&plain).unwrap())
+        .expect("the base file replays")
+        .report(&phase_name)
+        .to_json();
+    // 4 MiB of whitespace between the first two records
+    let cut = plain
+        .windows(2)
+        .position(|w| w == b",\n")
+        .expect("two records")
+        + 1;
+    let mut padded = plain[..cut].to_vec();
+    padded.extend(b" \n\t\r".iter().cycle().take(4 << 20));
+    padded.extend_from_slice(&plain[cut..]);
+    let path = temp("padded.jsonl");
+    for (what, bytes) in [("plain", padded.clone()), ("gz", gzip(&padded))] {
+        std::fs::write(&path, bytes).expect("write");
+        LARGEST.with(|l| l.set(0));
+        let obs = observation_from_file(path.to_str().unwrap());
+        let largest = LARGEST.with(Cell::get);
+        let obs = obs.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(obs.report(&phase_name).to_json(), want, "{what}");
+        assert!(
+            largest < 1 << 20,
+            "{what}: the reader asked for a {largest}-byte block"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A Q3 run file in which node 0, the only participant, records `events`.
 fn q3_run_file(events: &[String]) -> String {
     format!(
@@ -377,7 +414,8 @@ fn implausible_send_and_recv_fields_are_errors() {
 fn huge_dimensions_allocate_by_the_footer_not_the_header() {
     // One footer node, no events: 166 bytes at "dim":24, the reader's
     // largest dimension. A reader that sized per-address tables from the
-    // header asked for a 293,601,280-byte block at "dim":20.
+    // header asked for a 293,601,280-byte block at "dim":20, and so did
+    // `run_to_json` and `write_perfetto` when they did.
     for dim in [20, 24] {
         let text = format!(
             "{{\"version\":2,\"dim\":{dim},\"link_model\":\"uncontended\",\
@@ -387,7 +425,11 @@ fn huge_dimensions_allocate_by_the_footer_not_the_header() {
         LARGEST.with(|l| l.set(0));
         let obs = observation_from_json(&text).expect("a one-node file replays");
         let report = obs.report(&phase_name).to_json();
+        // the writers' per-node tables follow the participants too
+        let rewritten = run_to_json(&obs);
+        write_perfetto(&obs, &phase_name, &mut Vec::new()).expect("writing to a Vec");
         let largest = LARGEST.with(Cell::get);
+        assert!(rewritten.contains(&format!("\"dim\":{dim}")), "{rewritten}");
         assert_eq!(obs.dim, dim);
         assert_eq!(obs.nodes.len(), 1, "\"dim\":{dim}: one participant");
         assert!(report.contains(&format!("\"dim\":{dim}")), "{report}");
