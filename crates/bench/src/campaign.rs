@@ -308,11 +308,15 @@ fn capture_run<K: GenKey>(
     let mut sink = StreamingSink::create(&path)
         .map_err(|e| format!("creating run file {}: {e}", path.display()))?;
     sink.set_key_type(cfg.key_type.as_str());
+    let sink = Arc::new(Mutex::new(sink));
     let attach = Attach {
-        sink: Some(Arc::new(Mutex::new(sink))),
+        sink: Some(sink.clone()),
         ..Attach::default()
     };
     let (_outcome, _phases, obs) = fault_tolerant_sort(&plan, &config, data, attach);
+    if let Some(e) = sink.lock().expect("sink lock poisoned").take_error() {
+        return Err(format!("writing {}: {e}", path.display()));
+    }
     let report = obs.report(&phase_name).with_key_type(cfg.key_type.as_str());
     let report_path = dir.join(format!("n{n}_r{r}_run{run_index}_{role}.report.json"));
     std::fs::write(&report_path, report.to_json())

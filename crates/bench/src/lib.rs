@@ -206,7 +206,8 @@ impl ObsFlags {
     /// profiles the scheduler under `--sched-out`/`--sched-profile`, and
     /// draws slabs from a counting pool under `--metrics-snapshot`. The
     /// report records `key_type`, the requested threads, the schedule the
-    /// par engine ran and the pool counters.
+    /// par engine ran and the pool counters. An error writing any
+    /// artifact, the run file and the log included, is `writing PATH: …`.
     pub fn sort<K: Key>(
         &self,
         plan: &FtPlan,
@@ -228,10 +229,10 @@ impl ObsFlags {
                     let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
                     log::init(level, Box::new(file))
                 }
-                None => log::init_stderr(level),
+                None => log::init(level, Box::new(std::io::stderr())),
             };
         }
-        let sink: Option<Arc<Mutex<dyn TraceSink>>> = match &self.run_out {
+        let run_file = match &self.run_out {
             None => None,
             Some(path) => {
                 let mut sink =
@@ -242,6 +243,7 @@ impl ObsFlags {
                 Some(Arc::new(Mutex::new(sink)))
             }
         };
+        let sink: Option<Arc<Mutex<dyn TraceSink>>> = run_file.clone().map(|s| s as _);
         let profiler = (self.sched_out.is_some() || self.sched_profile)
             .then(|| Arc::new(SchedProfiler::new()));
         // A counting pool only for the snapshot, so a plain run keeps the
@@ -311,7 +313,10 @@ impl ObsFlags {
             write(path, &report.to_json())?;
             println!("metrics written: {path}");
         }
-        if let Some(path) = &self.run_out {
+        if let (Some(path), Some(sink)) = (&self.run_out, &run_file) {
+            if let Some(e) = sink.lock().expect("sink lock poisoned").take_error() {
+                return Err(format!("writing {path}: {e}"));
+            }
             println!("run written    : {path} (ftsort-cli replay --trace {path})");
         }
         if let Some(profile) = profiler.and_then(|p| p.take()) {
@@ -340,6 +345,9 @@ impl ObsFlags {
             }
             write(path, &metrics::snapshot().expect("totals installed above"))?;
             println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");
+        }
+        if let (Some(path), Some(e)) = (&self.log_out, log::write_error()) {
+            return Err(format!("writing {path}: {e}"));
         }
         Ok(())
     }

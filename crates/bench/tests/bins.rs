@@ -174,9 +174,8 @@ fn breakdown_drill_down_writes_what_the_cli_writes() {
         replayed.report(&ftsort::ftsort::phase_name).to_json(),
         json.replacen("\"threads\":2,", "", 1)
     );
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let doc = hypercube::obs::json::Json::parse(&text).expect("trace is JSON");
-    hypercube::obs::perfetto::validate_chrome_trace(&doc).expect("valid trace");
+    let file = std::fs::File::open(&trace).expect("trace written");
+    hypercube::obs::perfetto::validate_chrome_trace(file).expect("valid trace");
 
     breakdown(&[&base[..], &["--engine", "par", "--metrics-out", &metrics]].concat());
     let json = std::fs::read_to_string(&metrics).expect("report written");

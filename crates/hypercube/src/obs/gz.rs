@@ -33,9 +33,8 @@
 //! CRC32 and `ISIZE` (so members of 4 GiB or more, whose `ISIZE` wraps,
 //! are rejected) and that no bytes follow it. Huffman symbols decode
 //! through a lookup table and the bit buffer refills a word at a time.
-//! [`gunzip`] inflates a member held in memory through it into one buffer
-//! reserved from the trailer's `ISIZE` (capped by what the input can
-//! inflate to), and fails as soon as the output would pass `ISIZE`.
+//! It is the one inflate path: a member held in memory is read through it
+//! as a byte slice.
 
 use super::metrics;
 use std::io::{self, Read, Write};
@@ -446,8 +445,9 @@ impl Lz77 {
 /// A gzip compressor over any writer. Bytes written are compressed in
 /// batches; the stream is completed (end-of-block symbol, CRC32 + ISIZE
 /// trailer) by [`finish`](GzEncoder::finish), or on drop if never finished
-/// explicitly — `TraceSink::finish` only flushes its writer, so the sink
-/// drop path must still produce a valid file.
+/// explicitly, where an error writing the trailer is lost. A
+/// [`StreamingSink`](super::sink::StreamingSink) ends its encoder when the
+/// run finishes, and keeps that error.
 pub struct GzEncoder<W: Write> {
     out: Option<W>,
     crc: Crc32,
@@ -513,7 +513,8 @@ impl<W: Write> GzEncoder<W> {
         self.write_bits()
     }
 
-    fn finish_stream(&mut self) -> io::Result<()> {
+    /// Completes the stream in place; later calls do nothing.
+    pub(crate) fn finish_stream(&mut self) -> io::Result<()> {
         if self.finished {
             return Ok(());
         }
@@ -580,10 +581,6 @@ impl<W: Write> Drop for GzEncoder<W> {
 // -------------------------------------------------------------- inflate
 
 const EOF: &str = "gzip: unexpected end of compressed data";
-/// DEFLATE's best case: a 258-byte match per 2 bits.
-const MAX_RATIO: usize = 1032;
-/// The most output [`gunzip`] reserves up front, whatever the trailer claims.
-const MAX_PREALLOC: usize = 64 << 20;
 /// Compressed bytes asked of the source at a time.
 const INPUT_CHUNK: usize = 32 * 1024;
 /// The decoder's output buffer: the [`WINDOW`] of history back-references
@@ -1111,29 +1108,6 @@ impl<R: Read> Read for GzDecoder<R> {
     }
 }
 
-/// Decompresses a gzip member held in memory through [`GzDecoder`],
-/// verifying the CRC32 and ISIZE trailer. The output buffer is reserved
-/// from the trailer's `ISIZE`, capped by what the input can inflate to,
-/// and decoding fails as soon as the output would pass `ISIZE`.
-pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, String> {
-    let limit = data.len().checked_sub(4).map_or(0, |at| {
-        u32::from_le_bytes(data[at..].try_into().expect("4 bytes")) as usize
-    });
-    let mut out = Vec::with_capacity(
-        limit
-            .min(data.len().saturating_mul(MAX_RATIO))
-            .min(MAX_PREALLOC),
-    );
-    GzDecoder::new(data)
-        .take(limit as u64 + 1)
-        .read_to_end(&mut out)
-        .map_err(|e| e.to_string())?;
-    if out.len() > limit {
-        return Err("gzip: output exceeds the trailer's ISIZE".into());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1327,12 +1301,18 @@ mod tests {
             .collect()
     }
 
+    /// Inflates a member held in memory through [`GzDecoder`].
+    fn inflate(packed: &[u8]) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        GzDecoder::new(packed).read_to_end(&mut out).map(|_| out)
+    }
+
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let mut enc = GzEncoder::new(Vec::new()).expect("header");
         enc.write_all(data).expect("write");
         let packed = enc.finish().expect("finish");
         assert!(is_gzip(&packed));
-        gunzip(&packed).expect("gunzip")
+        inflate(&packed).expect("inflate")
     }
 
     #[test]
@@ -1416,7 +1396,7 @@ mod tests {
                     fast == reference,
                     "{name}, chunks {chunks:?}, flush every {every}"
                 );
-                assert_eq!(gunzip(&fast).expect("gunzip"), data, "{name}");
+                assert_eq!(inflate(&fast).expect("inflate"), data, "{name}");
             }
         }
     }
@@ -1460,7 +1440,7 @@ mod tests {
         let mut enc = GzEncoder::new(Vec::new()).expect("header");
         enc.write_all(line.as_bytes()).expect("write");
         let packed = enc.finish().expect("finish");
-        assert_eq!(gunzip(&packed).expect("gunzip"), line.as_bytes());
+        assert_eq!(inflate(&packed).expect("inflate"), line.as_bytes());
         assert!(
             packed.len() * 5 < line.len(),
             "repetitive input should compress >5x, got {} -> {}",
@@ -1502,7 +1482,7 @@ mod tests {
         assert!(mid_out >= 10, "header bytes are counted");
         let packed = enc.finish().expect("finish");
         assert!(packed.len() as u64 >= mid_out);
-        assert_eq!(gunzip(&packed).expect("gunzip"), data);
+        assert_eq!(inflate(&packed).expect("inflate"), data);
     }
 
     #[test]
@@ -1513,7 +1493,7 @@ mod tests {
             enc.write_all(chunk).expect("write");
         }
         let packed = enc.finish().expect("finish");
-        assert_eq!(gunzip(&packed).expect("gunzip"), data);
+        assert_eq!(inflate(&packed).expect("inflate"), data);
     }
 
     #[test]
@@ -1523,7 +1503,7 @@ mod tests {
             let mut enc = GzEncoder::new(&mut out).expect("header");
             enc.write_all(b"dropped, not finished").expect("write");
         }
-        assert_eq!(gunzip(&out).expect("gunzip"), b"dropped, not finished");
+        assert_eq!(inflate(&out).expect("inflate"), b"dropped, not finished");
     }
 
     #[test]
@@ -1538,7 +1518,7 @@ mod tests {
         crc.update(b"hi");
         data.extend_from_slice(&crc.value().to_le_bytes());
         data.extend_from_slice(&2u32.to_le_bytes());
-        assert_eq!(gunzip(&data).expect("gunzip"), b"hi");
+        assert_eq!(inflate(&data).expect("inflate"), b"hi");
     }
 
     #[test]
@@ -1604,7 +1584,7 @@ mod tests {
         crc.update(b"A");
         data.extend_from_slice(&crc.value().to_le_bytes());
         data.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(gunzip(&data).expect("gunzip"), b"A");
+        assert_eq!(inflate(&data).expect("inflate"), b"A");
     }
 
     #[test]
@@ -1612,11 +1592,11 @@ mod tests {
         let mut enc = GzEncoder::new(Vec::new()).expect("header");
         enc.write_all(b"payload bytes here").expect("write");
         let mut packed = enc.finish().expect("finish");
-        assert!(gunzip(b"no").is_err());
-        assert!(gunzip(&packed[..12]).is_err());
+        assert!(inflate(b"no").is_err());
+        assert!(inflate(&packed[..12]).is_err());
         let last = packed.len() - 1;
         packed[last] ^= 0xFF; // corrupt ISIZE
-        assert!(gunzip(&packed).is_err());
+        assert!(inflate(&packed).is_err());
     }
 
     #[test]
@@ -1628,21 +1608,20 @@ mod tests {
             enc.finish().expect("finish")
         };
         let at = packed.len() - 4;
-        // a short ISIZE stops the inflater mid-stream
-        packed[at..].copy_from_slice(&1000u32.to_le_bytes());
-        let err = gunzip(&packed).expect_err("short ISIZE");
-        assert!(err.contains("ISIZE"), "{err}");
-        // a huge ISIZE reserves at most the DEFLATE ratio bound, then fails
-        packed[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(gunzip(&packed).expect_err("huge ISIZE").contains("ISIZE"));
+        // a short ISIZE and a huge one both fail at the trailer (what
+        // they may allocate is bounded in `tests/gz_codec.rs`)
+        for isize in [1000, u32::MAX] {
+            packed[at..].copy_from_slice(&isize.to_le_bytes());
+            let err = inflate(&packed).expect_err("wrong ISIZE").to_string();
+            assert!(err.contains("ISIZE mismatch"), "{isize}: {err}");
+        }
         // a stored block claiming more bytes than the stream holds
         let mut stored = vec![0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff, 0b001];
         stored.extend_from_slice(&u16::MAX.to_le_bytes());
         stored.extend_from_slice(&0u16.to_le_bytes());
         stored.extend_from_slice(&[0; 8]);
-        assert!(gunzip(&stored)
-            .expect_err("huge LEN")
-            .contains("stored block"));
+        let err = inflate(&stored).expect_err("huge LEN").to_string();
+        assert!(err.contains("stored block"), "{err}");
     }
 
     #[test]

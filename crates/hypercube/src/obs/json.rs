@@ -1,10 +1,10 @@
 //! The workspace's one JSON layer (the build is offline, so there is no
 //! serialization framework):
 //!
-//! * a strict parser, [`Json::parse`] over a pull `Tokenizer` that reads a
-//!   `&str` in place or streams an `io::Read` through a refilling buffer:
-//!   integer literals that fit a `u64` stay exact, and a number that
-//!   overflows an `f64` is an error;
+//! * a strict parser, [`Json::parse`] over a pull `Tokenizer` that streams
+//!   an `io::Read` through a refilling buffer (a document in memory is
+//!   read as a byte slice): integer literals that fit a `u64` stay exact,
+//!   and a number that overflows an `f64` is an error;
 //! * the codec every report goes through: [`JsonValue`], [`write_member`],
 //!   [`read_member`] and the `json_object!` field table, which derives a
 //!   struct's writer and reader from one list of its fields. Readers check
@@ -20,10 +20,8 @@
 
 use crate::address::NodeId;
 use crate::sim::{LinkModel, Tag, TraceEvent, TraceKind};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::Read;
-use std::ops::Range;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,7 +46,8 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected, nesting capped at [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut tok = Tokenizer::new(text);
+        let mut bytes = text.as_bytes();
+        let mut tok = Tokenizer::from_reader(&mut bytes);
         let first = tok.expect_token()?;
         let value = Json::build(&mut tok, first)?;
         tok.finish()?;
@@ -202,34 +201,29 @@ enum State {
 
 /// A pull tokenizer: the one JSON parser of the workspace. [`Json::parse`]
 /// builds a tree from its tokens; the run-file reader in [`super::replay`]
-/// decodes events straight from them. It enforces the full grammar, so a
-/// consumer that stops looking at a value (see [`Tokenizer::skip`]) still
-/// rejects malformed documents.
+/// decodes events straight from them, and the trace validator in
+/// [`super::perfetto`] builds one small tree per event. It enforces the
+/// full grammar, so a consumer that stops looking at a value (see
+/// [`Tokenizer::skip`]) still rejects malformed documents.
 ///
-/// It reads a buffer that refills from an `io::Read` ([`Tokenizer::from_reader`]):
-/// a refill keeps only the token being read, so memory follows the longest
-/// token, not the document. A borrowed `&str` ([`Tokenizer::new`]) is one
-/// buffer already at its end and is never copied. Errors name absolute
-/// byte offsets either way, and streamed string tokens are checked as
-/// UTF-8. No token borrows the buffer: a key's or string's text is read
-/// through [`Tokenizer::text`] before the next token (sliced from a
-/// borrowed document, copied out of a streamed one).
+/// It has one input path: a buffer that refills from an `io::Read`, and a
+/// refill keeps only the token being read, so memory follows the longest
+/// token, not the document. A document already in memory is read as a
+/// byte slice. Errors name absolute byte offsets, and string tokens are
+/// checked as UTF-8. No token borrows the buffer: a key's or string's text
+/// is copied out, and read through [`Tokenizer::text`] before the next
+/// token.
 pub(crate) struct Tokenizer<'a> {
-    /// The document from byte `base` on: all of a borrowed one, or what a
-    /// streamed one's last reads left.
-    buf: Cow<'a, [u8]>,
+    /// The document from byte `base` on, as far as the last reads went.
+    buf: Vec<u8>,
     base: usize,
     pos: usize,
     /// Start in `buf` of the token being read; a refill drops what
     /// precedes it.
     mark: usize,
-    /// The rest of a streamed document; `None` once it has ended.
+    /// The rest of the document; `None` once it has ended.
     source: Option<&'a mut dyn Read>,
-    /// A borrowed document as text, which a string without escapes is
-    /// sliced from: then `span` is its range.
-    doc: Option<&'a str>,
-    span: Option<Range<usize>>,
-    /// The last key's or string's text, unescaped, unless `span` has it.
+    /// The last key's or string's text, unescaped.
     text: String,
     /// Open containers, innermost last: `true` for an object.
     open: Vec<bool>,
@@ -237,29 +231,14 @@ pub(crate) struct Tokenizer<'a> {
 }
 
 impl<'a> Tokenizer<'a> {
-    /// Tokenizes a document held in memory.
-    pub(crate) fn new(text: &'a str) -> Self {
-        Self::over(Cow::Borrowed(text.as_bytes()), Some(text), None)
-    }
-
     /// Tokenizes a document read from `source` as it goes.
     pub(crate) fn from_reader(source: &'a mut dyn Read) -> Self {
-        Self::over(
-            Cow::Owned(Vec::with_capacity(2 * READ_CHUNK)),
-            None,
-            Some(source),
-        )
-    }
-
-    fn over(buf: Cow<'a, [u8]>, doc: Option<&'a str>, source: Option<&'a mut dyn Read>) -> Self {
         Tokenizer {
-            buf,
+            buf: Vec::with_capacity(2 * READ_CHUNK),
             base: 0,
             pos: 0,
             mark: 0,
-            source,
-            doc,
-            span: None,
+            source: Some(source),
             text: String::new(),
             open: Vec::new(),
             state: State::Value,
@@ -311,10 +290,7 @@ impl<'a> Tokenizer<'a> {
 
     /// The text of the last key or string token.
     pub(crate) fn text(&self) -> &str {
-        match (self.doc, &self.span) {
-            (Some(doc), Some(span)) => &doc[span.clone()],
-            _ => &self.text,
-        }
+        &self.text
     }
 
     /// Consumes the rest of the value `first` opened (nothing if it is a
@@ -342,22 +318,22 @@ impl<'a> Tokenizer<'a> {
         self.base + self.pos
     }
 
-    /// Reads more of a streamed document, dropping the bytes before
-    /// `mark`; `false` once it has ended.
+    /// Reads more of the document, dropping the bytes before `mark`;
+    /// `false` once it has ended.
     #[cold]
     fn fill(&mut self) -> Result<bool, String> {
-        let (Some(source), Cow::Owned(buf)) = (self.source.as_mut(), &mut self.buf) else {
+        let Some(source) = self.source.as_mut() else {
             return Ok(false);
         };
-        buf.drain(..self.mark);
+        self.buf.drain(..self.mark);
         self.base += self.mark;
         self.pos -= self.mark;
         self.mark = 0;
-        let len = buf.len();
-        buf.resize(len + READ_CHUNK, 0);
-        let read = super::gz::read_some(source, &mut buf[len..]);
+        let len = self.buf.len();
+        self.buf.resize(len + READ_CHUNK, 0);
+        let read = super::gz::read_some(source, &mut self.buf[len..]);
         let n = *read.as_ref().unwrap_or(&0);
-        buf.truncate(len + n);
+        self.buf.truncate(len + n);
         if read.map_err(|e| e.to_string())? == 0 {
             self.source = None;
         }
@@ -498,7 +474,6 @@ impl<'a> Tokenizer<'a> {
     /// Reads a string, unescaped, into [`Tokenizer::text`].
     fn string(&mut self) -> Result<(), String> {
         self.expect(b'"')?;
-        self.span = None;
         self.text.clear();
         loop {
             // Plain bytes up to the next `"` or `\`; offsets are kept from
@@ -521,26 +496,16 @@ impl<'a> Tokenizer<'a> {
                     }
                 }
             };
-            let run = self.mark + from..self.pos;
-            self.pos += 1;
             // `"` and `\` are ASCII, so a run ends on a char boundary
-            match self.doc {
-                // a borrowed string without escapes is sliced in place
-                Some(_) if stop == b'"' && from == 1 => {
-                    self.span = Some(run);
-                    return Ok(());
-                }
-                Some(doc) => self.text.push_str(&doc[run]),
-                None => {
-                    let plain = std::str::from_utf8(&self.buf[run.clone()]).map_err(|e| {
-                        format!(
-                            "invalid UTF-8 in a string at byte {}",
-                            self.base + run.start + e.valid_up_to()
-                        )
-                    })?;
-                    self.text.push_str(plain);
-                }
-            }
+            let start = self.mark + from;
+            let plain = std::str::from_utf8(&self.buf[start..self.pos]).map_err(|e| {
+                format!(
+                    "invalid UTF-8 in a string at byte {}",
+                    self.base + start + e.valid_up_to()
+                )
+            })?;
+            self.text.push_str(plain);
+            self.pos += 1;
             if stop == b'"' {
                 return Ok(());
             }
@@ -1225,7 +1190,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_documents_tokenize_as_borrowed_ones() {
+    fn trickled_documents_tokenize_as_whole_ones() {
         for doc in [
             r#" {"a" : [1, -2.5e3, 18446744073709551616, true, false, null],
                 "esc\"aped\u00e9\n":"x\"y\u00e9z plain é", "": {} } "#,
@@ -1237,7 +1202,8 @@ mod tests {
             "[tru]",
             "[1e999]",
         ] {
-            let want = tokens(Tokenizer::new(doc));
+            let mut whole = doc.as_bytes();
+            let want = tokens(Tokenizer::from_reader(&mut whole));
             for step in [1, 2, 3, 7] {
                 let mut source = Trickle {
                     data: doc.as_bytes(),

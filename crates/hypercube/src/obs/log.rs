@@ -18,10 +18,12 @@
 //!
 //! Unlike metric recording, emitting a log line allocates (it formats
 //! JSON) and takes the writer lock — logging is for low-rate lifecycle
-//! events, counters are for hot paths.
+//! events, counters are for hot paths. The first error writing a record
+//! is kept for the program that installed the logger to report
+//! ([`write_error`]).
 
 use super::json::{write_str, JsonValue};
-use std::io::Write;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -102,16 +104,6 @@ impl From<u64> for Value<'_> {
         Value::U64(v)
     }
 }
-impl From<usize> for Value<'_> {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<i64> for Value<'_> {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
 impl From<f64> for Value<'_> {
     fn from(v: f64) -> Self {
         Value::F64(v)
@@ -122,15 +114,11 @@ impl<'a> From<&'a str> for Value<'a> {
         Value::Str(v)
     }
 }
-impl From<bool> for Value<'_> {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
 
 struct Logger {
     level: AtomicU8,
     out: Mutex<Box<dyn Write + Send>>,
+    error: OnceLock<io::Error>,
 }
 
 static LOGGER: OnceLock<Logger> = OnceLock::new();
@@ -146,24 +134,13 @@ pub fn init(level: Level, out: Box<dyn Write + Send>) -> bool {
         Logger {
             level: AtomicU8::new(level as u8),
             out: Mutex::new(out),
+            error: OnceLock::new(),
         }
     });
     if !installed {
         logger.level.store(level as u8, Ordering::Relaxed);
     }
     installed
-}
-
-/// Installs the global logger writing JSON lines to stderr.
-pub fn init_stderr(level: Level) -> bool {
-    init(level, Box::new(std::io::stderr()))
-}
-
-/// Adjusts the level threshold of an installed logger (no-op otherwise).
-pub fn set_level(level: Level) {
-    if let Some(l) = LOGGER.get() {
-        l.level.store(level as u8, Ordering::Relaxed);
-    }
 }
 
 /// The installed logger's threshold, or `None` when logging is off.
@@ -221,29 +198,20 @@ pub fn log(lvl: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     }
     let line = render(wall_clock(), lvl, target, msg, fields);
     if let Ok(mut out) = logger.out.lock() {
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
+        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+            let _ = logger.error.set(e);
+        }
     }
+}
+
+/// The first error writing a record to the installed logger, if any.
+pub fn write_error() -> Option<&'static io::Error> {
+    LOGGER.get()?.error.get()
 }
 
 /// [`log`] at [`Level::Info`].
 pub fn info(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     log(Level::Info, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Warn`].
-pub fn warn(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
-    log(Level::Warn, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Error`].
-pub fn error(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
-    log(Level::Error, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Debug`].
-pub fn debug(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
-    log(Level::Debug, target, msg, fields);
 }
 
 #[cfg(test)]
@@ -345,9 +313,8 @@ mod tests {
         }
 
         let sink = Sink::default();
+        // Whatever test ran first owns the writer; the level applies.
         let installed = init(Level::Info, Box::new(sink.clone()));
-        // Whatever test ran first owns the writer; level updates apply.
-        set_level(Level::Info);
         assert!(enabled(Level::Info));
         assert!(!enabled(Level::Debug));
         log(Level::Debug, "t", "dropped", &[]);

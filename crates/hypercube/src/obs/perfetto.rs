@@ -26,11 +26,11 @@
 //! its own send when both carry equal timestamps and the receiver has the
 //! smaller node address.
 
-use super::json::{write_str, Json};
+use super::json::{write_str, Json, Token, Tokenizer};
 use super::RunObservation;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 /// Writes the separator before every `traceEvents` entry but the first.
 fn sep(w: &mut impl Write, first: &mut bool) -> io::Result<()> {
@@ -281,31 +281,65 @@ pub struct TraceCheck {
     pub counters: u64,
 }
 
-/// Structurally validates a Chrome-trace export: every flow start carries
-/// an integer `id` and a `ts`, every finish pairs with an earlier start
-/// and respects happens-before, counter samples carry exactly one
-/// non-negative numeric series with per-track non-decreasing timestamps,
-/// and cumulative `element-hops` tracks never decrease. Scheduler-profiler
-/// extensions (see [`super::sched`]): `X` spans with `cat` `"sched"` must
-/// sit on a previously declared `worker <i>` thread track and keep
-/// per-track timestamps non-decreasing (node-track phase spans are emitted
-/// in close order, so the rule is scoped to worker tracks), and `"steal"`
-/// flow endpoints must resolve to declared worker tracks. Malformed input
-/// returns an error naming the offending event index — it never panics —
-/// so the CLI's `trace-check` can report *which* event is broken.
-pub fn validate_chrome_trace(doc: &Json) -> Result<TraceCheck, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'traceEvents' array")?;
+/// Structurally validates a Chrome-trace export read from `source`: every
+/// flow start carries an integer `id` and a `ts`, every finish pairs with
+/// an earlier start and respects happens-before, counter samples carry
+/// exactly one non-negative numeric series with per-track non-decreasing
+/// timestamps, and cumulative `element-hops` tracks never decrease.
+/// Scheduler-profiler extensions (see [`super::sched`]): `X` spans with
+/// `cat` `"sched"` must sit on a previously declared `worker <i>` thread
+/// track and keep per-track timestamps non-decreasing (node-track phase
+/// spans are emitted in close order, so the rule is scoped to worker
+/// tracks), and `"steal"` flow endpoints must resolve to declared worker
+/// tracks. Malformed input returns an error naming the offending event
+/// index (bad JSON, its byte offset) — it never panics — so the CLI's
+/// `trace-check` can report *which* event is broken.
+///
+/// It is one streaming pass of the [`super::json`] tokenizer, which checks
+/// the whole document's syntax. The first top-level `traceEvents` member
+/// is the trace; each entry is built into one small [`Json`] and checked
+/// as it is read, so memory follows the longest entry and the tracks the
+/// events declare, not the file.
+pub fn validate_chrome_trace(mut source: impl Read) -> Result<TraceCheck, String> {
+    let mut tok = Tokenizer::from_reader(&mut source);
+    let first = tok.expect_token()?;
+    let mut check = None;
+    if first == Token::BeginObject {
+        let mut seen = false;
+        // anything but a key here is the object's closing `}`
+        while let Token::Key = tok.expect_token()? {
+            // like `Json::get`, the first member of a name wins
+            let events = !seen && tok.text() == "traceEvents";
+            seen |= events;
+            match tok.expect_token()? {
+                Token::BeginArray if events => check = Some(check_events(&mut tok)?),
+                value => tok.skip(value)?,
+            }
+        }
+    } else {
+        tok.skip(first)?;
+    }
+    tok.finish()?;
+    check.ok_or_else(|| "missing 'traceEvents' array".into())
+}
+
+/// Checks the entries of the `traceEvents` array whose `[` the tokenizer
+/// just returned, through its `]`.
+fn check_events(tok: &mut Tokenizer<'_>) -> Result<TraceCheck, String> {
     let mut open: HashMap<u64, f64> = HashMap::new();
     let mut last_sample: HashMap<String, (f64, f64)> = HashMap::new();
     // thread tracks declared so far by "M"/"thread_name" metadata
     let mut track_names: HashMap<(u64, u64), String> = HashMap::new();
     // per worker track: last "sched" span timestamp
     let mut sched_last: HashMap<(u64, u64), f64> = HashMap::new();
-    let (mut spans, mut flows, mut counters) = (0u64, 0u64, 0u64);
-    for (i, e) in events.iter().enumerate() {
+    let (mut events, mut spans, mut flows, mut counters) = (0, 0u64, 0u64, 0u64);
+    loop {
+        let first = tok.expect_token()?;
+        if first == Token::EndArray {
+            break;
+        }
+        let (i, e) = (events, &Json::build(tok, first)?);
+        events += 1;
         let ts_of = |what: &str| {
             e.get("ts")
                 .and_then(Json::as_f64)
@@ -436,7 +470,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<TraceCheck, String> {
         ));
     }
     Ok(TraceCheck {
-        events: events.len(),
+        events,
         spans,
         flows,
         counters,
@@ -448,7 +482,6 @@ mod tests {
     use super::*;
     use crate::address::NodeId;
     use crate::cost::CostModel;
-    use crate::obs::json::Json;
     use crate::sim::{Tag, TraceEvent};
 
     /// The export as text, rendered into a `Vec<u8>`.
@@ -577,8 +610,7 @@ mod tests {
             ],
         };
         let text = render(&obs, &|p| if p == 7 { Some("exchange") } else { None });
-        let doc = Json::parse(&text).expect("valid JSON");
-        let check = validate_chrome_trace(&doc).expect("structurally valid");
+        let check = validate(&text).expect("structurally valid");
         // 2 metadata + 1 span + 2 flows × 2 events + 6 counter samples
         // (2 inbox samples per node, 1 element-hops sample per send)
         assert_eq!(check.events, 2 + 1 + 4 + 6);
@@ -629,45 +661,69 @@ mod tests {
         );
     }
 
+    /// [`validate_chrome_trace`] over a document in memory.
+    fn validate(doc: &str) -> Result<TraceCheck, String> {
+        validate_chrome_trace(doc.as_bytes())
+    }
+
     #[test]
     fn validator_names_the_offending_event() {
         // flow start without an id at index 1
-        let doc = Json::parse(
+        let err = validate(
             r#"{"traceEvents":[{"ph":"X","ts":0,"dur":1},{"ph":"s","ts":0,"id":"nope"}]}"#,
         )
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("missing id");
+        .expect_err("missing id");
         assert!(err.contains("event 1"), "{err}");
         assert!(err.contains("id"), "{err}");
 
         // finish before start
-        let doc = Json::parse(r#"{"traceEvents":[{"ph":"f","ts":0,"id":3}]}"#).unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("unmatched finish");
+        let err = validate(r#"{"traceEvents":[{"ph":"f","ts":0,"id":3}]}"#)
+            .expect_err("unmatched finish");
         assert!(err.contains("event 0") && err.contains("flow 3"), "{err}");
 
         // dangling start
-        let doc = Json::parse(r#"{"traceEvents":[{"ph":"s","ts":0,"id":7}]}"#).unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("dangling start");
+        let err =
+            validate(r#"{"traceEvents":[{"ph":"s","ts":0,"id":7}]}"#).expect_err("dangling start");
         assert!(err.contains("never finished"), "{err}");
 
         // negative counter
-        let doc = Json::parse(
+        let err = validate(
             r#"{"traceEvents":[{"ph":"C","name":"inbox P0","ts":0,"args":{"messages":-1}}]}"#,
         )
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("negative counter");
+        .expect_err("negative counter");
         assert!(err.contains("event 0") && err.contains("negative"), "{err}");
 
         // cumulative counter decreasing
-        let doc = Json::parse(
+        let err = validate(
             r#"{"traceEvents":[{"ph":"C","name":"element-hops P0","ts":0,"args":{"element_hops":5}},{"ph":"C","name":"element-hops P0","ts":1,"args":{"element_hops":4}}]}"#,
         )
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("non-monotone cumulative");
+        .expect_err("non-monotone cumulative");
         assert!(
             err.contains("event 1") && err.contains("decreased"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validator_reads_the_first_trace_events_member() {
+        // other members, before and after, are read for syntax only
+        let check = validate(
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"ph":"X","ts":0,"dur":1}],"x":[{"ph":"f"}],"traceEvents":[{"ph":"f","ts":0,"id":3}]}"#,
+        )
+        .expect("the first traceEvents member is the trace");
+        assert_eq!((check.events, check.spans), (1, 1));
+        for doc in [
+            "[]",
+            "{}",
+            r#"{"traceEvents":{}}"#,
+            r#"{"traceEvents":1,"traceEvents":[]}"#,
+        ] {
+            let err = validate(doc).expect_err(doc);
+            assert!(err.contains("missing 'traceEvents' array"), "{doc}: {err}");
+        }
+        // a syntax error past the trace still fails it, naming its byte
+        let err = validate(r#"{"traceEvents":[],"x":tru}"#).expect_err("bad literal");
+        assert!(err.contains("bad literal at byte 22"), "{err}");
     }
 
     #[test]
@@ -676,50 +732,44 @@ mod tests {
             r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"worker 0"}}"#;
 
         // a well-formed sched track passes
-        let doc = Json::parse(&format!(
+        let doc = format!(
             r#"{{"traceEvents":[{worker0},{{"ph":"X","pid":1,"tid":0,"name":"poll","cat":"sched","ts":1,"dur":2}},{{"ph":"X","pid":1,"tid":0,"name":"barrier","cat":"sched","ts":3,"dur":1}}]}}"#
-        ))
-        .unwrap();
-        assert_eq!(validate_chrome_trace(&doc).expect("valid").spans, 2);
+        );
+        assert_eq!(validate(&doc).expect("valid").spans, 2);
 
         // sched span on an undeclared track
-        let doc = Json::parse(
+        let err = validate(
             r#"{"traceEvents":[{"ph":"X","pid":1,"tid":9,"name":"poll","cat":"sched","ts":0,"dur":1}]}"#,
         )
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("undeclared track");
+        .expect_err("undeclared track");
         assert!(err.contains("undeclared track"), "{err}");
 
         // sched span timestamps must be per-track monotonic
-        let doc = Json::parse(&format!(
+        let doc = format!(
             r#"{{"traceEvents":[{worker0},{{"ph":"X","pid":1,"tid":0,"name":"poll","cat":"sched","ts":5,"dur":1}},{{"ph":"X","pid":1,"tid":0,"name":"poll","cat":"sched","ts":4,"dur":1}}]}}"#
-        ))
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("backward sched ts");
+        );
+        let err = validate(&doc).expect_err("backward sched ts");
         assert!(err.contains("go backward"), "{err}");
 
         // ...but node-track (cat "phase") spans stay exempt
-        let doc = Json::parse(
+        assert!(validate(
             r#"{"traceEvents":[{"ph":"X","pid":0,"tid":0,"name":"a","cat":"phase","ts":5,"dur":1},{"ph":"X","pid":0,"tid":0,"name":"b","cat":"phase","ts":4,"dur":1}]}"#,
         )
-        .unwrap();
-        assert!(validate_chrome_trace(&doc).is_ok());
+        .is_ok());
 
         // steal flows must resolve to declared worker tracks
-        let doc = Json::parse(&format!(
+        let doc = format!(
             r#"{{"traceEvents":[{worker0},{{"ph":"s","pid":1,"tid":3,"id":0,"cat":"steal","ts":1}},{{"ph":"f","pid":1,"tid":0,"id":0,"cat":"steal","ts":1}}]}}"#
-        ))
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("steal from undeclared tid");
+        );
+        let err = validate(&doc).expect_err("steal from undeclared tid");
         assert!(err.contains("steal flow start"), "{err}");
 
         // a steal flow endpoint on a non-worker track is rejected
         let node = r#"{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"node 3"}}"#;
-        let doc = Json::parse(&format!(
+        let doc = format!(
             r#"{{"traceEvents":[{worker0},{node},{{"ph":"s","pid":1,"tid":3,"id":0,"cat":"steal","ts":1}},{{"ph":"f","pid":1,"tid":0,"id":0,"cat":"steal","ts":1}}]}}"#
-        ))
-        .unwrap();
-        let err = validate_chrome_trace(&doc).expect_err("steal from non-worker track");
+        );
+        let err = validate(&doc).expect_err("steal from non-worker track");
         assert!(err.contains("not a worker track"), "{err}");
     }
 }

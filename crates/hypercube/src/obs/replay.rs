@@ -22,17 +22,17 @@
 
 use super::gz::{is_gzip, GzDecoder};
 use super::json::{read_member, EventFields, Json, Token, Tokenizer};
-use super::sink::{NodeSummary, StreamingSink, TraceSink};
+use super::sink::{EndWrite, NodeSummary, StreamingSink, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog};
 use crate::address::{NodeId, MAX_RUN_DIM};
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
 use crate::stats::RunStats;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 
 /// Streams `obs` into `sink` as a run file (see [`run_to_json`]).
-fn write_run<W: Write + Send>(obs: &RunObservation, sink: &mut StreamingSink<W>) {
+fn write_run<W: EndWrite + Send>(obs: &RunObservation, sink: &mut StreamingSink<W>) {
     if let Some(kt) = &obs.key_type {
         sink.set_key_type(kt.clone());
     }
@@ -97,14 +97,13 @@ pub fn run_to_json(obs: &RunObservation) -> String {
 /// Writes `obs` as a run file at `path` — gzip-compressed when the path
 /// ends in `.gz`, plain otherwise — holding none of it in memory: the
 /// records of [`run_to_json`] stream through [`StreamingSink::create`],
-/// the writer `sort --run-out` uses, so a failed write after the file is
-/// created panics as it does there. The write-side counterpart of
-/// [`observation_from_file`].
+/// the writer `sort --run-out` uses, and the first write error, the gzip
+/// trailer's included, is returned once the file is ended. The write-side
+/// counterpart of [`observation_from_file`].
 pub fn write_run_file(obs: &RunObservation, path: &str) -> io::Result<()> {
     let mut sink = StreamingSink::create(path)?;
     write_run(obs, &mut sink);
-    // flushed here; a gzip stream ends when its writer drops
-    sink.into_inner().map(drop)
+    sink.take_error().map_or(Ok(()), Err)
 }
 
 /// Reads a run file from disk — gzip-compressed (written by
@@ -298,7 +297,7 @@ fn read_run_file(mut tok: Tokenizer<'_>) -> Result<(Json, Option<Records>), Stri
 /// is the longest route any engine charges), and no counter sum overflows
 /// a `u64`.
 pub fn observation_from_json(text: &str) -> Result<RunObservation, String> {
-    read_observation(Tokenizer::new(text))
+    read_observation(Tokenizer::from_reader(&mut text.as_bytes()))
 }
 
 /// [`observation_from_json`] over any tokenizer.

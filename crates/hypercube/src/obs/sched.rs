@@ -1022,8 +1022,7 @@ mod tests {
     fn perfetto_export_validates_and_names_workers() {
         let profile = synthetic_profile();
         let text = profile.perfetto_json();
-        let doc = Json::parse(&text).expect("valid JSON");
-        let check = validate_chrome_trace(&doc).expect("structurally valid");
+        let check = validate_chrome_trace(text.as_bytes()).expect("structurally valid");
         assert!(check.spans > 0, "category spans present");
         assert_eq!(check.flows, 1, "one steal flow");
         assert!(check.counters > 0, "runnable counters present");
@@ -1064,7 +1063,7 @@ mod tests {
         assert!(!text.contains("runnable W0"));
         assert!(text.contains("sched_events_dropped"));
         assert!(
-            validate_chrome_trace(&Json::parse(&text).unwrap()).is_ok(),
+            validate_chrome_trace(text.as_bytes()).is_ok(),
             "truncated export still validates"
         );
     }

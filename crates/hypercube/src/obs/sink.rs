@@ -130,20 +130,48 @@ fn render_footer(out: &mut String, nodes: &[NodeSummary]) {
     out.push_str("\n]}\n");
 }
 
+/// A writer a [`StreamingSink`] ends once the footer is written: flushed,
+/// and a gzip member closed by its trailer, whose write error would be
+/// lost in a `Drop`.
+pub trait EndWrite: Write {
+    /// Writes out everything buffered and ends the stream.
+    fn end(&mut self) -> io::Result<()> {
+        self.flush()
+    }
+}
+
+impl EndWrite for Vec<u8> {}
+impl EndWrite for BufWriter<File> {}
+
+impl<W: Write> EndWrite for GzEncoder<W> {
+    fn end(&mut self) -> io::Result<()> {
+        self.finish_stream()
+    }
+}
+
+impl EndWrite for Box<dyn EndWrite + Send> {
+    fn end(&mut self) -> io::Result<()> {
+        (**self).end()
+    }
+}
+
 /// Incremental sink: each record is serialized and handed to the writer
-/// immediately, so memory stays O(1) in the trace length. I/O errors
-/// panic (engines have no error channel mid-run); the writer is flushed
-/// on `finish`.
-pub struct StreamingSink<W: Write + Send> {
+/// immediately, so memory stays O(1) in the trace length; the writer is
+/// ended on `finish`. Engines have no error channel mid-run, so the first
+/// I/O error is kept, nothing is written after it, and the sink's owner
+/// takes it ([`take_error`](Self::take_error)) once the run is over.
+pub struct StreamingSink<W: EndWrite + Send> {
     writer: W,
     buf: String,
     /// Events and span boundaries written so far.
     records: u64,
     began: bool,
     key_type: Option<String>,
+    /// The first write error.
+    error: Option<io::Error>,
 }
 
-impl<W: Write + Send> StreamingSink<W> {
+impl<W: EndWrite + Send> StreamingSink<W> {
     /// Wraps a writer. Callers streaming to disk should hand in a
     /// buffered writer (or use [`StreamingSink::create`]).
     pub fn new(writer: W) -> Self {
@@ -153,6 +181,7 @@ impl<W: Write + Send> StreamingSink<W> {
             records: 0,
             began: false,
             key_type: None,
+            error: None,
         }
     }
 
@@ -167,10 +196,17 @@ impl<W: Write + Send> StreamingSink<W> {
         self.key_type = Some(key_type.into());
     }
 
-    /// Flushes and returns the underlying writer.
+    /// Flushes and returns the underlying writer, or the first write
+    /// error.
     pub fn into_inner(mut self) -> io::Result<W> {
+        self.take_error().map_or(Ok(()), Err)?;
         self.writer.flush()?;
         Ok(self.writer)
+    }
+
+    /// The first error writing the run, if any, taken out of the sink.
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 
     /// Starts the next record: records live one per line, comma-joined.
@@ -183,25 +219,25 @@ impl<W: Write + Send> StreamingSink<W> {
     }
 
     fn emit(&mut self) {
-        self.writer
-            .write_all(self.buf.as_bytes())
-            .expect("trace sink write failed");
+        if self.error.is_none() {
+            self.error = self.writer.write_all(self.buf.as_bytes()).err();
+        }
         self.buf.clear();
     }
 }
 
-impl StreamingSink<Box<dyn Write + Send>> {
+impl StreamingSink<Box<dyn EndWrite + Send>> {
     /// Streams to a freshly created file at `path`. A path ending in
-    /// `.gz` is gzip-compressed on the fly (the [`super::gz`] encoder
-    /// finalizes its stream when the sink is dropped); replay sniffs the
-    /// magic bytes, so compressed and plain run files are interchangeable.
+    /// `.gz` is gzip-compressed on the fly, its member ended by `finish`;
+    /// replay sniffs the magic bytes, so compressed and plain run files
+    /// are interchangeable.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let gz = path
             .as_ref()
             .extension()
             .is_some_and(|e| e.eq_ignore_ascii_case("gz"));
         let file = BufWriter::new(File::create(path)?);
-        let writer: Box<dyn Write + Send> = if gz {
+        let writer: Box<dyn EndWrite + Send> = if gz {
             Box::new(GzEncoder::new(file)?)
         } else {
             Box::new(file)
@@ -210,7 +246,7 @@ impl StreamingSink<Box<dyn Write + Send>> {
     }
 }
 
-impl<W: Write + Send> TraceSink for StreamingSink<W> {
+impl<W: EndWrite + Send> TraceSink for StreamingSink<W> {
     fn begin(&mut self, dim: usize, cost: &CostModel, link_model: LinkModel) {
         assert!(!self.began, "TraceSink reused across runs");
         self.began = true;
@@ -234,7 +270,9 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
         assert!(self.began, "TraceSink finished before begin");
         render_footer(&mut self.buf, nodes);
         self.emit();
-        self.writer.flush().expect("trace sink flush failed");
+        if self.error.is_none() {
+            self.error = self.writer.end().err();
+        }
         metrics::fold(|t| t.sink_events += self.records);
     }
 }
@@ -243,6 +281,7 @@ impl<W: Write + Send> TraceSink for StreamingSink<W> {
 mod tests {
     use super::*;
     use crate::sim::{Tag, TraceKind};
+    use std::io::Read;
 
     fn sample_stream(sink: &mut dyn TraceSink) {
         sink.begin(2, &CostModel::default(), LinkModel::Contended);
@@ -302,6 +341,50 @@ mod tests {
         );
     }
 
+    /// A device with room for `room` more bytes.
+    struct Device {
+        room: usize,
+    }
+
+    impl Write for Device {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.room = self
+                .room
+                .checked_sub(buf.len())
+                .ok_or(io::ErrorKind::StorageFull)?;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl EndWrite for Device {}
+
+    #[test]
+    fn write_errors_are_kept_for_the_owner() {
+        // a plain file: the header does not fit, and nothing panics after
+        let mut sink = StreamingSink::new(Device { room: 10 });
+        sample_stream(&mut sink);
+        let err = sink.take_error().expect("the header did not fit");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        // a gzip member whose last byte does not fit: `finish` writes the
+        // trailer, so its error reaches the sink, not the encoder's `Drop`
+        let mut whole = StreamingSink::new(GzEncoder::new(Vec::new()).unwrap());
+        sample_stream(&mut whole);
+        let len = whole.into_inner().unwrap().finish().unwrap().len();
+        for (room, fits) in [(len, true), (len - 1, false)] {
+            let mut sink = StreamingSink::new(GzEncoder::new(Device { room }).unwrap());
+            sample_stream(&mut sink);
+            assert_eq!(
+                sink.take_error().is_none(),
+                fits,
+                "room for {room} of {len} bytes"
+            );
+        }
+    }
+
     #[test]
     fn gz_run_files_decompress_to_the_plain_bytes() {
         let dir = std::env::temp_dir().join(format!("sink_gz_test_{}", std::process::id()));
@@ -319,7 +402,11 @@ mod tests {
         let packed = std::fs::read(&path).expect("read");
         assert!(super::super::gz::is_gzip(&packed));
         assert!(packed.len() < expect.len());
-        assert_eq!(super::super::gz::gunzip(&packed).expect("gunzip"), expect);
+        let mut inflated = Vec::new();
+        super::super::gz::GzDecoder::new(&packed[..])
+            .read_to_end(&mut inflated)
+            .expect("inflates");
+        assert_eq!(inflated, expect);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

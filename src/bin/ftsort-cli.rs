@@ -54,8 +54,9 @@
 //! structured JSON-lines logger ([`hypercube::obs::log`]). Both observe
 //! the host only — sorted output, reports and run files stay
 //! byte-identical with telemetry on or off.
-//! `trace-check` re-parses the exports and validates trace invariants
-//! (used by CI as an end-to-end check of the observability pipeline);
+//! `trace-check` re-reads the exports and validates trace invariants
+//! (used by CI as an end-to-end check of the observability pipeline),
+//! streaming the trace so its memory does not grow with the file;
 //! `--prom` validates a metrics snapshot (family declarations, duplicate
 //! series, histogram bucket monotonicity).
 //! `replay` rebuilds the full observation from a run file offline — the
@@ -475,7 +476,6 @@ fn trace_diff_cmd(args: &Args) -> Result<(), String> {
 /// sample declared by a `# TYPE` family, no duplicate series, histogram
 /// buckets cumulative with a `+Inf` bucket matching `_count`.
 fn trace_check_cmd(args: &Args) -> Result<(), String> {
-    use hypercube::obs::json::Json;
     let (trace, metrics, prom) = (
         args.path("--trace"),
         args.path("--metrics"),
@@ -486,9 +486,8 @@ fn trace_check_cmd(args: &Args) -> Result<(), String> {
     }
     args.finish();
     if let Some(path) = &trace {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        let check = hypercube::obs::perfetto::validate_chrome_trace(&doc)
+        let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let check = hypercube::obs::perfetto::validate_chrome_trace(file)
             .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: ok ({} events, {} spans, {} flows, {} counters)",

@@ -1,5 +1,6 @@
 //! Integration tests of the `ftsort-cli` binary.
 
+use std::io::Read;
 use std::process::Command;
 
 fn cli() -> Command {
@@ -870,7 +871,10 @@ fn sort_metrics_report_carries_pool_stats() {
         assert_eq!(sample("ftsort_pool_slab_high_water"), high_water, "{name}");
 
         let packed = std::fs::read(&run).expect("run file written");
-        let inflated = hypercube::obs::gz::gunzip(&packed).expect("run file inflates");
+        let mut inflated = Vec::new();
+        hypercube::obs::gz::GzDecoder::new(&packed[..])
+            .read_to_end(&mut inflated)
+            .expect("run file inflates");
         let doc = hypercube::obs::json::Json::parse(std::str::from_utf8(&inflated).unwrap())
             .expect("run file parses");
         let records = doc.get("events").and_then(|v| v.as_arr()).expect("events");
@@ -1117,4 +1121,79 @@ fn a_closed_stdout_ends_the_cli_quietly() {
             );
         }
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn writers_fail_with_an_error_not_a_panic() {
+    // Every output flag of `sort` and `replay`, and the campaign's run
+    // captures, against a full device: exit 1 naming the path, never a
+    // panic (exit 101) or a silent success. A gzip run file is ended last
+    // by its trailer, so a `.gz` symlink to the device checks that the
+    // trailer's error is kept too.
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("ftsort_cli_full_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let gz = dir.join("x.jsonl.gz");
+    let _ = std::fs::remove_file(&gz);
+    std::os::unix::fs::symlink(full, &gz).expect("symlink");
+    let run = dir.join("run.jsonl");
+    let sort = ["sort", "--n", "4", "--faults", "2", "--m", "500"];
+    let made = cli()
+        .args(sort)
+        .arg("--run-out")
+        .arg(&run)
+        .output()
+        .expect("binary runs");
+    assert!(made.status.success(), "{made:?}");
+    let (gz, run) = (gz.to_str().unwrap(), run.to_str().unwrap());
+    let replay = ["replay", "--trace", run];
+    let mut cases: Vec<Vec<&str>> = [
+        "--trace-out",
+        "--metrics-out",
+        "--run-out",
+        "--sched-out",
+        "--metrics-snapshot",
+        "--log-out",
+    ]
+    .iter()
+    .map(|&flag| [&sort[..], &[flag, "/dev/full"]].concat())
+    .collect();
+    cases.push([&sort[..], &["--run-out", gz]].concat());
+    for flag in ["--run-out", "--metrics-out", "--trace-out"] {
+        cases.push([&replay[..], &[flag, "/dev/full"]].concat());
+    }
+    cases.push([&replay[..], &["--run-out", gz]].concat());
+    let fails = |cmd: &mut Command, what: &str| {
+        let out = cmd.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains("error: writing"), "{what}: {stderr}");
+    };
+    for args in &cases {
+        fails(cli().args(args), &format!("{args:?}"));
+    }
+    // the campaign's captured run files, once they point at the device
+    let capture = dir.join("capture");
+    let campaign = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_ftsort-campaign"));
+        cmd.args(["--sizes", "4", "--runs", "4", "--m", "64", "--jobs", "1"])
+            .arg("--capture-dir")
+            .arg(&capture);
+        cmd
+    };
+    assert!(campaign().output().expect("binary runs").status.success());
+    for entry in std::fs::read_dir(&capture).expect("captures") {
+        let path = entry.expect("entry").path();
+        if path.to_string_lossy().ends_with(".jsonl.gz") {
+            std::fs::remove_file(&path).expect("remove");
+            std::os::unix::fs::symlink(full, &path).expect("symlink");
+        }
+    }
+    fails(&mut campaign(), "ftsort-campaign --capture-dir");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,8 @@
 //!   and a Perfetto trace, without a 1 MiB allocation.
 //! * **Long files.** A file's length sizes no buffer: 4 MiB of whitespace
 //!   between two records, plain or gzipped, reads without a 1 MiB
-//!   allocation.
+//!   allocation, and so does a Chrome trace with 4 MiB of whitespace
+//!   between two events.
 //!
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
@@ -29,7 +30,7 @@ use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::GzEncoder;
 use hypercube::obs::json::{write_str, Json};
-use hypercube::obs::perfetto::write_perfetto;
+use hypercube::obs::perfetto::{validate_chrome_trace, write_perfetto};
 use hypercube::obs::replay::{observation_from_file, observation_from_json, run_to_json};
 use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::sim::{EngineKind, LinkModel};
@@ -341,6 +342,29 @@ fn a_files_length_sizes_no_buffer() {
             "{what}: the reader asked for a {largest}-byte block"
         );
     }
+
+    // the same between the first two events of the run's Chrome trace
+    let mut trace = Vec::new();
+    let obs = observation_from_json(std::str::from_utf8(&plain).unwrap()).unwrap();
+    write_perfetto(&obs, &phase_name, &mut trace).expect("writing to a Vec");
+    let want = validate_chrome_trace(&trace[..]).expect("the trace validates");
+    let cut = trace
+        .windows(2)
+        .position(|w| w == b"},")
+        .expect("two events")
+        + 2;
+    let mut padded = trace[..cut].to_vec();
+    padded.extend(b" \n\t\r".iter().cycle().take(4 << 20));
+    padded.extend_from_slice(&trace[cut..]);
+    std::fs::write(&path, padded).expect("write");
+    LARGEST.with(|l| l.set(0));
+    let check = validate_chrome_trace(std::fs::File::open(&path).expect("open"));
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(check, Ok(want));
+    assert!(
+        largest < 1 << 20,
+        "trace: the validator asked for a {largest}-byte block"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

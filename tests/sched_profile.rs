@@ -30,7 +30,6 @@
 use ftsort::bitonic::Protocol;
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
-use hypercube::obs::json::Json;
 use hypercube::obs::perfetto::validate_chrome_trace;
 use hypercube::obs::sched::{SchedProfile, SchedProfiler, SchedReport};
 use hypercube::obs::sink::{StreamingSink, TraceSink};
@@ -245,8 +244,7 @@ fn sched_perfetto_validates_and_rejects_corruption() {
     let (profile, _) = profiled_run(&plan, data, &par_config(4));
     let trace = profile.perfetto_json();
 
-    let doc = Json::parse(&trace).expect("sched perfetto export is valid JSON");
-    let check = validate_chrome_trace(&doc).expect("sched perfetto export validates");
+    let check = validate_chrome_trace(trace.as_bytes()).expect("sched perfetto export validates");
     assert!(check.spans > 0, "export has no worker spans");
     assert!(check.events > 0);
 
@@ -259,8 +257,8 @@ fn sched_perfetto_validates_and_rejects_corruption() {
         tail,
         ",{\"ph\":\"s\",\"pid\":1,\"tid\":9999,\"id\":777777,\"cat\":\"steal\",\"ts\":1}",
     );
-    let doc = Json::parse(&corrupted).expect("corrupted trace is still JSON");
-    let err = validate_chrome_trace(&doc).expect_err("corrupted trace must be rejected");
+    let err =
+        validate_chrome_trace(corrupted.as_bytes()).expect_err("corrupted trace must be rejected");
     assert!(
         err.contains("track") || err.contains("never finished"),
         "unexpected rejection reason: {err}"
