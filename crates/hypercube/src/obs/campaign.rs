@@ -752,6 +752,6 @@ mod tests {
             prom.contains("ftsort_campaign_makespan_us_n7_r1_count 0"),
             "{prom}"
         );
-        validate_prom(&prom).expect("valid exposition");
+        validate_prom(prom.as_bytes()).expect("valid exposition");
     }
 }

@@ -46,8 +46,14 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected, nesting capped at [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut bytes = text.as_bytes();
-        let mut tok = Tokenizer::from_reader(&mut bytes);
+        Json::read(text.as_bytes())
+    }
+
+    /// [`parse`](Self::parse) for a document read from `source` as it
+    /// goes: memory follows the tree and the longest token, not the
+    /// document's length.
+    pub fn read(mut source: impl Read) -> Result<Json, String> {
+        let mut tok = Tokenizer::from_reader(&mut source);
         let first = tok.expect_token()?;
         let value = Json::build(&mut tok, first)?;
         tok.finish()?;

@@ -27,7 +27,9 @@
 //! byte-identical with metrics enabled or disabled.
 
 use super::hist::{LogHistogram, BUCKETS};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::io::BufRead;
 use std::sync::{Mutex, OnceLock};
 
 /// A histogram family's totals in [`LogHistogram`]'s bucket layout
@@ -269,7 +271,14 @@ pub struct PromCheck {
 /// non-negative, histogram bucket counts must be cumulative
 /// (non-decreasing over strictly increasing `le` bounds) and end in a
 /// `+Inf` bucket that equals `_count`.
-pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
+///
+/// It reads one line at a time into one buffer, so memory follows the
+/// longest line and the distinct series, not the input; it looks series
+/// and families up by hash, so time is linear in the input; and an error
+/// quotes at most 64 bytes of any input. A caller holding the text passes
+/// `text.as_bytes()`.
+pub fn validate_prom(mut input: impl BufRead) -> Result<PromCheck, String> {
+    #[derive(Default)]
     struct HistState {
         last_le: Option<f64>,
         last_count: u64,
@@ -277,21 +286,28 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
         count: Option<u64>,
         has_sum: bool,
     }
-    let mut types: Vec<(String, String)> = Vec::new(); // (name, kind)
-    let mut seen_series: Vec<String> = Vec::new();
+    const KINDS: [&str; 5] = ["counter", "gauge", "histogram", "summary", "untyped"];
+    let mut kinds: HashMap<String, &str> = HashMap::new();
+    let mut seen_series: HashSet<String> = HashSet::new();
+    // In declaration order, so the end-of-input checks name the first
+    // declared family first; `hist_at` finds one by name.
     let mut hists: Vec<(String, HistState)> = Vec::new();
+    let mut hist_at: HashMap<String, usize> = HashMap::new();
     let mut samples = 0usize;
+    let mut buf = Vec::new();
 
-    let kind_of = |types: &[(String, String)], name: &str| -> Option<String> {
-        types
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, k)| k.clone())
-    };
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim_end_matches('\r');
-        let err = |msg: String| format!("line {}: {msg}", lineno + 1);
+    for lineno in 1usize.. {
+        let err = |msg: String| format!("line {lineno}: {msg}");
+        buf.clear();
+        if input
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| err(e.to_string()))?
+            == 0
+        {
+            break;
+        }
+        let raw = std::str::from_utf8(&buf).map_err(|_| err("not valid UTF-8".into()))?;
+        let line = raw.strip_suffix('\n').unwrap_or(raw).trim_end_matches('\r');
         if line.is_empty() {
             continue;
         }
@@ -302,30 +318,19 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
                 .next()
                 .ok_or_else(|| err("# TYPE without kind".into()))?;
             if !valid_name(name) {
-                return Err(err(format!("invalid family name '{name}'")));
+                return Err(err(format!("invalid family name '{}'", Quote(name))));
             }
-            if !matches!(
-                kind,
-                "counter" | "gauge" | "histogram" | "summary" | "untyped"
-            ) {
-                return Err(err(format!("unknown family kind '{kind}'")));
-            }
-            if types.iter().any(|(n, _)| n == name) {
-                return Err(err(format!("family '{name}' declared twice")));
+            let Some(&kind) = KINDS.iter().find(|&&k| k == kind) else {
+                return Err(err(format!("unknown family kind '{}'", Quote(kind))));
+            };
+            if kinds.contains_key(name) {
+                return Err(err(format!("family '{}' declared twice", Quote(name))));
             }
             if kind == "histogram" {
-                hists.push((
-                    name.to_string(),
-                    HistState {
-                        last_le: None,
-                        last_count: 0,
-                        inf: None,
-                        count: None,
-                        has_sum: false,
-                    },
-                ));
+                hist_at.insert(name.to_string(), hists.len());
+                hists.push((name.to_string(), HistState::default()));
             }
-            types.push((name.to_string(), kind.to_string()));
+            kinds.insert(name.to_string(), kind);
             continue;
         }
         if line.starts_with('#') {
@@ -334,30 +339,33 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
 
         // A sample: name[{labels}] value
         let (name, labels, value) = parse_sample(line).map_err(&err)?;
-        if !valid_name(&name) {
-            return Err(err(format!("invalid metric name '{name}'")));
+        if !valid_name(name) {
+            return Err(err(format!("invalid metric name '{}'", Quote(name))));
         }
         let series_key = format!("{name}{{{labels}}}");
         if seen_series.contains(&series_key) {
-            return Err(err(format!("duplicate series '{series_key}'")));
+            return Err(err(format!("duplicate series '{}'", Quote(&series_key))));
         }
-        seen_series.push(series_key);
+        seen_series.insert(series_key);
         samples += 1;
 
-        if let Some(kind) = kind_of(&types, &name) {
-            match kind.as_str() {
+        if let Some(&kind) = kinds.get(name) {
+            match kind {
                 "counter" => {
                     if !(value.is_finite() && value >= 0.0) {
-                        return Err(err(format!("counter '{name}' has value {value}")));
+                        return Err(err(format!("counter '{}' has value {value}", Quote(name))));
                     }
                 }
                 "gauge" | "untyped" => {
                     if !value.is_finite() {
-                        return Err(err(format!("gauge '{name}' has non-finite value")));
+                        return Err(err(format!("gauge '{}' has non-finite value", Quote(name))));
                     }
                 }
                 other => {
-                    return Err(err(format!("bare sample for '{name}' declared as {other}")));
+                    return Err(err(format!(
+                        "bare sample for '{}' declared as {other}",
+                        Quote(name)
+                    )));
                 }
             }
             continue;
@@ -370,35 +378,38 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
         } else if let Some(b) = name.strip_suffix("_count") {
             (b, "count")
         } else {
-            return Err(err(format!("sample for undeclared family '{name}'")));
+            return Err(err(format!(
+                "sample for undeclared family '{}'",
+                Quote(name)
+            )));
         };
-        if kind_of(&types, base).as_deref() != Some("histogram") {
-            return Err(err(format!("sample for undeclared family '{name}'")));
-        }
-        let state = &mut hists
-            .iter_mut()
-            .find(|(n, _)| n == base)
-            .expect("histogram state registered with its TYPE")
-            .1;
+        let Some(&at) = hist_at.get(base) else {
+            return Err(err(format!(
+                "sample for undeclared family '{}'",
+                Quote(name)
+            )));
+        };
+        let state = &mut hists[at].1;
         match part {
             "bucket" => {
-                let le = parse_labels(&labels)
+                let le = parse_labels(labels)
                     .map_err(&err)?
                     .into_iter()
                     .find(|(k, _)| k == "le")
                     .map(|(_, v)| v)
-                    .ok_or_else(|| err(format!("'{name}' bucket without le label")))?;
+                    .ok_or_else(|| err(format!("'{}' bucket without le label", Quote(name))))?;
                 let count = value as u64;
                 if value < 0.0 || value.fract() != 0.0 {
                     return Err(err(format!("bucket count {value} is not a whole number")));
                 }
                 if le == "+Inf" {
                     if state.inf.is_some() {
-                        return Err(err(format!("'{base}' has two +Inf buckets")));
+                        return Err(err(format!("'{}' has two +Inf buckets", Quote(base))));
                     }
                     if count < state.last_count {
                         return Err(err(format!(
-                            "'{base}' +Inf bucket {count} below previous bucket {}",
+                            "'{}' +Inf bucket {count} below previous bucket {}",
+                            Quote(base),
                             state.last_count
                         )));
                     }
@@ -406,20 +417,22 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
                 } else {
                     let bound: f64 = le
                         .parse()
-                        .map_err(|_| err(format!("bad le bound '{le}'")))?;
+                        .map_err(|_| err(format!("bad le bound '{}'", Quote(&le))))?;
                     if state.inf.is_some() {
-                        return Err(err(format!("'{base}' bucket after +Inf")));
+                        return Err(err(format!("'{}' bucket after +Inf", Quote(base))));
                     }
                     if let Some(prev) = state.last_le {
                         if bound <= prev {
                             return Err(err(format!(
-                                "'{base}' le bounds not increasing ({prev} then {bound})"
+                                "'{}' le bounds not increasing ({prev} then {bound})",
+                                Quote(base)
                             )));
                         }
                     }
                     if count < state.last_count {
                         return Err(err(format!(
-                            "'{base}' bucket counts not monotone ({} then {count})",
+                            "'{}' bucket counts not monotone ({} then {count})",
+                            Quote(base),
                             state.last_count
                         )));
                     }
@@ -439,6 +452,7 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
     }
 
     for (name, state) in &hists {
+        let name = Quote(name);
         let inf = state
             .inf
             .ok_or_else(|| format!("histogram '{name}' has no +Inf bucket"))?;
@@ -456,35 +470,52 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
     }
 
     Ok(PromCheck {
-        families: types.len(),
+        families: kinds.len(),
         series: seen_series.len(),
         samples,
     })
 }
 
+/// The most bytes of input a [`validate_prom`] error quotes.
+const QUOTE_BYTES: usize = 64;
+
+/// Input quoted in an error: its first [`QUOTE_BYTES`] (cut at a character
+/// boundary), then `…` if it went on.
+struct Quote<'a>(&'a str);
+
+impl std::fmt::Display for Quote<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.0;
+        if s.len() <= QUOTE_BYTES {
+            return f.write_str(s);
+        }
+        let mut end = QUOTE_BYTES;
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        write!(f, "{}…", &s[..end])
+    }
+}
+
 /// Splits a sample line into `(name, raw label body, value)`.
-fn parse_sample(line: &str) -> Result<(String, String, f64), String> {
+fn parse_sample(line: &str) -> Result<(&str, &str, f64), String> {
     if let Some(open) = line.find('{') {
         let close = line
             .rfind('}')
             .filter(|&c| c > open)
-            .ok_or_else(|| format!("unterminated label set in '{line}'"))?;
+            .ok_or_else(|| format!("unterminated label set in '{}'", Quote(line)))?;
         let value = line[close + 1..].trim();
         if value.is_empty() {
-            return Err(format!("sample '{line}' has no value"));
+            return Err(format!("sample '{}' has no value", Quote(line)));
         }
-        return Ok((
-            line[..open].to_string(),
-            line[open + 1..close].to_string(),
-            parse_value(value)?,
-        ));
+        return Ok((&line[..open], &line[open + 1..close], parse_value(value)?));
     }
     let mut parts = line.splitn(2, ' ');
     let name = parts.next().unwrap_or_default();
     let value = parts
         .next()
-        .ok_or_else(|| format!("sample '{line}' has no value"))?;
-    Ok((name.to_string(), String::new(), parse_value(value.trim())?))
+        .ok_or_else(|| format!("sample '{}' has no value", Quote(line)))?;
+    Ok((name, "", parse_value(value.trim())?))
 }
 
 fn parse_value(s: &str) -> Result<f64, String> {
@@ -495,7 +526,7 @@ fn parse_value(s: &str) -> Result<f64, String> {
         _ => s
             .trim()
             .parse()
-            .map_err(|_| format!("bad sample value '{s}'")),
+            .map_err(|_| format!("bad sample value '{}'", Quote(s))),
     }
 }
 
@@ -513,10 +544,10 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
             key.push(c);
         }
         if key.is_empty() {
-            return Err(format!("empty label name in '{body}'"));
+            return Err(format!("empty label name in '{}'", Quote(body)));
         }
         if chars.next() != Some('"') {
-            return Err(format!("label '{key}' value is not quoted"));
+            return Err(format!("label '{}' value is not quoted", Quote(&key)));
         }
         let mut value = String::new();
         loop {
@@ -525,11 +556,11 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
                     Some('"') => value.push('"'),
                     Some('\\') => value.push('\\'),
                     Some('n') => value.push('\n'),
-                    _ => return Err(format!("bad escape in label '{key}'")),
+                    _ => return Err(format!("bad escape in label '{}'", Quote(&key))),
                 },
                 Some('"') => break,
                 Some(c) => value.push(c),
-                None => return Err(format!("unterminated label value for '{key}'")),
+                None => return Err(format!("unterminated label value for '{}'", Quote(&key))),
             }
         }
         pairs.push((key, value));
@@ -585,7 +616,7 @@ mod tests {
             text,
             include_str!("../../tests/fixtures/metrics_snapshot.prom")
         );
-        let check = validate_prom(&text).expect("pinned snapshot validates");
+        let check = validate_prom(text.as_bytes()).expect("pinned snapshot validates");
         assert_eq!(check.families, 19);
     }
 
@@ -644,7 +675,7 @@ mod tests {
         assert!(text.contains("ftsort_msg_elements_bucket{le=\"+Inf\"} 5"));
         assert!(text.contains("ftsort_msg_elements_sum 706"));
         assert!(text.contains("ftsort_msg_elements_count 5"));
-        let check = validate_prom(&text).expect("self-rendered snapshot validates");
+        let check = validate_prom(text.as_bytes()).expect("self-rendered snapshot validates");
         assert_eq!(check.families, 16);
         assert!(check.samples >= 5);
     }
@@ -654,41 +685,130 @@ mod tests {
         let text = Totals::default().render_prom();
         assert!(text.contains("ftsort_msg_elements_bucket{le=\"0\"} 0\n"));
         assert!(text.contains("ftsort_msg_elements_bucket{le=\"+Inf\"} 0"));
-        validate_prom(&text).expect("empty histogram validates");
+        validate_prom(text.as_bytes()).expect("empty histogram validates");
     }
 
     #[test]
     fn validator_rejects_malformed_snapshots() {
-        // sample for an undeclared family
-        assert!(validate_prom("nope 1\n").is_err());
-        // duplicate family declaration
-        assert!(validate_prom("# TYPE a counter\n# TYPE a counter\na_total 1\n").is_err());
-        // duplicate series
-        let dup = "# TYPE a_total counter\na_total 1\na_total 2\n";
-        assert!(validate_prom(dup).unwrap_err().contains("duplicate series"));
-        // negative counter
-        assert!(validate_prom("# TYPE a_total counter\na_total -1\n").is_err());
-        // missing value
-        assert!(validate_prom("# TYPE a_total counter\na_total\n").is_err());
-        // non-monotone histogram buckets
-        let bad_hist = "# TYPE h histogram\n\
-             h_bucket{le=\"1\"} 5\nh_bucket{le=\"3\"} 2\n\
-             h_bucket{le=\"+Inf\"} 5\nh_sum 9\nh_count 5\n";
-        assert!(validate_prom(bad_hist).unwrap_err().contains("monotone"));
-        // le bounds must increase
-        let bad_le = "# TYPE h histogram\n\
-             h_bucket{le=\"3\"} 1\nh_bucket{le=\"1\"} 2\n\
-             h_bucket{le=\"+Inf\"} 2\nh_sum 4\nh_count 2\n";
-        assert!(validate_prom(bad_le).unwrap_err().contains("increasing"));
-        // +Inf bucket must equal _count
-        let bad_inf = "# TYPE h histogram\n\
-             h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 3\n";
-        assert!(validate_prom(bad_inf).unwrap_err().contains("+Inf"));
-        // histogram without +Inf
-        let no_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n";
-        assert!(validate_prom(no_inf).unwrap_err().contains("+Inf"));
-        // unterminated label set
-        assert!(validate_prom("# TYPE h histogram\nh_bucket{le=\"1\" 1\n").is_err());
+        let cases = [
+            // sample for an undeclared family
+            ("nope 1\n", "line 1: sample for undeclared family 'nope'"),
+            // duplicate family declaration
+            (
+                "# TYPE a counter\n# TYPE a counter\na_total 1\n",
+                "line 2: family 'a' declared twice",
+            ),
+            // duplicate series
+            (
+                "# TYPE a_total counter\na_total 1\na_total 2\n",
+                "line 3: duplicate series 'a_total{}'",
+            ),
+            // negative counter
+            (
+                "# TYPE a_total counter\na_total -1\n",
+                "line 2: counter 'a_total' has value -1",
+            ),
+            // missing value
+            (
+                "# TYPE a_total counter\na_total\n",
+                "line 2: sample 'a_total' has no value",
+            ),
+            // non-monotone histogram buckets
+            (
+                "# TYPE h histogram\n\
+                 h_bucket{le=\"1\"} 5\nh_bucket{le=\"3\"} 2\n\
+                 h_bucket{le=\"+Inf\"} 5\nh_sum 9\nh_count 5\n",
+                "line 3: 'h' bucket counts not monotone (5 then 2)",
+            ),
+            // le bounds must increase
+            (
+                "# TYPE h histogram\n\
+                 h_bucket{le=\"3\"} 1\nh_bucket{le=\"1\"} 2\n\
+                 h_bucket{le=\"+Inf\"} 2\nh_sum 4\nh_count 2\n",
+                "line 3: 'h' le bounds not increasing (3 then 1)",
+            ),
+            // +Inf bucket must equal _count
+            (
+                "# TYPE h histogram\n\
+                 h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 3\n",
+                "histogram 'h': +Inf bucket 1 != _count 3",
+            ),
+            // histogram without +Inf
+            (
+                "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+                "histogram 'h' has no +Inf bucket",
+            ),
+            // unterminated label set
+            (
+                "# TYPE h histogram\nh_bucket{le=\"1\" 1\n",
+                "line 2: unterminated label set in 'h_bucket{le=\"1\" 1'",
+            ),
+            // the first declared histogram is named first
+            (
+                "# TYPE b histogram\n# TYPE a histogram\n",
+                "histogram 'b' has no +Inf bucket",
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(validate_prom(text.as_bytes()), Err(want.into()), "{text}");
+        }
+    }
+
+    /// Runs `validate_prom` on `text` on its own thread; a validation still
+    /// going after `secs` fails the test instead of stalling the suite.
+    fn validate_within(text: String, secs: u64) -> Result<PromCheck, String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(validate_prom(text.as_bytes()));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("validation did not finish in time")
+    }
+
+    #[test]
+    fn distinct_series_validate_in_linear_time() {
+        // A validator that scans the series it has seen takes minutes here.
+        let mut text = String::from("# TYPE g gauge\n");
+        for i in 0..100_000 {
+            writeln!(text, "g{{i=\"{i}\"}} {i}").unwrap();
+        }
+        let check = validate_within(text, 10);
+        assert_eq!(
+            check,
+            Ok(PromCheck {
+                families: 1,
+                series: 100_000,
+                samples: 100_000
+            })
+        );
+    }
+
+    #[test]
+    fn errors_quote_a_long_line_briefly() {
+        let long = "x".repeat(1 << 20);
+        let cases = [
+            format!("# TYPE g gauge\ng{{i=\"{long}\" 1\n"),
+            format!("# TYPE g gauge\n{long} 1\n"),
+            format!("# TYPE g gauge\ng {long}\n"),
+            format!("# TYPE g gauge\n# TYPE {long}- gauge\n"),
+            format!("# TYPE g gauge\n# TYPE g {long}\n"),
+            format!("# TYPE g histogram\ng_bucket{{le=\"{long}\"}} 1\n"),
+            format!("# TYPE g histogram\ng_bucket{{{long}=1}} 1\n"),
+            format!("# TYPE g gauge\ng{{i=\"{long}\"}} 1\ng{{i=\"{long}\"}} 1\n"),
+        ];
+        for (i, text) in cases.into_iter().enumerate() {
+            let line = if i == 7 { 3 } else { 2 };
+            let err = validate_within(text, 10).expect_err("malformed");
+            assert!(err.len() < 256, "case {i}: {}-byte error", err.len());
+            assert!(
+                err.starts_with(&format!("line {line}: ")),
+                "case {i}: {err}"
+            );
+            assert!(err.contains("xxx…"), "case {i}: {err}");
+        }
+        // an end-of-input error names a long family briefly too
+        let err = validate_within(format!("# TYPE {long} histogram\n"), 10).unwrap_err();
+        assert!(err.len() < 256, "{}-byte error", err.len());
     }
 
     #[test]
@@ -730,7 +850,12 @@ mod tests {
             campaign_makespan_us: Vec::new(),
             ..t
         };
-        assert_eq!(validate_prom(&run_only.render_prom()).unwrap().families, 16);
+        assert_eq!(
+            validate_prom(run_only.render_prom().as_bytes())
+                .unwrap()
+                .families,
+            16
+        );
     }
 
     #[test]
@@ -747,6 +872,6 @@ mod tests {
             "folds reach the installed totals"
         );
         let text = snapshot().expect("installed above");
-        validate_prom(&text).expect("the process snapshot validates");
+        validate_prom(text.as_bytes()).expect("the process snapshot validates");
     }
 }

@@ -17,8 +17,9 @@
 //! detour under the total-fault model costs more virtual time than the
 //! same message under partial faults.
 
-use super::frontier::{build_cells, collect_run, NodeCell, PendOnce, SharedCell, SimMessage};
+use super::frontier::{build_cells, collect_run, NodeCell, PendOnce, SimMessage};
 use super::trace::TraceKind;
+use super::ws::ShardSlot;
 use super::{par, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::CostModel;
@@ -28,7 +29,8 @@ use crate::obs::sink::TraceSink;
 use crate::obs::RunObservation;
 use crate::routing;
 use crate::topology::Hypercube;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::ptr::NonNull;
+use std::sync::{Arc, Mutex};
 
 /// Which routing algorithm the simulated machine charges hops with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -72,19 +74,22 @@ fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
 /// The handle a node program runs against: its address and machine, its
 /// messages, and the accounting of its clock, counters and spans.
 ///
-/// Created only by the executor, over the node's own frontier cell; every
-/// operation acts on that cell, so node programs of one round never
-/// contend. [`recv`](Self::recv) (and anything built on it) is `async`: a
-/// receive whose message has not been delivered suspends the node program,
-/// and the executor resumes it after the round barrier that delivers the
-/// message.
+/// Created only by the executor, over the node's own slot in the run's
+/// slab of frontier cells. Every operation acts on that cell alone, and
+/// only while the node is being polled, so node programs of one round
+/// never contend and no cell needs a lock. [`recv`](Self::recv) (and
+/// anything built on it) is `async`: a receive whose message has not been
+/// delivered suspends the node program, and the executor resumes it after
+/// the round barrier that delivers the message.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
     faults: Arc<FaultSet>,
     cost: CostModel,
     router: RouterKind,
-    cell: SharedCell<K>,
+    /// The node's slot in the slab `Engine::run` owns, which outlives this
+    /// context: `par::run` drops every task before it returns.
+    cell: NonNull<ShardSlot<NodeCell<K>>>,
     /// Which addresses run a program — the send-side assert checks it.
     participation: Arc<Vec<bool>>,
 }
@@ -94,7 +99,7 @@ impl<K> NodeCtx<K> {
     pub(super) fn new(
         engine: &Engine,
         me: usize,
-        cells: &[SharedCell<K>],
+        cells: &[ShardSlot<NodeCell<K>>],
         participation: &Arc<Vec<bool>>,
     ) -> Self {
         NodeCtx {
@@ -103,13 +108,16 @@ impl<K> NodeCtx<K> {
             faults: Arc::clone(&engine.faults),
             cost: engine.cost,
             router: engine.router,
-            cell: Arc::clone(&cells[me]),
+            cell: NonNull::from(&cells[me]),
             participation: Arc::clone(participation),
         }
     }
 
-    fn cell(&self) -> MutexGuard<'_, NodeCell<K>> {
-        self.cell.lock().expect("node cell lock poisoned")
+    fn cell(&mut self) -> &mut NodeCell<K> {
+        // SAFETY: the context is reachable only from its node's task, which
+        // runs only while its shard's claimant polls it; no other phase
+        // touches the cell then. The slot outlives the task.
+        unsafe { self.cell.as_ref().get() }
     }
 
     /// This processor's physical address.
@@ -142,15 +150,14 @@ impl<K> NodeCtx<K> {
             self.participation[dst.index()],
             "send to non-participating node {dst:?}"
         );
-        let mut cell = self.cell();
+        let (me, cost) = (self.me, self.cost);
+        let cell = self.cell();
         // The sender's port is busy pushing the elements onto its first link.
-        cell.clock
-            .advance(self.cost.transfer(data.len(), hops.min(1)));
+        cell.clock.advance(cost.transfer(data.len(), hops.min(1)));
         cell.stats.record_message(data.len(), hops);
-        cell.metrics
-            .on_send(self.me, dst, data.len(), hops, &self.cost);
+        cell.metrics.on_send(me, dst, data.len(), hops, &cost);
         cell.emit(
-            self.me,
+            me,
             tag,
             TraceKind::Send {
                 to: dst,
@@ -160,7 +167,7 @@ impl<K> NodeCtx<K> {
         );
         let sent_at = cell.clock.now();
         cell.outbox.push(SimMessage {
-            src: self.me,
+            src: me,
             dst,
             tag,
             data,
@@ -174,9 +181,10 @@ impl<K> NodeCtx<K> {
     /// Receives the message with tag `tag` from `src`, suspending until it
     /// arrives. Messages with other `(src, tag)` pairs are buffered.
     pub async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K> {
+        let (me, cost) = (self.me, self.cost);
         loop {
             {
-                let mut cell = self.cell();
+                let cell = self.cell();
                 if let Some(i) = cell.inbox.iter().position(|m| m.src == src && m.tag == tag) {
                     let msg = cell.inbox.remove(i);
                     cell.waiting = None;
@@ -184,7 +192,7 @@ impl<K> NodeCtx<K> {
                     if msg.arrival.is_nan() {
                         // Uncontended: the receiver prices the wire itself.
                         cell.clock
-                            .receive(msg.sent_at, self.cost.transfer(msg.data.len(), msg.hops));
+                            .receive(msg.sent_at, cost.transfer(msg.data.len(), msg.hops));
                     } else {
                         // Contended: the commit barrier's link ledger already
                         // decided when this message lands.
@@ -195,7 +203,7 @@ impl<K> NodeCtx<K> {
                     cell.metrics.link_wait_us += msg.wait;
                     cell.metrics.msgs_received += 1;
                     cell.emit(
-                        self.me,
+                        me,
                         tag,
                         TraceKind::Recv {
                             from: src,
@@ -234,19 +242,17 @@ impl<K> NodeCtx<K> {
     /// recording a compute event when the run is observed — the only way
     /// a node advances its clock without a message.
     pub fn charge_comparisons(&mut self, count: usize) {
-        let mut cell = self.cell();
-        cell.clock.advance(self.cost.compare(count));
+        let (me, cost) = (self.me, self.cost);
+        let cell = self.cell();
+        cell.clock.advance(cost.compare(count));
         cell.stats.record_comparisons(count);
-        cell.emit(
-            self.me,
-            Tag::new(0),
-            TraceKind::Compute { comparisons: count },
-        );
+        cell.emit(me, Tag::new(0), TraceKind::Compute { comparisons: count });
     }
 
     /// The local virtual clock, µs.
     pub fn clock(&self) -> f64 {
-        self.cell().clock.now()
+        // SAFETY: as in `cell`; the borrow ends within this call.
+        unsafe { self.cell.as_ref().get() }.clock.now()
     }
 }
 
@@ -402,8 +408,8 @@ impl Engine {
                 .expect("trace sink lock poisoned")
                 .begin(dim, &self.cost, self.link_model);
         }
-        let (cells, participation) = build_cells(&inputs, dim, !self.sinks.is_empty());
-        let results = par::run(self, &cells, &participation, inputs, program);
+        let (mut cells, participation) = build_cells(&inputs, dim, !self.sinks.is_empty());
+        let results = par::run(self, &mut cells, &participation, inputs, program);
         let (results, obs) =
             collect_run(cells, results, &self.sinks, dim, self.cost, self.link_model);
         // The run's own per-node totals. Every message sent is delivered
@@ -646,6 +652,47 @@ mod tests {
             });
             assert_eq!(results[1], 30);
         }
+    }
+
+    #[test]
+    fn a_node_receives_what_it_sends_itself() {
+        // A self-send is where the commit could alias the sender's and the
+        // destination's cell: the serial flush must end the sender's
+        // borrow before it delivers, and the bins deliver into the
+        // sender's own shard.
+        let n = 3;
+        let run = |eng: Engine| {
+            let (results, obs) = eng.run(identity_inputs(n), async |ctx, data| {
+                let me = ctx.me();
+                ctx.send(me, Tag::new(1), data);
+                ctx.charge_comparisons(2);
+                let own = ctx.recv(me, Tag::new(1)).await;
+                let theirs = ctx.exchange(me.neighbor(0), Tag::new(2), own.clone()).await;
+                (own[0], theirs[0])
+            });
+            let nodes: Vec<(f64, RunStats, u64)> = obs
+                .nodes
+                .iter()
+                .map(|o| (o.clock, o.stats, o.metrics.inbox_peak))
+                .collect();
+            (results, nodes)
+        };
+        let seq = run(engine(n).with_engine(EngineKind::Seq));
+        let bins = run(engine(n).with_engine(EngineKind::Par).with_workers(2));
+        let trace = Arc::new(Mutex::new(Trace::default()));
+        let flush = run(engine(n)
+            .with_engine(EngineKind::Par)
+            .with_workers(2)
+            .with_trace_sink(trace.clone()));
+        let expected: Vec<(u32, u32)> = (0..8).map(|i| (i, i ^ 1)).collect();
+        assert_eq!(seq.0, expected);
+        assert!(seq.1.iter().all(|&(clock, stats, _)| clock > 0.0
+            && stats.messages == 2
+            && stats.comparisons == 2));
+        assert_eq!(bins, seq, "par@2 on the bins");
+        assert_eq!(flush, seq, "par@2 on the serial flush");
+        // two sends, two receives and a compute per node
+        assert_eq!(taken(&trace).len(), 8 * 5);
     }
 
     #[test]

@@ -2,6 +2,14 @@
 //! per-node cells, the message and record types they buffer, and the
 //! run's shared tail.
 //!
+//! The cells live in one slab indexed by address, each in a
+//! `ws::ShardSlot`. No cell has a lock: the round's phases make every
+//! access exclusive. During a poll only the node's shard claimant touches
+//! its cell (through the node's [`NodeCtx`](super::NodeCtx)); during the
+//! serial flush only the coordinator; during delivery only the destination
+//! shard's claimant; before and after the pool only the caller of
+//! [`Engine::run`](super::Engine::run).
+//!
 //! The executor runs node programs in *rounds*. A round polls every node
 //! on the ready frontier once — the node runs until it parks in a blocked
 //! [`NodeCtx::recv`] or finishes — with sends buffered in the sender's outbox
@@ -33,6 +41,7 @@
 //! [`NodeCtx::recv`]: super::NodeCtx::recv
 
 use super::trace::{Trace, TraceEvent, TraceKind};
+use super::ws::ShardSlot;
 use super::{LinkModel, Tag};
 use crate::address::NodeId;
 use crate::cost::{CostModel, VirtualClock};
@@ -43,9 +52,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
-
-/// A node cell as shared between its program's task and the executor.
-pub(super) type SharedCell<K> = Arc<Mutex<NodeCell<K>>>;
 
 /// A message buffered in the sender's outbox until the round's barrier,
 /// then parked in the destination's inbox until received.
@@ -73,9 +79,10 @@ pub(super) enum CellRecord {
     Span { phase: Option<u16>, time: f64 },
 }
 
-/// Per-node state of a frontier-scheduled run. During a round only the
-/// node's own task touches its cell; at the commit only the worker
-/// delivering to it does — so every lock acquisition is uncontended.
+/// Per-node state of a frontier-scheduled run, one slot of the run's slab.
+/// During a poll only the node's own task touches its cell; at the commit
+/// only the worker delivering to it does — the phase, not a lock, makes
+/// each access exclusive.
 pub(super) struct NodeCell<K> {
     pub(super) clock: VirtualClock,
     pub(super) stats: RunStats,
@@ -88,7 +95,7 @@ pub(super) struct NodeCell<K> {
     /// `Some((src, tag))` while the node is parked in a blocked `recv`.
     pub(super) waiting: Option<(NodeId, Tag)>,
     pub(super) participating: bool,
-    /// Set (under the cell lock) when the node program returns.
+    /// Set by the polling claimant when the node program returns.
     pub(super) done: bool,
     /// Messages delivered to this node, scanned front-to-back on `recv` so
     /// delivery stays FIFO per `(src, tag)` — the same order a channel
@@ -148,17 +155,17 @@ impl<K> NodeCell<K> {
     }
 }
 
-/// Builds one cell per processor address plus the static participation map
-/// the send-side assert checks against.
+/// Builds the slab of cells, one per processor address, plus the static
+/// participation map the send-side assert checks against.
 pub(super) fn build_cells<K, I>(
     inputs: &[Option<I>],
     dim: usize,
     sinking: bool,
-) -> (Vec<SharedCell<K>>, Arc<Vec<bool>>) {
+) -> (Vec<ShardSlot<NodeCell<K>>>, Arc<Vec<bool>>) {
     let participation: Arc<Vec<bool>> = Arc::new(inputs.iter().map(Option::is_some).collect());
     let cells = participation
         .iter()
-        .map(|&p| Arc::new(Mutex::new(NodeCell::new(dim, sinking, p))))
+        .map(|&p| ShardSlot::new(NodeCell::new(dim, sinking, p)))
         .collect();
     (cells, participation)
 }
@@ -200,13 +207,13 @@ pub(super) fn flush_records(
 
 /// Panics with the full wait map — called when unfinished nodes remain but
 /// the next frontier is empty.
-pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: usize) -> ! {
+pub(super) fn deadlock_panic<K>(cells: &mut [ShardSlot<NodeCell<K>>], remaining: usize) -> ! {
     let parked: Vec<String> = cells
-        .iter()
+        .iter_mut()
         .enumerate()
         .filter_map(|(i, c)| {
-            let cell = c.lock().expect("node cell lock poisoned");
-            cell.waiting
+            c.get_mut()
+                .waiting
                 .map(|(src, tag)| format!("P{i} waits for ({src:?}, {tag:?})"))
         })
         .collect();
@@ -221,7 +228,7 @@ pub(super) fn deadlock_panic<K>(cells: &[Arc<Mutex<NodeCell<K>>>], remaining: us
 /// [`Engine::run`](super::Engine::run). Each node's spans, span positions
 /// and metrics move into the observation.
 pub(super) fn collect_run<K, T>(
-    cells: Vec<Arc<Mutex<NodeCell<K>>>>,
+    cells: Vec<ShardSlot<NodeCell<K>>>,
     results: Vec<Option<T>>,
     sinks: &[Arc<Mutex<dyn TraceSink>>],
     dim: usize,
@@ -232,10 +239,7 @@ pub(super) fn collect_run<K, T>(
     let mut values = Vec::with_capacity(participants);
     let mut nodes = Vec::with_capacity(participants);
     for (i, (result, cell)) in results.into_iter().zip(cells).enumerate() {
-        let cell = Arc::into_inner(cell)
-            .expect("all node contexts dropped with their tasks")
-            .into_inner()
-            .expect("node cell lock poisoned");
+        let cell = cell.into_inner();
         let Some(result) = result else {
             debug_assert!(!cell.participating, "participant P{i} lost its result");
             continue;

@@ -41,9 +41,11 @@
 //!    serial flush), then prunes finished nodes and wakes those whose
 //!    awaited `(src, tag)` message arrived, forming the next frontier.
 //!
-//! During the poll phase a node's cell is touched only by its shard's
-//! claimant; during delivery only by the coordinator or its destination
-//! shard's claimant — every lock is uncontended, and warm rounds allocate
+//! The node cells are one slab of `ShardSlot`s indexed by address, under
+//! the same claim protocol as the shards and bins: during the poll phase a
+//! node's cell is touched only by its shard's claimant; during the serial
+//! flush only by the coordinator; during delivery only by its destination
+//! shard's claimant. So no cell needs a lock, and warm rounds allocate
 //! nothing (deque rings, bins, frontier vectors and the futures themselves
 //! are all recycled; see `crates/hypercube/tests/alloc_free.rs`).
 //!
@@ -79,7 +81,7 @@
 //! [`TraceSink`]: crate::obs::sink::TraceSink
 
 use super::engine::{Engine, NodeCtx};
-use super::frontier::{deadlock_panic, flush_records, CellRecord, SharedCell, SimMessage};
+use super::frontier::{deadlock_panic, flush_records, CellRecord, NodeCell, SimMessage};
 use super::ws::{SenseBarrier, ShardSlot, WsDeque};
 use crate::cost::CostModel;
 use crate::obs::metrics;
@@ -100,7 +102,9 @@ use std::time::Instant;
 /// # Safety
 /// Constructed only inside [`run`], where `K: Send` and
 /// `T: Send` hold; the future captures the program reference (`F: Sync`),
-/// a `NodeCtx` (`Arc`s over `Send` state) and the node's `Vec<K>` input.
+/// a `NodeCtx` (`Arc`s over `Send` state, and a pointer to its node's
+/// cell, which only the shard's claimant touches during a poll) and the
+/// node's `Vec<K>` input.
 /// The residual obligation — documented at the module level — is that node
 /// programs hold no thread-affine state across await points.
 struct NodeTask<'a, T>(Pin<Box<dyn Future<Output = T> + 'a>>);
@@ -175,7 +179,7 @@ struct Tally {
 struct Env<'a, K, T, F> {
     program: &'a F,
     engine: &'a Engine,
-    cells: &'a [SharedCell<K>],
+    cells: &'a [ShardSlot<NodeCell<K>>],
     participation: &'a Arc<Vec<bool>>,
     results: &'a Mutex<Vec<Option<T>>>,
 }
@@ -212,7 +216,7 @@ impl Drop for PoisonGuard<'_> {
 /// map) if the programs deadlock.
 pub(super) fn run<K, T, F>(
     engine: &Engine,
-    cells: &[SharedCell<K>],
+    cells: &mut [ShardSlot<NodeCell<K>>],
     participation: &Arc<Vec<bool>>,
     inputs: Vec<Option<Vec<K>>>,
     program: F,
@@ -299,7 +303,7 @@ where
     let env = Env {
         program,
         engine,
-        cells,
+        cells: &*cells,
         participation,
         results: &results,
     };
@@ -388,12 +392,12 @@ where
         .iter_mut()
         .map(|s| s.get_mut().alive.len())
         .sum();
+    // The shards hold the node futures, whose lifetime is unified with
+    // the `env` borrows of `results` and the cells; drop them first.
+    drop(sched);
     if remaining > 0 {
         deadlock_panic(cells, remaining);
     }
-    // The shards hold the node futures, whose lifetime is unified with
-    // the `env` borrow of `results`; drop them before moving it out.
-    drop(sched);
 
     results.into_inner().unwrap_or_else(|e| e.into_inner())
 }
@@ -652,7 +656,9 @@ where
         match task.0.as_mut().poll(poll_cx) {
             Poll::Ready(value) => {
                 *state = TaskState::Done;
-                env.cells[id].lock().expect("node cell lock poisoned").done = true;
+                // SAFETY: poll phase; the claim on shard `s` covers its
+                // nodes' cells, and the finished task holds no borrow.
+                unsafe { env.cells[id].get() }.done = true;
                 env.results.lock().expect("results lock poisoned")[id] = Some(value);
             }
             Poll::Pending => {}
@@ -661,7 +667,9 @@ where
     if !sched.serial {
         let shard_count = sched.shards.len();
         for &id in &sh.ran {
-            let mut cell = env.cells[id].lock().expect("node cell lock poisoned");
+            // SAFETY: poll phase; the claim on shard `s` covers its nodes'
+            // cells.
+            let cell = unsafe { env.cells[id].get() };
             for msg in cell.outbox.drain(..) {
                 let d = sched.shard_of[msg.dst.index()] as usize;
                 // SAFETY: row `s` of the bin matrix belongs to this claim.
@@ -677,13 +685,20 @@ where
 /// node-id order — the canonical commit order — flush records, price each
 /// message and deliver it straight into its destination inbox, flagging
 /// the destination shard for phase 3's wake.
-fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[SharedCell<K>]) {
+fn serial_flush<K, T>(
+    ser: &mut SerialCtx<K>,
+    sched: &Sched<'_, K, T>,
+    cells: &[ShardSlot<NodeCell<K>>],
+) {
     for s in 0..sched.shards.len() {
         // SAFETY: phase 2 runs on the coordinator alone, between barriers.
         let sh = unsafe { sched.shards[s].get() };
         for &id in &sh.ran {
             {
-                let mut cell = cells[id].lock().expect("node cell lock poisoned");
+                // SAFETY: serial flush, coordinator alone. The borrow ends
+                // with this block, before any destination's (a node may
+                // send to itself).
+                let cell = unsafe { cells[id].get() };
                 std::mem::swap(&mut cell.outbox, &mut ser.msgs);
                 if cell.sinking {
                     std::mem::swap(&mut cell.records, &mut ser.recs);
@@ -710,9 +725,9 @@ fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[
                 }
                 sched.incoming[sched.shard_of[msg.dst.index()] as usize]
                     .store(true, Ordering::Relaxed);
-                let mut dst = cells[msg.dst.index()]
-                    .lock()
-                    .expect("node cell lock poisoned");
+                // SAFETY: serial flush, coordinator alone; the sender's
+                // borrow has ended.
+                let dst = unsafe { cells[msg.dst.index()].get() };
                 dst.inbox.push(msg);
                 let backlog = dst.inbox.len() as u64;
                 dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
@@ -734,7 +749,7 @@ unsafe fn deliver_shard<K, T>(
     s: usize,
     r: usize,
     sched: &Sched<'_, K, T>,
-    cells: &[SharedCell<K>],
+    cells: &[ShardSlot<NodeCell<K>>],
 ) -> u32 {
     let shard_count = sched.shards.len();
     // SAFETY: exclusive by the claim the caller holds.
@@ -745,9 +760,9 @@ unsafe fn deliver_shard<K, T>(
             // SAFETY: column `s` of the bin matrix belongs to this claim.
             let bin = unsafe { sched.bins[src * shard_count + s].get() };
             for msg in bin.drain(..) {
-                let mut dst = cells[msg.dst.index()]
-                    .lock()
-                    .expect("node cell lock poisoned");
+                // SAFETY: delivery; every message in column `s` is for a
+                // node of shard `s`, whose cells this claim covers.
+                let dst = unsafe { cells[msg.dst.index()].get() };
                 dst.inbox.push(msg);
                 let backlog = dst.inbox.len() as u64;
                 dst.metrics.inbox_peak = dst.metrics.inbox_peak.max(backlog);
@@ -757,7 +772,8 @@ unsafe fn deliver_shard<K, T>(
     sh.ran.clear();
     let mut runnable = std::mem::take(&mut sh.runnable);
     sh.alive.retain(|&id| {
-        let mut cell = cells[id].lock().expect("node cell lock poisoned");
+        // SAFETY: delivery; the claim on shard `s` covers its nodes' cells.
+        let cell = unsafe { cells[id].get() };
         if cell.done {
             return false;
         }

@@ -1,6 +1,6 @@
 //! Work-stealing primitives for the parallel frontier engine: a vendored
-//! Chase–Lev deque, a sense-reversing barrier, and the shard cell the
-//! scheduler's claim protocol synchronizes.
+//! Chase–Lev deque, a sense-reversing barrier, and the cell the
+//! scheduler's claim protocol synchronizes (shards, bins and node cells).
 //!
 //! No external crates: the deque is the classic Chase–Lev design (Chase &
 //! Lev, *Dynamic Circular Work-Stealing Deque*, SPAA '05) with the
@@ -231,19 +231,23 @@ impl SenseBarrier {
 }
 
 /// A shard-claimed cell: interior mutability whose synchronization is the
-/// scheduler's claim protocol, not a lock.
+/// scheduler's claim protocol, not a lock. It holds the shards, the bins
+/// and the node cells (one slab of them, indexed by address).
 ///
 /// The parallel engine guarantees that between two barrier crossings each
 /// cell is accessed by **at most one** worker — the one that claimed the
 /// owning shard from a deque (every shard id is pushed to exactly one
 /// deque per phase, and Chase–Lev pop/steal hand each item to exactly one
-/// claimant). The barrier's release/acquire edges order the accesses of
-/// successive phases.
+/// claimant). A node cell belongs to its node's shard in the poll and to
+/// its destination shard in delivery, and to the coordinator alone in the
+/// serial flush. The barrier's release/acquire edges order the accesses
+/// of successive phases.
 ///
 /// # Safety
 /// `get` callers must hold a claim obtained through that protocol (or
 /// otherwise have exclusive, barrier-separated access, e.g. the
-/// coordinator outside the worker phases).
+/// coordinator outside the worker phases), and must not hold two `&mut`
+/// to one cell at once.
 pub(super) struct ShardSlot<T>(UnsafeCell<T>);
 
 unsafe impl<T: Send> Sync for ShardSlot<T> {}
@@ -263,6 +267,11 @@ impl<T> ShardSlot<T> {
     /// single-threaded setup and teardown around the worker scope.
     pub(super) fn get_mut(&mut self) -> &mut T {
         self.0.get_mut()
+    }
+
+    /// The value, once the pool is gone.
+    pub(super) fn into_inner(self) -> T {
+        self.0.into_inner()
     }
 }
 

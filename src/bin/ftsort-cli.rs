@@ -74,6 +74,8 @@ use ftsort::prelude::*;
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
 use hypercube::diagnosis::Syndrome;
+use hypercube::obs::json::{Json, JsonValue};
+use hypercube::obs::RunReport;
 use hypercube::routing;
 use std::process::ExitCode;
 
@@ -469,12 +471,12 @@ fn trace_diff_cmd(args: &Args) -> Result<(), String> {
 /// (every `f` preceded by its `s`, no dangling ids) and whose counter
 /// tracks stay sane (see
 /// [`validate_chrome_trace`](hypercube::obs::perfetto::validate_chrome_trace)),
-/// and the report must round-trip through
-/// [`RunReport::from_json`](hypercube::obs::RunReport). `--prom`
+/// and the report must read back as a [`RunReport`]. `--prom`
 /// validates a `--metrics-snapshot` exposition file with
 /// [`validate_prom`](hypercube::obs::metrics::validate_prom): every
 /// sample declared by a `# TYPE` family, no duplicate series, histogram
-/// buckets cumulative with a `+Inf` bucket matching `_count`.
+/// buckets cumulative with a `+Inf` bucket matching `_count`. All three
+/// stream their files, so a file's length sizes no buffer.
 fn trace_check_cmd(args: &Args) -> Result<(), String> {
     let (trace, metrics, prom) = (
         args.path("--trace"),
@@ -495,9 +497,10 @@ fn trace_check_cmd(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = &metrics {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let report =
-            hypercube::obs::RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let report = Json::read(file)
+            .and_then(|json| RunReport::read(&json))
+            .map_err(|e| format!("{path}: {e}"))?;
         let phase_sum: f64 = report.phases.iter().map(|p| p.max_node_us).sum();
         if report.makespan_us > 0.0 && phase_sum < report.makespan_us * 0.99 {
             return Err(format!(
@@ -513,9 +516,9 @@ fn trace_check_cmd(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = &prom {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let check =
-            hypercube::obs::metrics::validate_prom(&text).map_err(|e| format!("{path}: {e}"))?;
+        let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let check = hypercube::obs::metrics::validate_prom(std::io::BufReader::new(file))
+            .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: ok ({} families, {} series, {} samples)",
             check.families, check.series, check.samples

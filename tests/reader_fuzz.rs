@@ -117,8 +117,10 @@ fn mutated_sched_reports_fail_cleanly() {
 #[test]
 fn mutated_prom_snapshots_fail_cleanly() {
     let base = &outputs()[2];
-    validate_prom(base).expect("the fresh snapshot validates");
-    let rejected = fuzz(base, 0x9e0_5a95, |text| validate_prom(text).is_ok());
+    validate_prom(base.as_bytes()).expect("the fresh snapshot validates");
+    let rejected = fuzz(base, 0x9e0_5a95, |text| {
+        validate_prom(text.as_bytes()).is_ok()
+    });
     assert!(rejected > 0);
 }
 

@@ -17,8 +17,9 @@
 //!   and a Perfetto trace, without a 1 MiB allocation.
 //! * **Long files.** A file's length sizes no buffer: 4 MiB of whitespace
 //!   between two records, plain or gzipped, reads without a 1 MiB
-//!   allocation, and so does a Chrome trace with 4 MiB of whitespace
-//!   between two events.
+//!   allocation, and so do a Chrome trace with 4 MiB of whitespace
+//!   between two events, a report with 4 MiB of whitespace between two
+//!   members, and a metrics snapshot with 4 MiB of newlines.
 //!
 //! (Seeded loops rather than a property-test framework: the build is
 //! offline. Failures print the case index.)
@@ -29,10 +30,12 @@ use common::{mutations, Budget};
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan};
 use hypercube::fault::FaultSet;
 use hypercube::obs::gz::GzEncoder;
-use hypercube::obs::json::{write_str, Json};
+use hypercube::obs::json::{write_str, Json, JsonValue};
+use hypercube::obs::metrics::{validate_prom, Totals};
 use hypercube::obs::perfetto::{validate_chrome_trace, write_perfetto};
 use hypercube::obs::replay::{observation_from_file, observation_from_json, run_to_json};
 use hypercube::obs::sink::{StreamingSink, TraceSink};
+use hypercube::obs::RunReport;
 use hypercube::sim::{EngineKind, LinkModel};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
@@ -353,8 +356,9 @@ fn a_files_length_sizes_no_buffer() {
         .position(|w| w == b"},")
         .expect("two events")
         + 2;
+    let pad: String = " \n\t\r".chars().cycle().take(4 << 20).collect();
     let mut padded = trace[..cut].to_vec();
-    padded.extend(b" \n\t\r".iter().cycle().take(4 << 20));
+    padded.extend_from_slice(pad.as_bytes());
     padded.extend_from_slice(&trace[cut..]);
     std::fs::write(&path, padded).expect("write");
     LARGEST.with(|l| l.set(0));
@@ -364,6 +368,38 @@ fn a_files_length_sizes_no_buffer() {
     assert!(
         largest < 1 << 20,
         "trace: the validator asked for a {largest}-byte block"
+    );
+
+    // the same between the first two members of the run's report
+    let report = obs.report(&phase_name);
+    let json = report.to_json();
+    let cut = json.find(',').expect("two members") + 1;
+    let padded = format!("{}{}{}", &json[..cut], pad, &json[cut..]);
+    std::fs::write(&path, padded).expect("write");
+    LARGEST.with(|l| l.set(0));
+    let read = Json::read(std::fs::File::open(&path).expect("open"))
+        .and_then(|json| RunReport::read(&json));
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(read, Ok(report));
+    assert!(
+        largest < 1 << 20,
+        "report: the reader asked for a {largest}-byte block"
+    );
+
+    // and 4 MiB of newlines after the first line of a metrics snapshot
+    let prom = Totals::default().render_prom();
+    let want = validate_prom(prom.as_bytes()).expect("the snapshot validates");
+    let cut = prom.find('\n').expect("two lines") + 1;
+    let padded = format!("{}{}{}", &prom[..cut], "\n".repeat(4 << 20), &prom[cut..]);
+    std::fs::write(&path, padded).expect("write");
+    LARGEST.with(|l| l.set(0));
+    let file = std::fs::File::open(&path).expect("open");
+    let check = validate_prom(std::io::BufReader::new(file));
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(check, Ok(want));
+    assert!(
+        largest < 1 << 20,
+        "prom: the validator asked for a {largest}-byte block"
     );
     let _ = std::fs::remove_file(&path);
 }
