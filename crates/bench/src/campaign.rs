@@ -8,7 +8,7 @@
 //! module is the downstream half that can: it draws fault placements and
 //! keys, runs [`fault_tolerant_sort`] per placement, and
 //! re-executes the selected outlier/median runs with a streaming sink to
-//! capture gzip v2 run files.
+//! capture gzip run files.
 //!
 //! # Determinism contract
 //!
@@ -57,7 +57,7 @@ pub struct CampaignConfig {
     pub key_type: KeyType,
     /// Link pricing model of every run.
     pub link_model: LinkModel,
-    /// When set, outlier and median-exemplar run files (gzip v2) plus
+    /// When set, outlier and median-exemplar run files (gzipped) plus
     /// their live `RunReport` JSONs are captured into this directory.
     pub capture_dir: Option<PathBuf>,
 }
@@ -285,7 +285,7 @@ fn execute_run<K: GenKey>(
 }
 
 /// Re-executes run `run_index` with a streaming sink, capturing its gzip
-/// v2 run file plus the live `RunReport` JSON (what `ftsort-cli replay
+/// run file plus the live `RunReport` JSON (what `ftsort-cli replay
 /// --metrics-out` must reproduce byte-for-byte) into `dir`.
 fn capture_run<K: GenKey>(
     cfg: &CampaignConfig,

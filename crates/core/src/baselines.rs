@@ -42,7 +42,8 @@ pub fn odd_even_ring_sort<K: Key>(
         &ring,
         None,
         data,
-        async |ctx, pos, mut run, scratch| {
+        async |ctx, pos, mut run, pool| {
+            let mut scratch = pool.handle();
             let comparisons = config.local_sort.sort(&mut run, Direction::Ascending);
             ctx.charge_comparisons(comparisons as usize);
             // P phases; in phase t, pair starts at even (t even) or odd (t odd)
@@ -69,7 +70,7 @@ pub fn odd_even_ring_sort<K: Key>(
                     run,
                     keep,
                     config.protocol,
-                    scratch,
+                    &mut scratch,
                 )
                 .await;
             }

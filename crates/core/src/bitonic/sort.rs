@@ -105,7 +105,8 @@ pub(crate) fn bitonic_on_members<K: Key>(
         members,
         dead,
         data,
-        async |ctx, logical, mut chunk, scratch| {
+        async |ctx, logical, mut chunk, pool| {
+            let mut scratch = pool.handle();
             let comparisons = config.local_sort.sort(&mut chunk, Direction::Ascending);
             ctx.charge_comparisons(comparisons as usize);
             let run = distributed_bitonic_sort(
@@ -117,7 +118,7 @@ pub(crate) fn bitonic_on_members<K: Key>(
                 chunk,
                 PHASE_MAIN,
                 config.protocol,
-                scratch,
+                &mut scratch,
             )
             .await;
             assert_eq!(run.len(), k, "bitonic sort must preserve run length");

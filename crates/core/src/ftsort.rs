@@ -49,7 +49,7 @@ use hypercube::fault::FaultSet;
 use hypercube::obs::sched::SchedProfiler;
 use hypercube::obs::sink::TraceSink;
 use hypercube::obs::RunObservation;
-use hypercube::sim::{BufferPool, Engine, EngineKind, LinkModel, NodeCtx, PoolHandle, Tag, Trace};
+use hypercube::sim::{BufferPool, Engine, EngineKind, LinkModel, NodeCtx, Tag, Trace};
 use std::sync::{Arc, Mutex};
 
 /// Phase id of step 3 (local sort + intra-subcube single-fault bitonic).
@@ -409,7 +409,8 @@ pub fn fault_tolerant_sort<K: Key>(
         &live,
         None,
         data,
-        async |ctx, _, mut chunk, scratch| {
+        async |ctx, _, mut chunk, pool| {
+            let mut scratch = pool.handle();
             let (v, w) = st.locate(ctx.me());
             let members = &subcube_members[v as usize];
             let dead = st.subcube(v).dead_local.map(|_| 0usize);
@@ -431,7 +432,7 @@ pub fn fault_tolerant_sort<K: Key>(
                 chunk,
                 PHASE_STEP3,
                 protocol,
-                scratch,
+                &mut scratch,
             )
             .await;
             ctx.span_exit();
@@ -477,7 +478,7 @@ pub fn fault_tolerant_sort<K: Key>(
                         run,
                         keep,
                         protocol,
-                        scratch,
+                        &mut scratch,
                     )
                     .await;
                     ctx.span_exit();
@@ -491,7 +492,15 @@ pub fn fault_tolerant_sort<K: Key>(
                     run = match step8 {
                         Step8Strategy::FullSort => {
                             distributed_bitonic_sort(
-                                ctx, members, w as usize, dead, dir, run, phase, protocol, scratch,
+                                ctx,
+                                members,
+                                w as usize,
+                                dead,
+                                dir,
+                                run,
+                                phase,
+                                protocol,
+                                &mut scratch,
                             )
                             .await
                         }
@@ -504,8 +513,15 @@ pub fn fault_tolerant_sort<K: Key>(
                                 KeepHalf::High => Direction::Descending,
                             };
                             let mut run = distributed_bitonic_merge(
-                                ctx, members, w as usize, dead, compatible, run, phase, protocol,
-                                scratch,
+                                ctx,
+                                members,
+                                w as usize,
+                                dead,
+                                compatible,
+                                run,
+                                phase,
+                                protocol,
+                                &mut scratch,
                             )
                             .await;
                             if dir != compatible {
@@ -541,8 +557,11 @@ pub fn fault_tolerant_sort<K: Key>(
 /// `members` lists physical nodes in logical order, which is also the
 /// output order; slot `dead` (the single-fault sort's logical 0) holds no
 /// data. `program` receives the node's context, its logical index, its
-/// chunk and a handle on the run's pool, and returns the node's share of
-/// the output. The engine, its attachments and the host I/O come from
+/// chunk and the run's pool, and returns the node's share of the output.
+/// A program that draws slabs takes its own handle on the pool (see
+/// [`BufferPool::handle`]), so the handle lives in the program's future
+/// alone — not beside it in the driver's — and drops when the program
+/// returns. The engine, its attachments and the host I/O come from
 /// `config` and `attach`. With [`FtConfig::include_host_io`] the chunks
 /// travel through binomial scatter/gather collectives rooted at the
 /// lowest-addressed holder, and every run must keep its chunk's length.
@@ -557,7 +576,7 @@ pub(crate) fn sort_on_members<K, P>(
 ) -> (SortOutcome<K>, RunObservation)
 where
     K: Key,
-    P: AsyncFn(&mut NodeCtx<K>, usize, Vec<K>, &mut PoolHandle<K>) -> Vec<K> + Sync,
+    P: AsyncFn(&mut NodeCtx<K>, usize, Vec<K>, &BufferPool<K>) -> Vec<K> + Sync,
 {
     let Attach {
         sink,
@@ -639,13 +658,12 @@ where
         None => local_pool.insert(BufferPool::new()),
     };
     let (results, mut observation) = engine.run(inputs, async |ctx, mut chunk| {
-        let mut scratch = pool.handle();
         if let Some(parts) = host_parts {
             let bundle = (ctx.me() == parts.root()).then_some(chunk);
             chunk =
                 collectives::scatter(ctx, parts, Tag::phase(PHASE_SCATTER, 0, 0), bundle, k).await;
         }
-        let run = program(ctx, logical[ctx.me().index()], chunk, &mut scratch).await;
+        let run = program(ctx, logical[ctx.me().index()], chunk, pool).await;
         match host_parts {
             None => (run, None),
             Some(parts) => {

@@ -26,7 +26,7 @@
 //!   qualifies, so small campaigns still capture at least one), and the
 //!   run at the p50 order statistic (ties broken by lowest run index) is
 //!   the *median exemplar*; a driver re-executes exactly these runs with a
-//!   streaming sink to capture gzip v2 run files for `replay`/`trace-diff`
+//!   streaming sink to capture gzip run files for `replay`/`trace-diff`
 //!   forensics. Selection happens after the deterministic aggregation
 //!   pass, so the captured set (and bytes) is `--jobs`-independent.
 //! * **Live progress** — the campaign runner sets up the campaign's

@@ -10,9 +10,10 @@
 //!   struct's writer and reader from one list of its fields. Readers check
 //!   integers against their type and take only finite numbers; the first
 //!   of two members with one name wins, and unknown members are ignored;
-//! * the run files' streaming event codec ([`write_trace_event`] and
-//!   `EventFields`), which decodes records straight from tokens into
-//!   owned scalars, allocating nothing per record.
+//! * the run files' streaming record decoders (`Positional` for schema
+//!   v3, `EventFields` for the objects of v1 and v2), which decode records
+//!   straight from tokens into owned scalars, allocating nothing per
+//!   record.
 //!
 //! `f64` values are written with Rust's `Display`, which produces the
 //! shortest decimal string that parses back to the identical bits — so
@@ -830,48 +831,54 @@ macro_rules! json_object {
 
 pub(crate) use json_object;
 
-/// Serializes one [`TraceEvent`] as an object of the workspace trace
-/// schema (also embedded in the streaming run files — see
-/// [`crate::obs::sink`]). Tags use the full u64 range (protocol-round
-/// bits live at 60–63), which a JSON number (f64) cannot carry exactly —
-/// encoded as a string, the standard interop-safe representation for u64.
-pub fn write_trace_event(out: &mut String, e: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"t\":{},\"node\":{},\"tag\":\"{}\",",
-        e.time,
-        e.node.raw(),
-        e.tag.0
-    );
-    match e.kind {
-        TraceKind::Send { to, elements, hops } => {
-            let _ = write!(
-                out,
-                "\"kind\":\"send\",\"to\":{},\"elements\":{elements},\"hops\":{hops}}}",
-                to.raw()
-            );
-        }
-        TraceKind::Recv {
-            from,
-            elements,
-            wait,
-        } => {
-            let _ = write!(
-                out,
-                "\"kind\":\"recv\",\"from\":{},\"elements\":{elements}",
-                from.raw()
-            );
-            // `wait` is exactly 0.0 for every uncontended receive; omitting
-            // it keeps those lines identical to schema v1 and costs nothing
-            // on parse (missing means zero).
-            if wait != 0.0 {
-                let _ = write!(out, ",\"wait\":{wait}");
+/// One positional record of a schema-v3 run file, decoded as it is read:
+/// its first [`Positional::WIDTH`] elements as unsigned integers (`None`
+/// for any other value), and how many elements it had. One instance reads
+/// record after record without allocating.
+#[derive(Default)]
+pub(crate) struct Positional {
+    values: [Option<u64>; Positional::WIDTH],
+    len: usize,
+}
+
+impl Positional {
+    /// The widest record: a send's six fields.
+    pub(crate) const WIDTH: usize = 6;
+
+    /// Reads the elements of the array whose `[` the tokenizer just
+    /// returned, through its `]`. A nested value is skipped, so its
+    /// syntax and depth are still checked.
+    pub(crate) fn read(&mut self, tok: &mut Tokenizer<'_>) -> Result<(), String> {
+        self.len = 0;
+        loop {
+            let value = match tok.expect_token()? {
+                Token::EndArray => return Ok(()),
+                Token::Int(n) => Some(n),
+                Token::Num(x) => num_as_u64(x),
+                other => {
+                    tok.skip(other)?;
+                    None
+                }
+            };
+            if let Some(slot) = self.values.get_mut(self.len) {
+                *slot = value;
             }
-            out.push('}');
+            self.len += 1;
         }
-        TraceKind::Compute { comparisons } => {
-            let _ = write!(out, "\"kind\":\"compute\",\"comparisons\":{comparisons}}}");
+    }
+
+    /// How many elements the record had.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Element `k`: `Err(true)` if the record is shorter, `Err(false)` if
+    /// it is not an unsigned integer.
+    pub(crate) fn get(&self, k: usize) -> Result<u64, bool> {
+        if k >= self.len {
+            return Err(true);
         }
+        self.values[k].ok_or(false)
     }
 }
 

@@ -13,20 +13,27 @@
 //! The same property makes the schedule *replayable*. The algorithms in
 //! this workspace are data-oblivious, so the round structure (who runs
 //! when, which receive blocks on which send) is a function of the program
-//! alone, reconstructible from a run file: `plan_rounds` re-derives each
-//! event's round from the per-node record order plus FIFO message
-//! matching, mirroring the frontier scheduler's wake rule. On top of that,
-//! [`reprice`] re-prices a traced run under any `(CostModel, LinkModel)`
-//! pair and `contended_times` recovers per-message arrival/wait splits
-//! and per-link busy intervals for the analyzers.
+//! alone, reconstructible from a trace: `plan_rounds` re-derives each
+//! record's round from the per-node record order plus FIFO message
+//! matching, mirroring the frontier scheduler's wake rule, and with it the
+//! commit order (round, node id, program order) in which the barrier
+//! flushes records. On top of that, `commit_order` gives the run-file
+//! writer ([`super::replay::run_to_json`]) a buffered observation's
+//! records in the order a live sink receives them, [`reprice`] re-prices
+//! a traced run under any `(CostModel, LinkModel)` pair, and
+//! `contended_times` recovers per-message arrival/wait splits and
+//! per-link busy intervals for the analyzers. Their tables are indexed by
+//! the nodes holding records, not by the cube.
 //!
 //! Float arithmetic is not associative, so there is no closed-form
 //! "arrival = sent_at + wait + transfer" identity to lean on. Bit-exact
 //! agreement between live runs and replays instead comes from sharing
 //! *code*: `LinkLedger::acquire` is the one routine that advances link
-//! clocks, and every consumer — the live commit barrier, the repricer,
-//! the critical-path analyzer, the Perfetto exporter — executes its float
-//! operations in the same order on the same inputs.
+//! clocks, and every consumer — the live commit barrier, the run-file
+//! reader, the repricer, the critical-path analyzer, the Perfetto
+//! exporter — executes its float operations in the same order on the same
+//! inputs. The engine keeps a clock for every directed link; the offline
+//! consumers keep one only for the links their messages cross.
 //!
 //! [`LinkModel::Contended`]: crate::sim::LinkModel::Contended
 
@@ -35,16 +42,44 @@ use super::{NodeObservation, RunObservation, SpanRecord};
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::sim::{LinkModel, Trace, TraceEvent, TraceKind};
+use std::collections::HashMap;
 
-/// Busy-until clocks for every directed link of the cube.
+/// Where a [`LinkLedger`] keeps its busy-until clocks, looked up by link
+/// index `node · dim + dimension`; a link never acquired is idle (0).
+pub(crate) trait LinkClocks {
+    /// The busy-until clock of `link`.
+    fn busy(&mut self, link: usize) -> &mut f64;
+}
+
+/// One clock per directed link of the cube: the engine's ledger.
+impl LinkClocks for Vec<f64> {
+    #[inline]
+    fn busy(&mut self, link: usize) -> &mut f64 {
+        &mut self[link]
+    }
+}
+
+/// Clocks only for the links acquired so far: the offline ledgers, whose
+/// size follows the messages they price, not the cube.
+impl LinkClocks for HashMap<usize, f64> {
+    fn busy(&mut self, link: usize) -> &mut f64 {
+        self.entry(link).or_insert(0.0)
+    }
+}
+
+/// Busy-until clocks for the directed links of the cube.
 ///
 /// Links are acquired in the deterministic commit order; bit-exact
 /// live/replay agreement relies on both sides calling this exact routine
 /// with the same inputs in the same order.
-pub(crate) struct LinkLedger {
+pub(crate) struct LinkLedger<C: LinkClocks = Vec<f64>> {
     dim: usize,
-    busy: Vec<f64>,
+    busy: C,
 }
+
+/// A [`LinkLedger`] that keeps clocks only for the links its messages
+/// cross: what the run-file reader and the offline analyzers price with.
+pub(crate) type SparseLedger = LinkLedger<HashMap<usize, f64>>;
 
 impl LinkLedger {
     /// All links idle at time zero for a `dim`-cube of `nodes` addresses.
@@ -54,7 +89,19 @@ impl LinkLedger {
             busy: vec![0.0; dim * nodes],
         }
     }
+}
 
+impl SparseLedger {
+    /// All links of a `dim`-cube idle at time zero, none yet kept.
+    pub(crate) fn sparse(dim: usize) -> Self {
+        LinkLedger {
+            dim,
+            busy: HashMap::new(),
+        }
+    }
+}
+
+impl<C: LinkClocks> LinkLedger<C> {
     /// Routes one message along its e-cube links (ascending set bits of
     /// `src ^ dst`), serializing on each link's busy clock. Detour hops
     /// beyond the Hamming distance are charged as an uncontended serial
@@ -95,16 +142,16 @@ impl LinkLedger {
         let mut crossed = 0u32;
         for d in 0..self.dim {
             if direct >> d & 1 == 1 {
-                let link = cur as usize * self.dim + d;
-                let start = if self.busy[link] > t {
-                    wait += self.busy[link] - t;
-                    self.busy[link]
+                let busy = self.busy.busy(cur as usize * self.dim + d);
+                let start = if *busy > t {
+                    wait += *busy - t;
+                    *busy
                 } else {
                     t
                 };
                 let end = start + cost.transfer(elements, 1);
                 visit(cur as usize, d, t, start, end);
-                self.busy[link] = end;
+                *busy = end;
                 t = end;
                 cur ^= 1 << d;
                 crossed += 1;
@@ -125,10 +172,15 @@ impl LinkLedger {
 /// earlier round. This mirrors the engines' scheduler exactly: every
 /// participant starts in round 0, runs until a receive whose message has
 /// not been delivered, and wakes in the round after the barrier that
-/// delivers it. Returns the round of every id.
-fn plan_rounds(per_node: &[Vec<(usize, Option<usize>)>], total: usize) -> Vec<u32> {
+/// delivers it. Nodes are listed in ascending address order. Returns the
+/// round of every id, and the ids in the order they were assigned —
+/// round by round, node by node, each node's items in program order:
+/// the commit order in which the barrier flushes records and acquires
+/// links.
+fn plan_rounds(per_node: &[Vec<(usize, Option<usize>)>], total: usize) -> (Vec<u32>, Vec<usize>) {
     let mut rounds = vec![0u32; total];
     let mut assigned = vec![false; total];
+    let mut order = Vec::with_capacity(total);
     let mut p = vec![0usize; per_node.len()];
     let mut forced = vec![false; per_node.len()];
     let mut parked: Vec<(usize, usize)> = Vec::new();
@@ -149,6 +201,7 @@ fn plan_rounds(per_node: &[Vec<(usize, Option<usize>)>], total: usize) -> Vec<u3
                 }
                 rounds[id] = r;
                 assigned[id] = true;
+                order.push(id);
                 p[n] += 1;
             }
         }
@@ -174,38 +227,129 @@ fn plan_rounds(per_node: &[Vec<(usize, Option<usize>)>], total: usize) -> Vec<u3
         frontier.sort_unstable();
         r += 1;
     }
-    rounds
+    (rounds, order)
 }
 
-/// Rounds plus FIFO send matching for an observation's trace: for each
-/// event its round, and for each receive the index of its matched send
-/// (`usize::MAX` when the file holds no matching send).
-fn plan_event_rounds(obs: &RunObservation) -> (Vec<u32>, Vec<usize>) {
+/// An observation's schedule, re-derived from per-node record order and
+/// FIFO message matching. Records are numbered trace events first (by
+/// index), then span boundaries, if planned.
+struct Plan {
+    /// The nodes holding records, ascending: the participants and any
+    /// other node the trace names.
+    nodes: Vec<NodeId>,
+    /// Per record: its round.
+    rounds: Vec<u32>,
+    /// Record ids in commit order: (round, node id, program order).
+    order: Vec<usize>,
+    /// Per event: a receive's matched send (`usize::MAX` for other events
+    /// and for receives the trace holds no send for).
+    send_of: Vec<usize>,
+    /// Per span boundary, record id `events + k`: its node and the phase
+    /// it enters (`None`: an exit).
+    bounds: Vec<(NodeId, Option<u16>)>,
+}
+
+impl Plan {
+    /// The slot of `node` in [`nodes`](Self::nodes).
+    fn slot(&self, node: NodeId) -> usize {
+        self.nodes
+            .binary_search(&node)
+            .expect("every record's node is planned")
+    }
+}
+
+/// Plans `obs`'s trace events and, with `spans`, its span boundaries at
+/// their program-order positions ([`NodeObservation::span_at`]); spans
+/// without positions follow their node's other records. Tables are
+/// indexed by the nodes holding records, not by the cube.
+fn plan(obs: &RunObservation, spans: bool) -> Plan {
     let events = obs.trace.events();
     let mut send_of = vec![usize::MAX; events.len()];
     for (s, r) in match_messages(&obs.trace) {
         send_of[r] = s;
     }
-    let node_count = 1usize << obs.dim;
-    let mut per_node: Vec<Vec<(usize, Option<usize>)>> = vec![Vec::new(); node_count];
+    let mut nodes: Vec<NodeId> = obs
+        .nodes
+        .iter()
+        .map(|n| n.node)
+        .chain(events.iter().map(|e| e.node))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let mut plan = Plan {
+        nodes,
+        rounds: Vec::new(),
+        order: Vec::new(),
+        send_of,
+        bounds: Vec::new(),
+    };
+    let mut per_node: Vec<Vec<(usize, Option<usize>)>> = vec![Vec::new(); plan.nodes.len()];
     for (i, e) in events.iter().enumerate() {
-        let awaits = match e.kind {
-            TraceKind::Recv { .. } if send_of[i] != usize::MAX => Some(send_of[i]),
-            _ => None,
-        };
-        per_node[e.node.index().min(node_count - 1)].push((i, awaits));
+        let s = plan.send_of[i];
+        let awaits = (matches!(e.kind, TraceKind::Recv { .. }) && s != usize::MAX).then_some(s);
+        per_node[plan.slot(e.node)].push((i, awaits));
     }
-    (plan_rounds(&per_node, events.len()), send_of)
+    if spans {
+        for n in &obs.nodes {
+            let mut marks: Vec<(usize, Option<u16>)> = n
+                .spans
+                .iter()
+                .zip(&n.span_at)
+                .flat_map(|(s, &(begin_at, end_at))| [(begin_at, Some(s.phase)), (end_at, None)])
+                .collect();
+            marks.sort_unstable_by_key(|&(at, _)| at);
+            let unplaced = n
+                .spans
+                .iter()
+                .skip(n.span_at.len())
+                .flat_map(|s| [Some(s.phase), None]);
+            let items = &mut per_node[plan.slot(n.node)];
+            let mut merged = Vec::with_capacity(items.len() + marks.len());
+            let mut marks = marks.into_iter().peekable();
+            let mut bound = |merged: &mut Vec<_>, phase| {
+                merged.push((events.len() + plan.bounds.len(), None));
+                plan.bounds.push((n.node, phase));
+            };
+            for &item in items.iter() {
+                while let Some((_, phase)) = marks.next_if(|&(at, _)| at <= merged.len()) {
+                    bound(&mut merged, phase);
+                }
+                merged.push(item);
+            }
+            for phase in marks.map(|(_, phase)| phase).chain(unplaced) {
+                bound(&mut merged, phase);
+            }
+            *items = merged;
+        }
+    }
+    (plan.rounds, plan.order) = plan_rounds(&per_node, events.len() + plan.bounds.len());
+    plan
 }
 
-/// Event indices in canonical commit order: (round, node id, per-node
-/// program order) — the order the barrier flushes records and acquires
-/// links in. The sort is stable, so within one `(round, node)` group the
-/// trace's per-node program order is preserved.
-fn canonical_order(events: &[TraceEvent], rounds: &[u32]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    order.sort_by_key(|&i| (rounds[i], events[i].node.raw()));
-    order
+/// One record of a run, as a run file holds it.
+pub(crate) enum Record<'a> {
+    /// A trace event.
+    Event(&'a TraceEvent),
+    /// A span boundary on a node: `Some(phase)` enters a span, `None`
+    /// exits the innermost open one.
+    Span(NodeId, Option<u16>),
+}
+
+/// `obs`'s records — trace events and span boundaries — in the order a
+/// live run's sinks receive them: the commit order (round, node id,
+/// program order), each boundary in the round its node ran it in. A run
+/// file written in this order prices contended links and matches
+/// messages in the order the engine did.
+pub(crate) fn commit_order(obs: &RunObservation) -> impl Iterator<Item = Record<'_>> {
+    let events = obs.trace.events();
+    let Plan { order, bounds, .. } = plan(obs, true);
+    order.into_iter().map(move |id| match events.get(id) {
+        Some(e) => Record::Event(e),
+        None => {
+            let (node, phase) = bounds[id - events.len()];
+            Record::Span(node, phase)
+        }
+    })
 }
 
 /// One link acquisition: the message reached the link's queue at
@@ -237,16 +381,12 @@ pub(crate) struct ContendedTimes {
 /// link model. See [`ContendedTimes`].
 pub(crate) fn contended_times(obs: &RunObservation) -> ContendedTimes {
     let events = obs.trace.events();
-    let (rounds, send_of) = if events.is_empty() {
-        (Vec::new(), Vec::new())
-    } else {
-        plan_event_rounds(obs)
-    };
+    let Plan { order, send_of, .. } = plan(obs, false);
     let mut arrival = vec![f64::NAN; events.len()];
     let mut wait = vec![0.0f64; events.len()];
     let mut links = Vec::new();
-    let mut ledger = LinkLedger::new(obs.dim, 1 << obs.dim);
-    for &i in &canonical_order(events, &rounds) {
+    let mut ledger = LinkLedger::sparse(obs.dim);
+    for &i in &order {
         if let TraceKind::Send { to, elements, hops } = events[i].kind {
             let (a, w) = ledger.acquire_with(
                 events[i].node,
@@ -324,9 +464,9 @@ pub fn reprice(
         return Err("spans carry no program positions".into());
     }
     let events = obs.trace.events();
-    let len = 1usize << obs.dim;
-    let (rounds, send_of) = plan_event_rounds(obs);
-    let order = canonical_order(events, &rounds);
+    let plan = plan(obs, false);
+    let (rounds, order, send_of) = (&plan.rounds, &plan.order, &plan.send_of);
+    let len = plan.nodes.len();
 
     let mut old_clock = vec![0.0f64; len];
     let mut new_clock = vec![0.0f64; len];
@@ -339,7 +479,7 @@ pub fn reprice(
     let mut arrival = vec![f64::NAN; events.len()];
     let mut waits = vec![0.0f64; events.len()];
     let mut checkpoints: Vec<Vec<(f64, f64)>> = vec![Vec::new(); len];
-    let mut ledger = LinkLedger::new(obs.dim, len);
+    let mut ledger = LinkLedger::sparse(obs.dim);
     let mut pending_sends: Vec<usize> = Vec::new();
     let mut cur_round = 0u32;
 
@@ -373,7 +513,7 @@ pub fn reprice(
         let i = order[idx];
         idx += 1;
         let e = &events[i];
-        let n = e.node.index();
+        let n = plan.slot(e.node);
         match e.kind {
             TraceKind::Send { to, elements, hops } => {
                 let predicted = old_clock[n] + obs.cost.transfer(elements, hops.min(1));
@@ -433,7 +573,7 @@ pub fn reprice(
         .nodes
         .iter()
         .map(|node| {
-            let n = node.node.index();
+            let n = plan.slot(node.node);
             let mut metrics = node.metrics.clone();
             metrics.blocked_us = blocked[n];
             metrics.link_wait_us = link_wait[n];
@@ -522,10 +662,11 @@ mod tests {
         // Node 0: send(id 0), recv awaiting id 3 (id 1).
         // Node 1: recv awaiting id 0 (id 2), send (id 3).
         let per_node = vec![vec![(0, None), (1, Some(3))], vec![(2, Some(0)), (3, None)]];
-        let rounds = plan_rounds(&per_node, 4);
+        let (rounds, order) = plan_rounds(&per_node, 4);
         // Round 0: node 0 sends then parks; node 1 parks immediately.
         // Round 1: node 1 wakes (send 0 delivered at barrier 0), recvs and
         // sends. Round 2: node 0 wakes (send 3 delivered at barrier 1).
         assert_eq!(rounds, vec![0, 2, 1, 1]);
+        assert_eq!(order, vec![0, 2, 3, 1], "commit order");
     }
 }

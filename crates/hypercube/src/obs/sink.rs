@@ -3,65 +3,60 @@
 //! A [`TraceSink`] receives the run's records as the engine commits them:
 //! a header with the geometry and cost model, the trace events
 //! (send/recv/compute), span boundaries, and a per-node footer carrying
-//! the final clock and blocked time (so a reader need not re-derive them
-//! from the events) and the one quantity no event stream can reconstruct:
-//! the receive-queue high-water mark (enqueue-time state). Every attached
-//! sink receives the same records.
+//! the one quantity no record stream can reconstruct: the receive-queue
+//! high-water mark (enqueue-time state). Every attached sink receives the
+//! same records.
 //!
 //! [`Trace`](crate::sim::Trace) keeps the events in memory for the
 //! analyzers. [`StreamingSink`] serializes each record straight into
 //! any `io::Write` — a buffered (optionally gzipped) file via
 //! [`StreamingSink::create`], or an in-memory `Vec<u8>` — so heap usage
 //! stays O(1) in the trace length; [`super::replay::run_to_json`] renders
-//! a buffered observation through the same sink. The run file is a single
-//! JSON document (schema in DESIGN.md §6) parsed back by
-//! [`super::replay`]. Records appear in emission order, which the round
-//! barrier fixes: (round, node id, program order) — so both engines write
-//! the same bytes (pinned by `tests/obs_invariants.rs`), and each node's
-//! own records stay in program order, which is all replay needs. When it
-//! finishes, it folds the number of records it wrote into the process's
-//! metric totals ([`super::metrics`]), if they are installed.
+//! a buffered observation through the same sink, the one run-file writer.
+//! The run file is a single JSON document (schema v3, DESIGN.md §6)
+//! parsed back by [`super::replay`]. It records the schedule, not the
+//! clocks: each record is one positional array (node, kind, then the
+//! kind's counts; tags as bare integers), with no event time, no link
+//! wait and no final clock or blocked time in the footer. Under the cost
+//! model every one of those follows from the records in file order, and
+//! the reader recomputes them with the engines' own arithmetic. Records
+//! appear in commit order, which the round barrier fixes: (round, node
+//! id, program order) — so both engines write the same bytes (pinned by
+//! `tests/obs_invariants.rs`), each node's records stay in program order,
+//! and contended links are acquired, and messages matched, in file order
+//! exactly as the engine did. When it finishes, it folds the number of
+//! records it wrote into the process's metric totals
+//! ([`super::metrics`]), if they are installed.
 
 use super::gz::GzEncoder;
-use super::json::{json_object, write_member, write_trace_event, JsonValue};
+use super::json::{json_object, write_member, JsonValue};
 use super::{metrics, NodeObservation};
 use crate::address::NodeId;
 use crate::cost::CostModel;
-use crate::sim::{LinkModel, TraceEvent};
+use crate::sim::{LinkModel, TraceEvent, TraceKind};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Per-node closing record of a run file: the state a replay cannot
-/// rebuild from the event stream alone. One entry per participating
-/// node, in ascending address order.
+/// rebuild from the record stream. One entry per participating node, in
+/// ascending address order.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeSummary {
     /// The node's address.
     pub node: NodeId,
-    /// Final virtual clock, µs.
-    pub clock: f64,
-    /// Virtual µs spent waiting in `recv` (see `NodeMetrics::blocked_us`).
-    pub blocked_us: f64,
     /// Receive-queue high-water mark (see `NodeMetrics::inbox_peak`).
     pub inbox_peak: u64,
 }
 
-json_object!(NodeSummary {
-    node,
-    clock,
-    blocked_us,
-    inbox_peak,
-});
+json_object!(NodeSummary { node, inbox_peak });
 
 impl NodeSummary {
     /// The footer entry of an observed node.
     pub fn of(node: &NodeObservation) -> NodeSummary {
         NodeSummary {
             node: node.node,
-            clock: node.clock,
-            blocked_us: node.metrics.blocked_us,
             inbox_peak: node.metrics.inbox_peak,
         }
     }
@@ -76,9 +71,9 @@ pub trait TraceSink: Send {
     fn begin(&mut self, dim: usize, cost: &CostModel, link_model: LinkModel);
     /// One trace event (send/recv/compute), as the engine stamps it.
     fn event(&mut self, event: &TraceEvent);
-    /// A span boundary on `node` at virtual time `time`: `Some(phase)`
+    /// A span boundary on `node` at the node's current clock: `Some(phase)`
     /// enters a span, `None` exits the innermost open one.
-    fn span(&mut self, node: NodeId, phase: Option<u16>, time: f64);
+    fn span(&mut self, node: NodeId, phase: Option<u16>);
     /// Ends the run with the per-node summaries.
     fn finish(&mut self, nodes: &[NodeSummary]);
 }
@@ -91,7 +86,7 @@ fn render_header(
     key_type: &Option<String>,
 ) {
     out.push('{');
-    write_member(out, "version", &2u64);
+    write_member(out, "version", &3u64);
     write_member(out, "dim", &dim);
     write_member(out, "cost", cost);
     write_member(out, "link_model", &link_model);
@@ -99,23 +94,36 @@ fn render_header(
     out.push_str(",\"events\":[");
 }
 
-fn render_span(out: &mut String, node: NodeId, phase: Option<u16>, time: f64) {
-    match phase {
-        Some(p) => {
-            let _ = write!(
-                out,
-                "{{\"t\":{time},\"node\":{},\"kind\":\"enter\",\"phase\":{p}}}",
-                node.raw()
-            );
+/// The kind codes of schema v3's positional records, their second field.
+pub(crate) const SEND: u64 = 0;
+pub(crate) const RECV: u64 = 1;
+pub(crate) const COMPUTE: u64 = 2;
+pub(crate) const ENTER: u64 = 3;
+pub(crate) const EXIT: u64 = 4;
+
+/// One event as a positional record: `[node,0,tag,to,elements,hops]`,
+/// `[node,1,tag,from,elements]` or `[node,2,comparisons]`.
+fn render_event(out: &mut String, e: &TraceEvent) {
+    let (node, tag) = (e.node.raw(), e.tag.0);
+    let _ = match e.kind {
+        TraceKind::Send { to, elements, hops } => {
+            write!(out, "[{node},{SEND},{tag},{},{elements},{hops}]", to.raw())
         }
-        None => {
-            let _ = write!(
-                out,
-                "{{\"t\":{time},\"node\":{},\"kind\":\"exit\"}}",
-                node.raw()
-            );
+        TraceKind::Recv { from, elements, .. } => {
+            write!(out, "[{node},{RECV},{tag},{},{elements}]", from.raw())
         }
-    }
+        TraceKind::Compute { comparisons } => write!(out, "[{node},{COMPUTE},{comparisons}]"),
+    };
+}
+
+/// One span boundary as a positional record: `[node,3,phase]` or
+/// `[node,4]`.
+fn render_span(out: &mut String, node: NodeId, phase: Option<u16>) {
+    let node = node.raw();
+    let _ = match phase {
+        Some(p) => write!(out, "[{node},{ENTER},{p}]"),
+        None => write!(out, "[{node},{EXIT}]"),
+    };
 }
 
 fn render_footer(out: &mut String, nodes: &[NodeSummary]) {
@@ -256,13 +264,13 @@ impl<W: EndWrite + Send> TraceSink for StreamingSink<W> {
 
     fn event(&mut self, event: &TraceEvent) {
         self.next_record();
-        write_trace_event(&mut self.buf, event);
+        render_event(&mut self.buf, event);
         self.emit();
     }
 
-    fn span(&mut self, node: NodeId, phase: Option<u16>, time: f64) {
+    fn span(&mut self, node: NodeId, phase: Option<u16>) {
         self.next_record();
-        render_span(&mut self.buf, node, phase, time);
+        render_span(&mut self.buf, node, phase);
         self.emit();
     }
 
@@ -280,12 +288,12 @@ impl<W: EndWrite + Send> TraceSink for StreamingSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{Tag, TraceKind};
+    use crate::sim::Tag;
     use std::io::Read;
 
     fn sample_stream(sink: &mut dyn TraceSink) {
         sink.begin(2, &CostModel::default(), LinkModel::Contended);
-        sink.span(NodeId::new(0), Some(1), 0.0);
+        sink.span(NodeId::new(0), Some(1));
         sink.event(&TraceEvent {
             time: 1.5,
             node: NodeId::new(0),
@@ -306,18 +314,14 @@ mod tests {
                 wait: 0.75,
             },
         });
-        sink.span(NodeId::new(0), None, 3.0);
+        sink.span(NodeId::new(0), None);
         sink.finish(&[
             NodeSummary {
                 node: NodeId::new(0),
-                clock: 3.0,
-                blocked_us: 0.0,
                 inbox_peak: 0,
             },
             NodeSummary {
                 node: NodeId::new(1),
-                clock: 2.5,
-                blocked_us: 1.0,
                 inbox_peak: 1,
             },
         ]);
@@ -330,7 +334,7 @@ mod tests {
         sink.finish(&[]);
         let json = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         let doc = super::super::json::Json::parse(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(
             doc.get("link_model").and_then(|v| v.as_str()),
             Some("uncontended")

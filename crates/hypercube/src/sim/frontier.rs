@@ -76,7 +76,7 @@ pub(super) struct SimMessage<K> {
 /// barrier's node-id-ordered flush makes the global stream deterministic.
 pub(super) enum CellRecord {
     Event(TraceEvent),
-    Span { phase: Option<u16>, time: f64 },
+    Span(Option<u16>),
 }
 
 /// Per-node state of a frontier-scheduled run, one slot of the run's slab.
@@ -150,7 +150,7 @@ impl<K> NodeCell<K> {
             None => self.spans.exit(time),
         }
         if self.sinking {
-            self.records.push(CellRecord::Span { phase, time });
+            self.records.push(CellRecord::Span(phase));
         }
     }
 }
@@ -198,7 +198,7 @@ pub(super) fn flush_records(
         for rec in recs.iter() {
             match *rec {
                 CellRecord::Event(ev) => sink.event(&ev),
-                CellRecord::Span { phase, time } => sink.span(NodeId::from(node), phase, time),
+                CellRecord::Span(phase) => sink.span(NodeId::from(node), phase),
             }
         }
     }

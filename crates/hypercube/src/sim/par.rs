@@ -711,7 +711,8 @@ fn serial_flush<K, T>(
                 if let Some(ledger) = &mut ser.ledger {
                     // Links are acquired in commit order — ascending ran
                     // node, then per-node outbox (program) order — the
-                    // deterministic arbitration rule schema v2 records.
+                    // order of the sends in a run file, in which its
+                    // reader acquires the links again.
                     let (arrival, wait) = ledger.acquire(
                         msg.src,
                         msg.dst,

@@ -104,7 +104,7 @@ impl TraceSink for Trace {
         self.events.push(*event);
     }
 
-    fn span(&mut self, _node: NodeId, _phase: Option<u16>, _time: f64) {}
+    fn span(&mut self, _node: NodeId, _phase: Option<u16>) {}
 
     fn finish(&mut self, _nodes: &[NodeSummary]) {
         self.sort();
@@ -137,11 +137,11 @@ mod tests {
         ];
         let mut trace = Trace::default();
         trace.begin(1, &CostModel::default(), LinkModel::Uncontended);
-        trace.span(NodeId::new(0), Some(1), 0.0);
+        trace.span(NodeId::new(0), Some(1));
         for e in &committed {
             trace.event(e);
         }
-        trace.span(NodeId::new(0), None, 2.0);
+        trace.span(NodeId::new(0), None);
         trace.finish(&[]);
         let order: Vec<(f64, u32, usize)> = trace
             .events()

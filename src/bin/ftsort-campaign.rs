@@ -17,7 +17,7 @@
 //! — byte-identical across `--jobs` values and invocations, the property
 //! `tests/campaign_determinism.rs` and CI pin. `--capture-dir` re-executes
 //! every outlier (≥ ~p99 makespan of its cell) and each cell's median
-//! exemplar with a streaming sink, capturing gzip v2 run files plus their
+//! exemplar with a streaming sink, capturing gzip run files plus their
 //! live `RunReport` JSONs for `ftsort-cli replay`/`trace-diff` forensics.
 //! `--metrics-snapshot` installs the process's metric totals and writes a
 //! Prometheus snapshot once the campaign is half done (live progress:

@@ -6,7 +6,8 @@
 //! ftsort-cli partition   [--n 6] [--faults A,B,..] [--model partial|total]
 //! ftsort-cli sort        [--n 6] [--faults A,B,..] [--model partial|total]
 //!                        [--m 100000] [--seed 1992] [--protocol half|full]
-//!                        [--step8 merge|fullsort] [--engine seq|par]
+//!                        [--step8 merge|fullsort] [--local-sort heap|quick|merge]
+//!                        [--router oracle|adaptive] [--engine seq|par]
 //!                        [--key-type u32|u64|i64|pair] [--link-model uncontended|contended]
 //!                        [--host-io] [--threads N] [--trace-out FILE] [--metrics-out FILE]
 //!                        [--run-out FILE[.gz]] [--sched-out FILE] [--sched-profile]
@@ -98,6 +99,8 @@ const KEYS: &[Flag] = &[
 #[rustfmt::skip]
 const SORT: &[Flag] = &[
     ("--step8", "merge|fullsort", "step 8 strategy (default merge)"),
+    ("--local-sort", "heap|quick|merge", "step 3 local sort (default heap, the paper's)"),
+    ("--router", "oracle|adaptive", "router charging hops (default oracle, shortest routes)"),
     ENGINE,
     KEY_TYPE,
     LINK_MODEL,
@@ -264,9 +267,22 @@ fn sort_cmd(args: &Args) -> Result<(), String> {
         "fullsort" => Ok(Step8Strategy::FullSort),
         _ => Err(format!("unknown step8 '{s}' (merge|fullsort)")),
     });
+    let local_sort = args.value("--local-sort", |s| match s {
+        "heap" => Ok(LocalSort::Heapsort),
+        "quick" => Ok(LocalSort::Quicksort),
+        "merge" => Ok(LocalSort::Mergesort),
+        _ => Err(format!("unknown local sort '{s}' (heap|quick|merge)")),
+    });
+    let router = args.value("--router", |s| match s {
+        "oracle" => Ok(RouterKind::Oracle),
+        "adaptive" => Ok(RouterKind::Adaptive),
+        _ => Err(format!("unknown router '{s}' (oracle|adaptive)")),
+    });
     let config = FtConfig {
         protocol,
         step8: step8.unwrap_or_default(),
+        local_sort: local_sort.unwrap_or_default(),
+        router: router.unwrap_or_default(),
         engine: args.value("--engine", engine).unwrap_or_default(),
         link_model: args.value("--link-model", link_model).unwrap_or_default(),
         include_host_io: args.switch("--host-io"),

@@ -345,6 +345,64 @@ fn replay_reprices_across_link_models_and_gzip() {
 }
 
 #[test]
+fn adaptive_contended_run_files_replay_to_the_live_report() {
+    // Q6 with node 0's neighbors dead and relaying nothing: the adaptive
+    // router's walks out of that corner are longer than the oracle's, and
+    // the run file, which records hops but no times, still prices them
+    // (and the link contention) back to the live report byte for byte.
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let [run, live, replayed] = ["run.jsonl.gz", "live.json", "replayed.json"]
+        .map(|name| dir.join(format!("ftsort_cli_adaptive_{id}_{name}")));
+    let sort = |router: &str, extra: &[&std::path::Path]| {
+        let mut cmd = cli();
+        cmd.args(["sort", "--n", "6", "--faults", "1,2,4,8,16", "--model"])
+            .args(["total", "--m", "2000", "--router", router])
+            .args(["--link-model", "contended"]);
+        if let [run, live] = extra {
+            cmd.arg("--run-out").arg(run).arg("--metrics-out").arg(live);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let hops = |stdout: &str| -> u64 {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("element·hops"))
+            .unwrap();
+        line.split(':').nth(1).unwrap().trim().parse().unwrap()
+    };
+    let adaptive = sort("adaptive", &[&run, &live]);
+    assert!(hops(&adaptive) > hops(&sort("oracle", &[])), "{adaptive}");
+    let out = cli()
+        .args(["replay", "--trace"])
+        .arg(&run)
+        .arg("--metrics-out")
+        .arg(&replayed)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let live_report = std::fs::read(&live).expect("live report");
+    let replayed_report = std::fs::read(&replayed).expect("replayed report");
+    for path in [&run, &live, &replayed] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert!(
+        live_report == replayed_report,
+        "the replayed report differs from the live one"
+    );
+}
+
+#[test]
 fn sort_rejects_unknown_engine() {
     // `threaded` named an engine that no longer exists: it is a usage
     // error like any other unknown spelling, listing the two engines.
@@ -392,6 +450,8 @@ fn bad_arguments_are_usage_errors() {
         (cli, "sort --m 10 --n 40", "--n"),
         (cli, "sort --n 3 --m 10 --host-io yes", "'yes'"),
         (cli, "sort --n 3 --m 10 --threads 0", "--threads"),
+        (cli, "sort --n 3 --m 10 --local-sort bubble", "--local-sort"),
+        (cli, "sort --n 3 --m 10 --router psychic", "--router"),
         (cli, "partition --n 4 --seed abc", "--seed"),
         (cli, "mffs --n 4 --faults 2 --m 10 --engine par", "--engine"),
         (cli, "route --n 4 --from 99", "--from"),

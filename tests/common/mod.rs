@@ -1,7 +1,54 @@
-//! Helpers shared by the integration tests.
+//! Helpers shared by the integration tests. Each test binary uses some.
+#![allow(dead_code)]
 
+use hypercube::obs::RunObservation;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Asserts that `replayed` (a re-priced or replayed observation)
+/// reproduces `live` bit for bit: every trace event, and per node the
+/// clock, operation counters, metrics and span boundaries. Run-file text
+/// holds no times since schema v3, so equal files say nothing about them;
+/// this compares the times themselves.
+pub fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &str) {
+    assert_eq!(replayed.link_model, live.link_model, "{what}: link model");
+    let (got, want) = (replayed.trace.events(), live.trace.events());
+    assert_eq!(got.len(), want.len(), "{what}: event count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g == w && g.time.to_bits() == w.time.to_bits(),
+            "{what}: event {i} differs: {g:?} vs live {w:?}"
+        );
+    }
+    assert_eq!(replayed.nodes.len(), live.nodes.len(), "{what}: node count");
+    for (g, w) in replayed.nodes.iter().zip(&live.nodes) {
+        assert_eq!(g.node, w.node, "{what}: participation differs");
+        let node = w.node;
+        assert_eq!(
+            g.clock.to_bits(),
+            w.clock.to_bits(),
+            "{what}: clock of {node:?}"
+        );
+        assert_eq!(g.stats, w.stats, "{what}: counters of {node:?}");
+        let (gm, wm) = (&g.metrics, &w.metrics);
+        assert!(
+            gm == wm
+                && gm.blocked_us.to_bits() == wm.blocked_us.to_bits()
+                && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
+            "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
+        );
+        assert_eq!(g.spans.len(), w.spans.len(), "{what}: spans of {node:?}");
+        assert_eq!(g.span_at, w.span_at, "{what}: span positions of {node:?}");
+        for (gs, ws) in g.spans.iter().zip(&w.spans) {
+            assert!(
+                gs.phase == ws.phase
+                    && gs.begin.to_bits() == ws.begin.to_bits()
+                    && gs.end.to_bits() == ws.end.to_bits(),
+                "{what}: span of {node:?} differs: {gs:?} vs live {ws:?}"
+            );
+        }
+    }
+}
 
 /// How many mutations of each kind [`mutations`] makes.
 pub struct Budget {

@@ -10,6 +10,9 @@
 //!
 //! Every clock advance is an event: on each instance, every live node's
 //! final clock must equal the time of its last trace event bit for bit.
+//! And on each instance the seq run's streamed run file, which records no
+//! times, replays to the live traced observation bit for bit: the
+//! reader's clock arithmetic is the engine's.
 //!
 //! The parallel engine's worker count is swept across `{1, 2, 4, auto}`
 //! per case — the work-stealing scheduler must be byte-deterministic at
@@ -30,78 +33,51 @@
 //! "Reproduces" is bit for bit: every event, and per node the clock,
 //! counters, metrics and span boundaries.
 
-use ftsort::bitonic::Protocol;
+mod common;
+
+use common::assert_reproduces;
+use ftsort::bitonic::{Protocol, SortOutcome};
 use ftsort::ftsort::{fault_tolerant_sort, Attach, FtConfig, FtPlan};
 use hypercube::cost::CostModel;
-use hypercube::fault::FaultSet;
+use hypercube::fault::{FaultModel, FaultSet};
+use hypercube::obs::replay::observation_from_json;
 use hypercube::obs::schedule::reprice;
 use hypercube::obs::sink::{StreamingSink, TraceSink};
 use hypercube::obs::RunObservation;
-use hypercube::sim::{EngineKind, LinkModel};
+use hypercube::sim::{EngineKind, LinkModel, RouterKind, TraceKind};
 use hypercube::topology::Hypercube;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
-/// Runs the sort streaming into an in-memory [`StreamingSink`] and returns
-/// the exact bytes the sink wrote.
-fn streamed_bytes(plan: &FtPlan, config: &FtConfig, data: Vec<u64>) -> Vec<u8> {
+/// Runs the sort streaming into an in-memory [`StreamingSink`]; returns
+/// its outcome and observation, and the exact bytes the sink wrote.
+fn streamed(
+    plan: &FtPlan,
+    config: &FtConfig,
+    data: Vec<u64>,
+) -> (SortOutcome<u64>, RunObservation, Vec<u8>) {
     let sink = Arc::new(Mutex::new(StreamingSink::new(Vec::<u8>::new())));
     let attach = Attach {
         sink: Some(sink.clone() as Arc<Mutex<dyn TraceSink>>),
         ..Attach::default()
     };
-    fault_tolerant_sort(plan, config, data, attach);
-    Arc::try_unwrap(sink)
+    let (out, _, obs) = fault_tolerant_sort(plan, config, data, attach);
+    let bytes = Arc::try_unwrap(sink)
         .ok()
         .expect("the engine dropped its sink handle")
         .into_inner()
         .unwrap()
         .into_inner()
-        .unwrap()
+        .unwrap();
+    (out, obs, bytes)
 }
 
-/// Asserts that an offline re-pricing reproduces a live run bit for bit:
-/// every trace event, and per node the clock, operation counters, metrics
-/// and span boundaries.
-fn assert_reproduces(replayed: &RunObservation, live: &RunObservation, what: &str) {
-    assert_eq!(replayed.link_model, live.link_model, "{what}: link model");
-    let (got, want) = (replayed.trace.events(), live.trace.events());
-    assert_eq!(got.len(), want.len(), "{what}: event count");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert!(
-            g == w && g.time.to_bits() == w.time.to_bits(),
-            "{what}: event {i} differs: {g:?} vs live {w:?}"
-        );
-    }
-    assert_eq!(replayed.nodes.len(), live.nodes.len(), "{what}: node count");
-    for (g, w) in replayed.nodes.iter().zip(&live.nodes) {
-        assert_eq!(g.node, w.node, "{what}: participation differs");
-        let node = w.node;
-        assert_eq!(
-            g.clock.to_bits(),
-            w.clock.to_bits(),
-            "{what}: clock of {node:?}"
-        );
-        assert_eq!(g.stats, w.stats, "{what}: counters of {node:?}");
-        let (gm, wm) = (&g.metrics, &w.metrics);
-        assert!(
-            gm == wm
-                && gm.blocked_us.to_bits() == wm.blocked_us.to_bits()
-                && gm.link_wait_us.to_bits() == wm.link_wait_us.to_bits(),
-            "{what}: metrics of {node:?} differ: {gm:?} vs live {wm:?}"
-        );
-        assert_eq!(g.spans.len(), w.spans.len(), "{what}: spans of {node:?}");
-        assert_eq!(g.span_at, w.span_at, "{what}: span positions of {node:?}");
-        for (gs, ws) in g.spans.iter().zip(&w.spans) {
-            assert!(
-                gs.phase == ws.phase
-                    && gs.begin.to_bits() == ws.begin.to_bits()
-                    && gs.end.to_bits() == ws.end.to_bits(),
-                "{what}: span of {node:?} differs: {gs:?} vs live {ws:?}"
-            );
-        }
-    }
+/// Asserts that `bytes`, a streamed run file, replays to `live`.
+fn assert_replays(bytes: &[u8], live: &RunObservation, what: &str) {
+    let text = std::str::from_utf8(bytes).expect("run files are UTF-8");
+    let replayed = observation_from_json(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_reproduces(&replayed, live, what);
 }
 
 /// The seeded instance loop both tests share: for each case, the plan,
@@ -145,9 +121,10 @@ fn instances(
     }
 }
 
-/// Runs seq traced and par untraced under `config`'s link model, asserts
-/// they agree, and every 8th case that they stream the same bytes (par at
-/// 1, 2 and 4 workers). Returns seq's observation.
+/// Runs seq traced and streamed, and par untraced, under `config`'s link
+/// model; asserts they agree, that seq's streamed bytes replay to its
+/// traced observation, and every 8th case that par streams the same bytes
+/// (at 1, 2 and 4 workers). Returns seq's observation.
 fn seq_vs_par(
     case: usize,
     plan: &FtPlan,
@@ -164,8 +141,7 @@ fn seq_vs_par(
         engine: EngineKind::Par,
         ..config
     };
-    let (seq, _, seq_obs) =
-        fault_tolerant_sort(plan, &seq_config, data.to_vec(), Attach::default());
+    let (seq, seq_obs, seq_bytes) = streamed(plan, &seq_config, data.to_vec());
     let (par, _, _) = fault_tolerant_sort(plan, &par_config, data.to_vec(), Attach::default());
     assert_eq!(seq.sorted, par.sorted, "sorted output differs — {tag}");
     assert_eq!(
@@ -199,21 +175,21 @@ fn seq_vs_par(
             last_event[node.node.index()]
         );
     }
+    assert!(!seq_bytes.is_empty(), "sink saw no records — {tag}");
+    assert_replays(&seq_bytes, &seq_obs, &format!("streamed run file, {tag}"));
 
     if case.is_multiple_of(8) {
-        let seq_bytes = streamed_bytes(plan, &seq_config, data.to_vec());
         for workers in [1usize, 2, 4] {
             let par_config = FtConfig {
                 threads: Some(workers),
                 ..par_config
             };
-            let par_bytes = streamed_bytes(plan, &par_config, data.to_vec());
+            let (_, _, par_bytes) = streamed(plan, &par_config, data.to_vec());
             assert!(
                 seq_bytes == par_bytes,
                 "streamed run file differs seq vs par@{workers} — {tag}"
             );
         }
-        assert!(!seq_bytes.is_empty(), "sink saw no records — {tag}");
     }
     seq_obs
 }
@@ -247,7 +223,7 @@ fn engines_agree_on_64_random_instances() {
 }
 
 /// The contended link model must not break engine equivalence: sorted
-/// output, virtual times (waits included), counters and the streamed v2
+/// output, virtual times (waits included), counters and the streamed
 /// run files all stay byte-identical.
 #[test]
 fn engines_agree_under_contended_link_model() {
@@ -269,4 +245,35 @@ fn engines_agree_under_contended_link_model() {
             reprice(&live, CostModel::paper_form(), live.link_model).expect("traced run re-prices");
         assert_reproduces(&repriced, &paper, &format!("reprice → paper form, {tag}"));
     });
+}
+
+/// The adaptive router's detours cross more links than the Hamming
+/// distance, which the link ledger charges as an uncontended tail: a
+/// contended run under it streams a run file that replays bit for bit.
+#[test]
+fn adaptive_router_contended_runs_replay_bit_for_bit() {
+    // faults that relay nothing, so routes detour around them
+    let faults =
+        FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]).with_model(FaultModel::Total);
+    let plan = FtPlan::new(&faults).expect("tolerable");
+    let mut rng = StdRng::seed_from_u64(0xada9);
+    let data: Vec<u64> = (0..3_000).map(|_| rng.random()).collect();
+    let config = FtConfig {
+        router: RouterKind::Adaptive,
+        link_model: LinkModel::Contended,
+        tracing: true,
+        ..FtConfig::default()
+    };
+    let (_, live, bytes) = streamed(&plan, &config, data);
+    let detours = live
+        .trace
+        .events()
+        .iter()
+        .filter(|e| match e.kind {
+            TraceKind::Send { to, hops, .. } => hops > (e.node.raw() ^ to.raw()).count_ones(),
+            _ => false,
+        })
+        .count();
+    assert!(detours > 0, "no send took a detour");
+    assert_replays(&bytes, &live, "adaptive router, contended");
 }

@@ -3,7 +3,12 @@
 //! attribution, agreement between the span-derived `PhaseBreakdown` and
 //! the aggregate `RunReport`, streaming-vs-buffered sink byte
 //! equivalence, replay exactness, and critical-path diff invariants.
+//! Run files record no times, so wherever two runs' files are compared,
+//! their observations are compared bit for bit beside them.
 
+mod common;
+
+use common::assert_reproduces;
 use ftsort::ftsort::{fault_tolerant_sort, phase_name, Attach, FtConfig, FtPlan, PhaseBreakdown};
 use hypercube::cost::CostModel;
 use hypercube::fault::FaultSet;
@@ -212,6 +217,15 @@ fn seq_and_par_sinks_stream_identical_bytes() {
     // and the file replays (the acceptance path behind sort --run-out)
     let replayed = observation_from_json(&seq_json).expect("replays");
     assert!(!replayed.trace.is_empty());
+    // the buffered writer re-derives the live commit order: the same run,
+    // traced, writes the same bytes
+    let (_, live) = observed(EngineKind::Seq, false);
+    assert_eq!(
+        run_to_json(&live),
+        seq_json,
+        "run_to_json left commit order"
+    );
+    assert_reproduces(&replayed, &live, "streamed run file");
 }
 
 #[test]
@@ -222,6 +236,7 @@ fn run_file_replay_is_byte_identical_for_every_engine() {
         let replayed = observation_from_json(&file).expect("run file replays");
 
         // field-for-field equality, float bits included
+        assert_reproduces(&replayed, &live, &format!("{engine:?} replay"));
         assert_eq!(replayed.dim, live.dim);
         assert!(!live.trace.is_empty(), "tracing was on");
         assert_eq!(replayed.trace.events(), live.trace.events(), "{engine:?}");
@@ -291,8 +306,9 @@ fn recost_matches_a_live_run_under_the_target_model() {
     let live = run_under(target);
     let repriced = reprice(&base, target, base.link_model).expect("run was traced");
 
-    // the whole run file — every event timestamp, clock, blocked time and
-    // inbox peak — is the same bytes
+    // every event timestamp, clock, blocked time and span is the same
+    // bits, and the whole run file the same bytes
+    assert_reproduces(&repriced, &live, "recost");
     assert_eq!(
         run_to_json(&repriced),
         run_to_json(&live),
@@ -306,6 +322,7 @@ fn recost_matches_a_live_run_under_the_target_model() {
 
     // recosting to the run's own model is the identity
     let same = reprice(&base, base.cost, base.link_model).expect("run was traced");
+    assert_reproduces(&same, &base, "identity recost");
     assert_eq!(
         run_to_json(&same),
         run_to_json(&base),
@@ -327,12 +344,14 @@ fn cross_model_reprice_matches_live_runs_bit_exactly() {
     );
 
     let up = reprice(&unc, unc.cost, LinkModel::Contended).expect("traced");
+    assert_reproduces(&up, &con, "uncontended -> contended");
     assert_eq!(
         run_to_json(&up),
         run_to_json(&con),
         "uncontended -> contended reprice diverged from the live run"
     );
     let down = reprice(&con, con.cost, LinkModel::Uncontended).expect("traced");
+    assert_reproduces(&down, &unc, "contended -> uncontended");
     assert_eq!(
         run_to_json(&down),
         run_to_json(&unc),
@@ -341,15 +360,16 @@ fn cross_model_reprice_matches_live_runs_bit_exactly() {
 
     // re-pricing a contended run to its own cost and model is the identity
     let same = reprice(&con, con.cost, con.link_model).expect("traced");
+    assert_reproduces(&same, &con, "identity recost, contended");
     assert_eq!(
         run_to_json(&same),
         run_to_json(&con),
         "identity recost drifted on a contended run"
     );
 
-    // and the v2 run file round-trips the contended observation exactly
+    // and the run file round-trips the contended observation exactly
     let replayed = observation_from_json(&run_to_json(&con)).expect("replays");
-    assert_eq!(replayed.link_model, LinkModel::Contended);
+    assert_reproduces(&replayed, &con, "contended run file");
     assert_eq!(
         replayed.report(&phase_name).to_json(),
         con.report(&phase_name).to_json(),

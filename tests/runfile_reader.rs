@@ -1,14 +1,16 @@
 //! The run-file reader on files it did not write itself.
 //!
 //! * **Tolerance.** Member order, unknown members and whitespace are the
-//!   writer's choice, not the schema's: a reformatted v2 file replays to
-//!   the byte-identical `--metrics-out` report.
+//!   writer's choice, not the schema's: a reformatted v3 file, and a
+//!   reformatted v2 file (`tests/fixtures/run_v2_contended.json`, whose
+//!   records are objects), replay to the byte-identical `--metrics-out`
+//!   report.
 //! * **Depth cap.** Deeply nested input is an error with a clean exit, not
 //!   a stack overflow, in both `replay` and `trace-check`.
-//! * **Hostile input.** Every seeded mutation of a valid run file —
-//!   truncation, bit flips, extreme numbers, deep nesting — read through
-//!   `observation_from_file`, plain or gzipped, returns `Err` or an
-//!   observation that round-trips, never a panic.
+//! * **Hostile input.** Every seeded mutation of a valid run file — a v3
+//!   file and the v2 fixture; truncation, bit flips, extreme numbers, deep
+//!   nesting — read through `observation_from_file`, plain or gzipped,
+//!   returns `Err` or an observation that round-trips, never a panic.
 //! * **Implausible records.** Send and receive addresses outside the cube,
 //!   hop counts no route can take, and counts whose sums overflow are
 //!   errors, not truncations, wraps or unbounded allocations.
@@ -95,8 +97,11 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ftsort_reader_{}_{name}", std::process::id()))
 }
 
-/// A small contended Q3 run file (faults {1, 6}, 300 keys), so receives
-/// carry `wait` members and every record kind appears.
+/// The v2 fixture: a contended Q4 run file whose records are objects.
+const V2_FIXTURE: &str = "tests/fixtures/run_v2_contended.json";
+
+/// A small contended Q3 run file (faults {1, 6}, 300 keys), so every
+/// record kind appears and receives wait on links.
 fn small_run_file() -> Vec<u8> {
     let faults = FaultSet::from_raw(Hypercube::new(3), &[1, 6]);
     let plan = FtPlan::new(&faults).expect("tolerable");
@@ -134,7 +139,8 @@ fn gzip(data: &[u8]) -> Vec<u8> {
 }
 
 /// Writes `v` back as JSON with objects' members reversed and loose
-/// whitespace; event objects also gain an unknown member.
+/// whitespace; the document and event objects also gain an unknown
+/// member.
 fn render_loose(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
@@ -160,7 +166,7 @@ fn render_loose(v: &Json, out: &mut String) {
         }
         Json::Obj(fields) => {
             out.push_str("{\n ");
-            if v.get("kind").is_some() {
+            if v.get("kind").is_some() || v.get("version").is_some() {
                 out.push_str("\"note\" : {\"unknown\": [1, \"x\\\"y\", null, true]} ,");
             }
             for (k, (key, value)) in fields.iter().rev().enumerate() {
@@ -194,15 +200,6 @@ fn reformatted_run_files_replay_to_the_same_report() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let text = std::fs::read_to_string(&canonical).expect("run file");
-    let doc = Json::parse(&text).expect("canonical file is JSON");
-    let mut reformatted = String::from("\n\n");
-    render_loose(&doc, &mut reformatted);
-    reformatted.push_str("\n\t\n");
-    assert_ne!(reformatted, text);
-    assert!(reformatted.contains("\"note\""));
-    std::fs::write(&loose, &reformatted).expect("write");
-
     let report = |run: &PathBuf, name: &str| {
         let path = temp(name);
         let out = cli()
@@ -221,12 +218,25 @@ fn reformatted_run_files_replay_to_the_same_report() {
         let _ = std::fs::remove_file(&path);
         bytes
     };
-    let want = report(&canonical, "canonical.report.json");
-    let got = report(&loose, "loose.report.json");
-    assert!(
-        want == got,
-        "reformatted run file replayed to a different report"
-    );
+    let v3 = std::fs::read_to_string(&canonical).expect("run file");
+    assert!(v3.starts_with("{\"version\":3,"));
+    let v2 = std::fs::read_to_string(V2_FIXTURE).expect("fixture");
+    for (what, text) in [("v3", v3), ("v2", v2)] {
+        std::fs::write(&canonical, &text).expect("write");
+        let doc = Json::parse(&text).expect("canonical file is JSON");
+        let mut reformatted = String::from("\n\n");
+        render_loose(&doc, &mut reformatted);
+        reformatted.push_str("\n\t\n");
+        assert_ne!(reformatted, text);
+        assert!(reformatted.contains("\"note\""));
+        std::fs::write(&loose, &reformatted).expect("write");
+        let want = report(&canonical, "canonical.report.json");
+        let got = report(&loose, "loose.report.json");
+        assert!(
+            want == got,
+            "{what}: reformatted run file replayed to a different report"
+        );
+    }
     for path in [&canonical, &loose] {
         let _ = std::fs::remove_file(path);
     }
@@ -282,36 +292,46 @@ fn check(case: usize, what: &str, result: Result<hypercube::obs::RunObservation,
     }
 }
 
+/// The fuzzers' bases: a v3 file and the v2 fixture.
+fn bases() -> [(&'static str, Vec<u8>); 2] {
+    [
+        ("v3", small_run_file()),
+        ("v2", std::fs::read(V2_FIXTURE).expect("fixture")),
+    ]
+}
+
 #[test]
 fn mutated_run_files_fail_cleanly() {
-    let base = small_run_file();
-    observation_from_json(std::str::from_utf8(&base).unwrap()).expect("the base file replays");
     let mut rng = StdRng::seed_from_u64(0x5eed_7e11);
     let path = temp("mutated.jsonl");
-    for (case, m) in mutations(&base, &mut rng, BUDGET).into_iter().enumerate() {
-        std::fs::write(&path, &m).expect("write");
-        check(case, "plain", observation_from_file(path.to_str().unwrap()));
+    for (what, base) in bases() {
+        observation_from_json(std::str::from_utf8(&base).unwrap()).expect("the base file replays");
+        for (case, m) in mutations(&base, &mut rng, BUDGET).into_iter().enumerate() {
+            std::fs::write(&path, &m).expect("write");
+            check(case, what, observation_from_file(path.to_str().unwrap()));
+        }
     }
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn mutated_gzip_run_files_fail_cleanly() {
-    let plain = small_run_file();
-    let base = gzip(&plain);
     let mut rng = StdRng::seed_from_u64(0x5eed_7e12);
     let path = temp("mutated.jsonl.gz");
-    // compressed-byte mutations, then well-formed gzip around mutated text
-    let mut cases = mutations(&base, &mut rng, BUDGET);
-    cases.extend(
-        mutations(&plain, &mut rng, BUDGET)
-            .iter()
-            .step_by(4)
-            .map(|m| gzip(m)),
-    );
-    for (case, m) in cases.into_iter().enumerate() {
-        std::fs::write(&path, &m).expect("write");
-        check(case, "gz", observation_from_file(path.to_str().unwrap()));
+    for (what, plain) in bases() {
+        let base = gzip(&plain);
+        // compressed-byte mutations, then well-formed gzip around mutated text
+        let mut cases = mutations(&base, &mut rng, BUDGET);
+        cases.extend(
+            mutations(&plain, &mut rng, BUDGET)
+                .iter()
+                .step_by(4)
+                .map(|m| gzip(m)),
+        );
+        for (case, m) in cases.into_iter().enumerate() {
+            std::fs::write(&path, &m).expect("write");
+            check(case, what, observation_from_file(path.to_str().unwrap()));
+        }
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -14,7 +14,7 @@
 //!    charged to the phase it was in (see `hypercube::obs::sched`).
 //! 2. **Invisibility** — profiling must not perturb the simulation:
 //!    a profiled run produces byte-identical sorted output, operation
-//!    counters and streamed v2 run files to an unprofiled run of the
+//!    counters and streamed run files to an unprofiled run of the
 //!    same seeded instance.
 //! 3. **Trace validity** — the per-worker Perfetto export passes the
 //!    same structural validator `ftsort-cli trace-check` uses (declared
@@ -171,7 +171,7 @@ fn profile_records_effective_schedule_after_clamp() {
 }
 
 /// Satellite 3, library half: attaching the profiler is invisible to the
-/// simulation — identical sorted output and byte-identical streamed v2
+/// simulation — identical sorted output and byte-identical streamed
 /// run files with profiling on vs off.
 #[test]
 fn profiling_is_byte_invisible() {

@@ -9,7 +9,7 @@
 //! second independent point — and demands identical sorted output, virtual
 //! time bits and operation counters. Every third case runs under the
 //! contended link model (which routes the par engine through its serial
-//! commit path), and every fourth case also compares the streamed v2 run
+//! commit path), and every fourth case also compares the streamed run
 //! file byte for byte: scheduler parameters must never leak into any
 //! observable output.
 
